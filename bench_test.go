@@ -964,6 +964,56 @@ func BenchmarkPushIndexed(b *testing.B) {
 	b.Logf("kernel: indexed push support %d on n=%d m=%d", support, g.N(), g.M())
 }
 
+// deepSweepSeeds is how many finished deep pushes BenchmarkSweepWorkspace
+// rotates through, so successive sweeps do not find the previous one's
+// rows and stamps in cache.
+const deepSweepSeeds = 16
+
+// BenchmarkSweepWorkspace measures the sweep half of a deep ppr reply —
+// local.WorkspaceSweepCut over the finished push of a G16-scale
+// Kronecker graph at eps 1e-6 (support in the thousands) — on each
+// storage backend. The sweep reads the P plane and writes only sweep
+// scratch, so each prepared workspace is swept again and again; what
+// must hold is B/op ≈ the returned set and allocs/op independent of n
+// (TestMaterialisationIsLocal in internal/local pins the latter).
+func BenchmarkSweepWorkspace(b *testing.B) {
+	for _, kind := range gstore.Kinds() {
+		b.Run(string(kind), func(b *testing.B) {
+			g, path := backendBenchSnapshot(b, "n64k")
+			bg, err := openBackendFromSnapshot(kind, path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer gstore.Close(bg)
+			wss := make([]*kernel.Workspace, deepSweepSeeds)
+			support := 0
+			for i := range wss {
+				wss[i] = kernel.NewWorkspace(bg.N())
+				seed := (g.N()/2 + i*4099) % g.N()
+				for g.Degree(seed) == 0 {
+					seed = (seed + 1) % g.N()
+				}
+				st, err := kernel.PushACL{Alpha: 0.1, Eps: 1e-6}.Diffuse(bg, wss[i], []int{seed})
+				if err != nil {
+					b.Fatal(err)
+				}
+				support += st.MaxSupport
+				if _, err := local.WorkspaceSweepCut(bg, wss[i]); err != nil { // warm the scratch
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := local.WorkspaceSweepCut(bg, wss[i%len(wss)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.Logf("backend=%s mean support %d on n=%d m=%d", kind, support/len(wss), g.N(), g.M())
+		})
+	}
+}
+
 // BenchmarkNibble compares the truncated-walk engine on its two sparse
 // representations: the legacy per-step maps against the kernel
 // workspace.

@@ -102,3 +102,66 @@ func TestCSRAliasesInternalStorage(t *testing.T) {
 		}
 	}
 }
+
+// TestUnitWeights: the flag is decided at construction by both
+// constructors, on the stored (merged) weights, and follows a single
+// weight pair nudged off 1.0 and back.
+func TestUnitWeights(t *testing.T) {
+	build := func(edges [][3]float64) *Graph {
+		t.Helper()
+		b := NewBuilder(4)
+		for _, e := range edges {
+			b.AddWeightedEdge(int(e[0]), int(e[1]), e[2])
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	for _, tc := range []struct {
+		name  string
+		edges [][3]float64
+		want  bool
+	}{
+		{"edgeless", nil, true},
+		{"unit path", [][3]float64{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}}, true},
+		{"duplicate edge merges to 2", [][3]float64{{0, 1, 1}, {1, 2, 1}, {1, 0, 1}}, false},
+		{"halves merge to 1", [][3]float64{{0, 1, 0.5}, {1, 0, 0.5}, {2, 3, 1}}, true},
+		{"one weighted edge", [][3]float64{{0, 1, 1}, {1, 2, 1.5}}, false},
+		{"ignored self-loop weight", [][3]float64{{0, 1, 1}, {2, 2, 7}}, true},
+	} {
+		g := build(tc.edges)
+		if got := g.UnitWeights(); got != tc.want {
+			t.Errorf("Build %s: UnitWeights = %v, want %v", tc.name, got, tc.want)
+		}
+		rowPtr, adj, w := g.CSR()
+		g2, err := FromCSR(append([]int(nil), rowPtr...), append([]int(nil), adj...), append([]float64(nil), w...))
+		if err != nil {
+			t.Fatalf("FromCSR %s: %v", tc.name, err)
+		}
+		if got := g2.UnitWeights(); got != tc.want {
+			t.Errorf("FromCSR %s: UnitWeights = %v, want %v", tc.name, got, tc.want)
+		}
+	}
+
+	// Nudge the last edge's two mirrored entries one ulp off 1.0: not
+	// unit. Nudge them back: unit again.
+	rowPtr, adj, w := build([][3]float64{{0, 1, 1}, {1, 2, 1}, {2, 3, 1}}).CSR()
+	fromCSR := func(x float64) *Graph {
+		t.Helper()
+		w2 := append([]float64(nil), w...)
+		w2[len(w2)-1], w2[len(w2)-2] = x, x // rows 3→2 and 2→3
+		g, err := FromCSR(append([]int(nil), rowPtr...), append([]int(nil), adj...), w2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	if fromCSR(math.Nextafter(1, 2)).UnitWeights() {
+		t.Error("FromCSR: a weight one ulp above 1.0 still reports unit weights")
+	}
+	if !fromCSR(1).UnitWeights() {
+		t.Error("FromCSR: all-ones weights do not report unit weights")
+	}
+}

@@ -25,6 +25,7 @@ type Graph struct {
 	deg    []float64 // weighted degree of each node
 	volume float64   // sum of all weighted degrees = 2 * total edge weight
 	edges  int       // number of undirected edges
+	unit   bool      // every stored weight is exactly 1.0 (see UnitWeights)
 }
 
 // Builder accumulates edges and produces an immutable Graph.
@@ -112,11 +113,14 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 	es = merged
 
-	g := &Graph{n: n, rowPtr: make([]int, n+1), deg: make([]float64, n), edges: len(es)}
+	g := &Graph{n: n, rowPtr: make([]int, n+1), deg: make([]float64, n), edges: len(es), unit: true}
 	counts := make([]int, n)
 	for _, e := range es {
 		counts[e.u]++
 		counts[e.v]++
+		if e.w != 1 {
+			g.unit = false
+		}
 	}
 	for i := 0; i < n; i++ {
 		g.rowPtr[i+1] = g.rowPtr[i] + counts[i]
@@ -217,7 +221,7 @@ func FromCSR(rowPtr, adj []int, w []float64) (*Graph, error) {
 	if len(adj)%2 != 0 {
 		return nil, fmt.Errorf("graph: FromCSR: odd entry count %d cannot be symmetric", len(adj))
 	}
-	g := &Graph{n: n, rowPtr: rowPtr, adj: adj, w: w, deg: make([]float64, n), edges: len(adj) / 2}
+	g := &Graph{n: n, rowPtr: rowPtr, adj: adj, w: w, deg: make([]float64, n), edges: len(adj) / 2, unit: true}
 	pairs := 0
 	for u := 0; u < n; u++ {
 		prev := -1
@@ -236,6 +240,9 @@ func FromCSR(rowPtr, adj []int, w []float64) (*Graph, error) {
 			wt := w[k]
 			if wt <= 0 || math.IsNaN(wt) || math.IsInf(wt, 0) {
 				return nil, fmt.Errorf("graph: FromCSR: edge (%d,%d) has invalid weight %v", u, v, wt)
+			}
+			if wt != 1 {
+				g.unit = false
 			}
 			g.deg[u] += wt
 			if u < v {
@@ -272,6 +279,12 @@ func (g *Graph) Degree(u int) float64 { return g.deg[u] }
 // Degrees returns the weighted degree vector. The returned slice aliases
 // internal storage and must not be modified.
 func (g *Graph) Degrees() []float64 { return g.deg }
+
+// UnitWeights reports whether every stored edge weight is exactly 1.0
+// (vacuously true for an edgeless graph). It is decided once, at
+// construction, inside the loops that already visit every weight, so a
+// caller may skip the weight array altogether: x*1.0 == x exactly.
+func (g *Graph) UnitWeights() bool { return g.unit }
 
 // NumNeighbors returns the number of distinct neighbors of u.
 func (g *Graph) NumNeighbors(u int) int { return g.rowPtr[u+1] - g.rowPtr[u] }

@@ -157,6 +157,21 @@ func Wrap(g *graph.Graph) Heap { return Heap{g: g} }
 // Unwrap returns the underlying heap graph.
 func (h Heap) Unwrap() *graph.Graph { return h.g }
 
+// RawCSR returns the heap graph's raw CSR arrays and degree vector for
+// the kernels' monomorphized loops (internal/kernel/csr.go), with one
+// twist: wts is nil when every weight is exactly 1.0. A nil weight
+// slice is the loops' "unit" form — the one the compact backend
+// already serves unit graphs in — so the heap backend then never
+// streams its 8-byte-per-edge array of ones. The slices alias the
+// graph's storage (see graph.Graph.CSR) and must not be written.
+func (h Heap) RawCSR() (rowPtr, adj []int, wts, deg []float64) {
+	rowPtr, adj, wts = h.g.CSR()
+	if h.g.UnitWeights() {
+		wts = nil
+	}
+	return rowPtr, adj, wts, h.g.Degrees()
+}
+
 // N returns the number of nodes.
 func (h Heap) N() int { return h.g.N() }
 

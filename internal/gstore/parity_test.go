@@ -9,7 +9,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/gstore"
+	"repro/internal/kernel"
 	"repro/internal/local"
 	"repro/internal/ncp"
 	"repro/internal/partition"
@@ -109,6 +112,150 @@ func TestDiffusionParityAcrossBackends(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// onesWeighted serves a unit-weight graph as a compact backend with an
+// explicit float64 weight array of ones: the same graph, forced through
+// the weighted branch of every kernel loop.
+func onesWeighted(t testing.TB, hg *graph.Graph) *gstore.Compact {
+	t.Helper()
+	rowPtrI, adjI, wts := hg.CSR()
+	rowPtr := make([]int64, len(rowPtrI))
+	for i, v := range rowPtrI {
+		rowPtr[i] = int64(v)
+	}
+	adj := make([]uint32, len(adjI))
+	for i, v := range adjI {
+		adj[i] = uint32(v)
+	}
+	c, err := gstore.NewCompactFromParts(gstore.KindCompact, rowPtr, adj, nil,
+		append([]float64(nil), wts...), append([]float64(nil), hg.Degrees()...), nil)
+	if err != nil {
+		t.Fatalf("NewCompactFromParts: %v", err)
+	}
+	return c
+}
+
+// sweepFingerprint runs the workspace sweep over ws's output plane and
+// checks it against the validated, iterator-based oracle
+// partition.SweepCutOrdered over the same order — Set, Prefix and
+// Float64bits(Conductance) — returning a printable form of the result
+// for the cross-backend comparison.
+func sweepFingerprint(t *testing.T, label string, g gstore.Graph, ws *kernel.Workspace) string {
+	t.Helper()
+	order := local.WorkspaceSweepOrder(g, ws)
+	got, gotErr := local.WorkspaceSweepCut(g, ws)
+	if len(order) == 0 {
+		if gotErr == nil {
+			t.Fatalf("%s: swept an empty order into %+v", label, got)
+		}
+		return "err=" + gotErr.Error()
+	}
+	want, wantErr := partition.SweepCutOrdered(g, order, len(order))
+	if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+		t.Fatalf("%s: workspace sweep error %v, oracle %v", label, gotErr, wantErr)
+	}
+	if gotErr != nil {
+		return "err=" + gotErr.Error()
+	}
+	if got.Prefix != want.Prefix || math.Float64bits(got.Conductance) != math.Float64bits(want.Conductance) ||
+		fmt.Sprint(got.Set) != fmt.Sprint(want.Set) {
+		t.Fatalf("%s: workspace sweep (k=%d φ=%016x %v) != oracle (k=%d φ=%016x %v)", label,
+			got.Prefix, math.Float64bits(got.Conductance), got.Set,
+			want.Prefix, math.Float64bits(want.Conductance), want.Set)
+	}
+	var sb strings.Builder
+	writeSweep(&sb, "sweep", got)
+	return sb.String()
+}
+
+// TestWorkspaceSweepMatchesOrderedOracle: the workspace-resident sweep
+// (kernel sweep scratch, raw CSR rows, integer cut on unit rows, no
+// order validation) returns exactly what partition.SweepCutOrdered
+// returns for the same order, on every backend — including a unit graph
+// forced through the weighted branch — and the same bytes on all of
+// them. The shapes add the corners the scan has: exact value ties
+// (star leaves), zero-degree nodes inside the support, a support that
+// is the whole graph (the n-1 prefix clamp) and the two unsweepable
+// supports with their error texts.
+func TestWorkspaceSweepMatchesOrderedOracle(t *testing.T) {
+	shapes := testGraphs(t)
+	shapes["star"] = gen.Star(40)
+	shapes["complete"] = gen.Complete(9)
+	for name, hg := range shapes {
+		t.Run(name, func(t *testing.T) {
+			backends := map[string]gstore.Graph{}
+			for kind, g := range openBackends(t, hg) {
+				backends[string(kind)] = g
+			}
+			if hg.UnitWeights() {
+				backends["ones-weighted"] = onesWeighted(t, hg)
+			}
+			isolated := -1
+			for u := 0; u < hg.N(); u++ {
+				if hg.Degree(u) == 0 {
+					isolated = u
+				}
+			}
+			seedSets := [][]int{{0}, {hg.N() / 2}, {0, hg.N() - 1}}
+			if isolated >= 0 {
+				// An isolated seed keeps its mass in p with degree 0: it is
+				// in the support but never in the order.
+				seedSets = append(seedSets, []int{1, isolated}, []int{isolated})
+			}
+			ws := kernel.NewWorkspace(hg.N())
+			for _, eps := range []float64{1e-3, 1e-6, 1e-12} {
+				for _, seeds := range seedSets {
+					label := fmt.Sprintf("eps=%g seeds=%v", eps, seeds)
+					var want string
+					for _, backend := range []string{"heap", "compact", "mmap", "ones-weighted"} {
+						g, ok := backends[backend]
+						if !ok {
+							continue
+						}
+						if _, err := (kernel.PushACL{Alpha: 0.12, Eps: eps}).Diffuse(g, ws, seeds); err != nil {
+							t.Fatalf("%s on %s: %v", label, backend, err)
+						}
+						got := sweepFingerprint(t, label+" on "+backend, g, ws)
+						if backend == "heap" {
+							want = got
+						} else if got != want {
+							t.Fatalf("%s: %s diverges from heap:\n%s\n%s", label, backend, got, want)
+						}
+						if len(seeds) == 1 && seeds[0] == isolated && got != "err=local: sweep support has only zero-degree nodes" {
+							t.Fatalf("%s on %s: all-isolated support swept to %q", label, backend, got)
+						}
+					}
+				}
+			}
+			ws.Reset()
+			if got := sweepFingerprint(t, "empty", backends["heap"], ws); got != "err=local: sweep over empty vector" {
+				t.Fatalf("empty plane swept to %q", got)
+			}
+		})
+	}
+
+	// The corners must actually be hit, not merely be possible.
+	star := gstore.Wrap(shapes["star"])
+	ws := kernel.NewWorkspace(star.N())
+	if _, err := (kernel.PushACL{Alpha: 0.12, Eps: 1e-6}).Diffuse(star, ws, []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(ws.P(1)) != math.Float64bits(ws.P(2)) || ws.P(1) == 0 {
+		t.Fatalf("star leaves do not tie exactly: p(1)=%v p(2)=%v", ws.P(1), ws.P(2))
+	}
+	full := gstore.Wrap(shapes["complete"])
+	ws = kernel.NewWorkspace(full.N())
+	if _, err := (kernel.PushACL{Alpha: 0.12, Eps: 1e-12}).Diffuse(full, ws, []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	sw, err := local.WorkspaceSweepCut(full, ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(local.WorkspaceSweepOrder(full, ws)); n != full.N() || sw.Prefix > full.N()-1 {
+		t.Fatalf("complete graph: order has %d of %d nodes, prefix %d", n, full.N(), sw.Prefix)
 	}
 }
 

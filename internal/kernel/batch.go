@@ -177,9 +177,8 @@ func runPushBlock(d PushACL, g gstore.Graph, wss []*Workspace, seeds []int, sts 
 func pushBatchOn(d PushACL, g gstore.Graph, wss []*Workspace, sts []Stats) {
 	switch t := g.(type) {
 	case gstore.Heap:
-		hg := t.Unwrap()
-		rowPtr, adj, wts := hg.CSR()
-		pushBatchCSR(d, wss, sts, rowPtr, adj, wts, hg.Degrees())
+		rowPtr, adj, wts, deg := t.RawCSR()
+		pushBatchCSR(d, wss, sts, rowPtr, adj, wts, deg)
 	case *gstore.Compact:
 		rowPtr, adj, deg := t.RawRowPtr(), t.RawAdj(), t.RawDegrees()
 		if w64 := t.RawWeights64(); w64 != nil {
@@ -252,9 +251,10 @@ func pushBatchCSR[P ix, A ix, W ~float32 | ~float64](d PushACL, wss []*Workspace
 			spread := (1 - d.Alpha) * ru / 2
 			lo, hi := int(rowPtr[u]), int(rowPtr[u+1])
 			if unit {
+				share := spread / du
 				for _, a := range adj[lo:hi] {
 					v := int(a)
-					rv := ws.r.get(v) + spread/du
+					rv := ws.r.get(v) + share
 					ws.r.set(v, rv)
 					if rv >= d.Eps*deg[v] {
 						ws.q.push(v)
@@ -411,9 +411,8 @@ func runGenericBlock(ctx context.Context, m Diffuser, g gstore.Graph, wss []*Wor
 func walkStepBatchOn(g gstore.Graph, wss []*Workspace, eps float64) {
 	switch t := g.(type) {
 	case gstore.Heap:
-		hg := t.Unwrap()
-		rowPtr, adj, wts := hg.CSR()
-		walkStepBatchCSR(wss, eps, rowPtr, adj, wts, hg.Degrees())
+		rowPtr, adj, wts, deg := t.RawCSR()
+		walkStepBatchCSR(wss, eps, rowPtr, adj, wts, deg)
 	case *gstore.Compact:
 		rowPtr, adj, deg := t.RawRowPtr(), t.RawAdj(), t.RawDegrees()
 		if w64 := t.RawWeights64(); w64 != nil {
@@ -479,8 +478,9 @@ func walkStepBatchCSR[P ix, A ix, W ~float32 | ~float64](wss []*Workspace, eps f
 			}
 			ws.s.add(u, mass/2)
 			if unit {
+				share := mass / 2 / du
 				for _, a := range adj[lo:hi] {
-					ws.s.add(int(a), mass/2/du)
+					ws.s.add(int(a), share)
 				}
 			} else {
 				row, wrow := adj[lo:hi], wts[lo:hi]

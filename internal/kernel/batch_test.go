@@ -306,3 +306,81 @@ func TestBatchValidation(t *testing.T) {
 		})
 	}
 }
+
+// onesWeighted serves a unit-weight graph as a compact backend that
+// carries an explicit float64 weight array of ones, which sends every
+// kernel loop down its weighted branch on a graph the heap backend
+// serves through the nil-weight unit branch.
+func onesWeighted(t testing.TB, hg *graph.Graph) *gstore.Compact {
+	t.Helper()
+	rowPtrI, adjI, wts := hg.CSR()
+	rowPtr := make([]int64, len(rowPtrI))
+	for i, v := range rowPtrI {
+		rowPtr[i] = int64(v)
+	}
+	adj := make([]uint32, len(adjI))
+	for i, v := range adjI {
+		adj[i] = uint32(v)
+	}
+	c, err := gstore.NewCompactFromParts(gstore.KindCompact, rowPtr, adj, nil,
+		append([]float64(nil), wts...), append([]float64(nil), hg.Degrees()...), nil)
+	if err != nil {
+		t.Fatalf("NewCompactFromParts: %v", err)
+	}
+	if c.RawWeights64() == nil {
+		t.Fatal("compact dropped the explicit weight array")
+	}
+	return c
+}
+
+// TestUnitFastPathMatchesWeightedBranch: the heap backend hands the
+// kernels a nil weight slice for a unit-weight graph, so push, walk
+// steps and their batched forms run the hoisted unit branch. The
+// output must be byte-identical to the weighted branch reading 1.0 per
+// edge (spread*1.0/du == spread/du), sequentially and batched.
+func TestUnitFastPathMatchesWeightedBranch(t *testing.T) {
+	hg := batchTestGraph(t)
+	if !hg.UnitWeights() {
+		t.Fatal("fixture graph is not unit-weight")
+	}
+	if _, _, wts, _ := gstore.Wrap(hg).RawCSR(); wts != nil {
+		t.Fatal("heap backend hands out a weight array for a unit-weight graph")
+	}
+	var unit, weighted gstore.Graph = gstore.Wrap(hg), onesWeighted(t, hg)
+	seeds := batchSeeds(hg.N(), 20)
+	pool := kernel.NewPool(hg.N())
+	for name, method := range batchMethods() {
+		run := func(g gstore.Graph) (seq, batch []string) {
+			seq, batch = make([]string, len(seeds)), make([]string, len(seeds))
+			for i, s := range seeds {
+				ws := pool.Get()
+				st, err := method.Diffuse(g, ws, []int{s})
+				if err != nil {
+					t.Fatalf("%s: Diffuse(seed %d): %v", name, s, err)
+				}
+				seq[i] = wsFingerprint(ws, st)
+				pool.Put(ws)
+			}
+			bd := kernel.BatchDiffuser{Method: method, Workers: 1}
+			_, err := bd.Run(context.Background(), g, pool, seeds, func(i int, ws *kernel.Workspace, st kernel.Stats) error {
+				batch[i] = wsFingerprint(ws, st)
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("%s: batch Run: %v", name, err)
+			}
+			return seq, batch
+		}
+		unitSeq, unitBatch := run(unit)
+		wSeq, wBatch := run(weighted)
+		for i := range seeds {
+			if unitSeq[i] != wSeq[i] {
+				t.Fatalf("%s seed[%d]=%d: unit branch diverges from weighted branch:\nunit:     %.200s\nweighted: %.200s",
+					name, i, seeds[i], unitSeq[i], wSeq[i])
+			}
+			if unitBatch[i] != wBatch[i] {
+				t.Fatalf("%s seed[%d]=%d: batched unit branch diverges from batched weighted branch", name, i, seeds[i])
+			}
+		}
+	}
+}

@@ -18,7 +18,11 @@ import (
 //
 // Bit-parity invariants the loops rely on:
 //   - spread*1.0 == spread exactly, so the nil-weight (unit) branch
-//     `spread/du` reproduces the weighted branch's `spread*w/du`.
+//     `spread/du` reproduces the weighted branch's `spread*w/du` — and,
+//     being loop-invariant, is computed once per row, not per edge.
+//     Both the compact backend (no weight array at all) and the heap
+//     backend (gstore.Heap.RawCSR hands out a nil slice when
+//     graph.Graph.UnitWeights) serve unit graphs through that branch.
 //   - float64(float32(w)) == w whenever the compact backend chose
 //     float32 storage (it only narrows losslessly), so widening per
 //     edge reproduces the original float64 weight.
@@ -35,9 +39,8 @@ type ix interface {
 func pushOn(d PushACL, g gstore.Graph, ws *Workspace) Stats {
 	switch t := g.(type) {
 	case gstore.Heap:
-		hg := t.Unwrap()
-		rowPtr, adj, wts := hg.CSR()
-		return pushCSR(d, ws, rowPtr, adj, wts, hg.Degrees())
+		rowPtr, adj, wts, deg := t.RawCSR()
+		return pushCSR(d, ws, rowPtr, adj, wts, deg)
 	case *gstore.Compact:
 		rowPtr, adj, deg := t.RawRowPtr(), t.RawAdj(), t.RawDegrees()
 		var st Stats
@@ -91,9 +94,10 @@ func pushCSR[P ix, A ix, W ~float32 | ~float64](d PushACL, ws *Workspace, rowPtr
 		// the pre-gstore loop's code shape.
 		lo, hi := int(rowPtr[u]), int(rowPtr[u+1])
 		if unit {
+			share := spread / du
 			for _, a := range adj[lo:hi] {
 				v := int(a)
-				rv := ws.r.get(v) + spread/du
+				rv := ws.r.get(v) + share
 				ws.r.set(v, rv)
 				if rv >= d.Eps*deg[v] {
 					ws.q.push(v)
@@ -160,9 +164,8 @@ func pushIter(d PushACL, g gstore.Graph, ws *Workspace) Stats {
 func walkStepOn(g gstore.Graph, ws *Workspace, eps float64) {
 	switch t := g.(type) {
 	case gstore.Heap:
-		hg := t.Unwrap()
-		rowPtr, adj, wts := hg.CSR()
-		walkStepCSR(ws, eps, rowPtr, adj, wts, hg.Degrees())
+		rowPtr, adj, wts, deg := t.RawCSR()
+		walkStepCSR(ws, eps, rowPtr, adj, wts, deg)
 	case *gstore.Compact:
 		rowPtr, adj, deg := t.RawRowPtr(), t.RawAdj(), t.RawDegrees()
 		if w64 := t.RawWeights64(); w64 != nil {
@@ -193,8 +196,9 @@ func walkStepCSR[P ix, A ix, W ~float32 | ~float64](ws *Workspace, eps float64, 
 		ws.s.add(u, mass/2)
 		lo, hi := int(rowPtr[u]), int(rowPtr[u+1])
 		if unit {
+			share := mass / 2 / du
 			for _, a := range adj[lo:hi] {
-				ws.s.add(int(a), mass/2/du)
+				ws.s.add(int(a), share)
 			}
 		} else {
 			row, wrow := adj[lo:hi], wts[lo:hi]

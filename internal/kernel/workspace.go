@@ -147,13 +147,16 @@ func (q *fifo) pop() (int, bool) {
 // Workspace is the reusable scratch state for one diffusion on one
 // graph: the P plane holds the method's primary output, the R plane the
 // push residual (or the live walk distribution mid-flight), the s plane
-// is the walk kernels' step target, and q is the push work queue. All
-// state resets in O(touched); a Workspace is not safe for concurrent
-// use, but is safe to reuse serially forever.
+// is the walk kernels' step target, and q is the push work queue. sweep
+// is the scratch of the sweep over a finished plane (sweep.go): the
+// support as sorted (value, node) pairs. All state resets in
+// O(touched); a Workspace is not safe for concurrent use, but is safe
+// to reuse serially forever.
 type Workspace struct {
 	n       int
 	p, r, s plane
 	q       fifo
+	sweep   []sweepPair
 }
 
 // NewWorkspace allocates a workspace for graphs with n nodes.

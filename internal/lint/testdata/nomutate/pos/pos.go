@@ -41,6 +41,13 @@ func CSRWrite(g *graph.Graph) {
 	w[0] += 1  // want `write through Graph.CSR`
 }
 
+// HeapRawWrite mutates the heap backend's kernel view.
+func HeapRawWrite(h gstore.Heap) {
+	_, adj, _, deg := h.RawCSR()
+	adj[0] = 2 // want `write through Heap.RawCSR`
+	deg[0] = 0 // want `write through Heap.RawCSR`
+}
+
 // DegreesRangeWrite zeroes the degree array in a range loop.
 func DegreesRangeWrite(g *graph.Graph) {
 	deg := g.Degrees()

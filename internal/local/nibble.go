@@ -3,7 +3,6 @@ package local
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/gstore"
 	"repro/internal/kernel"
@@ -50,18 +49,10 @@ func Nibble(g gstore.Graph, seeds []int, eps float64, steps int) (*NibbleResult,
 // needed). Layers that pool workspaces per graph call this directly.
 func NibbleWorkspace(g gstore.Graph, ws *kernel.Workspace, seeds []int, eps float64, steps int) (kernel.Stats, *partition.SweepResult, error) {
 	var best *partition.SweepResult
-	bestPhi := math.Inf(1)
 	walk := kernel.NibbleWalk{
 		Eps: eps, Steps: steps,
 		OnStep: func(_ int, w *kernel.Workspace) error {
-			order := sweepOrderOf(g, w.ForEachR)
-			if len(order) == 0 {
-				return nil
-			}
-			if sw, err := partition.SweepCutOrdered(g, order, len(order)); err == nil && sw.Conductance < bestPhi {
-				bestPhi = sw.Conductance
-				best = sw
-			}
+			best = betterStepCut(g, w, best)
 			return nil
 		},
 	}
@@ -70,6 +61,22 @@ func NibbleWorkspace(g gstore.Graph, ws *kernel.Workspace, seeds []int, eps floa
 		return st, nil, fmt.Errorf("local: %w", err)
 	}
 	return st, best, nil
+}
+
+// betterStepCut sweeps the live walk distribution (the R plane) inside
+// an OnStep hook and returns its cut if that strictly improves on best,
+// else best. Only an improving step copies its set out of the
+// workspace.
+func betterStepCut(g gstore.Graph, ws *kernel.Workspace, best *partition.SweepResult) *partition.SweepResult {
+	k := ws.SweepOrderR(g)
+	if k == 0 {
+		return best
+	}
+	prefix, phi := bestSweepPrefix(g, ws, k)
+	if prefix == 0 || (best != nil && phi >= best.Conductance) {
+		return best
+	}
+	return sweepResult(ws, prefix, phi)
 }
 
 // NibbleBatch runs one truncated walk per seed on the kernel batch
@@ -81,21 +88,10 @@ func NibbleWorkspace(g gstore.Graph, ws *kernel.Workspace, seeds []int, eps floa
 // appeared for that seed).
 func NibbleBatch(ctx context.Context, g gstore.Graph, pool *kernel.Pool, seeds []int, eps float64, steps int) ([]kernel.Stats, []*partition.SweepResult, error) {
 	best := make([]*partition.SweepResult, len(seeds))
-	bestPhi := make([]float64, len(seeds))
-	for i := range bestPhi {
-		bestPhi[i] = math.Inf(1)
-	}
 	bd := kernel.BatchDiffuser{
 		Method: kernel.NibbleWalk{Eps: eps, Steps: steps},
 		OnStep: func(i, _ int, w *kernel.Workspace) error {
-			order := sweepOrderOf(g, w.ForEachR)
-			if len(order) == 0 {
-				return nil
-			}
-			if sw, err := partition.SweepCutOrdered(g, order, len(order)); err == nil && sw.Conductance < bestPhi[i] {
-				bestPhi[i] = sw.Conductance
-				best[i] = sw
-			}
+			best[i] = betterStepCut(g, w, best[i])
 			return nil
 		},
 	}

@@ -131,41 +131,8 @@ func SweepOrder(v SparseVec) []int {
 // id, zero-degree nodes skipped — without materializing a map. The
 // permutation is identical to SweepOrder(DegreeNormalized(g, p)).
 func WorkspaceSweepOrder(g gstore.Graph, ws *kernel.Workspace) []int {
-	return sweepOrderOf(g, ws.ForEachP)
-}
-
-// sweepOrderOf builds the degree-normalized sweep order from any sparse
-// iteration.
-func sweepOrderOf(g gstore.Graph, forEach func(func(u int, x float64))) []int {
-	var order []int
-	var vals []float64
-	forEach(func(u int, x float64) {
-		if d := g.Degree(u); d > 0 {
-			order = append(order, u)
-			vals = append(vals, x/d)
-		}
-	})
-	sort.Sort(&sweepSorter{order: order, vals: vals})
-	return order
-}
-
-// sweepSorter orders nodes by value descending with node id as the
-// deterministic tiebreak.
-type sweepSorter struct {
-	order []int
-	vals  []float64
-}
-
-func (s *sweepSorter) Len() int { return len(s.order) }
-func (s *sweepSorter) Less(i, j int) bool {
-	if s.vals[i] != s.vals[j] {
-		return s.vals[i] > s.vals[j]
-	}
-	return s.order[i] < s.order[j]
-}
-func (s *sweepSorter) Swap(i, j int) {
-	s.order[i], s.order[j] = s.order[j], s.order[i]
-	s.vals[i], s.vals[j] = s.vals[j], s.vals[i]
+	k := ws.SweepOrderP(g)
+	return ws.SweepNodes(make([]int, 0, k), k)
 }
 
 // SweepCut performs the local sweep: order the support of p by
@@ -182,16 +149,53 @@ func SweepCut(g gstore.Graph, p SparseVec) (*partition.SweepResult, error) {
 	return partition.SweepCutOrdered(g, order, len(order))
 }
 
-// WorkspaceSweepCut is SweepCut over a workspace's output plane.
+// WorkspaceSweepCut is SweepCut over a workspace's output plane. It
+// runs entirely on the workspace's sweep scratch (kernel.SweepOrderP +
+// SweepScan), so it costs O(support) whatever the graph size and
+// allocates only the returned set; the cut is bit-identical to
+// partition.SweepCutOrdered over WorkspaceSweepOrder.
 func WorkspaceSweepCut(g gstore.Graph, ws *kernel.Workspace) (*partition.SweepResult, error) {
-	if ws.PSupport() == 0 {
-		return nil, errors.New("local: sweep over empty vector")
-	}
-	order := WorkspaceSweepOrder(g, ws)
-	if len(order) == 0 {
+	k := ws.SweepOrderP(g)
+	if k == 0 {
+		if ws.PSupport() == 0 {
+			return nil, errors.New("local: sweep over empty vector")
+		}
 		return nil, errors.New("local: sweep support has only zero-degree nodes")
 	}
-	return partition.SweepCutOrdered(g, order, len(order))
+	prefix, phi := bestSweepPrefix(g, ws, k)
+	if prefix == 0 {
+		return nil, errors.New("partition: sweep found no valid cut")
+	}
+	return sweepResult(ws, prefix, phi), nil
+}
+
+// bestSweepPrefix finds the best-conductance prefix of the k-node sweep
+// order currently loaded in ws, with partition.SweepCutOrdered's
+// semantics: prefixes are capped at n-1 nodes, a prefix whose smaller
+// side has no volume is skipped, the first minimum wins. A zero prefix
+// means no prefix was a valid cut.
+func bestSweepPrefix(g gstore.Graph, ws *kernel.Workspace, k int) (prefix int, phi float64) {
+	volume := g.Volume()
+	phi = math.Inf(1)
+	ws.SweepScan(g, min(k, g.N()-1), func(size int, cut, vol float64) bool {
+		if denom := math.Min(vol, volume-vol); denom > 0 {
+			if p := cut / denom; p < phi {
+				phi, prefix = p, size
+			}
+		}
+		return true
+	})
+	return prefix, phi
+}
+
+// sweepResult copies a prefix of the loaded sweep order out of the
+// workspace scratch.
+func sweepResult(ws *kernel.Workspace, prefix int, phi float64) *partition.SweepResult {
+	return &partition.SweepResult{
+		Set:         ws.SweepNodes(make([]int, 0, prefix), prefix),
+		Conductance: phi,
+		Prefix:      prefix,
+	}
 }
 
 // ExactPageRankDense computes the exact PPR vector with the same lazy

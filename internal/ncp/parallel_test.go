@@ -3,12 +3,16 @@ package ncp
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/gen"
+	"repro/internal/gstore"
+	"repro/internal/kernel"
 )
 
 func TestPushEpsBranches(t *testing.T) {
@@ -147,5 +151,44 @@ func TestSpectralProfileCtxMidFlightCancel(t *testing.T) {
 	_, err = SpectralProfileCtx(ctx, g, SpectralConfig{Seeds: 200, Workers: 2, BaseSeed: 1}, rng)
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Errorf("mid-flight cancel: err = %v, want nil or context.Canceled", err)
+	}
+}
+
+// TestCollectSweepClustersIsLocal: collecting one seed's sweep clusters
+// costs the support, not the graph. The same seed on two rings of
+// 8-cliques that differ only in ring length (4k vs 64k nodes) must
+// allocate alike; a membership array sized by n (what this function
+// used to make per seed) adds 60 kB to the long ring. The slack covers
+// the bucket map, whose growth depends on its per-map hash seed.
+func TestCollectSweepClustersIsLocal(t *testing.T) {
+	cost := func(k int) (allocs float64, bytes uint64, clusters int) {
+		g := gstore.Wrap(gen.RingOfCliques(k, 8))
+		ws := kernel.NewWorkspace(g.N())
+		if _, err := (kernel.PushACL{Alpha: 0.05, Eps: 1e-5}).Diffuse(g, ws, []int{0}); err != nil {
+			t.Fatal(err)
+		}
+		run := func() {
+			sub := &Profile{}
+			collectSweepClusters(g, ws, 0.5*g.Volume(), sub, "spectral")
+			clusters = len(sub.Clusters)
+		}
+		run() // warm the sweep scratch
+		allocs = testing.AllocsPerRun(50, run)
+		const reps = 50
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < reps; i++ {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, (after.TotalAlloc - before.TotalAlloc) / reps, clusters
+	}
+	aS, bS, cS := cost(512)
+	aL, bL, cL := cost(8192)
+	if cS != cL || cS < 3 {
+		t.Fatalf("fixture: %d and %d clusters — not the same local computation", cS, cL)
+	}
+	if math.Abs(aS-aL) > 4 || math.Abs(float64(bS)-float64(bL)) > 4096 {
+		t.Fatalf("collectSweepClusters costs %v allocs / %d B on 4096 nodes but %v allocs / %d B on 65536 nodes", aS, bS, aL, bL)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/gstore"
 	"repro/internal/kernel"
-	"repro/internal/local"
 	"repro/internal/par"
 	"repro/internal/partition"
 )
@@ -127,14 +126,13 @@ func SpectralProfileOn(ctx context.Context, g gstore.Graph, cfg SpectralConfig, 
 			Method:  kernel.PushACL{Alpha: alpha, Eps: eps},
 			Workers: c.Workers,
 		}
-		_, err := bd.Run(ctx, g, pool, seeds, func(si int, ws *kernel.Workspace, _ kernel.Stats) error {
+		_, err := bd.Run(ctx, g, pool, seeds, func(si int, ws *kernel.Workspace, st kernel.Stats) error {
 			defer step()
-			if ws.PSupport() < 2 {
+			if st.MaxSupport < 2 {
 				return nil
 			}
-			order := local.WorkspaceSweepOrder(g, ws)
 			sub := &Profile{}
-			collectSweepClusters(g, order, maxVol, sub, "spectral")
+			collectSweepClusters(g, ws, maxVol, sub, "spectral")
 			perTask[ai*c.Seeds+si] = sub.Clusters
 			return nil
 		})
@@ -163,42 +161,33 @@ func progressStepper(fn func(done, total int), total int) func() {
 	return func() { fn(int(done.Add(1)), total) }
 }
 
-// collectSweepClusters walks the sweep order and records every prefix
-// that improves the best conductance seen so far at its size bucket (a
-// cheap way to keep the scatter informative without storing all n
-// prefixes).
-func collectSweepClusters(g gstore.Graph, order []int, maxVol float64, prof *Profile, method string) {
-	inS := make([]bool, g.N())
-	var cut, volS float64
-	volume := g.Volume()
+// collectSweepClusters sweeps the workspace's output plane (support by
+// p(u)/deg(u) descending) and records every prefix that improves the
+// best conductance seen so far at its size bucket (a cheap way to keep
+// the scatter informative without storing all n prefixes), stopping
+// once the prefix volume passes maxVol. It runs on the workspace's
+// sweep scratch, so apart from the recorded clusters its cost is that
+// of the support, not of the graph.
+func collectSweepClusters(g gstore.Graph, ws *kernel.Workspace, maxVol float64, prof *Profile, method string) {
+	n, volume := g.N(), g.Volume()
 	bestAtBucket := map[int]float64{}
-	for k, u := range order {
-		it := g.Neighbors(u)
-		for v, w, ok := it.Next(); ok; v, w, ok = it.Next() {
-			if inS[v] {
-				cut -= w
-			} else {
-				cut += w
-			}
+	ws.SweepScan(g, ws.SweepOrderP(g), func(size int, cut, vol float64) bool {
+		if vol > maxVol || size >= n {
+			return false
 		}
-		inS[u] = true
-		volS += g.Degree(u)
-		if volS > maxVol || k+1 >= g.N() {
-			break
-		}
-		denom := math.Min(volS, volume-volS)
+		denom := math.Min(vol, volume-vol)
 		if denom <= 0 {
-			continue
+			return true
 		}
 		phi := cut / denom
-		b := bucketOf(k + 1)
+		b := bucketOf(size)
 		if cur, ok := bestAtBucket[b]; !ok || phi < cur {
 			bestAtBucket[b] = phi
-			nodes := make([]int, k+1)
-			copy(nodes, order[:k+1])
+			nodes := ws.SweepNodes(make([]int, 0, size), size)
 			prof.Clusters = append(prof.Clusters, Cluster{Nodes: nodes, Conductance: phi, Method: method})
 		}
-	}
+		return true
+	})
 }
 
 // FlowConfig parameterizes the flow-based profile (the red "Metis+MQI"

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/gstore"
 	"repro/internal/kernel"
-	"repro/internal/local"
 	"repro/pkg/api"
 )
 
@@ -200,27 +199,16 @@ func (s *Server) runGather(ga *coalesceGather) {
 	defer cancel()
 	bd := kernel.BatchDiffuser{Method: kernel.PushACL{Alpha: ga.req.Alpha, Eps: ga.req.Eps}}
 	_, err := bd.Run(ctx, ga.g, ga.pool, ga.seeds, func(i int, ws *kernel.Workspace, st kernel.Stats) error {
-		out := &api.PPRResponse{
-			Support: ws.PSupport(), Sum: ws.PSum(),
-			Pushes: st.Pushes, WorkVolume: st.WorkVolume,
-			Top: topMassesWorkspace(ws, ga.req.TopK),
-		}
-		if ga.req.Sweep {
-			sw, err := local.WorkspaceSweepCut(ga.g, ws)
-			if err != nil {
-				outs[i] = coalesceOut{err: storeErrf(ErrBadInput, "ppr produced no sweepable support (eps too large?): %v", err)}
-				return nil
-			}
-			out.Sweep = &api.SweepInfo{
-				Set: sw.Set, Size: len(sw.Set),
-				Conductance: sw.Conductance, Prefix: sw.Prefix,
-			}
+		out, err := pprResult(ga.g, ws, st, ga.req.TopK, ga.req.Sweep)
+		if err != nil {
+			outs[i] = coalesceOut{err: err}
+			return nil
 		}
 		work := workFromStats("push", st)
 		if ga.debugWork {
 			out.SetWork(work)
 		}
-		body, err := json.Marshal(out)
+		body, err := json.Marshal(&out)
 		if err != nil {
 			outs[i] = coalesceOut{err: err}
 			return nil

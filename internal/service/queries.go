@@ -62,9 +62,32 @@ func workFromStats(method string, st kernel.Stats) *api.WorkStats {
 	}
 }
 
-// execPPR answers a PPR query on a pooled kernel workspace: the push,
-// the response assembly, and the optional sweep all read the workspace
-// planes directly, so steady-state serving allocates only the response.
+// pprResult assembles one seed set's ppr reply from the workspace a
+// push left behind and that push's stats — the one place the single,
+// batched and coalesced paths turn planes into wire types. Top-k and
+// sweep read the planes directly on workspace scratch, so what is
+// allocated here is the reply itself: the `top` and `set` slices.
+func pprResult(g gstore.Graph, ws *kernel.Workspace, st kernel.Stats, topK int, sweep bool) (api.PPRResponse, error) {
+	out := api.PPRResponse{
+		// The push never shrinks p's support, so its peak is its size.
+		Support: st.MaxSupport, Sum: ws.PSum(),
+		Pushes: st.Pushes, WorkVolume: st.WorkVolume,
+		Top: topMassesWorkspace(ws, st.MaxSupport, topK),
+	}
+	if sweep {
+		sw, err := local.WorkspaceSweepCut(g, ws)
+		if err != nil {
+			return api.PPRResponse{}, storeErrf(ErrBadInput, "ppr produced no sweepable support (eps too large?): %v", err)
+		}
+		out.Sweep = &api.SweepInfo{
+			Set: sw.Set, Size: len(sw.Set),
+			Conductance: sw.Conductance, Prefix: sw.Prefix,
+		}
+	}
+	return out, nil
+}
+
+// execPPR answers a PPR query on a pooled kernel workspace.
 func execPPR(g gstore.Graph, pool *kernel.Pool, req api.PPRRequest) (*api.PPRResponse, *api.WorkStats, error) {
 	ws := pool.Get()
 	defer pool.Put(ws)
@@ -72,22 +95,11 @@ func execPPR(g gstore.Graph, pool *kernel.Pool, req api.PPRRequest) (*api.PPRRes
 	if err != nil {
 		return nil, nil, err
 	}
-	out := &api.PPRResponse{
-		Support: ws.PSupport(), Sum: ws.PSum(),
-		Pushes: st.Pushes, WorkVolume: st.WorkVolume,
-		Top: topMassesWorkspace(ws, req.TopK),
+	out, err := pprResult(g, ws, st, req.TopK, req.Sweep)
+	if err != nil {
+		return nil, nil, err
 	}
-	if req.Sweep {
-		sw, err := local.WorkspaceSweepCut(g, ws)
-		if err != nil {
-			return nil, nil, storeErrf(ErrBadInput, "ppr produced no sweepable support (eps too large?): %v", err)
-		}
-		out.Sweep = &api.SweepInfo{
-			Set: sw.Set, Size: len(sw.Set),
-			Conductance: sw.Conductance, Prefix: sw.Prefix,
-		}
-	}
-	return out, workFromStats("push", st), nil
+	return &out, workFromStats("push", st), nil
 }
 
 func execLocalCluster(g gstore.Graph, pool *kernel.Pool, req api.LocalClusterRequest) (*api.LocalClusterResponse, *api.WorkStats, error) {
@@ -105,7 +117,7 @@ func execLocalCluster(g gstore.Graph, pool *kernel.Pool, req api.LocalClusterReq
 			return nil, nil, err
 		}
 		work = workFromStats("push", st)
-		support = ws.PSupport()
+		support = st.MaxSupport
 		cut, err := local.WorkspaceSweepCut(g, ws)
 		if err != nil {
 			return nil, nil, storeErrf(ErrBadInput, "ppr produced no sweepable support (eps too large?)")
@@ -174,23 +186,16 @@ func execPPRBatch(ctx context.Context, g gstore.Graph, pool *kernel.Pool, req ap
 	out := &api.PPRBatchResponse{Results: make([]api.PPRBatchResult, len(req.Seeds))}
 	bd := kernel.BatchDiffuser{Method: kernel.PushACL{Alpha: req.Alpha, Eps: req.Eps}}
 	sts, err := bd.Run(ctx, g, pool, req.Seeds, func(i int, ws *kernel.Workspace, st kernel.Stats) error {
-		res := api.PPRBatchResult{
+		res, err := pprResult(g, ws, st, req.TopK, req.Sweep)
+		if err != nil {
+			return storeErrf(ErrBadInput, "seed %d: %v", req.Seeds[i], err)
+		}
+		out.Results[i] = api.PPRBatchResult{
 			Seed:    req.Seeds[i],
-			Support: ws.PSupport(), Sum: ws.PSum(),
-			Pushes: st.Pushes, WorkVolume: st.WorkVolume,
-			Top: topMassesWorkspace(ws, req.TopK),
+			Support: res.Support, Sum: res.Sum,
+			Pushes: res.Pushes, WorkVolume: res.WorkVolume,
+			Top: res.Top, Sweep: res.Sweep,
 		}
-		if req.Sweep {
-			sw, err := local.WorkspaceSweepCut(g, ws)
-			if err != nil {
-				return storeErrf(ErrBadInput, "seed %d: ppr produced no sweepable support (eps too large?): %v", req.Seeds[i], err)
-			}
-			res.Sweep = &api.SweepInfo{
-				Set: sw.Set, Size: len(sw.Set),
-				Conductance: sw.Conductance, Prefix: sw.Prefix,
-			}
-		}
-		out.Results[i] = res
 		return nil
 	})
 	if err != nil {
@@ -229,7 +234,7 @@ func execLocalClusterBatch(ctx context.Context, g gstore.Graph, pool *kernel.Poo
 			if err != nil {
 				return storeErrf(ErrBadInput, "seed %d: ppr produced no sweepable support (eps too large?)", req.Seeds[i])
 			}
-			sweepResult(i, ws.PSupport(), cut.Set, cut.Conductance)
+			sweepResult(i, st.MaxSupport, cut.Set, cut.Conductance)
 			return nil
 		})
 	case "nibble":
@@ -292,7 +297,7 @@ func execDiffuse(g *graph.Graph, req api.DiffuseRequest) (*api.DiffuseResponse, 
 		WorkVolume: g.Volume(),
 		MaxSupport: support,
 	}
-	return &api.DiffuseResponse{Kind: req.Kind, Sum: sum, Top: topMassesDense(v, req.TopK)}, work, nil
+	return &api.DiffuseResponse{Kind: req.Kind, Sum: sum, Top: topMassesDense(v, support, req.TopK)}, work, nil
 }
 
 func execSweepCut(g gstore.Graph, req api.SweepCutRequest) (*api.SweepInfo, *api.WorkStats, error) {

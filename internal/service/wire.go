@@ -2,9 +2,10 @@ package service
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/kernel"
 	"repro/pkg/api"
@@ -34,51 +35,100 @@ func canonicalJSON(raw json.RawMessage) (string, error) {
 	return string(out), nil
 }
 
-// topMasses returns the k largest entries (all when k <= 0), ordered by
-// descending mass with node id as the deterministic tiebreak.
-func topMasses(v map[int]float64, k int) []api.NodeMass {
-	out := make([]api.NodeMass, 0, len(v))
-	for u, x := range v {
-		out = append(out, api.NodeMass{Node: u, Mass: x})
+// compareMass is the order of every `top` list on the wire: descending
+// mass with node id as the deterministic tiebreak. Nodes are distinct,
+// so it is a strict total order and the k best are a unique list.
+func compareMass(a, b api.NodeMass) int {
+	switch {
+	case a.Mass > b.Mass:
+		return -1
+	case a.Mass < b.Mass:
+		return 1
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Mass != out[j].Mass {
-			return out[i].Mass > out[j].Mass
-		}
-		return out[i].Node < out[j].Node
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
+	return cmp.Compare(a.Node, b.Node)
 }
 
-// topMassesWorkspace is topMasses reading a kernel workspace's output
-// plane directly, skipping the intermediate map.
-func topMassesWorkspace(ws *kernel.Workspace, k int) []api.NodeMass {
-	out := make([]api.NodeMass, 0, ws.PSupport())
-	ws.ForEachP(func(u int, x float64) {
-		out = append(out, api.NodeMass{Node: u, Mass: x})
-	})
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Mass != out[j].Mass {
-			return out[i].Mass > out[j].Mass
-		}
-		return out[i].Node < out[j].Node
-	})
-	if k > 0 && len(out) > k {
-		out = out[:k]
-	}
-	return out
+// topSelector keeps the k best (under compareMass) of the entries
+// offered to it, in a bounded heap with the worst kept entry at the
+// root: O(log k) per offer instead of sorting the whole support to
+// return a hundred of it.
+type topSelector struct {
+	best []api.NodeMass
+	k    int
 }
 
-// topMassesDense is topMasses over a dense vector, skipping zeros.
-func topMassesDense(v []float64, k int) []api.NodeMass {
-	sparse := make(map[int]float64, len(v)/4)
+// newTopSelector sizes a selector for `support` offers of which the k
+// best are wanted (all of them when k <= 0). Its one allocation holds
+// min(k, support) entries: the wire's topk has no upper bound, so k
+// alone must never size anything.
+func newTopSelector(support, k int) topSelector {
+	if k <= 0 || k > support {
+		k = support
+	}
+	return topSelector{best: make([]api.NodeMass, 0, k), k: k}
+}
+
+func (s *topSelector) offer(u int, x float64) {
+	nm := api.NodeMass{Node: u, Mass: x}
+	if len(s.best) < s.k {
+		s.best = append(s.best, nm)
+		if len(s.best) == s.k {
+			for i := s.k/2 - 1; i >= 0; i-- {
+				s.siftDown(i)
+			}
+		}
+		return
+	}
+	if s.k > 0 && compareMass(nm, s.best[0]) < 0 {
+		s.best[0] = nm
+		s.siftDown(0)
+	}
+}
+
+// siftDown restores the heap below i: every parent is worse than (sorts
+// after) its children.
+func (s *topSelector) siftDown(i int) {
+	h := s.best
+	for {
+		worst := i
+		if l := 2*i + 1; l < len(h) && compareMass(h[worst], h[l]) < 0 {
+			worst = l
+		}
+		if r := 2*i + 2; r < len(h) && compareMass(h[worst], h[r]) < 0 {
+			worst = r
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
+}
+
+// sorted returns the kept entries in compareMass order.
+func (s *topSelector) sorted() []api.NodeMass {
+	slices.SortFunc(s.best, compareMass)
+	return s.best
+}
+
+// topMassesWorkspace returns the k largest entries (all when k <= 0) of
+// a kernel workspace's output plane, whose support — the number of
+// nonzero entries, kernel.Stats.MaxSupport after a push — the caller
+// already has.
+func topMassesWorkspace(ws *kernel.Workspace, support, k int) []api.NodeMass {
+	sel := newTopSelector(support, k)
+	ws.ForEachP(sel.offer)
+	return sel.sorted()
+}
+
+// topMassesDense is topMassesWorkspace over a dense vector with
+// `support` nonzero entries.
+func topMassesDense(v []float64, support, k int) []api.NodeMass {
+	sel := newTopSelector(support, k)
 	for u, x := range v {
 		if x != 0 {
-			sparse[u] = x
+			sel.offer(u, x)
 		}
 	}
-	return topMasses(sparse, k)
+	return sel.sorted()
 }
