@@ -1092,9 +1092,12 @@ func BenchmarkHeatKernel(b *testing.B) {
 // ns/op). The engine runs every seed over shared pooled workspaces with
 // cache-blocked frontier processing, so the K=64 amortized cost must
 // undercut the one-at-a-time push — the perf gate in cmd/benchdiff
-// holds it to <= 0.5x. A warmup pass keeps pool growth and first-touch
-// CSR faults out of the measured window, mirroring steady-state
-// serving.
+// holds it to <= 0.5x. K=1 and BenchmarkPushIndexed time the same loop:
+// a single-seed Diffuse is a block of one on this engine, so the two
+// differ only by Run's pool and Stats bookkeeping, and the gate still
+// compares a full block's row sharing against a block of one. A warmup
+// pass keeps pool growth and first-touch CSR faults out of the measured
+// window, mirroring steady-state serving.
 func BenchmarkPushBatch(b *testing.B) {
 	g := ncpBenchGraph(b)
 	pool := kernel.NewPool(g.N())

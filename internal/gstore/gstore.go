@@ -17,10 +17,10 @@
 //
 // The interface is deliberately tiny — N/M/Volume/Degree/Neighbors —
 // because the diffusion kernels of internal/kernel do not go through
-// it on the hot path: they type-switch to the concrete backend and run
-// monomorphized generic loops over the raw arrays (see
-// internal/kernel/csr.go). The interface is the contract for everything
-// around the kernels: sweep cuts, NCP collection, the service layer.
+// it on the hot path: one dispatch (internal/kernel/csr.go) switches on
+// the concrete backend and runs monomorphized generic loops over the
+// raw arrays. The interface is the contract for everything around the
+// kernels: sweep cuts, NCP collection, the service layer.
 //
 // Mutation contract: every slice reachable through a backend aliases
 // the graph's storage — for the mmap backend it aliases a read-only
@@ -158,7 +158,7 @@ func Wrap(g *graph.Graph) Heap { return Heap{g: g} }
 func (h Heap) Unwrap() *graph.Graph { return h.g }
 
 // RawCSR returns the heap graph's raw CSR arrays and degree vector for
-// the kernels' monomorphized loops (internal/kernel/csr.go), with one
+// the kernels' backend dispatch (internal/kernel/csr.go), with one
 // twist: wts is nil when every weight is exactly 1.0. A nil weight
 // slice is the loops' "unit" form — the one the compact backend
 // already serves unit graphs in — so the heap backend then never
@@ -197,13 +197,13 @@ func (h Heap) Neighbors(u int) NeighborIter {
 func (h Heap) Backend() Kind { return KindHeap }
 
 // Materialize returns a heap *graph.Graph equivalent to g: the
-// identity for a Heap backend, a validated copy for anything else.
-// The copy reproduces adjacency, weights, degrees and volume
-// bit-for-bit (weights were only stored compactly when the narrowing
-// was lossless), so a dense algorithm run on the materialization is
-// indistinguishable from one run on the original heap graph. Global
-// paths that need raw CSR slices (dense diffusion, flow NCP,
-// multilevel partitioning) go through this.
+// identity for a Heap backend, a validated copy for a Compact (in-heap
+// or mapped). The copy reproduces adjacency, weights, degrees and
+// volume bit-for-bit (weights were only stored compactly when the
+// narrowing was lossless), so a dense algorithm run on the
+// materialization is indistinguishable from one run on the original
+// heap graph. Global paths that need raw CSR slices (dense diffusion,
+// flow NCP, multilevel partitioning) go through this.
 func Materialize(g Graph) (*graph.Graph, error) {
 	switch t := g.(type) {
 	case Heap:
@@ -212,29 +212,7 @@ func Materialize(g Graph) (*graph.Graph, error) {
 		stats.noteMaterialization()
 		return t.materialize()
 	}
-	stats.noteMaterialization()
-	// Generic fallback for third-party backends: rebuild CSR through
-	// the iterator and revalidate.
-	n := g.N()
-	rowPtr := make([]int, n+1)
-	for u := 0; u < n; u++ {
-		rowPtr[u+1] = rowPtr[u] + g.NumNeighbors(u)
-	}
-	adj := make([]int, rowPtr[n])
-	w := make([]float64, rowPtr[n])
-	for u := 0; u < n; u++ {
-		k := rowPtr[u]
-		it := g.Neighbors(u)
-		for v, wt, ok := it.Next(); ok; v, wt, ok = it.Next() {
-			adj[k], w[k] = v, wt
-			k++
-		}
-	}
-	hg, err := graph.FromCSR(rowPtr, adj, w)
-	if err != nil {
-		return nil, fmt.Errorf("gstore: materialize: %w", err)
-	}
-	return hg, nil
+	return nil, fmt.Errorf("gstore: materialize: unsupported backend %T", g)
 }
 
 // Close releases backend resources (the mmap backend's mapping). It is

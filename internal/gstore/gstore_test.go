@@ -494,20 +494,14 @@ func TestMaterializeBitIdentity(t *testing.T) {
 	}
 }
 
-// TestMaterializeIteratorFallback drives Materialize's generic path by
-// hiding a backend behind a type the switch does not know.
-func TestMaterializeIteratorFallback(t *testing.T) {
-	hg := testGraphs(t)["weighted-f32"]
-	c, err := gstore.NewCompact(hg)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestMaterializeUnknownBackend: a backend hidden behind a type
+// Materialize does not know is an error, not an iterator rebuild.
+func TestMaterializeUnknownBackend(t *testing.T) {
 	type opaque struct{ gstore.Graph }
-	got, err := gstore.Materialize(opaque{c})
-	if err != nil {
-		t.Fatal(err)
+	_, err := gstore.Materialize(opaque{gstore.Wrap(gen.Path(4))})
+	if want := "gstore: materialize: unsupported backend gstore_test.opaque"; err == nil || err.Error() != want {
+		t.Fatalf("Materialize(opaque) = %v, want %q", err, want)
 	}
-	assertSameHeapGraph(t, "opaque", got, hg)
 }
 
 func assertSameHeapGraph(t *testing.T, label string, got, want *graph.Graph) {

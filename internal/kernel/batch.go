@@ -4,42 +4,54 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
 
 	"repro/internal/gstore"
 	"repro/internal/par"
 )
 
-// This file is the multi-seed batch engine (ROADMAP item 3): run K
-// independent diffusions — one per seed — over shared pooled
-// workspaces, processing seeds in cache blocks so each CSR row window
-// is streamed through cache once per block instead of once per seed.
+// This file is the diffusion engine: the block runners of the three
+// strategies and the loops they drive. A block is up to batchBlock
+// independent diffusions — one seeded workspace each — advanced
+// together so each CSR row window is streamed through cache once per
+// block instead of once per seed. BatchDiffuser.Run cuts K seeds into
+// blocks; a single-seed-set Diffuse is a block of one.
 //
-// The determinism contract is the same as the single-seed kernels and
-// is load-bearing for the whole serving stack: for every seed the
-// batch engine performs *exactly* the float operations of the
-// sequential single-seed path, in the same order, so the output planes
-// are byte-identical (Float64bits, not tolerances) to K separate
-// Diffuse calls on every backend. The blocking below never reorders
-// work within one seed; it only interleaves work *across* seeds, which
-// are independent by construction:
+// The determinism contract is load-bearing for the whole serving
+// stack: whatever block a diffusion runs in, it performs *exactly* the
+// same float operations in the same order, so its output planes are
+// byte-identical (Float64bits, not tolerances) alone, batched, and on
+// every backend. Blocking never reorders work within one seed; it only
+// interleaves work *across* seeds, which are independent by
+// construction:
 //
-//   - Push: each seed's FIFO queue order is sacred. A block round pops
-//     the front node of every live queue, sorts the ≤B (node, seed)
-//     pairs by node id, and performs one push per live seed. Per seed
-//     that is still strict FIFO — one pop per round, processed before
-//     the next pop — while overlapping frontiers hit the same CSR rows
-//     back to back.
-//   - Nibble / heat: a sequential walk step processes the frontier in
-//     ascending node order, so a block step walks the ascending merge
-//     of the block's frontiers and applies each node's row to every
-//     seed whose frontier contains it. Per seed the visit order is
-//     unchanged; the row is fetched once per block.
+//   - Push: each seed's FIFO queue order is sacred. While at least two
+//     seeds are live, a round pops the front node of every live queue,
+//     sorts the ≤B (node, seed) pairs by node id, and performs one push
+//     per live seed — per seed still strict FIFO, one pop per round,
+//     processed before the next pop — while overlapping frontiers hit
+//     the same CSR rows back to back. The last live seed has nobody to
+//     share rows with, so its queue is drained directly.
+//   - Nibble / heat: a walk step processes the frontier in ascending
+//     node order, so a block step walks the ascending merge of the
+//     block's frontiers and applies each node's row to every seed whose
+//     frontier contains it. Per seed the visit order is unchanged; the
+//     row is fetched once per block.
 
-// DefaultBatchBlock is the number of seeds a block processes against
-// the same CSR row windows. Eight workspaces keep the combined frontier
-// state small enough to stay cache-resident next to the graph.
-const DefaultBatchBlock = 8
+// batchBlock is the number of seeds a block processes against the same
+// CSR row windows. Eight workspaces keep the combined frontier state
+// small enough to stay cache-resident next to the graph; the bound also
+// lets every per-block scratch array live on the stack.
+const batchBlock = 8
+
+// blockRunner is what the engine needs of a strategy: its parameter
+// check, and the loop that advances one block of already-seeded
+// workspaces (R plane loaded by seedR) to completion, filling sts.
+// onStep, when non-nil, is the walk methods' per-step hook; it
+// receives base plus the workspace's index in the block.
+type blockRunner interface {
+	validate() error
+	runBlock(ctx context.Context, g gstore.Graph, wss []*Workspace, sts []Stats, base int, onStep func(i, step int, ws *Workspace) error) error
+}
 
 // BatchEmit receives one seed's finished result: the seed's index into
 // the batch, the workspace holding its output planes, and its Stats.
@@ -51,17 +63,11 @@ type BatchEmit func(i int, ws *Workspace, st Stats) error
 
 // BatchDiffuser runs one diffusion per seed with cache-blocked frontier
 // processing. Method must be one of the kernel diffusions (PushACL,
-// NibbleWalk, HeatKernel); any other Diffuser falls back to sequential
-// per-seed execution inside each block, which is still correct and
-// pooled, just not row-shared.
+// NibbleWalk, HeatKernel); anything else is an error.
 type BatchDiffuser struct {
 	// Method is the diffusion to run for every seed. A NibbleWalk with
 	// its own OnStep is rejected — the per-seed hook below replaces it.
 	Method Diffuser
-	// Block is the number of seeds per cache block (default
-	// DefaultBatchBlock). Larger blocks share rows more aggressively but
-	// grow the resident workspace set.
-	Block int
 	// Workers bounds the number of blocks diffusing concurrently
 	// (<= 0 → runtime.NumCPU()).
 	Workers int
@@ -93,32 +99,26 @@ func (b BatchDiffuser) Run(ctx context.Context, g gstore.Graph, pool *Pool, seed
 	if nw, ok := b.Method.(NibbleWalk); ok && nw.OnStep != nil {
 		return nil, fmt.Errorf("kernel: batch nibble: set BatchDiffuser.OnStep, not NibbleWalk.OnStep")
 	}
-	block := b.Block
-	if block <= 0 {
-		block = DefaultBatchBlock
+	m, ok := b.Method.(blockRunner)
+	if !ok {
+		return nil, fmt.Errorf("kernel: batch diffuser: unsupported method %T", b.Method)
+	}
+	if err := m.validate(); err != nil {
+		return nil, err
 	}
 	stats := make([]Stats, len(seeds))
-	blocks := (len(seeds) + block - 1) / block
+	blocks := (len(seeds) + batchBlock - 1) / batchBlock
 	err := par.ForEachCtx(ctx, b.Workers, blocks, func(bi int) error {
-		lo := bi * block
-		hi := lo + block
-		if hi > len(seeds) {
-			hi = len(seeds)
-		}
+		lo := bi * batchBlock
+		hi := min(lo+batchBlock, len(seeds))
 		wss := pool.GetBlock(hi - lo)
 		defer pool.PutBlock(wss)
-		var err error
-		switch m := b.Method.(type) {
-		case PushACL:
-			err = runPushBlock(m, g, wss, seeds[lo:hi], stats[lo:hi])
-		case NibbleWalk:
-			err = b.runNibbleBlock(ctx, m, g, wss, seeds[lo:hi], lo, stats[lo:hi])
-		case HeatKernel:
-			err = b.runHeatBlock(ctx, m, g, wss, seeds[lo:hi], stats[lo:hi])
-		default:
-			err = runGenericBlock(ctx, m, g, wss, seeds[lo:hi], stats[lo:hi])
+		for j, ws := range wss {
+			if err := seedR(g, ws, seeds[lo+j:lo+j+1]); err != nil {
+				return err
+			}
 		}
-		if err != nil {
+		if err := m.runBlock(ctx, g, wss, stats[lo:hi], lo, b.OnStep); err != nil {
 			return err
 		}
 		if emit == nil {
@@ -137,79 +137,38 @@ func (b BatchDiffuser) Run(ctx context.Context, g gstore.Graph, pool *Pool, seed
 	return stats, nil
 }
 
-// seedBlock resets every workspace and seeds it with its single seed,
-// reproducing the sequential Diffuse preamble per seed.
-func seedBlock(g gstore.Graph, wss []*Workspace, seeds []int) error {
-	for j, ws := range wss {
-		ws.Reset()
-		if err := seedR(g, ws, seeds[j:j+1]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runPushBlock runs the blocked ACL push over one block of seeds.
-func runPushBlock(d PushACL, g gstore.Graph, wss []*Workspace, seeds []int, sts []Stats) error {
-	if d.Alpha <= 0 || d.Alpha >= 1 {
-		return fmt.Errorf("kernel: push alpha=%v outside (0,1)", d.Alpha)
-	}
-	if d.Eps <= 0 {
-		return fmt.Errorf("kernel: push eps=%v must be positive", d.Eps)
-	}
-	if err := seedBlock(g, wss, seeds); err != nil {
-		return err
-	}
+func (d PushACL) runBlock(_ context.Context, g gstore.Graph, wss []*Workspace, sts []Stats, _ int, _ func(int, int, *Workspace) error) error {
+	// Work queue of nodes that may violate r(u) < ε·deg(u), seeded in
+	// ascending node order so runs are deterministic.
 	for _, ws := range wss {
 		for _, u := range ws.r.list {
 			ws.q.push(u)
 		}
 	}
-	pushBatchOn(d, g, wss, sts)
+	if err := dispatch(g, &op{kind: opPush, push: d, wss: wss, sts: sts}); err != nil {
+		return err
+	}
+	// The push never shrinks p's support, so the final support is the
+	// peak. Reading it after the loop keeps the accounting out of the
+	// float path entirely.
 	for j, ws := range wss {
 		sts[j].MaxSupport = ws.PSupport()
 	}
 	return nil
 }
 
-// pushBatchOn dispatches the blocked push on g's concrete
-// representation, mirroring pushOn.
-func pushBatchOn(d PushACL, g gstore.Graph, wss []*Workspace, sts []Stats) {
-	switch t := g.(type) {
-	case gstore.Heap:
-		rowPtr, adj, wts, deg := t.RawCSR()
-		pushBatchCSR(d, wss, sts, rowPtr, adj, wts, deg)
-	case *gstore.Compact:
-		rowPtr, adj, deg := t.RawRowPtr(), t.RawAdj(), t.RawDegrees()
-		if w64 := t.RawWeights64(); w64 != nil {
-			pushBatchCSR(d, wss, sts, rowPtr, adj, w64, deg)
-		} else if w32 := t.RawWeights32(); w32 != nil {
-			pushBatchCSR(d, wss, sts, rowPtr, adj, w32, deg)
-		} else {
-			pushBatchCSR(d, wss, sts, rowPtr, adj, []float64(nil), deg)
-		}
-		runtime.KeepAlive(t) // see pushOn: the raw slices alone don't pin t
-	default:
-		for j := range wss {
-			sts[j] = pushIter(d, g, wss[j])
-		}
-	}
-}
-
 // pushPair schedules one push operation: seed s pushes node u.
 type pushPair struct{ u, s int }
 
-// pushBatchCSR is the blocked monomorphized push loop. Each round pops
-// the FIFO front of every live seed, orders the pairs by node id, and
-// performs one push per seed with the exact arithmetic of pushCSR —
-// per seed this is the sequential operation sequence, bit for bit.
-func pushBatchCSR[P ix, A ix, W ~float32 | ~float64](d PushACL, wss []*Workspace, sts []Stats, rowPtr []P, adj []A, wts []W, deg []float64) {
-	unit := len(wts) == 0
-	live := len(wss)
-	done := make([]bool, len(wss))
-	order := make([]pushPair, 0, len(wss))
-	for live > 0 {
-		order = order[:0]
+// pushBlock is the ACL push loop over one block: gather-sort-push
+// rounds while at least two seeds are live, then a straight drain of
+// the last one's queue. Per seed both are the same FIFO sequence of
+// pushNode calls.
+func (r *rows[P, A, W]) pushBlock(d PushACL, wss []*Workspace, sts []Stats) {
+	var done [batchBlock]bool
+	var pairs [batchBlock]pushPair
+	for live := len(wss); live > 1; {
+		order := pairs[:0]
 		for s, ws := range wss {
 			if done[s] {
 				continue
@@ -222,98 +181,117 @@ func pushBatchCSR[P ix, A ix, W ~float32 | ~float64](d PushACL, wss []*Workspace
 			}
 			order = append(order, pushPair{u: u, s: s})
 		}
-		// Insertion sort by node id: blocks are small (≤ Block pairs)
-		// and rounds are hot, so avoid sort.Slice's indirection.
+		// Insertion sort by node id: blocks are small (≤ batchBlock
+		// pairs) and rounds are hot, so avoid sort.Slice's indirection.
 		for i := 1; i < len(order); i++ {
 			for j := i; j > 0 && order[j].u < order[j-1].u; j-- {
 				order[j], order[j-1] = order[j-1], order[j]
 			}
 		}
 		for _, pr := range order {
-			ws := wss[pr.s]
-			u := pr.u
-			du := deg[u]
-			if du == 0 {
-				ws.p.add(u, ws.r.get(u))
-				ws.r.set(u, 0)
-				continue
-			}
-			ru := ws.r.get(u)
-			if ru < d.Eps*du {
-				continue
-			}
-			ws.p.add(u, d.Alpha*ru)
-			keep := (1 - d.Alpha) * ru / 2
-			ws.r.set(u, keep)
-			if keep >= d.Eps*du {
-				ws.q.push(u)
-			}
-			spread := (1 - d.Alpha) * ru / 2
-			lo, hi := int(rowPtr[u]), int(rowPtr[u+1])
-			if unit {
-				share := spread / du
-				for _, a := range adj[lo:hi] {
-					v := int(a)
-					rv := ws.r.get(v) + share
-					ws.r.set(v, rv)
-					if rv >= d.Eps*deg[v] {
-						ws.q.push(v)
-					}
-				}
-			} else {
-				row, wrow := adj[lo:hi], wts[lo:hi]
-				for k, a := range row {
-					v := int(a)
-					rv := ws.r.get(v) + spread*float64(wrow[k])/du
-					ws.r.set(v, rv)
-					if rv >= d.Eps*deg[v] {
-						ws.q.push(v)
-					}
-				}
-			}
-			sts[pr.s].Pushes++
-			sts[pr.s].WorkVolume += du
+			r.pushNode(d, wss[pr.s], &sts[pr.s], pr.u)
+		}
+	}
+	for s, ws := range wss {
+		if done[s] {
+			continue
+		}
+		for u, ok := ws.q.pop(); ok; u, ok = ws.q.pop() {
+			r.pushNode(d, ws, &sts[s], u)
 		}
 	}
 }
 
-// runNibbleBlock runs the blocked truncated walk over one block.
-func (b BatchDiffuser) runNibbleBlock(ctx context.Context, d NibbleWalk, g gstore.Graph, wss []*Workspace, seeds []int, base int, sts []Stats) error {
-	if d.Eps <= 0 {
-		return fmt.Errorf("kernel: nibble eps=%v must be positive", d.Eps)
+// pushNode is one ACL push of node u in ws: bank an α fraction of the
+// residual into p, keep half the rest, spread the other half along u's
+// row, queueing every node whose residual reaches ε·deg. It stays out
+// of line so that pushBlock's two loops share one copy of the body and
+// its row loops do not compete with the round bookkeeping for
+// registers; a block of one then pays one call per push.
+//
+//go:noinline
+func (r *rows[P, A, W]) pushNode(d PushACL, ws *Workspace, st *Stats, u int) {
+	deg := r.deg
+	du := deg[u]
+	if du == 0 {
+		// Isolated node: its residual can only go to p.
+		ws.p.add(u, ws.r.get(u))
+		ws.r.set(u, 0)
+		return
 	}
-	if d.Steps < 1 {
-		return fmt.Errorf("kernel: nibble steps=%d must be >= 1", d.Steps)
+	ru := ws.r.get(u)
+	if ru < d.Eps*du {
+		return
 	}
-	if err := seedBlock(g, wss, seeds); err != nil {
-		return err
+	ws.p.add(u, d.Alpha*ru)
+	keep := (1 - d.Alpha) * ru / 2
+	ws.r.set(u, keep)
+	if keep >= d.Eps*du {
+		ws.q.push(u)
 	}
-	alive := make([]int, len(wss))
+	spread := (1 - d.Alpha) * ru / 2
+	// Ranging over row subslices (not indexing adj[lo:hi] in place)
+	// lets the compiler drop the per-edge bounds checks.
+	lo, hi := int(r.rowPtr[u]), int(r.rowPtr[u+1])
+	if len(r.wts) == 0 {
+		share := spread / du
+		for _, a := range r.adj[lo:hi] {
+			v := int(a)
+			rv := ws.r.get(v) + share
+			ws.r.set(v, rv)
+			if rv >= d.Eps*deg[v] {
+				ws.q.push(v)
+			}
+		}
+	} else {
+		row, wrow := r.adj[lo:hi], r.wts[lo:hi]
+		for k, a := range row {
+			v := int(a)
+			rv := ws.r.get(v) + spread*float64(wrow[k])/du
+			ws.r.set(v, rv)
+			if rv >= d.Eps*deg[v] {
+				ws.q.push(v)
+			}
+		}
+	}
+	st.Pushes++
+	st.WorkVolume += du
+}
+
+// stepLive advances the block's still-walking workspaces wss[j],
+// j ∈ alive, one truncated lazy-walk step.
+func stepLive(g gstore.Graph, wss []*Workspace, alive []int, eps float64) error {
+	var liveArr [batchBlock]*Workspace
+	live := liveArr[:0]
+	for _, j := range alive {
+		live = append(live, wss[j])
+	}
+	return dispatch(g, &op{kind: opWalkStep, wss: live, eps: eps})
+}
+
+func (d NibbleWalk) runBlock(ctx context.Context, g gstore.Graph, wss []*Workspace, sts []Stats, base int, onStep func(i, step int, ws *Workspace) error) error {
+	var aliveArr [batchBlock]int
+	alive := aliveArr[:len(wss)]
 	for j := range alive {
 		alive[j] = j
 	}
-	liveWs := make([]*Workspace, 0, len(wss))
 	for step := 1; step <= d.Steps && len(alive) > 0; step++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		liveWs = liveWs[:0]
-		for _, j := range alive {
-			liveWs = append(liveWs, wss[j])
+		if err := stepLive(g, wss, alive, d.Eps); err != nil {
+			return err
 		}
-		walkStepBatchOn(g, liveWs, d.Eps)
 		next := alive[:0]
 		for _, j := range alive {
 			ws := wss[j]
 			if len(ws.r.list) == 0 {
-				continue // the sequential walk breaks here: no stats, no hook
+				continue // the walk died out: no stats, no hook
 			}
-			if len(ws.r.list) > sts[j].MaxSupport {
-				sts[j].MaxSupport = len(ws.r.list)
-			}
+			sts[j].MaxSupport = max(sts[j].MaxSupport, len(ws.r.list))
 			sts[j].Steps = step
-			if b.OnStep != nil {
-				if err := b.OnStep(base+j, step, ws); err != nil {
+			if onStep != nil {
+				if err := onStep(base+j, step, ws); err != nil {
 					return err
 				}
 			}
@@ -321,6 +299,7 @@ func (b BatchDiffuser) runNibbleBlock(ctx context.Context, d NibbleWalk, g gstor
 		}
 		alive = next
 	}
+	// Mirror the final distribution into the output plane.
 	for _, ws := range wss {
 		for _, u := range ws.r.list {
 			ws.p.add(u, ws.r.val[u])
@@ -329,46 +308,28 @@ func (b BatchDiffuser) runNibbleBlock(ctx context.Context, d NibbleWalk, g gstor
 	return nil
 }
 
-// runHeatBlock runs the blocked heat-kernel expansion over one block.
-func (b BatchDiffuser) runHeatBlock(ctx context.Context, d HeatKernel, g gstore.Graph, wss []*Workspace, seeds []int, sts []Stats) error {
-	if d.T <= 0 || math.IsNaN(d.T) || math.IsInf(d.T, 0) {
-		return fmt.Errorf("kernel: heat kernel t=%v must be positive and finite", d.T)
-	}
-	if d.Eps <= 0 {
-		return fmt.Errorf("kernel: heat kernel eps=%v must be positive", d.Eps)
-	}
-	if err := seedBlock(g, wss, seeds); err != nil {
-		return err
-	}
-	// K depends only on (T, Eps), so it is shared by the whole block.
-	k := 1
-	tail := 1 - math.Exp(-d.T)
-	term := math.Exp(-d.T)
-	for tail > d.Eps/2 && k < 10000 {
-		term *= d.T / float64(k)
-		tail -= term
-		k++
-	}
+func (d HeatKernel) runBlock(ctx context.Context, g gstore.Graph, wss []*Workspace, sts []Stats, _ int, _ func(int, int, *Workspace) error) error {
+	// The term count and the Taylor weights depend only on (T, Eps), so
+	// the whole block shares them.
+	terms := d.terms()
+	weight := math.Exp(-d.T)
 	for _, ws := range wss {
 		for _, u := range ws.r.list {
-			ws.p.add(u, math.Exp(-d.T)*ws.r.val[u])
+			ws.p.add(u, weight*ws.r.val[u])
 		}
 	}
-	weight := math.Exp(-d.T)
-	alive := make([]int, len(wss))
+	var aliveArr [batchBlock]int
+	alive := aliveArr[:len(wss)]
 	for j := range alive {
 		alive[j] = j
 	}
-	liveWs := make([]*Workspace, 0, len(wss))
-	for kk := 1; kk <= k && len(alive) > 0; kk++ {
+	for kk := 1; kk <= terms && len(alive) > 0; kk++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		liveWs = liveWs[:0]
-		for _, j := range alive {
-			liveWs = append(liveWs, wss[j])
+		if err := stepLive(g, wss, alive, d.Eps); err != nil {
+			return err
 		}
-		walkStepBatchOn(g, liveWs, d.Eps)
 		weight *= d.T / float64(kk)
 		next := alive[:0]
 		for _, j := range alive {
@@ -376,9 +337,7 @@ func (b BatchDiffuser) runHeatBlock(ctx context.Context, d HeatKernel, g gstore.
 			for _, u := range ws.r.list {
 				ws.p.add(u, weight*ws.r.val[u])
 			}
-			if len(ws.r.list) > sts[j].MaxSupport {
-				sts[j].MaxSupport = len(ws.r.list)
-			}
+			sts[j].MaxSupport = max(sts[j].MaxSupport, len(ws.r.list))
 			sts[j].Terms = kk
 			if len(ws.r.list) > 0 {
 				next = append(next, j)
@@ -389,67 +348,23 @@ func (b BatchDiffuser) runHeatBlock(ctx context.Context, d HeatKernel, g gstore.
 	return nil
 }
 
-// runGenericBlock is the fallback for Diffuser implementations the
-// engine does not know: sequential per-seed execution on the block's
-// pooled workspaces. Correct and allocation-free, but no row sharing.
-func runGenericBlock(ctx context.Context, m Diffuser, g gstore.Graph, wss []*Workspace, seeds []int, sts []Stats) error {
-	for j, ws := range wss {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		st, err := m.Diffuse(g, ws, seeds[j:j+1])
-		if err != nil {
-			return err
-		}
-		sts[j] = st
-	}
-	return nil
-}
-
-// walkStepBatchOn advances every workspace in the block one truncated
-// lazy-walk step on g's concrete representation, mirroring walkStepOn.
-func walkStepBatchOn(g gstore.Graph, wss []*Workspace, eps float64) {
-	switch t := g.(type) {
-	case gstore.Heap:
-		rowPtr, adj, wts, deg := t.RawCSR()
-		walkStepBatchCSR(wss, eps, rowPtr, adj, wts, deg)
-	case *gstore.Compact:
-		rowPtr, adj, deg := t.RawRowPtr(), t.RawAdj(), t.RawDegrees()
-		if w64 := t.RawWeights64(); w64 != nil {
-			walkStepBatchCSR(wss, eps, rowPtr, adj, w64, deg)
-		} else if w32 := t.RawWeights32(); w32 != nil {
-			walkStepBatchCSR(wss, eps, rowPtr, adj, w32, deg)
-		} else {
-			walkStepBatchCSR(wss, eps, rowPtr, adj, []float64(nil), deg)
-		}
-		runtime.KeepAlive(t) // see pushOn: the raw slices alone don't pin t
-	default:
-		for _, ws := range wss {
-			walkStepIter(g, ws, eps)
-		}
-	}
-}
-
-// walkStepBatchCSR is the blocked monomorphized walk step: iterate the
-// ascending merge of the block's frontiers, fetch each node's CSR row
-// once, and apply it to every seed whose frontier contains the node.
-// Each seed sees its frontier in ascending order — exactly the
-// sequential walkStepCSR visit order — then truncates, swaps and sorts
-// independently, so the step is bit-identical per seed.
-func walkStepBatchCSR[P ix, A ix, W ~float32 | ~float64](wss []*Workspace, eps float64, rowPtr []P, adj []A, wts []W, deg []float64) {
+// walkStep advances every workspace of a block one truncated lazy-walk
+// step: iterate the ascending merge of the block's R-plane frontiers,
+// fetch each node's CSR row once, and spread it into the scratch plane
+// of every seed whose frontier contains the node. Each seed sees its
+// own frontier in ascending order whatever the block holds, then
+// truncates below eps·deg — the regularization step — swaps the result
+// into R and sorts its touched list, so the step is bit-identical per
+// seed.
+func (r *rows[P, A, W]) walkStep(wss []*Workspace, eps float64) {
 	for _, ws := range wss {
 		ws.s.reset()
 	}
+	rowPtr, adj, wts, deg := r.rowPtr, r.adj, r.wts, r.deg
 	unit := len(wts) == 0
-	// Per-seed cursor into the sorted frontier list; stack-allocated
-	// for the default block size so the step stays allocation-free.
-	var ptrsArr [DefaultBatchBlock]int
-	var ptrs []int
-	if len(wss) <= DefaultBatchBlock {
-		ptrs = ptrsArr[:len(wss)]
-	} else {
-		ptrs = make([]int, len(wss))
-	}
+	// Per-seed cursor into the sorted frontier list.
+	var ptrsArr [batchBlock]int
+	ptrs := ptrsArr[:len(wss)]
 	for {
 		// Next frontier node: the minimum unconsumed id across seeds.
 		u := -1
@@ -490,6 +405,8 @@ func walkStepBatchCSR[P ix, A ix, W ~float32 | ~float64](wss []*Workspace, eps f
 			}
 		}
 	}
+	// Truncate, compacting each touched list in place and killing
+	// dropped entries so a later touch re-adds them.
 	for _, ws := range wss {
 		live := ws.s.list[:0]
 		for _, u := range ws.s.list {

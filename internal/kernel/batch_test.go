@@ -19,7 +19,7 @@ import (
 
 // The batch engine's whole value proposition rests on one promise:
 // running K seeds through BatchDiffuser produces, per seed, the exact
-// bytes the sequential single-seed Diffuse produces — on every
+// bytes a single-seed Diffuse — a block of one — produces, on every
 // backend, at every batch size, duplicates included. These tests lock
 // that promise with Float64bits fingerprints, no tolerances.
 
@@ -106,21 +106,23 @@ func batchMethods() map[string]kernel.Diffuser {
 }
 
 // TestBatchMatchesSequential: for each backend, method, and batch size
-// K ∈ {1, 7, 64}, every seed's batch output is byte-identical to the
-// sequential single-seed path, for several block sizes and worker
-// counts (the schedule must never leak into the floats).
+// K ∈ {1, 7, 9, 13, 64} — blocks of 1, 7, 8+1, 8+5 and 8×8 — every
+// seed's batch output is byte-identical to the same seed diffused alone
+// as a block of one, for both worker counts (the schedule must never
+// leak into the floats). TestEngineMatchesOracle holds both to an
+// independent reference.
 func TestBatchMatchesSequential(t *testing.T) {
 	hg := batchTestGraph(t)
 	backends := batchBackends(t, hg)
 	for backendName, g := range backends {
 		for methodName, method := range batchMethods() {
-			for _, k := range []int{1, 7, 64} {
+			for _, k := range []int{1, 7, 9, 13, 64} {
 				name := fmt.Sprintf("%s/%s/K%d", backendName, methodName, k)
 				t.Run(name, func(t *testing.T) {
 					seeds := batchSeeds(g.N(), k)
 					pool := kernel.NewPool(g.N())
 
-					// Sequential oracle, one Diffuse per seed.
+					// One Diffuse per seed.
 					want := make([]string, len(seeds))
 					for i, s := range seeds {
 						ws := pool.Get()
@@ -132,26 +134,24 @@ func TestBatchMatchesSequential(t *testing.T) {
 						pool.Put(ws)
 					}
 
-					for _, block := range []int{1, 3, 8} {
-						for _, workers := range []int{1, 4} {
-							got := make([]string, len(seeds))
-							bd := kernel.BatchDiffuser{Method: method, Block: block, Workers: workers}
-							sts, err := bd.Run(context.Background(), g, pool, seeds,
-								func(i int, ws *kernel.Workspace, st kernel.Stats) error {
-									got[i] = wsFingerprint(ws, st)
-									return nil
-								})
-							if err != nil {
-								t.Fatalf("batch Run(block=%d workers=%d): %v", block, workers, err)
-							}
-							if len(sts) != len(seeds) {
-								t.Fatalf("batch returned %d stats for %d seeds", len(sts), len(seeds))
-							}
-							for i := range seeds {
-								if got[i] != want[i] {
-									t.Fatalf("seed[%d]=%d diverges (block=%d workers=%d):\nbatch: %.200s\nseq:   %.200s",
-										i, seeds[i], block, workers, got[i], want[i])
-								}
+					for _, workers := range []int{1, 4} {
+						got := make([]string, len(seeds))
+						bd := kernel.BatchDiffuser{Method: method, Workers: workers}
+						sts, err := bd.Run(context.Background(), g, pool, seeds,
+							func(i int, ws *kernel.Workspace, st kernel.Stats) error {
+								got[i] = wsFingerprint(ws, st)
+								return nil
+							})
+						if err != nil {
+							t.Fatalf("batch Run(workers=%d): %v", workers, err)
+						}
+						if len(sts) != len(seeds) {
+							t.Fatalf("batch returned %d stats for %d seeds", len(sts), len(seeds))
+						}
+						for i := range seeds {
+							if got[i] != want[i] {
+								t.Fatalf("seed[%d]=%d diverges (workers=%d):\nbatch: %.200s\nseq:   %.200s",
+									i, seeds[i], workers, got[i], want[i])
 							}
 						}
 					}
@@ -197,7 +197,6 @@ func TestBatchOnStepMatchesSequential(t *testing.T) {
 	got := make([][]string, len(seeds))
 	bd := kernel.BatchDiffuser{
 		Method: kernel.NibbleWalk{Eps: eps, Steps: steps},
-		Block:  3,
 		OnStep: func(i, step int, ws *kernel.Workspace) error {
 			got[i] = append(got[i], trace(ws, step))
 			return nil
@@ -229,7 +228,7 @@ func TestBatchCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	emitted := 0
-	_, err := kernel.BatchDiffuser{Method: kernel.PushACL{Alpha: 0.13, Eps: 3e-5}, Block: 4, Workers: 1}.
+	_, err := kernel.BatchDiffuser{Method: kernel.PushACL{Alpha: 0.13, Eps: 3e-5}, Workers: 1}.
 		Run(ctx, g, pool, seeds, func(i int, ws *kernel.Workspace, st kernel.Stats) error {
 			emitted++
 			if emitted == 5 {
@@ -274,8 +273,9 @@ func TestBatchCancellation(t *testing.T) {
 	}
 }
 
-// TestBatchValidation pins the error surface: parameter and seed
-// validation match the sequential diffusers'.
+// TestBatchValidation pins the error surface of Run's own arguments;
+// TestDiffuserValidation (kernel_test.go) holds the strategies'
+// parameter errors equal through Diffuse and Run.
 func TestBatchValidation(t *testing.T) {
 	hg := batchTestGraph(t)
 	g := gstore.Wrap(hg)
@@ -296,6 +296,7 @@ func TestBatchValidation(t *testing.T) {
 		{"bad eps", kernel.BatchDiffuser{Method: kernel.PushACL{Alpha: 0.1, Eps: 0}}, pool, []int{1}, "must be positive"},
 		{"seed range", kernel.BatchDiffuser{Method: kernel.PushACL{Alpha: 0.1, Eps: 1e-4}}, pool, []int{hg.N()}, "out of range"},
 		{"nibble hook", kernel.BatchDiffuser{Method: kernel.NibbleWalk{Eps: 1e-4, Steps: 3, OnStep: func(int, *kernel.Workspace) error { return nil }}}, pool, []int{1}, "BatchDiffuser.OnStep"},
+		{"foreign method", kernel.BatchDiffuser{Method: foreignDiffuser{}}, pool, []int{1}, "kernel: batch diffuser: unsupported method kernel_test.foreignDiffuser"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -304,6 +305,33 @@ func TestBatchValidation(t *testing.T) {
 				t.Fatalf("Run = %v, want error containing %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// foreignDiffuser is a Diffuser the engine has no block runner for.
+type foreignDiffuser struct{}
+
+func (foreignDiffuser) Diffuse(gstore.Graph, *kernel.Workspace, []int) (kernel.Stats, error) {
+	return kernel.Stats{}, nil
+}
+
+// TestUnknownBackendIsAnError: a gstore.Graph that is neither Heap nor
+// *Compact has no rows view; every strategy reports it, alone and
+// batched, instead of iterating.
+func TestUnknownBackendIsAnError(t *testing.T) {
+	type opaque struct{ gstore.Graph }
+	g := opaque{gstore.Wrap(batchTestGraph(t))}
+	const want = "kernel: unsupported backend kernel_test.opaque"
+	pool := kernel.NewPool(g.N())
+	for name, method := range batchMethods() {
+		ws := pool.Get()
+		if _, err := method.Diffuse(g, ws, []int{1}); err == nil || err.Error() != want {
+			t.Errorf("%s: Diffuse = %v, want %q", name, err, want)
+		}
+		pool.Put(ws)
+		if _, err := (kernel.BatchDiffuser{Method: method}).Run(context.Background(), g, pool, []int{1, 2}, nil); err == nil || err.Error() != want {
+			t.Errorf("%s: Run = %v, want %q", name, err, want)
+		}
 	}
 }
 

@@ -1,20 +1,21 @@
 package kernel
 
 import (
+	"fmt"
 	"runtime"
 
 	"repro/internal/gstore"
 )
 
-// This file is the hot path of every diffusion: the push and walk-step
-// inner loops, written once as generic functions over raw CSR arrays
-// and monomorphized by the compiler for each backend's element types
-// (heap []int/[]float64, compact/mmap []int64/[]uint32 with
-// float64/float32/absent weights). The dispatch below runs one type
-// switch per diffusion (push) or per step (walk) — never per edge —
-// so the heap instantiation is the same machine loop the pre-gstore
-// code compiled to, which is what keeps the push benchmark inside the
-// 10% budget the interface-per-edge alternative would blow.
+// This file is the one place that knows which storage backends and
+// weight forms exist. dispatch turns a gstore.Graph into a rows view —
+// the raw CSR arrays — and runs the requested operation on it; the
+// loops themselves (pushBlock and walkStep in batch.go, sweepScan in
+// sweep.go) are methods of rows, written once and monomorphized by the
+// compiler for each backend's element types (heap []int/[]float64,
+// compact/mmap []int64/[]uint32 with float64/float32/absent weights).
+// One type switch runs per push block, walk step or sweep — never per
+// edge.
 //
 // Bit-parity invariants the loops rely on:
 //   - spread*1.0 == spread exactly, so the nil-weight (unit) branch
@@ -29,224 +30,80 @@ import (
 //   - deg slices are copied bit-for-bit from the heap graph, so the
 //     eps·deg thresholds agree across backends.
 
-// ix covers the index element types of the three backends' CSR arrays.
-type ix interface {
-	~int | ~int64 | ~uint32
+// ix covers the index element types of the backends' CSR arrays, wt the
+// stored weight types.
+type (
+	ix interface{ ~int | ~int64 | ~uint32 }
+	wt interface{ ~float32 | ~float64 }
+)
+
+// rows is a backend's CSR arrays as the loops read them. A nil wts
+// slice means unit weights.
+type rows[P ix, A ix, W wt] struct {
+	rowPtr []P
+	adj    []A
+	wts    []W
+	deg    []float64
 }
 
-// pushOn runs the ACL push loop on g's concrete representation. The
-// queue must already be seeded; returns Pushes/WorkVolume only.
-func pushOn(d PushACL, g gstore.Graph, ws *Workspace) Stats {
+// op names one operation for dispatch and carries its operands. It is
+// passed by pointer and lives in the caller's frame, so a dispatch
+// allocates nothing.
+type op struct {
+	kind opKind
+	// opPush: one block's seeded workspaces (queues filled) and their
+	// Stats. opWalkStep: the block's live workspaces and eps.
+	push PushACL
+	wss  []*Workspace
+	sts  []Stats
+	eps  float64
+	// opSweepScan: the membership plane, the order prefix, the visitor.
+	inS   *plane
+	order []sweepPair
+	visit SweepVisit
+}
+
+type opKind uint8
+
+const (
+	opPush opKind = iota
+	opWalkStep
+	opSweepScan
+)
+
+// dispatch runs o on g's concrete representation. A backend it does
+// not know is an error: there is no iterator fallback.
+func dispatch(g gstore.Graph, o *op) error {
 	switch t := g.(type) {
 	case gstore.Heap:
 		rowPtr, adj, wts, deg := t.RawCSR()
-		return pushCSR(d, ws, rowPtr, adj, wts, deg)
+		(&rows[int, int, float64]{rowPtr, adj, wts, deg}).run(o)
 	case *gstore.Compact:
 		rowPtr, adj, deg := t.RawRowPtr(), t.RawAdj(), t.RawDegrees()
-		var st Stats
-		if w64 := t.RawWeights64(); w64 != nil {
-			st = pushCSR(d, ws, rowPtr, adj, w64, deg)
-		} else if w32 := t.RawWeights32(); w32 != nil {
-			st = pushCSR(d, ws, rowPtr, adj, w32, deg)
+		if w32 := t.RawWeights32(); w32 != nil {
+			(&rows[int64, uint32, float32]{rowPtr, adj, w32, deg}).run(o)
 		} else {
-			st = pushCSR(d, ws, rowPtr, adj, []float64(nil), deg)
+			(&rows[int64, uint32, float64]{rowPtr, adj, t.RawWeights64(), deg}).run(o)
 		}
 		// The raw slices of a mapped graph do not keep t reachable
 		// (they point into non-GC memory); without this pin the
 		// collector could finalize — unmap — t mid-loop.
 		runtime.KeepAlive(t)
-		return st
 	default:
-		return pushIter(d, g, ws)
+		return fmt.Errorf("kernel: unsupported backend %T", g)
 	}
+	return nil
 }
 
-// pushCSR is the monomorphized ACL push loop. A nil wts slice means
-// unit weights; the branch is hoisted out of the per-edge loop.
-func pushCSR[P ix, A ix, W ~float32 | ~float64](d PushACL, ws *Workspace, rowPtr []P, adj []A, wts []W, deg []float64) Stats {
-	var st Stats
-	unit := len(wts) == 0
-	for {
-		u, ok := ws.q.pop()
-		if !ok {
-			break
-		}
-		du := deg[u]
-		if du == 0 {
-			// Isolated node: its residual can only go to p.
-			ws.p.add(u, ws.r.get(u))
-			ws.r.set(u, 0)
-			continue
-		}
-		ru := ws.r.get(u)
-		if ru < d.Eps*du {
-			continue
-		}
-		ws.p.add(u, d.Alpha*ru)
-		keep := (1 - d.Alpha) * ru / 2
-		ws.r.set(u, keep)
-		if keep >= d.Eps*du {
-			ws.q.push(u)
-		}
-		spread := (1 - d.Alpha) * ru / 2
-		// Ranging over row subslices (not indexing adj[lo:hi] in place)
-		// lets the compiler drop the per-edge bounds checks, matching
-		// the pre-gstore loop's code shape.
-		lo, hi := int(rowPtr[u]), int(rowPtr[u+1])
-		if unit {
-			share := spread / du
-			for _, a := range adj[lo:hi] {
-				v := int(a)
-				rv := ws.r.get(v) + share
-				ws.r.set(v, rv)
-				if rv >= d.Eps*deg[v] {
-					ws.q.push(v)
-				}
-			}
-		} else {
-			row, wrow := adj[lo:hi], wts[lo:hi]
-			for k, a := range row {
-				v := int(a)
-				rv := ws.r.get(v) + spread*float64(wrow[k])/du
-				ws.r.set(v, rv)
-				if rv >= d.Eps*deg[v] {
-					ws.q.push(v)
-				}
-			}
-		}
-		st.Pushes++
-		st.WorkVolume += du
+// run is the second half of dispatch: the operation switch, inside the
+// instantiation the type switch chose.
+func (r *rows[P, A, W]) run(o *op) {
+	switch o.kind {
+	case opPush:
+		r.pushBlock(o.push, o.wss, o.sts)
+	case opWalkStep:
+		r.walkStep(o.wss, o.eps)
+	case opSweepScan:
+		r.sweepScan(o.inS, o.order, o.visit)
 	}
-	return st
-}
-
-// pushIter is the iterator fallback for backends csr.go does not know.
-func pushIter(d PushACL, g gstore.Graph, ws *Workspace) Stats {
-	var st Stats
-	for {
-		u, ok := ws.q.pop()
-		if !ok {
-			break
-		}
-		du := g.Degree(u)
-		if du == 0 {
-			ws.p.add(u, ws.r.get(u))
-			ws.r.set(u, 0)
-			continue
-		}
-		ru := ws.r.get(u)
-		if ru < d.Eps*du {
-			continue
-		}
-		ws.p.add(u, d.Alpha*ru)
-		keep := (1 - d.Alpha) * ru / 2
-		ws.r.set(u, keep)
-		if keep >= d.Eps*du {
-			ws.q.push(u)
-		}
-		spread := (1 - d.Alpha) * ru / 2
-		it := g.Neighbors(u)
-		for v, w, ok := it.Next(); ok; v, w, ok = it.Next() {
-			rv := ws.r.get(v) + spread*w/du
-			ws.r.set(v, rv)
-			if rv >= d.Eps*g.Degree(v) {
-				ws.q.push(v)
-			}
-		}
-		st.Pushes++
-		st.WorkVolume += du
-	}
-	return st
-}
-
-// walkStepOn advances the R plane one truncated lazy-walk step on g's
-// concrete representation.
-func walkStepOn(g gstore.Graph, ws *Workspace, eps float64) {
-	switch t := g.(type) {
-	case gstore.Heap:
-		rowPtr, adj, wts, deg := t.RawCSR()
-		walkStepCSR(ws, eps, rowPtr, adj, wts, deg)
-	case *gstore.Compact:
-		rowPtr, adj, deg := t.RawRowPtr(), t.RawAdj(), t.RawDegrees()
-		if w64 := t.RawWeights64(); w64 != nil {
-			walkStepCSR(ws, eps, rowPtr, adj, w64, deg)
-		} else if w32 := t.RawWeights32(); w32 != nil {
-			walkStepCSR(ws, eps, rowPtr, adj, w32, deg)
-		} else {
-			walkStepCSR(ws, eps, rowPtr, adj, []float64(nil), deg)
-		}
-		runtime.KeepAlive(t) // see pushOn: the slices alone don't pin t
-	default:
-		walkStepIter(g, ws, eps)
-	}
-}
-
-// walkStepCSR is the monomorphized walk step: spread in touched-list
-// order, truncate below eps·deg, swap into R, sort the list ascending.
-func walkStepCSR[P ix, A ix, W ~float32 | ~float64](ws *Workspace, eps float64, rowPtr []P, adj []A, wts []W, deg []float64) {
-	ws.s.reset()
-	unit := len(wts) == 0
-	for _, u := range ws.r.list {
-		mass := ws.r.val[u]
-		du := deg[u]
-		if du == 0 {
-			ws.s.add(u, mass)
-			continue
-		}
-		ws.s.add(u, mass/2)
-		lo, hi := int(rowPtr[u]), int(rowPtr[u+1])
-		if unit {
-			share := mass / 2 / du
-			for _, a := range adj[lo:hi] {
-				ws.s.add(int(a), share)
-			}
-		} else {
-			row, wrow := adj[lo:hi], wts[lo:hi]
-			for k, a := range row {
-				ws.s.add(int(a), mass/2*float64(wrow[k])/du)
-			}
-		}
-	}
-	// Truncate: the regularization step. Compact the touched list in
-	// place, killing dropped entries so a later touch re-adds them.
-	live := ws.s.list[:0]
-	for _, u := range ws.s.list {
-		if ws.s.val[u] < eps*deg[u] {
-			ws.s.kill(u)
-			continue
-		}
-		live = append(live, u)
-	}
-	ws.s.list = live
-	ws.r, ws.s = ws.s, ws.r
-	ws.r.sortList()
-}
-
-// walkStepIter is the iterator fallback walk step.
-func walkStepIter(g gstore.Graph, ws *Workspace, eps float64) {
-	ws.s.reset()
-	for _, u := range ws.r.list {
-		mass := ws.r.val[u]
-		du := g.Degree(u)
-		if du == 0 {
-			ws.s.add(u, mass)
-			continue
-		}
-		ws.s.add(u, mass/2)
-		it := g.Neighbors(u)
-		for v, w, ok := it.Next(); ok; v, w, ok = it.Next() {
-			ws.s.add(v, mass/2*w/du)
-		}
-	}
-	live := ws.s.list[:0]
-	for _, u := range ws.s.list {
-		if ws.s.val[u] < eps*g.Degree(u) {
-			ws.s.kill(u)
-			continue
-		}
-		live = append(live, u)
-	}
-	ws.s.list = live
-	ws.r, ws.s = ws.s, ws.r
-	ws.r.sortList()
 }

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -32,22 +33,23 @@ type Stats struct {
 // residual in the R plane. The workspace is Reset at entry, so a pooled
 // workspace needs no cleaning between uses.
 //
-// Diffuse accepts any gstore backend. For the known backends (heap,
-// compact, mmap) the inner loops run monomorphized over the backend's
-// raw CSR arrays (csr.go), so the arithmetic — and therefore the
-// floating-point output — is identical bit for bit across backends,
-// and the heap path compiles to the same loop as before the gstore
-// refactor. Unknown third-party backends fall back to the neighbor
-// iterator.
+// Every Diffuse is a block of one on the batch engine (batch.go):
+// validate, seed the R plane with the seed set, run the strategy's
+// block runner over that single workspace. The loops run monomorphized
+// over the backend's raw CSR arrays behind one dispatch (csr.go), so
+// the arithmetic — and therefore the floating-point output — is
+// identical bit for bit across the heap, compact and mmap backends; a
+// backend the dispatch does not know is an error.
 type Diffuser interface {
 	Diffuse(g gstore.Graph, ws *Workspace, seeds []int) (Stats, error)
 }
 
-// seedR spreads the uniform seed distribution into the R plane (mass
-// accumulates over duplicate seeds, in seed order) and sorts its
-// touched list ascending, the deterministic starting state every
-// diffusion shares.
+// seedR resets the workspace, spreads the uniform seed distribution
+// into the R plane (mass accumulates over duplicate seeds, in seed
+// order) and sorts its touched list ascending, the deterministic
+// starting state every diffusion shares.
 func seedR(g gstore.Graph, ws *Workspace, seeds []int) error {
+	ws.Reset()
 	if len(seeds) == 0 {
 		return errors.New("kernel: diffusion needs a nonempty seed set")
 	}
@@ -82,30 +84,28 @@ type PushACL struct {
 	Eps   float64 // truncation threshold, > 0
 }
 
+func (d PushACL) validate() error {
+	if d.Alpha <= 0 || d.Alpha >= 1 {
+		return fmt.Errorf("kernel: push alpha=%v outside (0,1)", d.Alpha)
+	}
+	if d.Eps <= 0 {
+		return fmt.Errorf("kernel: push eps=%v must be positive", d.Eps)
+	}
+	return nil
+}
+
 // Diffuse runs the push. P gets the approximation, R the residual; the
 // invariant p + pr_α(r) = pr_α(s) holds.
 func (d PushACL) Diffuse(g gstore.Graph, ws *Workspace, seeds []int) (Stats, error) {
-	if d.Alpha <= 0 || d.Alpha >= 1 {
-		return Stats{}, fmt.Errorf("kernel: push alpha=%v outside (0,1)", d.Alpha)
+	if err := d.validate(); err != nil {
+		return Stats{}, err
 	}
-	if d.Eps <= 0 {
-		return Stats{}, fmt.Errorf("kernel: push eps=%v must be positive", d.Eps)
-	}
-	ws.Reset()
 	if err := seedR(g, ws, seeds); err != nil {
 		return Stats{}, err
 	}
-	// Work queue of nodes that may violate r(u) < ε·deg(u), seeded in
-	// ascending node order so runs are deterministic.
-	for _, u := range ws.r.list {
-		ws.q.push(u)
-	}
-	st := pushOn(d, g, ws)
-	// The push never shrinks p's support, so the final support is the
-	// peak. Reading it after the loop keeps the accounting out of the
-	// float path entirely.
-	st.MaxSupport = ws.PSupport()
-	return st, nil
+	wss, sts := [1]*Workspace{ws}, [1]Stats{}
+	err := d.runBlock(context.Background(), g, wss[:], sts[:], 0, nil)
+	return sts[0], err
 }
 
 // NibbleWalk is the Spielman–Teng truncated lazy random walk [39]:
@@ -126,47 +126,32 @@ type NibbleWalk struct {
 	OnStep func(step int, ws *Workspace) error
 }
 
-// Diffuse runs the walk. P (and R) hold the final distribution.
-func (d NibbleWalk) Diffuse(g gstore.Graph, ws *Workspace, seeds []int) (Stats, error) {
+func (d NibbleWalk) validate() error {
 	if d.Eps <= 0 {
-		return Stats{}, fmt.Errorf("kernel: nibble eps=%v must be positive", d.Eps)
+		return fmt.Errorf("kernel: nibble eps=%v must be positive", d.Eps)
 	}
 	if d.Steps < 1 {
-		return Stats{}, fmt.Errorf("kernel: nibble steps=%d must be >= 1", d.Steps)
+		return fmt.Errorf("kernel: nibble steps=%d must be >= 1", d.Steps)
 	}
-	ws.Reset()
+	return nil
+}
+
+// Diffuse runs the walk. P (and R) hold the final distribution; an
+// OnStep error aborts it and is returned with the Stats so far.
+func (d NibbleWalk) Diffuse(g gstore.Graph, ws *Workspace, seeds []int) (Stats, error) {
+	if err := d.validate(); err != nil {
+		return Stats{}, err
+	}
 	if err := seedR(g, ws, seeds); err != nil {
 		return Stats{}, err
 	}
-	var st Stats
-	for step := 1; step <= d.Steps; step++ {
-		ws.walkStep(g, d.Eps)
-		if len(ws.r.list) == 0 {
-			break
-		}
-		if len(ws.r.list) > st.MaxSupport {
-			st.MaxSupport = len(ws.r.list)
-		}
-		st.Steps = step
-		if d.OnStep != nil {
-			if err := d.OnStep(step, ws); err != nil {
-				return st, err
-			}
-		}
+	var onStep func(i, step int, ws *Workspace) error
+	if d.OnStep != nil {
+		onStep = func(_, step int, ws *Workspace) error { return d.OnStep(step, ws) }
 	}
-	// Mirror the final distribution into the output plane.
-	for _, u := range ws.r.list {
-		ws.p.add(u, ws.r.val[u])
-	}
-	return st, nil
-}
-
-// walkStep advances the R-plane distribution one lazy-walk step into
-// the scratch plane, truncates entries below eps·deg, and swaps the
-// result back into R with its touched list sorted ascending. The body
-// lives in csr.go, monomorphized per backend.
-func (ws *Workspace) walkStep(g gstore.Graph, eps float64) {
-	walkStepOn(g, ws, eps)
+	wss, sts := [1]*Workspace{ws}, [1]Stats{}
+	err := d.runBlock(context.Background(), g, wss[:], sts[:], 0, onStep)
+	return sts[0], err
 }
 
 // HeatKernel approximates Chung's heat-kernel PageRank [15]
@@ -182,20 +167,19 @@ type HeatKernel struct {
 	Eps float64 // truncation threshold, > 0
 }
 
-// Diffuse runs the expansion. P holds the heat-kernel approximation; R
-// holds the final Taylor iterate (usually empty after truncation).
-func (d HeatKernel) Diffuse(g gstore.Graph, ws *Workspace, seeds []int) (Stats, error) {
+func (d HeatKernel) validate() error {
 	if d.T <= 0 || math.IsNaN(d.T) || math.IsInf(d.T, 0) {
-		return Stats{}, fmt.Errorf("kernel: heat kernel t=%v must be positive and finite", d.T)
+		return fmt.Errorf("kernel: heat kernel t=%v must be positive and finite", d.T)
 	}
 	if d.Eps <= 0 {
-		return Stats{}, fmt.Errorf("kernel: heat kernel eps=%v must be positive", d.Eps)
+		return fmt.Errorf("kernel: heat kernel eps=%v must be positive", d.Eps)
 	}
-	ws.Reset()
-	if err := seedR(g, ws, seeds); err != nil {
-		return Stats{}, err
-	}
-	// Choose K: tail Σ_{k>K} e^{-t} t^k/k! < eps/2.
+	return nil
+}
+
+// terms returns the Taylor term count K with tail
+// Σ_{k>K} e^{-t} t^k/k! < eps/2.
+func (d HeatKernel) terms() int {
 	k := 1
 	tail := 1 - math.Exp(-d.T)
 	term := math.Exp(-d.T)
@@ -204,24 +188,19 @@ func (d HeatKernel) Diffuse(g gstore.Graph, ws *Workspace, seeds []int) (Stats, 
 		tail -= term
 		k++
 	}
-	for _, u := range ws.r.list {
-		ws.p.add(u, math.Exp(-d.T)*ws.r.val[u])
+	return k
+}
+
+// Diffuse runs the expansion. P holds the heat-kernel approximation; R
+// holds the final Taylor iterate (usually empty after truncation).
+func (d HeatKernel) Diffuse(g gstore.Graph, ws *Workspace, seeds []int) (Stats, error) {
+	if err := d.validate(); err != nil {
+		return Stats{}, err
 	}
-	weight := math.Exp(-d.T)
-	var st Stats
-	for kk := 1; kk <= k; kk++ {
-		ws.walkStep(g, d.Eps)
-		weight *= d.T / float64(kk)
-		for _, u := range ws.r.list {
-			ws.p.add(u, weight*ws.r.val[u])
-		}
-		if len(ws.r.list) > st.MaxSupport {
-			st.MaxSupport = len(ws.r.list)
-		}
-		st.Terms = kk
-		if len(ws.r.list) == 0 {
-			break
-		}
+	if err := seedR(g, ws, seeds); err != nil {
+		return Stats{}, err
 	}
-	return st, nil
+	wss, sts := [1]*Workspace{ws}, [1]Stats{}
+	err := d.runBlock(context.Background(), g, wss[:], sts[:], 0, nil)
+	return sts[0], err
 }

@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"context"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -156,34 +158,50 @@ func TestPushACLDeterministicAcrossReuse(t *testing.T) {
 	}
 }
 
+// TestDiffuserValidation: every bad parameter is rejected with the same
+// pinned error text by a strategy's Diffuse and by a BatchDiffuser
+// running it — one validate per strategy serves both entry points.
 func TestDiffuserValidation(t *testing.T) {
-	g := gen.Path(5)
+	g := gstore.Wrap(gen.Path(5))
 	ws := NewWorkspace(g.N())
+	pool := NewPool(g.N())
+	ok := PushACL{Alpha: 0.5, Eps: 1e-3}
 	cases := []struct {
-		name string
-		d    Diffuser
+		name  string
+		d     Diffuser
+		ws    *Workspace
+		seeds []int
+		want  string
 	}{
-		{"push alpha 0", PushACL{Alpha: 0, Eps: 1e-3}},
-		{"push alpha 1", PushACL{Alpha: 1, Eps: 1e-3}},
-		{"push eps 0", PushACL{Alpha: 0.5, Eps: 0}},
-		{"nibble eps 0", NibbleWalk{Eps: 0, Steps: 3}},
-		{"nibble steps 0", NibbleWalk{Eps: 1e-3, Steps: 0}},
-		{"heat t 0", HeatKernel{T: 0, Eps: 1e-3}},
-		{"heat eps 0", HeatKernel{T: 1, Eps: 0}},
+		{"push alpha 0", PushACL{Alpha: 0, Eps: 1e-3}, ws, []int{0}, "kernel: push alpha=0 outside (0,1)"},
+		{"push alpha 1", PushACL{Alpha: 1, Eps: 1e-3}, ws, []int{0}, "kernel: push alpha=1 outside (0,1)"},
+		{"push eps 0", PushACL{Alpha: 0.5, Eps: 0}, ws, []int{0}, "kernel: push eps=0 must be positive"},
+		{"nibble eps 0", NibbleWalk{Eps: 0, Steps: 3}, ws, []int{0}, "kernel: nibble eps=0 must be positive"},
+		{"nibble steps 0", NibbleWalk{Eps: 1e-3, Steps: 0}, ws, []int{0}, "kernel: nibble steps=0 must be >= 1"},
+		{"heat t 0", HeatKernel{T: 0, Eps: 1e-3}, ws, []int{0}, "kernel: heat kernel t=0 must be positive and finite"},
+		{"heat t NaN", HeatKernel{T: math.NaN(), Eps: 1e-3}, ws, []int{0}, "kernel: heat kernel t=NaN must be positive and finite"},
+		{"heat t Inf", HeatKernel{T: math.Inf(1), Eps: 1e-3}, ws, []int{0}, "kernel: heat kernel t=+Inf must be positive and finite"},
+		{"heat eps 0", HeatKernel{T: 1, Eps: 0}, ws, []int{0}, "kernel: heat kernel eps=0 must be positive"},
+		{"seed range", ok, ws, []int{9}, "kernel: seed 9 out of range [0,5)"},
 	}
 	for _, c := range cases {
-		if _, err := c.d.Diffuse(gstore.Wrap(g), ws, []int{0}); err == nil {
-			t.Errorf("%s: accepted", c.name)
+		_, err := c.d.Diffuse(g, c.ws, c.seeds)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: Diffuse = %v, want %q", c.name, err, c.want)
+		}
+		_, err = BatchDiffuser{Method: c.d}.Run(context.Background(), g, pool, c.seeds, nil)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%s: Run = %v, want %q", c.name, err, c.want)
 		}
 	}
-	if _, err := (PushACL{Alpha: 0.5, Eps: 1e-3}).Diffuse(gstore.Wrap(g), ws, nil); err == nil {
-		t.Error("empty seeds accepted")
+	// The entry points word an empty seed list and a mis-sized workspace
+	// (one Diffuse can be handed; Run sizes its own from the pool)
+	// differently.
+	if _, err := ok.Diffuse(g, ws, nil); err == nil || err.Error() != "kernel: diffusion needs a nonempty seed set" {
+		t.Errorf("empty seeds: Diffuse = %v", err)
 	}
-	if _, err := (PushACL{Alpha: 0.5, Eps: 1e-3}).Diffuse(gstore.Wrap(g), ws, []int{9}); err == nil {
-		t.Error("out-of-range seed accepted")
-	}
-	if _, err := (PushACL{Alpha: 0.5, Eps: 1e-3}).Diffuse(gstore.Wrap(g), NewWorkspace(3), []int{0}); err == nil {
-		t.Error("mis-sized workspace accepted")
+	if _, err := ok.Diffuse(g, NewWorkspace(3), []int{0}); err == nil || err.Error() != "kernel: workspace sized for 3 nodes used on a 5-node graph" {
+		t.Errorf("mis-sized workspace: Diffuse = %v", err)
 	}
 }
 
@@ -278,7 +296,9 @@ func TestWalkStepMatchesDenseStep(t *testing.T) {
 			next[v] += x / 2 * wts[i] / du
 		}
 	}
-	ws.walkStep(gstore.Wrap(g), 1e-12)
+	if err := dispatch(gstore.Wrap(g), &op{kind: opWalkStep, wss: []*Workspace{ws}, eps: 1e-12}); err != nil {
+		t.Fatal(err)
+	}
 	for u := 0; u < g.N(); u++ {
 		got := ws.r.get(u)
 		want := next[u]

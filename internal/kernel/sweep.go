@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"runtime"
 	"slices"
 
 	"repro/internal/gstore"
@@ -86,32 +85,21 @@ type SweepVisit func(size int, cut, vol float64) bool
 // only ever swept between walk steps, when s is idle (every step resets
 // it on entry), so the set costs no memory of its own and empties in
 // O(1).
+//
+// Like every Diffuse, the scan reaches the rows through the kernel's one
+// backend dispatch; it panics on a backend that dispatch does not know
+// (a diffusion on such a graph has already failed with that error).
 func (ws *Workspace) SweepScan(g gstore.Graph, maxPrefix int, visit SweepVisit) {
 	order := ws.sweep[:min(maxPrefix, len(ws.sweep))]
 	ws.s.reset()
-	inS := &ws.s
-	switch t := g.(type) {
-	case gstore.Heap:
-		rowPtr, adj, wts, deg := t.RawCSR()
-		sweepScanCSR(inS, order, visit, rowPtr, adj, wts, deg)
-	case *gstore.Compact:
-		rowPtr, adj, deg := t.RawRowPtr(), t.RawAdj(), t.RawDegrees()
-		if w64 := t.RawWeights64(); w64 != nil {
-			sweepScanCSR(inS, order, visit, rowPtr, adj, w64, deg)
-		} else if w32 := t.RawWeights32(); w32 != nil {
-			sweepScanCSR(inS, order, visit, rowPtr, adj, w32, deg)
-		} else {
-			sweepScanCSR(inS, order, visit, rowPtr, adj, []float64(nil), deg)
-		}
-		runtime.KeepAlive(t) // see pushOn: the raw slices alone don't pin t
-	default:
-		sweepScanIter(inS, order, visit, g)
+	if err := dispatch(g, &op{kind: opSweepScan, inS: &ws.s, order: order, visit: visit}); err != nil {
+		panic(err)
 	}
 }
 
-// sweepScanCSR is the monomorphized prefix scan. A nil wts slice means
-// unit weights.
-func sweepScanCSR[P ix, A ix, W ~float32 | ~float64](inS *plane, order []sweepPair, visit SweepVisit, rowPtr []P, adj []A, wts []W, deg []float64) {
+// sweepScan is the monomorphized prefix scan.
+func (r *rows[P, A, W]) sweepScan(inS *plane, order []sweepPair, visit SweepVisit) {
+	rowPtr, adj, wts, deg := r.rowPtr, r.adj, r.wts, r.deg
 	stamp, epoch := inS.stamp, inS.epoch
 	unit := len(wts) == 0
 	var cut, vol float64
@@ -139,7 +127,7 @@ func sweepScanCSR[P ix, A ix, W ~float32 | ~float64](inS *plane, order []sweepPa
 }
 
 // countIn returns how many nodes of row carry the stamp. It is kept out
-// of line on purpose: inlined into sweepScanCSR, which holds too many
+// of line on purpose: inlined into sweepScan, which holds too many
 // live slices, the counter spills to the stack on every edge (measured
 // at 6–15 % of the whole sweep on the G16 benchmark).
 //
@@ -152,25 +140,4 @@ func countIn[A ix](row []A, stamp []uint32, epoch uint32) int {
 		}
 	}
 	return in
-}
-
-// sweepScanIter is the iterator fallback for backends csr.go does not
-// know.
-func sweepScanIter(inS *plane, order []sweepPair, visit SweepVisit, g gstore.Graph) {
-	var cut, vol float64
-	for k, pr := range order {
-		it := g.Neighbors(pr.node)
-		for v, w, ok := it.Next(); ok; v, w, ok = it.Next() {
-			if inS.stamp[v] == inS.epoch {
-				cut -= w
-			} else {
-				cut += w
-			}
-		}
-		inS.stamp[pr.node] = inS.epoch
-		vol += g.Degree(pr.node)
-		if !visit(k+1, cut, vol) {
-			return
-		}
-	}
 }
