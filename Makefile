@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt lint graphlint fuzz bench benchdiff graphd
+.PHONY: build test race vet fmt lint graphlint fuzz graphd
 
 build:
 	$(GO) build ./...
@@ -48,54 +48,3 @@ fuzz:
 
 graphd:
 	$(GO) build -o graphd ./cmd/graphd
-
-# bench runs every benchmark once (smoke mode: -benchtime 1x) and writes
-# the test2json event stream to BENCH_ncp.json so the performance
-# trajectory accumulates a machine-readable record per commit. The
-# persistence slice of the same run (binary snapshot load vs text
-# edge-list parse, snapshot write, WAL append fsync cost) is filtered
-# into BENCH_persist.json, and the diffusion-kernel slice (map vs
-# indexed push/Nibble/heat kernel, graphd ppr steady state) into
-# BENCH_kernel.json — one execution, three records. The observability
-# slice — the graphd ppr path with and without telemetry plus the
-# cached-hit floor, and the metrics-registry hot path from
-# internal/service (ObserveRequest must stay 0 allocs/op) — lands in
-# BENCH_observe.json. The storage-backend matrix (snapshot load time,
-# resident memory, PPR latency for heap/compact/mmap at three graph
-# sizes, from bench_mmap_test.go) is filtered into BENCH_mmap.json.
-# The steady-state serving SLO (graphload's open-loop mix against an
-# in-process daemon: qps, error rate, p50/p99/p99.9 latency) lands in
-# BENCH_load.json, and a second batch-heavy run (mix ppr=0.5,batch=0.5
-# exercising the ppr:batch endpoint) in BENCH_load_batch.json — a
-# separate file because benchdiff reads one JSON report per file.
-# Compare two runs with cmd/benchdiff. Use
-# BENCHTIME=5s and LOADDURATION=30s for statistically meaningful local
-# runs.
-BENCHTIME ?= 1x
-LOADRATE ?= 300
-LOADWARMUP ?= 1s
-LOADDURATION ?= 5s
-bench:
-	$(GO) test -run '^$$' -bench . -benchtime $(BENCHTIME) -benchmem -json . > BENCH_ncp.json
-	@grep -c '"Action":"output"' BENCH_ncp.json >/dev/null && \
-	  echo "wrote BENCH_ncp.json ($$(wc -c < BENCH_ncp.json) bytes)"
-	@grep '"Test":"BenchmarkPersist' BENCH_ncp.json > BENCH_persist.json && \
-	  echo "wrote BENCH_persist.json ($$(wc -c < BENCH_persist.json) bytes)"
-	@grep -E '"Test":"Benchmark(Push(Map|Indexed|Batch)|Nibble|HeatKernel|GraphdPPRSteadyState)' BENCH_ncp.json > BENCH_kernel.json && \
-	  echo "wrote BENCH_kernel.json ($$(wc -c < BENCH_kernel.json) bytes)"
-	@grep -E '"Test":"BenchmarkGraphdPPR' BENCH_ncp.json > BENCH_observe.json
-	$(GO) test -run '^$$' -bench 'BenchmarkObserve' -benchtime $(BENCHTIME) -benchmem -json ./internal/service >> BENCH_observe.json
-	@echo "wrote BENCH_observe.json ($$(wc -c < BENCH_observe.json) bytes)"
-	@grep -E '"Test":"BenchmarkBackend(Load|PPR)' BENCH_ncp.json > BENCH_mmap.json && \
-	  echo "wrote BENCH_mmap.json ($$(wc -c < BENCH_mmap.json) bytes)"
-	$(GO) run ./cmd/graphload -self -rate $(LOADRATE) -warmup $(LOADWARMUP) \
-	  -duration $(LOADDURATION) -seed 1 -out BENCH_load.json
-	$(GO) run ./cmd/graphload -self -rate $(LOADRATE) -warmup $(LOADWARMUP) \
-	  -duration $(LOADDURATION) -seed 1 -mix 'ppr=0.5,batch=0.5' -out BENCH_load_batch.json
-
-# benchdiff gates the deterministic slices of two bench runs against
-# each other; OLD/NEW default to the committed baselines vs a fresh run.
-OLD ?= BENCH_load.json
-NEW ?= /tmp/BENCH_load.json
-benchdiff:
-	$(GO) run ./cmd/benchdiff -tolerance 0.25 $(OLD) $(NEW)

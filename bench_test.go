@@ -702,8 +702,8 @@ func persistBenchFiles(b *testing.B) (snapPath, textPath string, n, m int) {
 
 // BenchmarkPersistSnapshotLoad times a graphd cold start per graph: read
 // + checksum + CSR-validate the binary snapshot. Compare against
-// BenchmarkPersistEdgeListParse in BENCH_persist.json — the snapshot
-// path must win, since it skips tokenizing, sorting and merging.
+// BenchmarkPersistEdgeListParse — the snapshot path must win, since it
+// skips tokenizing, sorting and merging.
 func BenchmarkPersistSnapshotLoad(b *testing.B) {
 	snapPath, _, n, m := persistBenchFiles(b)
 	if fi, err := os.Stat(snapPath); err == nil {
@@ -977,10 +977,27 @@ const deepSweepSeeds = 16
 // must hold is B/op ≈ the returned set and allocs/op independent of n
 // (TestMaterialisationIsLocal in internal/local pins the latter).
 func BenchmarkSweepWorkspace(b *testing.B) {
+	g, err := gen.Kronecker(gen.KroneckerConfig{Levels: 16, Edges: 600000}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "n64k"+persist.SnapshotExt)
+	if err := persist.WriteSnapshotFile(path, g); err != nil {
+		b.Fatal(err)
+	}
 	for _, kind := range gstore.Kinds() {
 		b.Run(string(kind), func(b *testing.B) {
-			g, path := backendBenchSnapshot(b, "n64k")
-			bg, err := openBackendFromSnapshot(kind, path)
+			// Open each backend from the snapshot, the way graphd's
+			// recovery path would.
+			var bg gstore.Graph
+			switch kind {
+			case gstore.KindHeap:
+				bg = gstore.Wrap(g)
+			case gstore.KindCompact:
+				bg, err = persist.ReadCompactFile(path)
+			case gstore.KindMmap:
+				bg, err = persist.OpenMapped(path)
+			}
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1091,11 +1108,11 @@ func BenchmarkHeatKernel(b *testing.B) {
 // BenchmarkPushIndexed, so ns/seed here compares directly against its
 // ns/op). The engine runs every seed over shared pooled workspaces with
 // cache-blocked frontier processing, so the K=64 amortized cost must
-// undercut the one-at-a-time push — the perf gate in cmd/benchdiff
-// holds it to <= 0.5x. K=1 and BenchmarkPushIndexed time the same loop:
-// a single-seed Diffuse is a block of one on this engine, so the two
-// differ only by Run's pool and Stats bookkeeping, and the gate still
-// compares a full block's row sharing against a block of one. A warmup
+// undercut the one-at-a-time push. K=1 and BenchmarkPushIndexed time
+// the same loop: a single-seed Diffuse is a block of one on this
+// engine, so the two differ only by Run's pool and Stats bookkeeping,
+// and K=64 against K=1 compares a full block's row sharing against a
+// block of one. A warmup
 // pass keeps pool growth and first-touch CSR faults out of the measured
 // window, mirroring steady-state serving.
 func BenchmarkPushBatch(b *testing.B) {

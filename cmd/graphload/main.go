@@ -3,8 +3,7 @@
 // ppr/localcluster/diffuse/batch mix) against a live daemon through the
 // pkg/client SDK, and reports the latency distribution (p50/p90/p99/
 // p99.9), achieved qps and error rate as both a human summary and a
-// BENCH_load.json artifact that cmd/benchdiff consumes as a regression
-// baseline.
+// JSON report (-out).
 //
 // Open loop means arrivals are scheduled by the clock, not by response
 // completion, so a slow server accumulates inflight requests (bounded
@@ -15,7 +14,7 @@
 // Usage:
 //
 //	graphload -server http://localhost:8080 -rate 200 -duration 10s
-//	graphload -self -rate 500 -duration 5s -out BENCH_load.json
+//	graphload -self -rate 500 -duration 5s -out load.json
 //
 // With -self it boots an in-process graphd on a loopback listener and
 // loads that, so CI needs no separate daemon process. The target graph
@@ -54,7 +53,7 @@ func main() {
 		maxInflight = flag.Int("max-inflight", 256, "inflight bound; arrivals past it are dropped (and counted)")
 		seed        = flag.Int64("seed", 1, "RNG seed for the op/seed-node sequence")
 		timeout     = flag.Duration("timeout", 10*time.Second, "per-request timeout")
-		out         = flag.String("out", "", "write the JSON report here (e.g. BENCH_load.json)")
+		out         = flag.String("out", "", "write the JSON report here")
 	)
 	flag.Parse()
 	log.SetFlags(0)

@@ -8,9 +8,9 @@ import (
 	"os"
 )
 
-// loadConfig echoes the run's knobs into the report so a BENCH_load.json
-// is self-describing: benchdiff refuses nothing, but a human comparing
-// two baselines can see whether the offered load actually matched.
+// loadConfig echoes the run's knobs into the report so it is
+// self-describing: a human comparing two reports can see whether the
+// offered load actually matched.
 type loadConfig struct {
 	Server      string  `json:"server"`
 	Graph       string  `json:"graph"`

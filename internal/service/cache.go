@@ -3,6 +3,8 @@ package service
 import (
 	"container/list"
 	"sync"
+
+	"repro/pkg/api"
 )
 
 // LRUCache is a fixed-capacity least-recently-used cache from canonical
@@ -20,8 +22,8 @@ type LRUCache struct {
 
 type lruItem struct {
 	key  string
-	val  []byte
-	meta any // optional sidecar (e.g. *api.WorkStats), immutable like val
+	body []byte
+	work *api.WorkStats // of the computation that produced body; nil for jobs
 }
 
 // NewLRUCache returns a cache holding at most capacity entries
@@ -30,17 +32,10 @@ func NewLRUCache(capacity int) *LRUCache {
 	return &LRUCache{cap: capacity, ll: list.New(), items: make(map[string]*list.Element)}
 }
 
-// Get returns the cached bytes for key. The returned slice is shared;
-// callers must not mutate it.
-func (c *LRUCache) Get(key string) ([]byte, bool) {
-	val, _, ok := c.GetMeta(key)
-	return val, ok
-}
-
-// GetMeta returns the cached bytes for key along with the sidecar
-// value stored by AddMeta (nil when the entry was stored with Add).
-// Both are shared; callers must not mutate them.
-func (c *LRUCache) GetMeta(key string) ([]byte, any, bool) {
+// Get returns the cached bytes for key and the work stats stored with
+// them, so a hit re-observes the work without recomputing it. Both are
+// shared; callers must not mutate them.
+func (c *LRUCache) Get(key string) (body []byte, work *api.WorkStats, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -51,19 +46,12 @@ func (c *LRUCache) GetMeta(key string) ([]byte, any, bool) {
 	c.hits++
 	c.ll.MoveToFront(el)
 	it := el.Value.(*lruItem)
-	return it.val, it.meta, true
+	return it.body, it.work, true
 }
 
-// Add stores val under key, evicting the least recently used entry when
-// the cache is full.
-func (c *LRUCache) Add(key string, val []byte) {
-	c.AddMeta(key, val, nil)
-}
-
-// AddMeta stores val under key together with an immutable sidecar
-// value (e.g. the work stats of the computation that produced val), so
-// later hits can re-observe it without recomputing.
-func (c *LRUCache) AddMeta(key string, val []byte, meta any) {
+// Add stores body and its (immutable) work stats under key, evicting
+// the least recently used entry when the cache is full.
+func (c *LRUCache) Add(key string, body []byte, work *api.WorkStats) {
 	if c.cap <= 0 {
 		return
 	}
@@ -71,12 +59,11 @@ func (c *LRUCache) AddMeta(key string, val []byte, meta any) {
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		it := el.Value.(*lruItem)
-		it.val = val
-		it.meta = meta
+		it.body, it.work = body, work
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&lruItem{key: key, val: val, meta: meta})
+	c.items[key] = c.ll.PushFront(&lruItem{key: key, body: body, work: work})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
@@ -97,47 +84,4 @@ func (c *LRUCache) Stats() (hits, misses, evictions uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.hits, c.misses, c.evictions
-}
-
-// flightGroup deduplicates concurrent identical requests: the first
-// caller for a key runs fn, later callers block and share its result.
-// This is a minimal singleflight (x/sync is not vendored here).
-type flightGroup struct {
-	mu sync.Mutex
-	m  map[string]*flightCall
-}
-
-type flightCall struct {
-	wg   sync.WaitGroup
-	val  []byte
-	meta any
-	err  error
-}
-
-// Do runs fn once per concurrent set of callers with the same key and
-// returns fn's result to all of them — the response bytes plus an
-// opaque sidecar (the work stats of the shared computation). shared
-// reports whether this caller piggybacked on another's execution.
-func (g *flightGroup) Do(key string, fn func() ([]byte, any, error)) (val []byte, meta any, err error, shared bool) {
-	g.mu.Lock()
-	if g.m == nil {
-		g.m = make(map[string]*flightCall)
-	}
-	if c, ok := g.m[key]; ok {
-		g.mu.Unlock()
-		c.wg.Wait()
-		return c.val, c.meta, c.err, true
-	}
-	c := new(flightCall)
-	c.wg.Add(1)
-	g.m[key] = c
-	g.mu.Unlock()
-
-	c.val, c.meta, c.err = fn()
-	c.wg.Done()
-
-	g.mu.Lock()
-	delete(g.m, key)
-	g.mu.Unlock()
-	return c.val, c.meta, c.err, false
 }

@@ -3,32 +3,29 @@ package service
 import (
 	"bytes"
 	"fmt"
-	"runtime"
-	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/pkg/api"
 )
 
 func TestLRUCacheEvictionOrder(t *testing.T) {
 	c := NewLRUCache(3)
-	c.Add("a", []byte("A"))
-	c.Add("b", []byte("B"))
-	c.Add("c", []byte("C"))
+	c.Add("a", []byte("A"), nil)
+	c.Add("b", []byte("B"), nil)
+	c.Add("c", []byte("C"), nil)
 
 	// Touch "a": it becomes most recently used, so "b" is now oldest.
-	if _, ok := c.Get("a"); !ok {
+	if _, _, ok := c.Get("a"); !ok {
 		t.Fatal("a should be cached")
 	}
-	c.Add("d", []byte("D"))
+	c.Add("d", []byte("D"), nil)
 
-	if _, ok := c.Get("b"); ok {
+	if _, _, ok := c.Get("b"); ok {
 		t.Fatal("b should have been evicted (least recently used)")
 	}
 	for _, key := range []string{"a", "c", "d"} {
-		if _, ok := c.Get(key); !ok {
+		if _, _, ok := c.Get(key); !ok {
 			t.Errorf("%s should have survived the eviction", key)
 		}
 	}
@@ -41,13 +38,13 @@ func TestLRUCacheEvictionOrder(t *testing.T) {
 
 	// Updating an existing key refreshes both value and recency: "c" is
 	// now the oldest and goes next.
-	c.Add("a", []byte("A2"))
-	c.Add("d", []byte("D2"))
-	c.Add("e", []byte("E"))
-	if _, ok := c.Get("c"); ok {
+	c.Add("a", []byte("A2"), nil)
+	c.Add("d", []byte("D2"), nil)
+	c.Add("e", []byte("E"), nil)
+	if _, _, ok := c.Get("c"); ok {
 		t.Fatal("c should have been evicted after a and d were refreshed")
 	}
-	if v, ok := c.Get("a"); !ok || !bytes.Equal(v, []byte("A2")) {
+	if v, _, ok := c.Get("a"); !ok || !bytes.Equal(v, []byte("A2")) {
 		t.Fatalf("a = %q, want refreshed value A2", v)
 	}
 }
@@ -55,17 +52,17 @@ func TestLRUCacheEvictionOrder(t *testing.T) {
 func TestLRUCacheSequentialEviction(t *testing.T) {
 	c := NewLRUCache(4)
 	for i := 0; i < 10; i++ {
-		c.Add(fmt.Sprintf("k%d", i), []byte{byte(i)})
+		c.Add(fmt.Sprintf("k%d", i), []byte{byte(i)}, nil)
 	}
 	// Without any Get traffic the eviction order is pure insertion
 	// order: only the last 4 survive.
 	for i := 0; i < 6; i++ {
-		if _, ok := c.Get(fmt.Sprintf("k%d", i)); ok {
+		if _, _, ok := c.Get(fmt.Sprintf("k%d", i)); ok {
 			t.Errorf("k%d should have been evicted", i)
 		}
 	}
 	for i := 6; i < 10; i++ {
-		if _, ok := c.Get(fmt.Sprintf("k%d", i)); !ok {
+		if _, _, ok := c.Get(fmt.Sprintf("k%d", i)); !ok {
 			t.Errorf("k%d should be cached", i)
 		}
 	}
@@ -76,8 +73,8 @@ func TestLRUCacheSequentialEviction(t *testing.T) {
 
 func TestLRUCacheDisabled(t *testing.T) {
 	c := NewLRUCache(0)
-	c.Add("a", []byte("A"))
-	if _, ok := c.Get("a"); ok {
+	c.Add("a", []byte("A"), nil)
+	if _, _, ok := c.Get("a"); ok {
 		t.Fatal("capacity 0 must disable caching")
 	}
 	if c.Len() != 0 {
@@ -90,134 +87,16 @@ func TestLRUCacheDisabled(t *testing.T) {
 // what makes job replay byte-identical and cheap.
 func TestLRUCacheSharedBytes(t *testing.T) {
 	c := NewLRUCache(2)
-	val := []byte("payload")
-	c.Add("k", val)
-	got1, _ := c.Get("k")
-	got2, _ := c.Get("k")
+	val, work := []byte("payload"), &api.WorkStats{Method: "push"}
+	c.Add("k", val, work)
+	got1, work1, _ := c.Get("k")
+	got2, _, _ := c.Get("k")
 	if &got1[0] != &val[0] || &got2[0] != &val[0] {
 		t.Fatal("cache must return the stored slice, not a copy")
 	}
-}
-
-// TestFlightGroupDedup drives the singleflight group with concurrent
-// identical keys: exactly one execution runs, every waiter gets the
-// identical result pointer (same backing array, no copies), and
-// followers report shared=true.
-func TestFlightGroupDedup(t *testing.T) {
-	var g flightGroup
-	const followers = 8
-
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var executions int
-	leaderResult := []byte("computed-once")
-
-	type out struct {
-		val    []byte
-		shared bool
+	if work1 != work {
+		t.Fatal("cache must return the work stats stored with the bytes")
 	}
-	results := make(chan out, followers+1)
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		val, _, err, shared := g.Do("key", func() ([]byte, any, error) {
-			executions++ // single-threaded by construction: only the leader runs fn
-			close(started)
-			<-release
-			return leaderResult, nil, nil
-		})
-		if err != nil {
-			t.Errorf("leader: %v", err)
-		}
-		results <- out{val, shared}
-	}()
-
-	<-started // the leader is inside fn; everyone below must coalesce onto it
-	for i := 0; i < followers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			val, _, err, shared := g.Do("key", func() ([]byte, any, error) {
-				t.Error("follower executed fn despite an in-flight leader")
-				return nil, nil, nil
-			})
-			if err != nil {
-				t.Errorf("follower: %v", err)
-			}
-			results <- out{val, shared}
-		}()
-	}
-	// Every follower must be parked on the flight's WaitGroup before the
-	// leader finishes, or the dedup guarantee is not what this test
-	// observes. That state is visible in the goroutine dump: a follower's
-	// stack shows flightGroup.Do blocked in WaitGroup.Wait.
-	waitForBlockedFollowers(t, followers)
-	close(release)
-	wg.Wait()
-	close(results)
-
-	if executions != 1 {
-		t.Fatalf("fn ran %d times, want 1", executions)
-	}
-	sharedCount := 0
-	for r := range results {
-		if &r.val[0] != &leaderResult[0] {
-			t.Fatal("caller got a different result slice than the leader computed")
-		}
-		if r.shared {
-			sharedCount++
-		}
-	}
-	if sharedCount != followers {
-		t.Fatalf("shared=true for %d callers, want %d (all followers)", sharedCount, followers)
-	}
-}
-
-// waitForBlockedFollowers polls the goroutine dump until n goroutines
-// are parked inside flightGroup.Do on the flight's WaitGroup.
-func waitForBlockedFollowers(t *testing.T, n int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	buf := make([]byte, 1<<20)
-	for {
-		stacks := string(buf[:runtime.Stack(buf, true)])
-		parked := 0
-		for _, g := range strings.Split(stacks, "\n\n") {
-			if strings.Contains(g, "flightGroup).Do") && strings.Contains(g, "WaitGroup).Wait") {
-				parked++
-			}
-		}
-		if parked >= n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d followers parked on the flight", parked, n)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestFlightGroupDistinctKeysDoNotBlock ensures the group only
-// deduplicates identical keys.
-func TestFlightGroupDistinctKeysDoNotBlock(t *testing.T) {
-	var g flightGroup
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			key := fmt.Sprintf("k%d", i)
-			val, _, err, shared := g.Do(key, func() ([]byte, any, error) {
-				return []byte(key), nil, nil
-			})
-			if err != nil || shared || string(val) != key {
-				t.Errorf("Do(%s) = %q, %v, shared=%v", key, val, err, shared)
-			}
-		}(i)
-	}
-	wg.Wait()
 }
 
 // TestConcurrentIdenticalQueriesShareOneComputation is the endpoint

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"compress/gzip"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/graph"
 	"repro/internal/gstore"
-	"repro/internal/kernel"
 	"repro/internal/persist"
 	"repro/pkg/api"
 )
@@ -21,7 +19,7 @@ import (
 // Every handler here is a thin decode → validate → execute → encode
 // shell: the wire types and their validation live in pkg/api, the
 // execute step in queries.go / exec.go, the caching/dedup/deadline
-// machinery in serveCached, and the shared body/deadline/metrics
+// machinery in pipeline.go, and the shared body/deadline/metrics
 // concerns in middleware.go.
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -217,9 +215,9 @@ func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	s.serveCached(w, r, "stats", nil, func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
+	s.serveQuery(w, r, query{endpoint: "stats", params: []byte("{}"), compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
 		return execStats(name, q.g), nil, nil
-	})
+	}})
 }
 
 func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
@@ -227,30 +225,27 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	// With coalescing on, concurrent single-seed requests gather into
-	// one kernel batch pass; multi-seed seed *sets* stay on the
-	// ordinary path (their diffusion is one computation already).
-	if s.cfg.CoalesceWindow > 0 && len(req.Seeds) == 1 {
-		s.servePPRCoalesced(w, r, req)
-		return
-	}
-	s.serveCached(w, r, "ppr", mustParams(req), func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
+	q := query{endpoint: "ppr", params: mustParams(req), compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
 		return execPPR(q.g, q.pool, req)
-	})
+	}}
+	// A seed *set* is one diffusion already; only single seeds can share
+	// a kernel batch pass.
+	if len(req.Seeds) == 1 {
+		q.ppr = &req
+	}
+	s.serveQuery(w, r, q)
 }
 
-// handlePPRBatch serves K independent single-seed pushes in one
-// request on the kernel batch engine. When the coalescer is enabled it
-// shares the same engine path, so batch requests and gathered
-// single-seed requests are literally the same computation.
+// handlePPRBatch serves K independent single-seed pushes in one request
+// on the kernel batch engine, as a gathered batch of ppr requests does.
 func (s *Server) handlePPRBatch(w http.ResponseWriter, r *http.Request) {
 	var req api.PPRBatchRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
-	s.serveCached(w, r, "ppr:batch", mustParams(req), func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
+	s.serveQuery(w, r, query{endpoint: "ppr:batch", params: mustParams(req), compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
 		return execPPRBatch(ctx, q.g, q.pool, req)
-	})
+	}})
 }
 
 func (s *Server) handleLocalClusterBatch(w http.ResponseWriter, r *http.Request) {
@@ -258,9 +253,9 @@ func (s *Server) handleLocalClusterBatch(w http.ResponseWriter, r *http.Request)
 	if !s.decode(w, r, &req) {
 		return
 	}
-	s.serveCached(w, r, "localcluster:batch", mustParams(req), func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
+	s.serveQuery(w, r, query{endpoint: "localcluster:batch", params: mustParams(req), compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
 		return execLocalClusterBatch(ctx, q.g, q.pool, req)
-	})
+	}})
 }
 
 func (s *Server) handleLocalCluster(w http.ResponseWriter, r *http.Request) {
@@ -268,9 +263,9 @@ func (s *Server) handleLocalCluster(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	s.serveCached(w, r, "localcluster", mustParams(req), func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
+	s.serveQuery(w, r, query{endpoint: "localcluster", params: mustParams(req), compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
 		return execLocalCluster(q.g, q.pool, req)
-	})
+	}})
 }
 
 func (s *Server) handleDiffuse(w http.ResponseWriter, r *http.Request) {
@@ -278,7 +273,7 @@ func (s *Server) handleDiffuse(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	s.serveCached(w, r, "diffuse", mustParams(req), func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
+	s.serveQuery(w, r, query{endpoint: "diffuse", params: mustParams(req), compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
 		// The dense diffusions walk the heap CSR; q.heap materializes
 		// once per graph and caches it on the store entry.
 		hg, err := q.heap()
@@ -286,7 +281,7 @@ func (s *Server) handleDiffuse(w http.ResponseWriter, r *http.Request) {
 			return nil, nil, err
 		}
 		return execDiffuse(hg, req)
-	})
+	}})
 }
 
 func (s *Server) handleSweepCut(w http.ResponseWriter, r *http.Request) {
@@ -294,9 +289,9 @@ func (s *Server) handleSweepCut(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	s.serveCached(w, r, "sweepcut", mustParams(req), func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
+	s.serveQuery(w, r, query{endpoint: "sweepcut", params: mustParams(req), compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
 		return execSweepCut(q.g, req)
-	})
+	}})
 }
 
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
@@ -343,16 +338,6 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, view)
 }
 
-// queryView is what serveCached hands each compute function: the
-// graph's serving view (whichever backend it lives on), its pooled
-// kernel workspaces, and a lazy heap materialization for the dense
-// paths that need the full CSR slices.
-type queryView struct {
-	g    gstore.Graph
-	pool *kernel.Pool
-	heap func() (*graph.Graph, error)
-}
-
 // backendOverride parses the optional ?backend= query parameter of the
 // graph-creating endpoints; empty means the store's default backend.
 func backendOverride(r *http.Request) (gstore.Kind, error) {
@@ -365,154 +350,4 @@ func backendOverride(r *http.Request) (gstore.Kind, error) {
 		return "", storeErrf(ErrBadInput, "%v", err)
 	}
 	return k, nil
-}
-
-// serveCached is the shared synchronous-query path: resolve the graph,
-// canonicalize the params into a cache key, answer from the LRU cache
-// when possible, deduplicate identical in-flight computations through
-// the singleflight group, and enforce the per-request deadline (already
-// attached to r.Context() by the deadline middleware). The computed
-// work stats ride along everywhere the response bytes do — into the
-// ?debug=work response block, the cache sidecar (so hits re-observe
-// them), the work histograms and the trace ring; telemetry capture
-// happens only after the response has been written.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, endpoint string, params []byte, compute func(ctx context.Context, q queryView) (any, *api.WorkStats, error)) {
-	start := time.Now()
-	name := r.PathValue("name")
-	g, id, pool, err := s.store.GetForQuery(name)
-	if err != nil {
-		s.observeQuery(r, writeError(w, err), "", "", name, "", nil, start)
-		return
-	}
-	backend := string(g.Backend())
-	qv := queryView{g: g, pool: pool, heap: func() (*graph.Graph, error) {
-		hg, hid, err := s.store.GetHeap(name)
-		if err == nil && hid != id {
-			err = storeErrf(ErrConflict, "graph %q was replaced mid-query", name)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return hg, nil
-	}}
-	if len(params) == 0 {
-		params = []byte("{}")
-	}
-	canon, err := canonicalJSON(params)
-	if err != nil {
-		s.observeQuery(r, writeError(w, storeErrf(ErrBadInput, "%v", err)), "", backend, name, "", nil, start)
-		return
-	}
-	// ?debug=work responses carry the extra work block, so they are
-	// distinct cache entries from their plain twins.
-	debugWork := r.URL.Query().Get("debug") == "work"
-	key := fmt.Sprintf("q|%s|g%d|%s", endpoint, id, canon)
-	if debugWork {
-		key += "|debug=work"
-	}
-	if cached, meta, ok := s.cache.GetMeta(key); ok {
-		w.Header().Set("X-Graphd-Cache", "hit")
-		writeJSONBytes(w, http.StatusOK, cached)
-		st, _ := meta.(*api.WorkStats)
-		s.observeQuery(r, http.StatusOK, "hit", backend, name, canon, st, start)
-		return
-	}
-	// The flight's computation runs under its own context — bounded by
-	// the larger of the server default and the requester's ?timeout_ms=
-	// (so the override can extend the budget, but a tiny one cannot
-	// poison the deduplicated waiters) — and detached from any one
-	// client's connection: a leader disconnecting must not fail the
-	// flight, and a finished result is cached even if every waiter has
-	// gone. Each caller separately enforces its own deadline while
-	// waiting on the shared flight.
-	type flightOut struct {
-		body   []byte
-		work   *api.WorkStats
-		err    error
-		shared bool
-	}
-	ch := make(chan flightOut, 1)
-	computeTimeout := max(s.cfg.QueryTimeout, s.queryTimeout(r))
-	go func() {
-		body, meta, err, shared := s.flights.Do(key, func() ([]byte, any, error) {
-			ctx, cancel := context.WithTimeout(context.Background(), computeTimeout)
-			defer cancel()
-			var st *api.WorkStats
-			v, err := runWithDeadline(ctx, func(ctx context.Context) (any, error) {
-				v, work, err := compute(ctx, qv)
-				if err != nil {
-					return nil, err
-				}
-				st = work
-				if debugWork && work != nil {
-					if wc, ok := v.(api.WorkCarrier); ok {
-						wc.SetWork(work)
-					}
-				}
-				return v, nil
-			})
-			// st is only read after runWithDeadline returns success, which
-			// happens-after the compute closure finished writing it.
-			if err != nil {
-				return nil, nil, err
-			}
-			out, err := json.Marshal(v)
-			if err != nil {
-				return nil, nil, err
-			}
-			s.cache.AddMeta(key, out, st)
-			return out, st, nil
-		})
-		work, _ := meta.(*api.WorkStats)
-		ch <- flightOut{body, work, err, shared}
-	}()
-	select {
-	case <-r.Context().Done():
-		s.observeQuery(r, writeError(w, r.Context().Err()), "", backend, name, canon, nil, start)
-		return
-	case out := <-ch:
-		if out.err != nil {
-			s.observeQuery(r, writeError(w, out.err), "", backend, name, canon, nil, start)
-			return
-		}
-		outcome := "miss"
-		if out.shared {
-			outcome = "shared"
-		}
-		w.Header().Set("X-Graphd-Cache", outcome)
-		writeJSONBytes(w, http.StatusOK, out.body)
-		s.observeQuery(r, http.StatusOK, outcome, backend, name, canon, out.work, start)
-	}
-}
-
-// runWithDeadline runs fn on its own goroutine and returns early with
-// ctx's error when the deadline fires first. The strongly-local
-// algorithms are budgeted, so an abandoned computation finishes its
-// bounded work in the background rather than leaking unbounded effort.
-func runWithDeadline(ctx context.Context, fn func(ctx context.Context) (any, error)) (any, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	type result struct {
-		v   any
-		err error
-	}
-	ch := make(chan result, 1)
-	go func() {
-		// This goroutine is outside net/http's per-request recover; a
-		// panicking algorithm must fail this request, not the daemon.
-		defer func() {
-			if p := recover(); p != nil {
-				ch <- result{nil, api.Errorf(api.CodeInternal, "internal panic: %v", p)}
-			}
-		}()
-		v, err := fn(ctx)
-		ch <- result{v, err}
-	}()
-	select {
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	case res := <-ch:
-		return res.v, res.err
-	}
 }

@@ -414,7 +414,7 @@ func (m *JobManager) runJob(job *Job) {
 	}
 
 	if m.cache != nil {
-		if cached, ok := m.cache.Get(job.cacheKey); ok {
+		if cached, _, ok := m.cache.Get(job.cacheKey); ok {
 			finish(api.JobDone, cached, true, "")
 			return
 		}
@@ -456,7 +456,7 @@ func (m *JobManager) runJob(job *Job) {
 		return
 	}
 	if m.cache != nil {
-		m.cache.Add(job.cacheKey, out)
+		m.cache.Add(job.cacheKey, out, nil)
 	}
 	finish(api.JobDone, out, false, "")
 }

@@ -45,7 +45,7 @@ func (s *Server) withMaxBytes(next http.Handler) http.Handler {
 
 // withDeadline attaches the resolved per-request deadline (the
 // configured default, overridable within limits by ?timeout_ms=) to the
-// request context. Handlers and the singleflight wait path observe it
+// request context. Handlers and the query pipeline's wait observe it
 // uniformly through r.Context().
 func (s *Server) withDeadline(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

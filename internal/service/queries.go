@@ -16,7 +16,7 @@ import (
 
 // This file is the execute step of the handler pipeline: pure
 // (graph, validated request) → (response, error) functions with no HTTP
-// in sight. Handlers decode/validate, serveCached keys and deduplicates,
+// in sight. Handlers decode/validate, the pipeline keys and deduplicates,
 // these compute.
 
 func execStats(name string, g gstore.Graph) *api.StatsResponse {
@@ -100,6 +100,22 @@ func execPPR(g gstore.Graph, pool *kernel.Pool, req api.PPRRequest) (*api.PPRRes
 		return nil, nil, err
 	}
 	return &out, workFromStats("push", st), nil
+}
+
+// execPPRSeeds answers K single-seed PPR queries that differ only in
+// the seed with one kernel batch pass, emitting per seed exactly what
+// execPPR returns for that seed alone (the batch engine is
+// byte-identical per seed). An unsweepable support fails its own seed
+// only; the returned error (a deadline) is for every seed not emitted.
+// emit may run concurrently for distinct indices.
+func execPPRSeeds(ctx context.Context, g gstore.Graph, pool *kernel.Pool, req api.PPRRequest, seeds []int, emit func(i int, out *api.PPRResponse, work *api.WorkStats, err error)) error {
+	bd := kernel.BatchDiffuser{Method: kernel.PushACL{Alpha: req.Alpha, Eps: req.Eps}}
+	_, err := bd.Run(ctx, g, pool, seeds, func(i int, ws *kernel.Workspace, st kernel.Stats) error {
+		out, err := pprResult(g, ws, st, req.TopK, req.Sweep)
+		emit(i, &out, workFromStats("push", st), err)
+		return nil
+	})
+	return err
 }
 
 func execLocalCluster(g gstore.Graph, pool *kernel.Pool, req api.LocalClusterRequest) (*api.LocalClusterResponse, *api.WorkStats, error) {

@@ -30,12 +30,11 @@ type Config struct {
 	QueryTimeout time.Duration
 	// CoalesceWindow, when positive, merges concurrent single-seed ppr
 	// requests that share a graph and parameters (but differ in seed)
-	// into one kernel batch pass: the first such request opens a gather
-	// window of this duration, requests arriving inside it join the
-	// batch, and each caller receives exactly the bytes the uncoalesced
-	// path would have produced, with per-seed cache fills and query
-	// histograms. Zero (the default) disables coalescing. ~200µs is a
-	// good starting point: long enough to catch a fan-out burst, short
+	// into one kernel batch pass: the first opens a batch that gathers
+	// for this long before it fires, and each caller receives exactly
+	// the bytes a solo computation would have produced. At zero (the
+	// default) every batch fires at once with its one member. ~200µs is
+	// a good starting point: long enough to catch a fan-out burst, short
 	// enough to be invisible next to a push.
 	CoalesceWindow time.Duration
 	// MaxBodyBytes caps request bodies (default 64 MiB).
@@ -97,8 +96,7 @@ type Server struct {
 	metrics   *Metrics
 	trace     *QueryTrace
 	accessLog *slog.Logger
-	flights   flightGroup
-	coalesce  coalescer
+	inflight  inflight
 	handler   http.Handler
 	started   time.Time
 
@@ -152,7 +150,8 @@ func NewServer(cfg Config) (*Server, error) {
 		started:   time.Now(),
 		ridPrefix: newRIDPrefix(),
 	}
-	s.coalesce.gathers = make(map[string]*coalesceGather)
+	s.inflight.flights = make(map[string]*flight)
+	s.inflight.gathering = make(map[string]*batch)
 	if !c.DisableTelemetry && c.TraceBuffer >= 0 {
 		n := c.TraceBuffer
 		if n == 0 {
@@ -205,6 +204,14 @@ func (s *Server) Handler() http.Handler { return s.handler }
 // dangling file handles and a restart replays to the identical state.
 func (s *Server) Close() {
 	s.jobs.Close()
+	// Query flights outlive their handlers, so a stopped listener does
+	// not mean nothing is reading the store: refuse new flights and wait
+	// for the open batches (bounded by the gather window plus the compute
+	// budget) before the store releases — on mmap, unmaps — the graphs.
+	s.inflight.mu.Lock()
+	s.inflight.draining = true
+	s.inflight.mu.Unlock()
+	s.inflight.running.Wait()
 	if err := s.store.Close(); err != nil {
 		log.Printf("graphd: closing graph store: %v", err)
 	}

@@ -622,33 +622,6 @@ func TestDiffuseKindsAndSweepCut(t *testing.T) {
 	}
 }
 
-func TestQueryDeadline(t *testing.T) {
-	// runWithDeadline returns the context error as soon as the deadline
-	// fires, without waiting for the (bounded) computation.
-	dctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := runWithDeadline(dctx, func(ctx context.Context) (any, error) {
-		time.Sleep(2 * time.Second)
-		return nil, nil
-	})
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("deadline took %v to fire", elapsed)
-	}
-	// And an already-expired context never starts the computation.
-	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
-	defer cancel2()
-	if _, err := runWithDeadline(expired, func(ctx context.Context) (any, error) {
-		t.Error("computation ran under expired context")
-		return nil, nil
-	}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want DeadlineExceeded", err)
-	}
-}
-
 func TestNCPJobEndToEndAndDeterminism(t *testing.T) {
 	_, _, c := testServer(t, Config{JobWorkers: 2})
 	params := &api.NCPJobParams{Method: "spectral", Seeds: 4, Workers: 2, BaseSeed: 7}

@@ -1,9 +1,9 @@
 // Package service is the serving layer over the repository's graph
 // algorithms: a concurrency-safe store of named immutable graphs with
 // optional on-disk durability (binary CSR snapshots + streaming WALs,
-// internal/persist), an LRU result cache with singleflight deduplication
-// for the strongly-local synchronous queries (PPR push, Nibble, heat
-// kernel, sweep cuts), a bounded worker pool for the expensive global
+// internal/persist), one query pipeline (pipeline.go: LRU result cache,
+// in-flight table, batches) for the strongly-local synchronous queries
+// (PPR push, Nibble, heat kernel, sweep cuts), a bounded worker pool for the expensive global
 // jobs (NCP profiles, multilevel partitions, Figure-1 experiments), and
 // the metrics that a long-running daemon needs. cmd/graphd wires it to
 // an HTTP listener.
@@ -717,8 +717,9 @@ func (s *GraphStore) Close() error {
 			e.wal = nil
 		}
 		// Release mmap-backed graphs so shutdown leaves no dangling
-		// mappings (Close runs after the listener stops, so no query is
-		// still reading them).
+		// mappings. The caller must have stopped every reader first: a
+		// stopped listener is not enough (query flights outlive their
+		// handlers), which is why Server.Close drains them before this.
 		if e.g != nil {
 			if err := gstore.Close(e.g); err != nil {
 				s.logf("store: closing backend of %q on shutdown: %v", name, err)
