@@ -46,6 +46,11 @@ func Workers(requested int) int {
 // claimed, and runs to completion, before that failure can be observed;
 // a task that would fail at a lower index therefore always gets to
 // report.
+//
+// A task that panics does so on the caller's goroutine, where the
+// caller's recover (if it has one) is: the workers stop claiming
+// indices, ForEach waits for them all, and re-panics with the first
+// panic's value.
 func ForEach(workers, n int, fn func(i int) error) error {
 	return ForEachCtx(context.Background(), workers, n, fn)
 }
@@ -84,11 +89,18 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error
 	errs := make([]error, n)
 	var next int64 = -1
 	var failed int32
+	var panicked atomic.Pointer[any] // the first panic's value
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					panicked.CompareAndSwap(nil, &p)
+					atomic.StoreInt32(&failed, 1)
+				}
+			}()
 			for atomic.LoadInt32(&failed) == 0 {
 				select {
 				case <-done:
@@ -108,6 +120,9 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error
 		}()
 	}
 	wg.Wait()
+	if p := panicked.Load(); p != nil {
+		panic(*p)
+	}
 	if err := firstError(errs); err != nil {
 		return err
 	}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestWorkersNormalization(t *testing.T) {
@@ -254,5 +255,51 @@ func TestForEachCtxTaskErrorWinsOverLaterCancel(t *testing.T) {
 	})
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want task error", err)
+	}
+}
+
+// A panicking task must not kill the process from a worker goroutine:
+// it surfaces as a panic on the caller's goroutine, where a recover can
+// meet it, after every worker has returned. Without a panic the
+// lowest-index error still wins.
+func TestForEachPanicReachesCaller(t *testing.T) {
+	const n = 64
+	before := runtime.NumGoroutine()
+	for _, workers := range []int{1, 2, 8} {
+		var running atomic.Int32
+		recovered := func() (p any) {
+			defer func() { p = recover() }()
+			err := ForEachCtx(context.Background(), workers, n, func(i int) error {
+				running.Add(1)
+				defer running.Add(-1)
+				if i == 9 {
+					panic("task 9 blew up")
+				}
+				return nil
+			})
+			t.Errorf("workers=%d: returned %v instead of panicking", workers, err)
+			return nil
+		}()
+		if recovered != "task 9 blew up" {
+			t.Errorf("workers=%d: recovered %v, want task 9's panic value", workers, recovered)
+		}
+		if r := running.Load(); r != 0 {
+			t.Errorf("workers=%d: %d tasks still running after the panic surfaced", workers, r)
+		}
+	}
+	err := ForEach(8, n, func(i int) error {
+		if i == 3 || i == 40 {
+			return fmt.Errorf("task %d failed", i)
+		}
+		return nil
+	})
+	if err == nil || err.Error() != "task 3 failed" {
+		t.Errorf("err = %v, want the lowest failing index", err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before, %d left running", before, runtime.NumGoroutine())
+		}
+		runtime.Gosched()
 	}
 }

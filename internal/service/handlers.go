@@ -49,7 +49,6 @@ func (s *Server) handleListGraphs(w http.ResponseWriter, r *http.Request) {
 // endpoint, so it bypasses the JSON decode pipeline; the body is still
 // capped by the MaxBytes middleware.
 func (s *Server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
 	br := bufio.NewReader(r.Body)
 	var reader io.Reader = br
 	magic, _ := br.Peek(2)
@@ -72,17 +71,7 @@ func (s *Server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 		writeError(w, storeErrf(ErrBadInput, "%v", err))
 		return
 	}
-	backend, err := backendOverride(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	info, err := s.store.PutWithBackend(name, g, backend)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, info)
+	s.createGraph(w, r, g)
 }
 
 // handleGetGraph reports one graph's descriptive record (state, sizes,
@@ -128,23 +117,12 @@ func (s *Server) handleExportSnapshot(w http.ResponseWriter, r *http.Request) {
 // snapshot. The body is capped by the MaxBytes middleware and fully
 // validated (checksums + CSR invariants) before the graph is stored.
 func (s *Server) handleImportSnapshot(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
 	g, err := persist.ReadSnapshot(r.Body)
 	if err != nil {
 		writeError(w, storeErrf(ErrBadInput, "%v", err))
 		return
 	}
-	backend, err := backendOverride(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	info, err := s.store.PutWithBackend(name, g, backend)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, info)
+	s.createGraph(w, r, g)
 }
 
 func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
@@ -165,17 +143,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	backend, err := backendOverride(r)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	info, err := s.store.PutWithBackend(r.PathValue("name"), g, backend)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, info)
+	s.createGraph(w, r, g)
 }
 
 func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
@@ -273,10 +241,14 @@ func (s *Server) handleDiffuse(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
+	name := r.PathValue("name")
 	s.serveQuery(w, r, query{endpoint: "diffuse", params: mustParams(req), compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
-		// The dense diffusions walk the heap CSR; q.heap materializes
-		// once per graph and caches it on the store entry.
-		hg, err := q.heap()
+		// The dense diffusions walk the heap CSR, which the store
+		// materializes once per graph and caches on its entry.
+		hg, hid, err := s.store.GetHeap(name)
+		if err == nil && hid != q.id {
+			err = storeErrf(ErrConflict, "graph %q was replaced mid-query", name)
+		}
 		if err != nil {
 			return nil, nil, err
 		}
@@ -338,16 +310,22 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, view)
 }
 
-// backendOverride parses the optional ?backend= query parameter of the
-// graph-creating endpoints; empty means the store's default backend.
-func backendOverride(r *http.Request) (gstore.Kind, error) {
-	v := r.URL.Query().Get("backend")
-	if v == "" {
-		return "", nil
+// createGraph is the tail the graph-creating endpoints share: store g
+// under the route's {name}, on the backend the optional ?backend= names
+// (empty means the store's default), and answer 201 with its record.
+func (s *Server) createGraph(w http.ResponseWriter, r *http.Request, g *graph.Graph) {
+	var backend gstore.Kind
+	if v := urlParams(r).Get("backend"); v != "" {
+		var err error
+		if backend, err = gstore.ParseKind(v); err != nil {
+			writeError(w, storeErrf(ErrBadInput, "%v", err))
+			return
+		}
 	}
-	k, err := gstore.ParseKind(v)
+	info, err := s.store.PutWithBackend(r.PathValue("name"), g, backend)
 	if err != nil {
-		return "", storeErrf(ErrBadInput, "%v", err)
+		writeError(w, err)
+		return
 	}
-	return k, nil
+	writeJSON(w, http.StatusCreated, info)
 }

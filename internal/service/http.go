@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,25 +9,26 @@ import (
 	"io"
 	"mime"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"repro/pkg/api"
 )
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
+	body, _ := json.Marshal(v) // the api types always marshal
+	writeJSONBytes(w, code, body)
 }
 
+// writeJSONBytes writes an encoded body (json.Marshal's or the reply
+// codec's, so never newline-terminated) and the newline every JSON reply
+// ends in, their length stated: the reader can size its buffer.
 func writeJSONBytes(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)+1))
 	w.WriteHeader(code)
 	w.Write(body)
-	if len(body) == 0 || body[len(body)-1] != '\n' {
-		io.WriteString(w, "\n")
-	}
+	io.WriteString(w, "\n")
 }
 
 // toAPIError maps a service error onto the wire envelope: *api.Error
@@ -100,13 +102,15 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, req api.Request)
 			WithDetail("content_type", ct))
 		return false
 	}
-	body, err := io.ReadAll(r.Body)
-	if err != nil {
+	// One buffer: the declared length (as far as the MaxBytes cap lets
+	// it through; none for a chunked body) plus the slack ReadFrom wants.
+	body := bytes.NewBuffer(make([]byte, 0, max(min(r.ContentLength, s.cfg.MaxBodyBytes), 0)+bytes.MinRead))
+	if _, err := body.ReadFrom(r.Body); err != nil {
 		writeError(w, api.Errorf(api.CodeInvalidArgument, "reading body: %v", err))
 		return false
 	}
-	if len(body) > 0 {
-		if err := strictUnmarshal(body, req); err != nil {
+	if body.Len() > 0 {
+		if err := strictUnmarshal(body.Bytes(), req); err != nil {
 			writeError(w, api.Errorf(api.CodeInvalidArgument, "%v", err))
 			return false
 		}

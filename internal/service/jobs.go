@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -196,6 +197,24 @@ func (m *JobManager) Close() {
 // finished (done, failed or cancelled).
 func (m *JobManager) Depths() (queued, running, finished int64) {
 	return m.queued.Load(), m.running.Load(), m.finished.Load()
+}
+
+// canonicalJSON re-marshals raw JSON into a canonical form (sorted map
+// keys, normalized whitespace) so that semantically identical job
+// params — which arrive as the submitter spelled them, unlike a query's,
+// which are marshalled from the typed request — share one cache key.
+// Numbers are decoded as json.Number — not float64 — so int64 values
+// beyond 2^53 (e.g. base_seed) keep their exact digits and distinct
+// requests cannot collide onto one key.
+func canonicalJSON(raw json.RawMessage) (string, error) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var v any
+	if err := dec.Decode(&v); err != nil {
+		return "", fmt.Errorf("invalid JSON: %w", err)
+	}
+	out, err := json.Marshal(v)
+	return string(out), err
 }
 
 // Submit validates and enqueues a job, returning its snapshot. The

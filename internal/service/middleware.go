@@ -11,9 +11,10 @@ import (
 
 // middleware is one layer of the server's shared HTTP stack. Layers are
 // composed outermost-first by chain; the full stack is
-// telemetry → MaxBytes → deadline → router, so every handler runs with
-// a capped body and a deadlined context, and every response carries a
-// request ID and is counted (and optionally logged) on the way out.
+// telemetry → MaxBytes → router, so every handler runs with a capped
+// body, and every response carries a request ID and is counted (and
+// optionally logged) on the way out. Behind the router the synchronous
+// query routes, the only ones that wait on a context, add withDeadline.
 type middleware func(http.Handler) http.Handler
 
 // chain wraps h with the given middleware, first one outermost.
@@ -45,19 +46,13 @@ func (s *Server) withMaxBytes(next http.Handler) http.Handler {
 
 // withDeadline attaches the resolved per-request deadline (the
 // configured default, overridable within limits by ?timeout_ms=) to the
-// request context. Handlers and the query pipeline's wait observe it
-// uniformly through r.Context().
-func (s *Server) withDeadline(next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+// request context, where the query pipeline's wait observes it.
+func (s *Server) withDeadline(next http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel := context.WithTimeout(r.Context(), s.queryTimeout(r))
 		defer cancel()
-		r2 := r.WithContext(ctx)
-		next.ServeHTTP(w, r2)
-		// The mux assigns the matched pattern to the request it was
-		// handed — the copy — so surface it on the caller's request for
-		// the telemetry layer's route label.
-		r.Pattern = r2.Pattern
-	})
+		next(w, r.WithContext(ctx))
+	}
 }
 
 // requestIDHeader is honored inbound (when sane) and always set on the
@@ -116,9 +111,7 @@ func (s *Server) withTelemetry(next http.Handler) http.Handler {
 			r = r.WithContext(context.WithValue(r.Context(), requestIDKey, id))
 		}
 		next.ServeHTTP(sw, r)
-		// withDeadline copies the pattern back from the request copy the
-		// mux actually matched, so it is readable here.
-		pattern := r.Pattern
+		pattern := r.Pattern // set by the mux on the request it was handed: this one
 		if pattern == "" {
 			pattern = "unmatched"
 		}
@@ -145,6 +138,9 @@ type statusWriter struct {
 	code  int
 	bytes int64
 }
+
+// Unwrap lets http.ResponseController reach the connection's writer.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 func (w *statusWriter) WriteHeader(code int) {
 	w.code = code

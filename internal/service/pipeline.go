@@ -1,21 +1,21 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
-	"repro/internal/graph"
 	"repro/internal/gstore"
 	"repro/internal/kernel"
 	"repro/pkg/api"
 )
 
 // Every synchronous query endpoint is answered by the one pipeline in
-// this file: resolve the graph → canonical cache key → LRU probe → the
+// this file: resolve the graph → cache key → LRU probe → the
 // in-flight table (a request for a key already being computed joins
 // that flight) → a batch of flights run by one detached goroutine under
 // one compute budget → per-flight cache fill → wait, write, observe.
@@ -39,7 +39,7 @@ const maxBatchKeys = 64
 // query is what a handler hands the pipeline.
 type query struct {
 	endpoint string
-	params   []byte // the post-Normalize request as JSON
+	params   []byte // the post-Normalize request marshalled from its type: canonical as it stands
 	compute  func(ctx context.Context, q queryView) (any, *api.WorkStats, error)
 	// ppr, set for a single-seed ppr, lets the flight share a batch with
 	// flights that differ from it only in the seed.
@@ -47,13 +47,12 @@ type query struct {
 }
 
 // queryView is what the pipeline hands each compute function: the
-// graph's serving view (whichever backend it lives on), its pooled
-// kernel workspaces, and a lazy heap materialization for the dense
-// paths that need the full CSR slices.
+// graph's serving view (whichever backend it lives on), the store id it
+// was resolved under, and its pooled kernel workspaces.
 type queryView struct {
 	g    gstore.Graph
+	id   uint64
 	pool *kernel.Pool
-	heap func() (*graph.Graph, error)
 }
 
 // flight is one cache key being computed. body, work and err are
@@ -128,13 +127,12 @@ func (s *Server) resolve(r *http.Request, name string, q query) (a answer, err e
 		return a, err
 	}
 	a.backend = string(g.Backend())
-	if a.canon, err = canonicalJSON(q.params); err != nil {
-		return a, storeErrf(ErrBadInput, "%v", err)
-	}
-	// ?debug=work responses carry the extra work block, so they are
-	// distinct cache entries from their plain twins.
-	debugWork := r.URL.Query().Get("debug") == "work"
-	key := fmt.Sprintf("q|%s|g%d|%s", q.endpoint, id, a.canon)
+	debugWork := urlParams(r).Get("debug") == "work"
+	// ?debug=work replies carry the work block, so they are distinct
+	// cache entries from their plain twins.
+	key := "q|" + q.endpoint + "|g" + strconv.FormatUint(id, 10) + "|" + string(q.params)
+	at := len(key) - len(q.params)
+	a.canon = key[at:]
 	if debugWork {
 		key += "|debug=work"
 	}
@@ -154,17 +152,13 @@ func (s *Server) resolve(r *http.Request, name string, q query) (a answer, err e
 	seed := 0
 	if p := q.ppr; p != nil && s.cfg.CoalesceWindow > 0 && p.Seeds[0] < g.N() {
 		seed = p.Seeds[0]
-		gkey = fmt.Sprintf("g%d|a=%v|e=%v|k=%d|s=%t|d=%t", id, p.Alpha, p.Eps, p.TopK, p.Sweep, debugWork)
+		// The batch key is the cache key without the seed, which the
+		// params of a single-seed ppr open with: {"seeds":[<seed>],…
+		gkey = key[:at] + key[at+bytes.IndexByte(q.params, ']'):]
 	}
 	f, joined, err := s.join(key, gkey, seed, &batch{
-		query: q,
-		view: queryView{g: g, pool: pool, heap: func() (*graph.Graph, error) {
-			hg, hid, err := s.store.GetHeap(name)
-			if err == nil && hid != id {
-				err = storeErrf(ErrConflict, "graph %q was replaced mid-query", name)
-			}
-			return hg, err
-		}},
+		query:     q,
+		view:      queryView{g: g, id: id, pool: pool},
 		budget:    max(s.cfg.QueryTimeout, s.queryTimeout(r)),
 		debugWork: debugWork,
 	})
@@ -172,7 +166,7 @@ func (s *Server) resolve(r *http.Request, name string, q query) (a answer, err e
 		return a, err
 	}
 	// Each caller enforces its own deadline (attached to r.Context() by
-	// the deadline middleware) while waiting; the flight is detached from
+	// withDeadline) while waiting; the flight is detached from
 	// every client's connection, so it outlives a waiter that gives up
 	// and its result is cached even if all of them have.
 	select {
@@ -245,8 +239,8 @@ func (s *Server) join(key, gkey string, seed int, nb *batch) (f *flight, joined 
 // every flight: those the computation did not answer get its error.
 // This is the query path's one panic guard — the goroutine is outside
 // net/http's per-request recover, and a panicking algorithm must fail
-// its flights, not the daemon. (It covers this goroutine only, not the
-// extra workers par starts for a batch of several kernel blocks.)
+// its flights, not the daemon. (The workers par starts for a batch of
+// several kernel blocks hand their panics back to this goroutine.)
 func (s *Server) runBatch(b *batch) {
 	ctx, cancel := context.WithTimeout(context.Background(), b.budget)
 	var err error
@@ -281,7 +275,7 @@ func (s *Server) runBatch(b *batch) {
 	})
 }
 
-// fill answers one flight with a computation's outcome: the marshaled
+// fill answers one flight with a computation's outcome: the encoded
 // response (carrying the work block under ?debug=work) also fills the
 // flight's cache slot, with the work stats so hits re-observe them.
 func (s *Server) fill(f *flight, v any, work *api.WorkStats, err error) {
@@ -289,7 +283,7 @@ func (s *Server) fill(f *flight, v any, work *api.WorkStats, err error) {
 		if wc, ok := v.(api.WorkCarrier); ok && f.batch.debugWork && work != nil {
 			wc.SetWork(work)
 		}
-		f.body, err = json.Marshal(v)
+		f.body, err = encodeBody(v)
 	}
 	if err != nil {
 		f.err = err
@@ -297,4 +291,25 @@ func (s *Server) fill(f *flight, v any, work *api.WorkStats, err error) {
 	}
 	f.work = work
 	s.cache.Add(f.key, f.body, work)
+}
+
+// encodeScratch holds the buffers the ppr replies are encoded into.
+var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// encodeBody returns v's JSON: the ppr replies by their own encoder
+// (whose bytes are json.Marshal's) into pooled scratch, copied out once
+// so a cached body is no larger than its reply; the rest by json.Marshal.
+func encodeBody(v any) ([]byte, error) {
+	enc, ok := v.(interface{ AppendJSON([]byte) ([]byte, error) })
+	if !ok {
+		return json.Marshal(v)
+	}
+	scratch := encodeScratch.Get().(*[]byte)
+	defer encodeScratch.Put(scratch)
+	b, err := enc.AppendJSON((*scratch)[:0])
+	if err != nil {
+		return nil, err
+	}
+	*scratch = b
+	return bytes.Clone(b), nil
 }

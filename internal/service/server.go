@@ -6,6 +6,7 @@ import (
 	"log"
 	"log/slog"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -164,7 +165,6 @@ func NewServer(cfg Config) (*Server, error) {
 	s.handler = chain(s.routes(),
 		s.withTelemetry,
 		s.withMaxBytes,
-		s.withDeadline,
 	)
 	return s, nil
 }
@@ -237,13 +237,13 @@ func (s *Server) routes() *http.ServeMux {
 	mux.HandleFunc("POST /v1/graphs/{name}/edges", s.handleAppendEdges)
 	mux.HandleFunc("POST /v1/graphs/{name}/seal", s.handleSeal)
 
-	mux.HandleFunc("GET /v1/graphs/{name}/stats", s.handleStats)
-	mux.HandleFunc("POST /v1/graphs/{name}/ppr", s.handlePPR)
-	mux.HandleFunc("POST /v1/graphs/{name}/ppr:batch", s.handlePPRBatch)
-	mux.HandleFunc("POST /v1/graphs/{name}/localcluster", s.handleLocalCluster)
-	mux.HandleFunc("POST /v1/graphs/{name}/localcluster:batch", s.handleLocalClusterBatch)
-	mux.HandleFunc("POST /v1/graphs/{name}/diffuse", s.handleDiffuse)
-	mux.HandleFunc("POST /v1/graphs/{name}/sweepcut", s.handleSweepCut)
+	mux.HandleFunc("GET /v1/graphs/{name}/stats", s.withDeadline(s.handleStats))
+	mux.HandleFunc("POST /v1/graphs/{name}/ppr", s.withDeadline(s.handlePPR))
+	mux.HandleFunc("POST /v1/graphs/{name}/ppr:batch", s.withDeadline(s.handlePPRBatch))
+	mux.HandleFunc("POST /v1/graphs/{name}/localcluster", s.withDeadline(s.handleLocalCluster))
+	mux.HandleFunc("POST /v1/graphs/{name}/localcluster:batch", s.withDeadline(s.handleLocalClusterBatch))
+	mux.HandleFunc("POST /v1/graphs/{name}/diffuse", s.withDeadline(s.handleDiffuse))
+	mux.HandleFunc("POST /v1/graphs/{name}/sweepcut", s.withDeadline(s.handleSweepCut))
 
 	mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
 	mux.HandleFunc("GET /v1/jobs", s.handleJobList)
@@ -253,12 +253,22 @@ func (s *Server) routes() *http.ServeMux {
 	return mux
 }
 
+// urlParams returns the request's URL parameters, parsed at most once:
+// the parse is kept on the request (where ParseForm would, but without
+// reading a body), so the copies the middleware makes carry it along.
+func urlParams(r *http.Request) url.Values {
+	if r.Form == nil && r.URL.RawQuery != "" {
+		r.Form = r.URL.Query()
+	}
+	return r.Form
+}
+
 // queryTimeout resolves the per-request deadline: the configured
 // default, overridable (within [1ms, 10min]) by a ?timeout_ms= query
 // parameter.
 func (s *Server) queryTimeout(r *http.Request) time.Duration {
 	timeout := s.cfg.QueryTimeout
-	if v := r.URL.Query().Get("timeout_ms"); v != "" {
+	if v := urlParams(r).Get("timeout_ms"); v != "" {
 		if ms, err := strconv.Atoi(v); err == nil && ms >= 1 && ms <= 600_000 {
 			timeout = time.Duration(ms) * time.Millisecond
 		}

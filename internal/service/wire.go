@@ -1,10 +1,7 @@
 package service
 
 import (
-	"bytes"
 	"cmp"
-	"encoding/json"
-	"fmt"
 	"slices"
 
 	"repro/internal/kernel"
@@ -14,26 +11,7 @@ import (
 // The request/response DTOs live in the public, versioned pkg/api — the
 // server, the pkg/client SDK and graphctl all compile against the same
 // wire contract. This file keeps the server-side helpers that turn
-// payloads into cache keys and algorithm outputs into api types.
-
-// canonicalJSON re-marshals raw JSON into a canonical form (sorted map
-// keys, normalized whitespace) so that semantically identical requests
-// share one cache key. Numbers are decoded as json.Number — not float64
-// — so int64 values beyond 2^53 (e.g. base_seed) keep their exact
-// digits and distinct requests cannot collide onto one key.
-func canonicalJSON(raw json.RawMessage) (string, error) {
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.UseNumber()
-	var v any
-	if err := dec.Decode(&v); err != nil {
-		return "", fmt.Errorf("invalid JSON: %w", err)
-	}
-	out, err := json.Marshal(v)
-	if err != nil {
-		return "", err
-	}
-	return string(out), nil
-}
+// algorithm outputs into api types.
 
 // compareMass is the order of every `top` list on the wire: descending
 // mass with node id as the deterministic tiebreak. Nodes are distinct,

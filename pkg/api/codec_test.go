@@ -1,0 +1,326 @@
+package api
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"math"
+	"math/rand"
+	"reflect"
+	"strings"
+	"testing"
+)
+
+// The encoder's reference is encoding/json on types that have the
+// replies' fields and tags but none of their methods, so no later hook
+// on the real types can make the codec its own oracle. The decoder's
+// reference has to be the real types, whose names the library's errors
+// carry; TestCodecIsNotHooked keeps them hook-free.
+type (
+	plainResponse      PPRResponse
+	plainBatchResponse PPRBatchResponse
+)
+
+func TestCodecIsNotHooked(t *testing.T) {
+	for _, v := range []any{&PPRResponse{}, &PPRBatchResponse{}, &PPRBatchResult{}, &NodeMass{}, &SweepInfo{}, &WorkStats{}} {
+		if _, ok := v.(json.Unmarshaler); ok {
+			t.Errorf("%T implements json.Unmarshaler: json.Unmarshal no longer is the reference", v)
+		}
+		if _, ok := v.(json.Marshaler); ok {
+			t.Errorf("%T implements json.Marshaler: the replies' bytes are no longer the library's", v)
+		}
+	}
+}
+
+// checkEncode asserts AppendJSON agrees with json.Marshal on r: the same
+// bytes (appended after what dst held), or the same error.
+func checkEncode(t testing.TB, r *PPRResponse) []byte {
+	t.Helper()
+	batch := &PPRBatchResponse{
+		Results:   []PPRBatchResult{{Seed: 3, Support: r.Support, Sum: r.Sum, Pushes: r.Pushes, WorkVolume: r.WorkVolume, Top: r.Top, Sweep: r.Sweep}, {Top: []NodeMass{}}},
+		TotalWork: r.WorkVolume, Work: r.Work,
+	}
+	want, wantErr := json.Marshal((*plainResponse)(r))
+	got, err := r.AppendJSON([]byte("prefix"))
+	wantB, wantBErr := json.Marshal((*plainBatchResponse)(batch))
+	gotB, errB := batch.AppendJSON(nil)
+	for _, c := range []struct {
+		got, want       []byte
+		gotErr, wantErr error
+	}{{got, append([]byte("prefix"), want...), err, wantErr}, {gotB, wantB, errB, wantBErr}} {
+		if c.wantErr != nil {
+			var uve *json.UnsupportedValueError
+			if c.gotErr == nil || c.gotErr.Error() != c.wantErr.Error() || !errors.As(c.gotErr, &uve) {
+				t.Fatalf("AppendJSON error %v, json.Marshal says %v", c.gotErr, c.wantErr)
+			}
+			continue
+		}
+		if c.gotErr != nil || !bytes.Equal(c.got, c.want) {
+			t.Fatalf("AppendJSON (err %v):\n%s\njson.Marshal:\n%s", c.gotErr, c.got, c.want)
+		}
+	}
+	if wantErr != nil {
+		return nil
+	}
+	checkDecode(t, gotB)
+	return want
+}
+
+// checkDecode asserts DecodeJSON agrees with json.Unmarshal on data, for
+// both reply types: the same error text, or structs that are DeepEqual
+// and marshal to the same bytes (which tells -0 from 0, as DeepEqual
+// does not).
+func checkDecode(t testing.TB, data []byte) {
+	t.Helper()
+	var got, want PPRResponse
+	err, wantErr := got.DecodeJSON(data), json.Unmarshal(data, &want)
+	sameDecode(t, data, err, wantErr, got, want)
+	var gotB, wantB PPRBatchResponse
+	err, wantErr = gotB.DecodeJSON(data), json.Unmarshal(data, &wantB)
+	sameDecode(t, data, err, wantErr, gotB, wantB)
+}
+
+func sameDecode(t testing.TB, data []byte, err, wantErr error, got, want any) {
+	t.Helper()
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("DecodeJSON(%q) error %v, json.Unmarshal says %v", data, err, wantErr)
+	}
+	a, _ := json.Marshal(got)
+	b, _ := json.Marshal(want)
+	if !reflect.DeepEqual(got, want) || !bytes.Equal(a, b) {
+		t.Fatalf("DecodeJSON(%q):\n%s\njson.Unmarshal:\n%s", data, a, b)
+	}
+}
+
+// sampleReply is a reply of graphd's shape with n top entries.
+func sampleReply(n int, sweep, work bool) *PPRResponse {
+	r := &PPRResponse{Support: 3 * n, Sum: 0.987654321, Pushes: 7 * n, WorkVolume: 1234.5, Top: []NodeMass{}}
+	for i := 0; i < n; i++ {
+		r.Top = append(r.Top, NodeMass{Node: 1000 + 17*i, Mass: 0.1 / float64(i+1)})
+	}
+	if sweep {
+		r.Sweep = &SweepInfo{Set: []int{5, 1, 0, 42}, Size: 4, Conductance: 0.0625, Prefix: 4}
+	}
+	if work {
+		r.Work = &WorkStats{Method: "push", Pushes: 7 * n, WorkVolume: 1234.5, MaxSupport: 3 * n}
+	}
+	return r
+}
+
+// TestCodecFloats is the golden float table: the cut-overs between 'f'
+// and 'e' form, the extremes, and a thousand random bit patterns, each
+// as every float member of a reply and each read back to the same bits.
+func TestCodecFloats(t *testing.T) {
+	floats := []float64{0, math.Copysign(0, -1), 1e-7, 1e-6, 1e20, 1e21, 5e-324, math.MaxFloat64, 0.1 + 0.2,
+		-1e-7, 9.999999999999999e-7, 1e-5, 123456789, 1e22, 1.5e-9, 1e-10, 1e100, -math.MaxFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1)}
+	rng := rand.New(rand.NewSource(21))
+	for len(floats) < 1021 {
+		floats = append(floats, math.Float64frombits(rng.Uint64()))
+	}
+	for _, f := range floats {
+		r := sampleReply(2, true, true)
+		r.Sum, r.WorkVolume, r.Top[1].Mass, r.Sweep.Conductance, r.Work.WorkVolume = f, f, f, f, f
+		body := checkEncode(t, r)
+		if body == nil {
+			if !math.IsNaN(f) && !math.IsInf(f, 0) {
+				t.Fatalf("finite %v did not encode", f)
+			}
+			continue
+		}
+		var back PPRResponse
+		if err := back.DecodeJSON(body); err != nil || math.Float64bits(back.Top[1].Mass) != math.Float64bits(f) {
+			t.Fatalf("%v (%x) came back as %v (err %v) from %s", f, math.Float64bits(f), back.Top[1].Mass, err, body)
+		}
+	}
+	// The first unsupported member, in field order, is the one reported.
+	r := sampleReply(1, true, false)
+	r.Top[0].Mass, r.Sweep.Conductance = math.Inf(-1), math.NaN()
+	checkEncode(t, r)
+}
+
+// TestCodecShapes walks the optional parts of a reply: nil against empty
+// top and set (null against []), sweep and work present and absent, the
+// omitted zero counters of a work block, and a method name that needs
+// escaping.
+func TestCodecShapes(t *testing.T) {
+	for _, r := range []*PPRResponse{
+		{},
+		{Top: []NodeMass{}},
+		sampleReply(0, false, false),
+		sampleReply(1, true, false),
+		sampleReply(3, false, true),
+		sampleReply(100, true, true),
+		{Top: []NodeMass{{1, 1}}, Sweep: &SweepInfo{}},
+		{Top: []NodeMass{{1, 1}}, Sweep: &SweepInfo{Set: []int{}}},
+		{Top: []NodeMass{}, Work: &WorkStats{}},
+		{Top: []NodeMass{}, Work: &WorkStats{Method: "nibble", Steps: 20, MaxSupport: 9}},
+		{Top: []NodeMass{}, Work: &WorkStats{Method: "heat", Terms: 12, WorkVolume: math.Copysign(0, -1)}},
+		{Top: []NodeMass{}, Work: &WorkStats{Method: "a\"b\\c<d>& é\xff\x01"}},
+		{Support: math.MinInt64, Pushes: math.MaxInt64, Top: []NodeMass{{Node: -1, Mass: -1}}},
+	} {
+		if body := checkEncode(t, r); body == nil {
+			t.Fatalf("%+v did not encode", r)
+		} else {
+			checkDecode(t, body)
+			checkDecode(t, append(body, " \r\n\t"...))
+		}
+	}
+	var nilBatch PPRBatchResponse
+	got, err := nilBatch.AppendJSON(nil)
+	if want, _ := json.Marshal(plainBatchResponse(nilBatch)); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("nil results: %s (err %v), want %s", got, err, want)
+	}
+	checkDecode(t, got)
+}
+
+// TestCodecFallback feeds the decoder what graphd does not emit. What
+// encoding/json tolerates must decode as it does (an unknown member,
+// other key order, white space, escaped keys, nulls, odd casing,
+// duplicates); what JSON forbids must fail with the library's words.
+func TestCodecFallback(t *testing.T) {
+	body := string(checkEncode(t, sampleReply(2, true, true)))
+	for _, data := range []string{
+		strings.Replace(body, `{"support"`, `{"extra":{"a":[1,2]},"support"`, 1),
+		strings.Replace(body, `"pushes":14,`, ``, 1) + ` `,
+		`{"top":[{"mass":0.5,"node":2}],"sum":1,"support":1}`,
+		"{ \"support\": 1,\n\t\"top\": [ ] }",
+		`{"support":4,"Support":5,"SUM":2}`,
+		`{"support":1,"support":2,"top":null,"sweep":null,"work":null}`,
+		`{"support":1,"sum":1e400,"pushes":1,"work_volume":1,"top":[]}`,
+		`{"support":9223372036854775808,"sum":1,"pushes":1,"work_volume":1,"top":[]}`,
+		`{"support":1.0,"sum":1,"pushes":1,"work_volume":1,"top":[]}`,
+		`{"support":1e2,"sum":1,"pushes":1,"work_volume":1,"top":[]}`,
+		`{"support":1,"sum":1,"pushes":1,"work_volume":1,"top":[]}{}`,
+		`{"support":1,"sum":1,"pushes":1,"work_volume":1,"top":[]`,
+		`{"support":1,"sum":1,"pushes":1,"work_volume":1,"top":[{"node":1,"mass":1},]}`,
+		`{"support":1,"sum":1,"pushes":1,"work_volume":1,"top":[],"work":{"method":"a\nb"}}`,
+		`{"support":1,"sum":1,"pushes":1,"work_volume":1,"top":[],"work":{"method":"push`,
+		`{"results":[],"total_work":0}`,
+		`{"results":[{"seed":1,"support":1,"sum":1,"pushes":1,"work_volume":1,"top":[]},],"total_work":0}`,
+		`{"results":null,"total_work":1}`,
+		``, `null`, `[]`, `{}`, `{`, ` {}`,
+	} {
+		checkDecode(t, []byte(data))
+	}
+	// Every number spelling JSON forbids (the prototype of this decoder
+	// let leading zeros through), in an integer and in a float member.
+	for _, num := range []string{"01", "-01", "00", "+1", ".5", "1.", "-.5", "1.e5", "1e", "1e+", "-", "0x10", "1_0", "Infinity", "NaN", "1f", ""} {
+		checkDecode(t, []byte(`{"support":`+num+`,"sum":1,"pushes":1,"work_volume":1,"top":[]}`))
+		checkDecode(t, []byte(`{"support":1,"sum":`+num+`,"pushes":1,"work_volume":1,"top":[]}`))
+		checkDecode(t, []byte(`{"support":1,"sum":1,"pushes":1,"work_volume":1,"top":[{"node":1,"mass":`+num+`}]}`))
+	}
+}
+
+// TestDecodeIntoUsedValue: members absent from the body keep what the
+// value held, as with json.Unmarshal, on the direct path too.
+func TestDecodeIntoUsedValue(t *testing.T) {
+	body := checkEncode(t, sampleReply(1, false, false))
+	got, want := *sampleReply(2, true, true), *sampleReply(2, true, true)
+	sameDecode(t, body, got.DecodeJSON(body), json.Unmarshal(body, &want), got, want)
+	if got.Sweep == nil || got.Work == nil || len(got.Top) != 1 {
+		t.Fatalf("decoded into a used value: %+v", got)
+	}
+}
+
+// TestDecodeAllocs locks the direct path in: a 100-entry reply decodes
+// in the allocations its own slices and blocks need — reflection takes
+// dozens — so a reply of graphd's shape cannot silently start falling
+// back to encoding/json.
+func TestDecodeAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		reply *PPRResponse
+		max   float64
+	}{
+		{"plain", sampleReply(100, false, false), 1},            // top
+		{"sweep and work", sampleReply(100, true, true), 1 + 4}, // + sweep, set, work, method
+	} {
+		body := checkEncode(t, tc.reply)
+		var r PPRResponse // outside the closure: the SDK's is on the heap before the decoder sees it
+		if got := testing.AllocsPerRun(50, func() {
+			r = PPRResponse{}
+			if err := r.DecodeJSON(body); err != nil {
+				t.Fatal(err)
+			}
+		}); got > tc.max {
+			t.Errorf("%s: decoding a 100-entry reply allocates %v times, want at most %v", tc.name, got, tc.max)
+		}
+		batch := &PPRBatchResponse{Results: make([]PPRBatchResult, 8)}
+		for i := range batch.Results {
+			batch.Results[i] = PPRBatchResult{Seed: i, Top: tc.reply.Top, Sweep: tc.reply.Sweep}
+		}
+		bbody, err := batch.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rb PPRBatchResponse
+		if got := testing.AllocsPerRun(50, func() {
+			rb = PPRBatchResponse{}
+			if err := rb.DecodeJSON(bbody); err != nil {
+				t.Fatal(err)
+			}
+		}); got > 1+8*tc.max {
+			t.Errorf("%s: decoding an 8-result batch allocates %v times, want at most %v", tc.name, got, 1+8*tc.max)
+		}
+	}
+}
+
+// replyFromBytes builds a reply out of fuzz input: eight bytes a
+// number, so every float bit pattern and every int is reachable, the
+// low bits of a few of them choosing the optional parts.
+func replyFromBytes(data []byte) *PPRResponse {
+	next := func() uint64 {
+		var w [8]byte
+		data = data[copy(w[:], data):]
+		return binary.LittleEndian.Uint64(w[:])
+	}
+	float := func() float64 { return math.Float64frombits(next()) }
+	shape := next()
+	r := &PPRResponse{Support: int(next()), Sum: float(), Pushes: int(next()), WorkVolume: float()}
+	if shape&1 != 0 {
+		r.Top = make([]NodeMass, shape>>8&3)
+		for i := range r.Top {
+			r.Top[i] = NodeMass{Node: int(next()), Mass: float()}
+		}
+	}
+	if shape&2 != 0 {
+		r.Sweep = &SweepInfo{Size: int(next()), Conductance: float(), Prefix: int(next())}
+		if shape&4 != 0 {
+			r.Sweep.Set = make([]int, shape>>10&3)
+			for i := range r.Sweep.Set {
+				r.Sweep.Set[i] = int(next())
+			}
+		}
+	}
+	if shape&8 != 0 {
+		r.Work = &WorkStats{Pushes: int(next()), WorkVolume: float(), Steps: int(next() >> 60), Terms: int(next() >> 60), MaxSupport: int(next() >> 60)}
+		r.Work.Method = string(data[:min(len(data), int(shape>>12&7))])
+	}
+	return r
+}
+
+// FuzzPPRReplyCodec is the differential test of the codec against
+// encoding/json. The input is used twice: as a reply body, which
+// DecodeJSON must treat exactly as json.Unmarshal does — so anything the
+// direct path accepts the library accepts, to equal structs — and as the
+// raw material of a reply, which AppendJSON must encode to json.Marshal's
+// bytes or refuse with its error, and DecodeJSON must read back.
+func FuzzPPRReplyCodec(f *testing.F) {
+	for _, r := range []*PPRResponse{sampleReply(0, false, false), sampleReply(2, true, false), sampleReply(3, true, true)} {
+		body, _ := r.AppendJSON(nil)
+		f.Add(body)
+		batch, _ := (&PPRBatchResponse{Results: []PPRBatchResult{{Seed: 1, Top: r.Top, Sweep: r.Sweep}}, Work: r.Work}).AppendJSON(nil)
+		f.Add(batch)
+	}
+	f.Add([]byte(`{"support":01,"sum":1,"pushes":1,"work_volume":1,"top":[]}`))
+	f.Add([]byte(`{"support":1,"sum":1.,"pushes":1,"work_volume":1e-07,"top":[{"node":1,"mass":-0}]}`))
+	f.Add([]byte("\x0f\x05\x00\x00\x00\x00\x00\x00" + "\x01\x00\x00\x00\x00\x00\xf0\x7f" + `a"<é`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecode(t, data)
+		if body := checkEncode(t, replyFromBytes(data)); body != nil {
+			checkDecode(t, body)
+		}
+	})
+}

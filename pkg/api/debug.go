@@ -42,7 +42,9 @@ type DebugQuery struct {
 	Route string `json:"route"`
 	// Graph is the target graph name.
 	Graph string `json:"graph,omitempty"`
-	// Params is the canonicalized params digest the cache is keyed by.
+	// Params is the digest of the params the cache is keyed by: the
+	// request after Normalize as its type marshals it (members in field
+	// order, not sorted by key), capped at 256 bytes.
 	Params string `json:"params,omitempty"`
 	// Status is the HTTP status written.
 	Status int `json:"status"`

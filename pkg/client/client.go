@@ -163,7 +163,8 @@ func (c *Client) queryValues() url.Values {
 }
 
 // doJSON marshals in (when non-nil), performs the call with retries,
-// and unmarshals the response into out (when non-nil).
+// and decodes the response into out (when non-nil): with out's own
+// decoder when it has one (the ppr replies), else with json.Unmarshal.
 func (c *Client) doJSON(ctx context.Context, method, path string, q url.Values, in, out any) error {
 	var body []byte
 	contentType := ""
@@ -178,12 +179,31 @@ func (c *Client) doJSON(ctx context.Context, method, path string, q url.Values, 
 	if err != nil {
 		return err
 	}
-	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
-			return fmt.Errorf("client: decoding %s %s response: %w", method, path, err)
-		}
+	if d, ok := out.(interface{ DecodeJSON([]byte) error }); ok {
+		err = d.DecodeJSON(data)
+	} else if out != nil {
+		err = json.Unmarshal(data, out)
+	}
+	if err != nil {
+		return fmt.Errorf("client: decoding %s %s response: %w", method, path, err)
 	}
 	return nil
+}
+
+// maxSizedRead bounds the buffer readBody allocates on a response's
+// word about its own length.
+const maxSizedRead = 8 << 20
+
+// readBody reads a response body: one of declared length (graphd
+// states it on every query reply) into one buffer of that length, any
+// other — chunked, or declaring more than maxSizedRead — as it comes.
+func readBody(resp *http.Response) ([]byte, error) {
+	if resp.ContentLength < 0 || resp.ContentLength > maxSizedRead {
+		return io.ReadAll(resp.Body)
+	}
+	body := make([]byte, resp.ContentLength)
+	_, err := io.ReadFull(resp.Body, body)
+	return body, err
 }
 
 // doRaw performs one logical call with the retry/backoff policy: the
@@ -229,7 +249,7 @@ func (c *Client) doRaw(ctx context.Context, method, path string, q url.Values, b
 			}
 			continue
 		}
-		data, readErr := io.ReadAll(resp.Body)
+		data, readErr := readBody(resp)
 		resp.Body.Close()
 		if readErr != nil {
 			if ctx.Err() != nil {

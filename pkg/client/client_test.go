@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -333,5 +334,87 @@ func TestJobsWaitHonorsContext(t *testing.T) {
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("Wait ignored the context deadline")
+	}
+}
+
+// rawReply answers every request with the given bytes, written straight
+// to the connection, and closes it: the way to send a Content-Length the
+// body does not honour.
+func rawReply(t *testing.T, calls *atomic.Int32, reply func(call int32) string) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		io.WriteString(conn, reply(calls.Add(1)))
+	})
+}
+
+// TestChunkedReply: a reply without a Content-Length (a proxy re-chunked
+// it, or an older graphd sent it) is read to its end as before, and a
+// ppr reply in it decodes to the same struct.
+func TestChunkedReply(t *testing.T) {
+	want := api.PPRResponse{Support: 2, Sum: 0.75, Pushes: 3, WorkVolume: 9,
+		Top: []api.NodeMass{{Node: 4, Mass: 0.5}, {Node: 1, Mass: 0.25}}, Sweep: &api.SweepInfo{Set: []int{4}, Size: 1, Conductance: 0.5, Prefix: 1}}
+	body, err := want.AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := newTestClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		for _, half := range [][]byte{body[:len(body)/2], body[len(body)/2:], []byte("\n")} {
+			w.Write(half)
+			w.(http.Flusher).Flush()
+		}
+	}))
+	got, err := c.Graphs.PPR(context.Background(), "g", api.PPRRequest{Seeds: []int{4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, _ := json.Marshal(got); string(a) != string(body) {
+		t.Fatalf("decoded %s, sent %s", a, body)
+	}
+}
+
+// TestShortBodyIsAReadError: a body that ends before its declared
+// length is the read error it always was — not a short buffer handed to
+// the decoder — and a GET is retried past it.
+func TestShortBodyIsAReadError(t *testing.T) {
+	var calls atomic.Int32
+	c, _ := newTestClient(t, rawReply(t, &calls, func(call int32) string {
+		if call == 1 {
+			return "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"status\":\"ok\""
+		}
+		return "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 16\r\n\r\n{\"status\":\"ok\"}\n"
+	}), WithRetries(0))
+	_, err := c.Health(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "reading response") || !strings.Contains(err.Error(), io.ErrUnexpectedEOF.Error()) {
+		t.Fatalf("short body: err = %v, want the unexpected-EOF read error", err)
+	}
+	calls.Store(0)
+	c.retries, c.backoff = 1, time.Millisecond
+	if h, err := c.Health(context.Background()); err != nil || h.Status != "ok" || calls.Load() != 2 {
+		t.Fatalf("retry past a short body: %+v, err %v, %d calls", h, err, calls.Load())
+	}
+}
+
+// TestHugeDeclaredLength: a Content-Length is the peer's word, so it
+// sizes a buffer only up to maxSizedRead; a reply declaring more is
+// read as it comes, and one that then hangs up costs next to nothing.
+func TestHugeDeclaredLength(t *testing.T) {
+	var calls atomic.Int32
+	c, _ := newTestClient(t, rawReply(t, &calls, func(int32) string {
+		return "HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\n{\"status\":"
+	}), WithRetries(0))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := c.Health(context.Background())
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "reading response") {
+		t.Fatalf("err = %v, want a read error", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+		t.Fatalf("a reply declaring 1 TiB made the client allocate %d bytes", got)
 	}
 }
