@@ -92,8 +92,8 @@ func main() {
 
 	// --- 3. batch PPR on the kernel batch engine ------------------------
 	// BatchPersonalizedPageRank rides kernel.BatchDiffuser: sources are
-	// diffused in cache blocks over pooled workspaces, byte-identical to
-	// running each source alone.
+	// diffused one per pooled workspace across workers, byte-identical
+	// to running each source alone.
 	sources := []int{0, 8, 16, 24, 32, 40} // one per clique
 	batch, err := stream.BatchPersonalizedPageRank(g, sources, stream.BatchPPROptions{
 		Alpha: 0.15, Eps: 1e-5, Workers: 4,

@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/gen"
@@ -19,9 +21,9 @@ import (
 
 // The batch engine's whole value proposition rests on one promise:
 // running K seeds through BatchDiffuser produces, per seed, the exact
-// bytes a single-seed Diffuse — a block of one — produces, on every
-// backend, at every batch size, duplicates included. These tests lock
-// that promise with Float64bits fingerprints, no tolerances.
+// bytes a single-seed Diffuse produces, on every backend, at every
+// batch size, duplicates included. These tests lock that promise with
+// Float64bits fingerprints, no tolerances.
 
 func batchTestGraph(t testing.TB) *graph.Graph {
 	t.Helper()
@@ -82,7 +84,7 @@ func wsFingerprint(ws *kernel.Workspace, st kernel.Stats) string {
 
 // batchSeeds returns K seeds spread over the graph, with duplicates:
 // index 3 repeats index 0 and every 11th seed repeats, so the suite
-// always exercises identical seeds in one batch and across blocks.
+// always exercises identical seeds in one batch, adjacent and far apart.
 func batchSeeds(n, k int) []int {
 	seeds := make([]int, k)
 	for i := range seeds {
@@ -106,11 +108,11 @@ func batchMethods() map[string]kernel.Diffuser {
 }
 
 // TestBatchMatchesSequential: for each backend, method, and batch size
-// K ∈ {1, 7, 9, 13, 64} — blocks of 1, 7, 8+1, 8+5 and 8×8 — every
-// seed's batch output is byte-identical to the same seed diffused alone
-// as a block of one, for both worker counts (the schedule must never
-// leak into the floats). TestEngineMatchesOracle holds both to an
-// independent reference.
+// K ∈ {1, 7, 9, 13, 64} — fewer and more seeds than workers — every
+// seed's batch output is byte-identical to the same seed diffused
+// alone, for both worker counts (the schedule, and whichever pooled
+// workspace a seed lands on, must never leak into the floats).
+// TestEngineMatchesOracle holds both to an independent reference.
 func TestBatchMatchesSequential(t *testing.T) {
 	hg := batchTestGraph(t)
 	backends := batchBackends(t, hg)
@@ -217,8 +219,9 @@ func TestBatchOnStepMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBatchCancellation: cancelling mid-batch stops the run promptly
-// with ctx.Err() and never emits a seed after the cancellation point.
+// TestBatchCancellation: cancellation is checked before every seed, so
+// a cancelled run returns ctx.Err() and emits nothing past the
+// cancellation point — exactly nothing on one worker.
 func TestBatchCancellation(t *testing.T) {
 	hg := batchTestGraph(t)
 	g := gstore.Wrap(hg)
@@ -232,16 +235,50 @@ func TestBatchCancellation(t *testing.T) {
 		Run(ctx, g, pool, seeds, func(i int, ws *kernel.Workspace, st kernel.Stats) error {
 			emitted++
 			if emitted == 5 {
-				cancel() // mid-batch: blocks remain undispatched
+				cancel() // mid-batch: 59 seeds remain undispatched
 			}
 			return nil
 		})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run after mid-batch cancel = %v, want context.Canceled", err)
 	}
-	if emitted >= len(seeds) {
-		t.Fatalf("all %d seeds emitted despite cancellation", len(seeds))
+	if emitted != 5 {
+		t.Fatalf("%d seeds emitted, want exactly the 5 up to the cancellation", emitted)
 	}
+
+	// Two workers: at most the seed in flight on the other worker still
+	// finishes; no index is emitted twice and none after Run returns.
+	ctx2, cancel2 := context.WithCancel(context.Background())
+	defer cancel2()
+	var mu sync.Mutex
+	seen := make(map[int]int)
+	returned := false
+	_, err = kernel.BatchDiffuser{Method: kernel.PushACL{Alpha: 0.13, Eps: 3e-5}, Workers: 2}.
+		Run(ctx2, g, pool, seeds, func(i int, ws *kernel.Workspace, st kernel.Stats) error {
+			mu.Lock()
+			defer mu.Unlock()
+			if returned {
+				t.Errorf("seed[%d] emitted after Run returned", i)
+			}
+			if seen[i]++; len(seen) == 5 {
+				cancel2()
+			}
+			return nil
+		})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("2-worker Run after mid-batch cancel = %v, want context.Canceled", err)
+	}
+	mu.Lock()
+	returned = true
+	for i, n := range seen {
+		if n != 1 {
+			t.Errorf("seed[%d] emitted %d times", i, n)
+		}
+	}
+	if len(seen) > 6 {
+		t.Errorf("%d seeds emitted, want at most 5 plus the one in flight", len(seen))
+	}
+	mu.Unlock()
 
 	// A context cancelled before Run starts no work at all.
 	pre, preCancel := context.WithCancel(context.Background())
@@ -258,11 +295,11 @@ func TestBatchCancellation(t *testing.T) {
 	// Walk methods check between steps too.
 	stepCtx, stepCancel := context.WithCancel(context.Background())
 	defer stepCancel()
-	steps := 0
+	var steps atomic.Int32 // seeds walk concurrently
 	_, err = kernel.BatchDiffuser{
 		Method: kernel.NibbleWalk{Eps: 1e-6, Steps: 500},
 		OnStep: func(i, step int, ws *kernel.Workspace) error {
-			if steps++; steps == 3 {
+			if steps.Add(1) == 3 {
 				stepCancel()
 			}
 			return nil
@@ -308,7 +345,7 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
-// foreignDiffuser is a Diffuser the engine has no block runner for.
+// foreignDiffuser is a Diffuser the engine has no runner for.
 type foreignDiffuser struct{}
 
 func (foreignDiffuser) Diffuse(gstore.Graph, *kernel.Workspace, []int) (kernel.Stats, error) {

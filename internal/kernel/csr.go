@@ -10,12 +10,12 @@ import (
 // This file is the one place that knows which storage backends and
 // weight forms exist. dispatch turns a gstore.Graph into a rows view —
 // the raw CSR arrays — and runs the requested operation on it; the
-// loops themselves (pushBlock and walkStep in batch.go, sweepScan in
+// loops themselves (pushQueue and walkStep in batch.go, sweepScan in
 // sweep.go) are methods of rows, written once and monomorphized by the
 // compiler for each backend's element types (heap []int/[]float64,
 // compact/mmap []int64/[]uint32 with float64/float32/absent weights).
-// One type switch runs per push block, walk step or sweep — never per
-// edge.
+// One type switch runs per push diffusion, walk step or sweep — never
+// per edge.
 //
 // Bit-parity invariants the loops rely on:
 //   - spread*1.0 == spread exactly, so the nil-weight (unit) branch
@@ -51,11 +51,11 @@ type rows[P ix, A ix, W wt] struct {
 // allocates nothing.
 type op struct {
 	kind opKind
-	// opPush: one block's seeded workspaces (queues filled) and their
-	// Stats. opWalkStep: the block's live workspaces and eps.
+	// opPush: the seeded workspace (queue filled) and its Stats.
+	// opWalkStep: the workspace and eps.
 	push PushACL
-	wss  []*Workspace
-	sts  []Stats
+	ws   *Workspace
+	st   *Stats
 	eps  float64
 	// opSweepScan: the membership plane, the order prefix, the visitor.
 	inS   *plane
@@ -100,9 +100,9 @@ func dispatch(g gstore.Graph, o *op) error {
 func (r *rows[P, A, W]) run(o *op) {
 	switch o.kind {
 	case opPush:
-		r.pushBlock(o.push, o.wss, o.sts)
+		r.pushQueue(o.push, o.ws, o.st)
 	case opWalkStep:
-		r.walkStep(o.wss, o.eps)
+		r.walkStep(o.ws, o.eps)
 	case opSweepScan:
 		r.sweepScan(o.inS, o.order, o.visit)
 	}

@@ -33,13 +33,13 @@ type Stats struct {
 // residual in the R plane. The workspace is Reset at entry, so a pooled
 // workspace needs no cleaning between uses.
 //
-// Every Diffuse is a block of one on the batch engine (batch.go):
-// validate, seed the R plane with the seed set, run the strategy's
-// block runner over that single workspace. The loops run monomorphized
-// over the backend's raw CSR arrays behind one dispatch (csr.go), so
-// the arithmetic — and therefore the floating-point output — is
-// identical bit for bit across the heap, compact and mmap backends; a
-// backend the dispatch does not know is an error.
+// Every Diffuse is the engine's unit of work (batch.go): validate, seed
+// the R plane with the seed set, run the strategy's runner on the
+// workspace. The loops run monomorphized over the backend's raw CSR
+// arrays behind one dispatch (csr.go), so the arithmetic — and
+// therefore the floating-point output — is identical bit for bit across
+// the heap, compact and mmap backends; a backend the dispatch does not
+// know is an error.
 type Diffuser interface {
 	Diffuse(g gstore.Graph, ws *Workspace, seeds []int) (Stats, error)
 }
@@ -103,9 +103,9 @@ func (d PushACL) Diffuse(g gstore.Graph, ws *Workspace, seeds []int) (Stats, err
 	if err := seedR(g, ws, seeds); err != nil {
 		return Stats{}, err
 	}
-	wss, sts := [1]*Workspace{ws}, [1]Stats{}
-	err := d.runBlock(context.Background(), g, wss[:], sts[:], 0, nil)
-	return sts[0], err
+	var st Stats
+	err := d.run(context.Background(), g, ws, &st, nil)
+	return st, err
 }
 
 // NibbleWalk is the Spielman–Teng truncated lazy random walk [39]:
@@ -145,13 +145,9 @@ func (d NibbleWalk) Diffuse(g gstore.Graph, ws *Workspace, seeds []int) (Stats, 
 	if err := seedR(g, ws, seeds); err != nil {
 		return Stats{}, err
 	}
-	var onStep func(i, step int, ws *Workspace) error
-	if d.OnStep != nil {
-		onStep = func(_, step int, ws *Workspace) error { return d.OnStep(step, ws) }
-	}
-	wss, sts := [1]*Workspace{ws}, [1]Stats{}
-	err := d.runBlock(context.Background(), g, wss[:], sts[:], 0, onStep)
-	return sts[0], err
+	var st Stats
+	err := d.run(context.Background(), g, ws, &st, d.OnStep)
+	return st, err
 }
 
 // HeatKernel approximates Chung's heat-kernel PageRank [15]
@@ -200,7 +196,7 @@ func (d HeatKernel) Diffuse(g gstore.Graph, ws *Workspace, seeds []int) (Stats, 
 	if err := seedR(g, ws, seeds); err != nil {
 		return Stats{}, err
 	}
-	wss, sts := [1]*Workspace{ws}, [1]Stats{}
-	err := d.runBlock(context.Background(), g, wss[:], sts[:], 0, nil)
-	return sts[0], err
+	var st Stats
+	err := d.run(context.Background(), g, ws, &st, nil)
+	return st, err
 }

@@ -296,7 +296,7 @@ func TestWalkStepMatchesDenseStep(t *testing.T) {
 			next[v] += x / 2 * wts[i] / du
 		}
 	}
-	if err := dispatch(gstore.Wrap(g), &op{kind: opWalkStep, wss: []*Workspace{ws}, eps: 1e-12}); err != nil {
+	if err := dispatch(gstore.Wrap(g), &op{kind: opWalkStep, ws: ws, eps: 1e-12}); err != nil {
 		t.Fatal(err)
 	}
 	for u := 0; u < g.N(); u++ {

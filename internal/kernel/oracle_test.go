@@ -13,12 +13,12 @@ import (
 	"repro/internal/kernel"
 )
 
-// Every Diffuse is a block of one on the batch engine, so comparing
-// BatchDiffuser.Run with Diffuse compares the engine with itself. The
+// BatchDiffuser.Run calls the runner every Diffuse calls, so comparing
+// the two compares the engine with itself. The
 // references below share no code with it: they read the graph through
 // the public gstore.Graph cursor only, keep their vectors in dense
 // slices, and are written straight from the algorithms' definitions —
-// no workspace, no rows view, no blocks. The engine must match them
+// no workspace, no rows view. The engine must match them
 // Float64bits for Float64bits and Stats for Stats, on every backend and
 // weight form, alone and batched.
 
@@ -319,7 +319,7 @@ func traceR(step int, ws *kernel.Workspace) string {
 // TestEngineMatchesOracle: heap / compact / mmap × unit / f32 / f64
 // weights × push / nibble / heat, through Diffuse (seed sets, one with
 // a duplicate, and an isolated seed) and through BatchDiffuser.Run (13
-// single seeds, so a full block and a partial one), including the
+// single seeds, one and four workers), including the
 // walk's OnStep (step, frontier) sequence and the sweep scan over each
 // finished plane.
 func TestEngineMatchesOracle(t *testing.T) {
@@ -380,7 +380,7 @@ func TestEngineMatchesOracle(t *testing.T) {
 					}
 
 					for _, workers := range []int{1, 4} {
-						// Blocks emit from par's goroutines: copy out there,
+						// Seeds emit from par's goroutines: copy out there,
 						// compare here.
 						got := make([]result, len(batchSeeds))
 						gotTraces := make([][]string, len(batchSeeds))

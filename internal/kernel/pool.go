@@ -6,7 +6,8 @@ import "sync"
 // backed by a sync.Pool: with W concurrent users at most W workspaces
 // are ever live, and steady-state Get/Put pairs allocate nothing. The
 // serving layer keeps one Pool per loaded graph; the batch layers
-// create one per run and share it across their par workers.
+// create one per run and share it across their par workers, one
+// workspace per worker.
 type Pool struct {
 	n    int
 	pool sync.Pool
@@ -37,25 +38,6 @@ func (p *Pool) Put(ws *Workspace) {
 		return
 	}
 	p.pool.Put(ws)
-}
-
-// GetBlock returns k reset workspaces, the unit the batch engine
-// processes one cache block with. Pair with a deferred PutBlock — the
-// wspool analyzer checks GetBlock/PutBlock exactly like Get/Put.
-func (p *Pool) GetBlock(k int) []*Workspace {
-	wss := make([]*Workspace, k)
-	for i := range wss {
-		wss[i] = p.Get()
-	}
-	return wss
-}
-
-// PutBlock returns a block of workspaces to the pool. Nil entries are
-// skipped so a partially filled block releases cleanly.
-func (p *Pool) PutBlock(wss []*Workspace) {
-	for _, ws := range wss {
-		p.Put(ws)
-	}
 }
 
 // pools is the package-level registry of pools keyed by graph size,

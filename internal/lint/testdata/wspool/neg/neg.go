@@ -19,16 +19,6 @@ func DeferredPut(p *kernel.Pool) {
 	use(ws)
 }
 
-// DeferredPutBlock pairs Pool.GetBlock with a deferred PutBlock —
-// the batch engine's per-cache-block pattern.
-func DeferredPutBlock(p *kernel.Pool, k int) {
-	wss := p.GetBlock(k)
-	defer p.PutBlock(wss)
-	for _, ws := range wss {
-		use(ws)
-	}
-}
-
 // DeferredClosure releases inside a deferred literal.
 func DeferredClosure(n int) {
 	ws := kernel.Acquire(n)

@@ -33,25 +33,6 @@ func PoolLeak(p *kernel.Pool) {
 	use(ws)
 }
 
-// BlockLeak acquires a batch block and never returns it — K leaked
-// workspaces per call, not one.
-func BlockLeak(p *kernel.Pool, k int) {
-	wss := p.GetBlock(k) // want `no matching deferred Release/Put`
-	for _, ws := range wss {
-		use(ws)
-	}
-}
-
-// BlockLateRelease returns the block, but not via defer.
-func BlockLateRelease(p *kernel.Pool, k int, skip bool) {
-	wss := p.GetBlock(k) // want `not via defer`
-	if skip {
-		return
-	}
-	use(wss[0])
-	p.PutBlock(wss)
-}
-
 // ClosureLeak leaks inside a function literal; each literal is its
 // own accounting scope.
 func ClosureLeak(n int) func() {

@@ -11,11 +11,9 @@ const kernelPath = "repro/internal/kernel"
 
 // WSPool enforces the Acquire/Release discipline of pooled kernel
 // workspaces (PR 5): every workspace taken from kernel.Acquire or
-// (*kernel.Pool).Get — and every workspace block from
-// (*kernel.Pool).GetBlock, the batch engine's cache-block unit — must
-// be returned on all paths, which in practice means a deferred
-// kernel.Release / (*kernel.Pool).Put / (*kernel.Pool).PutBlock in the
-// same function, unless ownership demonstrably leaves the function.
+// (*kernel.Pool).Get must be returned on all paths, which in practice
+// means a deferred kernel.Release / (*kernel.Pool).Put in the same
+// function, unless ownership demonstrably leaves the function.
 var WSPool = &Analyzer{
 	Name: "wspool",
 	Doc: `flag pooled kernel workspaces that are not released on all paths
@@ -51,8 +49,6 @@ func isAcquireCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 		return "kernel.Acquire", true
 	case isFunc(fn, kernelPath, "Pool", "Get"):
 		return "Pool.Get", true
-	case isFunc(fn, kernelPath, "Pool", "GetBlock"):
-		return "Pool.GetBlock", true
 	}
 	return "", false
 }
@@ -61,8 +57,7 @@ func isAcquireCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 func isReleaseCall(info *types.Info, call *ast.CallExpr) bool {
 	fn := calleeFunc(info, call)
 	return isFunc(fn, kernelPath, "", "Release") ||
-		isFunc(fn, kernelPath, "Pool", "Put") ||
-		isFunc(fn, kernelPath, "Pool", "PutBlock")
+		isFunc(fn, kernelPath, "Pool", "Put")
 }
 
 func checkPoolScope(pass *Pass, scope funcScope) {

@@ -102,15 +102,13 @@ func SpectralProfileOn(ctx context.Context, g gstore.Graph, cfg SpectralConfig, 
 		base = rng.Int63()
 	}
 	maxVol := c.MaxClusterFrac * g.Volume()
-	// One batch of seeds per α on the kernel batch engine: seeds that
-	// share an α (and hence an ε) diffuse in cache blocks against the
-	// same CSR row windows instead of one full traversal each. The seed
+	// One batch of seeds per α on the kernel batch engine. The seed
 	// for (α, seed-index) is drawn from par.TaskSeed exactly as the old
 	// one-task-per-pair loop drew it, each emit writes only its own
 	// slot, and slots are concatenated in task order afterwards, so the
-	// assembled profile is byte-identical for any worker count or block
+	// assembled profile is byte-identical for any worker count or
 	// schedule. Workspaces are pooled by the engine: a run keeps at most
-	// Workers·Block workspaces live.
+	// Workers workspaces live.
 	tasks := len(c.Alphas) * c.Seeds
 	perTask := make([][]Cluster, tasks)
 	pool := kernel.NewPool(g.N())

@@ -145,7 +145,7 @@ func (s *Server) resolve(r *http.Request, name string, q query) (a answer, err e
 		return a, err
 	}
 	// The one decision between gathering and firing at once. An
-	// out-of-range seed would abort its whole kernel block, so it flies
+	// out-of-range seed would abort its whole kernel batch, so it flies
 	// alone: its error bytes are the single-seed kernel's and its
 	// would-be batch-mates are untouched.
 	var gkey string
@@ -240,7 +240,7 @@ func (s *Server) join(key, gkey string, seed int, nb *batch) (f *flight, joined 
 // This is the query path's one panic guard — the goroutine is outside
 // net/http's per-request recover, and a panicking algorithm must fail
 // its flights, not the daemon. (The workers par starts for a batch of
-// several kernel blocks hand their panics back to this goroutine.)
+// several seeds hand their panics back to this goroutine.)
 func (s *Server) runBatch(b *batch) {
 	ctx, cancel := context.WithTimeout(context.Background(), b.budget)
 	var err error

@@ -193,7 +193,7 @@ func aggregateBatchWork(method string, sts []kernel.Stats) *api.WorkStats {
 }
 
 // execPPRBatch answers a batched PPR query on the kernel batch engine:
-// one push per seed, diffused in cache blocks over pooled workspaces.
+// one push per seed, each on its own pooled workspace.
 // Each per-seed result carries exactly the numbers the single-seed
 // endpoint would return for that seed; any seed failing (out of range,
 // unsweepable support) fails the whole batch, mirroring the

@@ -51,19 +51,19 @@ type BatchPPRResult struct {
 // vectors for many sources concurrently, the all-pairs primitive of
 // reference [5] ("fast personalized PageRank on MapReduce"). It is a
 // thin veneer over kernel.BatchDiffuser — the repo's single batch code
-// path — which blocks sources against shared CSR row windows and runs
-// blocks across par workers; the per-source computation (one ACL push)
-// touches only O(1/(ε·α)) volume, so the aggregate cost is linear in
-// the number of sources, independent of n.
+// path — which runs one source per pooled workspace across par
+// workers; the per-source computation (one ACL push) touches only
+// O(1/(ε·α)) volume, so the aggregate cost is linear in the number of
+// sources, independent of n.
 //
 // The output is deterministic: identical to running the push sequentially
-// per source, whatever the worker count or block schedule.
+// per source, whatever the worker count or schedule.
 func BatchPersonalizedPageRank(g *graph.Graph, sources []int, opt BatchPPROptions) (*BatchPPRResult, error) {
 	return BatchPersonalizedPageRankCtx(context.Background(), g, sources, opt)
 }
 
 // BatchPersonalizedPageRankCtx is BatchPersonalizedPageRank with
-// cooperative cancellation between seed blocks.
+// cooperative cancellation between sources.
 func BatchPersonalizedPageRankCtx(ctx context.Context, g *graph.Graph, sources []int, opt BatchPPROptions) (*BatchPPRResult, error) {
 	opt = opt.withDefaults()
 	if len(sources) == 0 {
@@ -80,7 +80,7 @@ func BatchPersonalizedPageRankCtx(ctx context.Context, g *graph.Graph, sources [
 		Sources: append([]int(nil), sources...),
 	}
 	// The engine pools the workspaces, so a batch over thousands of
-	// sources keeps at most Workers·Block workspaces live; only the
+	// sources keeps at most Workers workspaces live; only the
 	// returned per-source snapshots allocate.
 	work := make([]float64, len(sources))
 	pool := kernel.NewPool(g.N())

@@ -289,7 +289,7 @@ func NewIncrementalPPR(g *DynamicGraph, seed int, gamma float64, walks int, rng 
 }
 
 // BatchPersonalizedPageRank computes PPR vectors for many sources
-// (reference [5]). It runs on the kernel's cache-blocked batch engine
+// (reference [5]). It runs on the kernel's batch engine
 // (kernel.BatchDiffuser) via stream.BatchPersonalizedPageRank — the
 // single batch code path shared with graphd's ppr:batch endpoint —
 // and its output is byte-identical to sequential per-source pushes.
