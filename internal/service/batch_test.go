@@ -2,9 +2,12 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
@@ -218,5 +221,178 @@ func TestPPRCoalescingRace(t *testing.T) {
 				t.Fatalf("round %d: seed %d replies diverge:\n%s\nvs\n%s", round, w%5, bodies[w], bodies[w%5])
 			}
 		}
+	}
+}
+
+// postBatch sends one batch request and returns its status, body and
+// X-Graphd-Cache outcome.
+func postBatch(t *testing.T, ts *httptest.Server, path string, req any) (int, string, string) {
+	t.Helper()
+	status, body, hdr := postWire(t, ts.URL+"/v1/graphs/ring/"+path, req)
+	return status, string(body), hdr.Get("X-Graphd-Cache")
+}
+
+// postFrom is postWire for a goroutine other than the test's: a failure
+// is returned, for the caller to report with t.Error.
+func postFrom(url string, req any) (status int, body []byte, outcome string, err error) {
+	payload, err := json.Marshal(req)
+	if err != nil {
+		return 0, nil, "", err
+	}
+	resp, err := http.Post(url, "application/json", bytes.NewReader(payload))
+	if err != nil {
+		return 0, nil, "", err
+	}
+	defer resp.Body.Close()
+	body, err = io.ReadAll(resp.Body)
+	return resp.StatusCode, body, resp.Header.Get("X-Graphd-Cache"), err
+}
+
+// TestBatchFillsSingleSeedSlots: a batch request is K single-seed
+// queries, so it leaves each seed's reply in the slot the single-seed
+// request reads — a later ppr or localcluster for a batch seed is a hit
+// with the bytes a cold daemon computes for it — and nothing else.
+func TestBatchFillsSingleSeedSlots(t *testing.T) {
+	srv, ts, _ := testServer(t, Config{})
+	_, cold, _ := testServer(t, Config{})
+	if status, body, outcome := postBatch(t, ts, "ppr:batch", api.PPRBatchRequest{Seeds: []int{3, 17, 3}, Alpha: 0.12, Sweep: true}); status != http.StatusOK || outcome != "miss" {
+		t.Fatalf("batch: status %d, outcome %q: %s", status, outcome, body)
+	}
+	if status, body, outcome := postBatch(t, ts, "localcluster:batch", api.LocalClusterBatchRequest{Method: "heat", Seeds: []int{3, 40}}); status != http.StatusOK || outcome != "miss" {
+		t.Fatalf("localcluster batch: status %d, outcome %q: %s", status, outcome, body)
+	}
+	if n := srv.cache.Len(); n != 4 {
+		t.Fatalf("cache holds %d entries after batches over 2+2 distinct seeds, want 4", n)
+	}
+	for _, c := range []struct {
+		path string
+		req  any
+	}{
+		{"ppr", api.PPRRequest{Seeds: []int{3}, Alpha: 0.12, Sweep: true}},
+		{"ppr", api.PPRRequest{Seeds: []int{17}, Alpha: 0.12, Sweep: true}},
+		{"localcluster", api.LocalClusterRequest{Method: "heat", Seeds: []int{40}}},
+	} {
+		status, body, outcome := postBatch(t, ts, c.path, c.req)
+		_, want, _ := postBatch(t, cold, c.path, c.req)
+		if status != http.StatusOK || outcome != "hit" || body != want {
+			t.Fatalf("%s %+v after the batch: status %d, outcome %q\n%s\nwant a hit with\n%s", c.path, c.req, status, outcome, body, want)
+		}
+	}
+}
+
+// TestWarmSlotsServeABatch: single-seed replies already cached or in
+// flight answer a batch's seeds. The batch is a hit when every seed hit,
+// a miss when it computed one, shared when it computed none but waited
+// on another request's flight — and its bytes are a cold daemon's.
+func TestWarmSlotsServeABatch(t *testing.T) {
+	srv, ts, _ := testServer(t, Config{CoalesceWindow: 300 * time.Millisecond})
+	_, cold, _ := testServer(t, Config{})
+	for _, seed := range []int{5, 9} {
+		postBatch(t, ts, "ppr", api.PPRRequest{Seeds: []int{seed}})
+	}
+	for _, c := range []struct {
+		seeds   []int
+		outcome string
+	}{
+		{[]int{5, 9, 5}, "hit"},
+		{[]int{9, 11, 5}, "miss"},
+		{[]int{11, 5}, "hit"},
+	} {
+		req := api.PPRBatchRequest{Seeds: c.seeds}
+		status, body, outcome := postBatch(t, ts, "ppr:batch", req)
+		_, want, _ := postBatch(t, cold, "ppr:batch", req)
+		if status != http.StatusOK || outcome != c.outcome || body != want {
+			t.Fatalf("batch %v: status %d, outcome %q\n%s\nwant %q with\n%s", c.seeds, status, outcome, body, c.outcome, want)
+		}
+	}
+
+	// Seed 7's single-seed flight gathers for the window; a batch of 7
+	// arriving meanwhile joins it instead of computing.
+	single := make(chan string, 1)
+	go func() {
+		_, _, outcome, err := postFrom(ts.URL+"/v1/graphs/ring/ppr", api.PPRRequest{Seeds: []int{7}})
+		if err != nil {
+			t.Error(err)
+		}
+		single <- outcome
+	}()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		srv.inflight.mu.Lock()
+		gathering := len(srv.inflight.gathering)
+		srv.inflight.mu.Unlock()
+		if gathering > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the single-seed flight never started gathering")
+		}
+	}
+	req := api.PPRBatchRequest{Seeds: []int{7}}
+	status, body, outcome := postBatch(t, ts, "ppr:batch", req)
+	_, want, _ := postBatch(t, cold, "ppr:batch", req)
+	if status != http.StatusOK || outcome != "shared" || body != want {
+		t.Fatalf("batch joining a gathering flight: status %d, outcome %q\n%s\nwant shared with\n%s", status, outcome, body, want)
+	}
+	if got := <-single; got != "miss" {
+		t.Fatalf("the single-seed request that opened the flight: outcome %q, want miss", got)
+	}
+}
+
+// TestBatchRepliesMatchTheirGoldens pins batch replies whose bytes were
+// made without the per-seed cache: the ?debug=work aggregates and the
+// error bodies (the lowest-index out-of-range seed fails the batch with
+// the kernel's words; an unsweepable seed with its own, named). Every
+// golden is what graphd answered when a batch was one cache entry
+// computed whole. A debug batch reads and fills the plain slots, so its
+// repeat is a hit with the same bytes, and so is a plain single seed.
+func TestBatchRepliesMatchTheirGoldens(t *testing.T) {
+	_, ts, _ := testServer(t, Config{})
+	for _, c := range []struct {
+		path   string
+		req    any
+		status int
+		want   string
+	}{
+		{"ppr:batch?debug=work", api.PPRBatchRequest{Seeds: []int{0, 9, 9, 40}, TopK: 2, Alpha: 0.2, Eps: 1e-3, Sweep: true}, http.StatusOK,
+			`{"results":[{"seed":0,"support":10,"sum":0.8546104175583665,"pushes":81,"work_volume":603,"top":[{"node":0,"mass":0.37554929297263373},{"node":7,"mass":0.061785931187181224}],"sweep":{"set":[0,7,6,5,4,3,2,1],"size":8,"conductance":0.034482758620689655,"prefix":8}},` +
+				`{"seed":9,"support":10,"sum":0.9361815510161793,"pushes":83,"work_volume":609,"top":[{"node":9,"mass":0.3817441371428813},{"node":8,"mass":0.07985757719939188}],"sweep":{"set":[9,13,12,11,10,15,14,8],"size":8,"conductance":0.034482758620689655,"prefix":8}},` +
+				`{"seed":9,"support":10,"sum":0.9361815510161793,"pushes":83,"work_volume":609,"top":[{"node":9,"mass":0.3817441371428813},{"node":8,"mass":0.07985757719939188}],"sweep":{"set":[9,13,12,11,10,15,14,8],"size":8,"conductance":0.034482758620689655,"prefix":8}},` +
+				`{"seed":40,"support":10,"sum":0.8546104175583665,"pushes":81,"work_volume":603,"top":[{"node":40,"mass":0.37554929297263373},{"node":47,"mass":0.061785931187181224}],"sweep":{"set":[40,47,46,45,44,43,42,41],"size":8,"conductance":0.034482758620689655,"prefix":8}}],` +
+				`"total_work":2424,"work":{"method":"push-batch","pushes":328,"work_volume":2424,"max_support":10}}`},
+		{"localcluster:batch?debug=work", api.LocalClusterBatchRequest{Method: "nibble", Seeds: []int{3, 21}}, http.StatusOK,
+			`{"method":"nibble","results":[{"seed":3,"set":[3,5,6,7,1,2,4,0,8,56,9,10,11,12,13,14,15,57,58,59,60,61,62,63],"size":24,"conductance":0.011494252873563218,"volume":174,"support":26},` +
+				`{"seed":21,"set":[21,23,17,18,19,20,22,16,8,24,9,10,11,12,13,14,15,25,26,27,28,29,30,31],"size":24,"conductance":0.011494252873563218,"volume":174,"support":26}],"work":{"method":"nibble-batch","steps":20,"max_support":26}}`},
+		{"localcluster:batch?debug=work", api.LocalClusterBatchRequest{Method: "heat", Seeds: []int{3, 21}}, http.StatusOK,
+			`{"method":"heat","results":[{"seed":3,"set":[3,1,2,4,5,6,7,0,8,56,9,57,10,11,12,13,14,15,58,59,60,61,62,63],"size":24,"conductance":0.011494252873563218,"volume":174,"support":26},` +
+				`{"seed":21,"set":[21,17,18,19,20,22,23,16,8,24,13,14,15,9,10,11,12,25,26,27,28,29,30,31],"size":24,"conductance":0.011494252873563218,"volume":174,"support":26}],"work":{"method":"heat-batch","terms":17,"max_support":26}}`},
+		{"localcluster:batch?debug=work", api.LocalClusterBatchRequest{Method: "ppr", Seeds: []int{3, 21}}, http.StatusOK,
+			`{"method":"ppr","results":[{"seed":3,"set":[3,1,7,6,5,4,2,0,8,56,13,61,12,60,11,59,10,58,9,57,15,63,14,62],"size":24,"conductance":0.011494252873563218,"volume":174,"support":26},` +
+				`{"seed":21,"set":[21,17,23,22,20,19,18,16,8,24,13,29,12,28,11,27,10,26,9,25,15,31,14,30],"size":24,"conductance":0.011494252873563218,"volume":174,"support":26}],"work":{"method":"ppr-batch","pushes":690,"work_volume":5066,"max_support":26}}`},
+		{"ppr:batch", api.PPRBatchRequest{Seeds: []int{0, 1 << 20, 3, 70}}, http.StatusBadRequest,
+			`{"error":{"code":"invalid_argument","message":"kernel: seed 1048576 out of range [0,64)"}}`},
+		{"ppr:batch", api.PPRBatchRequest{Seeds: []int{0, 3, 9, 12}, Eps: 1, Sweep: true}, http.StatusBadRequest,
+			`{"error":{"code":"invalid_argument","message":"seed 0: ppr produced no sweepable support (eps too large?): local: sweep over empty vector"}}`},
+		{"localcluster:batch", api.LocalClusterBatchRequest{Method: "ppr", Seeds: []int{0, 64, 1 << 20}}, http.StatusBadRequest,
+			`{"error":{"code":"invalid_argument","message":"kernel: seed 64 out of range [0,64)"}}`},
+		{"localcluster:batch", api.LocalClusterBatchRequest{Method: "nibble", Seeds: []int{0, 64, 1 << 20}}, http.StatusBadRequest,
+			`{"error":{"code":"invalid_argument","message":"local: kernel: seed 64 out of range [0,64)"}}`},
+		{"localcluster:batch", api.LocalClusterBatchRequest{Method: "ppr", Seeds: []int{5, 6}, Eps: 1}, http.StatusBadRequest,
+			`{"error":{"code":"invalid_argument","message":"seed 5: ppr produced no sweepable support (eps too large?)"}}`},
+		{"localcluster:batch", api.LocalClusterBatchRequest{Method: "nibble", Seeds: []int{5, 6}, Eps: 1}, http.StatusBadRequest,
+			`{"error":{"code":"invalid_argument","message":"seed 5: nibble found no cut (eps too large or too few steps)"}}`},
+	} {
+		for _, wantOutcome := range []string{"miss", "hit"} {
+			status, body, outcome := postBatch(t, ts, c.path, c.req)
+			if c.status != http.StatusOK {
+				wantOutcome = ""
+			}
+			if status != c.status || outcome != wantOutcome || body != c.want+"\n" {
+				t.Fatalf("%s %+v: status %d, outcome %q\n%s\nwant %d, %q\n%s", c.path, c.req, status, outcome, body, c.status, wantOutcome, c.want)
+			}
+		}
+	}
+	status, _, outcome := postBatch(t, ts, "ppr", api.PPRRequest{Seeds: []int{40}, TopK: 2, Alpha: 0.2, Eps: 1e-3, Sweep: true})
+	if status != http.StatusOK || outcome != "hit" {
+		t.Fatalf("single seed of a debug batch: status %d, outcome %q; want a hit", status, outcome)
 	}
 }

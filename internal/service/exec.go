@@ -52,30 +52,24 @@ func runNCPJob(ctx context.Context, g *graph.Graph, raw json.RawMessage) (any, e
 	report := progressFrom(ctx)
 	// "both" splits the progress bar evenly: spectral fills [0, 0.5),
 	// flow [0.5, 1). A single-method job owns the whole range.
-	spectral := p.Method == "spectral" || p.Method == "both"
-	flowToo := p.Method == "flow" || p.Method == "both"
-	if spectral {
-		lo, hi := 0.0, 1.0
-		if flowToo {
-			hi = 0.5
-		}
+	mid := 1.0
+	if p.Method == "both" {
+		mid = 0.5
+	}
+	if p.Method != "flow" {
 		prof, err := ncp.SpectralProfileCtx(ctx, g, ncp.SpectralConfig{
 			Seeds: p.Seeds, Workers: p.Workers, BaseSeed: p.BaseSeed,
-			OnProgress: progressRange(report, lo, hi),
+			OnProgress: progressRange(report, 0, mid),
 		}, rng)
 		if err != nil {
 			return nil, err
 		}
 		res.Spectral = summarizeProfile(prof)
 	}
-	if flowToo {
-		lo, hi := 0.0, 1.0
-		if spectral {
-			lo = 0.5
-		}
+	if p.Method != "spectral" {
 		prof, err := ncp.FlowProfileCtx(ctx, g, ncp.FlowConfig{
 			Workers: p.Workers, BaseSeed: p.BaseSeed,
-			OnProgress: progressRange(report, lo, hi),
+			OnProgress: progressRange(report, 1-mid, 1),
 		}, rng)
 		if err != nil {
 			return nil, err

@@ -78,11 +78,7 @@ func (s *Server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 // persistence), for sealed and streaming graphs alike.
 func (s *Server) handleGetGraph(w http.ResponseWriter, r *http.Request) {
 	info, err := s.store.Info(r.PathValue("name"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
+	reply(w, http.StatusOK, info, err)
 }
 
 // handleExportSnapshot streams the sealed graph as a binary GSNAP
@@ -126,11 +122,7 @@ func (s *Server) handleImportSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDeleteGraph(w http.ResponseWriter, r *http.Request) {
-	if err := s.store.Delete(r.PathValue("name")); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, api.DeleteResponse{Status: "deleted"})
+	reply(w, http.StatusOK, api.DeleteResponse{Status: "deleted"}, s.store.Delete(r.PathValue("name")))
 }
 
 func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
@@ -151,13 +143,8 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	name := r.PathValue("name")
-	info, err := s.store.BeginStream(name, req.Nodes)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, info)
+	info, err := s.store.BeginStream(r.PathValue("name"), req.Nodes)
+	reply(w, http.StatusCreated, info, err)
 }
 
 func (s *Server) handleAppendEdges(w http.ResponseWriter, r *http.Request) {
@@ -165,20 +152,12 @@ func (s *Server) handleAppendEdges(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	if err := s.store.AppendEdges(r.PathValue("name"), req.Edges); err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, api.EdgeBatchResponse{Appended: len(req.Edges)})
+	reply(w, http.StatusOK, api.EdgeBatchResponse{Appended: len(req.Edges)}, s.store.AppendEdges(r.PathValue("name"), req.Edges))
 }
 
 func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request) {
 	info, err := s.store.Seal(r.PathValue("name"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, info)
+	reply(w, http.StatusOK, info, err)
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -204,25 +183,28 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 	s.serveQuery(w, r, q)
 }
 
-// handlePPRBatch serves K independent single-seed pushes in one request
-// on the kernel batch engine, as a gathered batch of ppr requests does.
+// handlePPRBatch serves K independent single-seed pushes in one request:
+// K ppr queries {"seeds":[s]}, as a gathered batch of ppr requests is.
 func (s *Server) handlePPRBatch(w http.ResponseWriter, r *http.Request) {
 	var req api.PPRBatchRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
-	s.serveQuery(w, r, query{endpoint: "ppr:batch", params: mustParams(req), compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
-		return execPPRBatch(ctx, q.g, q.pool, req)
+	twin := api.PPRRequest{Seeds: []int{0}, Alpha: req.Alpha, Eps: req.Eps, TopK: req.TopK, Sweep: req.Sweep}
+	s.serveQuery(w, r, query{endpoint: "ppr:batch", params: mustParams(req), batch: &seedBatch{
+		seeds: req.Seeds, endpoint: "ppr", twin: mustParams(twin), run: (*pprSeeds)(&twin), method: "push-batch",
 	}})
 }
 
+// handleLocalClusterBatch is handlePPRBatch for K localcluster queries.
 func (s *Server) handleLocalClusterBatch(w http.ResponseWriter, r *http.Request) {
 	var req api.LocalClusterBatchRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
-	s.serveQuery(w, r, query{endpoint: "localcluster:batch", params: mustParams(req), compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
-		return execLocalClusterBatch(ctx, q.g, q.pool, req)
+	twin := api.LocalClusterRequest{Method: req.Method, Seeds: []int{0}, Alpha: req.Alpha, Eps: req.Eps, Steps: req.Steps, T: req.T}
+	s.serveQuery(w, r, query{endpoint: "localcluster:batch", params: mustParams(req), batch: &seedBatch{
+		seeds: req.Seeds, endpoint: "localcluster", twin: mustParams(twin), run: (*clusterSeeds)(&twin), method: req.Method + "-batch",
 	}})
 }
 
@@ -272,11 +254,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	view, err := s.jobs.Submit(req.Type, req.Graph, req.Params)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusAccepted, view)
+	reply(w, http.StatusAccepted, view, err)
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
@@ -285,11 +263,7 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	view, err := s.jobs.Get(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, view)
+	reply(w, http.StatusOK, view, err)
 }
 
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
@@ -303,11 +277,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	view, err := s.jobs.Cancel(r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, view)
+	reply(w, http.StatusOK, view, err)
 }
 
 // createGraph is the tail the graph-creating endpoints share: store g
@@ -323,9 +293,5 @@ func (s *Server) createGraph(w http.ResponseWriter, r *http.Request, g *graph.Gr
 		}
 	}
 	info, err := s.store.PutWithBackend(r.PathValue("name"), g, backend)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, info)
+	reply(w, http.StatusCreated, info, err)
 }

@@ -20,6 +20,15 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	writeJSONBytes(w, code, body)
 }
 
+// reply writes v with status code, or err as its error envelope.
+func reply(w http.ResponseWriter, code int, v any, err error) {
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	writeJSON(w, code, v)
+}
+
 // writeJSONBytes writes an encoded body (json.Marshal's or the reply
 // codec's, so never newline-terminated) and the newline every JSON reply
 // ends in, their length stated: the reader can size its buffer.
@@ -42,24 +51,19 @@ func toAPIError(err error) *api.Error {
 	case errors.As(err, &ae):
 		return ae
 	case errors.As(err, &se):
-		switch se.Kind {
-		case ErrNotFound:
-			return api.Errorf(api.CodeNotFound, "%s", se.Msg)
-		case ErrConflict:
-			return api.Errorf(api.CodeConflict, "%s", se.Msg)
-		case ErrInternal:
-			return api.Errorf(api.CodeInternal, "%s", se.Msg)
-		case ErrUnavailable:
-			return api.Errorf(api.CodeUnavailable, "%s", se.Msg)
-		default:
-			return api.Errorf(api.CodeInvalidArgument, "%s", se.Msg)
-		}
+		return api.Errorf(storeCodes[se.Kind], "%s", se.Msg)
 	case errors.Is(err, context.DeadlineExceeded):
 		return api.Errorf(api.CodeDeadlineExceeded, "%v", err)
 	case errors.Is(err, context.Canceled):
 		return api.Errorf(api.CodeCancelled, "%v", err)
 	}
 	return api.Errorf(api.CodeInvalidArgument, "%v", err)
+}
+
+// storeCodes is the wire code of each StoreErrorKind.
+var storeCodes = [...]api.ErrorCode{
+	ErrNotFound: api.CodeNotFound, ErrConflict: api.CodeConflict, ErrBadInput: api.CodeInvalidArgument,
+	ErrInternal: api.CodeInternal, ErrUnavailable: api.CodeUnavailable,
 }
 
 // writeError renders err as the structured {"error":{...}} envelope

@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -171,13 +173,7 @@ func (m *JobManager) Register(name string, needsGraph bool, run JobExecutor) {
 }
 
 // Types returns the registered job type names, for error messages.
-func (m *JobManager) Types() []string {
-	out := make([]string, 0, len(m.specs))
-	for k := range m.specs {
-		out = append(out, k)
-	}
-	return out
-}
+func (m *JobManager) Types() []string { return slices.Collect(maps.Keys(m.specs)) }
 
 // Close cancels all running jobs and waits for the workers to exit.
 // Submissions racing with Close are rejected rather than panicking on

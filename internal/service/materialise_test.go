@@ -53,7 +53,7 @@ func TestTopSelectorMatchesFullSort(t *testing.T) {
 		}
 		for _, k := range []int{1, support - 1, support, support + 1, 1 << 40, 0, -3} {
 			want := fullSortTop(entries, k)
-			sel := newTopSelector(support, k)
+			sel := newTopSelector(support, k, nil)
 			for _, e := range entries {
 				sel.offer(e.Node, e.Mass)
 			}
@@ -84,12 +84,12 @@ func TestTopMassesWorkspaceTiesAndHugeK(t *testing.T) {
 		t.Fatalf("fixture: %d entries, support %d, leaves %v %v", len(entries), st.MaxSupport, entries[1], entries[2])
 	}
 	for _, k := range []int{1, 7, len(entries) - 1, len(entries), 1 << 40, 0} {
-		if got, want := topMassesWorkspace(ws, st.MaxSupport, k), fullSortTop(entries, k); !sameTop(got, want) {
+		if got, want := topMassesWorkspace(ws, st.MaxSupport, k, nil), fullSortTop(entries, k); !sameTop(got, want) {
 			t.Fatalf("k=%d: workspace selector diverges from the full sort:\n%v\n%v", k, got, want)
 		}
 	}
 	var sink []api.NodeMass
-	allocs := testing.AllocsPerRun(20, func() { sink = topMassesWorkspace(ws, st.MaxSupport, 1<<40) })
+	allocs := testing.AllocsPerRun(20, func() { sink = topMassesWorkspace(ws, st.MaxSupport, 1<<40, nil) })
 	if allocs != 1 || cap(sink) != st.MaxSupport {
 		t.Fatalf("topk=1<<40 on a support of %d: %v allocations, capacity %d; want 1 allocation of the support's size",
 			st.MaxSupport, allocs, cap(sink))
@@ -109,7 +109,7 @@ func materialiseCost(t *testing.T, g gstore.Graph) (allocs float64, bytes uint64
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := pprResult(g, ws, st, 100, true)
+		res, err := pprResult(g, ws, st, 100, true, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +172,7 @@ func BenchmarkTopKWorkspace(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if top := topMassesWorkspace(ws, st.MaxSupport, 100); len(top) != 100 {
+		if top := topMassesWorkspace(ws, st.MaxSupport, 100, nil); len(top) != 100 {
 			b.Fatalf("top has %d entries", len(top))
 		}
 	}

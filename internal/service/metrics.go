@@ -1,8 +1,11 @@
 package service
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -67,13 +70,12 @@ type workKey struct {
 	backend string // storage backend the graph was served from
 }
 
-// workHists holds the three per-label work histograms together so one
-// map lookup serves one observation.
-type workHists struct {
-	pushes  *histogram
-	volume  *histogram
-	support *histogram
-}
+// workHists holds the three per-label work histograms — pushes, work
+// volume, support, as workSeries names them — so one map lookup serves
+// one observation.
+type workHists [3]*histogram
+
+var workSeries = [3]string{"graphd_query_pushes", "graphd_query_work_volume", "graphd_query_support"}
 
 // Metrics collects the daemon's counters: request totals and latency
 // histograms by route, diffusion work histograms by method and cache
@@ -129,10 +131,16 @@ func (m *Metrics) ObserveRequest(pattern string, code int, dur time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.requests[requestKey{pattern, code}]++
-	h, ok := m.latencies[pattern]
+	observeLatency(m.latencies, pattern, dur)
+}
+
+// observeLatency records dur in the latency histogram hs holds under
+// key, creating it on first use. The caller holds m.mu.
+func observeLatency(hs map[string]*histogram, key string, dur time.Duration) {
+	h, ok := hs[key]
 	if !ok {
 		h = newHistogram(latencyBuckets)
-		m.latencies[pattern] = h
+		hs[key] = h
 	}
 	h.observe(dur.Seconds())
 }
@@ -141,12 +149,7 @@ func (m *Metrics) ObserveRequest(pattern string, code int, dur time.Duration) {
 func (m *Metrics) ObserveJob(jobType string, dur time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	h, ok := m.jobTimes[jobType]
-	if !ok {
-		h = newHistogram(latencyBuckets)
-		m.jobTimes[jobType] = h
-	}
-	h.observe(dur.Seconds())
+	observeLatency(m.jobTimes, jobType, dur)
 }
 
 // ObserveJobWait records how long one job sat in the queue between
@@ -154,12 +157,7 @@ func (m *Metrics) ObserveJob(jobType string, dur time.Duration) {
 func (m *Metrics) ObserveJobWait(jobType string, dur time.Duration) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	h, ok := m.jobWaits[jobType]
-	if !ok {
-		h = newHistogram(latencyBuckets)
-		m.jobWaits[jobType] = h
-	}
-	h.observe(dur.Seconds())
+	observeLatency(m.jobWaits, jobType, dur)
 }
 
 // ObserveQueryWork records one query's diffusion work accounting under
@@ -175,16 +173,12 @@ func (m *Metrics) ObserveQueryWork(method, cache, backend string, st *api.WorkSt
 	k := workKey{method, cache, backend}
 	wh, ok := m.queryWork[k]
 	if !ok {
-		wh = &workHists{
-			pushes:  newHistogram(workBuckets),
-			volume:  newHistogram(workBuckets),
-			support: newHistogram(workBuckets),
-		}
+		wh = &workHists{newHistogram(workBuckets), newHistogram(workBuckets), newHistogram(workBuckets)}
 		m.queryWork[k] = wh
 	}
-	wh.pushes.observe(float64(st.Pushes))
-	wh.volume.observe(st.WorkVolume)
-	wh.support.observe(float64(st.MaxSupport))
+	wh[0].observe(float64(st.Pushes))
+	wh[1].observe(st.WorkVolume)
+	wh[2].observe(float64(st.MaxSupport))
 }
 
 // WriteTo renders the registry in Prometheus text exposition format,
@@ -192,15 +186,8 @@ func (m *Metrics) ObserveQueryWork(method, cache, backend string, st *api.WorkSt
 // is durable — the persistence event counters.
 func (m *Metrics) WriteTo(w io.Writer, cache *LRUCache, jobs *JobManager, pc *persist.Counters) {
 	m.mu.Lock()
-	reqKeys := make([]requestKey, 0, len(m.requests))
-	for k := range m.requests {
-		reqKeys = append(reqKeys, k)
-	}
-	sort.Slice(reqKeys, func(i, j int) bool {
-		if reqKeys[i].pattern != reqKeys[j].pattern {
-			return reqKeys[i].pattern < reqKeys[j].pattern
-		}
-		return reqKeys[i].code < reqKeys[j].code
+	reqKeys := slices.SortedFunc(maps.Keys(m.requests), func(a, b requestKey) int {
+		return cmp.Or(cmp.Compare(a.pattern, b.pattern), cmp.Compare(a.code, b.code))
 	})
 	fmt.Fprintln(w, "# TYPE graphd_requests_total counter")
 	for _, k := range reqKeys {
@@ -217,76 +204,52 @@ func (m *Metrics) WriteTo(w io.Writer, cache *LRUCache, jobs *JobManager, pc *pe
 		}
 		name := "graphd_persist_" + op.String() + "_seconds"
 		fmt.Fprintf(w, "# TYPE %s histogram\n", name)
-		writeUnlabeledHistogram(w, name, h)
+		writeHistogram(w, name, "", h)
 		fmt.Fprintf(w, "# TYPE graphd_persist_%s_bytes_total counter\n", op)
 		fmt.Fprintf(w, "graphd_persist_%s_bytes_total %d\n", op, m.persistBytes[op])
 	}
 	uptime := time.Since(m.started).Seconds()
 	m.mu.Unlock()
 
+	// The one-sample families; %v prints integers as %d and floats as %g.
+	sample := func(name, typ string, v any) { fmt.Fprintf(w, "# TYPE %s %s\n%s %v\n", name, typ, name, v) }
 	if cache != nil {
 		hits, misses, evictions := cache.Stats()
-		fmt.Fprintln(w, "# TYPE graphd_cache_hits_total counter")
-		fmt.Fprintf(w, "graphd_cache_hits_total %d\n", hits)
-		fmt.Fprintln(w, "# TYPE graphd_cache_misses_total counter")
-		fmt.Fprintf(w, "graphd_cache_misses_total %d\n", misses)
-		fmt.Fprintln(w, "# TYPE graphd_cache_evictions_total counter")
-		fmt.Fprintf(w, "graphd_cache_evictions_total %d\n", evictions)
-		fmt.Fprintln(w, "# TYPE graphd_cache_entries gauge")
-		fmt.Fprintf(w, "graphd_cache_entries %d\n", cache.Len())
+		sample("graphd_cache_hits_total", "counter", hits)
+		sample("graphd_cache_misses_total", "counter", misses)
+		sample("graphd_cache_evictions_total", "counter", evictions)
+		sample("graphd_cache_entries", "gauge", cache.Len())
+		sample("graphd_cache_bytes", "gauge", cache.Bytes())
 	}
 	if pc != nil {
-		persistCounters := []struct {
-			name string
-			v    uint64
-		}{
-			{"graphd_persist_snapshots_written_total", pc.SnapshotsWritten.Load()},
-			{"graphd_persist_snapshots_loaded_total", pc.SnapshotsLoaded.Load()},
-			{"graphd_persist_wal_created_total", pc.WALCreated.Load()},
-			{"graphd_persist_wal_appends_total", pc.WALAppends.Load()},
-			{"graphd_persist_wal_replayed_total", pc.WALReplayed.Load()},
-			{"graphd_persist_quarantined_files_total", pc.Quarantined.Load()},
-		}
-		for _, c := range persistCounters {
-			fmt.Fprintf(w, "# TYPE %s counter\n", c.name)
-			fmt.Fprintf(w, "%s %d\n", c.name, c.v)
-		}
+		sample("graphd_persist_snapshots_written_total", "counter", pc.SnapshotsWritten.Load())
+		sample("graphd_persist_snapshots_loaded_total", "counter", pc.SnapshotsLoaded.Load())
+		sample("graphd_persist_wal_created_total", "counter", pc.WALCreated.Load())
+		sample("graphd_persist_wal_appends_total", "counter", pc.WALAppends.Load())
+		sample("graphd_persist_wal_replayed_total", "counter", pc.WALReplayed.Load())
+		sample("graphd_persist_quarantined_files_total", "counter", pc.Quarantined.Load())
 	}
 	gs := gstore.Telemetry()
-	fmt.Fprintln(w, "# TYPE graphd_gstore_mapped_bytes gauge")
-	fmt.Fprintf(w, "graphd_gstore_mapped_bytes %d\n", gs.MappedBytes())
-	fmt.Fprintln(w, "# TYPE graphd_gstore_mapped_graphs gauge")
-	fmt.Fprintf(w, "graphd_gstore_mapped_graphs %d\n", gs.MappedGraphs())
-	fmt.Fprintln(w, "# TYPE graphd_gstore_finalizer_unmaps_total counter")
-	fmt.Fprintf(w, "graphd_gstore_finalizer_unmaps_total %d\n", gs.FinalizerUnmaps())
-	fmt.Fprintln(w, "# TYPE graphd_gstore_heap_materializations_total counter")
-	fmt.Fprintf(w, "graphd_gstore_heap_materializations_total %d\n", gs.HeapMaterializations())
-	fmt.Fprintln(w, "# TYPE graphd_gstore_open_verifies_total counter")
-	fmt.Fprintf(w, "graphd_gstore_open_verifies_total %d\n", gs.OpenVerifies())
-	fmt.Fprintln(w, "# TYPE graphd_gstore_open_verify_seconds_total counter")
-	fmt.Fprintf(w, "graphd_gstore_open_verify_seconds_total %g\n", gs.OpenVerifySeconds())
+	sample("graphd_gstore_mapped_bytes", "gauge", gs.MappedBytes())
+	sample("graphd_gstore_mapped_graphs", "gauge", gs.MappedGraphs())
+	sample("graphd_gstore_finalizer_unmaps_total", "counter", gs.FinalizerUnmaps())
+	sample("graphd_gstore_heap_materializations_total", "counter", gs.HeapMaterializations())
+	sample("graphd_gstore_open_verifies_total", "counter", gs.OpenVerifies())
+	sample("graphd_gstore_open_verify_seconds_total", "counter", gs.OpenVerifySeconds())
 	if jobs != nil {
 		queued, running, done := jobs.Depths()
-		fmt.Fprintln(w, "# TYPE graphd_jobs_queued gauge")
-		fmt.Fprintf(w, "graphd_jobs_queued %d\n", queued)
-		fmt.Fprintln(w, "# TYPE graphd_jobs_running gauge")
-		fmt.Fprintf(w, "graphd_jobs_running %d\n", running)
-		fmt.Fprintln(w, "# TYPE graphd_jobs_finished_total counter")
-		fmt.Fprintf(w, "graphd_jobs_finished_total %d\n", done)
+		sample("graphd_jobs_queued", "gauge", queued)
+		sample("graphd_jobs_running", "gauge", running)
+		sample("graphd_jobs_finished_total", "counter", done)
 	}
-	fmt.Fprintln(w, "# TYPE graphd_uptime_seconds gauge")
-	fmt.Fprintf(w, "graphd_uptime_seconds %g\n", uptime)
+	sample("graphd_uptime_seconds", "gauge", uptime)
 }
 
 func writeHistograms(w io.Writer, name, label string, hs map[string]*histogram) {
 	if len(hs) == 0 {
 		return
 	}
-	keys := make([]string, 0, len(hs))
-	for k := range hs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := slices.Sorted(maps.Keys(hs))
 	fmt.Fprintf(w, "# TYPE %s histogram\n", name)
 	for _, k := range keys {
 		writeHistogram(w, name, fmt.Sprintf("%s=%q", label, k), hs[k])
@@ -299,58 +262,32 @@ func writeWorkHistograms(w io.Writer, work map[workKey]*workHists) {
 	if len(work) == 0 {
 		return
 	}
-	keys := make([]workKey, 0, len(work))
-	for k := range work {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].method != keys[j].method {
-			return keys[i].method < keys[j].method
-		}
-		if keys[i].cache != keys[j].cache {
-			return keys[i].cache < keys[j].cache
-		}
-		return keys[i].backend < keys[j].backend
+	keys := slices.SortedFunc(maps.Keys(work), func(a, b workKey) int {
+		return cmp.Or(cmp.Compare(a.method, b.method), cmp.Compare(a.cache, b.cache), cmp.Compare(a.backend, b.backend))
 	})
-	series := []struct {
-		name string
-		pick func(*workHists) *histogram
-	}{
-		{"graphd_query_pushes", func(wh *workHists) *histogram { return wh.pushes }},
-		{"graphd_query_work_volume", func(wh *workHists) *histogram { return wh.volume }},
-		{"graphd_query_support", func(wh *workHists) *histogram { return wh.support }},
-	}
-	for _, s := range series {
-		fmt.Fprintf(w, "# TYPE %s histogram\n", s.name)
+	for i, name := range workSeries {
+		fmt.Fprintf(w, "# TYPE %s histogram\n", name)
 		for _, k := range keys {
 			labels := fmt.Sprintf("method=%q,cache=%q,backend=%q", k.method, k.cache, k.backend)
-			writeHistogram(w, s.name, labels, s.pick(work[k]))
+			writeHistogram(w, name, labels, work[k][i])
 		}
 	}
 }
 
 // writeHistogram renders one histogram series with the given
-// preformatted label list (no trailing comma).
+// preformatted label list (no trailing comma; empty when the bucket
+// bound is the only label).
 func writeHistogram(w io.Writer, name, labels string, h *histogram) {
+	bucket, braced := labels+",", "{"+labels+"}"
+	if labels == "" {
+		bucket, braced = "", ""
+	}
 	var cum uint64
 	for i, le := range h.buckets {
 		cum += h.counts[i]
-		fmt.Fprintf(w, "%s_bucket{%s,le=\"%g\"} %d\n", name, labels, le, cum)
+		fmt.Fprintf(w, "%s_bucket{%sle=\"%g\"} %d\n", name, bucket, le, cum)
 	}
-	fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, labels, h.total)
-	fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, h.sum)
-	fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, h.total)
-}
-
-// writeUnlabeledHistogram renders one histogram series whose only
-// label is the bucket bound itself.
-func writeUnlabeledHistogram(w io.Writer, name string, h *histogram) {
-	var cum uint64
-	for i, le := range h.buckets {
-		cum += h.counts[i]
-		fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d\n", name, le, cum)
-	}
-	fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", name, h.total)
-	fmt.Fprintf(w, "%s_sum %g\n", name, h.sum)
-	fmt.Fprintf(w, "%s_count %d\n", name, h.total)
+	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", name, bucket, h.total)
+	fmt.Fprintf(w, "%s_sum%s %g\n", name, braced, h.sum)
+	fmt.Fprintf(w, "%s_count%s %d\n", name, braced, h.total)
 }

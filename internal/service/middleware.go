@@ -9,21 +9,11 @@ import (
 	"time"
 )
 
-// middleware is one layer of the server's shared HTTP stack. Layers are
-// composed outermost-first by chain; the full stack is
-// telemetry → MaxBytes → router, so every handler runs with a capped
-// body, and every response carries a request ID and is counted (and
-// optionally logged) on the way out. Behind the router the synchronous
-// query routes, the only ones that wait on a context, add withDeadline.
-type middleware func(http.Handler) http.Handler
-
-// chain wraps h with the given middleware, first one outermost.
-func chain(h http.Handler, mws ...middleware) http.Handler {
-	for i := len(mws) - 1; i >= 0; i-- {
-		h = mws[i](h)
-	}
-	return h
-}
+// The server's shared HTTP stack is telemetry → MaxBytes → router, so
+// every handler runs with a capped body, and every response carries a
+// request ID and is counted (and optionally logged) on the way out.
+// Behind the router the synchronous query routes, the only ones that
+// wait on a context, add withDeadline.
 
 // withMaxBytes caps every request body at the configured limit. JSON
 // decoding and edge-list ingestion both read through this cap, so no

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -30,6 +31,11 @@ import (
 // caller receives exactly the bytes a solo computation produces (the
 // batch engine is byte-identical per seed) and every key fills the same
 // cache slot; only the X-Graphd-Cache header tells them apart.
+//
+// A batch request (ppr:batch, localcluster:batch) is K single-seed
+// queries keyed as their twins {"seeds":[s]} are: it shares their plain
+// cache slots and flights, opens the rest as one batch that fires at once
+// and splices its reply from their bodies. It is a hit if every seed hit.
 
 // maxBatchKeys caps one gathered batch; a full batch fires immediately
 // and later arrivals open the next, so a sustained fan-out degrades
@@ -44,6 +50,26 @@ type query struct {
 	// ppr, set for a single-seed ppr, lets the flight share a batch with
 	// flights that differ from it only in the seed.
 	ppr *api.PPRRequest
+	// batch, set for a batch request, stands in for compute.
+	batch *seedBatch
+}
+
+// seedBatch is a batch request's K single-seed queries to endpoint.
+type seedBatch struct {
+	seeds    []int
+	endpoint string
+	twin     []byte // the params of the seed-0 twin request
+	run      seedRunner
+	method   string // of the work folded from the seeds'
+}
+
+// seedRunner runs queries that differ only in the seed in one kernel
+// pass, emitting each seed's encoded reply (with its work block under
+// debugWork) as it finishes, concurrently; the error is for the seeds
+// not emitted. splice joins their plain replies into a batch reply.
+type seedRunner interface {
+	runSeeds(ctx context.Context, v queryView, seeds []int, debugWork bool, emit func(i int, body []byte, work api.WorkStats, err error)) error
+	splice(dst []byte, seeds []int, body func(i int) []byte, totalWork float64, work *api.WorkStats) ([]byte, error)
 }
 
 // queryView is what the pipeline hands each compute function: the
@@ -56,15 +82,14 @@ type queryView struct {
 }
 
 // flight is one cache key being computed. body, work and err are
-// written by the batch goroutine before done is closed and are
-// read-only after.
+// written by the batch goroutine before the batch's done is closed and
+// are read-only after.
 type flight struct {
 	key   string
-	seed  int // the flight's seed when its batch is a ppr gather
+	seed  int // the flight's seed when its batch runs seeds
 	batch *batch
-	done  chan struct{}
 	body  []byte
-	work  *api.WorkStats // rides along to the cache, the histograms and the trace ring
+	work  api.WorkStats // rides along to the cache, the histograms and the trace ring
 	err   error
 }
 
@@ -73,9 +98,10 @@ type flight struct {
 // it fires.
 type batch struct {
 	// query is that of the request that opened the batch: compute runs
-	// its flight alone, ppr holds the params a gather's flights share.
+	// its flight alone, seeds the flights of a gather or a batch request.
 	query
-	view queryView
+	seeds seedRunner
+	view  queryView
 	// budget bounds the computation: the larger of the server default
 	// and the ?timeout_ms= of the request that opened the batch, so an
 	// override can extend the budget but a tiny one cannot poison the
@@ -83,7 +109,8 @@ type batch struct {
 	budget    time.Duration
 	debugWork bool
 	flights   []*flight
-	timer     *time.Timer // non-nil while gathering
+	timer     *time.Timer   // non-nil while gathering
+	done      chan struct{} // closed once every flight is settled
 }
 
 // inflight is the table of what is being computed, by cache key, plus
@@ -103,6 +130,16 @@ type answer struct {
 	work           *api.WorkStats
 	outcome        string // X-Graphd-Cache: hit | miss | shared | coalesced
 	backend, canon string
+	scratch        *[]byte // the pooled buffer a batch reply was spliced into
+}
+
+// seedSlot is one key a request needs, answered by the cache or a flight.
+type seedSlot struct {
+	key  string
+	seed int
+	body []byte
+	work *api.WorkStats
+	f    *flight
 }
 
 // serveQuery is the HTTP shell of the pipeline: resolve the answer,
@@ -117,6 +154,10 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, q query) {
 	} else {
 		w.Header().Set("X-Graphd-Cache", a.outcome)
 		writeJSONBytes(w, status, a.body)
+		if a.scratch != nil {
+			*a.scratch = a.body
+			encodeScratch.Put(a.scratch)
+		}
 	}
 	s.observeQuery(r, status, a.outcome, a.backend, name, a.canon, a.work, start)
 }
@@ -128,86 +169,184 @@ func (s *Server) resolve(r *http.Request, name string, q query) (a answer, err e
 	}
 	a.backend = string(g.Backend())
 	debugWork := urlParams(r).Get("debug") == "work"
-	// ?debug=work replies carry the work block, so they are distinct
-	// cache entries from their plain twins.
-	key := "q|" + q.endpoint + "|g" + strconv.FormatUint(id, 10) + "|" + string(q.params)
-	at := len(key) - len(q.params)
-	a.canon = key[at:]
-	if debugWork {
-		key += "|debug=work"
+	var one [1]seedSlot
+	var batchSlots []seedSlot // a batch's slots; a single query's one slot stays on the stack
+	slots, sb, at := one[:], q.batch, 0
+	if sb != nil {
+		batchSlots = seedKeys(sb, id)
+		a.canon, slots = string(q.params), batchSlots
+	} else {
+		// ?debug=work replies carry the work block, so they are distinct
+		// cache entries from their plain twins.
+		key := "q|" + q.endpoint + "|g" + strconv.FormatUint(id, 10) + "|" + string(q.params)
+		at = len(key) - len(q.params)
+		a.canon = key[at:]
+		if debugWork {
+			key += "|debug=work"
+		}
+		one[0].key = key
 	}
-	if body, work, ok := s.cache.Get(key); ok {
-		a.body, a.work, a.outcome = body, work, "hit"
-		return a, nil
-	}
-	// An already-expired request never starts a computation.
-	if err := r.Context().Err(); err != nil {
-		return a, err
-	}
-	// The one decision between gathering and firing at once. An
-	// out-of-range seed would abort its whole kernel batch, so it flies
-	// alone: its error bytes are the single-seed kernel's and its
-	// would-be batch-mates are untouched.
-	var gkey string
-	seed := 0
-	if p := q.ppr; p != nil && s.cfg.CoalesceWindow > 0 && p.Seeds[0] < g.N() {
-		seed = p.Seeds[0]
-		// The batch key is the cache key without the seed, which the
-		// params of a single-seed ppr open with: {"seeds":[<seed>],…
-		gkey = key[:at] + key[at+bytes.IndexByte(q.params, ']'):]
-	}
-	f, joined, err := s.join(key, gkey, seed, &batch{
-		query:     q,
-		view:      queryView{g: g, id: id, pool: pool},
-		budget:    max(s.cfg.QueryTimeout, s.queryTimeout(r)),
-		debugWork: debugWork,
-	})
-	if err != nil {
-		return a, err
+	misses := s.cache.probe(slots, true)
+	a.outcome = "hit"
+	opened := false
+	if misses > 0 {
+		// An already-expired request never starts a computation.
+		if err := r.Context().Err(); err != nil {
+			return a, err
+		}
+		nb := &batch{query: q, view: queryView{g: g, id: id, pool: pool}, debugWork: debugWork && sb == nil,
+			budget: max(s.cfg.QueryTimeout, s.queryTimeout(r)), done: make(chan struct{})}
+		var gkey string
+		if sb != nil {
+			// An out-of-range seed fails the batch before any flight
+			// opens, with the kernel's words (alone, it never emits).
+			for _, seed := range sb.seeds {
+				if seed >= g.N() {
+					return a, sb.run.runSeeds(r.Context(), nb.view, []int{seed}, false, nil)
+				}
+			}
+			nb.seeds = sb.run
+		} else if q.ppr != nil && s.cfg.CoalesceWindow > 0 && q.ppr.Seeds[0] < g.N() {
+			// The one decision between gathering and firing at once. An
+			// out-of-range seed would abort its whole kernel batch, so it
+			// flies alone: its error bytes are the single-seed kernel's
+			// and its would-be batch-mates are untouched. The batch key is
+			// the cache key without the seed, which the params of a
+			// single-seed ppr open with: {"seeds":[<seed>],…
+			key := one[0].key
+			gkey = key[:at] + key[at+bytes.IndexByte(q.params, ']'):]
+			nb.seeds, one[0].seed = (*pprSeeds)(q.ppr), q.ppr.Seeds[0]
+		}
+		if opened, err = s.join(slots, gkey, nb, misses); err != nil {
+			return a, err
+		}
+		a.outcome = "shared"
 	}
 	// Each caller enforces its own deadline (attached to r.Context() by
-	// withDeadline) while waiting; the flight is detached from
-	// every client's connection, so it outlives a waiter that gives up
-	// and its result is cached even if all of them have.
-	select {
-	case <-r.Context().Done():
-		return a, r.Context().Err()
-	case <-f.done:
+	// withDeadline) while waiting; the flights are detached from every
+	// client's connection, so they outlive a waiter that gives up and
+	// their results are cached even if all of them have. A batch fails
+	// with its lowest-index failing seed, named if its input is at fault.
+	agg := api.WorkStats{}
+	for i := range slots {
+		sl := &slots[i]
+		if f := sl.f; f != nil {
+			select {
+			case <-r.Context().Done():
+				return a, r.Context().Err()
+			case <-f.batch.done:
+			}
+			if err := f.err; err != nil {
+				if se, ok := err.(*StoreError); ok && sb != nil && se.Kind == ErrBadInput {
+					err = storeErrf(ErrBadInput, "seed %d: %v", sb.seeds[i], err)
+				}
+				return a, err
+			}
+			sl.body, sl.work = f.body, workOf(&f.work)
+		}
+		if w := sl.work; w != nil {
+			agg.Pushes += w.Pushes
+			agg.WorkVolume += w.WorkVolume
+			agg.Steps = max(agg.Steps, w.Steps)
+			agg.Terms = max(agg.Terms, w.Terms)
+			agg.MaxSupport = max(agg.MaxSupport, w.MaxSupport)
+		}
 	}
-	if f.err != nil {
-		return a, f.err
-	}
-	a.body, a.work = f.body, f.work
-	switch {
-	case joined:
-		a.outcome = "shared"
-	case len(f.batch.flights) > 1:
-		a.outcome = "coalesced"
-	default:
+	if opened {
 		a.outcome = "miss"
+		if sb == nil && len(one[0].f.batch.flights) > 1 {
+			a.outcome = "coalesced"
+		}
 	}
+	if sb == nil {
+		a.body, a.work = one[0].body, one[0].work
+		return a, nil
+	}
+	// The reply, its work folded in seed order, is spliced into a pooled
+	// buffer serveQuery returns once it is written.
+	w := agg
+	w.Method = sb.method
+	a.work = &w
+	var work *api.WorkStats
+	if debugWork {
+		work = &w
+	}
+	scratch := encodeScratch.Get().(*[]byte)
+	if a.body, err = sb.run.splice((*scratch)[:0], sb.seeds, func(i int) []byte { return batchSlots[i].body }, w.WorkVolume, work); err != nil {
+		encodeScratch.Put(scratch)
+		return a, err
+	}
+	a.scratch = scratch
 	return a, nil
 }
 
-// join returns the flight computing key, joined reporting whether it
-// was already in flight (gathering or running alike). Otherwise it
-// opens one: in the batch gathering under gkey, or — when there is none
-// — in nb, which starts gathering if gkey is set and fires at once if
-// not.
-func (s *Server) join(key, gkey string, seed int, nb *batch) (f *flight, joined bool, err error) {
+// seedKeys returns a batch request's slots, keyed as their twin
+// requests' cache keys are, all K keys cut from one string.
+func seedKeys(sb *seedBatch, id uint64) []seedSlot {
+	at := bytes.Index(sb.twin, []byte(`"seeds":[0]`)) + len(`"seeds":[`)
+	head, tail := "q|"+sb.endpoint+"|g"+strconv.FormatUint(id, 10)+"|"+string(sb.twin[:at]), sb.twin[at+len(`0`):]
+	var num [20]byte
+	digits := func(seed int) []byte { return strconv.AppendInt(num[:0], int64(seed), 10) }
+	n := 0
+	for _, seed := range sb.seeds {
+		n += len(head) + len(digits(seed)) + len(tail)
+	}
+	var keys strings.Builder
+	keys.Grow(n)
+	for _, seed := range sb.seeds {
+		keys.WriteString(head)
+		keys.Write(digits(seed))
+		keys.Write(tail)
+	}
+	all, slots := keys.String(), make([]seedSlot, len(sb.seeds))
+	for i, seed := range sb.seeds {
+		n = len(head) + len(digits(seed)) + len(tail)
+		slots[i], all = seedSlot{key: all[:n], seed: seed}, all[n:]
+	}
+	return slots
+}
+
+// join gives every slot the cache did not answer a flight under one
+// table lock: it joins a key in flight, rereads one that has landed
+// since the probe (flights fill the cache before they leave the table)
+// and opens the rest in the batch gathering under gkey or else in nb,
+// which gathers if gkey is set and fires at once if not.
+func (s *Server) join(slots []seedSlot, gkey string, nb *batch, misses int) (opened bool, err error) {
+	fresh := make([]flight, misses)
 	t := &s.inflight
 	t.mu.Lock()
-	if f = t.flights[key]; f != nil {
-		t.mu.Unlock()
-		return f, true, nil
-	}
-	if t.draining {
-		t.mu.Unlock()
-		return nil, false, storeErrf(ErrUnavailable, "server is shutting down")
-	}
 	b := t.gathering[gkey]
 	if b == nil {
 		b = nb
+		b.flights = make([]*flight, 0, misses)
+	}
+	for i := range slots {
+		if slots[i].body == nil {
+			slots[i].f = t.flights[slots[i].key]
+		}
+	}
+	s.cache.probe(slots, false)
+	for i := range slots {
+		sl := &slots[i]
+		if sl.body != nil || sl.f != nil {
+			continue
+		}
+		// Nothing has opened yet: draining cannot change under the lock.
+		if t.draining {
+			t.mu.Unlock()
+			return false, storeErrf(ErrUnavailable, "server is shutting down")
+		}
+		sl.f, fresh = &fresh[0], fresh[1:]
+		*sl.f = flight{key: sl.key, seed: sl.seed, batch: b}
+		t.flights[sl.key] = sl.f
+		b.flights = append(b.flights, sl.f)
+		opened = true
+	}
+	if !opened {
+		t.mu.Unlock()
+		return false, nil
+	}
+	if b == nb {
 		t.running.Add(1)
 		if gkey != "" {
 			t.gathering[gkey] = b
@@ -219,9 +358,6 @@ func (s *Server) join(key, gkey string, seed int, nb *batch) (f *flight, joined 
 			})
 		}
 	}
-	f = &flight{key: key, seed: seed, batch: b, done: make(chan struct{})}
-	t.flights[key] = f
-	b.flights = append(b.flights, f)
 	// A batch that does not gather fires at once, a full one as soon as
 	// it is full — unless its timer is already doing so (Stop fails).
 	fire := b.timer == nil || len(b.flights) >= maxBatchKeys && b.timer.Stop()
@@ -232,7 +368,7 @@ func (s *Server) join(key, gkey string, seed int, nb *batch) (f *flight, joined 
 	if fire {
 		go s.runBatch(b)
 	}
-	return f, false, nil
+	return true, nil
 }
 
 // runBatch computes a fired batch on its own goroutine and settles
@@ -249,6 +385,8 @@ func (s *Server) runBatch(b *batch) {
 		if p := recover(); p != nil {
 			err = api.Errorf(api.CodeInternal, "internal panic: %v", p)
 		}
+		// Replies fill the cache before their flights leave the table.
+		s.cache.fill(b.flights)
 		t := &s.inflight
 		t.mu.Lock()
 		for _, f := range b.flights {
@@ -256,57 +394,49 @@ func (s *Server) runBatch(b *batch) {
 			if f.body == nil && f.err == nil {
 				f.err = err
 			}
-			close(f.done)
 		}
+		close(b.done)
 		t.mu.Unlock()
 		t.running.Done()
 	}()
-	if len(b.flights) == 1 {
+	if len(b.flights) == 1 && b.compute != nil {
 		v, work, cerr := b.compute(ctx, b.view)
-		s.fill(b.flights[0], v, work, cerr)
+		f := b.flights[0]
+		if f.err = cerr; cerr == nil {
+			if wc, ok := v.(api.WorkCarrier); ok && b.debugWork && work != nil {
+				wc.SetWork(work)
+			}
+			if r, ok := v.(*api.PPRResponse); ok {
+				f.body, f.err = encodePPR(r)
+			} else {
+				f.body, f.err = json.Marshal(v)
+			}
+		}
+		if work != nil {
+			f.work = *work
+		}
 		return
 	}
 	seeds := make([]int, len(b.flights))
 	for i, f := range b.flights {
 		seeds[i] = f.seed
 	}
-	err = execPPRSeeds(ctx, b.view.g, b.view.pool, *b.ppr, seeds, func(i int, out *api.PPRResponse, work *api.WorkStats, err error) {
-		s.fill(b.flights[i], out, work, err)
+	err = b.seeds.runSeeds(ctx, b.view, seeds, b.debugWork, func(i int, body []byte, work api.WorkStats, err error) {
+		f := b.flights[i]
+		f.body, f.work, f.err = body, work, err
 	})
 }
 
-// fill answers one flight with a computation's outcome: the encoded
-// response (carrying the work block under ?debug=work) also fills the
-// flight's cache slot, with the work stats so hits re-observe them.
-func (s *Server) fill(f *flight, v any, work *api.WorkStats, err error) {
-	if err == nil {
-		if wc, ok := v.(api.WorkCarrier); ok && f.batch.debugWork && work != nil {
-			wc.SetWork(work)
-		}
-		f.body, err = encodeBody(v)
-	}
-	if err != nil {
-		f.err = err
-		return
-	}
-	f.work = work
-	s.cache.Add(f.key, f.body, work)
-}
-
-// encodeScratch holds the buffers the ppr replies are encoded into.
+// encodeScratch holds the buffers replies are encoded and spliced into.
 var encodeScratch = sync.Pool{New: func() any { return new([]byte) }}
 
-// encodeBody returns v's JSON: the ppr replies by their own encoder
-// (whose bytes are json.Marshal's) into pooled scratch, copied out once
-// so a cached body is no larger than its reply; the rest by json.Marshal.
-func encodeBody(v any) ([]byte, error) {
-	enc, ok := v.(interface{ AppendJSON([]byte) ([]byte, error) })
-	if !ok {
-		return json.Marshal(v)
-	}
+// encodePPR returns r's JSON by its own encoder (whose bytes are
+// json.Marshal's) in pooled scratch, copied out once so a cached body is
+// no larger than its reply.
+func encodePPR(r *api.PPRResponse) ([]byte, error) {
 	scratch := encodeScratch.Get().(*[]byte)
 	defer encodeScratch.Put(scratch)
-	b, err := enc.AppendJSON((*scratch)[:0])
+	b, err := r.AppendJSON((*scratch)[:0])
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,9 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"math/rand"
+	"sync"
 
 	"repro/internal/diffusion"
 	"repro/internal/gen"
@@ -20,29 +22,18 @@ import (
 // these compute.
 
 func execStats(name string, g gstore.Graph) *api.StatsResponse {
-	res := &api.StatsResponse{
-		Name: name, Nodes: g.N(), Edges: g.M(), Volume: g.Volume(),
-	}
-	if g.N() > 0 {
-		min := g.Degree(0)
-		max := min
-		for u := 1; u < g.N(); u++ {
-			d := g.Degree(u)
-			if d < min {
-				min = d
-			}
-			if d > max {
-				max = d
-			}
-			if d == 0 {
-				res.Isolated++
-			}
+	res := &api.StatsResponse{Name: name, Nodes: g.N(), Edges: g.M(), Volume: g.Volume()}
+	for u := 0; u < g.N(); u++ {
+		d := g.Degree(u)
+		if u == 0 || d < res.MinDegree {
+			res.MinDegree = d
 		}
-		if g.Degree(0) == 0 {
+		res.MaxDegree = max(res.MaxDegree, d)
+		if d == 0 {
 			res.Isolated++
 		}
-		res.MinDegree = min
-		res.MaxDegree = max
+	}
+	if g.N() > 0 {
 		res.AvgDegree = g.Volume() / float64(g.N())
 	}
 	return res
@@ -51,8 +42,8 @@ func execStats(name string, g gstore.Graph) *api.StatsResponse {
 // workFromStats converts the kernel's accounting into the wire form.
 // The fields pass through exactly — the ?debug=work contract is that
 // the response mirrors kernel.Stats, not a summary of it.
-func workFromStats(method string, st kernel.Stats) *api.WorkStats {
-	return &api.WorkStats{
+func workFromStats(method string, st kernel.Stats) api.WorkStats {
+	return api.WorkStats{
 		Method:     method,
 		Pushes:     st.Pushes,
 		WorkVolume: st.WorkVolume,
@@ -66,13 +57,21 @@ func workFromStats(method string, st kernel.Stats) *api.WorkStats {
 // push left behind and that push's stats — the one place the single,
 // batched and coalesced paths turn planes into wire types. Top-k and
 // sweep read the planes directly on workspace scratch, so what is
-// allocated here is the reply itself: the `top` and `set` slices.
-func pprResult(g gstore.Graph, ws *kernel.Workspace, st kernel.Stats, topK int, sweep bool) (api.PPRResponse, error) {
+// allocated here is the reply itself: the `set` slice, and the `top`
+// slice unless a non-nil top has room for it (*top keeps the list).
+func pprResult(g gstore.Graph, ws *kernel.Workspace, st kernel.Stats, topK int, sweep bool, top *[]api.NodeMass) (api.PPRResponse, error) {
+	var buf []api.NodeMass
+	if top != nil {
+		buf = (*top)[:0]
+	}
 	out := api.PPRResponse{
 		// The push never shrinks p's support, so its peak is its size.
 		Support: st.MaxSupport, Sum: ws.PSum(),
 		Pushes: st.Pushes, WorkVolume: st.WorkVolume,
-		Top: topMassesWorkspace(ws, st.MaxSupport, topK),
+		Top: topMassesWorkspace(ws, st.MaxSupport, topK, buf),
+	}
+	if top != nil {
+		*top = out.Top
 	}
 	if sweep {
 		sw, err := local.WorkspaceSweepCut(g, ws)
@@ -95,190 +94,136 @@ func execPPR(g gstore.Graph, pool *kernel.Pool, req api.PPRRequest) (*api.PPRRes
 	if err != nil {
 		return nil, nil, err
 	}
-	out, err := pprResult(g, ws, st, req.TopK, req.Sweep)
+	out, err := pprResult(g, ws, st, req.TopK, req.Sweep, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &out, workFromStats("push", st), nil
+	work := workFromStats("push", st)
+	return &out, &work, nil
 }
 
-// execPPRSeeds answers K single-seed PPR queries that differ only in
-// the seed with one kernel batch pass, emitting per seed exactly what
-// execPPR returns for that seed alone (the batch engine is
-// byte-identical per seed). An unsweepable support fails its own seed
-// only; the returned error (a deadline) is for every seed not emitted.
-// emit may run concurrently for distinct indices.
-func execPPRSeeds(ctx context.Context, g gstore.Graph, pool *kernel.Pool, req api.PPRRequest, seeds []int, emit func(i int, out *api.PPRResponse, work *api.WorkStats, err error)) error {
-	bd := kernel.BatchDiffuser{Method: kernel.PushACL{Alpha: req.Alpha, Eps: req.Eps}}
-	_, err := bd.Run(ctx, g, pool, seeds, func(i int, ws *kernel.Workspace, st kernel.Stats) error {
-		out, err := pprResult(g, ws, st, req.TopK, req.Sweep)
-		emit(i, &out, workFromStats("push", st), err)
+// topScratch holds the top lists of replies encoded as soon as selected.
+var topScratch = sync.Pool{New: func() any { return new([]api.NodeMass) }}
+
+// pprSeeds is a ppr request less its seed, run for each seed of a gather
+// or a ppr:batch: a seed's reply is execPPR's for it alone (the batch
+// engine is byte-identical per seed), encoded before its top list goes
+// back to the pool; an unsweepable support fails its own seed only.
+type pprSeeds api.PPRRequest
+
+func (p *pprSeeds) runSeeds(ctx context.Context, v queryView, seeds []int, debugWork bool, emit func(i int, body []byte, work api.WorkStats, err error)) error {
+	bd := kernel.BatchDiffuser{Method: kernel.PushACL{Alpha: p.Alpha, Eps: p.Eps}}
+	_, err := bd.Run(ctx, v.g, v.pool, seeds, func(i int, ws *kernel.Workspace, st kernel.Stats) error {
+		work := workFromStats("push", st)
+		top := topScratch.Get().(*[]api.NodeMass)
+		out, err := pprResult(v.g, ws, st, p.TopK, p.Sweep, top)
+		var body []byte
+		if err == nil {
+			if debugWork {
+				out.Work = &work
+			}
+			body, err = encodePPR(&out)
+		}
+		topScratch.Put(top)
+		emit(i, body, work, err)
 		return nil
 	})
 	return err
 }
 
-func execLocalCluster(g gstore.Graph, pool *kernel.Pool, req api.LocalClusterRequest) (*api.LocalClusterResponse, *api.WorkStats, error) {
-	var (
-		sw      *api.SweepInfo
-		support int
-		work    *api.WorkStats
-	)
-	ws := pool.Get()
-	defer pool.Put(ws)
-	switch req.Method {
-	case "ppr":
-		st, err := (kernel.PushACL{Alpha: req.Alpha, Eps: req.Eps}).Diffuse(g, ws, req.Seeds)
-		if err != nil {
-			return nil, nil, err
-		}
-		work = workFromStats("push", st)
-		support = st.MaxSupport
-		cut, err := local.WorkspaceSweepCut(g, ws)
-		if err != nil {
-			return nil, nil, storeErrf(ErrBadInput, "ppr produced no sweepable support (eps too large?)")
-		}
-		sw = &api.SweepInfo{Set: cut.Set, Size: len(cut.Set), Conductance: cut.Conductance, Prefix: cut.Prefix}
-	case "nibble":
-		st, best, err := local.NibbleWorkspace(g, ws, req.Seeds, req.Eps, req.Steps)
-		if err != nil {
-			return nil, nil, err
-		}
-		work = workFromStats("nibble", st)
-		support = st.MaxSupport
-		if best == nil {
-			return nil, nil, storeErrf(ErrBadInput, "nibble found no cut (eps too large or too few steps)")
-		}
-		sw = &api.SweepInfo{Set: best.Set, Size: len(best.Set), Conductance: best.Conductance, Prefix: best.Prefix}
-	case "heat":
-		st, err := kernel.HeatKernel{T: req.T, Eps: req.Eps}.Diffuse(g, ws, req.Seeds)
-		if err != nil {
-			return nil, nil, err
-		}
-		work = workFromStats("heat", st)
-		support = st.MaxSupport
-		cut, err := local.WorkspaceSweepCut(g, ws)
-		if err != nil {
-			return nil, nil, storeErrf(ErrBadInput, "heat kernel produced no sweepable support (eps too large?)")
-		}
-		sw = &api.SweepInfo{Set: cut.Set, Size: len(cut.Set), Conductance: cut.Conductance, Prefix: cut.Prefix}
-	}
-	return &api.LocalClusterResponse{
-		Method: req.Method, Set: sw.Set, Size: sw.Size,
-		Conductance: sw.Conductance,
-		Volume:      gstore.VolumeOfSet(g, sw.Set),
-		Support:     support,
-	}, work, nil
+func (p *pprSeeds) splice(dst []byte, seeds []int, body func(int) []byte, totalWork float64, work *api.WorkStats) ([]byte, error) {
+	return api.AppendPPRBatchJSON(dst, seeds, body, totalWork, work)
 }
 
-// aggregateBatchWork folds per-seed kernel stats into the ?debug=work
-// view of a batch: sums over the additive counters, maxima over the
-// locality measures.
-func aggregateBatchWork(method string, sts []kernel.Stats) *api.WorkStats {
-	var agg kernel.Stats
-	for _, st := range sts {
-		agg.Pushes += st.Pushes
-		agg.WorkVolume += st.WorkVolume
-		if st.Steps > agg.Steps {
-			agg.Steps = st.Steps
-		}
-		if st.Terms > agg.Terms {
-			agg.Terms = st.Terms
-		}
-		if st.MaxSupport > agg.MaxSupport {
-			agg.MaxSupport = st.MaxSupport
-		}
-	}
-	return workFromStats(method, agg)
-}
+// clusterSeeds is pprSeeds for the localcluster query.
+type clusterSeeds api.LocalClusterRequest
 
-// execPPRBatch answers a batched PPR query on the kernel batch engine:
-// one push per seed, each on its own pooled workspace.
-// Each per-seed result carries exactly the numbers the single-seed
-// endpoint would return for that seed; any seed failing (out of range,
-// unsweepable support) fails the whole batch, mirroring the
-// single-seed error surface.
-func execPPRBatch(ctx context.Context, g gstore.Graph, pool *kernel.Pool, req api.PPRBatchRequest) (*api.PPRBatchResponse, *api.WorkStats, error) {
-	out := &api.PPRBatchResponse{Results: make([]api.PPRBatchResult, len(req.Seeds))}
-	bd := kernel.BatchDiffuser{Method: kernel.PushACL{Alpha: req.Alpha, Eps: req.Eps}}
-	sts, err := bd.Run(ctx, g, pool, req.Seeds, func(i int, ws *kernel.Workspace, st kernel.Stats) error {
-		res, err := pprResult(g, ws, st, req.TopK, req.Sweep)
-		if err != nil {
-			return storeErrf(ErrBadInput, "seed %d: %v", req.Seeds[i], err)
+func (c *clusterSeeds) runSeeds(ctx context.Context, v queryView, seeds []int, debugWork bool, emit func(i int, body []byte, work api.WorkStats, err error)) error {
+	reply := func(i int, cut *partition.SweepResult, st kernel.Stats) {
+		out, work, err := clusterResult(v.g, c.Method, cut, st)
+		var body []byte
+		if err == nil {
+			if debugWork {
+				out.Work = &work
+			}
+			body, err = json.Marshal(out)
 		}
-		out.Results[i] = api.PPRBatchResult{
-			Seed:    req.Seeds[i],
-			Support: res.Support, Sum: res.Sum,
-			Pushes: res.Pushes, WorkVolume: res.WorkVolume,
-			Top: res.Top, Sweep: res.Sweep,
+		emit(i, body, work, err)
+	}
+	if c.Method == "nibble" {
+		sts, best, err := local.NibbleBatch(ctx, v.g, v.pool, seeds, c.Eps, c.Steps)
+		if err != nil {
+			return err
+		}
+		for i := range seeds {
+			reply(i, best[i], sts[i])
 		}
 		return nil
+	}
+	bd := kernel.BatchDiffuser{Method: clusterDiffuser((*api.LocalClusterRequest)(c))}
+	_, err := bd.Run(ctx, v.g, v.pool, seeds, func(i int, ws *kernel.Workspace, st kernel.Stats) error {
+		cut, _ := local.WorkspaceSweepCut(v.g, ws) // nil: no sweepable support
+		reply(i, cut, st)
+		return nil
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, st := range sts {
-		out.TotalWork += st.WorkVolume
-	}
-	return out, aggregateBatchWork("push-batch", sts), nil
+	return err
 }
 
-// execLocalClusterBatch is execLocalCluster over one seed per entry,
-// on the kernel batch engine.
-func execLocalClusterBatch(ctx context.Context, g gstore.Graph, pool *kernel.Pool, req api.LocalClusterBatchRequest) (*api.LocalClusterBatchResponse, *api.WorkStats, error) {
-	out := &api.LocalClusterBatchResponse{
-		Method:  req.Method,
-		Results: make([]api.LocalClusterBatchResult, len(req.Seeds)),
-	}
-	sweepResult := func(i, support int, set []int, conductance float64) {
-		out.Results[i] = api.LocalClusterBatchResult{
-			Seed: req.Seeds[i], Set: set, Size: len(set),
-			Conductance: conductance,
-			Volume:      gstore.VolumeOfSet(g, set),
-			Support:     support,
-		}
-	}
+func (c *clusterSeeds) splice(dst []byte, seeds []int, body func(int) []byte, _ float64, work *api.WorkStats) ([]byte, error) {
+	return api.AppendLocalClusterBatchJSON(dst, c.Method, seeds, body, work)
+}
+
+func execLocalCluster(g gstore.Graph, pool *kernel.Pool, req api.LocalClusterRequest) (*api.LocalClusterResponse, *api.WorkStats, error) {
+	ws := pool.Get()
+	defer pool.Put(ws)
 	var (
-		sts []kernel.Stats
+		st  kernel.Stats
+		cut *partition.SweepResult
 		err error
 	)
-	switch req.Method {
-	case "ppr":
-		bd := kernel.BatchDiffuser{Method: kernel.PushACL{Alpha: req.Alpha, Eps: req.Eps}}
-		sts, err = bd.Run(ctx, g, pool, req.Seeds, func(i int, ws *kernel.Workspace, st kernel.Stats) error {
-			cut, err := local.WorkspaceSweepCut(g, ws)
-			if err != nil {
-				return storeErrf(ErrBadInput, "seed %d: ppr produced no sweepable support (eps too large?)", req.Seeds[i])
-			}
-			sweepResult(i, st.MaxSupport, cut.Set, cut.Conductance)
-			return nil
-		})
-	case "nibble":
-		var best []*partition.SweepResult
-		sts, best, err = local.NibbleBatch(ctx, g, pool, req.Seeds, req.Eps, req.Steps)
-		if err == nil {
-			for i, cut := range best {
-				if cut == nil {
-					return nil, nil, storeErrf(ErrBadInput, "seed %d: nibble found no cut (eps too large or too few steps)", req.Seeds[i])
-				}
-				sweepResult(i, sts[i].MaxSupport, cut.Set, cut.Conductance)
-			}
-		}
-	case "heat":
-		bd := kernel.BatchDiffuser{Method: kernel.HeatKernel{T: req.T, Eps: req.Eps}}
-		sts, err = bd.Run(ctx, g, pool, req.Seeds, func(i int, ws *kernel.Workspace, st kernel.Stats) error {
-			cut, err := local.WorkspaceSweepCut(g, ws)
-			if err != nil {
-				return storeErrf(ErrBadInput, "seed %d: heat kernel produced no sweepable support (eps too large?)", req.Seeds[i])
-			}
-			sweepResult(i, st.MaxSupport, cut.Set, cut.Conductance)
-			return nil
-		})
+	if req.Method == "nibble" {
+		st, cut, err = local.NibbleWorkspace(g, ws, req.Seeds, req.Eps, req.Steps)
+	} else if st, err = clusterDiffuser(&req).Diffuse(g, ws, req.Seeds); err == nil {
+		cut, _ = local.WorkspaceSweepCut(g, ws)
 	}
 	if err != nil {
 		return nil, nil, err
 	}
-	return out, aggregateBatchWork(req.Method+"-batch", sts), nil
+	out, work, err := clusterResult(g, req.Method, cut, st)
+	if err != nil {
+		return nil, nil, err
+	}
+	return &out, &work, nil
+}
+
+// clusterDiffuser is the diffusion the ppr and heat methods sweep.
+func clusterDiffuser(req *api.LocalClusterRequest) kernel.Diffuser {
+	if req.Method == "heat" {
+		return kernel.HeatKernel{T: req.T, Eps: req.Eps}
+	}
+	return kernel.PushACL{Alpha: req.Alpha, Eps: req.Eps}
+}
+
+// clusterResult assembles a localcluster reply from the method's best
+// cut (nil when it found none) and its diffusion's stats.
+func clusterResult(g gstore.Graph, method string, cut *partition.SweepResult, st kernel.Stats) (api.LocalClusterResponse, api.WorkStats, error) {
+	diffusion, noCut := "push", "ppr produced no sweepable support (eps too large?)"
+	switch method {
+	case "nibble":
+		diffusion, noCut = "nibble", "nibble found no cut (eps too large or too few steps)"
+	case "heat":
+		diffusion, noCut = "heat", "heat kernel produced no sweepable support (eps too large?)"
+	}
+	work := workFromStats(diffusion, st)
+	if cut == nil {
+		return api.LocalClusterResponse{}, work, storeErrf(ErrBadInput, "%s", noCut)
+	}
+	return api.LocalClusterResponse{
+		Method: method, Set: cut.Set, Size: len(cut.Set),
+		Conductance: cut.Conductance,
+		Volume:      gstore.VolumeOfSet(g, cut.Set),
+		Support:     st.MaxSupport,
+	}, work, nil
 }
 
 func execDiffuse(g *graph.Graph, req api.DiffuseRequest) (*api.DiffuseResponse, *api.WorkStats, error) {

@@ -24,7 +24,7 @@ type Config struct {
 	// JobWorkers is the async pool size (default 2).
 	JobWorkers int
 	// JobQueue bounds pending jobs; submissions beyond it are rejected
-	// with 409 rather than queued unboundedly (default 64).
+	// with 503 unavailable rather than queued unboundedly (default 64).
 	JobQueue int
 	// QueryTimeout is the default per-request deadline for synchronous
 	// queries, overridable per request with ?timeout_ms= (default 30s).
@@ -97,6 +97,7 @@ type Server struct {
 	metrics   *Metrics
 	trace     *QueryTrace
 	accessLog *slog.Logger
+	logOp     func(format string, args ...any) // operational log lines: cfg.OpLog or the process logger
 	inflight  inflight
 	handler   http.Handler
 	started   time.Time
@@ -126,13 +127,13 @@ func NewServer(cfg Config) (*Server, error) {
 	if !c.DisableTelemetry {
 		obs = metrics
 	}
+	logOp := log.Printf
+	if c.OpLog != nil {
+		logOp = c.OpLog.Printf
+	}
 	var store *GraphStore
 	if c.DataDir != "" {
-		logf := log.Printf
-		if c.OpLog != nil {
-			logf = c.OpLog.Printf
-		}
-		store, err = NewPersistentGraphStoreObserved(c.DataDir, backend, logf, obs)
+		store, err = NewPersistentGraphStoreObserved(c.DataDir, backend, logOp, obs)
 		if err != nil {
 			return nil, err
 		}
@@ -148,6 +149,7 @@ func NewServer(cfg Config) (*Server, error) {
 		cache:     NewLRUCache(c.CacheEntries),
 		metrics:   metrics,
 		accessLog: c.AccessLog,
+		logOp:     logOp,
 		started:   time.Now(),
 		ridPrefix: newRIDPrefix(),
 	}
@@ -162,10 +164,7 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s.jobs = NewJobManager(s.store, s.cache, s.metrics, c.JobWorkers, c.JobQueue)
 	RegisterDefaultJobs(s.jobs)
-	s.handler = chain(s.routes(),
-		s.withTelemetry,
-		s.withMaxBytes,
-	)
+	s.handler = s.withTelemetry(s.withMaxBytes(s.routes()))
 	return s, nil
 }
 
@@ -178,16 +177,6 @@ func newRIDPrefix() string {
 		return "rid-"
 	}
 	return hex.EncodeToString(b[:]) + "-"
-}
-
-// logOp writes one operational log line (to cfg.OpLog, defaulting to
-// the process logger).
-func (s *Server) logOp(format string, args ...any) {
-	if s.cfg.OpLog != nil {
-		s.cfg.OpLog.Printf(format, args...)
-		return
-	}
-	log.Printf(format, args...)
 }
 
 // Store exposes the graph registry, e.g. for preloading graphs at boot.

@@ -120,9 +120,6 @@ func (s *GraphStore) SetDefaultBackend(kind gstore.Kind) error {
 	return nil
 }
 
-// DefaultBackend reports the store's default serving backend.
-func (s *GraphStore) DefaultBackend() gstore.Kind { return s.backend }
-
 // NewPersistentGraphStore opens (creating if needed) dataDir and
 // recovers its contents: every valid snapshot loads as a sealed graph
 // served from the given default backend, every write-ahead log without
@@ -324,9 +321,6 @@ func (s *GraphStore) PersistCounters() *persist.Counters {
 	return s.dir.Counters()
 }
 
-// Persistent reports whether the store is backed by a data directory.
-func (s *GraphStore) Persistent() bool { return s.dir != nil }
-
 // reserve inserts a new entry for name with its mutex already held, so
 // the caller can finish (possibly slow) persistence work without
 // blocking the rest of the store; readers of this one name wait on the
@@ -398,19 +392,8 @@ func (s *GraphStore) PutWithBackend(name string, g *graph.Graph, kind gstore.Kin
 // graphs across delete/re-create cycles). Unsealed graphs report
 // ErrConflict.
 func (s *GraphStore) Get(name string) (gstore.Graph, uint64, error) {
-	s.mu.RLock()
-	e, ok := s.graphs[name]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, 0, storeErrf(ErrNotFound, "graph %q not found", name)
-	}
-	e.mu.Lock()
-	g := e.g
-	e.mu.Unlock()
-	if g == nil {
-		return nil, 0, storeErrf(ErrConflict, "graph %q is still streaming; seal it first", name)
-	}
-	return g, e.id, nil
+	g, id, _, err := s.GetForQuery(name)
+	return g, id, err
 }
 
 // GetHeap returns the sealed graph as a heap *graph.Graph, the form the
@@ -419,13 +402,10 @@ func (s *GraphStore) Get(name string) (gstore.Graph, uint64, error) {
 // the heap and caches it on the entry; heap-backed graphs return the
 // stored graph directly.
 func (s *GraphStore) GetHeap(name string) (*graph.Graph, uint64, error) {
-	s.mu.RLock()
-	e, ok := s.graphs[name]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, 0, storeErrf(ErrNotFound, "graph %q not found", name)
+	e, err := s.lock(name)
+	if err != nil {
+		return nil, 0, err
 	}
-	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.g == nil {
 		return nil, 0, storeErrf(ErrConflict, "graph %q is still streaming; seal it first", name)
@@ -444,13 +424,10 @@ func (s *GraphStore) GetHeap(name string) (*graph.Graph, uint64, error) {
 // synchronous query path uses so every request borrows (and returns)
 // pooled kernel scratch instead of allocating sparse vectors.
 func (s *GraphStore) GetForQuery(name string) (gstore.Graph, uint64, *kernel.Pool, error) {
-	s.mu.RLock()
-	e, ok := s.graphs[name]
-	s.mu.RUnlock()
-	if !ok {
-		return nil, 0, nil, storeErrf(ErrNotFound, "graph %q not found", name)
+	e, err := s.lock(name)
+	if err != nil {
+		return nil, 0, nil, err
 	}
-	e.mu.Lock()
 	g, pool := e.g, e.pool
 	e.mu.Unlock()
 	if g == nil {
@@ -459,16 +436,25 @@ func (s *GraphStore) GetForQuery(name string) (gstore.Graph, uint64, *kernel.Poo
 	return g, e.id, pool, nil
 }
 
-// Info returns the descriptive record for the named graph, sealed or
-// streaming.
-func (s *GraphStore) Info(name string) (api.GraphInfo, error) {
+// lock returns the entry under name with its mutex held.
+func (s *GraphStore) lock(name string) (*entry, error) {
 	s.mu.RLock()
 	e, ok := s.graphs[name]
 	s.mu.RUnlock()
 	if !ok {
-		return api.GraphInfo{}, storeErrf(ErrNotFound, "graph %q not found", name)
+		return nil, storeErrf(ErrNotFound, "graph %q not found", name)
 	}
 	e.mu.Lock()
+	return e, nil
+}
+
+// Info returns the descriptive record for the named graph, sealed or
+// streaming.
+func (s *GraphStore) Info(name string) (api.GraphInfo, error) {
+	e, err := s.lock(name)
+	if err != nil {
+		return api.GraphInfo{}, err
+	}
 	defer e.mu.Unlock()
 	return s.infoLocked(name, e), nil
 }
@@ -499,13 +485,10 @@ func (s *GraphStore) infoLocked(name string, e *entry) api.GraphInfo {
 // re-create of the same name cannot have its fresh snapshot deleted out
 // from under it.
 func (s *GraphStore) Delete(name string) error {
-	s.mu.RLock()
-	e, ok := s.graphs[name]
-	s.mu.RUnlock()
-	if !ok {
-		return storeErrf(ErrNotFound, "graph %q not found", name)
+	e, err := s.lock(name)
+	if err != nil {
+		return err
 	}
-	e.mu.Lock()
 	if e.wal != nil {
 		if err := e.wal.Close(); err != nil {
 			s.logf("persist: closing WAL of deleted graph %q: %v", name, err)
@@ -588,13 +571,10 @@ func (s *GraphStore) BeginStream(name string, n int) (api.GraphInfo, error) {
 // directory attached, the batch is fsync'd to the graph's write-ahead
 // log before it is applied — an acknowledged batch is durable.
 func (s *GraphStore) AppendEdges(name string, edges []api.StreamEdge) error {
-	s.mu.RLock()
-	e, ok := s.graphs[name]
-	s.mu.RUnlock()
-	if !ok {
-		return storeErrf(ErrNotFound, "graph %q not found", name)
+	e, err := s.lock(name)
+	if err != nil {
+		return err
 	}
-	e.mu.Lock()
 	defer e.mu.Unlock()
 	// Checked under the entry lock: Close sets the flag before it takes
 	// e.mu to retire the WAL, so a batch that passes here still has an
@@ -650,13 +630,10 @@ func (s *GraphStore) AppendEdges(name string, edges []api.StreamEdge) error {
 // crash between the two leaves both files, and recovery lets the
 // snapshot win.
 func (s *GraphStore) Seal(name string) (api.GraphInfo, error) {
-	s.mu.RLock()
-	e, ok := s.graphs[name]
-	s.mu.RUnlock()
-	if !ok {
-		return api.GraphInfo{}, storeErrf(ErrNotFound, "graph %q not found", name)
+	e, err := s.lock(name)
+	if err != nil {
+		return api.GraphInfo{}, err
 	}
-	e.mu.Lock()
 	defer e.mu.Unlock()
 	if s.closed.Load() {
 		return api.GraphInfo{}, storeErrf(ErrUnavailable, "graph store is shut down")

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -274,15 +275,27 @@ func TestMetricsExpositionIsStrictlyValid(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics")
+	if _, err := c.Graphs.PPRBatch(ctx(), "ring", api.PPRBatchRequest{Seeds: []int{1, 2}}); err != nil {
+		t.Fatal(err)
+	}
+
+	text, err := c.Metrics(ctx())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if errs := promtext.Lint(resp.Body); len(errs) != 0 {
+	if errs := promtext.Lint(strings.NewReader(text)); len(errs) != 0 {
 		for _, e := range errs {
 			t.Errorf("promtext: %v", e)
 		}
+	}
+	// The cache gauges: the debug ppr, localcluster and diffuse bodies,
+	// the job result and the batch's two seeds.
+	if !strings.Contains(text, "\ngraphd_cache_entries 6\n") {
+		t.Errorf("metrics do not report the 6 cache entries:\n%s", text)
+	}
+	var held int
+	if _, err := fmt.Sscanf(text[strings.Index(text, "\ngraphd_cache_bytes ")+1:], "graphd_cache_bytes %d\n", &held); err != nil || held < 1000 {
+		t.Errorf("graphd_cache_bytes = %d (%v), want the key and body bytes of 6 entries", held, err)
 	}
 }
 

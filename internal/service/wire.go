@@ -36,14 +36,18 @@ type topSelector struct {
 }
 
 // newTopSelector sizes a selector for `support` offers of which the k
-// best are wanted (all of them when k <= 0). Its one allocation holds
-// min(k, support) entries: the wire's topk has no upper bound, so k
-// alone must never size anything.
-func newTopSelector(support, k int) topSelector {
+// best are wanted (all of them when k <= 0), keeping them in buf if it
+// has room. Otherwise its one allocation holds min(k, support) entries:
+// the wire's topk has no upper bound, so k alone must never size
+// anything.
+func newTopSelector(support, k int, buf []api.NodeMass) topSelector {
 	if k <= 0 || k > support {
 		k = support
 	}
-	return topSelector{best: make([]api.NodeMass, 0, k), k: k}
+	if buf == nil || cap(buf) < k { // a nil list would encode as null, not []
+		buf = make([]api.NodeMass, 0, k)
+	}
+	return topSelector{best: buf[:0], k: k}
 }
 
 func (s *topSelector) offer(u int, x float64) {
@@ -92,9 +96,9 @@ func (s *topSelector) sorted() []api.NodeMass {
 // topMassesWorkspace returns the k largest entries (all when k <= 0) of
 // a kernel workspace's output plane, whose support — the number of
 // nonzero entries, kernel.Stats.MaxSupport after a push — the caller
-// already has.
-func topMassesWorkspace(ws *kernel.Workspace, support, k int) []api.NodeMass {
-	sel := newTopSelector(support, k)
+// already has, in buf if it has room.
+func topMassesWorkspace(ws *kernel.Workspace, support, k int, buf []api.NodeMass) []api.NodeMass {
+	sel := newTopSelector(support, k, buf)
 	ws.ForEachP(sel.offer)
 	return sel.sorted()
 }
@@ -102,7 +106,7 @@ func topMassesWorkspace(ws *kernel.Workspace, support, k int) []api.NodeMass {
 // topMassesDense is topMassesWorkspace over a dense vector with
 // `support` nonzero entries.
 func topMassesDense(v []float64, support, k int) []api.NodeMass {
-	sel := newTopSelector(support, k)
+	sel := newTopSelector(support, k, nil)
 	for u, x := range v {
 		if x != 0 {
 			sel.offer(u, x)

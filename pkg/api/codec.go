@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -16,6 +17,9 @@ import (
 // anything else to encoding/json unchanged, so what is tolerated and how
 // errors read stay the library's. Neither is hooked into the library as
 // a Marshaler or Unmarshaler: it scans the value again around those.
+// graphd answers a batch request as one single-seed query per seed, so
+// it assembles the two batch replies by splicing those queries' bodies,
+// with the same guarantee: the bytes are json.Marshal's.
 
 // AppendJSON appends the bytes json.Marshal(r) returns to dst. A NaN or
 // infinite member is the library's *json.UnsupportedValueError, and what
@@ -45,6 +49,35 @@ func (r *PPRBatchResponse) AppendJSON(dst []byte) ([]byte, error) {
 	}
 	e.float(`,"total_work":`, r.TotalWork)
 	e.work(r.Work)
+	return e.finish()
+}
+
+// AppendPPRBatchJSON appends the bytes json.Marshal returns for the
+// PPRBatchResponse whose i-th result is seeds[i] with the fields of the
+// PPRResponse body(i) encodes, and whose total_work and work are the
+// arguments. It splices instead of re-encoding: a PPRBatchResult is
+// {"seed":S, followed by the single-seed reply after its {. Every body
+// must be a reply as AppendJSON writes it, without a work block.
+func AppendPPRBatchJSON(dst []byte, seeds []int, body func(i int) []byte, totalWork float64, work *WorkStats) ([]byte, error) {
+	e := encoder{b: dst}
+	e.lit(`{"results":[`)
+	e.splice(seeds, body, len(`{`))
+	e.float(`,"total_work":`, totalWork)
+	e.work(work)
+	return e.finish()
+}
+
+// AppendLocalClusterBatchJSON is AppendPPRBatchJSON for the
+// LocalClusterBatchResponse of method, whose results splice the
+// LocalClusterResponse bodies (as json.Marshal writes them, without a
+// work block) less their leading "method" member.
+func AppendLocalClusterBatchJSON(dst []byte, method string, seeds []int, body func(i int) []byte, work *WorkStats) ([]byte, error) {
+	e := encoder{b: dst}
+	e.str(`{"method":`, method)
+	lead := len(e.b) - len(dst) + len(`,`) // what each body opens with
+	e.lit(`,"results":[`)
+	e.splice(seeds, body, lead)
+	e.work(work)
 	return e.finish()
 }
 
@@ -133,6 +166,37 @@ func (e *encoder) closeArray() {
 
 func (e *encoder) finish() ([]byte, error) { return append(e.b, '}'), e.err }
 
+// str writes key and s as a JSON string, escaped as encoding/json
+// escapes it.
+func (e *encoder) str(key, s string) {
+	if isPlain(s) {
+		e.b = append(append(append(append(e.b, key...), '"'), s...), '"')
+		return
+	}
+	// A string always marshals, and the escaping stays the library's. The
+	// copy keeps s from escaping, and with it whatever holds s: a reply's
+	// work block can then live on its encoder's stack.
+	q, _ := json.Marshal(strings.Clone(s))
+	e.b = append(append(e.b, key...), q...)
+}
+
+// splice writes the elements of a batch's results array, each
+// {"seed":S, and the rest of body(i) after its first skip bytes, having
+// grown b once to hold them all.
+func (e *encoder) splice(seeds []int, body func(i int) []byte, skip int) {
+	n := len(`]`)
+	for i := range seeds {
+		n += len(`{"seed":-9223372036854775808,`) + len(body(i)) - skip + len(`,`)
+	}
+	e.b = slices.Grow(e.b, n)
+	for i, seed := range seeds {
+		e.int(`{"seed":`, seed)
+		e.lit(`,`)
+		e.b = append(append(e.b, body(i)[skip:]...), ',')
+	}
+	e.closeArray()
+}
+
 // pprFields writes the members PPRResponse and PPRBatchResult share,
 // "support" through the optional "sweep".
 func (e *encoder) pprFields(support int, sum float64, pushes int, workVolume float64, top []NodeMass, sweep *SweepInfo) {
@@ -176,12 +240,7 @@ func (e *encoder) work(w *WorkStats) {
 	if w == nil {
 		return
 	}
-	if isPlain(w.Method) {
-		e.b = append(append(append(e.b, `,"work":{"method":"`...), w.Method...), '"')
-	} else {
-		q, _ := json.Marshal(w.Method) // a string always marshals; the escaping stays the library's
-		e.b = append(append(e.b, `,"work":{"method":`...), q...)
-	}
+	e.str(`,"work":{"method":`, w.Method)
 	e.omitZero(`,"pushes":`, w.Pushes)
 	if w.WorkVolume != 0 {
 		e.float(`,"work_volume":`, w.WorkVolume)

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -37,10 +38,8 @@ func TestCodecIsNotHooked(t *testing.T) {
 // bytes (appended after what dst held), or the same error.
 func checkEncode(t testing.TB, r *PPRResponse) []byte {
 	t.Helper()
-	batch := &PPRBatchResponse{
-		Results:   []PPRBatchResult{{Seed: 3, Support: r.Support, Sum: r.Sum, Pushes: r.Pushes, WorkVolume: r.WorkVolume, Top: r.Top, Sweep: r.Sweep}, {Top: []NodeMass{}}},
-		TotalWork: r.WorkVolume, Work: r.Work,
-	}
+	res := PPRBatchResult{Seed: 3, Support: r.Support, Sum: r.Sum, Pushes: r.Pushes, WorkVolume: r.WorkVolume, Top: r.Top, Sweep: r.Sweep}
+	batch := &PPRBatchResponse{Results: []PPRBatchResult{res, {Top: []NodeMass{}}, res}, TotalWork: r.WorkVolume, Work: r.Work}
 	want, wantErr := json.Marshal((*plainResponse)(r))
 	got, err := r.AppendJSON([]byte("prefix"))
 	wantB, wantBErr := json.Marshal((*plainBatchResponse)(batch))
@@ -60,11 +59,109 @@ func checkEncode(t testing.TB, r *PPRResponse) []byte {
 			t.Fatalf("AppendJSON (err %v):\n%s\njson.Marshal:\n%s", c.gotErr, c.got, c.want)
 		}
 	}
+	checkSplice(t, batch)
 	if wantErr != nil {
 		return nil
 	}
 	checkDecode(t, gotB)
 	return want
+}
+
+// sameEncode asserts an encoder agrees with json.Marshal: the same bytes
+// after what dst held, or the same *json.UnsupportedValueError.
+func sameEncode(t testing.TB, what string, got []byte, err error, want []byte, wantErr error) {
+	t.Helper()
+	if wantErr != nil {
+		var uve *json.UnsupportedValueError
+		if err == nil || err.Error() != wantErr.Error() || !errors.As(err, &uve) {
+			t.Fatalf("%s error %v, json.Marshal says %v", what, err, wantErr)
+		}
+		return
+	}
+	if err != nil || !bytes.Equal(got, append([]byte("prefix"), want...)) {
+		t.Fatalf("%s (err %v):\n%s\njson.Marshal:\n%s", what, err, got, want)
+	}
+}
+
+// checkSplice asserts that splicing b's results from the single-seed
+// replies they mirror, as graphd assembles a ppr:batch reply, gives
+// json.Marshal's bytes for b — or, when a result cannot be encoded as a
+// reply or a batch member is NaN, json.Marshal's error.
+func checkSplice(t testing.TB, b *PPRBatchResponse) {
+	t.Helper()
+	want, wantErr := json.Marshal((*plainBatchResponse)(b))
+	seeds, bodies := make([]int, len(b.Results)), make([][]byte, len(b.Results))
+	var err error
+	for i, res := range b.Results {
+		single := PPRResponse{Support: res.Support, Sum: res.Sum, Pushes: res.Pushes, WorkVolume: res.WorkVolume, Top: res.Top, Sweep: res.Sweep}
+		seeds[i] = res.Seed
+		if bodies[i], err = single.AppendJSON(nil); err != nil {
+			sameEncode(t, "encoding a result", nil, err, want, wantErr)
+			return
+		}
+	}
+	got, err := AppendPPRBatchJSON([]byte("prefix"), seeds, func(i int) []byte { return bodies[i] }, b.TotalWork, b.Work)
+	sameEncode(t, "AppendPPRBatchJSON", got, err, want, wantErr)
+}
+
+// checkSpliceCluster is checkSplice for a localcluster:batch reply,
+// whose single-seed bodies graphd encodes with json.Marshal.
+func checkSpliceCluster(t testing.TB, b *LocalClusterBatchResponse) {
+	t.Helper()
+	want, wantErr := json.Marshal(b)
+	seeds, bodies := make([]int, len(b.Results)), make([][]byte, len(b.Results))
+	var err error
+	for i, res := range b.Results {
+		single := LocalClusterResponse{Method: b.Method, Set: res.Set, Size: res.Size, Conductance: res.Conductance, Volume: res.Volume, Support: res.Support}
+		seeds[i] = res.Seed
+		if bodies[i], err = json.Marshal(single); err != nil {
+			sameEncode(t, "encoding a result", nil, err, want, wantErr)
+			return
+		}
+	}
+	got, err := AppendLocalClusterBatchJSON([]byte("prefix"), b.Method, seeds, func(i int) []byte { return bodies[i] }, b.Work)
+	sameEncode(t, "AppendLocalClusterBatchJSON", got, err, want, wantErr)
+}
+
+// TestSpliceBatch walks what a spliced batch reply can hold: duplicate
+// seeds, results with and without a sweep, null and empty top lists and
+// sets, the ?debug=work aggregate with and without its optional
+// counters, no results at all, and NaN members, which are refused as
+// json.Marshal refuses them. localcluster replies are checked for each
+// method, and for a method name that needs escaping.
+func TestSpliceBatch(t *testing.T) {
+	r := sampleReply(3, true, false)
+	res := PPRBatchResult{Seed: 7, Support: r.Support, Sum: r.Sum, Pushes: r.Pushes, WorkVolume: r.WorkVolume, Top: r.Top, Sweep: r.Sweep}
+	bare := PPRBatchResult{Seed: 2, Support: 1, Sum: 0.5, Pushes: 1, WorkVolume: 3}
+	empty := bare
+	empty.Top, empty.Sweep = []NodeMass{}, &SweepInfo{Set: []int{}}
+	nan := res
+	nan.Top = []NodeMass{{Node: 1, Mass: math.NaN()}}
+	agg := &WorkStats{Method: "push-batch", Pushes: 9, WorkVolume: 1e-7, MaxSupport: 4}
+	for _, b := range []*PPRBatchResponse{
+		{Results: []PPRBatchResult{}},
+		{Results: []PPRBatchResult{res}, TotalWork: res.WorkVolume},
+		{Results: []PPRBatchResult{res, bare, res, empty, res}, TotalWork: 1234.5 * 3},
+		{Results: []PPRBatchResult{bare, {Seed: math.MinInt64, Top: []NodeMass{{Node: -1, Mass: -0.0}}}}, TotalWork: math.Copysign(0, -1), Work: agg},
+		{Results: []PPRBatchResult{empty}, Work: &WorkStats{Method: "push-batch"}},
+		{Results: []PPRBatchResult{res, nan}},
+		{Results: []PPRBatchResult{res}, TotalWork: math.NaN()},
+		{Results: []PPRBatchResult{res}, Work: &WorkStats{Method: "push-batch", WorkVolume: math.Inf(1)}},
+	} {
+		checkSplice(t, b)
+	}
+	cluster := []LocalClusterBatchResult{
+		{Seed: 3, Set: []int{3, 1, 2}, Size: 3, Conductance: 0.25, Volume: 21, Support: 9},
+		{Seed: 3, Set: []int{3, 1, 2}, Size: 3, Conductance: 0.25, Volume: 21, Support: 9},
+		{Seed: 40, Set: []int{}, Conductance: 1e-9, Volume: 1e21},
+		{Seed: 0},
+	}
+	for _, method := range append(slices.Clone(LocalClusterMethods), `a"b<c>&é`) {
+		checkSpliceCluster(t, &LocalClusterBatchResponse{Method: method, Results: cluster})
+		checkSpliceCluster(t, &LocalClusterBatchResponse{Method: method, Results: cluster[:1], Work: &WorkStats{Method: method + "-batch", Steps: 20, Terms: 3, MaxSupport: 9}})
+		checkSpliceCluster(t, &LocalClusterBatchResponse{Method: method, Results: []LocalClusterBatchResult{}})
+	}
+	checkSpliceCluster(t, &LocalClusterBatchResponse{Method: "heat", Results: []LocalClusterBatchResult{{Seed: 1, Conductance: math.NaN()}}})
 }
 
 // checkDecode asserts DecodeJSON agrees with json.Unmarshal on data, for
@@ -301,12 +398,30 @@ func replyFromBytes(data []byte) *PPRResponse {
 	return r
 }
 
+// clusterFromReply builds a localcluster:batch reply out of a ppr
+// reply's members: its numbers, its sweep set and its work block, whose
+// method names the batch's.
+func clusterFromReply(r *PPRResponse) *LocalClusterBatchResponse {
+	res := LocalClusterBatchResult{Seed: r.Pushes, Size: r.Support, Conductance: r.Sum, Volume: r.WorkVolume, Support: r.Support}
+	if r.Sweep != nil {
+		res.Set = r.Sweep.Set
+	}
+	b := &LocalClusterBatchResponse{Method: "ppr", Results: []LocalClusterBatchResult{res, {Set: []int{}}, res}, Work: r.Work}
+	if r.Work != nil {
+		b.Method = r.Work.Method
+	}
+	return b
+}
+
 // FuzzPPRReplyCodec is the differential test of the codec against
 // encoding/json. The input is used twice: as a reply body, which
 // DecodeJSON must treat exactly as json.Unmarshal does — so anything the
 // direct path accepts the library accepts, to equal structs — and as the
 // raw material of a reply, which AppendJSON must encode to json.Marshal's
-// bytes or refuse with its error, and DecodeJSON must read back.
+// bytes or refuse with its error, and DecodeJSON must read back. The
+// batch replies spliced from such replies (checkEncode's, and a
+// localcluster:batch made of the same members) must be json.Marshal's
+// too.
 func FuzzPPRReplyCodec(f *testing.F) {
 	for _, r := range []*PPRResponse{sampleReply(0, false, false), sampleReply(2, true, false), sampleReply(3, true, true)} {
 		body, _ := r.AppendJSON(nil)
@@ -319,8 +434,10 @@ func FuzzPPRReplyCodec(f *testing.F) {
 	f.Add([]byte("\x0f\x05\x00\x00\x00\x00\x00\x00" + "\x01\x00\x00\x00\x00\x00\xf0\x7f" + `a"<é`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecode(t, data)
-		if body := checkEncode(t, replyFromBytes(data)); body != nil {
+		r := replyFromBytes(data)
+		if body := checkEncode(t, r); body != nil {
 			checkDecode(t, body)
 		}
+		checkSpliceCluster(t, clusterFromReply(r))
 	})
 }

@@ -31,6 +31,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/pkg/api"
@@ -127,7 +128,7 @@ func (c *Client) Health(ctx context.Context) (api.HealthResponse, error) {
 
 // Metrics fetches the Prometheus text exposition from GET /metrics.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	body, _, err := c.doRaw(ctx, http.MethodGet, "/metrics", nil, nil, "")
+	body, _, err := c.doRaw(ctx, http.MethodGet, "/metrics", nil, nil, "", nil)
 	return string(body), err
 }
 
@@ -165,6 +166,8 @@ func (c *Client) queryValues() url.Values {
 // doJSON marshals in (when non-nil), performs the call with retries,
 // and decodes the response into out (when non-nil): with out's own
 // decoder when it has one (the ppr replies), else with json.Unmarshal.
+// A reply with its own decoder is read into a pooled buffer, since that
+// decoder keeps no byte of it.
 func (c *Client) doJSON(ctx context.Context, method, path string, q url.Values, in, out any) error {
 	var body []byte
 	contentType := ""
@@ -175,11 +178,17 @@ func (c *Client) doJSON(ctx context.Context, method, path string, q url.Values, 
 		}
 		contentType = "application/json"
 	}
-	data, _, err := c.doRaw(ctx, method, path, q, body, contentType)
+	d, direct := out.(interface{ DecodeJSON([]byte) error })
+	var buf *[]byte
+	if direct {
+		buf = replyScratch.Get().(*[]byte)
+		defer replyScratch.Put(buf)
+	}
+	data, _, err := c.doRaw(ctx, method, path, q, body, contentType, buf)
 	if err != nil {
 		return err
 	}
-	if d, ok := out.(interface{ DecodeJSON([]byte) error }); ok {
+	if direct {
 		err = d.DecodeJSON(data)
 	} else if out != nil {
 		err = json.Unmarshal(data, out)
@@ -194,14 +203,25 @@ func (c *Client) doJSON(ctx context.Context, method, path string, q url.Values, 
 // word about its own length.
 const maxSizedRead = 8 << 20
 
+// replyScratch holds the buffers doJSON reads directly decoded replies
+// into.
+var replyScratch = sync.Pool{New: func() any { return new([]byte) }}
+
 // readBody reads a response body: one of declared length (graphd
-// states it on every query reply) into one buffer of that length, any
-// other — chunked, or declaring more than maxSizedRead — as it comes.
-func readBody(resp *http.Response) ([]byte, error) {
+// states it on every query reply) into one buffer of that length — *buf
+// when buf is set, grown if it must be — any other (chunked, or
+// declaring more than maxSizedRead) as it comes.
+func readBody(resp *http.Response, buf *[]byte) ([]byte, error) {
 	if resp.ContentLength < 0 || resp.ContentLength > maxSizedRead {
 		return io.ReadAll(resp.Body)
 	}
-	body := make([]byte, resp.ContentLength)
+	if buf == nil {
+		buf = new([]byte)
+	}
+	if int64(cap(*buf)) < resp.ContentLength {
+		*buf = make([]byte, resp.ContentLength)
+	}
+	body := (*buf)[:resp.ContentLength]
 	_, err := io.ReadFull(resp.Body, body)
 	return body, err
 }
@@ -209,8 +229,9 @@ func readBody(resp *http.Response) ([]byte, error) {
 // doRaw performs one logical call with the retry/backoff policy: the
 // request body is replayed from bytes on each attempt, connection
 // errors and 5xx responses back off and retry, anything else returns
-// immediately. On HTTP failure the returned error is an *api.Error.
-func (c *Client) doRaw(ctx context.Context, method, path string, q url.Values, body []byte, contentType string) ([]byte, http.Header, error) {
+// immediately. On HTTP failure the returned error is an *api.Error. A
+// sized reply is read into *buf when buf is set (see readBody).
+func (c *Client) doRaw(ctx context.Context, method, path string, q url.Values, body []byte, contentType string, buf *[]byte) ([]byte, http.Header, error) {
 	u := c.baseURL + path
 	if len(q) > 0 {
 		u += "?" + q.Encode()
@@ -249,7 +270,7 @@ func (c *Client) doRaw(ctx context.Context, method, path string, q url.Values, b
 			}
 			continue
 		}
-		data, readErr := readBody(resp)
+		data, readErr := readBody(resp, buf)
 		resp.Body.Close()
 		if readErr != nil {
 			if ctx.Err() != nil {

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -416,5 +417,41 @@ func TestHugeDeclaredLength(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
 		t.Fatalf("a reply declaring 1 TiB made the client allocate %d bytes", got)
+	}
+}
+
+// TestPooledReplyBufferIsNotAliased: the ppr replies are read into a
+// pooled buffer that the next call reuses, so nothing a decoded reply
+// holds may point into it — a larger reply and then a smaller one, each
+// read into the buffer the last call left, leave every earlier result
+// as it was decoded.
+func TestPooledReplyBufferIsNotAliased(t *testing.T) {
+	replies := []api.PPRBatchResponse{
+		{Results: []api.PPRBatchResult{{Seed: 1, Support: 2, Top: []api.NodeMass{{Node: 7, Mass: 0.5}}, Sweep: &api.SweepInfo{Set: []int{7, 8}}}}, TotalWork: 3,
+			Work: &api.WorkStats{Method: "push-batch", Pushes: 4}},
+		{Results: []api.PPRBatchResult{{Seed: 9, Top: []api.NodeMass{}}}, Work: &api.WorkStats{Method: "xxxx-batch"}},
+	}
+	var calls atomic.Int32
+	c, _ := newTestClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := replies[(calls.Add(1)-1)%2].AppendJSON(nil)
+		if err != nil {
+			t.Error(err)
+		}
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)+1))
+		w.Write(append(body, '\n'))
+	}))
+	var got []api.PPRBatchResponse
+	for i := 0; i < 4; i++ {
+		res, err := c.Graphs.PPRBatch(context.Background(), "g", api.PPRBatchRequest{Seeds: []int{1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, res)
+	}
+	for i, res := range got {
+		a, _ := json.Marshal(res)
+		if b, _ := json.Marshal(replies[i%2]); string(a) != string(b) {
+			t.Fatalf("call %d was sent %s and now holds %s", i, b, a)
+		}
 	}
 }

@@ -51,7 +51,7 @@ func (s *JobsService) Cancel(ctx context.Context, id string) (api.JobView, error
 // ResultRaw returns a finished job's result payload as raw JSON. The
 // server answers 409 conflict while the job is still queued or running.
 func (s *JobsService) ResultRaw(ctx context.Context, id string) (json.RawMessage, error) {
-	body, _, err := s.c.doRaw(ctx, http.MethodGet, v1("jobs", id, "result"), nil, nil, "")
+	body, _, err := s.c.doRaw(ctx, http.MethodGet, v1("jobs", id, "result"), nil, nil, "", nil)
 	if err != nil {
 		return nil, err
 	}

@@ -291,8 +291,9 @@ func NewIncrementalPPR(g *DynamicGraph, seed int, gamma float64, walks int, rng 
 // BatchPersonalizedPageRank computes PPR vectors for many sources
 // (reference [5]). It runs on the kernel's batch engine
 // (kernel.BatchDiffuser) via stream.BatchPersonalizedPageRank — the
-// single batch code path shared with graphd's ppr:batch endpoint —
-// and its output is byte-identical to sequential per-source pushes.
+// engine graphd also runs the uncached seeds of a ppr:batch request and
+// coalesced ppr requests on — and its output is byte-identical to
+// sequential per-source pushes.
 func BatchPersonalizedPageRank(g *Graph, sources []int, workers int) (*stream.BatchPPRResult, error) {
 	return stream.BatchPersonalizedPageRank(g, sources, stream.BatchPPROptions{Workers: workers})
 }
