@@ -39,12 +39,14 @@ graphlint:
 lint: vet graphlint
 
 # fuzz gives the seed corpora a short budget against the binary
-# decoders and the ppr reply codec (differentially, against
-# encoding/json); CI runs this on every push and on a weekly schedule.
+# decoders (snapshots, mapped snapshots, WAL replay, edge lists) and
+# the ppr reply codec (differentially, against encoding/json); CI runs
+# this on every push and on a weekly schedule.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadSnapshot -fuzztime $(FUZZTIME) ./internal/persist
 	$(GO) test -run '^$$' -fuzz FuzzOpenMapped -fuzztime $(FUZZTIME) ./internal/persist
+	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/persist
 	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzPPRReplyCodec -fuzztime $(FUZZTIME) ./pkg/api
 

@@ -79,9 +79,13 @@ func ReadEdgeListFile(path string) (*Graph, error) {
 }
 
 // MaxEdgeListNodes caps the node count an edge list may declare or
-// imply. Beyond it the CSR arrays could not be allocated anyway; failing
-// with an error keeps a hostile header from panicking the allocator.
-const MaxEdgeListNodes = 1 << 31
+// imply, and graphd applies the same cap to streamed graphs. Builder.Build
+// allocates 32 B per node before any edge (rowPtr, degrees and two
+// int work arrays, 8 B each), so 1<<26 nodes cost 2 GiB: a 20-byte
+// "# nodes" header cannot ask for more memory than a server has. The
+// cap also keeps every stored graph inside the uint32 ids the compact
+// and mmap backends use.
+const MaxEdgeListNodes = 1 << 26
 
 // ReadEdgeList parses the format produced by WriteEdgeList, tolerating
 // the dialects found in the wild: blank lines and '#'- or '%'-prefixed

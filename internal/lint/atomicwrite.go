@@ -7,9 +7,10 @@ import (
 
 // AtomicWritePackages are the packages that own durable files and must
 // write them via the temp+rename+fsync protocol (PR 4).
+// The graph store reaches its data directory only through persist.Dir,
+// so that is internal/persist alone.
 var AtomicWritePackages = []string{
 	"repro/internal/persist",
-	"repro/internal/service",
 }
 
 // AtomicWrite enforces the persistence write discipline: durable files
@@ -23,10 +24,10 @@ var AtomicWrite = &Analyzer{
 	Name: "atomicwrite",
 	Doc: `flag direct file creation that bypasses temp+rename+fsync
 
-In internal/persist and internal/service, os.Create, os.WriteFile,
-and os.OpenFile with os.O_TRUNC write into the final filename
-directly: a crash mid-write leaves a torn file under the durable
-name. Write to an os.CreateTemp sibling, Sync, Close, os.Rename, and
+In internal/persist, which owns graphd's data directory, os.Create,
+os.WriteFile, and os.OpenFile with os.O_TRUNC write into the final
+filename directly: a crash mid-write leaves a torn file under the
+durable name. Write to an os.CreateTemp sibling, Sync, Close, os.Rename, and
 fsync the directory — see persist.WriteSnapshotFile. Append-mode
 OpenFile (the WAL pattern: O_CREATE|O_EXCL plus per-record fsync) and
 os.CreateTemp itself are the sanctioned primitives and are not

@@ -33,22 +33,6 @@ func writeV2Temp(t testing.TB, g *graph.Graph) (string, []byte) {
 	return path, data
 }
 
-func weightedTestGraph(t testing.TB) *graph.Graph {
-	t.Helper()
-	b := graph.NewBuilder(40)
-	for i := 0; i < 39; i++ {
-		b.AddWeightedEdge(i, i+1, 0.5+float64(i%4))
-		if i+9 < 40 {
-			b.AddWeightedEdge(i, i+9, 2.25)
-		}
-	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
 // TestOpenMappedRejectsCorruption feeds OpenMapped every corruption a
 // snapshot file can plausibly suffer — truncation at each structural
 // boundary, bit flips in header and data, wrong versions — and requires
@@ -57,11 +41,7 @@ func weightedTestGraph(t testing.TB) *graph.Graph {
 func TestOpenMappedRejectsCorruption(t *testing.T) {
 	g := weightedTestGraph(t)
 	_, valid := writeV2Temp(t, g)
-
-	var v1 bytes.Buffer
-	if err := WriteSnapshotV1(&v1, g); err != nil {
-		t.Fatal(err)
-	}
+	v1 := v1Fixture(t)
 
 	cases := []struct {
 		name    string
@@ -77,7 +57,7 @@ func TestOpenMappedRejectsCorruption(t *testing.T) {
 		{"header-bit-flip", flipByte(valid, 9), "header checksum mismatch"},
 		{"rowptr-bit-flip", flipByte(valid, v2HeaderSize+1), "rowPtr section checksum"},
 		{"future-version", flipByte(valid, 6), "unsupported snapshot version"},
-		{"v1-snapshot", v1.Bytes(), "not mappable"},
+		{"v1-snapshot", v1, "not mappable"},
 	}
 	dir := t.TempDir()
 	for _, tc := range cases {
@@ -99,7 +79,7 @@ func TestOpenMappedRejectsCorruption(t *testing.T) {
 
 	t.Run("v1-is-ErrNotMappable", func(t *testing.T) {
 		path := filepath.Join(dir, "v1"+SnapshotExt)
-		if err := os.WriteFile(path, v1.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, v1, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := OpenMapped(path); !errors.Is(err, ErrNotMappable) {
@@ -156,6 +136,32 @@ func TestOpenMappedZeroCopy(t *testing.T) {
 	}
 }
 
+// TestCompactLoadAllocatesTheFileOnce is the copying load's counterpart
+// of TestOpenMappedZeroCopy: loading a snapshot file into the compact
+// backend reads it into one buffer of the file's size and slices the
+// sections out of that buffer, so the whole load — CRC and CSR
+// verification included — allocates at most 1.1× the file.
+func TestCompactLoadAllocatesTheFileOnce(t *testing.T) {
+	g, err := gen.Kronecker(gen.KroneckerConfig{Levels: 14, Edges: 150000}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, data := writeV2Temp(t, g)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c, err := ReadCompactFile(path)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocated := after.TotalAlloc - before.TotalAlloc; float64(allocated) > 1.1*float64(len(data)) {
+		t.Errorf("loading a %d-byte snapshot allocated %d bytes, want at most 1.1x the file", len(data), allocated)
+	}
+	assertSameCompact(t, g, c, gstore.KindCompact)
+}
+
 // FuzzOpenMapped hammers the mapped-open path with arbitrary file
 // contents. The invariant: OpenMapped either returns a descriptive
 // error or a fully valid graph — never a panic, SIGSEGV or SIGBUS —
@@ -188,11 +194,7 @@ func FuzzOpenMapped(f *testing.F) {
 	f.Add(flipByte(unit, 40))
 	f.Add([]byte("GSNAP\x00"))
 	f.Add([]byte{})
-	var v1 bytes.Buffer
-	if err := WriteSnapshotV1(&v1, gen.Path(5)); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v1.Bytes())
+	f.Add(v1Fixture(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {

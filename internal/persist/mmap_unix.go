@@ -3,14 +3,9 @@
 package persist
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
-	"strconv"
 	"syscall"
-	"unsafe"
 
 	"repro/internal/gstore"
 )
@@ -49,76 +44,35 @@ func OpenMapped(path string) (*gstore.Compact, error) {
 		return nil, err
 	}
 	size := fi.Size()
-	if size < v2HeaderSize {
-		// Could be a (valid) tiny v1 file or garbage; peek at the header
-		// to produce the right error either way.
-		var head [8]byte
-		if _, err := io.ReadFull(f, head[:min(8, int(size))]); err != nil || size < 8 {
-			return nil, fmt.Errorf("persist: %s: snapshot header truncated", path)
-		}
-		if [6]byte(head[:6]) != snapMagic {
-			return nil, fmt.Errorf("persist: %s: bad snapshot magic %q", path, head[:6])
-		}
-		if binary.LittleEndian.Uint16(head[6:8]) == SnapshotVersion {
-			return nil, fmt.Errorf("%w: %s is a v1 snapshot", ErrNotMappable, path)
-		}
-		return nil, fmt.Errorf("persist: %s: v2 snapshot header truncated", path)
-	}
 	if size != int64(int(size)) {
 		return nil, fmt.Errorf("%w: %s is too large to map", ErrNotMappable, path)
 	}
-	data, err := syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
-	if err != nil {
-		return nil, fmt.Errorf("persist: mmap %s: %w", path, err)
+	var data []byte // an empty file cannot be mapped, and fails verification as it is
+	if size > 0 {
+		if data, err = syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED); err != nil {
+			return nil, fmt.Errorf("persist: mmap %s: %w", path, err)
+		}
 	}
 	c, err := openMappedData(data, path)
-	if err != nil {
+	if err != nil && data != nil {
 		_ = syscall.Munmap(data)
-		return nil, err
 	}
-	return c, nil
+	return c, err
 }
 
 // openMappedData builds the mapped graph over an established mapping;
 // the caller unmaps on error.
 func openMappedData(data []byte, path string) (*gstore.Compact, error) {
-	if [6]byte(data[:6]) != snapMagic {
-		return nil, fmt.Errorf("persist: %s: bad snapshot magic %q", path, data[:6])
-	}
-	switch v := binary.LittleEndian.Uint16(data[6:8]); v {
-	case SnapshotVersion:
-		return nil, fmt.Errorf("%w: %s is a v1 snapshot", ErrNotMappable, path)
-	case SnapshotVersionV2:
-	default:
-		return nil, fmt.Errorf("persist: %s: unsupported snapshot version %d (supported: %d, %d)", path, v, SnapshotVersion, SnapshotVersionV2)
-	}
-	h, err := parseV2Header(data[:v2HeaderSize])
+	v, err := snapshotVersion(data)
 	if err != nil {
 		return nil, fmt.Errorf("persist: %s: %w", path, err)
 	}
-	if want := h.totalSize(); uint64(len(data)) != want {
-		return nil, fmt.Errorf("persist: %s: file is %d bytes, v2 header expects exactly %d", path, len(data), want)
+	if v == SnapshotVersion {
+		return nil, fmt.Errorf("%w: %s is a v1 snapshot", ErrNotMappable, path)
 	}
-	names := [4]string{"rowPtr", "adjacency", "weight", "degree"}
-	for i, sec := range h.sec {
-		if got := crc32.ChecksumIEEE(data[sec.off : sec.off+sec.len]); got != sec.crc {
-			return nil, fmt.Errorf("persist: %s: %s section checksum mismatch (stored %08x, computed %08x)", path, names[i], sec.crc, got)
-		}
-		for _, b := range data[sec.off+sec.len : sec.off+pad8(sec.len)] {
-			if b != 0 {
-				return nil, fmt.Errorf("persist: %s: nonzero padding after %s section", path, names[i])
-			}
-		}
-	}
-	rowPtr := mapSlice[int64](data, h.sec[v2SecRowPtr])
-	adj := mapSlice[uint32](data, h.sec[v2SecAdj])
-	deg := mapSlice[float64](data, h.sec[v2SecDeg])
-	var w32 []float32
-	var w64 []float64
-	if h.flags&v2FlagWF32 != 0 {
-		w32 = mapSlice[float32](data, h.sec[v2SecW])
-	} else if h.flags&v2FlagW != 0 {
-		w64 = mapSlice[float64](data, h.sec[v2SecW])
+	h, err := verifyV2(data)
+	if err != nil {
+		return nil, fmt.Errorf("persist: %s: %w", path, err)
 	}
 	// The closer un-notes exactly what the successful open notes below;
 	// a failed open munmaps directly in OpenMapped without ever noting,
@@ -129,33 +83,10 @@ func openMappedData(data []byte, path string) (*gstore.Compact, error) {
 		gstore.Telemetry().NoteUnmapped(size)
 		return err
 	}
-	c, err := gstore.NewCompactFromParts(gstore.KindMmap, rowPtr, adj, w32, w64, deg, closer)
+	c, err := compactV2(data, h, gstore.KindMmap, closer)
 	if err != nil {
 		return nil, fmt.Errorf("persist: %s: %w", path, err)
 	}
 	gstore.Telemetry().NoteMapped(size)
 	return c, nil
-}
-
-// mapSlice casts one section of the mapping to a typed slice without
-// copying. Section offsets are 8-byte aligned by construction (checked
-// by parseV2Header) and the mapping itself is page-aligned, so the
-// cast pointer is always properly aligned for T.
-func mapSlice[T int64 | uint32 | float32 | float64](data []byte, sec v2Section) []T {
-	var zero T
-	count := int(sec.len) / int(unsafe.Sizeof(zero))
-	if count == 0 {
-		return nil
-	}
-	return unsafe.Slice((*T)(unsafe.Pointer(&data[sec.off])), count)
-}
-
-// hostLayoutMappable reports whether this machine's int width and byte
-// order let the little-endian on-disk sections be aliased in place.
-func hostLayoutMappable() bool {
-	if strconv.IntSize != 64 {
-		return false
-	}
-	x := uint16(1)
-	return *(*byte)(unsafe.Pointer(&x)) == 1
 }

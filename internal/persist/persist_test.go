@@ -2,15 +2,24 @@ package persist
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/gstore"
 )
 
 // testGraphs builds a spread of shapes: structured, random, weighted
@@ -57,6 +66,36 @@ func testGraphs(t *testing.T) map[string]*graph.Graph {
 	}
 }
 
+// weightedTestGraph is a 40-node path with chords whose weights all
+// narrow to float32 losslessly.
+func weightedTestGraph(t testing.TB) *graph.Graph {
+	t.Helper()
+	b := graph.NewBuilder(40)
+	for i := 0; i < 39; i++ {
+		b.AddWeightedEdge(i, i+1, 0.5+float64(i%4))
+		if i+9 < 40 {
+			b.AddWeightedEdge(i, i+9, 2.25)
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// v1Fixture returns testdata/v1_weighted.gsnap: weightedTestGraph in
+// the legacy v1 layout, written by the v1 writer before it was retired.
+// Nothing writes v1 any more; the fixture pins that it still reads.
+func v1Fixture(t testing.TB) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "v1_weighted.gsnap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 // assertSameCSR asserts that two graphs are bit-identical: CSR arrays,
 // degrees, volume, node and edge counts.
 func assertSameCSR(t *testing.T, want, got *graph.Graph) {
@@ -97,6 +136,167 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			assertSameCSR(t, g, got)
 		})
 	}
+}
+
+// TestSnapshotBytesPinned pins the exact bytes WriteSnapshot produces:
+// the format has one canonical encoding per graph, and these digests
+// are those of the v2 writer the format shipped with.
+func TestSnapshotBytesPinned(t *testing.T) {
+	want := map[string]string{
+		"empty":    "459fc8fade98820dfbab4cbed780e6a64ab9b2296273f032777e9861201d649d",
+		"er":       "0c3cea30b620a5c021e5d97fa72fcb7317a95b1c639d4bdb788bd2ed83eea23b",
+		"ff":       "185a2f8dfe83f4beba33ab711929971127924da2f344f672590956cbd0caeae9",
+		"isolated": "7b8c169402c60b3fdde997ed5ae15d59a319cadeee80f07048cc74bab42d4939",
+		"ring":     "a2852e0048c58bdbc7b06d4e53d09afe819ef7ef90d37b2de5c13cdc42f6024a",
+		"weighted": "71792062cd86fb961f8bfdd900f051612776e276e2230e0c54de7b4e3860f45d",
+		"f32":      "a29bddd5deb34dd7e92fcb134ceace026e3dd0f40cbf73a41aa838d20177dc3b",
+	}
+	graphs := testGraphs(t)
+	graphs["f32"] = weightedTestGraph(t)
+	for name, g := range graphs {
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		if got := hex.EncodeToString(sum[:]); got != want[name] {
+			t.Errorf("%s: snapshot sha256 %s, want %s", name, got, want[name])
+		}
+	}
+}
+
+// TestV1FixtureReads checks that a v1 snapshot still decodes to the
+// graph that was written, bit for bit, on every path that reads one:
+// the heap and compact decoders, and recovery on the mmap backend,
+// which cannot map v1 and serves it compact instead.
+func TestV1FixtureReads(t *testing.T) {
+	want := weightedTestGraph(t)
+	data := v1Fixture(t)
+	g, err := ReadSnapshot(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameCSR(t, want, g)
+	c, err := ReadCompactSnapshot(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameCompact(t, want, c, gstore.KindCompact)
+
+	root := t.TempDir()
+	if err := os.WriteFile(filepath.Join(root, "old"+SnapshotExt), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenMapped(filepath.Join(root, "old"+SnapshotExt)); !errors.Is(err, ErrNotMappable) {
+		t.Fatalf("OpenMapped(v1) = %v, want ErrNotMappable", err)
+	}
+	var logged []string
+	_, rec, err := Recover(root, gstore.KindMmap, nil, func(format string, args ...any) {
+		logged = append(logged, fmt.Sprintf(format, args...))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec) != 1 || rec[0].Name != "old" || rec[0].Graph == nil {
+		t.Fatalf("recovered %+v, want the sealed graph \"old\"", rec)
+	}
+	assertSameCompact(t, want, rec[0].Graph, gstore.KindCompact)
+	if !strings.Contains(strings.Join(logged, "\n"), "serving compact instead") {
+		t.Fatalf("no fallback log line: %q", logged)
+	}
+}
+
+// assertSameCompact asserts that g is served from kind and holds want
+// bit for bit.
+func assertSameCompact(t *testing.T, want *graph.Graph, g gstore.Graph, kind gstore.Kind) {
+	t.Helper()
+	if g.Backend() != kind {
+		t.Fatalf("backend %q, want %q", g.Backend(), kind)
+	}
+	hg, err := gstore.Materialize(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameCSR(t, want, hg)
+}
+
+// TestStreamedLoadGrowsWithTheBytes reads snapshots through a stream,
+// whose length the load cannot know in advance. A header that claims
+// tens of gigabytes over a few bytes must fail having allocated in
+// proportion to what arrived, and a snapshot several times the initial
+// buffer, delivered in short reads, must load intact.
+func TestStreamedLoadGrowsWithTheBytes(t *testing.T) {
+	h := &v2Header{n: math.MaxUint32, m: 1 << 30}
+	lens := h.sectionLens()
+	off := uint64(v2HeaderSize)
+	for i := range h.sec {
+		h.sec[i] = v2Section{off: off, len: lens[i]}
+		off += pad8(lens[i])
+	}
+	stream := append(encodeV2Header(h), make([]byte, 1000)...)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, err := ReadCompactSnapshot(bytes.NewReader(stream))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a header claiming gigabytes over 1000 bytes was accepted")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4*sectionChunk {
+		t.Errorf("rejecting a %d-byte stream allocated %d bytes", len(stream), got)
+	}
+
+	g, err := gen.Kronecker(gen.KroneckerConfig{Levels: 12}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() < 4*sectionChunk {
+		t.Fatalf("snapshot of %d bytes does not outgrow the initial buffer", buf.Len())
+	}
+	got, err := ReadSnapshot(iotest.HalfReader(bytes.NewReader(buf.Bytes())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameCSR(t, g, got)
+}
+
+// TestDecodeWordsMatchesAliasing checks the copying decode, which hosts
+// whose layout cannot alias a snapshot use, against the aliasing this
+// host uses: every section of every weight form.
+func TestDecodeWordsMatchesAliasing(t *testing.T) {
+	if !hostLayoutMappable() {
+		t.Skip("this host decodes; there is no aliasing to compare against")
+	}
+	graphs := testGraphs(t)
+	graphs["f32"] = weightedTestGraph(t)
+	for name, g := range graphs {
+		var buf bytes.Buffer
+		if err := WriteSnapshot(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		data := alignedBytes(buf.Len())
+		copy(data, buf.Bytes())
+		h, err := verifyV2(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		weights := sameWords[float64](data, h.sec[v2SecW])
+		if h.flags&v2FlagWF32 != 0 {
+			weights = sameWords[float32](data, h.sec[v2SecW])
+		}
+		if !weights || !sameWords[int64](data, h.sec[v2SecRowPtr]) || !sameWords[uint32](data, h.sec[v2SecAdj]) ||
+			!sameWords[float64](data, h.sec[v2SecDeg]) {
+			t.Errorf("%s: decoded words differ from the aliased ones", name)
+		}
+	}
+}
+
+func sameWords[T sectionWord](data []byte, sec v2Section) bool {
+	return slices.Equal(sectionWords[T](data, sec), decodeWords[T](data[sec.off:sec.off+sec.len]))
 }
 
 func TestSnapshotFileRoundTrip(t *testing.T) {
@@ -366,5 +566,45 @@ func TestDirQuarantineAndScan(t *testing.T) {
 	}
 	if got := d.Counters().Quarantined.Load(); got != 2 {
 		t.Fatalf("quarantine counter = %d, want 2", got)
+	}
+}
+
+// TestDirCountsWALAppends checks that a log created or reopened through
+// a Dir counts its own durable appends, and that a log opened without
+// one counts nothing.
+func TestDirCountsWALAppends(t *testing.T) {
+	d, err := OpenDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := []Edge{{U: 0, V: 1, W: 1}}
+	appendN := func(w *WAL, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := w.AppendBatch(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w, err := d.CreateWAL("g", 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(w, 3)
+	w, _, _, err = d.OpenWAL("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(w, 2)
+	w, err = CreateWAL(filepath.Join(t.TempDir(), "other"+WALExt), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(w, 4)
+	if got := d.Counters().WALAppends.Load(); got != 5 {
+		t.Fatalf("WALAppends = %d after 5 appends through the Dir, want 5", got)
 	}
 }

@@ -1,16 +1,14 @@
 // Package persist is graphd's durability layer: a versioned, checksummed
-// binary snapshot format for sealed CSR graphs ("GSNAP") and a streaming
-// write-ahead log ("GWAL") for graphs that are still accumulating edges.
+// binary snapshot format for sealed CSR graphs ("GSNAP"), a streaming
+// write-ahead log ("GWAL") for graphs that are still accumulating edges,
+// and the data directory (Dir) that owns both and recovers them at boot.
 // Together they let a daemon restart recover every sealed graph and
 // replay every in-flight stream without re-parsing text edge lists.
 //
-// Two snapshot versions exist. v2 (the default, written for every
-// graph whose node count fits uint32 — see snapshot_v2.go for the
-// layout) stores compact 8-byte-aligned sections that a memory mapping
-// can serve in place, plus the degree vector, so mapped loads copy
-// nothing. v1 is the original streaming layout below; it is still read
-// transparently, and still written for graphs too large for uint32
-// ids:
+// WriteSnapshot writes v2 (see snapshot_v2.go for the layout): compact
+// 8-byte-aligned sections that a memory mapping can serve in place, plus
+// the degree vector, so mapped loads copy nothing. v1 is the original
+// streaming layout below; it is read transparently but never written:
 //
 //	magic    [6]byte  "GSNAP\x00"
 //	version  uint16   1
@@ -22,10 +20,9 @@
 //	w        (2m)  × float64 (IEEE 754 bits), then uint32 CRC32
 //
 // Every section carries its own checksum so corruption is localized in
-// error messages, and decoding goes straight into graph.FromCSR — no
-// edge-list round trip, no re-sorting, no re-merging. A graph that
-// survives ReadSnapshot is bit-identical (adjacency, weights, degrees,
-// volume) to the one that was written, whichever version carried it.
+// error messages. A graph that survives ReadSnapshot is bit-identical
+// (adjacency, weights, degrees, volume) to the one that was written,
+// whichever version carried it.
 package persist
 
 import (
@@ -42,8 +39,8 @@ import (
 	"repro/internal/gstore"
 )
 
-// SnapshotVersion is the legacy GSNAP format version; WriteSnapshot
-// emits SnapshotVersionV2 whenever the graph's ids fit uint32.
+// SnapshotVersion is the legacy GSNAP v1 format version, which is read
+// but never written.
 const SnapshotVersion = 1
 
 // SnapshotExt is the conventional file extension for snapshot files.
@@ -53,7 +50,7 @@ var snapMagic = [6]byte{'G', 'S', 'N', 'A', 'P', 0}
 
 // maxSnapshotDim bounds the node/edge counts a header may claim, keeping
 // n+1 and 2m safely inside int range on 64-bit platforms. Decoding
-// allocates proportionally to bytes actually read, so a lying header
+// allocates in proportion to bytes actually read, so a lying header
 // costs an error, not memory.
 const maxSnapshotDim = 1 << 48
 
@@ -62,135 +59,135 @@ const maxSnapshotDim = 1 << 48
 // large allocation.
 const sectionChunk = 1 << 16
 
-// WriteSnapshot encodes g in GSNAP format — v2 (mappable, compact)
-// when the node ids fit uint32, v1 otherwise. The writer is buffered
-// internally; the caller owns any file-level durability (fsync,
-// rename).
-func WriteSnapshot(w io.Writer, g *graph.Graph) error {
-	if uint64(g.N()) > math.MaxUint32 {
-		return WriteSnapshotV1(w, g)
-	}
-	return writeSnapshotV2(w, g)
-}
-
-// WriteSnapshotV1 encodes g in the legacy v1 layout: the fallback for
-// graphs beyond the uint32 id space, and the writer compatibility
-// tests use to prove v1 streams still load.
-func WriteSnapshotV1(w io.Writer, g *graph.Graph) error {
-	bw := bufio.NewWriterSize(w, sectionChunk)
-	rowPtr, adj, wts := g.CSR()
-	var hdr [24]byte
-	copy(hdr[:6], snapMagic[:])
-	binary.LittleEndian.PutUint16(hdr[6:8], SnapshotVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(g.N()))
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(g.M()))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return fmt.Errorf("persist: write header: %w", err)
-	}
-	if err := writeUint32(bw, crc32.ChecksumIEEE(hdr[6:24])); err != nil {
-		return fmt.Errorf("persist: write header checksum: %w", err)
-	}
-	if err := writeIntSection(bw, rowPtr); err != nil {
-		return fmt.Errorf("persist: write rowPtr section: %w", err)
-	}
-	if err := writeIntSection(bw, adj); err != nil {
-		return fmt.Errorf("persist: write adjacency section: %w", err)
-	}
-	if err := writeFloatSection(bw, wts); err != nil {
-		return fmt.Errorf("persist: write weight section: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("persist: flush snapshot: %w", err)
-	}
-	return nil
-}
-
 // ReadSnapshot decodes a GSNAP stream (either version) into a Graph,
 // verifying the magic, version, header checksum, every section
-// checksum, and finally the full CSR invariants via graph.FromCSR. It
-// never panics on malformed input and allocates in proportion to the
-// bytes actually present.
+// checksum, and finally the full CSR invariants. It never panics on
+// malformed input and allocates in proportion to the bytes actually
+// present.
 func ReadSnapshot(r io.Reader) (*graph.Graph, error) {
-	br := bufio.NewReaderSize(r, sectionChunk)
-	h2, h1, err := readSnapshotHeader(br)
+	return heapOf(readSnapshot(r, -1))
+}
+
+// heapOf converts a decoded snapshot to a heap graph.
+func heapOf(g gstore.Graph, err error) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	if h1 != nil {
-		return readSnapshotV1Body(br, h1.n, h1.m)
-	}
-	c, err := readSnapshotV2(br, h2)
-	if err != nil {
-		return nil, err
-	}
-	g, err := gstore.Materialize(c)
+	hg, err := gstore.Materialize(g)
 	if err != nil {
 		return nil, fmt.Errorf("persist: snapshot failed CSR validation: %w", err)
 	}
-	return g, nil
+	return hg, nil
 }
 
-// v1Header carries the dimensions of a legacy snapshot header.
-type v1Header struct{ n, m uint64 }
+// ReadCompactSnapshot decodes a GSNAP stream (either version) into the
+// compact in-heap representation. v2 streams load directly; v1 streams
+// take the heap path and convert.
+func ReadCompactSnapshot(r io.Reader) (*gstore.Compact, error) {
+	return compactOf(readSnapshot(r, -1))
+}
 
-// readSnapshotHeader reads and verifies a snapshot header of either
-// version from a sequential stream: exactly one of the returns is
-// non-nil on success, and the reader is positioned at the first
-// section.
-func readSnapshotHeader(br io.Reader) (*v2Header, *v1Header, error) {
-	var hdr [24]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, nil, fmt.Errorf("persist: snapshot header truncated: %w", err)
+// compactOf converts a decoded snapshot to the compact backend.
+func compactOf(g gstore.Graph, err error) (*gstore.Compact, error) {
+	if err != nil {
+		return nil, err
 	}
-	if [6]byte(hdr[:6]) != snapMagic {
-		return nil, nil, fmt.Errorf("persist: bad snapshot magic %q", hdr[:6])
+	if c, ok := g.(*gstore.Compact); ok {
+		return c, nil
 	}
-	switch v := binary.LittleEndian.Uint16(hdr[6:8]); v {
-	case SnapshotVersion:
-	case SnapshotVersionV2:
-		full := make([]byte, v2HeaderSize)
-		copy(full, hdr[:])
-		if _, err := io.ReadFull(br, full[24:]); err != nil {
-			return nil, nil, fmt.Errorf("persist: v2 snapshot header truncated: %w", err)
-		}
-		h, err := parseV2Header(full)
+	c, err := gstore.NewCompact(g.(gstore.Heap).Unwrap())
+	if err != nil {
+		return nil, fmt.Errorf("persist: compacting v1 snapshot: %w", err)
+	}
+	return c, nil
+}
+
+// readSnapshot decodes a snapshot of either version: a v1 one into a
+// heap graph, a v2 one into a compact graph over one buffer holding the
+// whole file (see readV2). avail is how many bytes r holds when that is
+// known (a file's size), and negative for a stream.
+func readSnapshot(r io.Reader, avail int64) (gstore.Graph, error) {
+	var head [v2HeaderSize]byte
+	if _, err := io.ReadFull(r, head[:8]); err != nil {
+		return nil, fmt.Errorf("persist: snapshot header truncated: %w", err)
+	}
+	v, err := snapshotVersion(head[:8])
+	if err != nil {
+		return nil, fmt.Errorf("persist: %w", err)
+	}
+	if v == SnapshotVersion {
+		g, err := readSnapshotV1(bufio.NewReaderSize(r, sectionChunk), head[:8])
 		if err != nil {
-			return nil, nil, fmt.Errorf("persist: %w", err)
+			return nil, err
 		}
-		return h, nil, nil
-	default:
-		return nil, nil, fmt.Errorf("persist: unsupported snapshot version %d (supported: %d, %d)", v, SnapshotVersion, SnapshotVersionV2)
+		return gstore.Wrap(g), nil
+	}
+	if _, err := io.ReadFull(r, head[8:]); err != nil {
+		return nil, fmt.Errorf("persist: v2 snapshot header truncated: %w", err)
+	}
+	h, err := parseV2Header(head[:])
+	if err != nil {
+		return nil, fmt.Errorf("persist: %w", err)
+	}
+	data, err := readV2(r, head[:], h.totalSize(), avail)
+	if err != nil {
+		return nil, fmt.Errorf("persist: %w", err)
+	}
+	if h, err = verifyV2(data); err != nil {
+		return nil, fmt.Errorf("persist: %w", err)
+	}
+	c, err := compactV2(data, h, gstore.KindCompact, nil)
+	if err != nil {
+		return nil, fmt.Errorf("persist: snapshot failed CSR validation: %w", err)
+	}
+	return c, nil
+}
+
+// snapshotVersion checks the magic in a snapshot's first 8 bytes and
+// returns its format version.
+func snapshotVersion(head []byte) (uint16, error) {
+	if len(head) < 8 {
+		return 0, fmt.Errorf("snapshot header truncated")
+	}
+	if [6]byte(head[:6]) != snapMagic {
+		return 0, fmt.Errorf("bad snapshot magic %q", head[:6])
+	}
+	v := binary.LittleEndian.Uint16(head[6:8])
+	if v != SnapshotVersion && v != SnapshotVersionV2 {
+		return 0, fmt.Errorf("unsupported snapshot version %d (supported: %d, %d)", v, SnapshotVersion, SnapshotVersionV2)
+	}
+	return v, nil
+}
+
+// readSnapshotV1 decodes the rest of a v1 snapshot from br, its magic
+// and version bytes, head, having already been read.
+func readSnapshotV1(br io.Reader, head []byte) (*graph.Graph, error) {
+	var hdr [28]byte
+	copy(hdr[:], head)
+	if _, err := io.ReadFull(br, hdr[len(head):]); err != nil {
+		return nil, fmt.Errorf("persist: snapshot header truncated: %w", err)
+	}
+	if stored, want := binary.LittleEndian.Uint32(hdr[24:]), crc32.ChecksumIEEE(hdr[6:24]); stored != want {
+		return nil, fmt.Errorf("persist: snapshot header checksum mismatch (got %08x, want %08x)", stored, want)
 	}
 	n := binary.LittleEndian.Uint64(hdr[8:16])
 	m := binary.LittleEndian.Uint64(hdr[16:24])
-	hcrc, err := readUint32(br)
-	if err != nil {
-		return nil, nil, fmt.Errorf("persist: snapshot header checksum truncated: %w", err)
-	}
-	if want := crc32.ChecksumIEEE(hdr[6:24]); hcrc != want {
-		return nil, nil, fmt.Errorf("persist: snapshot header checksum mismatch (got %08x, want %08x)", hcrc, want)
-	}
 	if n >= maxSnapshotDim || m >= maxSnapshotDim {
-		return nil, nil, fmt.Errorf("persist: snapshot claims n=%d m=%d, beyond the %d limit", n, m, uint64(maxSnapshotDim))
+		return nil, fmt.Errorf("persist: snapshot claims n=%d m=%d, beyond the %d limit", n, m, uint64(maxSnapshotDim))
 	}
-	return nil, &v1Header{n: n, m: m}, nil
-}
-
-// readSnapshotV1Body decodes the three v1 sections that follow a
-// verified v1 header.
-func readSnapshotV1Body(br io.Reader, n, m uint64) (*graph.Graph, error) {
-	rowPtr, err := readIntSection(br, int(n)+1)
+	asInt := func(u uint64) int { return int(int64(u)) }
+	rowPtr, err := readWords(br, int(n)+1, asInt)
 	if err != nil {
 		return nil, fmt.Errorf("persist: rowPtr section: %w", err)
 	}
 	if got := rowPtr[n]; got != 2*int(m) {
 		return nil, fmt.Errorf("persist: rowPtr[n]=%d inconsistent with m=%d", got, m)
 	}
-	adj, err := readIntSection(br, 2*int(m))
+	adj, err := readWords(br, 2*int(m), asInt)
 	if err != nil {
 		return nil, fmt.Errorf("persist: adjacency section: %w", err)
 	}
-	wts, err := readFloatSection(br, 2*int(m))
+	wts, err := readWords(br, 2*int(m), math.Float64frombits)
 	if err != nil {
 		return nil, fmt.Errorf("persist: weight section: %w", err)
 	}
@@ -231,11 +228,27 @@ func WriteSnapshotFile(path string, g *graph.Graph) error {
 
 // ReadSnapshotFile reads a GSNAP file.
 func ReadSnapshotFile(path string) (*graph.Graph, error) {
+	return heapOf(readSnapshotFile(path))
+}
+
+// ReadCompactFile reads a GSNAP file into the compact representation.
+// A v2 file costs one allocation of its own size.
+func ReadCompactFile(path string) (*gstore.Compact, error) {
+	return compactOf(readSnapshotFile(path))
+}
+
+// readSnapshotFile is readSnapshot over a file, which it sizes first so
+// a v2 load reads into one buffer of exactly the file's size.
+func readSnapshotFile(path string) (gstore.Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	g, err := ReadSnapshot(f)
+	avail := int64(-1)
+	if fi, err := f.Stat(); err == nil {
+		avail = fi.Size()
+	}
+	g, err := readSnapshot(f, avail)
 	if cerr := f.Close(); err == nil && cerr != nil {
 		return nil, fmt.Errorf("persist: close %s: %w", path, cerr)
 	}
@@ -269,130 +282,32 @@ func syncDir(dir string) error {
 	return d.Close()
 }
 
-func writeUint32(w io.Writer, v uint32) error {
-	var b [4]byte
-	binary.LittleEndian.PutUint32(b[:], v)
-	_, err := w.Write(b[:])
-	return err
-}
-
-func readUint32(r io.Reader) (uint32, error) {
-	var b [4]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint32(b[:]), nil
-}
-
-// writeIntSection emits vals as little-endian int64s followed by the
-// section CRC32.
-func writeIntSection(w io.Writer, vals []int) error {
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(w, crc)
-	buf := make([]byte, 0, sectionChunk)
-	for _, v := range vals {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(v)))
-		if len(buf) >= sectionChunk-8 {
-			if _, err := mw.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		if _, err := mw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return writeUint32(w, crc.Sum32())
-}
-
-// writeFloatSection emits vals as IEEE 754 bit patterns followed by the
-// section CRC32.
-func writeFloatSection(w io.Writer, vals []float64) error {
-	crc := crc32.NewIEEE()
-	mw := io.MultiWriter(w, crc)
-	buf := make([]byte, 0, sectionChunk)
-	for _, v := range vals {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		if len(buf) >= sectionChunk-8 {
-			if _, err := mw.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		if _, err := mw.Write(buf); err != nil {
-			return err
-		}
-	}
-	return writeUint32(w, crc.Sum32())
-}
-
-// readSectionRaw reads count 8-byte words plus the trailing checksum,
-// handing each verified chunk to emit. Allocation stays proportional to
-// bytes actually read: a header that lies about count fails on the first
-// short read.
-func readSectionRaw(r io.Reader, count int, emit func(chunk []byte)) error {
+// readWords reads a v1 section — count little-endian 8-byte words, then
+// the CRC32 of their bytes — decoding each word with conv. Allocation
+// stays proportional to bytes actually read: a header that lies about
+// count fails on the first short read.
+func readWords[T int | float64](r io.Reader, count int, conv func(uint64) T) ([]T, error) {
 	if count < 0 {
-		return fmt.Errorf("negative element count %d", count)
+		return nil, fmt.Errorf("negative element count %d", count)
 	}
+	out := make([]T, 0, min(count, sectionChunk/8))
 	crc := crc32.NewIEEE()
 	buf := make([]byte, sectionChunk)
-	remaining := count
-	for remaining > 0 {
-		k := remaining
-		if k > sectionChunk/8 {
-			k = sectionChunk / 8
-		}
-		chunk := buf[:k*8]
+	for len(out) < count {
+		chunk := buf[:8*min(count-len(out), sectionChunk/8)]
 		if _, err := io.ReadFull(r, chunk); err != nil {
-			return fmt.Errorf("truncated after %d of %d elements: %w", count-remaining, count, err)
+			return nil, fmt.Errorf("truncated after %d of %d elements: %w", len(out), count, err)
 		}
 		crc.Write(chunk)
-		emit(chunk)
-		remaining -= k
-	}
-	stored, err := readUint32(r)
-	if err != nil {
-		return fmt.Errorf("checksum truncated: %w", err)
-	}
-	if got := crc.Sum32(); stored != got {
-		return fmt.Errorf("checksum mismatch (stored %08x, computed %08x)", stored, got)
-	}
-	return nil
-}
-
-func readIntSection(r io.Reader, count int) ([]int, error) {
-	out := make([]int, 0, minInt(count, sectionChunk/8))
-	err := readSectionRaw(r, count, func(chunk []byte) {
-		for i := 0; i+8 <= len(chunk); i += 8 {
-			out = append(out, int(int64(binary.LittleEndian.Uint64(chunk[i:]))))
+		for i := 0; i < len(chunk); i += 8 {
+			out = append(out, conv(binary.LittleEndian.Uint64(chunk[i:])))
 		}
-	})
-	if err != nil {
-		return nil, err
+	}
+	if _, err := io.ReadFull(r, buf[:4]); err != nil {
+		return nil, fmt.Errorf("checksum truncated: %w", err)
+	}
+	if stored, got := binary.LittleEndian.Uint32(buf), crc.Sum32(); stored != got {
+		return nil, fmt.Errorf("checksum mismatch (stored %08x, computed %08x)", stored, got)
 	}
 	return out, nil
-}
-
-func readFloatSection(r io.Reader, count int) ([]float64, error) {
-	out := make([]float64, 0, minInt(count, sectionChunk/8))
-	err := readSectionRaw(r, count, func(chunk []byte) {
-		for i := 0; i+8 <= len(chunk); i += 8 {
-			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(chunk[i:])))
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

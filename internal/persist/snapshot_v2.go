@@ -8,17 +8,19 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"os"
+	"strconv"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/gstore"
 )
 
-// GSNAP v2 is the mappable snapshot format: a fixed 136-byte header of
-// section descriptors followed by the raw CSR arrays, every section
-// starting on an 8-byte boundary so a memory mapping of the file can be
-// sliced directly into []int64/[]uint32/[]float32/[]float64 without a
-// copy (see OpenMapped). Layout (all integers little-endian):
+// GSNAP v2 is the snapshot format WriteSnapshot writes: a fixed 136-byte
+// header of section descriptors followed by the raw CSR arrays, every
+// section starting on an 8-byte boundary so a memory mapping of the file
+// (or an 8-byte-aligned buffer holding it) can be sliced directly into
+// []int64/[]uint32/[]float32/[]float64 without a copy. Layout (all
+// integers little-endian):
 //
 //	magic    [6]byte  "GSNAP\x00"
 //	version  uint16   2
@@ -42,7 +44,7 @@ import (
 // length and CRC32; the bytes between a section's end and the next
 // 8-byte boundary are zero (verified on read, so any byte flip in the
 // file fails the load). The degree vector is stored — not recomputed —
-// so a mapped graph reproduces the writer's degree floats bit for bit,
+// so a loaded graph reproduces the writer's degree floats bit for bit,
 // and the reader cross-checks it against the row-order accumulation.
 const SnapshotVersionV2 = 2
 
@@ -59,6 +61,9 @@ const (
 	v2SecW      = 2
 	v2SecDeg    = 3
 )
+
+// v2SectionNames name the sections in error messages.
+var v2SectionNames = [4]string{"rowPtr", "adjacency", "weight", "degree"}
 
 // ErrNotMappable reports that a snapshot cannot be served by the mmap
 // backend (v1 format, oversized ids, or an unsupported platform) and
@@ -177,106 +182,31 @@ func encodeV2Header(h *v2Header) []byte {
 	return hdr
 }
 
-// v2 section encoders. Each streams its array into w in sectionChunk
-// pieces; hashing and output share the code path, so the descriptor
-// CRCs are computed by running the encoder once into a crc32 writer.
-
-func encodeInt64s(w io.Writer, vals []int) error {
-	buf := make([]byte, 0, sectionChunk)
-	for _, v := range vals {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(v)))
-		if len(buf) >= sectionChunk-8 {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
+// WriteSnapshot encodes g in GSNAP v2. The writer is buffered
+// internally; the caller owns any file-level durability (fsync,
+// rename). Graphs beyond the uint32 id space cannot be written; graphd
+// never admits one (graph.MaxEdgeListNodes).
+func WriteSnapshot(w io.Writer, g *graph.Graph) error {
+	if uint64(g.N()) > math.MaxUint32 {
+		return fmt.Errorf("persist: %d nodes exceed the snapshot's uint32 id space", g.N())
 	}
-	if len(buf) > 0 {
-		_, err := w.Write(buf)
-		return err
-	}
-	return nil
-}
-
-func encodeUint32s(w io.Writer, vals []int) error {
-	buf := make([]byte, 0, sectionChunk)
-	for _, v := range vals {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
-		if len(buf) >= sectionChunk-4 {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		_, err := w.Write(buf)
-		return err
-	}
-	return nil
-}
-
-func encodeFloat64s(w io.Writer, vals []float64) error {
-	buf := make([]byte, 0, sectionChunk)
-	for _, v := range vals {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		if len(buf) >= sectionChunk-8 {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		_, err := w.Write(buf)
-		return err
-	}
-	return nil
-}
-
-func encodeFloat32s(w io.Writer, vals []float64) error {
-	buf := make([]byte, 0, sectionChunk)
-	for _, v := range vals {
-		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(float32(v)))
-		if len(buf) >= sectionChunk-4 {
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-			buf = buf[:0]
-		}
-	}
-	if len(buf) > 0 {
-		_, err := w.Write(buf)
-		return err
-	}
-	return nil
-}
-
-// writeSnapshotV2 encodes g in GSNAP v2. The caller guarantees
-// n <= MaxUint32 (WriteSnapshot falls back to v1 otherwise).
-func writeSnapshotV2(w io.Writer, g *graph.Graph) error {
 	rowPtr, adj, wts := g.CSR()
 	deg := g.Degrees()
-	form := gstore.DetectWeightForm(wts)
-
 	h := &v2Header{n: uint64(g.N()), m: uint64(g.M())}
-	var encodeW func(io.Writer) error
-	switch form {
-	case gstore.WeightsUnit:
-		encodeW = func(io.Writer) error { return nil }
+	encodeW := func(io.Writer) error { return nil }
+	switch gstore.DetectWeightForm(wts) {
 	case gstore.WeightsF32:
 		h.flags = v2FlagW | v2FlagWF32
-		encodeW = func(w io.Writer) error { return encodeFloat32s(w, wts) }
-	default:
+		encodeW = func(w io.Writer) error { return encodeSection[float32](w, wts) }
+	case gstore.WeightsF64:
 		h.flags = v2FlagW
-		encodeW = func(w io.Writer) error { return encodeFloat64s(w, wts) }
+		encodeW = func(w io.Writer) error { return encodeSection[float64](w, wts) }
 	}
 	encoders := [4]func(io.Writer) error{
-		func(w io.Writer) error { return encodeInt64s(w, rowPtr) },
-		func(w io.Writer) error { return encodeUint32s(w, adj) },
+		func(w io.Writer) error { return encodeSection[int64](w, rowPtr) },
+		func(w io.Writer) error { return encodeSection[uint32](w, adj) },
 		encodeW,
-		func(w io.Writer) error { return encodeFloat64s(w, deg) },
+		func(w io.Writer) error { return encodeSection[float64](w, deg) },
 	}
 	// First pass: lengths, offsets and CRCs into the descriptors.
 	lens := h.sectionLens()
@@ -299,10 +229,8 @@ func writeSnapshotV2(w io.Writer, g *graph.Graph) error {
 		if err := enc(bw); err != nil {
 			return fmt.Errorf("persist: write section %d: %w", i, err)
 		}
-		if p := pad8(lens[i]) - lens[i]; p > 0 {
-			if _, err := bw.Write(zeros[:p]); err != nil {
-				return fmt.Errorf("persist: pad section %d: %w", i, err)
-			}
+		if _, err := bw.Write(zeros[:pad8(lens[i])-lens[i]]); err != nil {
+			return fmt.Errorf("persist: pad section %d: %w", i, err)
 		}
 	}
 	if err := bw.Flush(); err != nil {
@@ -311,137 +239,154 @@ func writeSnapshotV2(w io.Writer, g *graph.Graph) error {
 	return nil
 }
 
-// readSectionV2 reads one section's bytes (plus alignment padding) from
-// a sequential reader, verifying the descriptor CRC and that the
-// padding is zero. emit receives verified chunks in order.
-func readSectionV2(r io.Reader, sec v2Section, emit func(chunk []byte)) error {
-	crc := crc32.NewIEEE()
-	buf := make([]byte, sectionChunk)
-	remaining := sec.len
-	for remaining > 0 {
-		k := remaining
-		if k > sectionChunk {
-			k = sectionChunk
+// encodeSection streams vals into w as the little-endian words of a
+// section stored as S — int64 row pointers, uint32 ids, float32 or
+// float64 weights — in sectionChunk pieces. The writer runs it once
+// into a CRC and once into the file, so hashing and output share one
+// code path.
+func encodeSection[S sectionWord, T int | float64](w io.Writer, vals []T) error {
+	buf := make([]byte, 0, sectionChunk)
+	for _, v := range vals {
+		s := S(v)
+		if unsafe.Sizeof(s) == 4 {
+			buf = binary.LittleEndian.AppendUint32(buf, *(*uint32)(unsafe.Pointer(&s)))
+		} else {
+			buf = binary.LittleEndian.AppendUint64(buf, *(*uint64)(unsafe.Pointer(&s)))
 		}
-		chunk := buf[:k]
-		if _, err := io.ReadFull(r, chunk); err != nil {
-			return fmt.Errorf("truncated after %d of %d bytes: %w", sec.len-remaining, sec.len, err)
+		if len(buf) > sectionChunk-8 {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
 		}
-		crc.Write(chunk)
-		emit(chunk)
-		remaining -= k
 	}
-	if got := crc.Sum32(); got != sec.crc {
-		return fmt.Errorf("checksum mismatch (stored %08x, computed %08x)", sec.crc, got)
+	_, err := w.Write(buf)
+	return err
+}
+
+// verifyV2 checks a whole v2 snapshot held in data — its header, that
+// data is exactly the size the header implies, every section CRC and
+// the zero padding after each section — and returns the parsed header.
+// The mapped and the copying loads both run it; the CSR invariants are
+// left to gstore.NewCompactFromParts.
+func verifyV2(data []byte) (*v2Header, error) {
+	if len(data) < v2HeaderSize {
+		return nil, fmt.Errorf("v2 snapshot header truncated")
 	}
-	if p := pad8(sec.len) - sec.len; p > 0 {
-		var pad [8]byte
-		if _, err := io.ReadFull(r, pad[:p]); err != nil {
-			return fmt.Errorf("padding truncated: %w", err)
+	h, err := parseV2Header(data[:v2HeaderSize])
+	if err != nil {
+		return nil, err
+	}
+	if want := h.totalSize(); uint64(len(data)) != want {
+		return nil, fmt.Errorf("file is %d bytes, v2 header expects exactly %d", len(data), want)
+	}
+	for i, sec := range h.sec {
+		if got := crc32.ChecksumIEEE(data[sec.off : sec.off+sec.len]); got != sec.crc {
+			return nil, fmt.Errorf("%s section checksum mismatch (stored %08x, computed %08x)", v2SectionNames[i], sec.crc, got)
 		}
-		for _, b := range pad[:p] {
+		for _, b := range data[sec.off+sec.len : sec.off+pad8(sec.len)] {
 			if b != 0 {
-				return fmt.Errorf("nonzero padding byte %#02x", b)
+				return nil, fmt.Errorf("nonzero padding after %s section", v2SectionNames[i])
 			}
 		}
 	}
-	return nil
+	return h, nil
 }
 
-// readSnapshotV2 decodes the sections following a parsed v2 header
-// into a compact graph (copying out of the stream; OpenMapped is the
-// zero-copy path). NewCompactFromParts revalidates every CSR invariant
-// including the stored degree bits.
-func readSnapshotV2(r io.Reader, h *v2Header) (*gstore.Compact, error) {
-	names := [4]string{"rowPtr", "adjacency", "weight", "degree"}
-	rowPtr := make([]int64, 0, h.n+1)
-	adj := make([]uint32, 0, 2*h.m)
-	deg := make([]float64, 0, h.n)
+// readV2 reads a whole v2 snapshot of total bytes, whose header head has
+// already been read, into one 8-byte-aligned buffer. When avail is the
+// number of bytes r holds (a file's size), the buffer is sized once and
+// a short source fails before anything is allocated; on a stream
+// (avail < 0) it starts at sectionChunk and doubles only when full, so
+// it never holds more than twice the bytes that have arrived.
+func readV2(r io.Reader, head []byte, total uint64, avail int64) ([]byte, error) {
+	if total > math.MaxInt {
+		return nil, fmt.Errorf("v2 snapshot of %d bytes is too large for this host", total)
+	}
+	size := min(total, sectionChunk)
+	if avail >= 0 {
+		if uint64(avail) < total {
+			return nil, fmt.Errorf("file is %d bytes, v2 header expects exactly %d", avail, total)
+		}
+		size = total
+	}
+	buf := alignedBytes(int(size))
+	n := copy(buf, head)
+	for uint64(n) < total {
+		if n == len(buf) {
+			grown := alignedBytes(int(min(total, 2*uint64(n))))
+			copy(grown, buf)
+			buf = grown
+		}
+		k, err := io.ReadFull(r, buf[n:])
+		n += k
+		if err != nil {
+			return nil, fmt.Errorf("v2 snapshot truncated after %d of %d bytes: %w", n, total, err)
+		}
+	}
+	return buf, nil
+}
+
+// alignedBytes returns n zero bytes starting on an 8-byte boundary, so
+// a verified snapshot in them can be sliced like a mapping.
+func alignedBytes(n int) []byte {
+	words := make([]uint64, (n+7)/8)
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), n)
+}
+
+// compactV2 builds the compact graph of kind over the sections of a
+// snapshot verifyV2 accepted. NewCompactFromParts revalidates every CSR
+// invariant, including the stored degree bits; closer is passed on.
+func compactV2(data []byte, h *v2Header, kind gstore.Kind, closer func() error) (*gstore.Compact, error) {
 	var w32 []float32
 	var w64 []float64
-	emits := [4]func(chunk []byte){
-		func(chunk []byte) {
-			for i := 0; i+8 <= len(chunk); i += 8 {
-				rowPtr = append(rowPtr, int64(binary.LittleEndian.Uint64(chunk[i:])))
-			}
-		},
-		func(chunk []byte) {
-			for i := 0; i+4 <= len(chunk); i += 4 {
-				adj = append(adj, binary.LittleEndian.Uint32(chunk[i:]))
-			}
-		},
-		nil, // set below per weight form
-		func(chunk []byte) {
-			for i := 0; i+8 <= len(chunk); i += 8 {
-				deg = append(deg, math.Float64frombits(binary.LittleEndian.Uint64(chunk[i:])))
-			}
-		},
+	if h.flags&v2FlagWF32 != 0 {
+		w32 = sectionWords[float32](data, h.sec[v2SecW])
+	} else if h.flags&v2FlagW != 0 {
+		w64 = sectionWords[float64](data, h.sec[v2SecW])
 	}
-	switch {
-	case h.flags&v2FlagWF32 != 0:
-		w32 = make([]float32, 0, 2*h.m)
-		emits[v2SecW] = func(chunk []byte) {
-			for i := 0; i+4 <= len(chunk); i += 4 {
-				w32 = append(w32, math.Float32frombits(binary.LittleEndian.Uint32(chunk[i:])))
-			}
-		}
-	case h.flags&v2FlagW != 0:
-		w64 = make([]float64, 0, 2*h.m)
-		emits[v2SecW] = func(chunk []byte) {
-			for i := 0; i+8 <= len(chunk); i += 8 {
-				w64 = append(w64, math.Float64frombits(binary.LittleEndian.Uint64(chunk[i:])))
-			}
-		}
-	default:
-		emits[v2SecW] = func([]byte) {}
-	}
-	for i := range emits {
-		if err := readSectionV2(r, h.sec[i], emits[i]); err != nil {
-			return nil, fmt.Errorf("persist: %s section: %w", names[i], err)
-		}
-	}
-	c, err := gstore.NewCompactFromParts(gstore.KindCompact, rowPtr, adj, w32, w64, deg, nil)
-	if err != nil {
-		return nil, fmt.Errorf("persist: snapshot failed CSR validation: %w", err)
-	}
-	return c, nil
+	return gstore.NewCompactFromParts(kind,
+		sectionWords[int64](data, h.sec[v2SecRowPtr]),
+		sectionWords[uint32](data, h.sec[v2SecAdj]),
+		w32, w64,
+		sectionWords[float64](data, h.sec[v2SecDeg]),
+		closer)
 }
 
-// ReadCompactSnapshot decodes a GSNAP stream (either version) into the
-// compact in-heap representation. v2 streams decode directly; v1
-// streams take the heap path and convert.
-func ReadCompactSnapshot(r io.Reader) (*gstore.Compact, error) {
-	br := bufio.NewReaderSize(r, sectionChunk)
-	h, v1, err := readSnapshotHeader(br)
-	if err != nil {
-		return nil, err
-	}
-	if v1 != nil {
-		g, err := readSnapshotV1Body(br, v1.n, v1.m)
-		if err != nil {
-			return nil, err
-		}
-		c, err := gstore.NewCompact(g)
-		if err != nil {
-			return nil, fmt.Errorf("persist: compacting v1 snapshot: %w", err)
-		}
-		return c, nil
-	}
-	return readSnapshotV2(br, h)
+type sectionWord interface {
+	int64 | uint32 | float32 | float64
 }
 
-// ReadCompactFile reads a GSNAP file into the compact representation.
-func ReadCompactFile(path string) (*gstore.Compact, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+// sectionWords returns one section of data as a typed slice. Where the
+// host layout matches the file's it aliases data without copying:
+// section offsets are 8-byte aligned by construction (checked by
+// parseV2Header) and so is data (a page-aligned mapping or
+// alignedBytes), so the cast pointer is properly aligned for T.
+// Elsewhere it decodes a copy.
+func sectionWords[T sectionWord](data []byte, sec v2Section) []T {
+	b := data[sec.off : sec.off+sec.len]
+	if len(b) == 0 {
+		return nil
 	}
-	c, err := ReadCompactSnapshot(f)
-	if cerr := f.Close(); err == nil && cerr != nil {
-		return nil, fmt.Errorf("persist: close %s: %w", path, cerr)
+	if !hostLayoutMappable() {
+		return decodeWords[T](b)
 	}
-	if err != nil {
-		return nil, fmt.Errorf("persist: %s: %w", path, err)
+	return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), len(b)/int(unsafe.Sizeof(*new(T))))
+}
+
+// decodeWords copies the little-endian words of b into a fresh []T.
+func decodeWords[T sectionWord](b []byte) []T {
+	out := make([]T, len(b)/int(unsafe.Sizeof(*new(T))))
+	_, _ = binary.Decode(b, binary.LittleEndian, out) // cannot fail: b holds len(out) words
+	return out
+}
+
+// hostLayoutMappable reports whether the host's int width and byte
+// order let the little-endian on-disk sections be aliased in place.
+func hostLayoutMappable() bool {
+	if strconv.IntSize != 64 {
+		return false
 	}
-	return c, nil
+	x := uint16(1)
+	return *(*byte)(unsafe.Pointer(&x)) == 1
 }

@@ -9,7 +9,10 @@ import (
 	"io"
 	"math"
 	"os"
+	"sync/atomic"
 	"time"
+
+	"repro/internal/graph"
 )
 
 // WAL layout (all integers little-endian):
@@ -26,10 +29,10 @@ import (
 // Each AppendBatch call writes exactly one record and fsyncs before
 // returning, so an acknowledged batch is durable. Recovery reads records
 // until the file ends; any anomaly — a tear, a checksum mismatch, an
-// impossible count — fails OpenWAL with an error, and the store's
-// recovery path quarantines the file rather than guessing at a safe
-// prefix (see docs/persistence.md for the rationale and the manual
-// salvage procedure).
+// impossible count — fails OpenWAL with an error, and Recover
+// quarantines the file rather than guessing at a safe prefix (see
+// docs/persistence.md for the rationale and the manual salvage
+// procedure).
 
 // WALVersion is the GWAL format version this package writes.
 const WALVersion = 1
@@ -52,13 +55,29 @@ type Edge struct {
 	W    float64
 }
 
+// Check reports why e cannot join a graph on nodes vertices: an
+// endpoint outside [0,nodes) or a weight that is not positive and
+// finite. The store checks every appended edge with it before logging,
+// and recovery checks every replayed one, so a logged edge always
+// replays.
+func (e Edge) Check(nodes int) error {
+	if e.U < 0 || e.U >= nodes || e.V < 0 || e.V >= nodes {
+		return fmt.Errorf("(%d,%d) out of range [0,%d)", e.U, e.V, nodes)
+	}
+	if !(e.W > 0) || math.IsInf(e.W, 1) {
+		return fmt.Errorf("(%d,%d) has invalid weight %v", e.U, e.V, e.W)
+	}
+	return nil
+}
+
 // WAL is an open write-ahead log for one streaming graph. Not safe for
 // concurrent use; the store serializes access per graph.
 type WAL struct {
-	f     *os.File
-	path  string
-	nodes int
-	obs   Observer // nil: no durability telemetry
+	f       *os.File
+	path    string
+	nodes   int
+	obs     Observer       // nil: no durability telemetry
+	appends *atomic.Uint64 // counts durable appends; set by the Dir that opened the log
 }
 
 // SetObserver attaches a durability-telemetry sink to the log. Call
@@ -70,19 +89,14 @@ func (w *WAL) SetObserver(obs Observer) { w.obs = obs }
 // vertices, failing if the file already exists. The header is fsynced
 // before returning.
 func CreateWAL(path string, nodes int) (*WAL, error) {
-	if nodes <= 0 {
-		return nil, fmt.Errorf("persist: WAL needs nodes > 0, got %d", nodes)
+	if nodes <= 0 || nodes > graph.MaxEdgeListNodes {
+		return nil, fmt.Errorf("persist: WAL needs 0 < nodes <= %d, got %d", graph.MaxEdgeListNodes, nodes)
 	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("persist: create WAL: %w", err)
 	}
-	var hdr [24]byte
-	copy(hdr[:6], walMagic[:])
-	binary.LittleEndian.PutUint16(hdr[6:8], WALVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(nodes))
-	binary.LittleEndian.PutUint32(hdr[16:20], crc32.ChecksumIEEE(hdr[6:16]))
-	if _, err := f.Write(hdr[:20]); err != nil {
+	if _, err := f.Write(walHeader(nodes)); err != nil {
 		f.Close()
 		os.Remove(path)
 		return nil, fmt.Errorf("persist: write WAL header: %w", err)
@@ -93,6 +107,30 @@ func CreateWAL(path string, nodes int) (*WAL, error) {
 		return nil, fmt.Errorf("persist: sync WAL header: %w", err)
 	}
 	return &WAL{f: f, path: path, nodes: nodes}, nil
+}
+
+// walHeader encodes the log header for a graph on nodes vertices.
+func walHeader(nodes int) []byte {
+	hdr := make([]byte, 20)
+	copy(hdr[:6], walMagic[:])
+	binary.LittleEndian.PutUint16(hdr[6:8], WALVersion)
+	binary.LittleEndian.PutUint64(hdr[8:16], uint64(nodes))
+	binary.LittleEndian.PutUint32(hdr[16:20], crc32.ChecksumIEEE(hdr[6:16]))
+	return hdr
+}
+
+// appendWALRecord appends the record that logs edges to b.
+func appendWALRecord(b []byte, edges []Edge) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(edges)))
+	b = append(b, 0, 0, 0, 0) // payload CRC, filled in below
+	start := len(b)
+	for _, e := range edges {
+		b = binary.LittleEndian.AppendUint64(b, uint64(int64(e.U)))
+		b = binary.LittleEndian.AppendUint64(b, uint64(int64(e.V)))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(e.W))
+	}
+	binary.LittleEndian.PutUint32(b[start-4:], crc32.ChecksumIEEE(b[start:]))
+	return b
 }
 
 // OpenWAL opens an existing log, replays every record, and returns the
@@ -133,7 +171,7 @@ func replayWAL(br io.Reader) (nodes int, batches [][]Edge, err error) {
 		return 0, nil, fmt.Errorf("WAL header checksum mismatch (stored %08x, computed %08x)", got, want)
 	}
 	n := binary.LittleEndian.Uint64(hdr[8:16])
-	if n == 0 || n >= maxSnapshotDim {
+	if n == 0 || n > graph.MaxEdgeListNodes {
 		return 0, nil, fmt.Errorf("WAL claims impossible node count %d", n)
 	}
 	nodes = int(n)
@@ -151,11 +189,11 @@ func replayWAL(br io.Reader) (nodes int, batches [][]Edge, err error) {
 			return 0, nil, fmt.Errorf("record %d: impossible edge count %d", rec, count)
 		}
 		crc := crc32.NewIEEE()
-		edges := make([]Edge, 0, minInt(int(count), sectionChunk/walEdgeBytes))
+		edges := make([]Edge, 0, min(int(count), sectionChunk/walEdgeBytes))
 		remaining := int(count)
-		chunkBuf := make([]byte, minInt(int(count)*walEdgeBytes, sectionChunk))
+		chunkBuf := make([]byte, min(int(count)*walEdgeBytes, sectionChunk))
 		for remaining > 0 {
-			k := minInt(remaining, len(chunkBuf)/walEdgeBytes)
+			k := min(remaining, len(chunkBuf)/walEdgeBytes)
 			chunk := chunkBuf[:k*walEdgeBytes]
 			if _, err := io.ReadFull(br, chunk); err != nil {
 				return 0, nil, fmt.Errorf("record %d: torn payload: %w", rec, err)
@@ -190,16 +228,7 @@ func (w *WAL) AppendBatch(edges []Edge) error {
 	if len(edges) > maxWALBatch {
 		return fmt.Errorf("persist: WAL batch of %d edges exceeds limit %d", len(edges), maxWALBatch)
 	}
-	payload := make([]byte, 0, len(edges)*walEdgeBytes)
-	for _, e := range edges {
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(int64(e.U)))
-		payload = binary.LittleEndian.AppendUint64(payload, uint64(int64(e.V)))
-		payload = binary.LittleEndian.AppendUint64(payload, math.Float64bits(e.W))
-	}
-	rec := make([]byte, 0, 8+len(payload))
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(edges)))
-	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(payload))
-	rec = append(rec, payload...)
+	rec := appendWALRecord(make([]byte, 0, 8+len(edges)*walEdgeBytes), edges)
 	var start time.Time
 	if w.obs != nil {
 		start = time.Now()
@@ -213,19 +242,19 @@ func (w *WAL) AppendBatch(edges []Edge) error {
 	if w.obs != nil {
 		w.obs.ObservePersist(OpWALFsync, time.Since(start), int64(len(rec)))
 	}
+	if w.appends != nil {
+		w.appends.Add(1)
+	}
 	return nil
 }
 
 // Nodes returns the node count recorded in the WAL header.
 func (w *WAL) Nodes() int { return w.nodes }
 
-// Path returns the file the WAL writes to.
-func (w *WAL) Path() string { return w.path }
-
 // Close fsyncs and closes the log file. Further appends fail. Close is
-// idempotent.
+// idempotent, and a nil log has nothing to close.
 func (w *WAL) Close() error {
-	if w.f == nil {
+	if w == nil || w.f == nil {
 		return nil
 	}
 	f := w.f

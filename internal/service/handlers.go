@@ -36,7 +36,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.WriteTo(w, s.cache, s.jobs, s.store.PersistCounters())
+	s.metrics.WriteTo(w, s.cache, s.jobs, s.store.dir.Counters())
 }
 
 func (s *Server) handleListGraphs(w http.ResponseWriter, r *http.Request) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -63,7 +64,7 @@ func assertSameGraph(t *testing.T, want, got *graph.Graph) {
 func TestPersistCleanShutdownRestartIdentity(t *testing.T) {
 	dir := t.TempDir()
 	var lc logCapture
-	s1, err := NewPersistentGraphStore(dir, "", lc.logf)
+	s1, err := NewGraphStore(dir, "", lc.logf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestPersistCleanShutdownRestartIdentity(t *testing.T) {
 		t.Fatal("put after Close succeeded")
 	}
 
-	s2, err := NewPersistentGraphStore(dir, "", lc.logf)
+	s2, err := NewGraphStore(dir, "", lc.logf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +177,7 @@ func TestPersistCleanShutdownRestartIdentity(t *testing.T) {
 // re-recovers in a third, exercising snapshot-of-a-recovered-stream.
 func TestPersistThirdGenerationRecovery(t *testing.T) {
 	dir := t.TempDir()
-	s1, err := NewPersistentGraphStore(dir, "", nil)
+	s1, err := NewGraphStore(dir, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestPersistThirdGenerationRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	s1.Close()
-	s2, err := NewPersistentGraphStore(dir, "", nil)
+	s2, err := NewGraphStore(dir, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestPersistThirdGenerationRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2.Close()
-	s3, err := NewPersistentGraphStore(dir, "", nil)
+	s3, err := NewGraphStore(dir, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +219,7 @@ func TestPersistThirdGenerationRecovery(t *testing.T) {
 // graphs recover untouched.
 func TestPersistQuarantineCorruptFiles(t *testing.T) {
 	dir := t.TempDir()
-	s1, err := NewPersistentGraphStore(dir, "", nil)
+	s1, err := NewGraphStore(dir, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +276,7 @@ func TestPersistQuarantineCorruptFiles(t *testing.T) {
 	}
 
 	var lc logCapture
-	s2, err := NewPersistentGraphStore(dir, "", lc.logf)
+	s2, err := NewGraphStore(dir, "", lc.logf, nil)
 	if err != nil {
 		t.Fatalf("boot failed instead of quarantining: %v", err)
 	}
@@ -317,7 +318,7 @@ func TestPersistQuarantineCorruptFiles(t *testing.T) {
 // snapshot and discard the stale log.
 func TestPersistStaleWALAfterSeal(t *testing.T) {
 	dir := t.TempDir()
-	s1, err := NewPersistentGraphStore(dir, "", nil)
+	s1, err := NewGraphStore(dir, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +348,7 @@ func TestPersistStaleWALAfterSeal(t *testing.T) {
 	}
 
 	var lc logCapture
-	s2, err := NewPersistentGraphStore(dir, "", lc.logf)
+	s2, err := NewGraphStore(dir, "", lc.logf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +370,7 @@ func TestPersistStaleWALAfterSeal(t *testing.T) {
 // a restart cannot resurrect a deleted graph.
 func TestPersistDeleteRemovesFiles(t *testing.T) {
 	dir := t.TempDir()
-	s1, err := NewPersistentGraphStore(dir, "", nil)
+	s1, err := NewGraphStore(dir, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +394,7 @@ func TestPersistDeleteRemovesFiles(t *testing.T) {
 	if len(entries) != 0 {
 		t.Fatalf("data dir not empty after deletes: %v", entries)
 	}
-	s2, err := NewPersistentGraphStore(dir, "", nil)
+	s2, err := NewGraphStore(dir, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +408,7 @@ func TestPersistDeleteRemovesFiles(t *testing.T) {
 // sorted by name regardless of insertion order, stable across restart.
 func TestListDeterministicallySorted(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewPersistentGraphStore(dir, "", nil)
+	s, err := NewGraphStore(dir, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +430,7 @@ func TestListDeterministicallySorted(t *testing.T) {
 		t.Fatalf("List order %v, want %v", g, want)
 	}
 	s.Close()
-	s2, err := NewPersistentGraphStore(dir, "", nil)
+	s2, err := NewGraphStore(dir, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +445,7 @@ func TestListDeterministicallySorted(t *testing.T) {
 // suffixes (quarantine, temp, the live extensions themselves).
 func TestPersistTrickyNamesSurviveRestart(t *testing.T) {
 	dir := t.TempDir()
-	s1, err := NewPersistentGraphStore(dir, "", nil)
+	s1, err := NewGraphStore(dir, "", nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -459,7 +460,7 @@ func TestPersistTrickyNamesSurviveRestart(t *testing.T) {
 	}
 	s1.Close()
 	var lc logCapture
-	s2, err := NewPersistentGraphStore(dir, "", lc.logf)
+	s2, err := NewGraphStore(dir, "", lc.logf, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,4 +570,46 @@ func TestServerPersistenceOverHTTP(t *testing.T) {
 	// Export of a streaming graph is a conflict.
 	_, err = c2.Graphs.Export(ctx, "inc", io.Discard)
 	wantAPIErr(t, err, api.CodeConflict)
+}
+
+// TestNodeCapRefusedAtEveryIngress asks for one node more than
+// graph.MaxEdgeListNodes through a stream request and through an edge
+// list's "# nodes" header. Both must answer 400 invalid_argument before
+// anything is stored or logged, rather than reach an allocation of
+// gigabytes at seal or load time.
+func TestNodeCapRefusedAtEveryIngress(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts, _ := testServer(t, Config{DataDir: dir})
+	over := graph.MaxEdgeListNodes + 1
+	for _, req := range []struct{ path, contentType, body string }{
+		{"/v1/graphs/big-stream/stream", "application/json", fmt.Sprintf(`{"nodes":%d}`, over)},
+		{"/v1/graphs/big-list", "text/plain", fmt.Sprintf("# nodes %d\n0 1\n", over)},
+	} {
+		resp, err := http.Post(ts.URL+req.path, req.contentType, strings.NewReader(req.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `"invalid_argument"`) {
+			t.Errorf("POST %s: %d %s, want 400 invalid_argument", req.path, resp.StatusCode, body)
+		}
+	}
+	for _, name := range []string{"big-stream", "big-list"} {
+		if _, err := srv.Store().Info(name); err == nil {
+			t.Errorf("graph %q was stored", name)
+		}
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != "ring"+persist.SnapshotExt {
+			t.Errorf("refused requests left %s in the data dir", e.Name())
+		}
+	}
 }

@@ -131,17 +131,9 @@ func NewServer(cfg Config) (*Server, error) {
 	if c.OpLog != nil {
 		logOp = c.OpLog.Printf
 	}
-	var store *GraphStore
-	if c.DataDir != "" {
-		store, err = NewPersistentGraphStoreObserved(c.DataDir, backend, logOp, obs)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		store = NewGraphStore()
-		if err := store.SetDefaultBackend(backend); err != nil {
-			return nil, err
-		}
+	store, err := NewGraphStore(c.DataDir, backend, logOp, obs)
+	if err != nil {
+		return nil, err
 	}
 	s := &Server{
 		cfg:       c,

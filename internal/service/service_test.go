@@ -375,7 +375,11 @@ func TestPPRQueryCacheAndSingleflight(t *testing.T) {
 }
 
 func TestJobQueueFullIsUnavailable(t *testing.T) {
-	m := NewJobManager(NewGraphStore(), nil, nil, 1, 1)
+	store, err := NewGraphStore("", "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := NewJobManager(store, nil, nil, 1, 1)
 	t.Cleanup(m.Close)
 	release := make(chan struct{})
 	var once sync.Once

@@ -18,8 +18,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"math"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -65,16 +63,15 @@ func storeErrf(kind StoreErrorKind, format string, args ...any) *StoreError {
 // entry is one named graph: either sealed (g != nil, immutable, safe to
 // read without locks) or still streaming (b != nil, guarded by mu).
 type entry struct {
-	id      uint64 // unique per stored graph; part of every cache key
-	mu      sync.Mutex
-	g       gstore.Graph // sealed read view (heap, compact or mmap backend)
-	hg      *graph.Graph // lazy heap materialization for dense/batch consumers
-	b       *graph.Builder
-	pool    *kernel.Pool // per-graph diffusion workspaces; set when sealed
-	nNodes  int
-	nEdges  int                  // edges accepted while streaming
-	wal     *persist.WAL         // open log while streaming with a data dir
-	persist api.GraphPersistence // durability of the current state
+	id     uint64 // unique per stored graph; part of every cache key
+	mu     sync.Mutex
+	g      gstore.Graph // sealed read view (heap, compact or mmap backend)
+	hg     *graph.Graph // lazy heap materialization for dense/batch consumers
+	b      *graph.Builder
+	pool   *kernel.Pool // per-graph diffusion workspaces; set when sealed
+	nNodes int
+	nEdges int          // edges accepted while streaming
+	wal    *persist.WAL // open log while streaming with a data dir
 }
 
 // seal installs the immutable graph on the entry (caller holds e.mu)
@@ -92,8 +89,8 @@ func (e *entry) seal(g gstore.Graph) {
 // graphs are immutable CSR structures shared by all readers; streaming
 // graphs accumulate edges under a per-entry lock until sealed. With a
 // data directory attached, every mutation is made durable before it is
-// acknowledged: sealed graphs as binary snapshots, streaming graphs as
-// fsync'd write-ahead-log batches.
+// acknowledged — how, and what recovery makes of it, is persist.Dir's
+// business; the store keeps names, ids, entries, pools and locking.
 type GraphStore struct {
 	mu      sync.RWMutex
 	graphs  map[string]*entry
@@ -104,221 +101,45 @@ type GraphStore struct {
 	logf    func(format string, args ...any)
 }
 
-// NewGraphStore returns an empty, in-memory store serving heap graphs.
-func NewGraphStore() *GraphStore {
-	return &GraphStore{graphs: make(map[string]*entry), backend: gstore.KindHeap, logf: func(string, ...any) {}}
-}
-
-// SetDefaultBackend changes the backend new sealed graphs are served
-// from when no per-graph override is given. The mmap backend needs a
-// data directory to map snapshots from.
-func (s *GraphStore) SetDefaultBackend(kind gstore.Kind) error {
-	if kind == gstore.KindMmap && s.dir == nil {
-		return storeErrf(ErrBadInput, "backend %q requires a data directory", kind)
-	}
-	s.backend = kind
-	return nil
-}
-
-// NewPersistentGraphStore opens (creating if needed) dataDir and
-// recovers its contents: every valid snapshot loads as a sealed graph
-// served from the given default backend, every write-ahead log without
-// a snapshot replays back into streaming state, and corrupt files are
+// NewGraphStore returns a graph store serving sealed graphs from the
+// given default backend ("" means heap). With an empty dataDir it is
+// in-memory only, and the mmap backend is refused. Otherwise it opens
+// (creating if needed) dataDir and recovers its contents through
+// persist.Recover: valid snapshots come back sealed, write-ahead logs
+// without a snapshot come back streaming, and corrupt files are
 // quarantined with a log line instead of failing boot. logf receives
-// one line per recovery event (nil discards them).
-func NewPersistentGraphStore(dataDir string, backend gstore.Kind, logf func(format string, args ...any)) (*GraphStore, error) {
-	return NewPersistentGraphStoreObserved(dataDir, backend, logf, nil)
-}
-
-// NewPersistentGraphStoreObserved is NewPersistentGraphStore with a
-// durability-telemetry sink attached before recovery runs, so boot-time
-// WAL replays and snapshot loads are observed too. A nil observer
-// keeps every persistence operation free of clock reads.
-func NewPersistentGraphStoreObserved(dataDir string, backend gstore.Kind, logf func(format string, args ...any), obs persist.Observer) (*GraphStore, error) {
+// the recovery and persistence log lines (nil discards them); obs, when
+// non-nil, observes every durability operation, boot-time recovery
+// included.
+func NewGraphStore(dataDir string, backend gstore.Kind, logf func(format string, args ...any), obs persist.Observer) (*GraphStore, error) {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
 	if backend == "" {
 		backend = gstore.KindHeap
 	}
-	dir, err := persist.OpenDir(dataDir)
+	s := &GraphStore{graphs: make(map[string]*entry), backend: backend, logf: logf}
+	if dataDir == "" {
+		if backend == gstore.KindMmap {
+			return nil, storeErrf(ErrBadInput, "backend %q requires a data directory", backend)
+		}
+		return s, nil
+	}
+	dir, recovered, err := persist.Recover(dataDir, backend, obs, logf)
 	if err != nil {
 		return nil, err
 	}
-	if obs != nil {
-		dir.SetObserver(obs)
-	}
-	s := &GraphStore{graphs: make(map[string]*entry), dir: dir, backend: backend, logf: logf}
-	if err := s.recover(); err != nil {
-		return nil, err
+	s.dir = dir
+	for _, r := range recovered {
+		e := &entry{id: s.nextID.Add(1)}
+		if r.Graph != nil {
+			e.seal(r.Graph)
+		} else {
+			e.b, e.wal, e.nNodes, e.nEdges = r.Builder, r.WAL, r.WAL.Nodes(), r.Edges
+		}
+		s.graphs[r.Name] = e
 	}
 	return s, nil
-}
-
-// recover scans the data directory and rebuilds the in-memory registry.
-// Only directory-level failures (unreadable dir) abort boot; per-file
-// corruption quarantines that file and continues.
-func (s *GraphStore) recover() error {
-	snaps, wals, err := s.dir.Scan()
-	if err != nil {
-		return err
-	}
-	for _, name := range snaps {
-		if err := validName(name); err != nil {
-			s.quarantine(s.dir.SnapshotPath(name), fmt.Errorf("invalid graph name: %w", err))
-			continue
-		}
-		g, err := s.openSealed(name, s.backend)
-		if err != nil {
-			s.quarantine(s.dir.SnapshotPath(name), err)
-			continue
-		}
-		e := &entry{id: s.nextID.Add(1), persist: api.PersistSnapshot}
-		e.seal(g)
-		s.graphs[name] = e
-		s.logf("persist: recovered sealed graph %q from snapshot (n=%d m=%d backend=%s)",
-			name, g.N(), g.M(), g.Backend())
-	}
-	for _, name := range wals {
-		if _, ok := s.graphs[name]; ok {
-			// A snapshot and a WAL for the same name means the process
-			// died between writing the seal snapshot and removing the
-			// log. The snapshot is the newer, complete state; the stale
-			// log is discarded.
-			s.removeStaleWAL(name)
-			continue
-		}
-		if err := validName(name); err != nil {
-			s.quarantine(s.dir.WALPath(name), fmt.Errorf("invalid graph name: %w", err))
-			continue
-		}
-		w, nodes, batches, err := s.dir.OpenWAL(name)
-		if err != nil {
-			s.quarantine(s.dir.WALPath(name), err)
-			continue
-		}
-		b := graph.NewBuilder(nodes)
-		edges := 0
-		replayErr := func() error {
-			for _, batch := range batches {
-				for _, e := range batch {
-					if e.U < 0 || e.U >= nodes || e.V < 0 || e.V >= nodes {
-						return fmt.Errorf("replayed edge (%d,%d) out of range [0,%d)", e.U, e.V, nodes)
-					}
-					if e.W <= 0 || math.IsNaN(e.W) || math.IsInf(e.W, 0) {
-						return fmt.Errorf("replayed edge (%d,%d) has invalid weight %v", e.U, e.V, e.W)
-					}
-					b.AddWeightedEdge(e.U, e.V, e.W)
-				}
-				edges += len(batch)
-			}
-			return nil
-		}()
-		if replayErr != nil {
-			w.Close()
-			s.quarantine(s.dir.WALPath(name), replayErr)
-			continue
-		}
-		s.graphs[name] = &entry{
-			id: s.nextID.Add(1), b: b, nNodes: nodes, nEdges: edges,
-			wal: w, persist: api.PersistWAL,
-		}
-		s.logf("persist: replayed WAL for streaming graph %q (%d nodes, %d edges in %d batches)",
-			name, nodes, edges, len(batches))
-	}
-	return nil
-}
-
-// openSealed loads the named graph's on-disk snapshot on the requested
-// backend, downgrading with a log line when the snapshot cannot serve
-// it: mmap falls back to compact (v1 snapshot, unmappable platform),
-// compact falls back to heap (graph too large for 32-bit node ids).
-func (s *GraphStore) openSealed(name string, kind gstore.Kind) (gstore.Graph, error) {
-	switch kind {
-	case gstore.KindMmap:
-		c, err := s.dir.MapSnapshot(name)
-		if err == nil {
-			return c, nil
-		}
-		if !errors.Is(err, persist.ErrNotMappable) {
-			return nil, err
-		}
-		s.logf("persist: graph %q: %v; serving compact instead", name, err)
-		fallthrough
-	case gstore.KindCompact:
-		c, cerr := s.dir.LoadCompactSnapshot(name)
-		if cerr == nil {
-			return c, nil
-		}
-		g, herr := s.dir.LoadSnapshot(name)
-		if herr != nil {
-			return nil, cerr
-		}
-		s.logf("persist: graph %q: compact load failed (%v); serving heap instead", name, cerr)
-		return gstore.Wrap(g), nil
-	default:
-		g, err := s.dir.LoadSnapshot(name)
-		if err != nil {
-			return nil, err
-		}
-		return gstore.Wrap(g), nil
-	}
-}
-
-// adopt converts a freshly built heap graph to its serving backend.
-// When the store is persistent, the graph's snapshot is already on
-// disk (Put and Seal write it before sealing), which is what the mmap
-// backend maps. Conversion failures downgrade with a log line rather
-// than failing the store operation — the data is intact either way.
-func (s *GraphStore) adopt(name string, g *graph.Graph, kind gstore.Kind) gstore.Graph {
-	switch kind {
-	case gstore.KindMmap:
-		c, err := s.dir.MapSnapshot(name)
-		if err == nil {
-			return c
-		}
-		s.logf("persist: graph %q: %v; serving compact instead", name, err)
-		fallthrough
-	case gstore.KindCompact:
-		c, err := gstore.NewCompact(g)
-		if err == nil {
-			return c
-		}
-		s.logf("store: graph %q: %v; serving heap instead", name, err)
-		fallthrough
-	default:
-		return gstore.Wrap(g)
-	}
-}
-
-// removeStaleWAL deletes a WAL that lost the race with its own seal
-// snapshot.
-func (s *GraphStore) removeStaleWAL(name string) {
-	if err := removeFile(s.dir.WALPath(name)); err != nil {
-		s.logf("persist: removing stale WAL for sealed graph %q: %v", name, err)
-		return
-	}
-	s.logf("persist: removed stale WAL for sealed graph %q (snapshot wins)", name)
-}
-
-// quarantine sets a corrupt file aside and logs the clear one-line
-// diagnostic the operator will grep for.
-func (s *GraphStore) quarantine(path string, cause error) {
-	dst, qerr := s.dir.Quarantine(path)
-	if qerr != nil {
-		s.logf("persist: QUARANTINE FAILED for %s (%v): %v", path, cause, qerr)
-		return
-	}
-	s.logf("persist: quarantined corrupt file %s -> %s: %v", path, dst, cause)
-}
-
-// PersistCounters exposes the persistence event counters for /metrics;
-// nil when the store is in-memory only.
-func (s *GraphStore) PersistCounters() *persist.Counters {
-	if s.dir == nil {
-		return nil
-	}
-	return s.dir.Counters()
 }
 
 // reserve inserts a new entry for name with its mutex already held, so
@@ -326,8 +147,8 @@ func (s *GraphStore) PersistCounters() *persist.Counters {
 // blocking the rest of the store; readers of this one name wait on the
 // entry lock. The caller must either commit (unlock) or abort.
 func (s *GraphStore) reserve(name string) (*entry, error) {
-	if err := validName(name); err != nil {
-		return nil, err
+	if err := persist.CheckName(name); err != nil {
+		return nil, storeErrf(ErrBadInput, "%v", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -372,16 +193,12 @@ func (s *GraphStore) PutWithBackend(name string, g *graph.Graph, kind gstore.Kin
 	if err != nil {
 		return api.GraphInfo{}, err
 	}
-	pstate := api.PersistNone
-	if s.dir != nil {
-		if err := s.dir.SaveSnapshot(name, g); err != nil {
-			s.abortReserve(name, e)
-			return api.GraphInfo{}, storeErrf(ErrInternal, "persisting graph %q: %v", name, err)
-		}
-		pstate = api.PersistSnapshot
+	sg, err := s.dir.Put(name, g, kind)
+	if err != nil {
+		s.abortReserve(name, e)
+		return api.GraphInfo{}, storeErrf(ErrInternal, "persisting graph %q: %v", name, err)
 	}
-	e.seal(s.adopt(name, g, kind))
-	e.persist = pstate
+	e.seal(sg)
 	info := s.infoLocked(name, e)
 	e.mu.Unlock()
 	return info, nil
@@ -461,9 +278,14 @@ func (s *GraphStore) Info(name string) (api.GraphInfo, error) {
 
 // infoLocked builds the GraphInfo for an entry whose mutex is held.
 func (s *GraphStore) infoLocked(name string, e *entry) api.GraphInfo {
-	info := api.GraphInfo{Name: name, State: api.GraphStreaming, Persistence: e.persist}
-	if info.Persistence == "" {
+	info := api.GraphInfo{Name: name, State: api.GraphStreaming}
+	switch {
+	case s.dir == nil:
 		info.Persistence = api.PersistNone
+	case e.g != nil:
+		info.Persistence = api.PersistSnapshot
+	default:
+		info.Persistence = api.PersistWAL
 	}
 	if e.g != nil {
 		info.State = api.GraphSealed
@@ -489,17 +311,8 @@ func (s *GraphStore) Delete(name string) error {
 	if err != nil {
 		return err
 	}
-	if e.wal != nil {
-		if err := e.wal.Close(); err != nil {
-			s.logf("persist: closing WAL of deleted graph %q: %v", name, err)
-		}
-		e.wal = nil
-	}
-	if s.dir != nil {
-		if err := s.dir.Remove(name); err != nil {
-			s.logf("persist: removing files of deleted graph %q: %v", name, err)
-		}
-	}
+	s.dir.Remove(name, e.wal)
+	e.wal = nil
 	// Deliberately NOT closing e.g here: a query that fetched the graph
 	// before this delete may still be walking an mmap-backed adjacency,
 	// and an eager munmap under it would be a segfault. Dropping the
@@ -542,8 +355,8 @@ func (s *GraphStore) List() []api.GraphInfo {
 // With a data directory attached, a write-ahead log is created first so
 // the stream survives a crash from its very first batch.
 func (s *GraphStore) BeginStream(name string, n int) (api.GraphInfo, error) {
-	if n <= 0 {
-		return api.GraphInfo{}, storeErrf(ErrBadInput, "stream graph needs nodes > 0, got %d", n)
+	if n <= 0 || n > graph.MaxEdgeListNodes {
+		return api.GraphInfo{}, storeErrf(ErrBadInput, "stream graph needs 0 < nodes <= %d, got %d", graph.MaxEdgeListNodes, n)
 	}
 	e, err := s.reserve(name)
 	if err != nil {
@@ -556,7 +369,6 @@ func (s *GraphStore) BeginStream(name string, n int) (api.GraphInfo, error) {
 			return api.GraphInfo{}, storeErrf(ErrInternal, "creating WAL for %q: %v", name, err)
 		}
 		e.wal = w
-		e.persist = api.PersistWAL
 	}
 	e.b = graph.NewBuilder(n)
 	e.nNodes = n
@@ -565,11 +377,12 @@ func (s *GraphStore) BeginStream(name string, n int) (api.GraphInfo, error) {
 	return info, nil
 }
 
-// AppendEdges adds a batch of edges to an unsealed graph. Self-loops are
-// ignored (matching graph.Builder); invalid endpoints or weights fail
-// the whole batch atomically before any edge is applied. With a data
-// directory attached, the batch is fsync'd to the graph's write-ahead
-// log before it is applied — an acknowledged batch is durable.
+// AppendEdges adds a batch of edges to an unsealed graph. A weight of 0
+// means 1, and self-loops are ignored (matching graph.Builder); an edge
+// persist.Edge.Check refuses fails the whole batch atomically before
+// any edge is applied. With a data directory attached, the batch is
+// fsync'd to the graph's write-ahead log before it is applied — an
+// acknowledged batch is durable.
 func (s *GraphStore) AppendEdges(name string, edges []api.StreamEdge) error {
 	e, err := s.lock(name)
 	if err != nil {
@@ -585,50 +398,33 @@ func (s *GraphStore) AppendEdges(name string, edges []api.StreamEdge) error {
 	if e.b == nil {
 		return storeErrf(ErrConflict, "graph %q is sealed; cannot append edges", name)
 	}
+	batch := make([]persist.Edge, len(edges))
 	for i, ed := range edges {
-		w := ed.W
-		if w == 0 {
-			w = 1
+		batch[i] = persist.Edge{U: ed.U, V: ed.V, W: ed.W}
+		if ed.W == 0 {
+			batch[i].W = 1
 		}
-		if ed.U < 0 || ed.U >= e.nNodes || ed.V < 0 || ed.V >= e.nNodes {
-			return storeErrf(ErrBadInput, "edge %d (%d,%d) out of range [0,%d)", i, ed.U, ed.V, e.nNodes)
-		}
-		if w < 0 {
-			return storeErrf(ErrBadInput, "edge %d (%d,%d) has negative weight %g", i, ed.U, ed.V, w)
+		if err := batch[i].Check(e.nNodes); err != nil {
+			return storeErrf(ErrBadInput, "edge %d %v", i, err)
 		}
 	}
 	if e.wal != nil {
-		batch := make([]persist.Edge, len(edges))
-		for i, ed := range edges {
-			w := ed.W
-			if w == 0 {
-				w = 1
-			}
-			batch[i] = persist.Edge{U: ed.U, V: ed.V, W: w}
-		}
 		if err := e.wal.AppendBatch(batch); err != nil {
 			return storeErrf(ErrInternal, "logging edge batch for %q: %v", name, err)
 		}
-		if c := s.PersistCounters(); c != nil {
-			c.WALAppends.Add(1)
-		}
 	}
-	for _, ed := range edges {
-		w := ed.W
-		if w == 0 {
-			w = 1
-		}
-		e.b.AddWeightedEdge(ed.U, ed.V, w)
+	for _, ed := range batch {
+		e.b.AddWeightedEdge(ed.U, ed.V, ed.W)
 	}
 	e.nEdges += len(edges)
 	return nil
 }
 
 // Seal snapshots a streaming graph into its immutable CSR form, after
-// which it is queryable and frozen. With a data directory attached, the
-// binary snapshot is written before the write-ahead log is retired; a
-// crash between the two leaves both files, and recovery lets the
-// snapshot win.
+// which it is queryable and frozen. With a data directory attached,
+// persist.Dir.Seal writes the binary snapshot before it retires the
+// write-ahead log; on failure the stream stays intact (builder and WAL
+// untouched), so the caller can retry once the I/O problem clears.
 func (s *GraphStore) Seal(name string) (api.GraphInfo, error) {
 	e, err := s.lock(name)
 	if err != nil {
@@ -645,25 +441,12 @@ func (s *GraphStore) Seal(name string) (api.GraphInfo, error) {
 	if err != nil {
 		return api.GraphInfo{}, storeErrf(ErrBadInput, "sealing %q: %v", name, err)
 	}
-	if s.dir != nil {
-		if err := s.dir.SaveSnapshot(name, hg); err != nil {
-			// The stream stays intact (builder and WAL untouched): the
-			// caller can retry the seal once the I/O problem clears.
-			return api.GraphInfo{}, storeErrf(ErrInternal, "persisting sealed graph %q: %v", name, err)
-		}
-		if e.wal != nil {
-			if err := e.wal.Close(); err != nil {
-				s.logf("persist: closing WAL of sealed graph %q: %v", name, err)
-			}
-			e.wal = nil
-		}
-		if err := removeFile(s.dir.WALPath(name)); err != nil {
-			s.logf("persist: removing WAL of sealed graph %q: %v", name, err)
-		}
-		e.persist = api.PersistSnapshot
+	sg, err := s.dir.Seal(name, hg, e.wal, s.backend)
+	if err != nil {
+		return api.GraphInfo{}, storeErrf(ErrInternal, "persisting sealed graph %q: %v", name, err)
 	}
-	e.seal(s.adopt(name, hg, s.backend))
-	e.b = nil
+	e.seal(sg)
+	e.b, e.wal = nil, nil
 	return s.infoLocked(name, e), nil
 }
 
@@ -681,54 +464,23 @@ func (s *GraphStore) Close() error {
 		entries[name] = e
 	}
 	s.mu.Unlock()
-	var firstErr error
+	var errs []error
 	for name, e := range entries {
 		e.mu.Lock()
-		if e.wal != nil {
-			if err := e.wal.Close(); err != nil {
-				s.logf("persist: closing WAL of %q on shutdown: %v", name, err)
-				if firstErr == nil {
-					firstErr = err
-				}
-			}
-			e.wal = nil
+		if err := e.wal.Close(); err != nil {
+			s.logf("persist: closing WAL of %q on shutdown: %v", name, err)
+			errs = append(errs, err)
 		}
+		e.wal = nil
 		// Release mmap-backed graphs so shutdown leaves no dangling
 		// mappings. The caller must have stopped every reader first: a
 		// stopped listener is not enough (query flights outlive their
 		// handlers), which is why Server.Close drains them before this.
-		if e.g != nil {
-			if err := gstore.Close(e.g); err != nil {
-				s.logf("store: closing backend of %q on shutdown: %v", name, err)
-				if firstErr == nil {
-					firstErr = err
-				}
-			}
+		if err := gstore.Close(e.g); err != nil {
+			s.logf("store: closing backend of %q on shutdown: %v", name, err)
+			errs = append(errs, err)
 		}
 		e.mu.Unlock()
 	}
-	return firstErr
-}
-
-// removeFile deletes a file, treating "already gone" as success.
-func removeFile(path string) error {
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return err
-	}
-	return nil
-}
-
-func validName(name string) error {
-	if name == "" || len(name) > 128 {
-		return storeErrf(ErrBadInput, "graph name must be 1-128 characters")
-	}
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_', r == '.':
-		default:
-			return storeErrf(ErrBadInput, "graph name %q contains invalid character %q", name, r)
-		}
-	}
-	return nil
+	return errors.Join(errs...)
 }
