@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet fmt lint graphlint fuzz graphd
+.PHONY: build test race vet fmt lint graphlint reach fuzz graphd
 
 build:
 	$(GO) build ./...
@@ -37,6 +37,19 @@ graphlint:
 # lint is the full static gate: go vet over every package, then the
 # graphlint suite (which also analyzes its own sources).
 lint: vet graphlint
+
+# reach is the keep rule for internal/: a package stays only if graphd,
+# its CLIs, the benchmark, or a paper-claim test (internal/experiments)
+# or the lint suite reaches it. It prints every internal/ package that
+# none of these roots imports and fails if there is one.
+REACH_ROOTS = ./cmd/graphd ./cmd/graphctl ./cmd/graphlint ./cmd/promcheck ./bench
+REACH_TEST_ROOTS = ./internal/experiments ./internal/lint
+reach:
+	@reached=$$($(GO) list -deps $(REACH_ROOTS)) && \
+	tested=$$($(GO) list -deps -test $(REACH_TEST_ROOTS)) && \
+	all=$$($(GO) list ./internal/...) && \
+	printf '%s\n' "$$reached" "$$tested" -- "$$all" | \
+		awk '$$1 == "--" { tail = 1; next } !tail { seen[$$1] = 1; next } !seen[$$1] { print; bad = 1 } END { exit bad }'
 
 # fuzz gives the seed corpora a short budget against the binary
 # decoders (snapshots, mapped snapshots, WAL replay, edge lists) and

@@ -1,7 +1,7 @@
 // Benchmarks: one per reproduced paper artifact (Figure 1 panels a–c and
 // the quantitative claims of Sections 3.1–3.3, indexed in DESIGN.md §4),
 // plus ablations of the repository's own design choices (max-flow engine,
-// push tolerance, PageRank solver, Monte Carlo budget, worker count).
+// push tolerance, worker count).
 //
 // Run with `go test -bench=. -benchmem`. Under -v each benchmark also
 // logs the series or summary row it reproduces, so the bench run doubles
@@ -21,24 +21,19 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/diffusion"
 	"repro/internal/experiments"
 	"repro/internal/flow"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/gstore"
 	"repro/internal/kernel"
-	"repro/internal/linsolve"
 	"repro/internal/local"
 	"repro/internal/ncp"
 	"repro/internal/partition"
 	"repro/internal/persist"
-	"repro/internal/rank"
 	"repro/internal/regsdp"
 	"repro/internal/service"
 	"repro/internal/spectral"
-	"repro/internal/stream"
-	"repro/internal/vec"
 )
 
 // ---- shared fixtures (built once; benchmarks must not mutate them) ----
@@ -438,87 +433,6 @@ func BenchmarkAblationPushEps(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPageRankSolver compares the Richardson fixed-point
-// iteration against conjugate gradients on the symmetrized PageRank
-// system (γI + (1−γ)𝓛)y = γ·D^{-1/2}s.
-func BenchmarkAblationPageRankSolver(b *testing.B) {
-	setup(b)
-	g := fixtures.fig1Graph
-	gamma := 0.1
-	n := g.N()
-	seed := make([]float64, n)
-	seed[42] = 1
-	b.Run("richardson", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := diffusion.PageRank(g, seed, gamma, diffusion.PageRankOptions{Tol: 1e-10}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cg", func(b *testing.B) {
-		lap := spectral.NormalizedLaplacian(g)
-		op := linsolve.ShiftedOp{A: linsolve.ScaledOp{A: linsolve.CSROp{M: lap}, C: 1 - gamma}, Shift: gamma}
-		rhs := vec.ScaleByDegree(seed, g.Degrees(), -0.5)
-		vec.Scale(gamma, rhs)
-		for i := 0; i < b.N; i++ {
-			if _, err := linsolve.CG(op, rhs, linsolve.Options{Tol: 1e-10}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationStreamWalks sweeps the Monte Carlo budget of the
-// streaming PageRank estimator and reports the L1 error against the
-// iterative solution.
-func BenchmarkAblationStreamWalks(b *testing.B) {
-	g := gen.RingOfCliques(8, 8)
-	n := g.N()
-	uniform := make([]float64, n)
-	for i := range uniform {
-		uniform[i] = 1 / float64(n)
-	}
-	exact, err := diffusion.PageRank(g, uniform, 0.2, diffusion.PageRankOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, walks := range []int{1000, 8000, 64000} {
-		b.Run(fmt.Sprintf("walks=%d", walks), func(b *testing.B) {
-			var l1 float64
-			for i := 0; i < b.N; i++ {
-				rng := rand.New(rand.NewSource(int64(i) + 11))
-				s := stream.StreamOf(g, rng)
-				res, err := stream.StreamPageRank(s, stream.PageRankOptions{Walks: walks, Gamma: 0.2, MaxSteps: 200}, rng)
-				if err != nil {
-					b.Fatal(err)
-				}
-				l1 = vec.Norm1(vec.Sub(res.Scores, exact))
-			}
-			b.Logf("walks=%d: L1 error %.4f", walks, l1)
-		})
-	}
-}
-
-// BenchmarkAblationBatchPPRWorkers sweeps the worker count of the batch
-// PPR primitive.
-func BenchmarkAblationBatchPPRWorkers(b *testing.B) {
-	setup(b)
-	g := fixtures.fig1Graph
-	sources := make([]int, 64)
-	for i := range sources {
-		sources[i] = i * 17 % g.N()
-	}
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := stream.BatchPersonalizedPageRank(g, sources, stream.BatchPPROptions{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationBayesRisk times the Perry–Mahoney regularized-
 // estimation experiment (reference [36]).
 func BenchmarkAblationBayesRisk(b *testing.B) {
@@ -535,36 +449,6 @@ func BenchmarkAblationBayesRisk(b *testing.B) {
 	if res != nil {
 		b.Logf("bayes risk: unregularized %.4f, best %.4f at eta=%g (improvement %.1f%%)",
 			res.UnregularizedRisk, res.BestRisk, res.BestEta, 100*res.Improvement())
-	}
-}
-
-// BenchmarkAblationRankStability times the rank-stability panel
-// (regularization-as-robustness).
-func BenchmarkAblationRankStability(b *testing.B) {
-	rng := rand.New(rand.NewSource(13))
-	w := gen.PowerLawWeights(200, 2.5, 2, 25, rng)
-	g0, err := gen.ChungLu(w, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	nodes := g0.LargestComponent()
-	g, _, err := g0.Subgraph(nodes)
-	if err != nil {
-		b.Fatal(err)
-	}
-	panel := []rank.Method{
-		{Name: "eigenvector", Score: func(gg *graph.Graph) ([]float64, error) { return rank.Eigenvector(gg, 50000, 1e-10) }},
-		{Name: "pagerank(0.15)", Score: func(gg *graph.Graph) ([]float64, error) { return rank.PageRank(gg, 0.15) }},
-	}
-	var res []rank.StabilityResult
-	for i := 0; i < b.N; i++ {
-		res, err = rank.Stability(g, panel, rank.StabilityOptions{Frac: 0.05, Trials: 3}, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range res {
-		b.Logf("stability: %-16s mean tau %.4f, top-k overlap %.3f", r.Method, r.MeanTau, r.MeanTopK)
 	}
 }
 
@@ -606,7 +490,7 @@ func ncpBenchWorkerGrid() []int {
 }
 
 // BenchmarkNCPSpectralProfileWorkers compares the serial spectral profile
-// (workers=1) against the par.ForEach fan-out over all (α, seed) sweeps.
+// (workers=1) against the par.ForEachCtx fan-out over all (α, seed) sweeps.
 // The profiles are identical across worker counts (the determinism test
 // in internal/ncp asserts it); on a ≥ 4-core machine the parallel run
 // should win roughly linearly, since the sweeps are independent.
@@ -942,7 +826,7 @@ func BenchmarkPushMap(b *testing.B) {
 
 // BenchmarkPushIndexed measures the same push on the kernel's pooled
 // indexed workspace — the steady-state configuration every layer
-// (ncp, stream, graphd) now runs: dense epoch-stamped scratch, reset in
+// (ncp, graphd) now runs: dense epoch-stamped scratch, reset in
 // O(touched), no allocation in the inner loop. The acceptance bar is
 // ≥2x fewer allocs/op and lower ns/op than BenchmarkPushMap.
 func BenchmarkPushIndexed(b *testing.B) {

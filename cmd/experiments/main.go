@@ -7,28 +7,41 @@
 //
 //	experiments                  # everything, full size (minutes)
 //	experiments -only fig1 -n 5000
+//	experiments -only fig1 -tsv fig1   # also writes fig1-1a/1b/1c.tsv
 //	experiments -only sec31,sec33
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
+	"sort"
 	"strings"
 
 	"repro/internal/experiments"
 )
 
+// sections are the names -only accepts, besides "all".
+var sections = []string{"fig1", "sec31", "sec32", "sec33"}
+
 func main() {
 	var (
 		seed = flag.Int64("seed", 1, "RNG seed")
-		only = flag.String("only", "all", "comma-separated subset: fig1,sec31,sec32,sec33")
+		only = flag.String("only", "all", "comma-separated subset: "+strings.Join(sections, ","))
 		n    = flag.Int("n", 20000, "Figure 1 network size")
+		tsv  = flag.String("tsv", "", "with fig1, also write PREFIX-1a.tsv, PREFIX-1b.tsv and PREFIX-1c.tsv (empty = none)")
 	)
 	flag.Parse()
 	want := map[string]bool{}
 	for _, k := range strings.Split(*only, ",") {
-		want[strings.TrimSpace(k)] = true
+		k = strings.TrimSpace(k)
+		if k != "all" && !slices.Contains(sections, k) {
+			fmt.Fprintf(os.Stderr, "experiments: unknown -only section %q (want all or %s)\n", k, strings.Join(sections, ","))
+			os.Exit(2)
+		}
+		want[k] = true
 	}
 	all := want["all"]
 
@@ -71,7 +84,58 @@ func main() {
 		fmt.Println(res.Fig1aTable())
 		fmt.Println(res.Fig1bTable())
 		fmt.Println(res.Fig1cTable())
+		if *tsv != "" {
+			for _, panel := range panels {
+				path := fmt.Sprintf("%s-%s.tsv", *tsv, panel.name)
+				check(writeTSVFile(path, res, panel.sel))
+				fmt.Printf("wrote %s\n", path)
+			}
+		}
 	}
+}
+
+// panels are Figure 1's three size-resolved panels, by file suffix.
+var panels = []struct {
+	name string
+	sel  func(experiments.ScatterPoint) float64
+}{
+	{"1a", func(p experiments.ScatterPoint) float64 { return p.Conductance }},
+	{"1b", func(p experiments.ScatterPoint) float64 { return p.AvgPath }},
+	{"1c", func(p experiments.ScatterPoint) float64 { return p.ExtIntRatio }},
+}
+
+func writeTSVFile(path string, res *experiments.Fig1Result, sel func(experiments.ScatterPoint) float64) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := writeTSV(f, res, sel); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// writeTSV writes one panel as tab-separated (series, cluster size,
+// value) rows, the spectral series first, each sorted by size: the
+// machine-readable form of the panel for external plotting.
+func writeTSV(w io.Writer, res *experiments.Fig1Result, sel func(experiments.ScatterPoint) float64) error {
+	if _, err := fmt.Fprintln(w, "series\tx\ty"); err != nil {
+		return err
+	}
+	for _, s := range []struct {
+		name string
+		pts  []experiments.ScatterPoint
+	}{{"spectral (LocalSpectral)", res.Spectral}, {"flow (Metis+MQI)", res.Flow}} {
+		pts := slices.Clone(s.pts)
+		sort.Slice(pts, func(a, b int) bool { return pts[a].Size < pts[b].Size })
+		for _, p := range pts {
+			if _, err := fmt.Fprintf(w, "%s\t%g\t%g\n", s.name, float64(p.Size), sel(p)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 func check(err error) {

@@ -1,16 +1,10 @@
 // Regularization as robustness: the paper's thesis made operational.
 //
-// Two demonstrations on noisy graphs:
-//
-//  1. Ranking stability (Section 3.1's eigenvector-vs-diffusion story):
-//     perturb a power-law network and measure how much each ranking
-//     method's output moves. The exact extremal eigenvector is the most
-//     sensitive; PageRank's teleport and early stopping damp the motion.
-//  2. Regularized estimation (reference [36]): when the observed graph is
-//     an edge-sample of a population graph, the entropy-regularized SDP
-//     solution (= a heat-kernel diffusion) estimates the population's
-//     spectral structure with lower risk than the exact eigenvector of
-//     the sample — the U-shaped risk curve in η.
+// Regularized estimation (reference [36]): when the observed graph is an
+// edge-sample of a population graph, the entropy-regularized SDP solution
+// (= a heat-kernel diffusion) estimates the population's spectral
+// structure with lower risk than the exact eigenvector of the sample —
+// the U-shaped risk curve in η.
 package main
 
 import (
@@ -19,40 +13,12 @@ import (
 	"math/rand"
 
 	"repro/internal/gen"
-	"repro/internal/rank"
 	"repro/internal/regsdp"
 )
 
 func main() {
 	rng := rand.New(rand.NewSource(3))
 
-	// --- 1. rank stability under edge noise ----------------------------
-	w := gen.PowerLawWeights(250, 2.5, 2, 30, rng)
-	g0, err := gen.ChungLu(w, rng)
-	if err != nil {
-		log.Fatalf("generator: %v", err)
-	}
-	nodes := g0.LargestComponent()
-	g, _, err := g0.Subgraph(nodes)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("power-law network: n=%d m=%d\n\n", g.N(), g.M())
-
-	results, err := rank.Stability(g, rank.StandardMethods(), rank.StabilityOptions{
-		Frac: 0.05, Trials: 8, TopK: 20,
-	}, rng)
-	if err != nil {
-		log.Fatalf("stability: %v", err)
-	}
-	fmt.Println("ranking stability under 5% edge rewiring (higher = more robust):")
-	fmt.Printf("  %-20s %10s %14s\n", "method", "mean tau", "top-20 overlap")
-	for _, r := range results {
-		fmt.Printf("  %-20s %10.4f %14.3f\n", r.Method, r.MeanTau, r.MeanTopK)
-	}
-	fmt.Println()
-
-	// --- 2. regularized Laplacian estimation ---------------------------
 	population := gen.RingOfCliques(6, 6)
 	etas := []float64{0.5, 1, 2, 5, 10, 50, 200, 1000}
 	res, err := regsdp.BayesRisk(population, 0.7, etas, 12, rng)

@@ -4,6 +4,11 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"repro/internal/diffusion"
+	"repro/internal/regsdp"
+	"repro/internal/spectral"
+	"repro/internal/vec"
 )
 
 func TestTableString(t *testing.T) {
@@ -32,7 +37,7 @@ func TestSec31EquivalenceHolds(t *testing.T) {
 			t.Fatalf("%s: %d rows, want 9", res.GraphName, len(res.Rows))
 		}
 		for _, row := range res.Rows {
-			if row.WeightDiff > 1e-8 {
+			if row.WeightDiff > 1e-12 {
 				t.Errorf("%s %s %s: weight diff %v too large — equivalence broken",
 					res.GraphName, row.Dynamics, row.Param, row.WeightDiff)
 			}
@@ -43,6 +48,62 @@ func TestSec31EquivalenceHolds(t *testing.T) {
 			}
 		}
 		_ = res.Table().String()
+	}
+}
+
+// The §3.1 claim checked on the code graphd's diffuse endpoint runs:
+// diffusion.HeatKernel / PageRank / LazyWalk from a one-node seed s, at
+// every (dynamics, parameter) pair of the §3.1 table, output exactly the
+// optimum X of the matching regularized SDP applied to the seed. In the
+// SDP's symmetric coordinates a diffusion output x is D^{-1/2}x with the
+// trivial direction D^{1/2}1 projected out, so up to scale it must equal
+// X·D^{-1/2}s.
+func TestSec31ServedDiffusionsSolveTheSDP(t *testing.T) {
+	graphs, err := sec31Graphs(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range graphs {
+		s, err := regsdp.NewSpectrum(tc.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := tc.g.N()
+		deg := tc.g.Degrees()
+		trivial := spectral.TrivialEigvec(tc.g)
+		for _, src := range []int{0, n - 1} {
+			seed, err := diffusion.SeedVector(n, []int{src})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range sec31Cases {
+				var x []float64
+				switch c.reg {
+				case regsdp.Entropy:
+					x, err = diffusion.HeatKernel(tc.g, seed, c.param, diffusion.HeatKernelOptions{})
+				case regsdp.LogDet:
+					x, err = diffusion.PageRank(tc.g, seed, c.param, diffusion.PageRankOptions{})
+				default:
+					x, err = diffusion.LazyWalk(tc.g, seed, c.param, c.k)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, sdp, _, err := c.solve(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := vec.ScaleByDegree(x, deg, -0.5)
+				vec.ProjectOut(got, trivial)
+				vec.Normalize(got)
+				want := sdp.Matrix().MulVec(vec.ScaleByDegree(seed, deg, -0.5))
+				vec.Normalize(want)
+				if gap := vec.MaxAbsDiff(got, want); gap > 1e-9 {
+					t.Errorf("%s seed %d %s %s: served diffusion is %.3g from the SDP optimum",
+						tc.name, src, c.dynamics, c.paramString(), gap)
+				}
+			}
+		}
 	}
 }
 

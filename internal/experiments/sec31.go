@@ -37,89 +37,107 @@ type Sec31Result struct {
 // regularized SDP (the Mahoney–Orecchia correspondence quoted by §3.1).
 // WeightDiff ~ 1e-12 is the "measured" column for EXPERIMENTS.md.
 func Sec31Equivalence(seed int64) ([]*Sec31Result, error) {
-	rng := rand.New(rand.NewSource(seed))
-	er, err := connectedER(rng, 40, 0.15)
+	graphs, err := sec31Graphs(seed)
 	if err != nil {
 		return nil, err
 	}
-	cases := []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"dumbbell(8,2)", gen.Dumbbell(8, 2)},
-		{"ring-of-cliques(4,6)", gen.RingOfCliques(4, 6)},
-		{"erdos-renyi(40,0.15)", er},
-	}
 	var out []*Sec31Result
-	for _, tc := range cases {
+	for _, tc := range graphs {
 		s, err := regsdp.NewSpectrum(tc.g)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: sec3.1 spectrum for %s: %w", tc.name, err)
 		}
 		lam2 := s.NontrivialValues()[0]
 		res := &Sec31Result{GraphName: tc.name, N: tc.g.N(), M: tc.g.M()}
-		for _, t := range []float64{0.5, 2, 8} {
-			hk, err := regsdp.HeatKernelOperator(s, t)
-			if err != nil {
-				return nil, err
-			}
-			sdp, err := regsdp.Solve(s, regsdp.Entropy, t, 0)
+		for _, c := range sec31Cases {
+			op, sdp, eta, err := c.solve(s)
 			if err != nil {
 				return nil, err
 			}
 			res.Rows = append(res.Rows, Sec31Row{
-				Dynamics: "heat-kernel", Regularizer: "entropy",
-				Param: fmt.Sprintf("t=%g", t), Eta: t,
-				WeightDiff: regsdp.MaxWeightDiff(hk, sdp),
-				TraceObj:   sdp.TraceObjective(), Lambda2: lam2,
-			})
-		}
-		for _, gamma := range []float64{0.05, 0.2, 0.6} {
-			pr, err := regsdp.PageRankOperator(s, gamma)
-			if err != nil {
-				return nil, err
-			}
-			eta, err := regsdp.EtaForPageRank(s, gamma)
-			if err != nil {
-				return nil, err
-			}
-			sdp, err := regsdp.Solve(s, regsdp.LogDet, eta, 0)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, Sec31Row{
-				Dynamics: "pagerank", Regularizer: "log-det",
-				Param: fmt.Sprintf("γ=%g", gamma), Eta: eta,
-				WeightDiff: regsdp.MaxWeightDiff(pr, sdp),
-				TraceObj:   sdp.TraceObjective(), Lambda2: lam2,
-			})
-		}
-		for _, ak := range []struct {
-			alpha float64
-			k     int
-		}{{0.6, 2}, {0.7, 5}, {0.9, 20}} {
-			lw, err := regsdp.LazyWalkOperator(s, ak.alpha, ak.k)
-			if err != nil {
-				return nil, err
-			}
-			eta, p, err := regsdp.EtaForLazyWalk(s, ak.alpha, ak.k)
-			if err != nil {
-				return nil, err
-			}
-			sdp, err := regsdp.Solve(s, regsdp.PNorm, eta, p)
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, Sec31Row{
-				Dynamics: "lazy-walk", Regularizer: "p-norm",
-				Param: fmt.Sprintf("α=%g k=%d", ak.alpha, ak.k), Eta: eta,
-				WeightDiff: regsdp.MaxWeightDiff(lw, sdp),
+				Dynamics: c.dynamics, Regularizer: c.reg.String(),
+				Param: c.paramString(), Eta: eta,
+				WeightDiff: regsdp.MaxWeightDiff(op, sdp),
 				TraceObj:   sdp.TraceObjective(), Lambda2: lam2,
 			})
 		}
 		out = append(out, res)
 	}
 	return out, nil
+}
+
+type namedGraph struct {
+	name string
+	g    *graph.Graph
+}
+
+// sec31Graphs returns the three connected graphs of the §3.1 table.
+func sec31Graphs(seed int64) ([]namedGraph, error) {
+	rng := rand.New(rand.NewSource(seed))
+	er, err := connectedER(rng, 40, 0.15)
+	if err != nil {
+		return nil, err
+	}
+	return []namedGraph{
+		{"dumbbell(8,2)", gen.Dumbbell(8, 2)},
+		{"ring-of-cliques(4,6)", gen.RingOfCliques(4, 6)},
+		{"erdos-renyi(40,0.15)", er},
+	}, nil
+}
+
+// sec31Case is one (dynamics, aggressiveness) pair of the §3.1 table.
+type sec31Case struct {
+	dynamics string             // "heat-kernel" | "pagerank" | "lazy-walk"
+	reg      regsdp.Regularizer // the G(·) the dynamics implicitly optimizes
+	param    float64            // t, γ, or the lazy walk's holding probability α
+	k        int                // lazy-walk step count
+}
+
+var sec31Cases = []sec31Case{
+	{"heat-kernel", regsdp.Entropy, 0.5, 0},
+	{"heat-kernel", regsdp.Entropy, 2, 0},
+	{"heat-kernel", regsdp.Entropy, 8, 0},
+	{"pagerank", regsdp.LogDet, 0.05, 0},
+	{"pagerank", regsdp.LogDet, 0.2, 0},
+	{"pagerank", regsdp.LogDet, 0.6, 0},
+	{"lazy-walk", regsdp.PNorm, 0.6, 2},
+	{"lazy-walk", regsdp.PNorm, 0.7, 5},
+	{"lazy-walk", regsdp.PNorm, 0.9, 20},
+}
+
+func (c sec31Case) paramString() string {
+	switch c.reg {
+	case regsdp.Entropy:
+		return fmt.Sprintf("t=%g", c.param)
+	case regsdp.LogDet:
+		return fmt.Sprintf("γ=%g", c.param)
+	default:
+		return fmt.Sprintf("α=%g k=%d", c.param, c.k)
+	}
+}
+
+// solve returns the operator the dynamics applies, the optimum of its
+// regularized SDP, and the regularization strength η that pairs them.
+func (c sec31Case) solve(s *regsdp.Spectrum) (op, sdp *regsdp.Solution, eta float64, err error) {
+	p := 0.0
+	switch c.reg {
+	case regsdp.Entropy:
+		op, err = regsdp.HeatKernelOperator(s, c.param)
+		eta = c.param
+	case regsdp.LogDet:
+		if op, err = regsdp.PageRankOperator(s, c.param); err == nil {
+			eta, err = regsdp.EtaForPageRank(s, c.param)
+		}
+	default:
+		if op, err = regsdp.LazyWalkOperator(s, c.param, c.k); err == nil {
+			eta, p, err = regsdp.EtaForLazyWalk(s, c.param, c.k)
+		}
+	}
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	sdp, err = regsdp.Solve(s, c.reg, eta, p)
+	return op, sdp, eta, err
 }
 
 // Table renders the equivalence result.

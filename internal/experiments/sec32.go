@@ -211,30 +211,6 @@ func medianVals(vals []float64) float64 {
 	return (s[len(s)/2-1] + s[len(s)/2]) / 2
 }
 
-func medianMeasure(ms []*ncp.Measures, sel func(*ncp.Measures) float64) float64 {
-	var vals []float64
-	for _, m := range ms {
-		v := sel(m)
-		if !math.IsNaN(v) {
-			vals = append(vals, v) // +Inf kept: disconnected = maximally un-nice
-		}
-	}
-	if len(vals) == 0 {
-		return math.NaN()
-	}
-	// insertion sort; the slices are small
-	for i := 1; i < len(vals); i++ {
-		for j := i; j > 0 && vals[j-1] > vals[j]; j-- {
-			vals[j-1], vals[j] = vals[j], vals[j-1]
-		}
-	}
-	mid := len(vals) / 2
-	if len(vals)%2 == 1 {
-		return vals[mid]
-	}
-	return (vals[mid-1] + vals[mid]) / 2
-}
-
 // Table renders the quality-vs-niceness aggregate.
 func (r *Sec32QualityNicenessRow) Table() *Table {
 	t := &Table{

@@ -29,9 +29,6 @@ func NewNetwork(n int) *Network {
 	return &Network{n: n, head: make([][]int32, n)}
 }
 
-// N returns the number of nodes in the network.
-func (f *Network) N() int { return f.n }
-
 // AddArc adds a directed arc u→v with the given capacity (and a reverse
 // arc of capacity 0). It returns an error for invalid endpoints or
 // capacities.

@@ -111,9 +111,31 @@ func TestMinCutSide(t *testing.T) {
 	}
 }
 
+// stMinCut computes a plain minimum s–t edge cut of the graph
+// (capacities are the edge weights) with MaxFlow and MinCutSide, and
+// returns the source-side membership and the cut value.
+func stMinCut(g *graph.Graph, s, t int) ([]bool, float64, error) {
+	net := NewNetwork(g.N())
+	var err error
+	g.Edges(func(u, v int, w float64) {
+		if err == nil {
+			err = net.AddEdge(u, v, w)
+		}
+	})
+	if err != nil {
+		return nil, 0, err
+	}
+	val, err := net.MaxFlow(s, t)
+	if err != nil {
+		return nil, 0, err
+	}
+	side, err := net.MinCutSide(s)
+	return side, val, err
+}
+
 func TestSTMinCutDumbbell(t *testing.T) {
 	g := gen.Dumbbell(5, 0) // two K5 joined by one edge
-	side, val, err := STMinCut(g, 0, 5)
+	side, val, err := stMinCut(g, 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +165,7 @@ func TestPropMaxFlowMinCutDuality(t *testing.T) {
 			return false
 		}
 		s, tt := 0, n-1
-		_, val, err := STMinCut(g, s, tt)
+		_, val, err := stMinCut(g, s, tt)
 		if err != nil {
 			return false
 		}

@@ -139,35 +139,6 @@ func ImproveBothSides(g *graph.Graph, inS []bool) (*MQIResult, error) {
 	return MQI(g, set)
 }
 
-// STMinCut computes a plain minimum s–t edge cut of the graph (unit
-// structure: capacities are the edge weights) and returns the source-side
-// membership and the cut value. It is the primitive flow-based
-// partitioning question, exposed for tests and examples.
-func STMinCut(g *graph.Graph, s, t int) ([]bool, float64, error) {
-	if s == t {
-		return nil, 0, errors.New("flow: source equals sink")
-	}
-	net := NewNetwork(g.N())
-	var err error
-	g.Edges(func(u, v int, w float64) {
-		if err == nil {
-			err = net.AddEdge(u, v, w)
-		}
-	})
-	if err != nil {
-		return nil, 0, fmt.Errorf("flow: STMinCut build: %w", err)
-	}
-	val, err := net.MaxFlow(s, t)
-	if err != nil {
-		return nil, 0, err
-	}
-	side, err := net.MinCutSide(s)
-	if err != nil {
-		return nil, 0, err
-	}
-	return side, val, nil
-}
-
 // MinConductanceExhaustive computes the exact minimum conductance φ(G) by
 // enumerating all 2^(n-1) cuts. Exponential: for ground truth in tests
 // and small experiments only (n ≤ ~20).

@@ -18,7 +18,6 @@ var CtxLoopPackages = []string{
 	"repro/internal/local",
 	"repro/internal/ncp",
 	"repro/internal/partition",
-	"repro/internal/stream",
 	"repro/internal/par",
 	"repro/internal/experiments",
 }

@@ -15,7 +15,6 @@ var DeterministicPackages = []string{
 	"repro/internal/local",
 	"repro/internal/ncp",
 	"repro/internal/partition",
-	"repro/internal/stream",
 }
 
 // Determinism enforces the bit-stability contract of the diffusion
@@ -25,7 +24,7 @@ var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: `flag nondeterminism sources in the diffusion packages
 
-The kernel/local/ncp/partition/stream packages promise bit-identical
+The kernel/local/ncp/partition packages promise bit-identical
 results for a given seed at any worker count (PR 1, PR 5). Three
 things silently break that promise:
 

@@ -15,6 +15,16 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// Sum returns the total mass of the vector, accumulated in ascending
+// node order so the result is bit-identical run to run.
+func (v SparseVec) Sum() float64 {
+	var s float64
+	for _, u := range v.Support() {
+		s += v[u]
+	}
+	return s
+}
+
 func TestApproxPageRankInvariant(t *testing.T) {
 	// The ACL invariant: p + pr_α(r) = pr_α(s). Check via the dense exact
 	// solver: pr(s) − p must equal pr(r).

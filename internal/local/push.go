@@ -32,18 +32,6 @@ import (
 // the engines themselves no longer compute on maps.
 type SparseVec map[int]float64
 
-// Sum returns the total mass of the vector, accumulated in ascending
-// node order so the result is bit-identical run to run (map iteration
-// order would reach the float sum otherwise — caught by graphlint's
-// determinism analyzer).
-func (v SparseVec) Sum() float64 {
-	var s float64
-	for _, u := range v.Support() {
-		s += v[u]
-	}
-	return s
-}
-
 // Support returns the nodes with nonzero value, sorted ascending.
 func (v SparseVec) Support() []int {
 	out := make([]int, 0, len(v))

@@ -219,19 +219,3 @@ func bucketOf(size int) int {
 	}
 	return b
 }
-
-// BestInSizeRange returns the minimum-conductance cluster with size in
-// [lo, hi], or nil if none.
-func (p *Profile) BestInSizeRange(lo, hi int) *Cluster {
-	var best *Cluster
-	for i := range p.Clusters {
-		c := &p.Clusters[i]
-		if len(c.Nodes) < lo || len(c.Nodes) > hi {
-			continue
-		}
-		if best == nil || c.Conductance < best.Conductance {
-			best = c
-		}
-	}
-	return best
-}

@@ -10,6 +10,22 @@ import (
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// BestInSizeRange returns the minimum-conductance cluster with size in
+// [lo, hi], or nil if none.
+func (p *Profile) BestInSizeRange(lo, hi int) *Cluster {
+	var best *Cluster
+	for i := range p.Clusters {
+		c := &p.Clusters[i]
+		if len(c.Nodes) < lo || len(c.Nodes) > hi {
+			continue
+		}
+		if best == nil || c.Conductance < best.Conductance {
+			best = c
+		}
+	}
+	return best
+}
+
 func TestEvaluateClique(t *testing.T) {
 	// One clique of a ring of cliques: dense, diameter 1, avg path 1.
 	g := gen.RingOfCliques(4, 6)

@@ -1,13 +1,11 @@
-// Package par is the repository's shared worker-pool substrate. It
-// generalizes the goroutine pool that BatchPersonalizedPageRank (the
-// reference-[5] PPR-on-MapReduce stand-in) grew privately, so that every
-// embarrassingly parallel sweep — batch PPR, the NCP profile engines,
-// future experiment fan-outs — shares one scheduling idiom with one
-// determinism contract:
+// Package par is the repository's shared worker-pool substrate: every
+// embarrassingly parallel sweep — the kernel's batch engine, the NCP
+// profile engines, experiment fan-outs, graphd jobs — shares one
+// scheduling idiom with one determinism contract:
 //
-//   - ForEach runs an indexed task set across a fixed number of workers.
-//     Tasks write only to their own index's slot, so the assembled output
-//     is identical whatever the worker count.
+//   - ForEachCtx runs an indexed task set across a fixed number of
+//     workers. Tasks write only to their own index's slot, so the
+//     assembled output is identical whatever the worker count.
 //   - Limiter bounds fork-join recursion (e.g. the flow profile's
 //     recursive bisection) without the deadlock risk of a blocking pool:
 //     a branch that cannot get a worker runs inline on its parent's
@@ -33,12 +31,12 @@ func Workers(requested int) int {
 	return requested
 }
 
-// ForEach runs fn(i) for every i in [0, n) across at most `workers`
+// ForEachCtx runs fn(i) for every i in [0, n) across at most `workers`
 // goroutines (<= 0 → runtime.NumCPU()). Tasks must confine their writes
 // to per-index slots (or otherwise synchronize); under that contract the
 // assembled result is deterministic and independent of the worker count.
 //
-// On failure ForEach fails fast: tasks not yet claimed when a task
+// On failure ForEachCtx fails fast: tasks not yet claimed when a task
 // errors are skipped (callers discard results on error, so finishing
 // them would be wasted work). The returned error is still deterministic
 // — the failing task with the lowest index. Indices are claimed in
@@ -49,18 +47,15 @@ func Workers(requested int) int {
 //
 // A task that panics does so on the caller's goroutine, where the
 // caller's recover (if it has one) is: the workers stop claiming
-// indices, ForEach waits for them all, and re-panics with the first
+// indices, ForEachCtx waits for them all, and re-panics with the first
 // panic's value.
-func ForEach(workers, n int, fn func(i int) error) error {
-	return ForEachCtx(context.Background(), workers, n, fn)
-}
-
-// ForEachCtx is ForEach with cooperative cancellation: once ctx is done,
-// no further indices are dispatched (tasks already running are allowed to
-// finish) and ctx.Err() is returned unless a task failed first. This is
-// the hook that lets long-running sweeps — NCP profiles, experiment
-// fan-outs, graphd jobs — be cancelled or deadlined mid-flight without
-// each task needing to poll the context itself.
+//
+// Cancellation is cooperative: once ctx is done, no further indices are
+// dispatched (tasks already running are allowed to finish) and
+// ctx.Err() is returned unless a task failed first. This is the hook
+// that lets long-running sweeps — NCP profiles, experiment fan-outs,
+// graphd jobs — be cancelled or deadlined mid-flight without each task
+// needing to poll the context itself.
 func ForEachCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil

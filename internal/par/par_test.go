@@ -28,7 +28,7 @@ func TestForEachRunsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 7, 64} {
 		const n = 500
 		counts := make([]int32, n)
-		err := ForEach(workers, n, func(i int) error {
+		err := ForEachCtx(context.Background(), workers, n, func(i int) error {
 			atomic.AddInt32(&counts[i], 1)
 			return nil
 		})
@@ -44,18 +44,18 @@ func TestForEachRunsEveryIndexOnce(t *testing.T) {
 }
 
 func TestForEachZeroTasks(t *testing.T) {
-	if err := ForEach(4, 0, func(int) error { return errors.New("must not run") }); err != nil {
+	if err := ForEachCtx(context.Background(), 4, 0, func(int) error { return errors.New("must not run") }); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// ForEach's determinism contract: with per-index output slots, the
+// ForEachCtx's determinism contract: with per-index output slots, the
 // assembled result is identical for every worker count.
 func TestForEachDeterministicAcrossWorkers(t *testing.T) {
 	const n = 300
 	run := func(workers int) []int64 {
 		out := make([]int64, n)
-		if err := ForEach(workers, n, func(i int) error {
+		if err := ForEachCtx(context.Background(), workers, n, func(i int) error {
 			rng := rand.New(rand.NewSource(TaskSeed(42, i)))
 			out[i] = rng.Int63()
 			return nil
@@ -82,7 +82,7 @@ func TestForEachErrorPropagation(t *testing.T) {
 	const n = 100
 	for _, workers := range []int{1, 4, 32} {
 		ran := make([]int32, n)
-		err := ForEach(workers, n, func(i int) error {
+		err := ForEachCtx(context.Background(), workers, n, func(i int) error {
 			atomic.StoreInt32(&ran[i], 1)
 			if i == 17 || i == 60 {
 				return fmt.Errorf("task %d failed", i)
@@ -106,7 +106,7 @@ func TestForEachErrorPropagation(t *testing.T) {
 func TestForEachFailsFast(t *testing.T) {
 	const n = 50
 	var ran int32
-	err := ForEach(1, n, func(i int) error {
+	err := ForEachCtx(context.Background(), 1, n, func(i int) error {
 		atomic.AddInt32(&ran, 1)
 		if i == 5 {
 			return fmt.Errorf("boom")
@@ -287,7 +287,7 @@ func TestForEachPanicReachesCaller(t *testing.T) {
 			t.Errorf("workers=%d: %d tasks still running after the panic surfaced", workers, r)
 		}
 	}
-	err := ForEach(8, n, func(i int) error {
+	err := ForEachCtx(context.Background(), 8, n, func(i int) error {
 		if i == 3 || i == 40 {
 			return fmt.Errorf("task %d failed", i)
 		}

@@ -24,7 +24,7 @@ type MultilevelOptions struct {
 	RefinePasses int
 	// Seed drives the randomized matching and initial partition (0 → 1).
 	Seed int64
-	// OnProgress, when set, is called by RecursiveBisect(Ctx) after each
+	// OnProgress, when set, is called by RecursiveBisectCtx after each
 	// completed split with (splits done, splits planned); a k-way
 	// partition plans k-1 splits. Single bisections never call it. The
 	// hook must be cheap and must not panic; it has no effect on the
@@ -366,16 +366,11 @@ func MetisMQI(g *graph.Graph, opt MultilevelOptions) (*flow.MQIResult, error) {
 	return res, nil
 }
 
-// RecursiveBisect partitions the graph into k parts by recursive
+// RecursiveBisectCtx partitions the graph into k parts by recursive
 // multilevel bisection, splitting the largest remaining part each round.
-// It returns a part label per node.
-func RecursiveBisect(g *graph.Graph, k int, opt MultilevelOptions) ([]int, error) {
-	return RecursiveBisectCtx(context.Background(), g, k, opt)
-}
-
-// RecursiveBisectCtx is RecursiveBisect with cooperative cancellation:
-// ctx is checked before every split, so a long k-way partition driven
-// from a serving layer can be cancelled between bisections.
+// It returns a part label per node. ctx is checked before every split,
+// so a long k-way partition driven from a serving layer can be
+// cancelled between bisections.
 func RecursiveBisectCtx(ctx context.Context, g *graph.Graph, k int, opt MultilevelOptions) ([]int, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("partition: k=%d must be >= 1", k)

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -226,7 +227,7 @@ func TestMetisMQINeverWorseThanBisect(t *testing.T) {
 
 func TestRecursiveBisect(t *testing.T) {
 	g := gen.RingOfCliques(4, 6)
-	labels, err := RecursiveBisect(g, 4, MultilevelOptions{})
+	labels, err := RecursiveBisectCtx(context.Background(), g, 4, MultilevelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,10 +242,10 @@ func TestRecursiveBisect(t *testing.T) {
 	if total != g.N() {
 		t.Fatalf("parts cover %d of %d nodes", total, g.N())
 	}
-	if _, err := RecursiveBisect(g, 0, MultilevelOptions{}); err == nil {
+	if _, err := RecursiveBisectCtx(context.Background(), g, 0, MultilevelOptions{}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	one, err := RecursiveBisect(g, 1, MultilevelOptions{})
+	one, err := RecursiveBisectCtx(context.Background(), g, 1, MultilevelOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

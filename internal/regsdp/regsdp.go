@@ -138,39 +138,6 @@ func (s *Solution) TraceObjective() float64 {
 	return t
 }
 
-// RegValue returns G(X) for the given regularizer evaluated spectrally.
-// For PNorm, p must be the same parameter used to solve.
-func (s *Solution) RegValue(reg Regularizer, p float64) float64 {
-	var gv float64
-	switch reg {
-	case Entropy:
-		for _, w := range s.Weights {
-			if w > 0 {
-				gv += w * math.Log(w)
-			}
-		}
-	case LogDet:
-		for _, w := range s.Weights {
-			if w <= 0 {
-				return math.Inf(1)
-			}
-			gv -= math.Log(w)
-		}
-	case PNorm:
-		for _, w := range s.Weights {
-			gv += math.Pow(w, p)
-		}
-		gv /= p
-	}
-	return gv
-}
-
-// Objective returns the full regularized objective
-// Tr(𝓛X) + (1/η)·G(X).
-func (s *Solution) Objective(reg Regularizer, eta, p float64) float64 {
-	return s.TraceObjective() + s.RegValue(reg, p)/eta
-}
-
 // SolveUnregularized returns the solution of the plain SDP of Problem (4)
 // of the paper: the rank-one density matrix v₂v₂ᵀ (ties on λ₂ broken by
 // eigendecomposition order, mirroring the ill-posedness the paper notes

@@ -13,9 +13,6 @@ import (
 	"math"
 )
 
-// New returns a zero vector of length n.
-func New(n int) []float64 { return make([]float64, n) }
-
 // Clone returns a copy of x.
 func Clone(x []float64) []float64 {
 	y := make([]float64, len(x))

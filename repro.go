@@ -18,9 +18,7 @@
 //     community profile machinery that reproduces Figure 1.
 //   - Section 3.3: strongly-local clustering — the Andersen–Chung–Lang
 //     push algorithm, Spielman–Teng Nibble, heat-kernel PageRank, and the
-//     MOV locally-biased spectral program — plus the streaming,
-//     incremental and batch-parallel PageRank primitives the paper points
-//     to in database environments.
+//     MOV locally-biased spectral program.
 //
 // Beyond the library API, cmd/graphd serves these algorithms as a
 // long-running HTTP/JSON daemon — synchronous cached queries for the
@@ -44,10 +42,8 @@ import (
 	"repro/internal/local"
 	"repro/internal/ncp"
 	"repro/internal/partition"
-	"repro/internal/rank"
 	"repro/internal/regsdp"
 	"repro/internal/spectral"
-	"repro/internal/stream"
 )
 
 // Graph is an immutable undirected weighted graph in CSR form. Build one
@@ -186,13 +182,6 @@ func MetisMQI(g *Graph) (*flow.MQIResult, error) {
 // of the input with conductance no larger.
 func MQI(g *Graph, set []int) (*flow.MQIResult, error) { return flow.MQI(g, set) }
 
-// SpectralKWay partitions g into k clusters via the k-dimensional
-// spectral embedding and k-means — the geometry-first k-way method, to be
-// contrasted with the cut-driven RecursiveBisect in internal/partition.
-func SpectralKWay(g *Graph, k int, rng *rand.Rand) (*partition.KWayResult, error) {
-	return partition.SpectralKWay(g, k, rng)
-}
-
 // Improve runs the Andersen–Lang flow improvement, which may also grow
 // the set (reference [3]).
 func Improve(g *Graph, set []int) (*flow.ImproveResult, error) { return flow.Improve(g, set) }
@@ -254,61 +243,3 @@ func FlowNCP(g *Graph, rng *rand.Rand) ([]NCPPoint, error) {
 	}
 	return prof.MinEnvelope(), nil
 }
-
-// Streaming / dynamic / batch primitives of Section 3.3's database
-// discussion.
-type (
-	// EdgeStream is a multi-pass stream of edges.
-	EdgeStream = stream.EdgeStream
-	// DynamicGraph is a mutable graph supporting edge updates.
-	DynamicGraph = stream.DynamicGraph
-	// IncrementalPPR maintains a PPR estimate across updates.
-	IncrementalPPR = stream.IncrementalPPR
-)
-
-// StreamOf exposes a built graph as an EdgeStream.
-func StreamOf(g *Graph, rng *rand.Rand) EdgeStream { return stream.StreamOf(g, rng) }
-
-// StreamPageRank estimates PageRank over an edge stream with Monte Carlo
-// walks advanced one step per pass (reference [37]).
-func StreamPageRank(s EdgeStream, walks int, gamma float64, rng *rand.Rand) ([]float64, error) {
-	res, err := stream.StreamPageRank(s, stream.PageRankOptions{Walks: walks, Gamma: gamma}, rng)
-	if err != nil {
-		return nil, err
-	}
-	return res.Scores, nil
-}
-
-// NewDynamicGraph returns an empty mutable graph on n nodes.
-func NewDynamicGraph(n int) (*DynamicGraph, error) { return stream.NewDynamicGraph(n) }
-
-// NewIncrementalPPR attaches a Monte Carlo PPR maintainer to a dynamic
-// graph (reference [6]).
-func NewIncrementalPPR(g *DynamicGraph, seed int, gamma float64, walks int, rng *rand.Rand) (*IncrementalPPR, error) {
-	return stream.NewIncrementalPPR(g, seed, gamma, walks, rng)
-}
-
-// BatchPersonalizedPageRank computes PPR vectors for many sources
-// (reference [5]). It runs on the kernel's batch engine
-// (kernel.BatchDiffuser) via stream.BatchPersonalizedPageRank — the
-// engine graphd also runs the uncached seeds of a ppr:batch request and
-// coalesced ppr requests on — and its output is byte-identical to
-// sequential per-source pushes.
-func BatchPersonalizedPageRank(g *Graph, sources []int, workers int) (*stream.BatchPPRResult, error) {
-	return stream.BatchPersonalizedPageRank(g, sources, stream.BatchPPROptions{Workers: workers})
-}
-
-// Ranking methods and rank-stability measurement (reference [42] and the
-// regularization-as-robustness reading of Section 3.1).
-var (
-	// PageRankScores ranks nodes by global PageRank at teleport gamma.
-	PageRankScores = rank.PageRank
-	// EigenvectorScores ranks by (unregularized) eigenvector centrality.
-	EigenvectorScores = rank.Eigenvector
-	// KatzScores ranks by Katz centrality with damping beta.
-	KatzScores = rank.Katz
-	// KendallTau measures rank correlation between score vectors.
-	KendallTau = rank.KendallTau
-	// RankingOrder converts scores into a deterministic ranking.
-	RankingOrder = rank.Order
-)

@@ -167,14 +167,6 @@ func TestFacadePartitioners(t *testing.T) {
 	if imp.Conductance > mqi.Conductance+1e-12 {
 		t.Errorf("Improve worsened: %v -> %v", mqi.Conductance, imp.Conductance)
 	}
-
-	kw, err := SpectralKWay(Caveman(3, 6), 3, rand.New(rand.NewSource(8)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(kw.Labels) != 18 || kw.MaxPhi > 0.3 {
-		t.Errorf("k-way clustering on caveman: labels=%d maxPhi=%v", len(kw.Labels), kw.MaxPhi)
-	}
 }
 
 func TestFacadeLocalClustering(t *testing.T) {
@@ -246,72 +238,5 @@ func TestFacadeNCPs(t *testing.T) {
 		if p.Conductance < 0 || p.Size <= 0 {
 			t.Errorf("invalid NCP point %+v", p)
 		}
-	}
-}
-
-func TestFacadeStreamingAndDynamic(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	g := RingOfCliques(4, 6)
-	scores, err := StreamPageRank(StreamOf(g, rng), 20000, 0.2, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(vec.Sum(scores)-1) > 1e-9 {
-		t.Errorf("stream scores sum %v", vec.Sum(scores))
-	}
-
-	dg, err := NewDynamicGraph(g.N())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ppr, err := NewIncrementalPPR(dg, 0, 0.2, 500, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Edges(func(u, v int, w float64) {
-		if err == nil {
-			err = ppr.AddEdge(u, v, w)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ppr.CheckInvariant(); err != nil {
-		t.Fatal(err)
-	}
-
-	batch, err := BatchPersonalizedPageRank(g, []int{0, 6, 12}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batch.Vectors) != 3 {
-		t.Fatalf("batch returned %d vectors", len(batch.Vectors))
-	}
-}
-
-func TestFacadeRanking(t *testing.T) {
-	g := Lollipop(8, 5)
-	prs, err := PageRankScores(g, 0.15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs, err := EigenvectorScores(g, 50000, 1e-10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kz, err := KatzScores(g, 0.02, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tau, err := KendallTau(prs, evs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tau <= 0 {
-		t.Errorf("PageRank and eigenvector rankings anti-correlated: tau=%v", tau)
-	}
-	order := RankingOrder(kz)
-	if len(order) != g.N() {
-		t.Errorf("ranking order length %d", len(order))
 	}
 }
