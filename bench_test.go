@@ -869,7 +869,7 @@ func BenchmarkSweepWorkspace(b *testing.B) {
 	if err := persist.WriteSnapshotFile(path, g); err != nil {
 		b.Fatal(err)
 	}
-	for _, kind := range gstore.Kinds() {
+	for _, kind := range []gstore.Kind{gstore.KindHeap, gstore.KindCompact, gstore.KindMmap} {
 		b.Run(string(kind), func(b *testing.B) {
 			// Open each backend from the snapshot, the way graphd's
 			// recovery path would.

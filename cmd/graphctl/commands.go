@@ -183,7 +183,7 @@ func cmdGraph(ctx context.Context, c *client.Client, args []string) error {
 		return nil
 	case "import":
 		fs := flags("graph import")
-		backend := fs.String("backend", "", "storage backend override: heap, compact or mmap")
+		backend := fs.String("backend", "", "storage backend override: compact or mmap")
 		if err := fs.Parse(rest); err != nil {
 			return err
 		}
@@ -207,7 +207,7 @@ func cmdGraph(ctx context.Context, c *client.Client, args []string) error {
 
 func cmdLoad(ctx context.Context, c *client.Client, args []string) error {
 	fs := flags("load")
-	backend := fs.String("backend", "", "storage backend override: heap, compact or mmap")
+	backend := fs.String("backend", "", "storage backend override: compact or mmap")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -234,7 +234,7 @@ func cmdGenerate(ctx context.Context, c *client.Client, args []string) error {
 	fs.IntVar(&req.Cols, "cols", 0, "grid cols")
 	fs.IntVar(&req.K, "k", 0, "ring_of_cliques/caveman clique count")
 	fs.IntVar(&req.CliqueN, "clique-n", 0, "ring_of_cliques/caveman clique size")
-	backend := fs.String("backend", "", "storage backend override: heap, compact or mmap")
+	backend := fs.String("backend", "", "storage backend override: compact or mmap")
 	g, rest, err := name(fs, args, "generate <name> [flags]")
 	if err != nil {
 		return err

@@ -11,10 +11,10 @@
 // with a log line instead of failing boot. See docs/persistence.md.
 //
 // With -backend the daemon picks the storage backend sealed graphs are
-// served from: "heap" (native CSR), "compact" (uint32/float32 CSR at
-// roughly half the memory) or "mmap" (queries run straight off the
-// memory-mapped snapshot; requires -data-dir, and a restart remaps
-// instead of reloading). See docs/storage.md.
+// served from: "compact" (the default: in-memory CSR with uint32 ids
+// and no weight array for unit graphs) or "mmap" (queries run straight
+// off the memory-mapped snapshot; requires -data-dir, and a restart
+// remaps instead of reloading). See docs/storage.md.
 //
 // Usage:
 //
@@ -79,7 +79,7 @@ func main() {
 		timeout    = flag.Duration("query-timeout", 30*time.Second, "default per-query deadline")
 		coalesce   = flag.Duration("coalesce-window", 0, "gather window for merging concurrent single-seed ppr requests into one batch pass (0 disables; try 200µs)")
 		dataDir    = flag.String("data-dir", "", "durable store directory (snapshots + WALs; empty = in-memory)")
-		backend    = flag.String("backend", "heap", "default graph storage backend: heap, compact or mmap (mmap requires -data-dir)")
+		backend    = flag.String("backend", "compact", "default graph storage backend: compact or mmap (mmap requires -data-dir)")
 		version    = flag.Bool("version", false, "print version and exit")
 	)
 	flag.Var(&loads, "load", "preload a graph: name=path (repeatable; edge list, .gz or .gsnap)")

@@ -41,7 +41,7 @@ func main() {
 	var (
 		server      = flag.String("server", "", "graphd base URL (e.g. http://localhost:8080); empty requires -self")
 		self        = flag.Bool("self", false, "boot an in-process graphd on a loopback listener and load it")
-		backend     = flag.String("backend", "", "storage backend for -self and for generating the target graph (heap, compact, mmap)")
+		backend     = flag.String("backend", "", "storage backend for -self and for generating the target graph (compact, mmap)")
 		dataDir     = flag.String("data-dir", "", "data directory for -self (required for -backend mmap; default in-memory)")
 		graphName   = flag.String("graph", "loadtest", "target graph name; generated if absent")
 		genK        = flag.Int("gen-k", 32, "cliques in the generated ring-of-cliques graph")

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -163,5 +164,62 @@ func TestUnitWeights(t *testing.T) {
 	}
 	if !fromCSR(1).UnitWeights() {
 		t.Error("FromCSR: all-ones weights do not report unit weights")
+	}
+}
+
+// TestBuildRowsAscendingByConstruction feeds Build random edge lists —
+// duplicates, both orientations, self-loops, non-unit weights — and
+// requires what Build promises without sorting its rows: FromCSR's
+// strictly-ascending validation accepts the CSR, the degree and volume
+// floats survive the round trip bit for bit, and every row holds
+// exactly the merged neighbour set.
+func TestBuildRowsAscendingByConstruction(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	weights := []float64{1, 1, 0.5, 2.25, 0.1, 0.3, 7}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		b := NewBuilder(n)
+		want := make([]map[int]float64, n)
+		for i := range want {
+			want[i] = map[int]float64{}
+		}
+		for e := rng.Intn(4 * n); e > 0; e-- {
+			u, v := rng.Intn(n), rng.Intn(n)
+			if rng.Intn(4) == 0 && n > 1 { // repeat an edge, often reversed
+				v = (u + 1) % n
+			}
+			w := weights[rng.Intn(len(weights))]
+			b.AddWeightedEdge(u, v, w)
+			if u != v {
+				want[u][v] += w
+				want[v][u] += w
+			}
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rowPtr, adj, w := g.CSR()
+		g2, err := FromCSR(append([]int(nil), rowPtr...), append([]int(nil), adj...), append([]float64(nil), w...))
+		if err != nil {
+			t.Fatalf("trial %d: Build's CSR fails FromCSR: %v", trial, err)
+		}
+		for u := 0; u < n; u++ {
+			if math.Float64bits(g.Degree(u)) != math.Float64bits(g2.Degree(u)) {
+				t.Fatalf("trial %d: degree of %d is %v after Build, %v after FromCSR", trial, u, g.Degree(u), g2.Degree(u))
+			}
+			nbrs, wts := g.Neighbors(u)
+			if len(nbrs) != len(want[u]) {
+				t.Fatalf("trial %d: row %d has %d neighbours, want %d", trial, u, len(nbrs), len(want[u]))
+			}
+			for k, v := range nbrs {
+				if ww, ok := want[u][v]; !ok || math.Abs(wts[k]-ww) > 1e-12*ww {
+					t.Fatalf("trial %d: row %d holds (%d, %v), want weight %v", trial, u, v, wts[k], ww)
+				}
+			}
+		}
+		if math.Float64bits(g.Volume()) != math.Float64bits(g2.Volume()) {
+			t.Fatalf("trial %d: volume %v after Build, %v after FromCSR", trial, g.Volume(), g2.Volume())
+		}
 	}
 }

@@ -139,33 +139,14 @@ func (b *Builder) Build() (*Graph, error) {
 		g.deg[e.u] += e.w
 		g.deg[e.v] += e.w
 	}
-	// Adjacency lists are already sorted by construction (edges sorted by
-	// (u,v)) for the u side, but the v side entries arrive in u order,
-	// which is also ascending; nevertheless sort defensively per row.
-	for i := 0; i < n; i++ {
-		lo, hi := g.rowPtr[i], g.rowPtr[i+1]
-		sortAdj(g.adj[lo:hi], g.w[lo:hi])
-	}
+	// Every row is strictly ascending by construction: the merged edges
+	// (u<v) are sorted by (u,v), so row x first receives its smaller
+	// neighbours (edges (u,x), in ascending u, all before any edge that
+	// starts at x) and then its larger ones (edges (x,v), ascending v).
 	for _, d := range g.deg {
 		g.volume += d
 	}
 	return g, nil
-}
-
-func sortAdj(adj []int, w []float64) {
-	sort.Sort(&adjSorter{adj, w})
-}
-
-type adjSorter struct {
-	adj []int
-	w   []float64
-}
-
-func (s *adjSorter) Len() int           { return len(s.adj) }
-func (s *adjSorter) Less(i, j int) bool { return s.adj[i] < s.adj[j] }
-func (s *adjSorter) Swap(i, j int) {
-	s.adj[i], s.adj[j] = s.adj[j], s.adj[i]
-	s.w[i], s.w[j] = s.w[j], s.w[i]
 }
 
 // CSR returns the graph's raw CSR arrays: rowPtr (length n+1), the

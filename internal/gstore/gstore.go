@@ -1,14 +1,15 @@
 // Package gstore is graphd's storage subsystem: one small read
 // interface over a sealed CSR graph, with three interchangeable
-// backends behind it.
+// backends behind it. graphd serves every graph from the last two;
+// the heap backend is for in-process callers holding a built graph.
 //
-//   - heap    — the existing *graph.Graph ([]int adjacency, []float64
-//     weights), wrapped by Heap. Fastest, largest: 8 bytes per
-//     adjacency entry plus 8 per weight.
+//   - heap    — the builder's *graph.Graph ([]int adjacency, []float64
+//     weights), wrapped by Heap: 8 bytes per adjacency entry plus 8
+//     per weight.
 //   - compact — Compact with in-heap uint32 adjacency and the smallest
 //     lossless weight encoding (absent for unit weights, float32 when
-//     every weight round-trips, float64 otherwise). Roughly half the
-//     heap footprint on unweighted graphs.
+//     every weight round-trips, float64 otherwise). Roughly a third of
+//     the heap footprint on unweighted graphs; graphd's default.
 //   - mmap    — the same Compact layout, but with every array sliced
 //     directly out of a memory-mapped GSNAP v2 snapshot
 //     (internal/persist.OpenMapped). Loading copies nothing: the
@@ -36,12 +37,14 @@ import (
 	"repro/internal/graph"
 )
 
-// Kind names a storage backend. The values are wire-stable: they
-// surface as api.GraphInfo.Backend and as the graphd -backend flag.
+// Kind names a storage backend. The serving kinds, compact and mmap,
+// are wire-stable: they surface as api.GraphInfo.Backend and as the
+// graphd -backend flag.
 type Kind string
 
 const (
-	// KindHeap is the classic *graph.Graph CSR ([]int + []float64).
+	// KindHeap is the builder's *graph.Graph CSR ([]int + []float64).
+	// It is not a serving kind: ParseKind refuses it.
 	KindHeap Kind = "heap"
 	// KindCompact is the in-heap compact CSR (uint32 adjacency,
 	// smallest lossless weight form).
@@ -51,20 +54,15 @@ const (
 	KindMmap Kind = "mmap"
 )
 
-// Kinds lists every backend kind, in documentation order.
-func Kinds() []Kind { return []Kind{KindHeap, KindCompact, KindMmap} }
-
-// ParseKind validates a backend name ("" means heap).
+// ParseKind validates a serving-backend name ("" means compact).
 func ParseKind(s string) (Kind, error) {
 	switch Kind(s) {
-	case "", KindHeap:
-		return KindHeap, nil
-	case KindCompact:
+	case "", KindCompact:
 		return KindCompact, nil
 	case KindMmap:
 		return KindMmap, nil
 	}
-	return "", fmt.Errorf("gstore: unknown backend %q (want heap, compact or mmap)", s)
+	return "", fmt.Errorf("gstore: unknown backend %q (want compact or mmap)", s)
 }
 
 // Graph is the read interface every storage backend implements. All

@@ -242,15 +242,15 @@ func (d *Dir) MapSnapshot(name string) (*gstore.Compact, error) {
 	return observed(d, OpSnapshotLoad, &d.counters.SnapshotsLoaded, d.SnapshotPath(name), OpenMapped)
 }
 
-// Open serves the named graph from backend kind. g is the graph in
-// hand when there is one (Put, Seal): heap and compact then serve it
-// without reading the snapshot back; recovery passes nil and the
-// snapshot is loaded. mmap maps the snapshot, which a nil Dir cannot
-// do. A snapshot that cannot be mapped is served compact instead, with
-// a log line, and so is a graph in hand whose mapping failed for any
-// reason, since its data is intact. Every admitted graph fits the
-// compact backend's uint32 ids (graph.MaxEdgeListNodes), so there is
-// no further fallback.
+// Open serves the named graph from backend kind: mmap, or compact for
+// any other kind (gstore.ParseKind admits no third). g is the graph in
+// hand when there is one (Put, Seal): compact then converts it without
+// reading the snapshot back; recovery passes nil and the snapshot is
+// loaded. mmap maps the snapshot, which a nil Dir cannot do. A snapshot
+// that cannot be mapped is served compact instead, with a log line,
+// and so is a graph in hand whose mapping failed for any reason, since
+// its data is intact. Every admitted graph fits the compact backend's
+// uint32 ids (graph.MaxEdgeListNodes), so there is no further fallback.
 func (d *Dir) Open(name string, g *graph.Graph, kind gstore.Kind) (gstore.Graph, error) {
 	if kind == gstore.KindMmap {
 		c, err := d.MapSnapshot(name)
@@ -261,21 +261,11 @@ func (d *Dir) Open(name string, g *graph.Graph, kind gstore.Kind) (gstore.Graph,
 			return nil, err
 		}
 		d.logf("persist: graph %q: %v; serving compact instead", name, err)
-		kind = gstore.KindCompact
 	}
-	if kind == gstore.KindCompact {
-		if g != nil {
-			return served(gstore.NewCompact(g))
-		}
-		return served(d.LoadCompactSnapshot(name))
+	if g != nil {
+		return served(gstore.NewCompact(g))
 	}
-	if g == nil {
-		var err error
-		if g, err = d.LoadSnapshot(name); err != nil {
-			return nil, err
-		}
-	}
-	return gstore.Wrap(g), nil
+	return served(d.LoadCompactSnapshot(name))
 }
 
 // served returns c as a gstore.Graph, keeping a failed load's nil

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -606,5 +607,31 @@ func TestDirCountsWALAppends(t *testing.T) {
 	appendN(w, 4)
 	if got := d.Counters().WALAppends.Load(); got != 5 {
 		t.Fatalf("WALAppends = %d after 5 appends through the Dir, want 5", got)
+	}
+}
+
+// TestWriteSnapshotAllocatesOneChunk bounds the bytes WriteSnapshot
+// allocates for a small graph with all four sections: the one
+// sectionChunk buffer that both passes, every section and the output
+// share, plus the header and a few small objects — not a chunk per
+// section per pass.
+func TestWriteSnapshotAllocatesOneChunk(t *testing.T) {
+	g := testGraphs(t)["weighted"]
+	if err := WriteSnapshot(io.Discard, g); err != nil { // warm up
+		t.Fatal(err)
+	}
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if err := WriteSnapshot(io.Discard, g); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	if limit := uint64(sectionChunk + 1024); perRun > limit {
+		t.Errorf("WriteSnapshot allocated %d bytes per call, want at most %d (one chunk plus the header)", perRun, limit)
 	}
 }

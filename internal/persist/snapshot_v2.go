@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -193,59 +192,87 @@ func WriteSnapshot(w io.Writer, g *graph.Graph) error {
 	rowPtr, adj, wts := g.CSR()
 	deg := g.Degrees()
 	h := &v2Header{n: uint64(g.N()), m: uint64(g.M())}
-	encodeW := func(io.Writer) error { return nil }
+	encodeW := func(*chunkWriter) error { return nil }
 	switch gstore.DetectWeightForm(wts) {
 	case gstore.WeightsF32:
 		h.flags = v2FlagW | v2FlagWF32
-		encodeW = func(w io.Writer) error { return encodeSection[float32](w, wts) }
+		encodeW = func(c *chunkWriter) error { return encodeSection[float32](c, wts) }
 	case gstore.WeightsF64:
 		h.flags = v2FlagW
-		encodeW = func(w io.Writer) error { return encodeSection[float64](w, wts) }
+		encodeW = func(c *chunkWriter) error { return encodeSection[float64](c, wts) }
 	}
-	encoders := [4]func(io.Writer) error{
-		func(w io.Writer) error { return encodeSection[int64](w, rowPtr) },
-		func(w io.Writer) error { return encodeSection[uint32](w, adj) },
+	encoders := [4]func(*chunkWriter) error{
+		func(c *chunkWriter) error { return encodeSection[int64](c, rowPtr) },
+		func(c *chunkWriter) error { return encodeSection[uint32](c, adj) },
 		encodeW,
-		func(w io.Writer) error { return encodeSection[float64](w, deg) },
+		func(c *chunkWriter) error { return encodeSection[float64](c, deg) },
 	}
+	// One chunk serves both passes, every section and the output.
+	buf := make([]byte, 0, sectionChunk)
 	// First pass: lengths, offsets and CRCs into the descriptors.
 	lens := h.sectionLens()
 	off := uint64(v2HeaderSize)
 	for i, enc := range encoders {
 		crc := crc32.NewIEEE()
-		if err := enc(crc); err != nil {
+		c := &chunkWriter{w: crc, buf: buf}
+		if err := errors.Join(enc(c), c.flush()); err != nil {
 			return fmt.Errorf("persist: checksum section %d: %w", i, err)
 		}
 		h.sec[i] = v2Section{off: off, len: lens[i], crc: crc.Sum32()}
 		off += pad8(lens[i])
 	}
 	// Second pass: header, then each section followed by zero padding.
-	bw := bufio.NewWriterSize(w, sectionChunk)
-	if _, err := bw.Write(encodeV2Header(h)); err != nil {
+	out := &chunkWriter{w: w, buf: buf}
+	if err := out.put(encodeV2Header(h)); err != nil {
 		return fmt.Errorf("persist: write v2 header: %w", err)
 	}
 	var zeros [8]byte
 	for i, enc := range encoders {
-		if err := enc(bw); err != nil {
+		if err := enc(out); err != nil {
 			return fmt.Errorf("persist: write section %d: %w", i, err)
 		}
-		if _, err := bw.Write(zeros[:pad8(lens[i])-lens[i]]); err != nil {
+		if err := out.put(zeros[:pad8(lens[i])-lens[i]]); err != nil {
 			return fmt.Errorf("persist: pad section %d: %w", i, err)
 		}
 	}
-	if err := bw.Flush(); err != nil {
+	if err := out.flush(); err != nil {
 		return fmt.Errorf("persist: flush snapshot: %w", err)
 	}
 	return nil
 }
 
-// encodeSection streams vals into w as the little-endian words of a
+// chunkWriter gathers snapshot bytes into buf, a sectionChunk buffer,
+// and hands w one nearly full chunk at a time. Between calls buf holds
+// at most sectionChunk-8 bytes, so one word always fits without growing
+// it.
+type chunkWriter struct {
+	w   io.Writer
+	buf []byte
+}
+
+// put appends b: the header into the empty buffer, or a padding run of
+// under 8 bytes.
+func (c *chunkWriter) put(b []byte) error {
+	c.buf = append(c.buf, b...)
+	if len(c.buf) > sectionChunk-8 {
+		return c.flush()
+	}
+	return nil
+}
+
+// flush writes out the buffered bytes.
+func (c *chunkWriter) flush() error {
+	_, err := c.w.Write(c.buf)
+	c.buf = c.buf[:0]
+	return err
+}
+
+// encodeSection streams vals through c as the little-endian words of a
 // section stored as S — int64 row pointers, uint32 ids, float32 or
-// float64 weights — in sectionChunk pieces. The writer runs it once
-// into a CRC and once into the file, so hashing and output share one
-// code path.
-func encodeSection[S sectionWord, T int | float64](w io.Writer, vals []T) error {
-	buf := make([]byte, 0, sectionChunk)
+// float64 weights. The writer runs it once into a CRC and once into the
+// file, so hashing and output share one code path.
+func encodeSection[S sectionWord, T int | float64](c *chunkWriter, vals []T) error {
+	buf := c.buf
 	for _, v := range vals {
 		s := S(v)
 		if unsafe.Sizeof(s) == 4 {
@@ -254,14 +281,15 @@ func encodeSection[S sectionWord, T int | float64](w io.Writer, vals []T) error 
 			buf = binary.LittleEndian.AppendUint64(buf, *(*uint64)(unsafe.Pointer(&s)))
 		}
 		if len(buf) > sectionChunk-8 {
-			if _, err := w.Write(buf); err != nil {
+			c.buf = buf
+			if err := c.flush(); err != nil {
 				return err
 			}
-			buf = buf[:0]
+			buf = c.buf
 		}
 	}
-	_, err := w.Write(buf)
-	return err
+	c.buf = buf
+	return nil
 }
 
 // verifyV2 checks a whole v2 snapshot held in data — its header, that

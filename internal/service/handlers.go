@@ -87,17 +87,10 @@ func (s *Server) handleGetGraph(w http.ResponseWriter, r *http.Request) {
 // data directory.
 func (s *Server) handleExportSnapshot(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	sg, _, err := s.store.Get(name)
+	// The snapshot encoder walks a heap CSR: a transient copy.
+	g, _, err := s.store.GetHeap(name)
 	if err != nil {
 		writeError(w, err)
-		return
-	}
-	// The snapshot encoder walks the heap CSR; materialize transiently
-	// (a no-op for heap-backed graphs) rather than caching a heap copy
-	// of a compact/mmap graph for a one-off export.
-	g, err := gstore.Materialize(sg)
-	if err != nil {
-		writeError(w, storeErrf(ErrInternal, "materializing %q for export: %v", name, err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
@@ -225,8 +218,8 @@ func (s *Server) handleDiffuse(w http.ResponseWriter, r *http.Request) {
 	}
 	name := r.PathValue("name")
 	s.serveQuery(w, r, query{endpoint: "diffuse", params: mustParams(req), compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
-		// The dense diffusions walk the heap CSR, which the store
-		// materializes once per graph and caches on its entry.
+		// The dense diffusions walk a heap CSR: a copy per miss, which
+		// the reply outlives (the cache keeps bytes, not the graph).
 		hg, hid, err := s.store.GetHeap(name)
 		if err == nil && hid != q.id {
 			err = storeErrf(ErrConflict, "graph %q was replaced mid-query", name)

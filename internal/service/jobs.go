@@ -438,8 +438,8 @@ func (m *JobManager) runJob(job *Job) {
 	var g *graph.Graph
 	spec := m.specs[job.jobType]
 	if spec.needsGraph {
-		// Jobs run the dense/batch algorithms, which walk the heap CSR;
-		// GetHeap materializes non-heap backends once and caches the copy.
+		// Jobs run the dense/batch algorithms, which walk a heap CSR;
+		// GetHeap copies the served graph for this job alone.
 		resolved, id, err := m.store.GetHeap(job.graphName)
 		if err != nil {
 			finish(api.JobFailed, nil, false, err.Error())

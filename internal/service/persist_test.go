@@ -16,8 +16,10 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/gstore"
 	"repro/internal/persist"
 	"repro/pkg/api"
+	"repro/pkg/client"
 )
 
 // logCapture collects recovery/quarantine log lines for assertions.
@@ -612,4 +614,83 @@ func TestNodeCapRefusedAtEveryIngress(t *testing.T) {
 			t.Errorf("refused requests left %s in the data dir", e.Name())
 		}
 	}
+}
+
+// TestEveryIngressServesCompact pins the serving contract: however a
+// graph enters a store without an mmap default — Put, generate, an
+// edge-list load, a snapshot import, a sealed stream, or recovery on a
+// data dir — it is served compact. heap is no serving backend, so
+// ?backend=heap and Config{Backend: "heap"} are refused. GetHeap hands
+// out a fresh copy per call and the entry keeps none.
+func TestEveryIngressServesCompact(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	srv, ts, c := testServer(t, Config{DataDir: dir}) // Puts "ring"
+	if _, err := c.Graphs.Generate(ctx, "gen", api.GenerateRequest{Family: "ring_of_cliques", K: 5, CliqueN: 4}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Graphs.Load(ctx, "load", strings.NewReader("0 1\n1 2 0.5\n2 0\n")); err != nil {
+		t.Fatal(err)
+	}
+	var snap bytes.Buffer
+	if _, err := c.Graphs.Export(ctx, "gen", &snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Graphs.Import(ctx, "imp", &snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Graphs.Stream(ctx, "inc", 6); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Graphs.AppendEdges(ctx, "inc", []api.StreamEdge{{U: 0, V: 1}, {U: 4, V: 5, W: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Graphs.Seal(ctx, "inc"); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"gen", "imp", "inc", "load", "ring"}
+	assertServedCompact := func(label string, list []api.GraphInfo) {
+		t.Helper()
+		var got []string
+		for _, info := range list {
+			got = append(got, info.Name)
+			if info.Backend != api.BackendCompact {
+				t.Errorf("%s: %q served from %q, want compact", label, info.Name, info.Backend)
+			}
+		}
+		if !reflect.DeepEqual(got, names) {
+			t.Fatalf("%s: graphs %v, want %v", label, got, names)
+		}
+	}
+	assertServedCompact("ingress", srv.Store().List())
+
+	_, err := c.Graphs.Generate(ctx, "h", api.GenerateRequest{Family: "ring_of_cliques", K: 3, CliqueN: 3}, client.WithBackend("heap"))
+	if ae := wantAPIErr(t, err, api.CodeInvalidArgument); ae.Status != http.StatusBadRequest {
+		t.Fatalf("?backend=heap answered %d, want 400", ae.Status)
+	}
+	if _, err := NewServer(Config{Backend: "heap"}); err == nil {
+		t.Fatal(`NewServer accepted Config{Backend: "heap"}`)
+	}
+
+	before := gstore.Telemetry().HeapMaterializations()
+	a, _, err := srv.Store().GetHeap("gen")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _, err := srv.Store().GetHeap("gen")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a == b {
+		t.Fatal("two GetHeap calls returned the same graph: the entry keeps a heap copy")
+	}
+	assertSameGraph(t, a, b)
+	if got := gstore.Telemetry().HeapMaterializations() - before; got != 2 {
+		t.Fatalf("two GetHeap calls materialized %d times, want 2", got)
+	}
+
+	ts.Close()
+	srv.Close()
+	srv2, _, _ := testServer(t, Config{DataDir: dir})
+	assertServedCompact("recovery", srv2.Store().List())
 }

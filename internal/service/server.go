@@ -58,8 +58,8 @@ type Config struct {
 	// Empty keeps the store in-memory only.
 	DataDir string
 	// Backend selects the default storage backend sealed graphs are
-	// served from: "heap" (default), "compact" or "mmap". The mmap
-	// backend requires DataDir. Individual graphs can override it with
+	// served from: "compact" (default) or "mmap". The mmap backend
+	// requires DataDir. Individual graphs can override it with
 	// ?backend= at load/import/generate time.
 	Backend string
 	// OpLog receives operational log lines (recovery, quarantine,

@@ -65,8 +65,7 @@ func storeErrf(kind StoreErrorKind, format string, args ...any) *StoreError {
 type entry struct {
 	id     uint64 // unique per stored graph; part of every cache key
 	mu     sync.Mutex
-	g      gstore.Graph // sealed read view (heap, compact or mmap backend)
-	hg     *graph.Graph // lazy heap materialization for dense/batch consumers
+	g      gstore.Graph // sealed read view (compact or mmap backend)
 	b      *graph.Builder
 	pool   *kernel.Pool // per-graph diffusion workspaces; set when sealed
 	nNodes int
@@ -79,9 +78,6 @@ type entry struct {
 // this graph reuses the same kernel scratch instead of allocating.
 func (e *entry) seal(g gstore.Graph) {
 	e.g = g
-	if h, ok := g.(gstore.Heap); ok {
-		e.hg = h.Unwrap()
-	}
 	e.pool = kernel.NewPool(g.N())
 }
 
@@ -102,7 +98,7 @@ type GraphStore struct {
 }
 
 // NewGraphStore returns a graph store serving sealed graphs from the
-// given default backend ("" means heap). With an empty dataDir it is
+// given default backend ("" means compact). With an empty dataDir it is
 // in-memory only, and the mmap backend is refused. Otherwise it opens
 // (creating if needed) dataDir and recovers its contents through
 // persist.Recover: valid snapshots come back sealed, write-ahead logs
@@ -116,7 +112,7 @@ func NewGraphStore(dataDir string, backend gstore.Kind, logf func(format string,
 		logf = func(string, ...any) {}
 	}
 	if backend == "" {
-		backend = gstore.KindHeap
+		backend = gstore.KindCompact
 	}
 	s := &GraphStore{graphs: make(map[string]*entry), backend: backend, logf: logf}
 	if dataDir == "" {
@@ -213,28 +209,20 @@ func (s *GraphStore) Get(name string) (gstore.Graph, uint64, error) {
 	return g, id, err
 }
 
-// GetHeap returns the sealed graph as a heap *graph.Graph, the form the
-// dense diffusions, batch jobs and snapshot export consume. For compact
-// and mmap backends the first call materializes (copies) the graph into
-// the heap and caches it on the entry; heap-backed graphs return the
-// stored graph directly.
+// GetHeap returns a heap *graph.Graph copy of the sealed graph, the
+// form the dense diffusions, batch jobs and snapshot export consume.
+// Every call materializes a fresh copy outside the entry lock, and
+// nothing keeps it: the copy lives only as long as its caller holds it.
 func (s *GraphStore) GetHeap(name string) (*graph.Graph, uint64, error) {
-	e, err := s.lock(name)
+	g, id, err := s.Get(name)
 	if err != nil {
 		return nil, 0, err
 	}
-	defer e.mu.Unlock()
-	if e.g == nil {
-		return nil, 0, storeErrf(ErrConflict, "graph %q is still streaming; seal it first", name)
+	hg, err := gstore.Materialize(g)
+	if err != nil {
+		return nil, 0, storeErrf(ErrInternal, "materializing graph %q: %v", name, err)
 	}
-	if e.hg == nil {
-		hg, err := gstore.Materialize(e.g)
-		if err != nil {
-			return nil, 0, storeErrf(ErrInternal, "materializing graph %q: %v", name, err)
-		}
-		e.hg = hg
-	}
-	return e.hg, e.id, nil
+	return hg, id, nil
 }
 
 // GetForQuery is Get plus the graph's workspace pool, the form the

@@ -204,14 +204,14 @@ func TestTelemetryUnderConcurrentMmapDelete(t *testing.T) {
 }
 
 // TestWorkHistogramBackendLabel pins the per-backend dimension: the
-// same query on heap- and compact-served graphs lands in separate
+// same query on compact- and mmap-served graphs lands in separate
 // histogram series.
 func TestWorkHistogramBackendLabel(t *testing.T) {
-	srv, _, c := testServer(t, Config{})
-	if _, err := srv.Store().PutWithBackend("ring-compact", gen.RingOfCliques(8, 8), "compact"); err != nil {
+	srv, _, c := testServer(t, Config{DataDir: t.TempDir()})
+	if _, err := srv.Store().PutWithBackend("ring-mmap", gen.RingOfCliques(8, 8), "mmap"); err != nil {
 		t.Fatal(err)
 	}
-	for _, g := range []string{"ring", "ring-compact"} {
+	for _, g := range []string{"ring", "ring-mmap"} {
 		if _, err := c.Graphs.PPR(ctx(), g, api.PPRRequest{Seeds: []int{0}}); err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +220,7 @@ func TestWorkHistogramBackendLabel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, backend := range []string{"heap", "compact"} {
+	for _, backend := range []string{"compact", "mmap"} {
 		want := fmt.Sprintf(`graphd_query_pushes_count{method="push",cache="miss",backend=%q} 1`, backend)
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)

@@ -225,10 +225,10 @@ func TestMetricsRouteLabelsAndWorkHistograms(t *testing.T) {
 	for _, want := range []string{
 		`graphd_requests_total{route="POST /v1/graphs/{name}/ppr",code="200"} 2`,
 		`graphd_request_seconds_bucket{route="POST /v1/graphs/{name}/ppr",le="+Inf"} 2`,
-		`graphd_query_pushes_bucket{method="push",cache="miss",backend="heap",le="+Inf"} 1`,
-		`graphd_query_pushes_bucket{method="push",cache="hit",backend="heap",le="+Inf"} 1`,
-		`graphd_query_work_volume_count{method="push",cache="miss",backend="heap"} 1`,
-		`graphd_query_support_count{method="push",cache="miss",backend="heap"} 1`,
+		`graphd_query_pushes_bucket{method="push",cache="miss",backend="compact",le="+Inf"} 1`,
+		`graphd_query_pushes_bucket{method="push",cache="hit",backend="compact",le="+Inf"} 1`,
+		`graphd_query_work_volume_count{method="push",cache="miss",backend="compact"} 1`,
+		`graphd_query_support_count{method="push",cache="miss",backend="compact"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %s", want)

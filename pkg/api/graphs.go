@@ -32,11 +32,9 @@ const (
 type GraphBackend string
 
 const (
-	// BackendHeap: the native []int/[]float64 CSR structure, fastest for
-	// pure in-memory serving.
-	BackendHeap GraphBackend = "heap"
-	// BackendCompact: uint32 node ids with weights narrowed to float32
-	// when lossless, roughly halving resident memory.
+	// BackendCompact: the in-memory CSR (the default), with uint32 node
+	// ids and weights stored only when not all 1, narrowed to float32
+	// when lossless.
 	BackendCompact GraphBackend = "compact"
 	// BackendMmap: adjacency served directly off the memory-mapped GSNAP
 	// v2 snapshot — zero-copy load and near-instant restart.
@@ -56,7 +54,7 @@ type GraphInfo struct {
 	// "wal".
 	Persistence GraphPersistence `json:"persistence,omitempty"`
 	// Backend reports the storage backend a sealed graph is served from:
-	// "heap", "compact" or "mmap". Empty while streaming.
+	// "compact" or "mmap". Empty while streaming.
 	Backend GraphBackend `json:"backend,omitempty"`
 }
 

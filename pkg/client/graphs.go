@@ -32,7 +32,7 @@ func WithWorkStats() QueryOption {
 type CreateOption func(url.Values)
 
 // WithBackend asks the server to serve the new graph from the given
-// storage backend ("heap", "compact" or "mmap") instead of the server's
+// storage backend ("compact" or "mmap") instead of the server's
 // default. The mmap backend needs the server to run with a data
 // directory.
 func WithBackend(backend api.GraphBackend) CreateOption {
