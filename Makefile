@@ -52,9 +52,10 @@ reach:
 		awk '$$1 == "--" { tail = 1; next } !tail { seen[$$1] = 1; next } !seen[$$1] { print; bad = 1 } END { exit bad }'
 
 # fuzz gives the seed corpora a short budget against the binary
-# decoders (snapshots, mapped snapshots, WAL replay, edge lists) and
-# the ppr reply codec (differentially, against encoding/json); CI runs
-# this on every push and on a weekly schedule.
+# decoders (snapshots, mapped snapshots, WAL replay, edge lists), the
+# ppr reply codec and the edge-batch request codec (both differentially,
+# against encoding/json); CI runs this on every push and on a weekly
+# schedule.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadSnapshot -fuzztime $(FUZZTIME) ./internal/persist
@@ -62,6 +63,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/persist
 	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzPPRReplyCodec -fuzztime $(FUZZTIME) ./pkg/api
+	$(GO) test -run '^$$' -fuzz FuzzEdgeBatchCodec -fuzztime $(FUZZTIME) ./pkg/api
 
 graphd:
 	$(GO) build -o graphd ./cmd/graphd

@@ -10,8 +10,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -30,18 +32,26 @@ type Graph struct {
 
 // Builder accumulates edges and produces an immutable Graph.
 type Builder struct {
-	n     int
-	us    []int
-	vs    []int
-	ws    []float64
-	nErrs int
-	err   error
+	n   int
+	es  []builderEdge // in arrival order, each with u < v
+	err error
 }
 
+// builderEdge is one added edge, its endpoints ordered u < v.
+type builderEdge struct {
+	u, v uint32
+	w    float64
+}
+
+// key orders edges by (u,v) in one comparison.
+func (e builderEdge) key() uint64 { return uint64(e.u)<<32 | uint64(e.v) }
+
 // NewBuilder returns a builder for a graph with n nodes labelled 0..n-1.
+// A node count below 0 or above math.MaxUint32 is an error that Build
+// reports.
 func NewBuilder(n int) *Builder {
-	if n < 0 {
-		return &Builder{err: fmt.Errorf("graph: negative node count %d", n)}
+	if n < 0 || uint64(n) > math.MaxUint32 {
+		return &Builder{err: fmt.Errorf("graph: node count %d outside [0,%d]", n, uint64(math.MaxUint32))}
 	}
 	return &Builder{n: n}
 }
@@ -67,78 +77,68 @@ func (b *Builder) AddWeightedEdge(u, v int, w float64) {
 	if u == v {
 		return
 	}
-	b.us = append(b.us, u)
-	b.vs = append(b.vs, v)
-	b.ws = append(b.ws, w)
+	if u > v {
+		u, v = v, u
+	}
+	b.es = append(b.es, builderEdge{uint32(u), uint32(v), w})
 }
 
 // Build assembles the graph, merging parallel edges by summing weights.
+// It sorts a copy of the added edges, so the builder can take more edges
+// and build again.
 func (b *Builder) Build() (*Graph, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
 	n := b.n
-	// Normalize each edge so u < v, then sort and merge duplicates.
-	type edge struct {
-		u, v int
-		w    float64
-	}
-	es := make([]edge, 0, len(b.us))
-	for i := range b.us {
-		u, v := b.us[i], b.vs[i]
-		if u > v {
-			u, v = v, u
-		}
-		es = append(es, edge{u, v, b.ws[i]})
-	}
-	sort.Slice(es, func(a, c int) bool {
-		if es[a].u != es[c].u {
-			return es[a].u < es[c].u
-		}
-		return es[a].v < es[c].v
-	})
+	// Sort by (u,v) and merge duplicates in sorted order. The sort is not
+	// stable, and it fixes the order in which a pair's weights are summed:
+	// it must stay this pdqsort on this key (the comparisons sort.Slice
+	// makes, see TestBuildMatchesOracle), or merged weights, and with them
+	// snapshot bytes, change in their last bits.
+	es := slices.Clone(b.es)
+	slices.SortFunc(es, func(a, c builderEdge) int { return cmp.Compare(a.key(), c.key()) })
 	merged := es[:0]
 	for i := 0; i < len(es); {
+		e := es[i]
 		j := i + 1
-		w := es[i].w
-		for j < len(es) && es[j].u == es[i].u && es[j].v == es[i].v {
-			w += es[j].w
-			j++
+		for ; j < len(es) && es[j].u == e.u && es[j].v == e.v; j++ {
+			e.w += es[j].w
 		}
-		if math.IsInf(w, 0) {
-			return nil, fmt.Errorf("graph: edge (%d,%d) merged weight overflows", es[i].u, es[i].v)
+		if math.IsInf(e.w, 0) {
+			return nil, fmt.Errorf("graph: edge (%d,%d) merged weight overflows", e.u, e.v)
 		}
-		merged = append(merged, edge{es[i].u, es[i].v, w})
+		merged = append(merged, e)
 		i = j
 	}
 	es = merged
 
+	// rowPtr[x+1] first counts row x. The prefix sum makes rowPtr[x] row
+	// x's start, which then serves as its fill cursor and so ends at row
+	// x's end; one shift puts every start back.
 	g := &Graph{n: n, rowPtr: make([]int, n+1), deg: make([]float64, n), edges: len(es), unit: true}
-	counts := make([]int, n)
+	rowPtr := g.rowPtr
 	for _, e := range es {
-		counts[e.u]++
-		counts[e.v]++
-		if e.w != 1 {
-			g.unit = false
-		}
+		rowPtr[e.u+1]++
+		rowPtr[e.v+1]++
+		g.unit = g.unit && e.w == 1
 	}
 	for i := 0; i < n; i++ {
-		g.rowPtr[i+1] = g.rowPtr[i] + counts[i]
+		rowPtr[i+1] += rowPtr[i]
 	}
-	g.adj = make([]int, g.rowPtr[n])
-	g.w = make([]float64, g.rowPtr[n])
-	pos := make([]int, n)
-	copy(pos, g.rowPtr[:n])
+	g.adj = make([]int, rowPtr[n])
+	g.w = make([]float64, rowPtr[n])
 	for _, e := range es {
-		g.adj[pos[e.u]] = e.v
-		g.w[pos[e.u]] = e.w
-		pos[e.u]++
-		g.adj[pos[e.v]] = e.u
-		g.w[pos[e.v]] = e.w
-		pos[e.v]++
-		g.deg[e.u] += e.w
-		g.deg[e.v] += e.w
+		u, v := int(e.u), int(e.v)
+		g.adj[rowPtr[u]], g.w[rowPtr[u]] = v, e.w
+		rowPtr[u]++
+		g.adj[rowPtr[v]], g.w[rowPtr[v]] = u, e.w
+		rowPtr[v]++
+		g.deg[u] += e.w
+		g.deg[v] += e.w
 	}
+	copy(rowPtr[1:], rowPtr[:n])
+	rowPtr[0] = 0
 	// Every row is strictly ascending by construction: the merged edges
 	// (u<v) are sorted by (u,v), so row x first receives its smaller
 	// neighbours (edges (u,x), in ascending u, all before any edge that

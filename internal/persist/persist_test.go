@@ -443,6 +443,56 @@ func TestWALRoundTripAndSealEquivalence(t *testing.T) {
 	}
 }
 
+// TestWALReusesBoundedRecord: AppendBatch encodes into the last record's
+// buffer, so a steady stream of batches allocates nothing, the file is
+// byte for byte the header and each batch's record encoded afresh, and
+// after one oversized batch the log keeps no more than 1 MiB of buffer.
+func TestWALReusesBoundedRecord(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "g.wal")
+	w, err := CreateWAL(path, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := func(n int) []Edge {
+		b := make([]Edge, n)
+		for i := range b {
+			b[i] = Edge{U: i % 10, V: (i + 3) % 10, W: 1 + float64(i%7)/8}
+		}
+		return b
+	}
+	want := walHeader(10)
+	for _, n := range []int{256, 3, maxKeptRecord/walEdgeBytes + 1, 17, 256} {
+		if err := w.AppendBatch(batch(n)); err != nil {
+			t.Fatal(err)
+		}
+		want = appendWALRecord(want, batch(n))
+		if cap(w.rec) > maxKeptRecord {
+			t.Fatalf("after a %d-edge batch the log keeps a %d-byte buffer", n, cap(w.rec))
+		}
+	}
+	steady := batch(256)
+	if got := testing.AllocsPerRun(20, func() {
+		if err := w.AppendBatch(steady); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("a steady-state AppendBatch allocates %v times, want 0", got)
+	}
+	for range 21 { // AllocsPerRun's warm-up run and its 20
+		want = appendWALRecord(want, steady)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("WAL file is %d bytes unlike the %d of fresh records", len(got), len(want))
+	}
+}
+
 // walFixture writes a small valid WAL and returns its bytes.
 func walFixture(t *testing.T) []byte {
 	t.Helper()

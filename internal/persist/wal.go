@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -78,7 +79,12 @@ type WAL struct {
 	nodes   int
 	obs     Observer       // nil: no durability telemetry
 	appends *atomic.Uint64 // counts durable appends; set by the Dir that opened the log
+	rec     []byte         // the last record's buffer, reused by the next append
 }
+
+// maxKeptRecord bounds the record buffer a WAL keeps between appends, so
+// one huge batch does not pin its size for the rest of the stream.
+const maxKeptRecord = 1 << 20
 
 // SetObserver attaches a durability-telemetry sink to the log. Call
 // before the first append; a nil observer (the default) keeps every
@@ -228,7 +234,10 @@ func (w *WAL) AppendBatch(edges []Edge) error {
 	if len(edges) > maxWALBatch {
 		return fmt.Errorf("persist: WAL batch of %d edges exceeds limit %d", len(edges), maxWALBatch)
 	}
-	rec := appendWALRecord(make([]byte, 0, 8+len(edges)*walEdgeBytes), edges)
+	rec := appendWALRecord(slices.Grow(w.rec[:0], 8+len(edges)*walEdgeBytes), edges)
+	if cap(rec) <= maxKeptRecord {
+		w.rec = rec
+	}
 	var start time.Time
 	if w.obs != nil {
 		start = time.Now()

@@ -158,14 +158,22 @@ func runFig1Job(ctx context.Context, _ *graph.Graph, raw json.RawMessage) (any, 
 }
 
 // strictUnmarshal decodes params rejecting unknown fields, so typos in
-// knob names fail the request instead of silently running defaults.
+// knob names fail the request instead of silently running defaults. A
+// request type with its own DecodeJSON (pkg/api/codec.go) decodes
+// itself, as this decode would.
 func strictUnmarshal(raw json.RawMessage, v any) error {
 	if len(raw) == 0 {
 		return nil
 	}
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	var err error
+	if d, ok := v.(interface{ DecodeJSON([]byte) error }); ok {
+		err = d.DecodeJSON(raw)
+	} else {
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(v)
+	}
+	if err != nil {
 		return fmt.Errorf("params: %w", err)
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"repro/internal/buildinfo"
@@ -140,8 +141,19 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 	reply(w, http.StatusCreated, info, err)
 }
 
+// edgeScratch holds the edge slices handleAppendEdges decodes into; the
+// store copies what it keeps.
+var edgeScratch = sync.Pool{New: func() any { return new([]api.StreamEdge) }}
+
 func (s *Server) handleAppendEdges(w http.ResponseWriter, r *http.Request) {
-	var req api.EdgeBatchRequest
+	scratch := edgeScratch.Get().(*[]api.StreamEdge)
+	req := api.EdgeBatchRequest{Edges: *scratch}
+	defer func() {
+		if cap(req.Edges) > cap(*scratch) && small(req.Edges) {
+			*scratch = req.Edges[:0]
+		}
+		edgeScratch.Put(scratch)
+	}()
 	if !s.decode(w, r, &req) {
 		return
 	}

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/pkg/api"
 )
@@ -95,6 +96,9 @@ func jsonContentType(r *http.Request) (string, bool) {
 	return mt, false
 }
 
+// bodyScratch holds the buffers decode reads request bodies into.
+var bodyScratch = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // decode is the shared request pipeline for JSON endpoints: enforce the
 // content type, read the (MaxBytes-capped) body, strict-decode into
 // req, fill defaults, validate. On failure it writes the error response
@@ -106,9 +110,17 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, req api.Request)
 			WithDetail("content_type", ct))
 		return false
 	}
-	// One buffer: the declared length (as far as the MaxBytes cap lets
-	// it through; none for a chunked body) plus the slack ReadFrom wants.
-	body := bytes.NewBuffer(make([]byte, 0, max(min(r.ContentLength, s.cfg.MaxBodyBytes), 0)+bytes.MinRead))
+	// One pooled buffer grown once: the declared length (as far as the
+	// MaxBytes cap lets it through; none for a chunked body) plus the
+	// slack ReadFrom wants. The decoders keep no byte of it.
+	body := bodyScratch.Get().(*bytes.Buffer)
+	defer func() {
+		if body.Cap() <= maxKeptBytes {
+			bodyScratch.Put(body)
+		}
+	}()
+	body.Reset()
+	body.Grow(int(max(min(r.ContentLength, s.cfg.MaxBodyBytes), 0)) + bytes.MinRead)
 	if _, err := body.ReadFrom(r.Body); err != nil {
 		writeError(w, api.Errorf(api.CodeInvalidArgument, "reading body: %v", err))
 		return false

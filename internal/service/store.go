@@ -18,9 +18,11 @@ package service
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/graph"
 	"repro/internal/gstore"
@@ -69,9 +71,18 @@ type entry struct {
 	b      *graph.Builder
 	pool   *kernel.Pool // per-graph diffusion workspaces; set when sealed
 	nNodes int
-	nEdges int          // edges accepted while streaming
-	wal    *persist.WAL // open log while streaming with a data dir
+	nEdges int            // edges accepted while streaming
+	wal    *persist.WAL   // open log while streaming with a data dir
+	batch  []persist.Edge // AppendEdges' scratch, kept while small
 }
+
+// maxKeptBytes bounds every buffer the write path keeps for reuse (an
+// entry's scratch batch, the append handler's pooled edges, decode's
+// pooled bodies), so one huge batch does not pin its size afterwards.
+const maxKeptBytes = 1 << 20
+
+// small reports whether s's array is small enough to keep for reuse.
+func small[T any](s []T) bool { return uintptr(cap(s))*unsafe.Sizeof(*new(T)) <= maxKeptBytes }
 
 // seal installs the immutable graph on the entry (caller holds e.mu)
 // together with its workspace pool, so every strongly-local query on
@@ -386,15 +397,20 @@ func (s *GraphStore) AppendEdges(name string, edges []api.StreamEdge) error {
 	if e.b == nil {
 		return storeErrf(ErrConflict, "graph %q is sealed; cannot append edges", name)
 	}
-	batch := make([]persist.Edge, len(edges))
+	// The scratch is reused under e.mu; the WAL keeps no byte of it.
+	batch := slices.Grow(e.batch[:0], len(edges))
+	if small(batch) {
+		e.batch = batch
+	}
 	for i, ed := range edges {
-		batch[i] = persist.Edge{U: ed.U, V: ed.V, W: ed.W}
+		pe := persist.Edge{U: ed.U, V: ed.V, W: ed.W}
 		if ed.W == 0 {
-			batch[i].W = 1
+			pe.W = 1
 		}
-		if err := batch[i].Check(e.nNodes); err != nil {
+		if err := pe.Check(e.nNodes); err != nil {
 			return storeErrf(ErrBadInput, "edge %d %v", i, err)
 		}
+		batch = append(batch, pe)
 	}
 	if e.wal != nil {
 		if err := e.wal.AppendBatch(batch); err != nil {
@@ -434,7 +450,7 @@ func (s *GraphStore) Seal(name string) (api.GraphInfo, error) {
 		return api.GraphInfo{}, storeErrf(ErrInternal, "persisting sealed graph %q: %v", name, err)
 	}
 	e.seal(sg)
-	e.b, e.wal = nil, nil
+	e.b, e.wal, e.batch = nil, nil, nil
 	return s.infoLocked(name, e), nil
 }
 

@@ -116,6 +116,71 @@ func (r *PPRBatchResponse) DecodeJSON(data []byte) error {
 	return nil
 }
 
+// An edge batch is the one request whose size grows with the data, so
+// EdgeBatchRequest has the same pair of methods, under the request side's
+// contract: its DecodeJSON falls back to the strict decode graphd applies
+// to every request body, which refuses unknown members.
+
+// AppendJSON appends the bytes json.Marshal(r) returns to dst: "w" only
+// when the weight is not zero, as its omitempty tag says. A NaN or
+// infinite weight is the library's *json.UnsupportedValueError, and what
+// was appended is then not a request.
+func (r *EdgeBatchRequest) AppendJSON(dst []byte) ([]byte, error) {
+	e := encoder{b: dst}
+	if r.Edges == nil {
+		e.lit(`{"edges":null`)
+		return e.finish()
+	}
+	e.lit(`{"edges":[`)
+	for _, ed := range r.Edges {
+		e.int(`{"u":`, ed.U)
+		e.int(`,"v":`, ed.V)
+		if ed.W != 0 {
+			e.float(`,"w":`, ed.W)
+		}
+		e.lit(`},`)
+	}
+	e.closeArray()
+	return e.finish()
+}
+
+// DecodeJSON decodes a request body into r as the strict decode of data
+// (one value, unknown members refused) into an EdgeBatchRequest without
+// edges does: directly when data has AppendJSON's shape, else by that
+// decode. Either way the edges land in r.Edges' array when it has room,
+// each written whole.
+func (r *EdgeBatchRequest) DecodeJSON(data []byte) error {
+	d := decoder{b: data}
+	var edges []StreamEdge
+	if !d.opt(`{"edges":null`) {
+		d.lit(`{"edges":[`)
+		if n := d.elems(`},{`, true); d.bad || cap(r.Edges) >= n {
+			edges = r.Edges[:0]
+		} else {
+			edges = make([]StreamEdge, 0, n)
+		}
+		for more := !d.opt(`]`); more; more = d.next() {
+			ed := StreamEdge{U: d.int(`{"u":`), V: d.int(`,"v":`)}
+			if d.opt(`,"w":`) {
+				ed.W = d.float(``)
+			}
+			d.lit(`}`)
+			edges = append(edges, ed)
+		}
+	}
+	if d.finish() {
+		r.Edges = edges
+		return nil
+	}
+	// The library decodes each element over what the array holds there,
+	// keeping the members the body omits, so no slot may hold an old edge.
+	clear(r.Edges[:cap(r.Edges)])
+	r.Edges = r.Edges[:0]
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(r)
+}
+
 // isPlain reports whether every byte of s stands for itself inside a
 // JSON string as encoding/json writes one: printable ASCII, no quote or
 // backslash and none of the three bytes it escapes for HTML.
@@ -342,19 +407,24 @@ func (d *decoder) float(key string) float64 {
 	return f
 }
 
-// room returns an empty slice with room for the array elements ahead,
-// counted by the separator between two of them: up to the next closing
-// bracket when they are flat, in all that is left when they nest. (What
-// a hostile body sizes this way encoding/json would let it allocate.)
-func room[T any](d *decoder, sep string, flat bool) []T {
+// elems counts the array elements ahead by the separator between two of
+// them: up to the next closing bracket when they are flat, in all that
+// is left when they nest; at least one. (What a hostile body sizes this
+// way encoding/json would let it allocate.)
+func (d *decoder) elems(sep string, flat bool) int {
 	span := d.b[d.i:]
 	if end := bytes.IndexByte(span, ']'); flat && end >= 0 {
 		span = span[:end]
 	}
+	return bytes.Count(span, []byte(sep)) + 1
+}
+
+// room returns an empty slice with room for the array elements ahead.
+func room[T any](d *decoder, sep string, flat bool) []T {
 	if d.bad {
 		return nil
 	}
-	return make([]T, 0, bytes.Count(span, []byte(sep))+1)
+	return make([]T, 0, d.elems(sep, flat))
 }
 
 func (d *decoder) pprFields(support *int, sum *float64, pushes *int, workVolume *float64, top *[]NodeMass, sweep **SweepInfo) {

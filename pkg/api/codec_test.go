@@ -21,10 +21,11 @@ import (
 type (
 	plainResponse      PPRResponse
 	plainBatchResponse PPRBatchResponse
+	plainEdgeBatch     EdgeBatchRequest
 )
 
 func TestCodecIsNotHooked(t *testing.T) {
-	for _, v := range []any{&PPRResponse{}, &PPRBatchResponse{}, &PPRBatchResult{}, &NodeMass{}, &SweepInfo{}, &WorkStats{}} {
+	for _, v := range []any{&PPRResponse{}, &PPRBatchResponse{}, &PPRBatchResult{}, &NodeMass{}, &SweepInfo{}, &WorkStats{}, &EdgeBatchRequest{}, &StreamEdge{}} {
 		if _, ok := v.(json.Unmarshaler); ok {
 			t.Errorf("%T implements json.Unmarshaler: json.Unmarshal no longer is the reference", v)
 		}
@@ -368,11 +369,7 @@ func TestDecodeAllocs(t *testing.T) {
 // number, so every float bit pattern and every int is reachable, the
 // low bits of a few of them choosing the optional parts.
 func replyFromBytes(data []byte) *PPRResponse {
-	next := func() uint64 {
-		var w [8]byte
-		data = data[copy(w[:], data):]
-		return binary.LittleEndian.Uint64(w[:])
-	}
+	next := numbers(&data)
 	float := func() float64 { return math.Float64frombits(next()) }
 	shape := next()
 	r := &PPRResponse{Support: int(next()), Sum: float(), Pushes: int(next()), WorkVolume: float()}
@@ -396,6 +393,16 @@ func replyFromBytes(data []byte) *PPRResponse {
 		r.Work.Method = string(data[:min(len(data), int(shape>>12&7))])
 	}
 	return r
+}
+
+// numbers reads fuzz input eight bytes a number, consuming *data; past
+// its end the numbers are zero.
+func numbers(data *[]byte) func() uint64 {
+	return func() uint64 {
+		var w [8]byte
+		*data = (*data)[copy(w[:], *data):]
+		return binary.LittleEndian.Uint64(w[:])
+	}
 }
 
 // clusterFromReply builds a localcluster:batch reply out of a ppr

@@ -32,6 +32,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/pkg/api"
@@ -163,19 +164,21 @@ func (c *Client) queryValues() url.Values {
 	return q
 }
 
-// doJSON marshals in (when non-nil), performs the call with retries,
-// and decodes the response into out (when non-nil): with out's own
-// decoder when it has one (the ppr replies), else with json.Unmarshal.
-// A reply with its own decoder is read into a pooled buffer, since that
-// decoder keeps no byte of it.
+// doJSON encodes in (when non-nil), performs the call with retries, and
+// decodes the response into out (when non-nil). A request with its own
+// encoder (an edge batch) is encoded by it into a pooled buffer, any
+// other by json.Marshal; a reply with its own decoder (the ppr replies)
+// is read into a pooled buffer, since that decoder keeps no byte of it,
+// and any other is decoded by json.Unmarshal.
 func (c *Client) doJSON(ctx context.Context, method, path string, q url.Values, in, out any) error {
-	var body []byte
+	var body *requestBody
 	contentType := ""
 	if in != nil {
 		var err error
-		if body, err = json.Marshal(in); err != nil {
+		if body, err = encodeBody(in); err != nil {
 			return fmt.Errorf("client: encoding %s %s request: %w", method, path, err)
 		}
+		defer body.release()
 		contentType = "application/json"
 	}
 	d, direct := out.(interface{ DecodeJSON([]byte) error })
@@ -204,8 +207,76 @@ func (c *Client) doJSON(ctx context.Context, method, path string, q url.Values, 
 const maxSizedRead = 8 << 20
 
 // replyScratch holds the buffers doJSON reads directly decoded replies
-// into.
-var replyScratch = sync.Pool{New: func() any { return new([]byte) }}
+// into, bodyScratch those it encodes requests into.
+var (
+	replyScratch = sync.Pool{New: func() any { return new([]byte) }}
+	bodyScratch  = sync.Pool{New: func() any { return new([]byte) }}
+)
+
+// maxKeptBody bounds the request buffers bodyScratch keeps, so one huge
+// edge batch does not pin its size afterwards.
+const maxKeptBody = 1 << 20
+
+// requestBody is what a call sends, replayed from data on every attempt.
+// The transport may still be reading a request's body after the call
+// has returned, and closes it when it is done, so a body encoded into a
+// bodyScratch buffer goes back only when the call and every reader it
+// opened have let go of it.
+type requestBody struct {
+	data []byte
+	buf  *[]byte      // the pooled buffer data is in; nil when not pooled
+	refs atomic.Int32 // the call's reference and one per open reader
+}
+
+// encodeBody encodes in with its own AppendJSON when it has one, else
+// with json.Marshal.
+func encodeBody(in any) (*requestBody, error) {
+	a, direct := in.(interface{ AppendJSON([]byte) ([]byte, error) })
+	if !direct {
+		data, err := json.Marshal(in)
+		return &requestBody{data: data}, err
+	}
+	b := &requestBody{buf: bodyScratch.Get().(*[]byte)}
+	b.refs.Store(1)
+	data, err := a.AppendJSON((*b.buf)[:0])
+	if cap(data) <= maxKeptBody {
+		*b.buf = data
+	}
+	b.data = data
+	if err != nil {
+		b.release()
+		return nil, err
+	}
+	return b, nil
+}
+
+// open returns a reader over the body, which the transport closes.
+func (b *requestBody) open() io.ReadCloser {
+	b.refs.Add(1)
+	return &bodyReader{Reader: bytes.NewReader(b.data), b: b}
+}
+
+// release drops one reference; the last returns a pooled buffer.
+func (b *requestBody) release() {
+	if b.buf != nil && b.refs.Add(-1) == 0 {
+		bodyScratch.Put(b.buf)
+	}
+}
+
+// bodyReader is one open reader over a requestBody.
+type bodyReader struct {
+	*bytes.Reader
+	b      *requestBody
+	closed atomic.Bool
+}
+
+// Close releases the reader's reference, once however often it is called.
+func (r *bodyReader) Close() error {
+	if r.closed.CompareAndSwap(false, true) {
+		r.b.release()
+	}
+	return nil
+}
 
 // readBody reads a response body: one of declared length (graphd
 // states it on every query reply) into one buffer of that length — *buf
@@ -231,7 +302,7 @@ func readBody(resp *http.Response, buf *[]byte) ([]byte, error) {
 // errors and 5xx responses back off and retry, anything else returns
 // immediately. On HTTP failure the returned error is an *api.Error. A
 // sized reply is read into *buf when buf is set (see readBody).
-func (c *Client) doRaw(ctx context.Context, method, path string, q url.Values, body []byte, contentType string, buf *[]byte) ([]byte, http.Header, error) {
+func (c *Client) doRaw(ctx context.Context, method, path string, q url.Values, body *requestBody, contentType string, buf *[]byte) ([]byte, http.Header, error) {
 	u := c.baseURL + path
 	if len(q) > 0 {
 		u += "?" + q.Encode()
@@ -245,11 +316,15 @@ func (c *Client) doRaw(ctx context.Context, method, path string, q url.Values, b
 		}
 		var rd io.Reader
 		if body != nil {
-			rd = bytes.NewReader(body)
+			rd = bytes.NewReader(body.data)
 		}
 		req, err := http.NewRequestWithContext(ctx, method, u, rd)
 		if err != nil {
 			return nil, nil, fmt.Errorf("client: %s %s: %w", method, path, err)
+		}
+		if body != nil && body.buf != nil {
+			req.Body = body.open()
+			req.GetBody = func() (io.ReadCloser, error) { return body.open(), nil }
 		}
 		if contentType != "" {
 			req.Header.Set("Content-Type", contentType)

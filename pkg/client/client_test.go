@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -452,6 +454,76 @@ func TestPooledReplyBufferIsNotAliased(t *testing.T) {
 		a, _ := json.Marshal(res)
 		if b, _ := json.Marshal(replies[i%2]); string(a) != string(b) {
 			t.Fatalf("call %d was sent %s and now holds %s", i, b, a)
+		}
+	}
+}
+
+// TestEdgeBatchBodies: an edge batch goes out as json.Marshal's bytes,
+// with its length declared, whatever its weights — from the pooled
+// buffer a larger batch left behind too.
+func TestEdgeBatchBodies(t *testing.T) {
+	var got atomic.Pointer[[]byte]
+	c, _ := newTestClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil || r.ContentLength != int64(len(body)) {
+			t.Errorf("read %d bytes (err %v) of a body declaring %d", len(body), err, r.ContentLength)
+		}
+		got.Store(&body)
+		io.WriteString(w, `{"appended":1}`)
+	}))
+	for _, edges := range [][]api.StreamEdge{
+		{{U: 0, V: 1}, {U: 5, V: 3, W: 0.25}, {U: 2, V: 9, W: 1e-9}, {U: 1, V: 2, W: 1}},
+		{{U: 7, V: 8, W: math.Copysign(0, -1)}},
+		nil,
+	} {
+		if _, err := c.Graphs.AppendEdges(context.Background(), "g", edges); err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(api.EdgeBatchRequest{Edges: edges})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(*got.Load()) != string(want) {
+			t.Fatalf("sent %s, json.Marshal says %s", *got.Load(), want)
+		}
+	}
+}
+
+// TestPooledRequestBody: a pooled request buffer is not reused while a
+// reader the transport opened over it is still open, even after the
+// call let go, and after one oversized batch the pool keeps no buffer
+// over maxKeptBody.
+func TestPooledRequestBody(t *testing.T) {
+	// One P and no collection: the pool's puts land where this
+	// goroutine's gets look, and stay there.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	encode := func(edges []api.StreamEdge) *requestBody {
+		t.Helper()
+		b, err := encodeBody(&api.EdgeBatchRequest{Edges: edges})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	first := encode([]api.StreamEdge{{U: 1, V: 2}})
+	want := string(first.data)
+	r := first.open()
+	first.release()
+	second := encode([]api.StreamEdge{{U: 3, V: 4, W: 5}})
+	if got, _ := io.ReadAll(r); string(got) != want {
+		t.Fatalf("an open reader read %s, the call sent %s", got, want)
+	}
+	r.Close()
+	second.release()
+
+	huge := make([]api.StreamEdge, maxKeptBody/8) // 14 bytes an edge
+	for _, edges := range [][]api.StreamEdge{huge, huge[:2]} {
+		encode(edges).release()
+	}
+	for range 4 {
+		if buf := bodyScratch.Get().(*[]byte); cap(*buf) > maxKeptBody {
+			t.Fatalf("the request pool holds a %d-byte buffer", cap(*buf))
 		}
 	}
 }

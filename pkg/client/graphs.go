@@ -118,7 +118,7 @@ func (s *GraphsService) upload(ctx context.Context, name string, data []byte, co
 		}
 		data = buf.Bytes()
 	}
-	body, _, err := s.c.doRaw(ctx, http.MethodPost, v1("graphs", name), createValues(opts), data, contentType, nil)
+	body, _, err := s.c.doRaw(ctx, http.MethodPost, v1("graphs", name), createValues(opts), &requestBody{data: data}, contentType, nil)
 	if err != nil {
 		return api.GraphInfo{}, err
 	}
@@ -178,7 +178,7 @@ func (s *GraphsService) Import(ctx context.Context, name string, snapshot io.Rea
 	if err != nil {
 		return api.GraphInfo{}, fmt.Errorf("client: reading snapshot: %w", err)
 	}
-	body, _, err := s.c.doRaw(ctx, http.MethodPut, v1("graphs", name, "snapshot"), createValues(opts), data, "application/octet-stream", nil)
+	body, _, err := s.c.doRaw(ctx, http.MethodPut, v1("graphs", name, "snapshot"), createValues(opts), &requestBody{data: data}, "application/octet-stream", nil)
 	if err != nil {
 		return api.GraphInfo{}, err
 	}
