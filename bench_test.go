@@ -377,8 +377,9 @@ func BenchmarkSec33SeedNotInCluster(b *testing.B) {
 
 // ---- ablations of this repository's own design choices ----
 
-// BenchmarkAblationMaxFlow compares the two max-flow engines on the MQI
-// network shapes they actually see (boundary-source, degree-sink).
+// BenchmarkAblationMaxFlow times the max-flow engine (Dinic) on the MQI
+// network shapes it actually sees (boundary-source, degree-sink). The
+// push-relabel alternative is a test-only cross-check in internal/flow.
 func BenchmarkAblationMaxFlow(b *testing.B) {
 	setup(b)
 	g := fixtures.expander
@@ -398,14 +399,6 @@ func BenchmarkAblationMaxFlow(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			net, s, t := build()
 			if _, err := net.MaxFlow(s, t); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("push-relabel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			net, s, t := build()
-			if _, err := net.MaxFlowPushRelabel(s, t); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -13,7 +13,6 @@ import (
 	"math"
 
 	"repro/internal/graph"
-	"repro/internal/mat"
 	"repro/internal/spectral"
 	"repro/internal/vec"
 )
@@ -36,28 +35,6 @@ func SeedVector(n int, seeds []int) ([]float64, error) {
 		}
 		s[u] += w
 	}
-	return s, nil
-}
-
-// DegreeSeedVector returns the degree-weighted distribution over seeds,
-// s[u] ∝ deg(u), the seed normalization used by local spectral methods.
-func DegreeSeedVector(g *graph.Graph, seeds []int) ([]float64, error) {
-	if len(seeds) == 0 {
-		return nil, errors.New("diffusion: empty seed set")
-	}
-	s := make([]float64, g.N())
-	var total float64
-	for _, u := range seeds {
-		if u < 0 || u >= g.N() {
-			return nil, fmt.Errorf("diffusion: seed %d out of range [0,%d)", u, g.N())
-		}
-		s[u] += g.Degree(u)
-		total += g.Degree(u)
-	}
-	if total == 0 {
-		return nil, errors.New("diffusion: seed set has zero volume")
-	}
-	vec.Scale(1/total, s)
 	return s, nil
 }
 
@@ -225,26 +202,6 @@ func HeatKernel(g *graph.Graph, seed []float64, t float64, opt HeatKernelOptions
 	}
 	vec.Scale(math.Exp(-t), out)
 	return out, fmt.Errorf("%w: HeatKernel series after %d terms (t=%v)", ErrNoConvergence, maxTerms, t)
-}
-
-// HeatKernelDense computes exp(−tL)·s for an arbitrary symmetric CSR
-// operator L via dense eigendecomposition. It is the reference
-// implementation used to validate HeatKernel and to evaluate the heat
-// dynamics on the normalized Laplacian (the operator of the §3.1 SDP),
-// at small n.
-func HeatKernelDense(l *mat.CSR, seed []float64, t float64) ([]float64, error) {
-	if l.Rows != l.ColsN {
-		return nil, fmt.Errorf("diffusion: HeatKernelDense requires square operator, got %dx%d", l.Rows, l.ColsN)
-	}
-	if len(seed) != l.Rows {
-		return nil, fmt.Errorf("diffusion: seed length %d != %d", len(seed), l.Rows)
-	}
-	e, err := mat.SymEigen(l.Dense())
-	if err != nil {
-		return nil, fmt.Errorf("diffusion: HeatKernelDense: %w", err)
-	}
-	h := e.Reconstruct(func(lam float64) float64 { return math.Exp(-t * lam) })
-	return h.MulVec(seed), nil
 }
 
 // Equilibrium measures how far a distribution x is from the stationary

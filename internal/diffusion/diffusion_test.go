@@ -1,6 +1,7 @@
 package diffusion
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,11 +9,20 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/mat"
 	"repro/internal/spectral"
 	"repro/internal/vec"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+func sum(x []float64) float64 {
+	var s float64
+	for _, v := range x {
+		s += v
+	}
+	return s
+}
 
 func connectedER(t *testing.T, seed int64, n int, p float64) *graph.Graph {
 	t.Helper()
@@ -35,7 +45,7 @@ func TestSeedVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s[1] != 0.5 || s[3] != 0.5 || vec.Sum(s) != 1 {
+	if s[1] != 0.5 || s[3] != 0.5 || sum(s) != 1 {
 		t.Fatalf("SeedVector = %v", s)
 	}
 	if _, err := SeedVector(5, nil); err == nil {
@@ -43,17 +53,6 @@ func TestSeedVector(t *testing.T) {
 	}
 	if _, err := SeedVector(5, []int{9}); err == nil {
 		t.Fatal("out-of-range seed accepted")
-	}
-}
-
-func TestDegreeSeedVector(t *testing.T) {
-	g := gen.Star(4) // deg(0)=3, others 1
-	s, err := DegreeSeedVector(g, []int{0, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(s[0], 0.75, 1e-12) || !almostEq(s[1], 0.25, 1e-12) {
-		t.Fatalf("DegreeSeedVector = %v", s)
 	}
 }
 
@@ -67,8 +66,8 @@ func TestLazyWalkPreservesMass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEq(vec.Sum(x), 1, 1e-10) {
-		t.Fatalf("mass after lazy walk = %v", vec.Sum(x))
+	if !almostEq(sum(x), 1, 1e-10) {
+		t.Fatalf("mass after lazy walk = %v", sum(x))
 	}
 	for i, v := range x {
 		if v < -1e-12 {
@@ -125,8 +124,8 @@ func TestPageRankIsLinearSystemSolution(t *testing.T) {
 	if vec.MaxAbsDiff(pr, rhs) > 1e-9 {
 		t.Fatalf("PageRank fixed-point residual = %v", vec.MaxAbsDiff(pr, rhs))
 	}
-	if !almostEq(vec.Sum(pr), 1, 1e-9) {
-		t.Fatalf("PageRank mass = %v", vec.Sum(pr))
+	if !almostEq(sum(pr), 1, 1e-9) {
+		t.Fatalf("PageRank mass = %v", sum(pr))
 	}
 }
 
@@ -187,6 +186,49 @@ func TestPageRankStepsConvergesToFixedPoint(t *testing.T) {
 	if prev > 1e-6 {
 		t.Errorf("PageRankSteps(125) still %v from fixed point", prev)
 	}
+}
+
+// HeatKernelDense computes exp(−tL)·s for an arbitrary symmetric CSR
+// operator L via dense eigendecomposition. It is the reference
+// implementation used to validate HeatKernel and to evaluate the heat
+// dynamics on the normalized Laplacian (the operator of the §3.1 SDP),
+// at small n.
+func HeatKernelDense(l *mat.CSR, seed []float64, t float64) ([]float64, error) {
+	if l.Rows != l.ColsN {
+		return nil, fmt.Errorf("diffusion: HeatKernelDense requires square operator, got %dx%d", l.Rows, l.ColsN)
+	}
+	if len(seed) != l.Rows {
+		return nil, fmt.Errorf("diffusion: seed length %d != %d", len(seed), l.Rows)
+	}
+	e, err := mat.SymEigen(l.Dense())
+	if err != nil {
+		return nil, fmt.Errorf("diffusion: HeatKernelDense: %w", err)
+	}
+	h := reconstruct(e, func(lam float64) float64 { return math.Exp(-t * lam) })
+	return h.MulVec(seed), nil
+}
+
+// reconstruct returns V diag(f(λ)) Vᵀ for the eigendecomposition e.
+func reconstruct(e *mat.Eigen, f func(float64) float64) *mat.Dense {
+	n := len(e.Values)
+	out := mat.NewDense(n, n)
+	for k, lam := range e.Values {
+		w := f(lam)
+		if w == 0 {
+			continue
+		}
+		for i := 0; i < n; i++ {
+			vik := e.Vectors.At(i, k)
+			if vik == 0 {
+				continue
+			}
+			row := out.Data[i*n : (i+1)*n]
+			for j := 0; j < n; j++ {
+				row[j] += w * vik * e.Vectors.At(j, k)
+			}
+		}
+	}
+	return out
 }
 
 func TestHeatKernelMatchesDense(t *testing.T) {
@@ -257,7 +299,7 @@ func TestStationaryDistribution(t *testing.T) {
 	if !almostEq(pi[0], 0.5, 1e-12) || !almostEq(pi[1], 1.0/6, 1e-12) {
 		t.Fatalf("π = %v", pi)
 	}
-	if !almostEq(vec.Sum(pi), 1, 1e-12) {
+	if !almostEq(sum(pi), 1, 1e-12) {
 		t.Fatal("π does not sum to 1")
 	}
 }
@@ -289,7 +331,7 @@ func TestPropDynamicsPreserveDistribution(t *testing.T) {
 			return false
 		}
 		for _, x := range [][]float64{lw, pr, hk} {
-			if !almostEq(vec.Sum(x), 1, 1e-8) {
+			if !almostEq(sum(x), 1, 1e-8) {
 				return false
 			}
 			for _, v := range x {

@@ -310,17 +310,4 @@ func TestImproveBothSides(t *testing.T) {
 	}
 }
 
-func TestMinConductanceExhaustive(t *testing.T) {
-	g := gen.Dumbbell(4, 0)
-	phi, set := MinConductanceExhaustive(g)
-	// Optimal cut separates the cliques: cut 1, min vol 13 (K4 vol=4·3, +1
-	// bridge endpoint degree) → vol side = 3+3+3+4 = 13; φ = 1/13.
-	if !almostEq(phi, 1.0/13, 1e-12) {
-		t.Fatalf("φ(G) = %v, want 1/13", phi)
-	}
-	if c := g.Cut(set); !almostEq(c, 1, 1e-12) {
-		t.Fatalf("optimal cut weight = %v, want 1", c)
-	}
-}
-
 var _ = graph.SetOf

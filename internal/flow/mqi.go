@@ -3,7 +3,6 @@ package flow
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"repro/internal/graph"
 )
@@ -137,24 +136,4 @@ func ImproveBothSides(g *graph.Graph, inS []bool) (*MQIResult, error) {
 		return nil, errors.New("flow: ImproveBothSides got an empty side")
 	}
 	return MQI(g, set)
-}
-
-// MinConductanceExhaustive computes the exact minimum conductance φ(G) by
-// enumerating all 2^(n-1) cuts. Exponential: for ground truth in tests
-// and small experiments only (n ≤ ~20).
-func MinConductanceExhaustive(g *graph.Graph) (float64, []bool) {
-	n := g.N()
-	best := math.Inf(1)
-	var bestSet []bool
-	for mask := 1; mask < 1<<(n-1); mask++ {
-		inS := make([]bool, n)
-		for i := 0; i < n; i++ {
-			inS[i] = mask&(1<<i) != 0
-		}
-		if phi := g.Conductance(inS); phi < best {
-			best = phi
-			bestSet = inS
-		}
-	}
-	return best, bestSet
 }

@@ -1,6 +1,8 @@
 package flow
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +11,136 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
+
+// Clone returns a deep copy of the network, including any residual state.
+// It lets callers run two max-flow algorithms on the same instance, or
+// re-solve after a destructive MaxFlow call.
+func (f *Network) Clone() *Network {
+	c := &Network{n: f.n, head: make([][]int32, f.n)}
+	for i, h := range f.head {
+		c.head[i] = append([]int32(nil), h...)
+	}
+	c.to = append([]int32(nil), f.to...)
+	c.cap = append([]float64(nil), f.cap...)
+	return c
+}
+
+// MaxFlowPushRelabel computes the maximum s–t flow with the FIFO
+// push-relabel algorithm (Goldberg–Tarjan) with the gap heuristic. Like
+// MaxFlow, it consumes capacities: afterwards the Network holds the
+// residual graph and MinCutSide reads the source side of a minimum cut.
+//
+// Push-relabel is the classical alternative to augmenting-path methods;
+// the test suite cross-checks it against Dinic on every instance.
+func (f *Network) MaxFlowPushRelabel(s, t int) (float64, error) {
+	if s < 0 || s >= f.n || t < 0 || t >= f.n {
+		return 0, fmt.Errorf("flow: terminals (%d,%d) out of range [0,%d)", s, t, f.n)
+	}
+	if s == t {
+		return 0, errors.New("flow: source equals sink")
+	}
+	n := f.n
+	height := make([]int, n)
+	excess := make([]float64, n)
+	curArc := make([]int, n)
+	// count[h] = number of nodes at height h, for the gap heuristic.
+	count := make([]int, 2*n+1)
+
+	height[s] = n
+	count[0] = n - 1
+	count[n] = 1
+
+	active := make([]int32, 0, n)
+	inQueue := make([]bool, n)
+	enqueue := func(v int) {
+		if !inQueue[v] && v != s && v != t && excess[v] > eps {
+			inQueue[v] = true
+			active = append(active, int32(v))
+		}
+	}
+
+	push := func(u int, ai int32) {
+		v := int(f.to[ai])
+		d := excess[u]
+		if f.cap[ai] < d {
+			d = f.cap[ai]
+		}
+		f.cap[ai] -= d
+		f.cap[ai^1] += d
+		excess[u] -= d
+		excess[v] += d
+		enqueue(v)
+	}
+
+	// Saturate all arcs out of the source.
+	for _, ai := range f.head[s] {
+		if f.cap[ai] > eps {
+			excess[s] += f.cap[ai]
+			push(s, ai)
+		}
+	}
+	excess[s] = 0
+
+	relabel := func(u int) {
+		old := height[u]
+		minH := 2 * n
+		for _, ai := range f.head[u] {
+			if f.cap[ai] > eps {
+				if h := height[f.to[ai]]; h < minH {
+					minH = h
+				}
+			}
+		}
+		if minH < 2*n {
+			height[u] = minH + 1
+		} else {
+			height[u] = 2 * n
+		}
+		count[old]--
+		if height[u] <= 2*n {
+			count[height[u]]++
+		}
+		// Gap heuristic: if no node remains at height `old`, every node
+		// above it (below n) can never reach the sink; lift them past n.
+		if count[old] == 0 && old < n {
+			for v := 0; v < n; v++ {
+				if v != s && height[v] > old && height[v] < n {
+					count[height[v]]--
+					height[v] = n + 1
+					count[height[v]]++
+				}
+			}
+		}
+	}
+
+	discharge := func(u int) {
+		for excess[u] > eps {
+			if curArc[u] == len(f.head[u]) {
+				relabel(u)
+				curArc[u] = 0
+				if height[u] >= 2*n {
+					return
+				}
+				continue
+			}
+			ai := f.head[u][curArc[u]]
+			v := f.to[ai]
+			if f.cap[ai] > eps && height[u] == height[v]+1 {
+				push(u, ai)
+			} else {
+				curArc[u]++
+			}
+		}
+	}
+
+	for len(active) > 0 {
+		u := int(active[0])
+		active = active[1:]
+		inQueue[u] = false
+		discharge(u)
+	}
+	return excess[t], nil
+}
 
 func TestPushRelabelSimplePath(t *testing.T) {
 	// s -> a -> t with capacities 3 and 2: flow is 2.

@@ -267,9 +267,6 @@ func (g *Graph) Degrees() []float64 { return g.deg }
 // caller may skip the weight array altogether: x*1.0 == x exactly.
 func (g *Graph) UnitWeights() bool { return g.unit }
 
-// NumNeighbors returns the number of distinct neighbors of u.
-func (g *Graph) NumNeighbors(u int) int { return g.rowPtr[u+1] - g.rowPtr[u] }
-
 // Neighbors returns u's neighbor list and the corresponding edge weights.
 // Both slices alias internal storage and must not be modified.
 func (g *Graph) Neighbors(u int) ([]int, []float64) {

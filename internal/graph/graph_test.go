@@ -279,47 +279,6 @@ func TestSubgraph(t *testing.T) {
 	}
 }
 
-func TestAverageShortestPath(t *testing.T) {
-	// P3: distances (0,1)=1 (0,2)=2 (1,2)=1 → mean 4/3.
-	g := pathGraph(t, 3)
-	if got := g.AverageShortestPath(); math.Abs(got-4.0/3) > 1e-12 {
-		t.Fatalf("ASP = %v, want 4/3", got)
-	}
-	if triangle(t).AverageShortestPath() != 1 {
-		t.Fatal("triangle ASP should be 1")
-	}
-}
-
-func TestDiameterEccentricity(t *testing.T) {
-	g := pathGraph(t, 6)
-	if g.Diameter() != 5 {
-		t.Fatalf("Diameter = %d, want 5", g.Diameter())
-	}
-	if g.Eccentricity(2) != 3 {
-		t.Fatalf("Eccentricity(2) = %d, want 3", g.Eccentricity(2))
-	}
-}
-
-func TestCoreNumbers(t *testing.T) {
-	// Triangle with a pendant: triangle nodes have core 2, pendant 1.
-	b := NewBuilder(4)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	b.AddEdge(2, 0)
-	b.AddEdge(0, 3)
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	core := g.CoreNumbers()
-	want := []int{2, 2, 2, 1}
-	for i, w := range want {
-		if core[i] != w {
-			t.Fatalf("core = %v, want %v", core, want)
-		}
-	}
-}
-
 func TestEdgeListRoundTrip(t *testing.T) {
 	b := NewBuilder(4)
 	b.AddEdge(0, 1)

@@ -1,9 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // BFS returns the hop-distance (unweighted shortest path length) from src
 // to every node, with -1 for unreachable nodes.
@@ -129,113 +126,4 @@ func (g *Graph) Subgraph(nodes []int) (*Graph, []int, error) {
 	mapping := make([]int, len(nodes))
 	copy(mapping, nodes)
 	return sg, mapping, nil
-}
-
-// AverageShortestPath returns the mean hop distance over all ordered
-// reachable pairs of distinct nodes, computed by BFS from every node.
-// This is the "niceness" measure of Fig. 1(b): lower values mean more
-// compact clusters. A graph with fewer than two nodes returns 0.
-func (g *Graph) AverageShortestPath() float64 {
-	if g.n < 2 {
-		return 0
-	}
-	var total float64
-	var pairs int
-	for s := 0; s < g.n; s++ {
-		dist := g.BFS(s)
-		for u, d := range dist {
-			if u != s && d > 0 {
-				total += float64(d)
-				pairs++
-			}
-		}
-	}
-	if pairs == 0 {
-		return math.Inf(1)
-	}
-	return total / float64(pairs)
-}
-
-// Diameter returns the largest finite eccentricity over all nodes
-// (ignoring unreachable pairs), or 0 for graphs with fewer than 2 nodes.
-func (g *Graph) Diameter() int {
-	var d int
-	for s := 0; s < g.n; s++ {
-		for _, dd := range g.BFS(s) {
-			if dd > d {
-				d = dd
-			}
-		}
-	}
-	return d
-}
-
-// Eccentricity returns the largest finite BFS distance from src.
-func (g *Graph) Eccentricity(src int) int {
-	var e int
-	for _, d := range g.BFS(src) {
-		if d > e {
-			e = d
-		}
-	}
-	return e
-}
-
-// CoreNumbers returns the k-core number of every node of the unweighted
-// skeleton (each edge counts once regardless of weight), using the
-// standard peeling algorithm. Used by workload analysis in the NCP
-// machinery.
-func (g *Graph) CoreNumbers() []int {
-	n := g.n
-	degree := make([]int, n)
-	maxDeg := 0
-	for u := 0; u < n; u++ {
-		degree[u] = g.NumNeighbors(u)
-		if degree[u] > maxDeg {
-			maxDeg = degree[u]
-		}
-	}
-	// Bucket sort nodes by degree.
-	bin := make([]int, maxDeg+2)
-	for _, d := range degree {
-		bin[d]++
-	}
-	start := 0
-	for d := 0; d <= maxDeg; d++ {
-		c := bin[d]
-		bin[d] = start
-		start += c
-	}
-	pos := make([]int, n)
-	order := make([]int, n)
-	for u := 0; u < n; u++ {
-		pos[u] = bin[degree[u]]
-		order[pos[u]] = u
-		bin[degree[u]]++
-	}
-	for d := maxDeg; d > 0; d-- {
-		bin[d] = bin[d-1]
-	}
-	bin[0] = 0
-
-	core := make([]int, n)
-	copy(core, degree)
-	for i := 0; i < n; i++ {
-		u := order[i]
-		for k := g.rowPtr[u]; k < g.rowPtr[u+1]; k++ {
-			v := g.adj[k]
-			if core[v] > core[u] {
-				dv := core[v]
-				pv, pw := pos[v], bin[dv]
-				wNode := order[pw]
-				if v != wNode {
-					order[pv], order[pw] = wNode, v
-					pos[v], pos[wNode] = pw, pv
-				}
-				bin[dv]++
-				core[v]--
-			}
-		}
-	}
-	return core
 }

@@ -250,9 +250,6 @@ func (c *Compact) Volume() float64 { return c.volume }
 // Degree returns the weighted degree of u.
 func (c *Compact) Degree(u int) float64 { return c.deg[u] }
 
-// NumNeighbors returns the number of distinct neighbors of u.
-func (c *Compact) NumNeighbors(u int) int { return int(c.rowPtr[u+1] - c.rowPtr[u]) }
-
 // Neighbors returns the zero-alloc cursor over u's row.
 func (c *Compact) Neighbors(u int) NeighborIter {
 	lo, hi := c.rowPtr[u], c.rowPtr[u+1]

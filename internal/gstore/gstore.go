@@ -83,8 +83,6 @@ type Graph interface {
 	Volume() float64
 	// Degree returns the weighted degree of node u.
 	Degree(u int) float64
-	// NumNeighbors returns the number of distinct neighbors of u.
-	NumNeighbors(u int) int
 	// Neighbors returns a zero-alloc iterator over u's neighbors in
 	// ascending id order with their edge weights.
 	Neighbors(u int) NeighborIter
@@ -181,9 +179,6 @@ func (h Heap) Volume() float64 { return h.g.Volume() }
 
 // Degree returns the weighted degree of u.
 func (h Heap) Degree(u int) float64 { return h.g.Degree(u) }
-
-// NumNeighbors returns the number of distinct neighbors of u.
-func (h Heap) NumNeighbors(u int) int { return h.g.NumNeighbors(u) }
 
 // Neighbors returns the zero-alloc cursor over u's row.
 func (h Heap) Neighbors(u int) NeighborIter {

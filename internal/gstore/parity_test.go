@@ -139,12 +139,12 @@ func onesWeighted(t testing.TB, hg *graph.Graph) *gstore.Compact {
 
 // sweepFingerprint runs the workspace sweep over ws's output plane and
 // checks it against the validated, iterator-based oracle
-// partition.SweepCutOrdered over the same order — Set, Prefix and
+// partition.SweepCutOrdered over the map path's sweep order — Set, Prefix and
 // Float64bits(Conductance) — returning a printable form of the result
 // for the cross-backend comparison.
 func sweepFingerprint(t *testing.T, label string, g gstore.Graph, ws *kernel.Workspace) string {
 	t.Helper()
-	order := local.WorkspaceSweepOrder(g, ws)
+	order := local.SweepOrder(local.DegreeNormalized(g, local.FromWorkspaceP(ws)))
 	got, gotErr := local.WorkspaceSweepCut(g, ws)
 	if len(order) == 0 {
 		if gotErr == nil {
@@ -242,8 +242,9 @@ func TestWorkspaceSweepMatchesOrderedOracle(t *testing.T) {
 	if _, err := (kernel.PushACL{Alpha: 0.12, Eps: 1e-6}).Diffuse(star, ws, []int{0}); err != nil {
 		t.Fatal(err)
 	}
-	if math.Float64bits(ws.P(1)) != math.Float64bits(ws.P(2)) || ws.P(1) == 0 {
-		t.Fatalf("star leaves do not tie exactly: p(1)=%v p(2)=%v", ws.P(1), ws.P(2))
+	p := local.FromWorkspaceP(ws)
+	if math.Float64bits(p[1]) != math.Float64bits(p[2]) || p[1] == 0 {
+		t.Fatalf("star leaves do not tie exactly: p(1)=%v p(2)=%v", p[1], p[2])
 	}
 	full := gstore.Wrap(shapes["complete"])
 	ws = kernel.NewWorkspace(full.N())
@@ -254,7 +255,7 @@ func TestWorkspaceSweepMatchesOrderedOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(local.WorkspaceSweepOrder(full, ws)); n != full.N() || sw.Prefix > full.N()-1 {
+	if n := len(local.SweepOrder(local.DegreeNormalized(full, local.FromWorkspaceP(ws)))); n != full.N() || sw.Prefix > full.N()-1 {
 		t.Fatalf("complete graph: order has %d of %d nodes, prefix %d", n, full.N(), sw.Prefix)
 	}
 }

@@ -67,8 +67,8 @@ type BatchDiffuser struct {
 // Run diffuses every seed and returns per-seed Stats, calling emit (if
 // non-nil) with each seed's workspace as soon as that seed finishes,
 // before the workspace is pooled again. Cancellation is checked between
-// seeds and between walk steps; a cancelled run returns ctx.Err() and
-// emits no further seeds.
+// seeds, between walk steps and every 4096 pushes; a cancelled run
+// returns ctx.Err() and emits no further seeds.
 func (b BatchDiffuser) Run(ctx context.Context, g gstore.Graph, pool *Pool, seeds []int, emit BatchEmit) ([]Stats, error) {
 	if b.Method == nil {
 		return nil, fmt.Errorf("kernel: batch diffuser needs a Method")
@@ -117,14 +117,26 @@ func (b BatchDiffuser) Run(ctx context.Context, g gstore.Graph, pool *Pool, seed
 	return stats, nil
 }
 
-func (d PushACL) run(_ context.Context, g gstore.Graph, ws *Workspace, st *Stats, _ func(int, *Workspace) error) error {
+func (d PushACL) run(ctx context.Context, g gstore.Graph, ws *Workspace, st *Stats, _ func(int, *Workspace) error) error {
 	// Work queue of nodes that may violate r(u) < ε·deg(u), seeded in
 	// ascending node order so runs are deterministic.
 	for _, u := range ws.r.list {
 		ws.q.push(u)
 	}
-	if err := dispatch(g, &op{kind: opPush, push: d, ws: ws, st: st}); err != nil {
-		return err
+	// The loop pauses every pushesPerCheck pushes, so a deadline can
+	// stop a run whose length only 1/(ε·α) bounds; resuming continues
+	// the same queue, so pausing changes no result bit.
+	o := op{kind: opPush, push: d, ws: ws, st: st}
+	for {
+		if err := dispatch(g, &o); err != nil {
+			return err
+		}
+		if !o.paused {
+			break
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 	}
 	// The push never shrinks p's support, so the final support is the
 	// peak. Reading it after the loop keeps the accounting out of the
@@ -133,11 +145,16 @@ func (d PushACL) run(_ context.Context, g gstore.Graph, ws *Workspace, st *Stats
 	return nil
 }
 
+// pushesPerCheck is how many pushes run between two looks at the run's
+// context.
+const pushesPerCheck = 1 << 12
+
 // pushQueue is the ACL push loop: drain the FIFO queue front to back.
 // One push of node u banks an α fraction of its residual into p, keeps
 // half the rest, and spreads the other half along u's row, queueing
-// every node whose residual reaches ε·deg.
-func (r *rows[P, A, W]) pushQueue(d PushACL, ws *Workspace, st *Stats) {
+// every node whose residual reaches ε·deg. It pauses — returns true
+// with the queue not yet drained — after every pushesPerCheck pushes.
+func (r *rows[P, A, W]) pushQueue(d PushACL, ws *Workspace, st *Stats) (paused bool) {
 	deg := r.deg
 	for u, ok := ws.q.pop(); ok; u, ok = ws.q.pop() {
 		du := deg[u]
@@ -184,7 +201,11 @@ func (r *rows[P, A, W]) pushQueue(d PushACL, ws *Workspace, st *Stats) {
 		}
 		st.Pushes++
 		st.WorkVolume += du
+		if st.Pushes%pushesPerCheck == 0 {
+			return true
+		}
 	}
+	return false
 }
 
 func (d NibbleWalk) run(ctx context.Context, g gstore.Graph, ws *Workspace, st *Stats, onStep func(step int, ws *Workspace) error) error {

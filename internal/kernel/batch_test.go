@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -219,6 +220,37 @@ func TestBatchOnStepMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestPushStopsAtDeadline: a push diffusion's length is bounded only by
+// 1/(ε·α), so the loop itself must notice a deadline. At α = 1e-9 a
+// 64-node push runs for hours; under a 20 ms deadline it must return
+// context.DeadlineExceeded within moments, on every backend, and the
+// pooled workspace must serve the next run exactly.
+func TestPushStopsAtDeadline(t *testing.T) {
+	hg := gen.RingOfCliques(8, 8)
+	for kind, g := range batchBackends(t, hg) {
+		pool := kernel.NewPool(g.N())
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		start := time.Now()
+		_, err := kernel.BatchDiffuser{Method: kernel.PushACL{Alpha: 1e-9, Eps: 1e-4}, Workers: 1}.Run(ctx, g, pool, []int{0}, nil)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%s: Run = %v, want context.DeadlineExceeded", kind, err)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("%s: stopped %v after a 20ms deadline", kind, d)
+		}
+		d := kernel.PushACL{Alpha: 0.15, Eps: 1e-4}
+		want, err := d.Diffuse(g, kernel.NewWorkspace(g.N()), []int{3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := kernel.BatchDiffuser{Method: d, Workers: 1}.Run(context.Background(), g, pool, []int{3}, nil)
+		if err != nil || got[0] != want {
+			t.Fatalf("%s: run after a stopped one = %+v, %v; want %+v", kind, got, err, want)
+		}
+	}
+}
+
 // TestBatchCancellation: cancellation is checked before every seed, so
 // a cancelled run returns ctx.Err() and emits nothing past the
 // cancellation point — exactly nothing on one worker.
@@ -349,6 +381,10 @@ func TestBatchValidation(t *testing.T) {
 type foreignDiffuser struct{}
 
 func (foreignDiffuser) Diffuse(gstore.Graph, *kernel.Workspace, []int) (kernel.Stats, error) {
+	return kernel.Stats{}, nil
+}
+
+func (foreignDiffuser) DiffuseContext(context.Context, gstore.Graph, *kernel.Workspace, []int) (kernel.Stats, error) {
 	return kernel.Stats{}, nil
 }
 

@@ -14,8 +14,8 @@ import (
 // sweep.go) are methods of rows, written once and monomorphized by the
 // compiler for each backend's element types (heap []int/[]float64,
 // compact/mmap []int64/[]uint32 with float64/float32/absent weights).
-// One type switch runs per push diffusion, walk step or sweep — never
-// per edge.
+// One type switch runs per 4096 pushes, walk step or sweep — never per
+// edge.
 //
 // Bit-parity invariants the loops rely on:
 //   - spread*1.0 == spread exactly, so the nil-weight (unit) branch
@@ -51,12 +51,14 @@ type rows[P ix, A ix, W wt] struct {
 // allocates nothing.
 type op struct {
 	kind opKind
-	// opPush: the seeded workspace (queue filled) and its Stats.
+	// opPush: the seeded workspace (queue filled) and its Stats; paused
+	// reports that the loop returned with the queue not yet drained.
 	// opWalkStep: the workspace and eps.
-	push PushACL
-	ws   *Workspace
-	st   *Stats
-	eps  float64
+	push   PushACL
+	paused bool
+	ws     *Workspace
+	st     *Stats
+	eps    float64
 	// opSweepScan: the membership plane, the order prefix, the visitor.
 	inS   *plane
 	order []sweepPair
@@ -100,7 +102,7 @@ func dispatch(g gstore.Graph, o *op) error {
 func (r *rows[P, A, W]) run(o *op) {
 	switch o.kind {
 	case opPush:
-		r.pushQueue(o.push, o.ws, o.st)
+		o.paused = r.pushQueue(o.push, o.ws, o.st)
 	case opWalkStep:
 		r.walkStep(o.ws, o.eps)
 	case opSweepScan:

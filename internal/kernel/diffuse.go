@@ -42,6 +42,9 @@ type Stats struct {
 // know is an error.
 type Diffuser interface {
 	Diffuse(g gstore.Graph, ws *Workspace, seeds []int) (Stats, error)
+	// DiffuseContext is Diffuse under ctx: once ctx is done the run
+	// stops, between walk steps or within 4096 pushes, with ctx's error.
+	DiffuseContext(ctx context.Context, g gstore.Graph, ws *Workspace, seeds []int) (Stats, error)
 }
 
 // seedR resets the workspace, spreads the uniform seed distribution
@@ -97,6 +100,11 @@ func (d PushACL) validate() error {
 // Diffuse runs the push. P gets the approximation, R the residual; the
 // invariant p + pr_α(r) = pr_α(s) holds.
 func (d PushACL) Diffuse(g gstore.Graph, ws *Workspace, seeds []int) (Stats, error) {
+	return d.DiffuseContext(context.Background(), g, ws, seeds)
+}
+
+// DiffuseContext implements Diffuser.
+func (d PushACL) DiffuseContext(ctx context.Context, g gstore.Graph, ws *Workspace, seeds []int) (Stats, error) {
 	if err := d.validate(); err != nil {
 		return Stats{}, err
 	}
@@ -104,7 +112,7 @@ func (d PushACL) Diffuse(g gstore.Graph, ws *Workspace, seeds []int) (Stats, err
 		return Stats{}, err
 	}
 	var st Stats
-	err := d.run(context.Background(), g, ws, &st, nil)
+	err := d.run(ctx, g, ws, &st, nil)
 	return st, err
 }
 
@@ -139,6 +147,11 @@ func (d NibbleWalk) validate() error {
 // Diffuse runs the walk. P (and R) hold the final distribution; an
 // OnStep error aborts it and is returned with the Stats so far.
 func (d NibbleWalk) Diffuse(g gstore.Graph, ws *Workspace, seeds []int) (Stats, error) {
+	return d.DiffuseContext(context.Background(), g, ws, seeds)
+}
+
+// DiffuseContext implements Diffuser.
+func (d NibbleWalk) DiffuseContext(ctx context.Context, g gstore.Graph, ws *Workspace, seeds []int) (Stats, error) {
 	if err := d.validate(); err != nil {
 		return Stats{}, err
 	}
@@ -146,7 +159,7 @@ func (d NibbleWalk) Diffuse(g gstore.Graph, ws *Workspace, seeds []int) (Stats, 
 		return Stats{}, err
 	}
 	var st Stats
-	err := d.run(context.Background(), g, ws, &st, d.OnStep)
+	err := d.run(ctx, g, ws, &st, d.OnStep)
 	return st, err
 }
 
@@ -190,6 +203,11 @@ func (d HeatKernel) terms() int {
 // Diffuse runs the expansion. P holds the heat-kernel approximation; R
 // holds the final Taylor iterate (usually empty after truncation).
 func (d HeatKernel) Diffuse(g gstore.Graph, ws *Workspace, seeds []int) (Stats, error) {
+	return d.DiffuseContext(context.Background(), g, ws, seeds)
+}
+
+// DiffuseContext implements Diffuser.
+func (d HeatKernel) DiffuseContext(ctx context.Context, g gstore.Graph, ws *Workspace, seeds []int) (Stats, error) {
 	if err := d.validate(); err != nil {
 		return Stats{}, err
 	}
@@ -197,6 +215,6 @@ func (d HeatKernel) Diffuse(g gstore.Graph, ws *Workspace, seeds []int) (Stats, 
 		return Stats{}, err
 	}
 	var st Stats
-	err := d.run(context.Background(), g, ws, &st, nil)
+	err := d.run(ctx, g, ws, &st, nil)
 	return st, err
 }

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/gen"
 	"repro/internal/gstore"
@@ -19,10 +20,10 @@ func TestWorkspacePlaneBasics(t *testing.T) {
 	ws.p.add(3, 0.5)
 	ws.p.add(3, 0.25)
 	ws.p.add(1, 1)
-	if got := ws.P(3); got != 0.75 {
+	if got := ws.p.get(3); got != 0.75 {
 		t.Fatalf("P(3) = %v", got)
 	}
-	if got := ws.P(0); got != 0 {
+	if got := ws.p.get(0); got != 0 {
 		t.Fatalf("P(0) = %v, want 0", got)
 	}
 	if got := ws.PSupport(); got != 2 {
@@ -38,12 +39,12 @@ func TestWorkspacePlaneBasics(t *testing.T) {
 	}
 	// Reset is O(touched) but must make every entry read as zero.
 	ws.Reset()
-	if ws.P(3) != 0 || ws.P(1) != 0 || ws.PSupport() != 0 {
+	if ws.p.get(3) != 0 || ws.p.get(1) != 0 || ws.PSupport() != 0 {
 		t.Fatal("Reset left live entries")
 	}
 	// Stale dense values must not resurrect through add after reset.
 	ws.p.add(3, 1)
-	if got := ws.P(3); got != 1 {
+	if got := ws.p.get(3); got != 1 {
 		t.Fatalf("post-reset P(3) = %v, want 1 (stale value leaked)", got)
 	}
 }
@@ -65,6 +66,26 @@ func TestWorkspaceKillThenRetouch(t *testing.T) {
 	}
 }
 
+// TestPushQueueStaysLinear: every node is requeued after each of its
+// pushes when α is tiny, so a queue that only ever appended would hold
+// one entry per push. The buffer must stay O(n) however long the run.
+func TestPushQueueStaysLinear(t *testing.T) {
+	g := gstore.Wrap(gen.RingOfCliques(8, 8))
+	ws := NewWorkspace(g.N())
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	st, err := PushACL{Alpha: 1e-9, Eps: 1e-4}.DiffuseContext(ctx, g, ws, []int{0})
+	if err != context.DeadlineExceeded {
+		t.Fatalf("DiffuseContext = %v, want the deadline", err)
+	}
+	if st.Pushes < 100*g.N() {
+		t.Fatalf("only %d pushes before the deadline; the run is too short to test", st.Pushes)
+	}
+	if c := cap(ws.q.buf); c > 8*g.N() {
+		t.Fatalf("queue buffer grew to %d entries after %d pushes on %d nodes", c, st.Pushes, g.N())
+	}
+}
+
 func TestWorkspaceEpochWraparound(t *testing.T) {
 	ws := NewWorkspace(4)
 	ws.p.add(1, 42)
@@ -77,7 +98,7 @@ func TestWorkspaceEpochWraparound(t *testing.T) {
 	if ws.p.epoch != 1 {
 		t.Fatalf("post-wrap epoch = %d, want 1", ws.p.epoch)
 	}
-	if got := ws.P(1); got != 0 {
+	if got := ws.p.get(1); got != 0 {
 		t.Fatalf("entry survived epoch wraparound: %v", got)
 	}
 	// Queue wraps the same way.

@@ -277,9 +277,8 @@ type result struct {
 
 func snapshot(ws *kernel.Workspace, st kernel.Stats) result {
 	res := result{p: make([]float64, ws.N()), r: make([]float64, ws.N()), st: st}
-	for u := range res.p {
-		res.p[u], res.r[u] = ws.P(u), ws.R(u)
-	}
+	ws.ForEachP(func(u int, x float64) { res.p[u] = x })
+	ws.ForEachR(func(u int, x float64) { res.r[u] = x })
 	return res
 }
 

@@ -124,12 +124,19 @@ func (q *fifo) reset() {
 	}
 }
 
-// push enqueues u unless it is already queued.
+// push enqueues u unless it is already queued. At most n nodes are
+// queued at once, so a full buffer more than half popped slides its
+// live tail to the front instead of growing: a push run of any length
+// keeps the buffer O(n).
 func (q *fifo) push(u int) {
 	if q.inQ[u] == q.epoch {
 		return
 	}
 	q.inQ[u] = q.epoch
+	if len(q.buf) == cap(q.buf) && q.head > len(q.buf)/2 {
+		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
+		q.head = 0
+	}
 	q.buf = append(q.buf, u)
 }
 
@@ -180,12 +187,6 @@ func (ws *Workspace) Reset() {
 	ws.q.reset()
 }
 
-// P returns the output-plane value at u (0 when untouched).
-func (ws *Workspace) P(u int) float64 { return ws.p.get(u) }
-
-// R returns the residual-plane value at u (0 when untouched).
-func (ws *Workspace) R(u int) float64 { return ws.r.get(u) }
-
 // ForEachP calls fn for every node with a nonzero output value, in the
 // order the nodes were first touched (deterministic for a given run).
 func (ws *Workspace) ForEachP(fn func(u int, x float64)) {
@@ -216,31 +217,11 @@ func (ws *Workspace) PSupport() int {
 	return n
 }
 
-// RSupport returns the number of nonzero residual entries.
-func (ws *Workspace) RSupport() int {
-	n := 0
-	for _, u := range ws.r.list {
-		if ws.r.val[u] != 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // PSum returns the total mass of the output plane.
 func (ws *Workspace) PSum() float64 {
 	var s float64
 	for _, u := range ws.p.list {
 		s += ws.p.val[u]
-	}
-	return s
-}
-
-// RSum returns the total mass of the residual plane.
-func (ws *Workspace) RSum() float64 {
-	var s float64
-	for _, u := range ws.r.list {
-		s += ws.r.val[u]
 	}
 	return s
 }

@@ -1,6 +1,7 @@
 package local
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -23,6 +24,61 @@ func (v SparseVec) Sum() float64 {
 		s += v[u]
 	}
 	return s
+}
+
+// ExactPageRankDense computes the exact PPR vector with the same lazy
+// convention as ApproxPageRank by dense iteration, used to validate the
+// push invariant. O(m·iterations); for tests and small graphs.
+func ExactPageRankDense(g *graph.Graph, seed []float64, alpha float64, tol float64, maxIter int) ([]float64, error) {
+	if alpha <= 0 || alpha >= 1 {
+		return nil, fmt.Errorf("local: alpha=%v outside (0,1)", alpha)
+	}
+	if len(seed) != g.N() {
+		return nil, fmt.Errorf("local: seed length %d != %d nodes", len(seed), g.N())
+	}
+	if tol <= 0 {
+		tol = 1e-12
+	}
+	if maxIter <= 0 {
+		maxIter = 100000
+	}
+	n := g.N()
+	x := make([]float64, n)
+	copy(x, seed)
+	y := make([]float64, n)
+	for it := 0; it < maxIter; it++ {
+		// y = α s + (1−α) W x, W = (I + A D^{-1})/2.
+		for i := range y {
+			y[i] = 0
+		}
+		for u := 0; u < n; u++ {
+			if x[u] == 0 {
+				continue
+			}
+			du := g.Degree(u)
+			if du == 0 {
+				y[u] += x[u]
+				continue
+			}
+			y[u] += x[u] / 2
+			nbrs, ws := g.Neighbors(u)
+			for i, v := range nbrs {
+				y[v] += x[u] / 2 * ws[i] / du
+			}
+		}
+		var diff float64
+		for i := range y {
+			y[i] = alpha*seed[i] + (1-alpha)*y[i]
+			if d := math.Abs(y[i] - x[i]); d > diff {
+				diff = d
+			}
+		}
+		x, y = y, x
+		if diff < tol {
+			return x, nil
+		}
+	}
+	return x, fmt.Errorf("local: exact PPR did not converge in %d iterations", maxIter)
 }
 
 func TestApproxPageRankInvariant(t *testing.T) {

@@ -32,7 +32,7 @@ type NibbleResult struct {
 func Nibble(g gstore.Graph, seeds []int, eps float64, steps int) (*NibbleResult, error) {
 	ws := kernel.Acquire(g.N())
 	defer kernel.Release(ws)
-	st, best, err := NibbleWorkspace(g, ws, seeds, eps, steps)
+	st, best, err := NibbleWorkspace(context.Background(), g, ws, seeds, eps, steps)
 	if err != nil {
 		return nil, err
 	}
@@ -46,12 +46,16 @@ func Nibble(g gstore.Graph, seeds []int, eps float64, steps int) (*NibbleResult,
 // truncated walk, sweeping the distribution after every step and
 // keeping the best cut. The final distribution is left in the
 // workspace's P plane (snapshot with FromWorkspaceP if a map is
-// needed). Layers that pool workspaces per graph call this directly.
-func NibbleWorkspace(g gstore.Graph, ws *kernel.Workspace, seeds []int, eps float64, steps int) (kernel.Stats, *partition.SweepResult, error) {
+// needed). Layers that pool workspaces per graph call this directly;
+// once ctx is done the walk stops between steps with ctx's error.
+func NibbleWorkspace(ctx context.Context, g gstore.Graph, ws *kernel.Workspace, seeds []int, eps float64, steps int) (kernel.Stats, *partition.SweepResult, error) {
 	var best *partition.SweepResult
 	walk := kernel.NibbleWalk{
 		Eps: eps, Steps: steps,
 		OnStep: func(_ int, w *kernel.Workspace) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 			best = betterStepCut(g, w, best)
 			return nil
 		},

@@ -303,7 +303,8 @@ func TestWorkspaceSweepMatchesMapSweep(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		mapOrder := SweepOrder(DegreeNormalized(gstore.Wrap(g), res.P))
-		wsOrder := WorkspaceSweepOrder(gstore.Wrap(g), ws)
+		k := ws.SweepOrderP(gstore.Wrap(g))
+		wsOrder := ws.SweepNodes(make([]int, 0, k), k)
 		if len(mapOrder) != len(wsOrder) {
 			kernel.Release(ws)
 			t.Fatalf("%s: order lengths %d vs %d", name, len(mapOrder), len(wsOrder))

@@ -21,7 +21,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/graph"
 	"repro/internal/gstore"
 	"repro/internal/kernel"
 	"repro/internal/partition"
@@ -114,15 +113,6 @@ func SweepOrder(v SparseVec) []int {
 	return order
 }
 
-// WorkspaceSweepOrder returns the sweep order of a workspace's output
-// plane — its support ordered by p(u)/deg(u) descending, ties by node
-// id, zero-degree nodes skipped — without materializing a map. The
-// permutation is identical to SweepOrder(DegreeNormalized(g, p)).
-func WorkspaceSweepOrder(g gstore.Graph, ws *kernel.Workspace) []int {
-	k := ws.SweepOrderP(g)
-	return ws.SweepNodes(make([]int, 0, k), k)
-}
-
 // SweepCut performs the local sweep: order the support of p by
 // p(u)/deg(u) and return the best-conductance prefix. The cost depends
 // only on the support size and its boundary, not on n.
@@ -141,7 +131,7 @@ func SweepCut(g gstore.Graph, p SparseVec) (*partition.SweepResult, error) {
 // runs entirely on the workspace's sweep scratch (kernel.SweepOrderP +
 // SweepScan), so it costs O(support) whatever the graph size and
 // allocates only the returned set; the cut is bit-identical to
-// partition.SweepCutOrdered over WorkspaceSweepOrder.
+// partition.SweepCutOrdered over SweepOrder(DegreeNormalized(g, p)).
 func WorkspaceSweepCut(g gstore.Graph, ws *kernel.Workspace) (*partition.SweepResult, error) {
 	k := ws.SweepOrderP(g)
 	if k == 0 {
@@ -184,59 +174,4 @@ func sweepResult(ws *kernel.Workspace, prefix int, phi float64) *partition.Sweep
 		Conductance: phi,
 		Prefix:      prefix,
 	}
-}
-
-// ExactPageRankDense computes the exact PPR vector with the same lazy
-// convention as ApproxPageRank by dense iteration, used to validate the
-// push invariant. O(m·iterations); for tests and small graphs.
-func ExactPageRankDense(g *graph.Graph, seed []float64, alpha float64, tol float64, maxIter int) ([]float64, error) {
-	if alpha <= 0 || alpha >= 1 {
-		return nil, fmt.Errorf("local: alpha=%v outside (0,1)", alpha)
-	}
-	if len(seed) != g.N() {
-		return nil, fmt.Errorf("local: seed length %d != %d nodes", len(seed), g.N())
-	}
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	if maxIter <= 0 {
-		maxIter = 100000
-	}
-	n := g.N()
-	x := make([]float64, n)
-	copy(x, seed)
-	y := make([]float64, n)
-	for it := 0; it < maxIter; it++ {
-		// y = α s + (1−α) W x, W = (I + A D^{-1})/2.
-		for i := range y {
-			y[i] = 0
-		}
-		for u := 0; u < n; u++ {
-			if x[u] == 0 {
-				continue
-			}
-			du := g.Degree(u)
-			if du == 0 {
-				y[u] += x[u]
-				continue
-			}
-			y[u] += x[u] / 2
-			nbrs, ws := g.Neighbors(u)
-			for i, v := range nbrs {
-				y[v] += x[u] / 2 * ws[i] / du
-			}
-		}
-		var diff float64
-		for i := range y {
-			y[i] = alpha*seed[i] + (1-alpha)*y[i]
-			if d := math.Abs(y[i] - x[i]); d > diff {
-				diff = d
-			}
-		}
-		x, y = y, x
-		if diff < tol {
-			return x, nil
-		}
-	}
-	return x, fmt.Errorf("local: exact PPR did not converge in %d iterations", maxIter)
 }

@@ -65,9 +65,6 @@ func NewCSR(rows, cols int, entries []Triplet) (*CSR, error) {
 	return m, nil
 }
 
-// NNZ returns the number of stored nonzeros.
-func (m *CSR) NNZ() int { return len(m.Vals) }
-
 // MulVec computes y = m·x, reusing y if it has the right length and
 // allocating otherwise. It returns y.
 func (m *CSR) MulVec(x, y []float64) []float64 {
@@ -87,19 +84,6 @@ func (m *CSR) MulVec(x, y []float64) []float64 {
 	return y
 }
 
-// At returns element (i, j) via binary search over row i.
-func (m *CSR) At(i, j int) float64 {
-	if i < 0 || i >= m.Rows || j < 0 || j >= m.ColsN {
-		panic(fmt.Sprintf("mat: CSR At(%d,%d) out of range %dx%d", i, j, m.Rows, m.ColsN))
-	}
-	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-	k := lo + sort.SearchInts(m.Cols[lo:hi], j)
-	if k < hi && m.Cols[k] == j {
-		return m.Vals[k]
-	}
-	return 0
-}
-
 // RowNNZ returns the column indices and values of row i. The returned
 // slices alias internal storage and must not be modified.
 func (m *CSR) RowNNZ(i int) ([]int, []float64) {
@@ -116,21 +100,6 @@ func (m *CSR) Dense() *Dense {
 		}
 	}
 	return d
-}
-
-// ScaleRows returns a new CSR equal to diag(s)·m.
-func (m *CSR) ScaleRows(s []float64) *CSR {
-	if len(s) != m.Rows {
-		panic(fmt.Sprintf("mat: ScaleRows dimension mismatch %d != %d", len(s), m.Rows))
-	}
-	out := &CSR{Rows: m.Rows, ColsN: m.ColsN, RowPtr: append([]int(nil), m.RowPtr...),
-		Cols: append([]int(nil), m.Cols...), Vals: make([]float64, len(m.Vals))}
-	for i := 0; i < m.Rows; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			out.Vals[k] = m.Vals[k] * s[i]
-		}
-	}
-	return out
 }
 
 // ScaleCols returns a new CSR equal to m·diag(s).

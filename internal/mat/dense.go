@@ -1,20 +1,18 @@
 // Package mat provides the two matrix representations the reproduction
-// needs: small dense symmetric matrices, used to compute exact optima of
-// the regularized SDPs of §3.1 (eigendecompositions, matrix exponentials,
-// inverses), and CSR sparse matrices, used by every scalable kernel
-// (diffusions, Lanczos, partitioners).
+// needs: small dense symmetric matrices, used for exact
+// eigendecompositions on the verification path, and CSR sparse matrices,
+// used by the scalable spectral and diffusion kernels.
 package mat
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/vec"
 )
 
 // Dense is a row-major dense matrix. Most uses in this repository are
-// symmetric; the symmetric-only routines (Jacobi, Expm) state that
-// requirement explicitly.
+// symmetric; the symmetric-only routines (SymEigen, Symmetrize) state
+// that requirement explicitly.
 type Dense struct {
 	Rows, Cols int
 	Data       []float64 // len Rows*Cols, row-major
@@ -43,9 +41,6 @@ func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 // Set assigns element (i, j).
 func (m *Dense) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
-// Add adds v to element (i, j).
-func (m *Dense) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
-
 // Clone returns a deep copy of m.
 func (m *Dense) Clone() *Dense {
 	c := NewDense(m.Rows, m.Cols)
@@ -70,133 +65,8 @@ func (m *Dense) MulVec(x []float64) []float64 {
 	return y
 }
 
-// MulMat returns the product m·b as a new matrix.
-func (m *Dense) MulMat(b *Dense) *Dense {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("mat: MulMat dimension mismatch %d != %d", m.Cols, b.Rows))
-	}
-	c := NewDense(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		arow := m.Data[i*m.Cols : (i+1)*m.Cols]
-		crow := c.Data[i*c.Cols : (i+1)*c.Cols]
-		for k, a := range arow {
-			if a == 0 {
-				continue
-			}
-			brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-			for j, bv := range brow {
-				crow[j] += a * bv
-			}
-		}
-	}
-	return c
-}
-
-// Transpose returns mᵀ as a new matrix.
-func (m *Dense) Transpose() *Dense {
-	t := NewDense(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
-}
-
-// AddScaled computes m += a·b in place. Shapes must match.
-func (m *Dense) AddScaled(a float64, b *Dense) {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		panic("mat: AddScaled shape mismatch")
-	}
-	for i := range m.Data {
-		m.Data[i] += a * b.Data[i]
-	}
-}
-
-// Scale multiplies every entry of m by a in place.
-func (m *Dense) Scale(a float64) {
-	for i := range m.Data {
-		m.Data[i] *= a
-	}
-}
-
-// Trace returns the trace of a square matrix.
-func (m *Dense) Trace() float64 {
-	if m.Rows != m.Cols {
-		panic("mat: Trace of non-square matrix")
-	}
-	var t float64
-	for i := 0; i < m.Rows; i++ {
-		t += m.At(i, i)
-	}
-	return t
-}
-
-// TraceProduct returns Tr(m·b) without forming the product. Both matrices
-// must be square with equal dimensions; this is the SDP objective
-// Tr(L X) used throughout §3.1.
-func TraceProduct(a, b *Dense) float64 {
-	if a.Rows != a.Cols || b.Rows != b.Cols || a.Rows != b.Rows {
-		panic("mat: TraceProduct requires equal square matrices")
-	}
-	var t float64
-	n := a.Rows
-	for i := 0; i < n; i++ {
-		arow := a.Data[i*n : (i+1)*n]
-		for j, av := range arow {
-			t += av * b.At(j, i)
-		}
-	}
-	return t
-}
-
-// MaxAbsDiff returns the largest absolute elementwise difference between
-// a and b, which must share a shape.
-func MaxAbsDiff(a, b *Dense) float64 {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		panic("mat: MaxAbsDiff shape mismatch")
-	}
-	var s float64
-	for i := range a.Data {
-		if d := math.Abs(a.Data[i] - b.Data[i]); d > s {
-			s = d
-		}
-	}
-	return s
-}
-
 // FrobeniusNorm returns the Frobenius norm of m.
 func (m *Dense) FrobeniusNorm() float64 { return vec.Norm2(m.Data) }
-
-// IsSymmetric reports whether m is symmetric to within tol.
-func (m *Dense) IsSymmetric(tol float64) bool {
-	if m.Rows != m.Cols {
-		return false
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			if math.Abs(m.At(i, j)-m.At(j, i)) > tol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// Outer returns the rank-one matrix x yᵀ.
-func Outer(x, y []float64) *Dense {
-	m := NewDense(len(x), len(y))
-	for i, xi := range x {
-		if xi == 0 {
-			continue
-		}
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, yj := range y {
-			row[j] = xi * yj
-		}
-	}
-	return m
-}
 
 // Symmetrize replaces m with (m + mᵀ)/2 in place; m must be square. It is
 // used to scrub floating-point asymmetry before symmetric-only routines.

@@ -152,111 +152,3 @@ func (e *Eigen) Vector(j int) []float64 {
 	}
 	return x
 }
-
-// Reconstruct returns V diag(f(λ)) Vᵀ for an arbitrary spectral function
-// f. This is the workhorse behind the closed-form SDP optima: matrix
-// exponentials, resolvents and matrix powers are all Reconstruct with the
-// appropriate scalar function.
-func (e *Eigen) Reconstruct(f func(float64) float64) *Dense {
-	n := len(e.Values)
-	out := NewDense(n, n)
-	for k, lam := range e.Values {
-		w := f(lam)
-		if w == 0 {
-			continue
-		}
-		for i := 0; i < n; i++ {
-			vik := e.Vectors.At(i, k)
-			if vik == 0 {
-				continue
-			}
-			row := out.Data[i*n : (i+1)*n]
-			for j := 0; j < n; j++ {
-				row[j] += w * vik * e.Vectors.At(j, k)
-			}
-		}
-	}
-	return out
-}
-
-// Expm returns exp(a) for a symmetric matrix a via eigendecomposition.
-func Expm(a *Dense) (*Dense, error) {
-	e, err := SymEigen(a)
-	if err != nil {
-		return nil, fmt.Errorf("mat: Expm: %w", err)
-	}
-	return e.Reconstruct(math.Exp), nil
-}
-
-// SolveSPD solves a x = b for symmetric positive definite a using
-// Cholesky factorization. It returns an error if a is not (numerically)
-// positive definite.
-func SolveSPD(a *Dense, b []float64) ([]float64, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("mat: SolveSPD requires square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	if len(b) != a.Rows {
-		return nil, fmt.Errorf("mat: SolveSPD dimension mismatch %d != %d", len(b), a.Rows)
-	}
-	n := a.Rows
-	// Cholesky: a = L Lᵀ, lower triangular L stored densely.
-	l := NewDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
-			}
-			if i == j {
-				if s <= 0 {
-					return nil, fmt.Errorf("mat: SolveSPD: matrix not positive definite (pivot %d = %.3e)", i, s)
-				}
-				l.Set(i, i, math.Sqrt(s))
-			} else {
-				l.Set(i, j, s/l.At(j, j))
-			}
-		}
-	}
-	// Forward substitution: L y = b.
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= l.At(i, k) * y[k]
-		}
-		y[i] = s / l.At(i, i)
-	}
-	// Back substitution: Lᵀ x = y.
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * x[k]
-		}
-		x[i] = s / l.At(i, i)
-	}
-	return x, nil
-}
-
-// InverseSPD returns the inverse of a symmetric positive definite matrix
-// by solving against each basis vector. Intended for the small dense
-// verification path only.
-func InverseSPD(a *Dense) (*Dense, error) {
-	n := a.Rows
-	inv := NewDense(n, n)
-	e := make([]float64, n)
-	for j := 0; j < n; j++ {
-		for i := range e {
-			e[i] = 0
-		}
-		e[j] = 1
-		col, err := SolveSPD(a, e)
-		if err != nil {
-			return nil, fmt.Errorf("mat: InverseSPD column %d: %w", j, err)
-		}
-		for i := 0; i < n; i++ {
-			inv.Set(i, j, col[i])
-		}
-	}
-	return inv, nil
-}

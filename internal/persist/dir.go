@@ -176,13 +176,6 @@ func (d *Dir) Counters() *Counters {
 	return &d.counters
 }
 
-// SetObserver attaches a durability-telemetry sink: every snapshot
-// write/load, WAL replay, and (via the WALs this Dir opens) every WAL
-// append reports its latency and byte count to obs. Call before
-// serving; nil (the default) keeps every operation free of clock
-// reads.
-func (d *Dir) SetObserver(obs Observer) { d.obs = obs }
-
 // SnapshotPath returns the snapshot file path for a graph name.
 func (d *Dir) SnapshotPath(name string) string {
 	return filepath.Join(d.root, name+SnapshotExt)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/gen"
+	"repro/internal/gstore"
 )
 
 // recordingObserver collects every ObservePersist callback. The mutex
@@ -48,11 +49,10 @@ func (o *recordingObserver) bytes(op Op) []int64 {
 func TestObserverCoversEveryOp(t *testing.T) {
 	root := t.TempDir()
 	obs := newRecordingObserver()
-	d, err := OpenDir(root)
+	d, _, err := Recover(root, gstore.KindCompact, obs, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetObserver(obs)
 
 	g := gen.RingOfCliques(6, 5)
 	if err := d.SaveSnapshot("ring", g); err != nil {
@@ -134,7 +134,7 @@ func TestNilObserverZeroCost(t *testing.T) {
 		}
 		t.Cleanup(func() { w.Close() })
 		if obs != nil {
-			w.SetObserver(obs)
+			w.obs = obs
 		}
 		return w
 	}

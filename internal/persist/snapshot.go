@@ -80,13 +80,6 @@ func heapOf(g gstore.Graph, err error) (*graph.Graph, error) {
 	return hg, nil
 }
 
-// ReadCompactSnapshot decodes a GSNAP stream (either version) into the
-// compact in-heap representation. v2 streams load directly; v1 streams
-// take the heap path and convert.
-func ReadCompactSnapshot(r io.Reader) (*gstore.Compact, error) {
-	return compactOf(readSnapshot(r, -1))
-}
-
 // compactOf converts a decoded snapshot to the compact backend.
 func compactOf(g gstore.Graph, err error) (*gstore.Compact, error) {
 	if err != nil {

@@ -86,11 +86,6 @@ type WAL struct {
 // one huge batch does not pin its size for the rest of the stream.
 const maxKeptRecord = 1 << 20
 
-// SetObserver attaches a durability-telemetry sink to the log. Call
-// before the first append; a nil observer (the default) keeps every
-// append free of clock reads.
-func (w *WAL) SetObserver(obs Observer) { w.obs = obs }
-
 // CreateWAL creates a fresh log at path for a streaming graph on nodes
 // vertices, failing if the file already exists. The header is fsynced
 // before returning.

@@ -178,7 +178,7 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := query{endpoint: "ppr", params: mustParams(req), compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
-		return execPPR(q.g, q.pool, req)
+		return execPPR(ctx, q.g, q.pool, req)
 	}}
 	// A seed *set* is one diffusion already; only single seeds can share
 	// a kernel batch pass.
@@ -219,7 +219,7 @@ func (s *Server) handleLocalCluster(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveQuery(w, r, query{endpoint: "localcluster", params: mustParams(req), compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
-		return execLocalCluster(q.g, q.pool, req)
+		return execLocalCluster(ctx, q.g, q.pool, req)
 	}})
 }
 
@@ -239,7 +239,7 @@ func (s *Server) handleDiffuse(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, nil, err
 		}
-		return execDiffuse(hg, req)
+		return execDiffuse(ctx, hg, req)
 	}})
 }
 

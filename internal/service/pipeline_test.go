@@ -312,11 +312,11 @@ func TestCloseDrainsInFlightQueries(t *testing.T) {
 	client, hangUp := context.WithCancel(context.Background())
 	replied := make(chan *httptest.ResponseRecorder, 1)
 	go func() {
-		replied <- ask(client, srv, "", pprQuery(0, func(_ context.Context, q queryView) (any, error) {
+		replied <- ask(client, srv, "", pprQuery(0, func(ctx context.Context, q queryView) (any, error) {
 			close(started)
 			<-release
 			// Walk the mapped adjacency: a fault if Close got here first.
-			out, _, err := execPPR(q.g, q.pool, api.PPRRequest{Seeds: []int{0}, Alpha: 0.15, Eps: 1e-7, TopK: 5})
+			out, _, err := execPPR(ctx, q.g, q.pool, api.PPRRequest{Seeds: []int{0}, Alpha: 0.15, Eps: 1e-7, TopK: 5})
 			finished.Store(true)
 			return out, err
 		}))

@@ -87,10 +87,10 @@ func pprResult(g gstore.Graph, ws *kernel.Workspace, st kernel.Stats, topK int, 
 }
 
 // execPPR answers a PPR query on a pooled kernel workspace.
-func execPPR(g gstore.Graph, pool *kernel.Pool, req api.PPRRequest) (*api.PPRResponse, *api.WorkStats, error) {
+func execPPR(ctx context.Context, g gstore.Graph, pool *kernel.Pool, req api.PPRRequest) (*api.PPRResponse, *api.WorkStats, error) {
 	ws := pool.Get()
 	defer pool.Put(ws)
-	st, err := kernel.PushACL{Alpha: req.Alpha, Eps: req.Eps}.Diffuse(g, ws, req.Seeds)
+	st, err := kernel.PushACL{Alpha: req.Alpha, Eps: req.Eps}.DiffuseContext(ctx, g, ws, req.Seeds)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -173,7 +173,7 @@ func (c *clusterSeeds) splice(dst []byte, seeds []int, body func(int) []byte, _ 
 	return api.AppendLocalClusterBatchJSON(dst, c.Method, seeds, body, work)
 }
 
-func execLocalCluster(g gstore.Graph, pool *kernel.Pool, req api.LocalClusterRequest) (*api.LocalClusterResponse, *api.WorkStats, error) {
+func execLocalCluster(ctx context.Context, g gstore.Graph, pool *kernel.Pool, req api.LocalClusterRequest) (*api.LocalClusterResponse, *api.WorkStats, error) {
 	ws := pool.Get()
 	defer pool.Put(ws)
 	var (
@@ -182,8 +182,8 @@ func execLocalCluster(g gstore.Graph, pool *kernel.Pool, req api.LocalClusterReq
 		err error
 	)
 	if req.Method == "nibble" {
-		st, cut, err = local.NibbleWorkspace(g, ws, req.Seeds, req.Eps, req.Steps)
-	} else if st, err = clusterDiffuser(&req).Diffuse(g, ws, req.Seeds); err == nil {
+		st, cut, err = local.NibbleWorkspace(ctx, g, ws, req.Seeds, req.Eps, req.Steps)
+	} else if st, err = clusterDiffuser(&req).DiffuseContext(ctx, g, ws, req.Seeds); err == nil {
 		cut, _ = local.WorkspaceSweepCut(g, ws)
 	}
 	if err != nil {
@@ -226,7 +226,11 @@ func clusterResult(g gstore.Graph, method string, cut *partition.SweepResult, st
 	}, work, nil
 }
 
-func execDiffuse(g *graph.Graph, req api.DiffuseRequest) (*api.DiffuseResponse, *api.WorkStats, error) {
+// lazyStepsPerCheck is how many lazy-walk steps run between two looks at
+// the query's context: k has no cap, so only the deadline bounds a walk.
+const lazyStepsPerCheck = 1 << 10
+
+func execDiffuse(ctx context.Context, g *graph.Graph, req api.DiffuseRequest) (*api.DiffuseResponse, *api.WorkStats, error) {
 	seed, err := diffusion.SeedVector(g.N(), req.Seeds)
 	if err != nil {
 		return nil, nil, err
@@ -238,7 +242,14 @@ func execDiffuse(g *graph.Graph, req api.DiffuseRequest) (*api.DiffuseResponse, 
 	case "ppr":
 		v, err = diffusion.PageRank(g, seed, req.Gamma, diffusion.PageRankOptions{})
 	case "lazy":
-		v, err = diffusion.LazyWalk(g, seed, req.Alpha, req.K)
+		// The walk is repeated multiplication, so walking it in chunks
+		// gives the same bits as one call.
+		v = seed
+		for left := req.K; left > 0 && err == nil; left -= lazyStepsPerCheck {
+			if err = ctx.Err(); err == nil {
+				v, err = diffusion.LazyWalk(g, v, req.Alpha, min(left, lazyStepsPerCheck))
+			}
+		}
 	}
 	if err != nil {
 		return nil, nil, err
@@ -266,6 +277,9 @@ func execSweepCut(g gstore.Graph, req api.SweepCutRequest) (*api.SweepInfo, *api
 	for _, nm := range req.Values {
 		if nm.Node < 0 || nm.Node >= g.N() {
 			return nil, nil, storeErrf(ErrBadInput, "node %d out of range [0,%d)", nm.Node, g.N())
+		}
+		if _, dup := v[nm.Node]; dup {
+			return nil, nil, storeErrf(ErrBadInput, "node %d appears twice", nm.Node)
 		}
 		v[nm.Node] = nm.Mass
 	}

@@ -174,9 +174,6 @@ func newRIDPrefix() string {
 // Store exposes the graph registry, e.g. for preloading graphs at boot.
 func (s *Server) Store() *GraphStore { return s.store }
 
-// Jobs exposes the job manager, e.g. for registering extra job types.
-func (s *Server) Jobs() *JobManager { return s.jobs }
-
 // Handler returns the fully-wired HTTP handler.
 func (s *Server) Handler() http.Handler { return s.handler }
 

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"io"
 	"log"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -18,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/diffusion"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/pkg/api"
@@ -465,6 +467,10 @@ func TestQueryBadRequests(t *testing.T) {
 			_, err := c.Graphs.SweepCut(ctx(), "ring", api.SweepCutRequest{Values: []api.NodeMass{{Node: -3, Mass: 1}}})
 			return err
 		}, api.CodeInvalidArgument},
+		{"sweep duplicate node", func() error {
+			_, err := c.Graphs.SweepCut(ctx(), "ring", api.SweepCutRequest{Values: []api.NodeMass{{Node: 1, Mass: 0.5}, {Node: 1, Mass: 0.2}}})
+			return err
+		}, api.CodeInvalidArgument},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			wantAPIErr(t, tc.call(), tc.code)
@@ -598,6 +604,47 @@ func TestDiffuseKindsAndSweepCut(t *testing.T) {
 	}
 	if sw.Size == 0 || sw.Conductance > 0.25 {
 		t.Fatalf("sweepcut: %+v", sw)
+	}
+}
+
+// TestDiffuseLazyWalksInChunks: a lazy walk longer than one chunk gives
+// the bits of a single diffusion.LazyWalk call, and a done context
+// stops a walk whose k has no cap.
+func TestDiffuseLazyWalksInChunks(t *testing.T) {
+	g := gen.RingOfCliques(8, 8)
+	req := api.DiffuseRequest{Kind: "lazy", Seeds: []int{0, 9}, Alpha: 0.3, K: 2*lazyStepsPerCheck + 5, TopK: 64}
+	got, _, err := execDiffuse(context.Background(), g, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, _ := diffusion.SeedVector(g.N(), req.Seeds)
+	v, err := diffusion.LazyWalk(g, seed, req.Alpha, req.K)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum float64
+	support := 0
+	for _, x := range v {
+		sum += x
+		if x != 0 {
+			support++
+		}
+	}
+	want := topMassesDense(v, support, req.TopK)
+	if math.Float64bits(got.Sum) != math.Float64bits(sum) || len(got.Top) != len(want) {
+		t.Fatalf("chunked walk: sum %v, %d top; one call: sum %v, %d top", got.Sum, len(got.Top), sum, len(want))
+	}
+	for i := range want {
+		if got.Top[i].Node != want[i].Node || math.Float64bits(got.Top[i].Mass) != math.Float64bits(want[i].Mass) {
+			t.Fatalf("top[%d] = %+v, one call gives %+v", i, got.Top[i], want[i])
+		}
+	}
+
+	done, cancel := context.WithCancel(context.Background())
+	cancel()
+	req.K = math.MaxInt
+	if _, _, err := execDiffuse(done, g, req); !errors.Is(err, context.Canceled) {
+		t.Fatalf("walk under a cancelled context = %v, want context.Canceled", err)
 	}
 }
 

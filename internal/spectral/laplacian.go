@@ -1,7 +1,7 @@
 // Package spectral implements the spectral graph theory substrate of the
-// paper: Laplacian matrices, iterative eigensolvers (the Power Method of
-// §3.1 and Lanczos), Fiedler vectors, Rayleigh quotients and the Cheeger
-// inequality used by §3.2's quality-of-approximation discussion.
+// paper: Laplacian and walk matrices, the Power Method of §3.1, Fiedler
+// vectors, Rayleigh quotients and the Cheeger inequality used by §3.2's
+// quality-of-approximation discussion.
 package spectral
 
 import (
@@ -22,26 +22,6 @@ func Adjacency(g *graph.Graph) *mat.CSR {
 	m, err := mat.NewCSR(n, n, trips)
 	if err != nil {
 		panic(fmt.Sprintf("spectral: Adjacency: %v", err)) // cannot happen: indices from a valid graph
-	}
-	return m
-}
-
-// Laplacian returns the combinatorial Laplacian L = D − A as CSR.
-func Laplacian(g *graph.Graph) *mat.CSR {
-	n := g.N()
-	var trips []mat.Triplet
-	deg := g.Degrees()
-	for i := 0; i < n; i++ {
-		if deg[i] != 0 {
-			trips = append(trips, mat.Triplet{Row: i, Col: i, Val: deg[i]})
-		}
-	}
-	g.Edges(func(u, v int, w float64) {
-		trips = append(trips, mat.Triplet{Row: u, Col: v, Val: -w}, mat.Triplet{Row: v, Col: u, Val: -w})
-	})
-	m, err := mat.NewCSR(n, n, trips)
-	if err != nil {
-		panic(fmt.Sprintf("spectral: Laplacian: %v", err))
 	}
 	return m
 }

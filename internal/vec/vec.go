@@ -20,37 +20,6 @@ func Clone(x []float64) []float64 {
 	return y
 }
 
-// Zero sets every entry of x to zero in place.
-func Zero(x []float64) {
-	for i := range x {
-		x[i] = 0
-	}
-}
-
-// Fill sets every entry of x to v in place.
-func Fill(x []float64, v float64) {
-	for i := range x {
-		x[i] = v
-	}
-}
-
-// Ones returns the all-ones vector of length n.
-func Ones(n int) []float64 {
-	x := make([]float64, n)
-	Fill(x, 1)
-	return x
-}
-
-// Basis returns the i-th standard basis vector of length n.
-func Basis(n, i int) []float64 {
-	if i < 0 || i >= n {
-		panic(fmt.Sprintf("vec: basis index %d out of range [0,%d)", i, n))
-	}
-	x := make([]float64, n)
-	x[i] = 1
-	return x
-}
-
 func checkLen(op string, x, y []float64) {
 	if len(x) != len(y) {
 		panic(fmt.Sprintf("vec: %s length mismatch %d != %d", op, len(x), len(y)))
@@ -82,36 +51,6 @@ func Scale(a float64, x []float64) {
 	}
 }
 
-// Add returns x + y as a new vector.
-func Add(x, y []float64) []float64 {
-	checkLen("Add", x, y)
-	z := make([]float64, len(x))
-	for i := range x {
-		z[i] = x[i] + y[i]
-	}
-	return z
-}
-
-// Sub returns x - y as a new vector.
-func Sub(x, y []float64) []float64 {
-	checkLen("Sub", x, y)
-	z := make([]float64, len(x))
-	for i := range x {
-		z[i] = x[i] - y[i]
-	}
-	return z
-}
-
-// Mul returns the entrywise (Hadamard) product x ∘ y as a new vector.
-func Mul(x, y []float64) []float64 {
-	checkLen("Mul", x, y)
-	z := make([]float64, len(x))
-	for i := range x {
-		z[i] = x[i] * y[i]
-	}
-	return z
-}
-
 // Norm2 returns the Euclidean norm ||x||_2, guarding against overflow for
 // large entries via scaling.
 func Norm2(x []float64) float64 {
@@ -134,35 +73,6 @@ func Norm2(x []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// Norm1 returns the ℓ1 norm ||x||_1.
-func Norm1(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += math.Abs(v)
-	}
-	return s
-}
-
-// NormInf returns the ℓ∞ norm ||x||_∞.
-func NormInf(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		if a := math.Abs(v); a > s {
-			s = a
-		}
-	}
-	return s
-}
-
-// Sum returns the sum of the entries of x.
-func Sum(x []float64) float64 {
-	var s float64
-	for _, v := range x {
-		s += v
-	}
-	return s
-}
-
 // Normalize scales x in place to unit Euclidean norm and returns the
 // original norm. A zero vector is left untouched and 0 is returned.
 func Normalize(x []float64) float64 {
@@ -172,29 +82,6 @@ func Normalize(x []float64) float64 {
 	}
 	Scale(1/n, x)
 	return n
-}
-
-// Dist2 returns ||x - y||_2.
-func Dist2(x, y []float64) float64 {
-	checkLen("Dist2", x, y)
-	var scale, ssq float64
-	ssq = 1
-	for i := range x {
-		v := x[i] - y[i]
-		if v == 0 {
-			continue
-		}
-		a := math.Abs(v)
-		if scale < a {
-			r := scale / a
-			ssq = 1 + ssq*r*r
-			scale = a
-		} else {
-			r := a / scale
-			ssq += r * r
-		}
-	}
-	return scale * math.Sqrt(ssq)
 }
 
 // ScaleByDegree returns D^pow x for the diagonal degree matrix encoded by
@@ -225,36 +112,6 @@ func ProjectOut(x, u []float64) {
 	Axpy(-c, u, x)
 }
 
-// ArgMax returns the index of the largest entry of x (first on ties), or
-// -1 for an empty vector.
-func ArgMax(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best := 0
-	for i, v := range x {
-		if v > x[best] {
-			best = i
-		}
-	}
-	return best
-}
-
-// ArgMin returns the index of the smallest entry of x (first on ties), or
-// -1 for an empty vector.
-func ArgMin(x []float64) int {
-	if len(x) == 0 {
-		return -1
-	}
-	best := 0
-	for i, v := range x {
-		if v < x[best] {
-			best = i
-		}
-	}
-	return best
-}
-
 // MaxAbsDiff returns max_i |x[i]-y[i]|, a convenient convergence measure.
 func MaxAbsDiff(x, y []float64) float64 {
 	checkLen("MaxAbsDiff", x, y)
@@ -265,14 +122,4 @@ func MaxAbsDiff(x, y []float64) float64 {
 		}
 	}
 	return s
-}
-
-// AllFinite reports whether every entry of x is finite (no NaN or Inf).
-func AllFinite(x []float64) bool {
-	for _, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
 }
