@@ -77,7 +77,6 @@ func main() {
 		jobWorkers = flag.Int("job-workers", 2, "async job worker count")
 		jobQueue   = flag.Int("job-queue", 64, "max pending jobs")
 		timeout    = flag.Duration("query-timeout", 30*time.Second, "default per-query deadline")
-		coalesce   = flag.Duration("coalesce-window", 0, "gather window for merging concurrent single-seed ppr requests into one batch pass (0 disables; try 200µs)")
 		dataDir    = flag.String("data-dir", "", "durable store directory (snapshots + WALs; empty = in-memory)")
 		backend    = flag.String("backend", "compact", "default graph storage backend: compact or mmap (mmap requires -data-dir)")
 		version    = flag.Bool("version", false, "print version and exit")
@@ -90,14 +89,13 @@ func main() {
 	}
 
 	cfg := service.Config{
-		CacheEntries:   *cacheSize,
-		JobWorkers:     *jobWorkers,
-		JobQueue:       *jobQueue,
-		QueryTimeout:   *timeout,
-		CoalesceWindow: *coalesce,
-		DataDir:        *dataDir,
-		Backend:        *backend,
-		TraceBuffer:    *traceBuf,
+		CacheEntries: *cacheSize,
+		JobWorkers:   *jobWorkers,
+		JobQueue:     *jobQueue,
+		QueryTimeout: *timeout,
+		DataDir:      *dataDir,
+		Backend:      *backend,
+		TraceBuffer:  *traceBuf,
 	}
 	if *accessLog {
 		cfg.AccessLog = slog.New(slog.NewTextHandler(os.Stderr, nil))

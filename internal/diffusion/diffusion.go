@@ -151,6 +151,9 @@ func PageRankSteps(g *graph.Graph, seed []float64, gamma float64, k int) ([]floa
 	return x, nil
 }
 
+// maxHeatT is the largest time HeatKernel evaluates.
+const maxHeatT = 700
+
 // HeatKernelOptions configures the heat-kernel evaluation. The zero value
 // uses Tol=1e-12 and MaxTerms=10_000.
 type HeatKernelOptions struct {
@@ -162,13 +165,18 @@ type HeatKernelOptions struct {
 // random-walk Laplacian, via the Taylor series
 // exp(−t(I−M)) = e^{-t} Σ_k t^k M^k / k!. The time parameter t ≥ 0 is the
 // aggressiveness knob of the heat equation ∂H_t/∂t = −L H_t quoted in
-// §3.1: t→∞ equilibrates to the stationary distribution.
+// §3.1: t→∞ equilibrates to the stationary distribution. The series
+// is scaled by e^{−t} and stopped against e^t, so t is refused past
+// t = 700, short of where e^t overflows float64 (t ≈ 709.78).
 func HeatKernel(g *graph.Graph, seed []float64, t float64, opt HeatKernelOptions) ([]float64, error) {
 	if len(seed) != g.N() {
 		return nil, fmt.Errorf("diffusion: seed length %d != %d nodes", len(seed), g.N())
 	}
 	if t < 0 || math.IsNaN(t) || math.IsInf(t, 0) {
 		return nil, fmt.Errorf("diffusion: HeatKernel t=%v invalid", t)
+	}
+	if t > maxHeatT {
+		return nil, fmt.Errorf("diffusion: HeatKernel t=%v exceeds %d", t, maxHeatT)
 	}
 	tol := opt.Tol
 	if tol <= 0 {

@@ -292,6 +292,24 @@ func TestHeatKernelErrors(t *testing.T) {
 	}
 }
 
+// TestHeatKernelTimeBound: at maxHeatT the series is still exact, and
+// past it, where e^t overflows float64 and the sum drifts off 1,
+// HeatKernel refuses t instead of answering.
+func TestHeatKernelTimeBound(t *testing.T) {
+	g := gen.RingOfCliques(8, 8)
+	seed, _ := SeedVector(g.N(), []int{0})
+	x, err := HeatKernel(g, seed, maxHeatT, HeatKernelOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := sum(x); !almostEq(s, 1, 1e-9) {
+		t.Fatalf("t=%d: mass %v, want 1", maxHeatT, s)
+	}
+	if _, err := HeatKernel(g, seed, 710, HeatKernelOptions{}); err == nil {
+		t.Fatal("t=710 accepted")
+	}
+}
+
 func TestStationaryDistribution(t *testing.T) {
 	g := gen.Star(4)
 	pi := StationaryDistribution(g)

@@ -172,13 +172,21 @@ func (d NibbleWalk) DiffuseContext(ctx context.Context, g gstore.Graph, ws *Work
 // NibbleWalk, term evaluation processes nodes in ascending id order, so
 // the result is deterministic.
 type HeatKernel struct {
-	T   float64 // diffusion time, > 0 and finite
+	T   float64 // diffusion time, in (0, 700]
 	Eps float64 // truncation threshold, > 0
 }
+
+// maxHeatT bounds HeatKernel.T: the series is weighted by the Poisson(t)
+// pmf e^{−t}·t^k/k!, and e^{−t} goes subnormal past t ≈ 708.4, beyond
+// which the weights lose their mass and the expansion its support.
+const maxHeatT = 700
 
 func (d HeatKernel) validate() error {
 	if d.T <= 0 || math.IsNaN(d.T) || math.IsInf(d.T, 0) {
 		return fmt.Errorf("kernel: heat kernel t=%v must be positive and finite", d.T)
+	}
+	if d.T > maxHeatT {
+		return fmt.Errorf("kernel: heat kernel t=%v exceeds %d", d.T, maxHeatT)
 	}
 	if d.Eps <= 0 {
 		return fmt.Errorf("kernel: heat kernel eps=%v must be positive", d.Eps)

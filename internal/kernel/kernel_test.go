@@ -203,6 +203,7 @@ func TestDiffuserValidation(t *testing.T) {
 		{"heat t NaN", HeatKernel{T: math.NaN(), Eps: 1e-3}, ws, []int{0}, "kernel: heat kernel t=NaN must be positive and finite"},
 		{"heat t Inf", HeatKernel{T: math.Inf(1), Eps: 1e-3}, ws, []int{0}, "kernel: heat kernel t=+Inf must be positive and finite"},
 		{"heat eps 0", HeatKernel{T: 1, Eps: 0}, ws, []int{0}, "kernel: heat kernel eps=0 must be positive"},
+		{"heat t past bound", HeatKernel{T: 710, Eps: 1e-9}, ws, []int{0}, "kernel: heat kernel t=710 exceeds 700"},
 		{"seed range", ok, ws, []int{9}, "kernel: seed 9 out of range [0,5)"},
 	}
 	for _, c := range cases {
@@ -223,6 +224,20 @@ func TestDiffuserValidation(t *testing.T) {
 	}
 	if _, err := ok.Diffuse(g, NewWorkspace(3), []int{0}); err == nil || err.Error() != "kernel: workspace sized for 3 nodes used on a 5-node graph" {
 		t.Errorf("mis-sized workspace: Diffuse = %v", err)
+	}
+}
+
+// TestHeatKernelTimeBound: at maxHeatT the truncated expansion still
+// holds all its mass (past it e^{−t} is subnormal and the support empties;
+// TestDiffuserValidation pins the refusal).
+func TestHeatKernelTimeBound(t *testing.T) {
+	g := gstore.Wrap(gen.RingOfCliques(8, 8))
+	ws := NewWorkspace(g.N())
+	if _, err := (HeatKernel{T: maxHeatT, Eps: 1e-9}).Diffuse(g, ws, []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	if s := ws.PSum(); math.Abs(s-1) > 1e-9 {
+		t.Fatalf("t=%d: mass %v, want 1", maxHeatT, s)
 	}
 }
 

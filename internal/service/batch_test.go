@@ -2,16 +2,14 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/pkg/api"
 )
@@ -118,112 +116,6 @@ func TestPPRBatchValidation(t *testing.T) {
 	wantAPIErr(t, err, api.CodeInvalidArgument)
 }
 
-// TestPPRCoalescing boots one daemon with coalescing on and one with it
-// off, fires a concurrent burst of single-seed ppr requests at the
-// coalesced one, and asserts every response's bytes equal the
-// uncoalesced daemon's — the "changes no response bytes" contract.
-// Also exercised: duplicate seeds within a gather, the "coalesced"
-// header outcome, and the per-seed cache fill (a repeat is a "hit").
-func TestPPRCoalescing(t *testing.T) {
-	// A window comfortably longer than the burst takes to launch, so
-	// every request reliably lands in one gather.
-	_, tsCo, _ := testServer(t, Config{CoalesceWindow: 100 * time.Millisecond})
-	_, tsPlain, _ := testServer(t, Config{})
-
-	seeds := []int{0, 5, 11, 23, 42, 5} // 5 twice: dedup inside the gather
-	plain := make([][]byte, len(seeds))
-	for i, seed := range seeds {
-		status, body, _ := postWire(t, tsPlain.URL+"/v1/graphs/ring/ppr", api.PPRRequest{Seeds: []int{seed}, Sweep: true})
-		if status != http.StatusOK {
-			t.Fatalf("plain seed %d: status %d: %s", seed, status, body)
-		}
-		plain[i] = body
-	}
-
-	type reply struct {
-		status  int
-		body    []byte
-		outcome string
-	}
-	replies := make([]reply, len(seeds))
-	var start, done sync.WaitGroup
-	start.Add(1)
-	for i, seed := range seeds {
-		done.Add(1)
-		go func(i, seed int) {
-			defer done.Done()
-			start.Wait()
-			status, body, hdr := postWire(t, tsCo.URL+"/v1/graphs/ring/ppr", api.PPRRequest{Seeds: []int{seed}, Sweep: true})
-			replies[i] = reply{status, body, hdr.Get("X-Graphd-Cache")}
-		}(i, seed)
-	}
-	start.Done()
-	done.Wait()
-
-	coalesced := 0
-	for i, seed := range seeds {
-		if replies[i].status != http.StatusOK {
-			t.Fatalf("coalesced seed %d: status %d: %s", seed, replies[i].status, replies[i].body)
-		}
-		if !bytes.Equal(replies[i].body, plain[i]) {
-			t.Fatalf("seed %d: coalesced bytes differ from plain:\n%s\nvs\n%s", seed, replies[i].body, plain[i])
-		}
-		if replies[i].outcome == "coalesced" {
-			coalesced++
-		}
-	}
-	if coalesced == 0 {
-		t.Fatal("no request reported the coalesced outcome despite a concurrent burst inside one window")
-	}
-
-	// The gather filled each seed's single-seed cache slot.
-	_, _, hdr := postWire(t, tsCo.URL+"/v1/graphs/ring/ppr", api.PPRRequest{Seeds: []int{seeds[0]}, Sweep: true})
-	if got := hdr.Get("X-Graphd-Cache"); got != "hit" {
-		t.Fatalf("repeat after coalesced round: X-Graphd-Cache %q, want hit", got)
-	}
-
-	// An out-of-range seed takes the solo path and errors like the
-	// uncoalesced daemon — its gather-mates are unaffected (checked
-	// above, this checks the error).
-	stCo, bodyCo, _ := postWire(t, tsCo.URL+"/v1/graphs/ring/ppr", api.PPRRequest{Seeds: []int{1 << 20}})
-	stPl, bodyPl, _ := postWire(t, tsPlain.URL+"/v1/graphs/ring/ppr", api.PPRRequest{Seeds: []int{1 << 20}})
-	if stCo != stPl || !bytes.Equal(bodyCo, bodyPl) {
-		t.Fatalf("out-of-range seed: coalesced (%d, %s) != plain (%d, %s)", stCo, bodyCo, stPl, bodyPl)
-	}
-}
-
-// TestPPRCoalescingRace hammers one coalescing daemon from many
-// goroutines across several rounds — overlapping gathers, cache hits,
-// window firings and size-cap interleavings — asserting only
-// self-consistency (every reply equals every other reply for the same
-// seed). Run under -race this is the coalescer's data-race probe.
-func TestPPRCoalescingRace(t *testing.T) {
-	_, ts, _ := testServer(t, Config{CoalesceWindow: time.Millisecond})
-	const rounds, workers = 4, 12
-	for round := 0; round < rounds; round++ {
-		bodies := make([][]byte, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				seed := w % 5 // heavy seed collision on purpose
-				status, body, _ := postWire(t, ts.URL+"/v1/graphs/ring/ppr", api.PPRRequest{Seeds: []int{seed}})
-				if status != http.StatusOK {
-					body = []byte(fmt.Sprintf("status %d: %s", status, body))
-				}
-				bodies[w] = body
-			}(w)
-		}
-		wg.Wait()
-		for w := 0; w < workers; w++ {
-			if !bytes.Equal(bodies[w], bodies[w%5]) {
-				t.Fatalf("round %d: seed %d replies diverge:\n%s\nvs\n%s", round, w%5, bodies[w], bodies[w%5])
-			}
-		}
-	}
-}
-
 // postBatch sends one batch request and returns its status, body and
 // X-Graphd-Cache outcome.
 func postBatch(t *testing.T, ts *httptest.Server, path string, req any) (int, string, string) {
@@ -285,7 +177,7 @@ func TestBatchFillsSingleSeedSlots(t *testing.T) {
 // a miss when it computed one, shared when it computed none but waited
 // on another request's flight — and its bytes are a cold daemon's.
 func TestWarmSlotsServeABatch(t *testing.T) {
-	srv, ts, _ := testServer(t, Config{CoalesceWindow: 300 * time.Millisecond})
+	srv, ts, _ := testServer(t, Config{})
 	_, cold, _ := testServer(t, Config{})
 	for _, seed := range []int{5, 9} {
 		postBatch(t, ts, "ppr", api.PPRRequest{Seeds: []int{seed}})
@@ -306,32 +198,47 @@ func TestWarmSlotsServeABatch(t *testing.T) {
 		}
 	}
 
-	// Seed 7's single-seed flight gathers for the window; a batch of 7
+	// Seed 7's single-seed flight is held running; a batch of 7
 	// arriving meanwhile joins it instead of computing.
+	started, release := make(chan struct{}), make(chan struct{})
 	single := make(chan string, 1)
+	seven := pprQuery(7, nil)
+	seven.compute = func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
+		close(started)
+		<-release
+		req := api.PPRRequest{Seeds: []int{7}}
+		req.Normalize()
+		return execPPR(ctx, q.g, q.pool, req)
+	}
 	go func() {
-		_, _, outcome, err := postFrom(ts.URL+"/v1/graphs/ring/ppr", api.PPRRequest{Seeds: []int{7}})
+		a, err := srv.resolve(ringRequest(context.Background(), ""), "ring", seven)
 		if err != nil {
 			t.Error(err)
 		}
-		single <- outcome
+		single <- a.outcome
 	}()
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		srv.inflight.mu.Lock()
-		gathering := len(srv.inflight.gathering)
-		srv.inflight.mu.Unlock()
-		if gathering > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the single-seed flight never started gathering")
-		}
-	}
+	<-started
 	req := api.PPRBatchRequest{Seeds: []int{7}}
-	status, body, outcome := postBatch(t, ts, "ppr:batch", req)
+	payload, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wc := newWaitCtx()
+	r := httptest.NewRequest("POST", "/v1/graphs/ring/ppr:batch", bytes.NewReader(payload)).WithContext(wc)
+	r.Header.Set("Content-Type", "application/json")
+	r.SetPathValue("name", "ring")
+	w := httptest.NewRecorder()
+	batched := make(chan struct{})
+	go func() {
+		srv.handlePPRBatch(w, r)
+		close(batched)
+	}()
+	<-wc.waiting // the batch holds the flight and waits on it
+	close(release)
+	<-batched
 	_, want, _ := postBatch(t, cold, "ppr:batch", req)
-	if status != http.StatusOK || outcome != "shared" || body != want {
-		t.Fatalf("batch joining a gathering flight: status %d, outcome %q\n%s\nwant shared with\n%s", status, outcome, body, want)
+	if outcome := w.Header().Get("X-Graphd-Cache"); w.Code != http.StatusOK || outcome != "shared" || w.Body.String() != want {
+		t.Fatalf("batch joining a running flight: status %d, outcome %q\n%s\nwant shared with\n%s", w.Code, outcome, w.Body, want)
 	}
 	if got := <-single; got != "miss" {
 		t.Fatalf("the single-seed request that opened the flight: outcome %q, want miss", got)

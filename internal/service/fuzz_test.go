@@ -65,6 +65,9 @@ func FuzzAPIDecode(f *testing.F) {
 	// Valid bodies whose work only the deadline bounds.
 	f.Add(uint8(0), []byte(`{"seeds":[0,1],"alpha":1e-9}`))
 	f.Add(uint8(4), []byte(`{"kind":"lazy","seeds":[0],"k":1000000000000}`))
+	// A heat time far past the bound, where the dense series overflows
+	// into NaN.
+	f.Add(uint8(4), []byte(`{"kind":"heat","seeds":[0],"t":5e5}`))
 	edges := uint8(len(fuzzEndpoints) - 1)
 	for _, tc := range appendEdgesCases {
 		f.Add(edges, []byte(tc.body))

@@ -49,7 +49,7 @@ func TestConcurrentHammer(t *testing.T) {
 			mine := fmt.Sprintf("g%d", gi)
 			for op := 0; op < opsPer; op++ {
 				var err error
-				switch op % 8 {
+				switch op % 9 {
 				case 0: // query a shared graph: cache + singleflight contention
 					_, err = c.Graphs.PPR(bg, "ring", api.PPRRequest{
 						Seeds: []int{op % 64}, Alpha: 0.1,
@@ -88,6 +88,11 @@ func TestConcurrentHammer(t *testing.T) {
 					_, err = c.Metrics(bg)
 				case 7:
 					_, err = c.Graphs.List(bg)
+				case 8: // case 0's keys as a batch: single-seed and batch
+					// requests join each other's flights
+					_, err = c.Graphs.PPRBatch(bg, "ring", api.PPRBatchRequest{
+						Seeds: []int{0, 9, 18, (op + 1) % 64}, Alpha: 0.1,
+					})
 				}
 				if err != nil {
 					errc <- fmt.Errorf("g%d op%d: %w", gi, op, err)

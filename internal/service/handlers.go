@@ -177,19 +177,13 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	q := query{endpoint: "ppr", params: mustParams(req), compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
+	s.serveQuery(w, r, query{endpoint: "ppr", params: mustParams(req), compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
 		return execPPR(ctx, q.g, q.pool, req)
-	}}
-	// A seed *set* is one diffusion already; only single seeds can share
-	// a kernel batch pass.
-	if len(req.Seeds) == 1 {
-		q.ppr = &req
-	}
-	s.serveQuery(w, r, q)
+	}})
 }
 
 // handlePPRBatch serves K independent single-seed pushes in one request:
-// K ppr queries {"seeds":[s]}, as a gathered batch of ppr requests is.
+// K ppr queries {"seeds":[s]}, computed in one kernel batch pass.
 func (s *Server) handlePPRBatch(w http.ResponseWriter, r *http.Request) {
 	var req api.PPRBatchRequest
 	if !s.decode(w, r, &req) {

@@ -21,35 +21,20 @@ import (
 // that flight) → a batch of flights run by one detached goroutine under
 // one compute budget → per-flight cache fill → wait, write, observe.
 //
-// A batch is the only unit of execution. Most are batches of one whose
-// computation is the handler's exec* closure. Single-seed ppr flights
-// that agree on everything but the seed may share a batch — one kernel
-// batch pass instead of K pushes — which fires when CoalesceWindow
-// elapses or at maxBatchKeys; with the window at 0 (the default) a
-// batch fires at once with its one member, so deduplicating identical
-// requests is simply the window-0 case of coalescing. Either way every
-// caller receives exactly the bytes a solo computation produces (the
-// batch engine is byte-identical per seed) and every key fills the same
-// cache slot; only the X-Graphd-Cache header tells them apart.
-//
-// A batch request (ppr:batch, localcluster:batch) is K single-seed
-// queries keyed as their twins {"seeds":[s]} are: it shares their plain
-// cache slots and flights, opens the rest as one batch that fires at once
-// and splices its reply from their bodies. It is a hit if every seed hit.
-
-// maxBatchKeys caps one gathered batch; a full batch fires immediately
-// and later arrivals open the next, so a sustained fan-out degrades
-// into back-to-back passes rather than one unboundedly large one.
-const maxBatchKeys = 64
+// A batch is the only unit of execution, and it fires as soon as it
+// opens. A plain query is a batch of one whose computation is the
+// handler's exec* closure. A batch request (ppr:batch,
+// localcluster:batch) is K single-seed queries keyed as their twins
+// {"seeds":[s]} are: it shares their plain cache slots and flights,
+// opens the rest as one batch its seedRunner computes in one kernel pass
+// (byte-identical per seed), and splices its reply from their bodies.
+// It is a hit if every seed hit.
 
 // query is what a handler hands the pipeline.
 type query struct {
 	endpoint string
 	params   []byte // the post-Normalize request marshalled from its type: canonical as it stands
 	compute  func(ctx context.Context, q queryView) (any, *api.WorkStats, error)
-	// ppr, set for a single-seed ppr, lets the flight share a batch with
-	// flights that differ from it only in the seed.
-	ppr *api.PPRRequest
 	// batch, set for a batch request, stands in for compute.
 	batch *seedBatch
 }
@@ -93,15 +78,13 @@ type flight struct {
 	err   error
 }
 
-// batch is the flights one goroutine computes together. flights grows
-// under the table's mutex while the batch gathers and is frozen once
-// it fires.
+// batch is the flights one goroutine computes together, filled under
+// the table's mutex and frozen once it fires.
 type batch struct {
 	// query is that of the request that opened the batch: compute runs
-	// its flight alone, seeds the flights of a gather or a batch request.
+	// its flight alone, batch.run the flights of a batch request.
 	query
-	seeds seedRunner
-	view  queryView
+	view queryView
 	// budget bounds the computation: the larger of the server default
 	// and the ?timeout_ms= of the request that opened the batch, so an
 	// override can extend the budget but a tiny one cannot poison the
@@ -109,18 +92,15 @@ type batch struct {
 	budget    time.Duration
 	debugWork bool
 	flights   []*flight
-	timer     *time.Timer   // non-nil while gathering
 	done      chan struct{} // closed once every flight is settled
 }
 
-// inflight is the table of what is being computed, by cache key, plus
-// the batches still gathering, by group key.
+// inflight is the table of what is being computed, by cache key.
 type inflight struct {
-	mu        sync.Mutex
-	flights   map[string]*flight
-	gathering map[string]*batch
-	running   sync.WaitGroup // batches opened and not yet settled
-	draining  bool
+	mu       sync.Mutex
+	flights  map[string]*flight
+	running  sync.WaitGroup // batches opened and not yet settled
+	draining bool
 }
 
 // answer is what the pipeline resolved for one request. backend and
@@ -128,7 +108,7 @@ type inflight struct {
 type answer struct {
 	body           []byte
 	work           *api.WorkStats
-	outcome        string // X-Graphd-Cache: hit | miss | shared | coalesced
+	outcome        string // X-Graphd-Cache: hit | miss | shared
 	backend, canon string
 	scratch        *[]byte // the pooled buffer a batch reply was spliced into
 }
@@ -171,7 +151,7 @@ func (s *Server) resolve(r *http.Request, name string, q query) (a answer, err e
 	debugWork := urlParams(r).Get("debug") == "work"
 	var one [1]seedSlot
 	var batchSlots []seedSlot // a batch's slots; a single query's one slot stays on the stack
-	slots, sb, at := one[:], q.batch, 0
+	slots, sb := one[:], q.batch
 	if sb != nil {
 		batchSlots = seedKeys(sb, id)
 		a.canon, slots = string(q.params), batchSlots
@@ -179,8 +159,7 @@ func (s *Server) resolve(r *http.Request, name string, q query) (a answer, err e
 		// ?debug=work replies carry the work block, so they are distinct
 		// cache entries from their plain twins.
 		key := "q|" + q.endpoint + "|g" + strconv.FormatUint(id, 10) + "|" + string(q.params)
-		at = len(key) - len(q.params)
-		a.canon = key[at:]
+		a.canon = key[len(key)-len(q.params):]
 		if debugWork {
 			key += "|debug=work"
 		}
@@ -196,7 +175,6 @@ func (s *Server) resolve(r *http.Request, name string, q query) (a answer, err e
 		}
 		nb := &batch{query: q, view: queryView{g: g, id: id, pool: pool}, debugWork: debugWork && sb == nil,
 			budget: max(s.cfg.QueryTimeout, s.queryTimeout(r)), done: make(chan struct{})}
-		var gkey string
 		if sb != nil {
 			// An out-of-range seed fails the batch before any flight
 			// opens, with the kernel's words (alone, it never emits).
@@ -205,19 +183,8 @@ func (s *Server) resolve(r *http.Request, name string, q query) (a answer, err e
 					return a, sb.run.runSeeds(r.Context(), nb.view, []int{seed}, false, nil)
 				}
 			}
-			nb.seeds = sb.run
-		} else if q.ppr != nil && s.cfg.CoalesceWindow > 0 && q.ppr.Seeds[0] < g.N() {
-			// The one decision between gathering and firing at once. An
-			// out-of-range seed would abort its whole kernel batch, so it
-			// flies alone: its error bytes are the single-seed kernel's
-			// and its would-be batch-mates are untouched. The batch key is
-			// the cache key without the seed, which the params of a
-			// single-seed ppr open with: {"seeds":[<seed>],…
-			key := one[0].key
-			gkey = key[:at] + key[at+bytes.IndexByte(q.params, ']'):]
-			nb.seeds, one[0].seed = (*pprSeeds)(q.ppr), q.ppr.Seeds[0]
 		}
-		if opened, err = s.join(slots, gkey, nb, misses); err != nil {
+		if opened, err = s.join(slots, nb, misses); err != nil {
 			return a, err
 		}
 		a.outcome = "shared"
@@ -254,9 +221,6 @@ func (s *Server) resolve(r *http.Request, name string, q query) (a answer, err e
 	}
 	if opened {
 		a.outcome = "miss"
-		if sb == nil && len(one[0].f.batch.flights) > 1 {
-			a.outcome = "coalesced"
-		}
 	}
 	if sb == nil {
 		a.body, a.work = one[0].body, one[0].work
@@ -309,17 +273,12 @@ func seedKeys(sb *seedBatch, id uint64) []seedSlot {
 // join gives every slot the cache did not answer a flight under one
 // table lock: it joins a key in flight, rereads one that has landed
 // since the probe (flights fill the cache before they leave the table)
-// and opens the rest in the batch gathering under gkey or else in nb,
-// which gathers if gkey is set and fires at once if not.
-func (s *Server) join(slots []seedSlot, gkey string, nb *batch, misses int) (opened bool, err error) {
+// and opens the rest in b, which it fires if it opened any.
+func (s *Server) join(slots []seedSlot, b *batch, misses int) (opened bool, err error) {
 	fresh := make([]flight, misses)
+	b.flights = make([]*flight, 0, misses)
 	t := &s.inflight
 	t.mu.Lock()
-	b := t.gathering[gkey]
-	if b == nil {
-		b = nb
-		b.flights = make([]*flight, 0, misses)
-	}
 	for i := range slots {
 		if slots[i].body == nil {
 			slots[i].f = t.flights[slots[i].key]
@@ -342,33 +301,12 @@ func (s *Server) join(slots []seedSlot, gkey string, nb *batch, misses int) (ope
 		b.flights = append(b.flights, sl.f)
 		opened = true
 	}
-	if !opened {
-		t.mu.Unlock()
-		return false, nil
-	}
-	if b == nb {
+	if opened {
 		t.running.Add(1)
-		if gkey != "" {
-			t.gathering[gkey] = b
-			b.timer = time.AfterFunc(s.cfg.CoalesceWindow, func() {
-				t.mu.Lock()
-				delete(t.gathering, gkey)
-				t.mu.Unlock()
-				s.runBatch(b)
-			})
-		}
-	}
-	// A batch that does not gather fires at once, a full one as soon as
-	// it is full — unless its timer is already doing so (Stop fails).
-	fire := b.timer == nil || len(b.flights) >= maxBatchKeys && b.timer.Stop()
-	if fire {
-		delete(t.gathering, gkey)
-	}
-	t.mu.Unlock()
-	if fire {
 		go s.runBatch(b)
 	}
-	return true, nil
+	t.mu.Unlock()
+	return opened, nil
 }
 
 // runBatch computes a fired batch on its own goroutine and settles
@@ -399,7 +337,7 @@ func (s *Server) runBatch(b *batch) {
 		t.mu.Unlock()
 		t.running.Done()
 	}()
-	if len(b.flights) == 1 && b.compute != nil {
+	if b.compute != nil {
 		v, work, cerr := b.compute(ctx, b.view)
 		f := b.flights[0]
 		if f.err = cerr; cerr == nil {
@@ -421,7 +359,7 @@ func (s *Server) runBatch(b *batch) {
 	for i, f := range b.flights {
 		seeds[i] = f.seed
 	}
-	err = b.seeds.runSeeds(ctx, b.view, seeds, b.debugWork, func(i int, body []byte, work api.WorkStats, err error) {
+	err = b.query.batch.run.runSeeds(ctx, b.view, seeds, b.debugWork, func(i int, body []byte, work api.WorkStats, err error) {
 		f := b.flights[i]
 		f.body, f.work, f.err = body, work, err
 	})

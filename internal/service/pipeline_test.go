@@ -19,25 +19,22 @@ import (
 	"repro/pkg/api"
 )
 
-// daemons are the two configurations the pipeline's contracts are
-// checked on: the default, where every batch fires at once with its
-// one member, and a coalescing one, where single-seed ppr flights
-// gather first (a short window, so a lone flight fires promptly).
+// daemons are the configurations the pipeline's contracts are checked
+// on, one subtest each: the default, where every batch fires as soon as
+// it opens.
 var daemons = []struct {
 	name string
 	cfg  Config
 }{
 	{"plain", Config{}},
-	{"coalescing", Config{CoalesceWindow: time.Millisecond}},
 }
 
 // pprQuery is a single-seed ppr as handlePPR hands it to the pipeline,
-// its computation replaced by compute: it gathers on a coalescing
-// daemon and, flying alone in its batch, runs compute on either.
+// its computation replaced by compute, which its batch of one runs.
 func pprQuery(seed int, compute func(ctx context.Context, q queryView) (any, error)) query {
 	req := api.PPRRequest{Seeds: []int{seed}}
 	req.Normalize()
-	return query{endpoint: "ppr", params: mustParams(req), ppr: &req,
+	return query{endpoint: "ppr", params: mustParams(req),
 		compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
 			v, err := compute(ctx, q)
 			return v, nil, err
@@ -94,8 +91,7 @@ func (c *waitCtx) Done() <-chan struct{} {
 // a key is being computed every further request for it joins that one
 // flight — exactly one execution, every caller handed the same result
 // bytes (same backing array, no copies), `shared` for the followers
-// only. On the coalescing daemon the followers arrive after the
-// leader's gather has fired and must still join it, not open a new one.
+// only.
 func TestFlightGroupDedup(t *testing.T) {
 	for _, d := range daemons {
 		t.Run(d.name, func(t *testing.T) {
@@ -253,11 +249,9 @@ func TestTimeoutOverrideOverHTTP(t *testing.T) {
 }
 
 // TestPanicFailsItsFlightOnly drives a panicking computation through
-// the pipeline as a batch of one (plain daemon: the flight's own
-// goroutine) and as the member of a gathered batch (coalescing daemon:
-// the window timer's goroutine): its requester gets a typed internal
-// error, a flight computing alongside it is answered, and the daemon
-// keeps serving. The same goes for a panic on one of the extra
+// the pipeline as a batch of one, on the flight's own goroutine: its
+// requester gets a typed internal error, a flight computing alongside
+// it is answered, and the daemon keeps serving. The same goes for a panic on one of the extra
 // goroutines a kernel batch of several blocks runs on.
 func TestPanicFailsItsFlightOnly(t *testing.T) {
 	for _, d := range daemons {
@@ -357,77 +351,48 @@ func TestCloseDrainsInFlightQueries(t *testing.T) {
 	}
 }
 
-// TestPlainAndCoalescingDaemonsAgree pins what the two configurations
-// used to do differently when they were two pipelines, by running the
-// same request sequence against both. (The third such behaviour — a
-// request arriving after its gather fired joins the running flight —
-// is TestFlightGroupDedup's coalescing case.)
-func TestPlainAndCoalescingDaemonsAgree(t *testing.T) {
-	// One cache probe per request, whatever path its flight takes — an
-	// out-of-range single seed (which never gathers) included.
+// TestCacheCountersAndComputeBudget pins two per-request rules of the
+// pipeline.
+func TestCacheCountersAndComputeBudget(t *testing.T) {
+	// One cache probe per request, whatever its flight does — an
+	// out-of-range single seed, which caches nothing, included.
 	t.Run("cache counters", func(t *testing.T) {
-		var counts [2][2]uint64
-		for i, d := range daemons {
-			srv, ts, _ := testServer(t, d.cfg)
-			for _, seed := range []int{0, 0, 1 << 20, 1 << 20, 7} {
-				postWire(t, ts.URL+"/v1/graphs/ring/ppr", api.PPRRequest{Seeds: []int{seed}})
-			}
-			counts[i][0], counts[i][1], _ = srv.cache.Stats()
+		srv, ts, _ := testServer(t, Config{})
+		for _, seed := range []int{0, 0, 1 << 20, 1 << 20, 7} {
+			postWire(t, ts.URL+"/v1/graphs/ring/ppr", api.PPRRequest{Seeds: []int{seed}})
 		}
-		if counts[0] != counts[1] || counts[0] != [2]uint64{1, 4} {
-			t.Fatalf("cache (hits, misses): plain %v, coalescing %v; want both [1 4]", counts[0], counts[1])
+		if hits, misses, _ := srv.cache.Stats(); hits != 1 || misses != 4 {
+			t.Fatalf("cache (hits, misses) = (%d, %d), want (1, 4)", hits, misses)
 		}
 	})
 
 	// One budget rule: the larger of the server default and the
 	// ?timeout_ms= of the request that opened the batch.
 	t.Run("compute budget", func(t *testing.T) {
-		for _, d := range daemons {
-			cfg := d.cfg
-			cfg.QueryTimeout = 50 * time.Millisecond
-			srv, _, _ := testServer(t, cfg)
-			for seed, tc := range []struct {
-				rawQuery string
-				budget   time.Duration
-			}{
-				{"timeout_ms=60000", time.Minute},  // an override extends the budget
-				{"timeout_ms=1", cfg.QueryTimeout}, // a tiny one cannot shrink it
-				{"", cfg.QueryTimeout},             // the default
-			} {
-				asked := time.Now()
-				var deadline time.Time
-				w := ask(context.Background(), srv, tc.rawQuery, pprQuery(seed, func(ctx context.Context, _ queryView) (any, error) {
-					deadline, _ = ctx.Deadline()
-					return nil, nil
-				}))
-				if w.Code != http.StatusOK {
-					t.Fatalf("%s ?%s: status %d: %s", d.name, tc.rawQuery, w.Code, w.Body)
-				}
-				if got := deadline.Sub(asked); got < tc.budget || got > tc.budget+10*time.Second {
-					t.Errorf("%s ?%s: computed under a %v budget, want %v", d.name, tc.rawQuery, got, tc.budget)
-				}
+		cfg := Config{QueryTimeout: 50 * time.Millisecond}
+		srv, _, _ := testServer(t, cfg)
+		for seed, tc := range []struct {
+			rawQuery string
+			budget   time.Duration
+		}{
+			{"timeout_ms=60000", time.Minute},  // an override extends the budget
+			{"timeout_ms=1", cfg.QueryTimeout}, // a tiny one cannot shrink it
+			{"", cfg.QueryTimeout},             // the default
+		} {
+			asked := time.Now()
+			var deadline time.Time
+			w := ask(context.Background(), srv, tc.rawQuery, pprQuery(seed, func(ctx context.Context, _ queryView) (any, error) {
+				deadline, _ = ctx.Deadline()
+				return nil, nil
+			}))
+			if w.Code != http.StatusOK {
+				t.Fatalf("?%s: status %d: %s", tc.rawQuery, w.Code, w.Body)
+			}
+			if got := deadline.Sub(asked); got < tc.budget || got > tc.budget+10*time.Second {
+				t.Errorf("?%s: computed under a %v budget, want %v", tc.rawQuery, got, tc.budget)
 			}
 		}
 	})
-}
-
-// TestGatherFiresAtMaxBatchKeys: a full gather does not wait out its
-// window — with a window far longer than the test, maxBatchKeys
-// distinct seeds are answered by the size-cap fire alone.
-func TestGatherFiresAtMaxBatchKeys(t *testing.T) {
-	_, ts, _ := testServer(t, Config{CoalesceWindow: time.Minute})
-	var wg sync.WaitGroup
-	for seed := 0; seed < maxBatchKeys; seed++ {
-		wg.Add(1)
-		go func(seed int) {
-			defer wg.Done()
-			status, body, hdr := postWire(t, ts.URL+"/v1/graphs/ring/ppr", api.PPRRequest{Seeds: []int{seed}})
-			if status != http.StatusOK || hdr.Get("X-Graphd-Cache") != "coalesced" {
-				t.Errorf("seed %d: status %d, cache %q: %s", seed, status, hdr.Get("X-Graphd-Cache"), body)
-			}
-		}(seed)
-	}
-	wg.Wait()
 }
 
 // reusedExchange is a request and a response writer that one goroutine

@@ -54,11 +54,11 @@ func workFromStats(method string, st kernel.Stats) api.WorkStats {
 }
 
 // pprResult assembles one seed set's ppr reply from the workspace a
-// push left behind and that push's stats — the one place the single,
-// batched and coalesced paths turn planes into wire types. Top-k and
-// sweep read the planes directly on workspace scratch, so what is
-// allocated here is the reply itself: the `set` slice, and the `top`
-// slice unless a non-nil top has room for it (*top keeps the list).
+// push left behind and that push's stats — the one place the single
+// and batched paths turn planes into wire types. Top-k and sweep read
+// the planes directly on workspace scratch, so what is allocated here
+// is the reply itself: the `set` slice, and the `top` slice unless a
+// non-nil top has room for it (*top keeps the list).
 func pprResult(g gstore.Graph, ws *kernel.Workspace, st kernel.Stats, topK int, sweep bool, top *[]api.NodeMass) (api.PPRResponse, error) {
 	var buf []api.NodeMass
 	if top != nil {
@@ -105,8 +105,8 @@ func execPPR(ctx context.Context, g gstore.Graph, pool *kernel.Pool, req api.PPR
 // topScratch holds the top lists of replies encoded as soon as selected.
 var topScratch = sync.Pool{New: func() any { return new([]api.NodeMass) }}
 
-// pprSeeds is a ppr request less its seed, run for each seed of a gather
-// or a ppr:batch: a seed's reply is execPPR's for it alone (the batch
+// pprSeeds is a ppr request less its seed, run for each seed of a
+// ppr:batch: a seed's reply is execPPR's for it alone (the batch
 // engine is byte-identical per seed), encoded before its top list goes
 // back to the pool; an unsweepable support fails its own seed only.
 type pprSeeds api.PPRRequest

@@ -29,15 +29,6 @@ type Config struct {
 	// QueryTimeout is the default per-request deadline for synchronous
 	// queries, overridable per request with ?timeout_ms= (default 30s).
 	QueryTimeout time.Duration
-	// CoalesceWindow, when positive, merges concurrent single-seed ppr
-	// requests that share a graph and parameters (but differ in seed)
-	// into one kernel batch pass: the first opens a batch that gathers
-	// for this long before it fires, and each caller receives exactly
-	// the bytes a solo computation would have produced. At zero (the
-	// default) every batch fires at once with its one member. ~200µs is
-	// a good starting point: long enough to catch a fan-out burst, short
-	// enough to be invisible next to a push.
-	CoalesceWindow time.Duration
 	// MaxBodyBytes caps request bodies (default 64 MiB).
 	MaxBodyBytes int64
 	// AccessLog receives one structured record per served request
@@ -146,7 +137,6 @@ func NewServer(cfg Config) (*Server, error) {
 		ridPrefix: newRIDPrefix(),
 	}
 	s.inflight.flights = make(map[string]*flight)
-	s.inflight.gathering = make(map[string]*batch)
 	if !c.DisableTelemetry && c.TraceBuffer >= 0 {
 		n := c.TraceBuffer
 		if n == 0 {
@@ -184,8 +174,7 @@ func (s *Server) Close() {
 	s.jobs.Close()
 	// Query flights outlive their handlers, so a stopped listener does
 	// not mean nothing is reading the store: refuse new flights and wait
-	// for the open batches (bounded by the gather window plus the compute
-	// budget) before the store releases — on mmap, unmaps — the graphs.
+	// for the open batches (bounded by their compute budget) before the store releases — on mmap, unmaps — the graphs.
 	s.inflight.mu.Lock()
 	s.inflight.draining = true
 	s.inflight.mu.Unlock()

@@ -607,6 +607,39 @@ func TestDiffuseKindsAndSweepCut(t *testing.T) {
 	}
 }
 
+// TestHeatTimeBoundOverHTTP: a heat diffusion at api.MaxHeatT answers
+// with all its mass, so neither library bound is below the wire's;
+// past it, where e^t overflows float64 and the series' weights would
+// decide the answer, every heat endpoint answers 400 invalid_argument
+// naming the bound.
+func TestHeatTimeBoundOverHTTP(t *testing.T) {
+	_, ts, _ := testServer(t, Config{})
+	url := ts.URL + "/v1/graphs/ring/"
+	status, body, _ := postWire(t, url+"diffuse", api.DiffuseRequest{Kind: "heat", Seeds: []int{0}, T: api.MaxHeatT})
+	var res api.DiffuseResponse
+	if err := json.Unmarshal(body, &res); status != http.StatusOK || err != nil || math.Abs(res.Sum-1) > 1e-9 {
+		t.Fatalf("diffuse t=%d: status %d, sum %v: %s", api.MaxHeatT, status, res.Sum, body)
+	}
+	status, body, _ = postWire(t, url+"localcluster", api.LocalClusterRequest{Method: "heat", Seeds: []int{0}, Eps: 1e-9, T: api.MaxHeatT})
+	if status != http.StatusOK {
+		t.Fatalf("localcluster t=%d: status %d: %s", api.MaxHeatT, status, body)
+	}
+	for _, tt := range []float64{710, 744, 5e5} {
+		for path, req := range map[string]any{
+			"diffuse":            api.DiffuseRequest{Kind: "heat", Seeds: []int{0}, T: tt},
+			"localcluster":       api.LocalClusterRequest{Method: "heat", Seeds: []int{0}, Eps: 1e-9, T: tt},
+			"localcluster:batch": api.LocalClusterBatchRequest{Method: "heat", Seeds: []int{0}, Eps: 1e-9, T: tt},
+		} {
+			status, body, _ := postWire(t, url+path, req)
+			var env api.ErrorEnvelope
+			if err := json.Unmarshal(body, &env); err != nil || env.Error == nil || status != http.StatusBadRequest ||
+				env.Error.Code != api.CodeInvalidArgument || !strings.Contains(env.Error.Message, "exceeds 700") || strings.Contains(string(body), "NaN") {
+				t.Errorf("%s t=%v: status %d: %s; want 400 invalid_argument naming the bound", path, tt, status, body)
+			}
+		}
+	}
+}
+
 // TestDiffuseLazyWalksInChunks: a lazy walk longer than one chunk gives
 // the bits of a single diffusion.LazyWalk call, and a done context
 // stops a walk whose k has no cap.

@@ -20,6 +20,8 @@
 // types.
 package api
 
+import "math"
+
 // Version is the API version prefix every route lives under.
 const Version = "v1"
 
@@ -31,6 +33,23 @@ type Request interface {
 	// Validate reports the first graph-independent problem with the
 	// request as an *Error (code invalid_argument), or nil.
 	Validate() error
+}
+
+// MaxHeatT is the largest heat-kernel time t a request may ask for.
+// e^t overflows float64 at t ≈ 709.78 and e^{−t} goes subnormal past
+// t ≈ 708.4, so beyond this bound the series' weights, not the graph,
+// would decide the answer.
+const MaxHeatT = 700
+
+// validHeatT is the shared heat-kernel time check.
+func validHeatT(t float64) error {
+	if t <= 0 || math.IsNaN(t) || math.IsInf(t, 0) {
+		return Errorf(CodeInvalidArgument, "t=%v must be positive and finite", t)
+	}
+	if t > MaxHeatT {
+		return Errorf(CodeInvalidArgument, "t=%v exceeds %d, the largest heat-kernel time served", t, MaxHeatT)
+	}
+	return nil
 }
 
 // validSeeds is the shared seed-set check: nonempty, no negative ids.

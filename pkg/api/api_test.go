@@ -63,6 +63,12 @@ func TestRequestNormalizeAndValidate(t *testing.T) {
 		{"localcluster bad method", &LocalClusterRequest{Seeds: []int{3}, Method: "magic"}, false},
 		{"diffuse defaults", &DiffuseRequest{Seeds: []int{1}}, true},
 		{"diffuse bad kind", &DiffuseRequest{Seeds: []int{1}, Kind: "x"}, false},
+		{"diffuse t at the heat bound", &DiffuseRequest{Seeds: []int{1}, T: MaxHeatT}, true},
+		{"diffuse t past the heat bound", &DiffuseRequest{Seeds: []int{1}, T: 710}, false},
+		{"diffuse t 5e5", &DiffuseRequest{Seeds: []int{1}, T: 5e5}, false},
+		{"localcluster t at the heat bound", &LocalClusterRequest{Seeds: []int{3}, Method: "heat", T: MaxHeatT}, true},
+		{"localcluster t past the heat bound", &LocalClusterRequest{Seeds: []int{3}, Method: "heat", T: 744}, false},
+		{"localcluster batch t past the heat bound", &LocalClusterBatchRequest{Seeds: []int{3}, Method: "heat", T: 710}, false},
 		{"sweepcut ok", &SweepCutRequest{Values: []NodeMass{{Node: 0, Mass: 1}}}, true},
 		{"sweepcut empty", &SweepCutRequest{}, false},
 		{"sweepcut negative node", &SweepCutRequest{Values: []NodeMass{{Node: -3, Mass: 1}}}, false},

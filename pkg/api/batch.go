@@ -144,8 +144,8 @@ func (r *LocalClusterBatchRequest) Validate() error {
 	if r.Steps < 1 {
 		return Errorf(CodeInvalidArgument, "steps=%d must be >= 1", r.Steps)
 	}
-	if r.T <= 0 || math.IsNaN(r.T) || math.IsInf(r.T, 0) {
-		return Errorf(CodeInvalidArgument, "t=%v must be positive and finite", r.T)
+	if err := validHeatT(r.T); err != nil {
+		return err
 	}
 	return nil
 }

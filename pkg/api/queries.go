@@ -126,8 +126,8 @@ func (r *LocalClusterRequest) Validate() error {
 	if r.Steps < 1 {
 		return Errorf(CodeInvalidArgument, "steps=%d must be >= 1", r.Steps)
 	}
-	if r.T <= 0 || math.IsNaN(r.T) || math.IsInf(r.T, 0) {
-		return Errorf(CodeInvalidArgument, "t=%v must be positive and finite", r.T)
+	if err := validHeatT(r.T); err != nil {
+		return err
 	}
 	return nil
 }
@@ -197,8 +197,8 @@ func (r *DiffuseRequest) Validate() error {
 	if err := validSeeds(r.Seeds); err != nil {
 		return err
 	}
-	if r.T <= 0 || math.IsNaN(r.T) || math.IsInf(r.T, 0) {
-		return Errorf(CodeInvalidArgument, "t=%v must be positive and finite", r.T)
+	if err := validHeatT(r.T); err != nil {
+		return err
 	}
 	if r.Gamma <= 0 || r.Gamma >= 1 {
 		return Errorf(CodeInvalidArgument, "gamma=%v outside (0,1)", r.Gamma)
