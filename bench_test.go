@@ -972,7 +972,7 @@ func BenchmarkHeatKernel(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ws := pool.Get()
-			if _, err := (kernel.HeatKernel{T: tVal, Eps: eps}).Diffuse(gstore.Wrap(g), ws, seeds); err != nil {
+			if _, err := (kernel.HeatKernel{T: tVal, Eps: eps}).DiffuseContext(context.Background(), gstore.Wrap(g), ws, seeds); err != nil {
 				b.Fatal(err)
 			}
 			pool.Put(ws)
@@ -1030,7 +1030,7 @@ func BenchmarkPushBatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := m.method.Diffuse(g, ws, window(i, 1)); err != nil {
+				if _, err := m.method.DiffuseContext(context.Background(), g, ws, window(i, 1)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,8 +1,8 @@
 // Command gengraph generates any of the built-in graph families and
 // writes it as an edge list to stdout or a file. An -out path ending in
 // ".gsnap" writes the binary CSR snapshot format instead, so expensive
-// generations are parsed once and reload in milliseconds (cmd/ncp,
-// cmd/partition and graphd -load all accept .gsnap inputs).
+// generations are parsed once and reload in milliseconds (graphd -load
+// and graphctl graph import accept .gsnap inputs).
 //
 // Usage:
 //

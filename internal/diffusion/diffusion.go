@@ -38,21 +38,6 @@ func SeedVector(n int, seeds []int) ([]float64, error) {
 	return s, nil
 }
 
-// StationaryDistribution returns the random-walk stationary distribution
-// π with π(u) = deg(u)/vol(V).
-func StationaryDistribution(g *graph.Graph) []float64 {
-	n := g.N()
-	pi := make([]float64, n)
-	volume := g.Volume()
-	if volume == 0 {
-		return pi
-	}
-	for u := 0; u < n; u++ {
-		pi[u] = g.Degree(u) / volume
-	}
-	return pi
-}
-
 // LazyWalk evolves the seed distribution for k steps of the lazy random
 // walk W_α = αI + (1−α)AD^{-1} and returns the resulting distribution.
 // k is the aggressiveness parameter: k→∞ converges to the stationary
@@ -125,32 +110,6 @@ func PageRank(g *graph.Graph, seed []float64, gamma float64, opt PageRankOptions
 	return x, fmt.Errorf("%w: PageRank after %d iterations (gamma=%v)", ErrNoConvergence, maxIter, gamma)
 }
 
-// PageRankSteps runs exactly k Richardson iterations of the PageRank
-// fixed point from the seed, the "early stopping" variant used by the
-// experiments.
-func PageRankSteps(g *graph.Graph, seed []float64, gamma float64, k int) ([]float64, error) {
-	if len(seed) != g.N() {
-		return nil, fmt.Errorf("diffusion: seed length %d != %d nodes", len(seed), g.N())
-	}
-	if gamma <= 0 || gamma > 1 {
-		return nil, fmt.Errorf("diffusion: PageRank gamma=%v outside (0,1]", gamma)
-	}
-	if k < 0 {
-		return nil, fmt.Errorf("diffusion: negative step count %d", k)
-	}
-	m := spectral.WalkMatrix(g)
-	x := vec.Clone(seed)
-	y := make([]float64, g.N())
-	for it := 0; it < k; it++ {
-		y = m.MulVec(x, y)
-		for i := range y {
-			y[i] = gamma*seed[i] + (1-gamma)*y[i]
-		}
-		x, y = y, x
-	}
-	return x, nil
-}
-
 // maxHeatT is the largest time HeatKernel evaluates.
 const maxHeatT = 700
 
@@ -210,17 +169,4 @@ func HeatKernel(g *graph.Graph, seed []float64, t float64, opt HeatKernelOptions
 	}
 	vec.Scale(math.Exp(-t), out)
 	return out, fmt.Errorf("%w: HeatKernel series after %d terms (t=%v)", ErrNoConvergence, maxTerms, t)
-}
-
-// Equilibrium measures how far a distribution x is from the stationary
-// distribution π in total variation distance, ½||x − π||₁. A diffusion
-// run "to the limiting value of the aggressiveness parameter" drives this
-// to zero, independent of the seed — the un-regularized regime.
-func Equilibrium(g *graph.Graph, x []float64) float64 {
-	pi := StationaryDistribution(g)
-	var s float64
-	for i := range x {
-		s += math.Abs(x[i] - pi[i])
-	}
-	return s / 2
 }

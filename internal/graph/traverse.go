@@ -69,32 +69,6 @@ func (g *Graph) IsConnected() bool {
 	return c == 1
 }
 
-// LargestComponent returns the node list of the largest connected
-// component (ties broken by lowest label).
-func (g *Graph) LargestComponent() []int {
-	comp, nc := g.ConnectedComponents()
-	if nc == 0 {
-		return nil
-	}
-	sizes := make([]int, nc)
-	for _, c := range comp {
-		sizes[c]++
-	}
-	best := 0
-	for c, s := range sizes {
-		if s > sizes[best] {
-			best = c
-		}
-	}
-	var out []int
-	for u, c := range comp {
-		if c == best {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
 // Subgraph extracts the induced subgraph on the given node list. It
 // returns the subgraph and the mapping from new node index to original
 // node index. Duplicate nodes in the list are an error.

@@ -58,12 +58,13 @@ func parityFingerprint(t *testing.T, g gstore.Graph, seeds []int) string {
 		writeSweep(&sb, "nibble.best", nb.Best)
 	}
 
-	hk, err := local.HeatKernelLocal(g, seeds, 4.0, 2e-4)
+	ws := kernel.NewWorkspace(g.N())
+	hk, err := kernel.HeatKernel{T: 4.0, Eps: 2e-4}.DiffuseContext(context.Background(), g, ws, seeds)
 	if err != nil {
-		t.Fatalf("HeatKernelLocal: %v", err)
+		t.Fatalf("HeatKernel: %v", err)
 	}
 	fmt.Fprintf(&sb, "heat terms=%d maxsupport=%d\n", hk.Terms, hk.MaxSupport)
-	writeSparse(&sb, "heat.dist", hk.Dist)
+	writeSparse(&sb, "heat.dist", local.FromWorkspaceP(ws))
 
 	return sb.String()
 }

@@ -12,9 +12,9 @@ var raceEnabled bool
 
 // TestDiffuseAllocatesNothing locks the "kernel is 0 allocs" claim
 // where it is made instead of leaving it to benchmark output: on a
-// warmed workspace a single-seed Diffuse — validation, seeding, the
-// backend dispatch, the strategy's runner, the OnStep hook — allocates
-// nothing on any backend.
+// warmed workspace a single-seed DiffuseContext — validation, seeding,
+// the backend dispatch, the strategy's runner, the OnStep hook —
+// allocates nothing on any backend.
 func TestDiffuseAllocatesNothing(t *testing.T) {
 	steps := 0
 	methods := map[string]kernel.Diffuser{
@@ -30,13 +30,13 @@ func TestDiffuseAllocatesNothing(t *testing.T) {
 		ws := kernel.NewWorkspace(g.N())
 		for methodName, method := range methods {
 			diffuse := func() {
-				if _, err := method.Diffuse(g, ws, seeds); err != nil {
+				if _, err := method.DiffuseContext(context.Background(), g, ws, seeds); err != nil {
 					t.Fatalf("%s/%s: %v", backendName, methodName, err)
 				}
 			}
 			diffuse() // grow the touched lists and the queue once
 			if allocs := testing.AllocsPerRun(20, diffuse); allocs != 0 {
-				t.Errorf("%s/%s: Diffuse allocates %v times per run, want 0", backendName, methodName, allocs)
+				t.Errorf("%s/%s: DiffuseContext allocates %v times per run, want 0", backendName, methodName, allocs)
 			}
 		}
 	}

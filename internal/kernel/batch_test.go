@@ -129,7 +129,7 @@ func TestBatchMatchesSequential(t *testing.T) {
 					want := make([]string, len(seeds))
 					for i, s := range seeds {
 						ws := pool.Get()
-						st, err := method.Diffuse(g, ws, []int{s})
+						st, err := method.DiffuseContext(context.Background(), g, ws, []int{s})
 						if err != nil {
 							t.Fatalf("sequential Diffuse(seed %d): %v", s, err)
 						}
@@ -398,8 +398,8 @@ func TestUnknownBackendIsAnError(t *testing.T) {
 	pool := kernel.NewPool(g.N())
 	for name, method := range batchMethods() {
 		ws := pool.Get()
-		if _, err := method.Diffuse(g, ws, []int{1}); err == nil || err.Error() != want {
-			t.Errorf("%s: Diffuse = %v, want %q", name, err, want)
+		if _, err := method.DiffuseContext(context.Background(), g, ws, []int{1}); err == nil || err.Error() != want {
+			t.Errorf("%s: DiffuseContext = %v, want %q", name, err, want)
 		}
 		pool.Put(ws)
 		if _, err := (kernel.BatchDiffuser{Method: method}).Run(context.Background(), g, pool, []int{1, 2}, nil); err == nil || err.Error() != want {
@@ -455,7 +455,7 @@ func TestUnitFastPathMatchesWeightedBranch(t *testing.T) {
 			seq, batch = make([]string, len(seeds)), make([]string, len(seeds))
 			for i, s := range seeds {
 				ws := pool.Get()
-				st, err := method.Diffuse(g, ws, []int{s})
+				st, err := method.DiffuseContext(context.Background(), g, ws, []int{s})
 				if err != nil {
 					t.Fatalf("%s: Diffuse(seed %d): %v", name, s, err)
 				}

@@ -27,13 +27,13 @@ type Stats struct {
 }
 
 // Diffuser is one strongly-local diffusion strategy over the shared
-// workspace. After Diffuse returns, the workspace's P plane holds the
-// method's primary output vector (the PPR approximation, the truncated
-// walk distribution, the heat-kernel approximation); PushACL leaves its
-// residual in the R plane. The workspace is Reset at entry, so a pooled
-// workspace needs no cleaning between uses.
+// workspace. After DiffuseContext returns, the workspace's P plane
+// holds the method's primary output vector (the PPR approximation, the
+// truncated walk distribution, the heat-kernel approximation); PushACL
+// leaves its residual in the R plane. The workspace is Reset at entry,
+// so a pooled workspace needs no cleaning between uses.
 //
-// Every Diffuse is the engine's unit of work (batch.go): validate, seed
+// Every diffusion is the engine's unit of work (batch.go): validate, seed
 // the R plane with the seed set, run the strategy's runner on the
 // workspace. The loops run monomorphized over the backend's raw CSR
 // arrays behind one dispatch (csr.go), so the arithmetic — and
@@ -41,9 +41,9 @@ type Stats struct {
 // the heap, compact and mmap backends; a backend the dispatch does not
 // know is an error.
 type Diffuser interface {
-	Diffuse(g gstore.Graph, ws *Workspace, seeds []int) (Stats, error)
-	// DiffuseContext is Diffuse under ctx: once ctx is done the run
-	// stops, between walk steps or within 4096 pushes, with ctx's error.
+	// DiffuseContext runs the diffusion under ctx: once ctx is done the
+	// run stops, between walk steps or within 4096 pushes, with ctx's
+	// error.
 	DiffuseContext(ctx context.Context, g gstore.Graph, ws *Workspace, seeds []int) (Stats, error)
 }
 
@@ -208,13 +208,9 @@ func (d HeatKernel) terms() int {
 	return k
 }
 
-// Diffuse runs the expansion. P holds the heat-kernel approximation; R
-// holds the final Taylor iterate (usually empty after truncation).
-func (d HeatKernel) Diffuse(g gstore.Graph, ws *Workspace, seeds []int) (Stats, error) {
-	return d.DiffuseContext(context.Background(), g, ws, seeds)
-}
-
-// DiffuseContext implements Diffuser.
+// DiffuseContext implements Diffuser: it runs the expansion. P holds
+// the heat-kernel approximation; R holds the final Taylor iterate
+// (usually empty after truncation).
 func (d HeatKernel) DiffuseContext(ctx context.Context, g gstore.Graph, ws *Workspace, seeds []int) (Stats, error) {
 	if err := d.validate(); err != nil {
 		return Stats{}, err

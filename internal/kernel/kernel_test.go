@@ -207,9 +207,9 @@ func TestDiffuserValidation(t *testing.T) {
 		{"seed range", ok, ws, []int{9}, "kernel: seed 9 out of range [0,5)"},
 	}
 	for _, c := range cases {
-		_, err := c.d.Diffuse(g, c.ws, c.seeds)
+		_, err := c.d.DiffuseContext(context.Background(), g, c.ws, c.seeds)
 		if err == nil || err.Error() != c.want {
-			t.Errorf("%s: Diffuse = %v, want %q", c.name, err, c.want)
+			t.Errorf("%s: DiffuseContext = %v, want %q", c.name, err, c.want)
 		}
 		_, err = BatchDiffuser{Method: c.d}.Run(context.Background(), g, pool, c.seeds, nil)
 		if err == nil || err.Error() != c.want {
@@ -233,7 +233,7 @@ func TestDiffuserValidation(t *testing.T) {
 func TestHeatKernelTimeBound(t *testing.T) {
 	g := gstore.Wrap(gen.RingOfCliques(8, 8))
 	ws := NewWorkspace(g.N())
-	if _, err := (HeatKernel{T: maxHeatT, Eps: 1e-9}).Diffuse(g, ws, []int{0}); err != nil {
+	if _, err := (HeatKernel{T: maxHeatT, Eps: 1e-9}).DiffuseContext(context.Background(), g, ws, []int{0}); err != nil {
 		t.Fatal(err)
 	}
 	if s := ws.PSum(); math.Abs(s-1) > 1e-9 {

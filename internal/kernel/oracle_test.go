@@ -361,7 +361,7 @@ func TestEngineMatchesOracle(t *testing.T) {
 							method = nw
 						}
 						ws := pool.Get()
-						st, err := method.Diffuse(g, ws, seeds)
+						st, err := method.DiffuseContext(context.Background(), g, ws, seeds)
 						if err != nil {
 							t.Fatalf("%s: %v", label, err)
 						}

@@ -4,7 +4,7 @@ package fixture
 
 import "os"
 
-// WriteReport creates a plain output file, as the batch CLIs do.
+// WriteReport creates a plain output file, as gengraph and experiments do.
 func WriteReport(path string, data []byte) error {
 	f, err := os.Create(path)
 	if err != nil {

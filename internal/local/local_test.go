@@ -1,6 +1,7 @@
 package local
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/gstore"
+	"repro/internal/kernel"
 	"repro/internal/spectral"
 	"repro/internal/vec"
 )
@@ -277,18 +279,19 @@ func TestNibbleErrors(t *testing.T) {
 func TestHeatKernelLocalApproximatesDense(t *testing.T) {
 	g := gen.RingOfCliques(3, 5)
 	tVal := 3.0
-	res, err := HeatKernelLocal(gstore.Wrap(g), []int{0}, tVal, 1e-9)
-	if err != nil {
+	ws := kernel.NewWorkspace(g.N())
+	if _, err := (kernel.HeatKernel{T: tVal, Eps: 1e-9}).DiffuseContext(context.Background(), gstore.Wrap(g), ws, []int{0}); err != nil {
 		t.Fatal(err)
 	}
+	dist := FromWorkspaceP(ws)
 	// Dense reference: exp(−t(I−W))·s over the lazy walk W.
 	n := g.N()
 	seed := make([]float64, n)
 	seed[0] = 1
 	dense := denseLazyHeatKernel(g, seed, tVal)
 	for u := 0; u < n; u++ {
-		if !almostEq(res.Dist[u], dense[u], 1e-5) {
-			t.Fatalf("node %d: local %v vs dense %v", u, res.Dist[u], dense[u])
+		if !almostEq(dist[u], dense[u], 1e-5) {
+			t.Fatalf("node %d: local %v vs dense %v", u, dist[u], dense[u])
 		}
 	}
 }
@@ -327,19 +330,6 @@ func denseLazyHeatKernel(g *graph.Graph, seed []float64, t float64) []float64 {
 		}
 	}
 	return out
-}
-
-func TestHeatKernelLocalErrors(t *testing.T) {
-	g := gen.Path(5)
-	if _, err := HeatKernelLocal(gstore.Wrap(g), []int{0}, 0, 1e-3); err == nil {
-		t.Fatal("t=0 accepted")
-	}
-	if _, err := HeatKernelLocal(gstore.Wrap(g), []int{0}, 1, 0); err == nil {
-		t.Fatal("eps=0 accepted")
-	}
-	if _, err := HeatKernelLocal(gstore.Wrap(g), nil, 1, 1e-3); err == nil {
-		t.Fatal("empty seeds accepted")
-	}
 }
 
 func TestMOVInterpolatesSeedToFiedler(t *testing.T) {

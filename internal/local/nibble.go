@@ -105,30 +105,3 @@ func NibbleBatch(ctx context.Context, g gstore.Graph, pool *kernel.Pool, seeds [
 	}
 	return sts, best, nil
 }
-
-// HeatKernelResult reports a truncated heat-kernel computation.
-type HeatKernelResult struct {
-	Dist       SparseVec // approximation to e^{-t(I-W)}·s on its support
-	Terms      int       // Taylor terms applied
-	MaxSupport int
-}
-
-// HeatKernelLocal approximates Chung's heat-kernel PageRank [15]
-// exp(−t(I−W))·s with a truncated Taylor expansion over the lazy walk W,
-// zeroing entries below eps·deg(u) after every term — the same
-// truncation-as-regularization design as Nibble, applied to the heat
-// dynamics. The number of terms K is chosen so the series tail is below
-// eps (K grows like t + log(1/eps), independent of n). Runs on a pooled
-// kernel workspace; layers that hold a workspace should run
-// kernel.HeatKernel directly.
-func HeatKernelLocal(g gstore.Graph, seeds []int, t, eps float64) (*HeatKernelResult, error) {
-	ws := kernel.Acquire(g.N())
-	defer kernel.Release(ws)
-	st, err := kernel.HeatKernel{T: t, Eps: eps}.Diffuse(g, ws, seeds)
-	if err != nil {
-		return nil, fmt.Errorf("local: %w", err)
-	}
-	return &HeatKernelResult{
-		Dist: FromWorkspaceP(ws), Terms: st.Terms, MaxSupport: st.MaxSupport,
-	}, nil
-}

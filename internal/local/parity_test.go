@@ -1,6 +1,7 @@
 package local
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -274,15 +275,16 @@ func TestHeatKernelMatchesMapOracle(t *testing.T) {
 		for _, tv := range []float64{0.5, 2, 8} {
 			for _, eps := range []float64{1e-3, 1e-6} {
 				label := fmt.Sprintf("%s t=%g e=%g", name, tv, eps)
-				res, err := HeatKernelLocal(gstore.Wrap(g), []int{1}, tv, eps)
+				ws := kernel.NewWorkspace(g.N())
+				st, err := kernel.HeatKernel{T: tv, Eps: eps}.DiffuseContext(context.Background(), gstore.Wrap(g), ws, []int{1})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
 				out, terms, maxSupport := mapHeatKernel(g, []int{1}, tv, eps)
-				sparseEqualExact(t, label, res.Dist, out)
-				if res.Terms != terms || res.MaxSupport != maxSupport {
+				sparseEqualExact(t, label, FromWorkspaceP(ws), out)
+				if st.Terms != terms || st.MaxSupport != maxSupport {
 					t.Fatalf("%s: (terms,max)=(%d,%d) != oracle (%d,%d)",
-						label, res.Terms, res.MaxSupport, terms, maxSupport)
+						label, st.Terms, st.MaxSupport, terms, maxSupport)
 				}
 			}
 		}

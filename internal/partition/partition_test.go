@@ -94,21 +94,6 @@ func TestSweepCutErrors(t *testing.T) {
 	}
 }
 
-func TestSweepCutPrefixCap(t *testing.T) {
-	g := gen.RingOfCliques(4, 5)
-	emb := make([]float64, g.N())
-	for i := range emb {
-		emb[i] = float64(g.N() - i)
-	}
-	res, err := SweepCutPrefix(g, emb, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Prefix > 5 {
-		t.Fatalf("prefix %d exceeds cap 5", res.Prefix)
-	}
-}
-
 func TestSpectralDumbbell(t *testing.T) {
 	g := gen.Dumbbell(8, 0)
 	res, err := Spectral(g, spectral.FiedlerOptions{})
@@ -182,10 +167,13 @@ func TestMultilevelBeatsRandomCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The crudest baseline: each node joins S with probability 1/2.
 	rng := rand.New(rand.NewSource(1))
-	set, err := RandomCut(g, rng)
-	if err != nil {
-		t.Fatal(err)
+	var set []int
+	for u := 0; u < g.N(); u++ {
+		if rng.Intn(2) == 0 {
+			set = append(set, u)
+		}
 	}
 	phiRandom := g.ConductanceOfSet(set)
 	if res.Conductance >= phiRandom {
@@ -270,13 +258,6 @@ func TestBFSGrowFindsWhisker(t *testing.T) {
 	}
 	if res.Conductance > 0.2 {
 		t.Fatalf("BFS growth from whisker tip φ = %v, expected low", res.Conductance)
-	}
-}
-
-func TestRandomCutErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if _, err := RandomCut(gen.Path(1), rng); err == nil {
-		t.Fatal("single-node graph accepted")
 	}
 }
 

@@ -1,9 +1,7 @@
 package partition
 
 import (
-	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"repro/internal/graph"
@@ -61,28 +59,6 @@ func sortInts(s []int) {
 			s[j-1], s[j] = s[j], s[j-1]
 		}
 	}
-}
-
-// RandomCut returns a uniformly random balanced-ish bipartition, the
-// crudest baseline: each node joins S with probability 1/2 (resampled if
-// degenerate).
-func RandomCut(g *graph.Graph, rng *rand.Rand) ([]int, error) {
-	n := g.N()
-	if n < 2 {
-		return nil, errors.New("partition: RandomCut needs at least 2 nodes")
-	}
-	for tries := 0; tries < 100; tries++ {
-		var set []int
-		for u := 0; u < n; u++ {
-			if rng.Intn(2) == 0 {
-				set = append(set, u)
-			}
-		}
-		if len(set) > 0 && len(set) < n {
-			return smallerSide(g, set), nil
-		}
-	}
-	return nil, errors.New("partition: RandomCut failed to sample a proper cut")
 }
 
 // BFSGrow returns the best sweep cut over the BFS order from the given

@@ -59,23 +59,6 @@ func embeddingOrder(embedding []float64) []int {
 	return order
 }
 
-// SweepCutPrefix is SweepCut restricted to prefixes of at most maxPrefix
-// nodes, used by the locally-biased methods of §3.3 to keep the output
-// near the seed.
-func SweepCutPrefix(g *graph.Graph, embedding []float64, maxPrefix int) (*SweepResult, error) {
-	n := g.N()
-	if len(embedding) != n {
-		return nil, fmt.Errorf("partition: embedding length %d != %d nodes", len(embedding), n)
-	}
-	if maxPrefix < 1 {
-		return nil, fmt.Errorf("partition: maxPrefix=%d must be >= 1", maxPrefix)
-	}
-	if maxPrefix > n-1 {
-		maxPrefix = n - 1
-	}
-	return sweepOverOrder(gstore.Wrap(g), embeddingOrder(embedding), maxPrefix)
-}
-
 // SweepCutOrdered runs the sweep over an explicit node order (e.g. the
 // support of a sparse diffusion vector sorted by probability-per-degree).
 // Only the first maxPrefix prefixes are considered. It accepts any

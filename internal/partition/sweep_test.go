@@ -77,15 +77,4 @@ func TestSweepCutTieBreakDeterministic(t *testing.T) {
 		}
 		prev = u
 	}
-
-	// SweepCutPrefix shares the same ordering contract.
-	pfx, err := SweepCutPrefix(g, flat, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, u := range pfx.Set {
-		if u != i {
-			t.Fatalf("SweepCutPrefix tied set not ascending prefix: set[%d]=%d", i, u)
-		}
-	}
 }

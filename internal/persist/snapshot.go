@@ -253,9 +253,9 @@ func readSnapshotFile(path string) (gstore.Graph, error) {
 
 // ReadGraphFile loads a graph from path, dispatching on the extension:
 // ".gsnap" files decode as binary snapshots, anything else parses as a
-// text edge list (".gz" transparently gunzipped, "" meaning stdin). The
-// batch CLIs share this so expensive generations are parsed once and
-// reloaded in binary form thereafter.
+// text edge list (".gz" transparently gunzipped, "" meaning stdin).
+// graphd -load reads its graphs with it, so a generation gengraph wrote
+// as a snapshot is parsed once and reloaded in binary form thereafter.
 func ReadGraphFile(path string) (*graph.Graph, error) {
 	if filepath.Ext(path) == SnapshotExt {
 		return ReadSnapshotFile(path)

@@ -69,39 +69,6 @@ func TestConnectedSampleFailsOnHopelessNoise(t *testing.T) {
 	}
 }
 
-func TestBayesRiskRegularizationHelps(t *testing.T) {
-	// The headline claim of reference [36]: under edge-sampling noise, a
-	// finite η (a genuinely truncated diffusion) beats the exact Fiedler
-	// estimator. A ring of cliques has a clean population Fiedler
-	// direction, and at q=0.7 the sample's exact eigenvector rotates a
-	// lot while the regularized average does not.
-	population := gen.RingOfCliques(6, 6)
-	rng := rand.New(rand.NewSource(7))
-	etas := []float64{0.5, 1, 2, 5, 10, 50, 200, 1000}
-	res, err := BayesRisk(population, 0.7, etas, 8, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trials != 8 {
-		t.Errorf("trials = %d, want 8", res.Trials)
-	}
-	if res.BestRisk >= res.UnregularizedRisk {
-		t.Errorf("best regularized risk %.4f did not beat unregularized %.4f",
-			res.BestRisk, res.UnregularizedRisk)
-	}
-	if res.Improvement() <= 0 {
-		t.Errorf("improvement = %g, want positive", res.Improvement())
-	}
-	// η→∞ must approach the unregularized estimator: the last, largest η
-	// should be close to the unregularized risk, and markedly worse than
-	// the best.
-	last := res.Curve[len(res.Curve)-1].Risk
-	if math.Abs(last-res.UnregularizedRisk) > 0.25*res.UnregularizedRisk {
-		t.Errorf("eta=1000 risk %.4f should approximate unregularized %.4f",
-			last, res.UnregularizedRisk)
-	}
-}
-
 func TestBayesRiskNoNoiseNoBenefit(t *testing.T) {
 	// At q=1 every sample equals the population, the unregularized
 	// estimator has zero risk, and regularization can only hurt.

@@ -148,12 +148,12 @@ func runFig1Job(ctx context.Context, _ *graph.Graph, raw json.RawMessage) (any, 
 	return &api.Fig1JobResult{
 		Nodes: r.Graph.N(), Edges: r.Graph.M(),
 		SpectralPoints: len(r.Spectral), FlowPoints: len(r.Flow),
-		MedianPhiSpectral: r.MedianPhiSpectral, MedianPhiFlow: r.MedianPhiFlow,
-		MedianPathSpectral: r.MedianPathSpectral, MedianPathFlow: r.MedianPathFlow,
-		MedianRatioSpectral: r.MedianRatioSpectral, MedianRatioFlow: r.MedianRatioFlow,
-		FracFlowWinsPhi:      r.FracFlowWinsPhi,
-		FracSpectralWinsPath: r.FracSpectralWinsNicePth,
-		EnvelopeRatioGeoMean: r.EnvelopeRatioGeoMean,
+		MedianPhiSpectral: api.Float(r.MedianPhiSpectral), MedianPhiFlow: api.Float(r.MedianPhiFlow),
+		MedianPathSpectral: api.Float(r.MedianPathSpectral), MedianPathFlow: api.Float(r.MedianPathFlow),
+		MedianRatioSpectral: api.Float(r.MedianRatioSpectral), MedianRatioFlow: api.Float(r.MedianRatioFlow),
+		FracFlowWinsPhi:      api.Float(r.FracFlowWinsPhi),
+		FracSpectralWinsPath: api.Float(r.FracSpectralWinsNicePth),
+		EnvelopeRatioGeoMean: api.Float(r.EnvelopeRatioGeoMean),
 	}, nil
 }
 

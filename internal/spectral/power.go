@@ -226,9 +226,6 @@ func Fiedler(g *graph.Graph, opt FiedlerOptions) (*FiedlerResult, error) {
 	return out, nil
 }
 
-// Lambda2LowerBoundCheeger returns the Cheeger lower bound λ₂/2 ≤ φ(G).
-func Lambda2LowerBoundCheeger(lambda2 float64) float64 { return lambda2 / 2 }
-
 // Lambda2UpperBoundCheeger returns the Cheeger upper bound
 // φ(G) ≤ √(2 λ₂), the "quadratically good" guarantee of §3.2.
 func Lambda2UpperBoundCheeger(lambda2 float64) float64 {

@@ -2,6 +2,8 @@ package api
 
 import (
 	"encoding/json"
+	"math"
+	"strconv"
 	"time"
 )
 
@@ -208,19 +210,54 @@ func (p *Fig1JobParams) Validate() error {
 }
 
 // Fig1JobResult is the "fig1" job's result payload: the aggregate
-// comparison that summarizes all three panels.
+// comparison that summarizes all three panels. A median is +Inf when
+// most of a method's clusters are disconnected, and NaN when it has no
+// clusters.
 type Fig1JobResult struct {
-	Nodes                int     `json:"nodes"`
-	Edges                int     `json:"edges"`
-	SpectralPoints       int     `json:"spectral_points"`
-	FlowPoints           int     `json:"flow_points"`
-	MedianPhiSpectral    float64 `json:"median_phi_spectral"`
-	MedianPhiFlow        float64 `json:"median_phi_flow"`
-	MedianPathSpectral   float64 `json:"median_path_spectral"`
-	MedianPathFlow       float64 `json:"median_path_flow"`
-	MedianRatioSpectral  float64 `json:"median_ratio_spectral"`
-	MedianRatioFlow      float64 `json:"median_ratio_flow"`
-	FracFlowWinsPhi      float64 `json:"frac_flow_wins_phi"`
-	FracSpectralWinsPath float64 `json:"frac_spectral_wins_path"`
-	EnvelopeRatioGeoMean float64 `json:"envelope_ratio_geomean"`
+	Nodes                int   `json:"nodes"`
+	Edges                int   `json:"edges"`
+	SpectralPoints       int   `json:"spectral_points"`
+	FlowPoints           int   `json:"flow_points"`
+	MedianPhiSpectral    Float `json:"median_phi_spectral"`
+	MedianPhiFlow        Float `json:"median_phi_flow"`
+	MedianPathSpectral   Float `json:"median_path_spectral"`
+	MedianPathFlow       Float `json:"median_path_flow"`
+	MedianRatioSpectral  Float `json:"median_ratio_spectral"`
+	MedianRatioFlow      Float `json:"median_ratio_flow"`
+	FracFlowWinsPhi      Float `json:"frac_flow_wins_phi"`
+	FracSpectralWinsPath Float `json:"frac_spectral_wins_path"`
+	EnvelopeRatioGeoMean Float `json:"envelope_ratio_geomean"`
+}
+
+// Float is a float64 whose JSON form is a number when it is finite and
+// the string "+Inf", "-Inf" or "NaN" when it is not, which a JSON number
+// cannot be.
+type Float float64
+
+// MarshalJSON implements json.Marshaler.
+func (f Float) MarshalJSON() ([]byte, error) {
+	x := float64(f)
+	if math.IsInf(x, 0) || math.IsNaN(x) {
+		return strconv.AppendQuote(nil, strconv.FormatFloat(x, 'g', -1, 64)), nil
+	}
+	return json.Marshal(x)
+}
+
+// UnmarshalJSON implements json.Unmarshaler.
+func (f *Float) UnmarshalJSON(b []byte) error {
+	var x float64
+	if len(b) > 0 && b[0] == '"' {
+		var s string
+		if err := json.Unmarshal(b, &s); err != nil {
+			return err
+		}
+		var err error
+		if x, err = strconv.ParseFloat(s, 64); err != nil {
+			return Errorf(CodeInvalidArgument, "%q is not a number", s)
+		}
+	} else if err := json.Unmarshal(b, &x); err != nil {
+		return err
+	}
+	*f = Float(x)
+	return nil
 }
