@@ -64,9 +64,9 @@ reach:
 
 # fuzz gives the seed corpora a short budget against the binary
 # decoders (snapshots, mapped snapshots, WAL replay, edge lists), the
-# ppr reply codec and the edge-batch request codec (both differentially,
-# against encoding/json), and graphd's request bodies end to end
-# (FuzzAPIDecode: no panic, no 5xx but a deadline, typed errors); CI
+# ppr reply codec and the ppr and edge-batch request codecs (all
+# differentially, against encoding/json), and graphd's request bodies
+# end to end (FuzzAPIDecode: no panic, no 5xx but a deadline, typed errors); CI
 # runs this on every push and on a weekly schedule.
 FUZZTIME ?= 30s
 fuzz:
@@ -76,6 +76,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime $(FUZZTIME) ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzPPRReplyCodec -fuzztime $(FUZZTIME) ./pkg/api
 	$(GO) test -run '^$$' -fuzz FuzzEdgeBatchCodec -fuzztime $(FUZZTIME) ./pkg/api
+	$(GO) test -run '^$$' -fuzz FuzzPPRRequestCodec -fuzztime $(FUZZTIME) ./pkg/api
 	$(GO) test -run '^$$' -fuzz FuzzAPIDecode -fuzztime $(FUZZTIME) ./internal/service
 
 graphd:

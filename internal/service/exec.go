@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -157,10 +156,10 @@ func runFig1Job(ctx context.Context, _ *graph.Graph, raw json.RawMessage) (any, 
 	}, nil
 }
 
-// strictUnmarshal decodes params rejecting unknown fields, so typos in
-// knob names fail the request instead of silently running defaults. A
-// request type with its own DecodeJSON (pkg/api/codec.go) decodes
-// itself, as this decode would.
+// strictUnmarshal decodes params by api.UnmarshalStrict, so typos in
+// knob names and bytes after the value fail the request instead of
+// silently running defaults. A request type with its own DecodeJSON
+// (pkg/api/codec.go) decodes itself, as that decode would.
 func strictUnmarshal(raw json.RawMessage, v any) error {
 	if len(raw) == 0 {
 		return nil
@@ -169,9 +168,7 @@ func strictUnmarshal(raw json.RawMessage, v any) error {
 	if d, ok := v.(interface{ DecodeJSON([]byte) error }); ok {
 		err = d.DecodeJSON(raw)
 	} else {
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		err = dec.Decode(v)
+		err = api.UnmarshalStrict(raw, v)
 	}
 	if err != nil {
 		return fmt.Errorf("params: %w", err)

@@ -68,6 +68,8 @@ func FuzzAPIDecode(f *testing.F) {
 	// A heat time far past the bound, where the dense series overflows
 	// into NaN.
 	f.Add(uint8(4), []byte(`{"kind":"heat","seeds":[0],"t":5e5}`))
+	// A second value after the first, refused rather than ignored.
+	f.Add(uint8(0), []byte(`{"seeds":[1]}{"seeds":[2]}`))
 	edges := uint8(len(fuzzEndpoints) - 1)
 	for _, tc := range appendEdgesCases {
 		f.Add(edges, []byte(tc.body))

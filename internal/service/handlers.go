@@ -20,8 +20,8 @@ import (
 // Every handler here is a thin decode → validate → execute → encode
 // shell: the wire types and their validation live in pkg/api, the
 // execute step in queries.go / exec.go, the caching/dedup/deadline
-// machinery in pipeline.go, and the shared body/deadline/metrics
-// concerns in middleware.go.
+// machinery in pipeline.go, and the shared body/metrics concerns in
+// middleware.go.
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	bi := buildinfo.Get()
@@ -177,7 +177,7 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	s.serveQuery(w, r, query{endpoint: "ppr", params: mustParams(req), compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
+	s.serveQuery(w, r, query{endpoint: "ppr", params: pprParams(&req), compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
 		return execPPR(ctx, q.g, q.pool, req)
 	}})
 }
@@ -190,8 +190,8 @@ func (s *Server) handlePPRBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	twin := api.PPRRequest{Seeds: []int{0}, Alpha: req.Alpha, Eps: req.Eps, TopK: req.TopK, Sweep: req.Sweep}
-	s.serveQuery(w, r, query{endpoint: "ppr:batch", params: mustParams(req), batch: &seedBatch{
-		seeds: req.Seeds, endpoint: "ppr", twin: mustParams(twin), run: (*pprSeeds)(&twin), method: "push-batch",
+	s.serveQuery(w, r, query{endpoint: "ppr:batch", params: pprParams((*api.PPRRequest)(&req)), batch: &seedBatch{
+		seeds: req.Seeds, endpoint: "ppr", twin: pprParams(&twin), run: (*pprSeeds)(&twin), method: "push-batch",
 	}})
 }
 

@@ -150,6 +150,13 @@ func mustParams(req any) []byte {
 	return out
 }
 
+// pprParams is mustParams for a ppr or ppr:batch request by its own
+// encoder, without reflection; a decoded request's floats always encode.
+func pprParams(req *api.PPRRequest) []byte {
+	params, _ := req.AppendJSON(make([]byte, 0, 64+8*len(req.Seeds)))
+	return params
+}
+
 // capReader errors (rather than reporting EOF) once more than
 // `remaining` bytes have been read, failing oversized streams loudly.
 type capReader struct {

@@ -11,9 +11,9 @@ import (
 
 // The server's shared HTTP stack is telemetry → MaxBytes → router, so
 // every handler runs with a capped body, and every response carries a
-// request ID and is counted (and optionally logged) on the way out.
-// Behind the router the synchronous query routes, the only ones that
-// wait on a context, add withDeadline.
+// request ID and is counted (and optionally logged) on the way out. The
+// per-request query deadline is no layer: the pipeline arms it only for
+// a query that waits (pipeline.go).
 
 // withMaxBytes caps every request body at the configured limit. JSON
 // decoding and edge-list ingestion both read through this cap, so no
@@ -32,17 +32,6 @@ func (s *Server) withMaxBytes(next http.Handler) http.Handler {
 		}
 		next.ServeHTTP(w, r)
 	})
-}
-
-// withDeadline attaches the resolved per-request deadline (the
-// configured default, overridable within limits by ?timeout_ms=) to the
-// request context, where the query pipeline's wait observes it.
-func (s *Server) withDeadline(next http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		ctx, cancel := context.WithTimeout(r.Context(), s.queryTimeout(r))
-		defer cancel()
-		next(w, r.WithContext(ctx))
-	}
 }
 
 // requestIDHeader is honored inbound (when sane) and always set on the

@@ -168,19 +168,24 @@ func (s *Server) resolve(r *http.Request, name string, q query) (a answer, err e
 	misses := s.cache.probe(slots, true)
 	a.outcome = "hit"
 	opened := false
+	ctx := r.Context() // a hit never waits on it: only a miss arms the deadline
 	if misses > 0 {
+		timeout := s.queryTimeout(r)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
 		// An already-expired request never starts a computation.
-		if err := r.Context().Err(); err != nil {
+		if err := ctx.Err(); err != nil {
 			return a, err
 		}
 		nb := &batch{query: q, view: queryView{g: g, id: id, pool: pool}, debugWork: debugWork && sb == nil,
-			budget: max(s.cfg.QueryTimeout, s.queryTimeout(r)), done: make(chan struct{})}
+			budget: max(s.cfg.QueryTimeout, timeout), done: make(chan struct{})}
 		if sb != nil {
 			// An out-of-range seed fails the batch before any flight
 			// opens, with the kernel's words (alone, it never emits).
 			for _, seed := range sb.seeds {
 				if seed >= g.N() {
-					return a, sb.run.runSeeds(r.Context(), nb.view, []int{seed}, false, nil)
+					return a, sb.run.runSeeds(ctx, nb.view, []int{seed}, false, nil)
 				}
 			}
 		}
@@ -189,18 +194,18 @@ func (s *Server) resolve(r *http.Request, name string, q query) (a answer, err e
 		}
 		a.outcome = "shared"
 	}
-	// Each caller enforces its own deadline (attached to r.Context() by
-	// withDeadline) while waiting; the flights are detached from every
-	// client's connection, so they outlive a waiter that gives up and
-	// their results are cached even if all of them have. A batch fails
-	// with its lowest-index failing seed, named if its input is at fault.
+	// Each caller enforces its own deadline (ctx) while waiting; the
+	// flights are detached from every client's connection, so they
+	// outlive a waiter that gives up and their results are cached even
+	// if all of them have. A batch fails with its lowest-index failing
+	// seed, named if its input is at fault.
 	agg := api.WorkStats{}
 	for i := range slots {
 		sl := &slots[i]
 		if f := sl.f; f != nil {
 			select {
-			case <-r.Context().Done():
-				return a, r.Context().Err()
+			case <-ctx.Done():
+				return a, ctx.Err()
 			case <-f.batch.done:
 			}
 			if err := f.err; err != nil {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -34,7 +35,7 @@ var daemons = []struct {
 func pprQuery(seed int, compute func(ctx context.Context, q queryView) (any, error)) query {
 	req := api.PPRRequest{Seeds: []int{seed}}
 	req.Normalize()
-	return query{endpoint: "ppr", params: mustParams(req),
+	return query{endpoint: "ppr", params: pprParams(&req),
 		compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
 			v, err := compute(ctx, q)
 			return v, nil, err
@@ -423,12 +424,17 @@ func (x *reusedExchange) serve(h http.Handler) {
 	h.ServeHTTP(x, x.req)
 }
 
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
 // TestCacheHitAllocations locks the request path's floor: a ppr answered
 // from the LRU, through the whole middleware stack with telemetry on,
 // allocates at most 50 times (81 before the key stopped being re-parsed
-// JSON and the query string stopped being parsed three times). What is
-// left is decoding the request (encoding/json), the key, the header
-// values and the request's context copies.
+// JSON and the query string stopped being parsed three times; 19 since
+// the request is decoded and keyed without reflection and a hit arms no
+// deadline, which TestPPRHitAllocs locks). What is left is the request's
+// seeds and key, the header values, the routing and the request's
+// context copy.
 func TestCacheHitAllocations(t *testing.T) {
 	srv, _, _ := testServer(t, Config{})
 	payload, err := json.Marshal(api.PPRRequest{Seeds: []int{3}})
@@ -452,4 +458,48 @@ func TestCacheHitAllocations(t *testing.T) {
 		t.Fatalf("a cache hit allocates %v times, want at most 50", allocs)
 	}
 	t.Logf("a cache hit allocates %v times", allocs)
+}
+
+// TestPPRHitAllocs locks the allocations of a warmed ppr hit and of a
+// ppr:batch whose seeds all hit, served through srv.Handler() into an
+// httptest.ResponseRecorder (its few allocations, and the test's own
+// body reader's, count too). The
+// bounds are the counts measured when the request side stopped using
+// reflection (the body's decode and the cache key's encode; 44 and 55
+// before) and stopped arming a deadline no hit waits on: either coming
+// back fails here.
+func TestPPRHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool does not retain buffers under the race detector")
+	}
+	srv, _, _ := testServer(t, Config{})
+	h := srv.Handler()
+	for _, tc := range []struct {
+		path, body string
+		max        float64
+	}{
+		{"/v1/graphs/ring/ppr", `{"seeds":[3],"alpha":0.15,"eps":0.0001,"topk":100}`, 29},
+		{"/v1/graphs/ring/ppr:batch", `{"seeds":[3,5,9,3],"alpha":0.15,"eps":0.0001,"topk":100}`, 37},
+	} {
+		var body bytes.Reader
+		req := httptest.NewRequest("POST", tc.path, nil)
+		req.Header.Set("Content-Type", "application/json")
+		serve := func() *httptest.ResponseRecorder {
+			body.Reset([]byte(tc.body))
+			req.Body = io.NopCloser(&body)
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, req)
+			return w
+		}
+		want := serve().Body.String() // the misses that fill the cache
+		var w *httptest.ResponseRecorder
+		allocs := testing.AllocsPerRun(200, func() { w = serve() })
+		if w.Code != http.StatusOK || w.Header().Get("X-Graphd-Cache") != "hit" || w.Body.String() != want {
+			t.Fatalf("%s: status %d, cache %q, body %q; want a hit repeating %q", tc.path, w.Code, w.Header().Get("X-Graphd-Cache"), w.Body, want)
+		}
+		if allocs > tc.max {
+			t.Errorf("%s: a hit allocates %v times, want at most %v", tc.path, allocs, tc.max)
+		}
+		t.Logf("%s: a hit allocates %v times", tc.path, allocs)
+	}
 }

@@ -204,13 +204,13 @@ func (s *Server) routes() *http.ServeMux {
 	mux.HandleFunc("POST /v1/graphs/{name}/edges", s.handleAppendEdges)
 	mux.HandleFunc("POST /v1/graphs/{name}/seal", s.handleSeal)
 
-	mux.HandleFunc("GET /v1/graphs/{name}/stats", s.withDeadline(s.handleStats))
-	mux.HandleFunc("POST /v1/graphs/{name}/ppr", s.withDeadline(s.handlePPR))
-	mux.HandleFunc("POST /v1/graphs/{name}/ppr:batch", s.withDeadline(s.handlePPRBatch))
-	mux.HandleFunc("POST /v1/graphs/{name}/localcluster", s.withDeadline(s.handleLocalCluster))
-	mux.HandleFunc("POST /v1/graphs/{name}/localcluster:batch", s.withDeadline(s.handleLocalClusterBatch))
-	mux.HandleFunc("POST /v1/graphs/{name}/diffuse", s.withDeadline(s.handleDiffuse))
-	mux.HandleFunc("POST /v1/graphs/{name}/sweepcut", s.withDeadline(s.handleSweepCut))
+	mux.HandleFunc("GET /v1/graphs/{name}/stats", s.handleStats)
+	mux.HandleFunc("POST /v1/graphs/{name}/ppr", s.handlePPR)
+	mux.HandleFunc("POST /v1/graphs/{name}/ppr:batch", s.handlePPRBatch)
+	mux.HandleFunc("POST /v1/graphs/{name}/localcluster", s.handleLocalCluster)
+	mux.HandleFunc("POST /v1/graphs/{name}/localcluster:batch", s.handleLocalClusterBatch)
+	mux.HandleFunc("POST /v1/graphs/{name}/diffuse", s.handleDiffuse)
+	mux.HandleFunc("POST /v1/graphs/{name}/sweepcut", s.handleSweepCut)
 
 	mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)
 	mux.HandleFunc("GET /v1/jobs", s.handleJobList)

@@ -478,16 +478,21 @@ func TestQueryBadRequests(t *testing.T) {
 	}
 
 	// Deliberately malformed wire payloads (the SDK cannot produce these)
-	// still come back as coded envelopes.
+	// still come back as coded envelopes. A body is one JSON value: bytes
+	// or a second value after it are refused, not ignored.
 	for _, tc := range []struct {
-		name, body string
-		code       api.ErrorCode
+		name, path, body string
+		code             api.ErrorCode
 	}{
-		{"invalid json", `{"seeds":`, api.CodeInvalidArgument},
-		{"unknown field", `{"seedz":[0]}`, api.CodeInvalidArgument},
+		{"invalid json", "ppr", `{"seeds":`, api.CodeInvalidArgument},
+		{"unknown field", "ppr", `{"seedz":[0]}`, api.CodeInvalidArgument},
+		{"trailing bytes", "ppr", `{"seeds":[1]} junk`, api.CodeInvalidArgument},
+		{"second value", "ppr", `{"seeds":[1]}{"seeds":[2]}`, api.CodeInvalidArgument},
+		{"batch second value", "ppr:batch", `{"seeds":[1],"alpha":0.15,"eps":0.0001}{"seeds":[2]}`, api.CodeInvalidArgument},
+		{"cluster trailing bytes", "localcluster", `{"seeds":[1]}]`, api.CodeInvalidArgument},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Post(ts.URL+"/v1/graphs/ring/ppr", "application/json", strings.NewReader(tc.body))
+			resp, err := http.Post(ts.URL+"/v1/graphs/ring/"+tc.path, "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -746,11 +751,21 @@ func TestNCPJobEndToEndAndDeterminism(t *testing.T) {
 }
 
 func TestJobListAndBadRequests(t *testing.T) {
-	_, _, c := testServer(t, Config{})
+	_, ts, c := testServer(t, Config{})
 	_, err := c.Jobs.Submit(ctx(), api.JobSubmitRequest{Type: "nope", Graph: "ring"})
 	wantAPIErr(t, err, api.CodeInvalidArgument)
 	_, err = c.Jobs.Submit(ctx(), api.JobSubmitRequest{Type: "ncp", Graph: "ghost"})
 	wantAPIErr(t, err, api.CodeNotFound)
+	// A submit body with bytes after its value is refused, not run.
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"type":"ncp","graph":"ring"} {"type":"fig1"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := `{"error":{"code":"invalid_argument","message":"params: invalid character '{' after top-level value"}}` + "\n"; resp.StatusCode != http.StatusBadRequest || string(body) != want {
+		t.Fatalf("submit with a second value: %d %s, want 400 %s", resp.StatusCode, body, want)
+	}
 
 	// Bad algorithm params fail the job, not the submit.
 	req, err := api.NewJob("ncp", "ring", &api.NCPJobParams{Method: "sideways"})

@@ -25,7 +25,8 @@ var appendEdgesCases = []struct {
 	{"zero weight", `{"edges":[{"u":0,"v":1,"w":0}]}`, 200, `{"appended":1}`},
 	{"explicit weights", `{"edges":[{"u":0,"v":1,"w":1},{"u":0,"v":2,"w":1e-3}]}`, 200, `{"appended":2}`},
 	{"other casing", `{"EDGES":[{"U":0,"V":3}]}`, 200, `{"appended":1}`},
-	{"trailing garbage", `{"edges":[{"u":0,"v":1}]}garbage`, 200, `{"appended":1}`},
+	{"trailing garbage", `{"edges":[{"u":0,"v":1}]}garbage`, 400, invalidReply(`params: invalid character 'g' after top-level value`)},
+	{"second value", `{"edges":[{"u":0,"v":1}]} {"edges":[]}`, 400, invalidReply(`params: invalid character '{' after top-level value`)},
 	{"unknown field", `{"edges":[{"u":0,"v":1,"x":1}]}`, 400, invalidReply(`params: json: unknown field \"x\"`)},
 	{"unknown top-level field", `{"edges":[{"u":0,"v":1}],"nodes":4}`, 400, invalidReply(`params: json: unknown field \"nodes\"`)},
 	{"float endpoint", `{"edges":[{"u":0.5,"v":1}]}`, 400, invalidReply(`params: json: cannot unmarshal number 0.5 into Go struct field StreamEdge.edges.u of type int`)},
@@ -45,9 +46,10 @@ var appendEdgesCases = []struct {
 
 // TestAppendEdgesWireContract pins what POST /v1/graphs/{name}/edges
 // answers to bodies the SDK never sends: the status and the exact reply
-// bytes, errors included, are those of the reflection decode the edge
-// codec replaced. No body yields a 5xx, and a refused batch leaves the
-// stream's edge count where it was.
+// bytes, errors included, are those of the strict library decode, which
+// refuses bytes after the value in json.Unmarshal's words. No body
+// yields a 5xx, and a refused batch leaves the stream's edge count where
+// it was.
 func TestAppendEdgesWireContract(t *testing.T) {
 	srv, ts, c := testServer(t, Config{})
 	if _, err := c.Graphs.Stream(ctx(), "s", 4); err != nil {

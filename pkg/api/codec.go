@@ -116,10 +116,83 @@ func (r *PPRBatchResponse) DecodeJSON(data []byte) error {
 	return nil
 }
 
-// An edge batch is the one request whose size grows with the data, so
-// EdgeBatchRequest has the same pair of methods, under the request side's
-// contract: its DecodeJSON falls back to the strict decode graphd applies
-// to every request body, which refuses unknown members.
+// The requests graphd sees most, ppr and ppr:batch, and the one whose
+// size grows with the data, the edge batch, have the same pair of
+// methods under the request side's contract: DecodeJSON falls back to
+// UnmarshalStrict, the decode graphd applies to every request body.
+
+// UnmarshalStrict decodes one JSON value from data into v, refusing
+// unknown members, so a typo'd knob fails instead of silently running a
+// default; after the value only white space may follow, so a second
+// value or stray bytes fail too, in json.Unmarshal's words.
+func UnmarshalStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) == 0 {
+		return nil
+	}
+	// The value before them is valid, so the library's check of the whole
+	// body fails at the first stray byte.
+	return json.Unmarshal(data, new(struct{}))
+}
+
+// AppendJSON appends the bytes json.Marshal(r) returns to dst. A NaN or
+// infinite alpha or eps is the library's *json.UnsupportedValueError,
+// and what was appended is then not a request; a decoded request's are
+// always finite.
+func (r *PPRRequest) AppendJSON(dst []byte) ([]byte, error) {
+	e := encoder{b: dst}
+	e.ints(`{"seeds":`, r.Seeds)
+	e.float(`,"alpha":`, r.Alpha)
+	e.float(`,"eps":`, r.Eps)
+	e.omitZero(`,"topk":`, r.TopK)
+	if r.Sweep {
+		e.lit(`,"sweep":true`)
+	}
+	return e.finish()
+}
+
+// AppendJSON is PPRRequest.AppendJSON for the batch request, whose
+// members are the same.
+func (r *PPRBatchRequest) AppendJSON(dst []byte) ([]byte, error) {
+	return (*PPRRequest)(r).AppendJSON(dst)
+}
+
+// DecodeJSON decodes a request body into r as UnmarshalStrict(data)
+// into a zero PPRRequest does: directly when data has AppendJSON's
+// shape, else by that decode.
+func (r *PPRRequest) DecodeJSON(data []byte) error { return decodePPRRequest(data, r, r) }
+
+// DecodeJSON is PPRRequest.DecodeJSON for the batch request; a body it
+// falls back on decodes as a PPRBatchRequest, whose name the library's
+// errors carry.
+func (r *PPRBatchRequest) DecodeJSON(data []byte) error {
+	return decodePPRRequest(data, (*PPRRequest)(r), r)
+}
+
+// decodePPRRequest reads AppendJSON's shape into into, or gives data to
+// the strict decode into v, which is into as its own type. AppendJSON
+// never writes a zero topk, so an explicit one falls back too.
+func decodePPRRequest(data []byte, into *PPRRequest, v any) error {
+	d := decoder{b: data}
+	req := PPRRequest{Seeds: d.ints(`{"seeds":`)}
+	req.Alpha = d.float(`,"alpha":`)
+	req.Eps = d.float(`,"eps":`)
+	if d.opt(`,"topk":`) {
+		req.TopK = d.int(``)
+		d.bad = d.bad || req.TopK == 0
+	}
+	req.Sweep = d.opt(`,"sweep":true`)
+	if d.finish() {
+		*into = req
+		return nil
+	}
+	*into = PPRRequest{}
+	return UnmarshalStrict(data, v)
+}
 
 // AppendJSON appends the bytes json.Marshal(r) returns to dst: "w" only
 // when the weight is not zero, as its omitempty tag says. A NaN or
@@ -144,11 +217,10 @@ func (r *EdgeBatchRequest) AppendJSON(dst []byte) ([]byte, error) {
 	return e.finish()
 }
 
-// DecodeJSON decodes a request body into r as the strict decode of data
-// (one value, unknown members refused) into an EdgeBatchRequest without
-// edges does: directly when data has AppendJSON's shape, else by that
-// decode. Either way the edges land in r.Edges' array when it has room,
-// each written whole.
+// DecodeJSON decodes a request body into r as UnmarshalStrict(data) into
+// an EdgeBatchRequest without edges does: directly when data has
+// AppendJSON's shape, else by that decode. Either way the edges land in
+// r.Edges' array when it has room, each written whole.
 func (r *EdgeBatchRequest) DecodeJSON(data []byte) error {
 	d := decoder{b: data}
 	var edges []StreamEdge
@@ -176,9 +248,7 @@ func (r *EdgeBatchRequest) DecodeJSON(data []byte) error {
 	// keeping the members the body omits, so no slot may hold an old edge.
 	clear(r.Edges[:cap(r.Edges)])
 	r.Edges = r.Edges[:0]
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	return dec.Decode(r)
+	return UnmarshalStrict(data, r)
 }
 
 // isPlain reports whether every byte of s stands for itself inside a
@@ -230,6 +300,21 @@ func (e *encoder) closeArray() {
 }
 
 func (e *encoder) finish() ([]byte, error) { return append(e.b, '}'), e.err }
+
+// ints writes key and s as an array of numbers, or null.
+func (e *encoder) ints(key string, s []int) {
+	e.lit(key)
+	if s == nil {
+		e.lit(`null`)
+		return
+	}
+	e.lit(`[`)
+	for _, v := range s {
+		e.int(``, v)
+		e.lit(`,`)
+	}
+	e.closeArray()
+}
 
 // str writes key and s as a JSON string, escaped as encoding/json
 // escapes it.
@@ -283,16 +368,7 @@ func (e *encoder) pprFields(support int, sum float64, pushes int, workVolume flo
 	if sweep == nil {
 		return
 	}
-	if sweep.Set == nil {
-		e.lit(`,"sweep":{"set":null`)
-	} else {
-		e.lit(`,"sweep":{"set":[`)
-		for _, u := range sweep.Set {
-			e.int(``, u)
-			e.lit(`,`)
-		}
-		e.closeArray()
-	}
+	e.ints(`,"sweep":{"set":`, sweep.Set)
 	e.int(`,"size":`, sweep.Size)
 	e.float(`,"conductance":`, sweep.Conductance)
 	e.int(`,"prefix":`, sweep.Prefix)
@@ -419,6 +495,20 @@ func (d *decoder) elems(sep string, flat bool) int {
 	return bytes.Count(span, []byte(sep)) + 1
 }
 
+// ints reads what encoder.ints writes.
+func (d *decoder) ints(key string) []int {
+	d.lit(key)
+	if d.opt(`null`) {
+		return nil
+	}
+	d.lit(`[`)
+	s := room[int](d, `,`, true)
+	for more := !d.opt(`]`); more; more = d.next() {
+		s = append(s, d.int(``))
+	}
+	return s
+}
+
 // room returns an empty slice with room for the array elements ahead.
 func room[T any](d *decoder, sep string, flat bool) []T {
 	if d.bad {
@@ -438,13 +528,10 @@ func (d *decoder) pprFields(support *int, sum *float64, pushes *int, workVolume 
 		*top = append(*top, NodeMass{Node: d.int(`{"node":`), Mass: d.float(`,"mass":`)})
 		d.lit(`}`)
 	}
-	if !d.opt(`,"sweep":{"set":[`) {
+	if !d.opt(`,"sweep":`) {
 		return
 	}
-	s := &SweepInfo{Set: room[int](d, `,`, true)}
-	for more := !d.opt(`]`); more; more = d.next() {
-		s.Set = append(s.Set, d.int(``))
-	}
+	s := &SweepInfo{Set: d.ints(`{"set":`)}
 	s.Size = d.int(`,"size":`)
 	s.Conductance = d.float(`,"conductance":`)
 	s.Prefix = d.int(`,"prefix":`)

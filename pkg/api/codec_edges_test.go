@@ -1,23 +1,12 @@
 package api
 
 import (
-	"bytes"
 	"encoding/json"
 	"math"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
 )
-
-// strictDecode is the reference for EdgeBatchRequest.DecodeJSON: the
-// decode graphd applies to every request body, one value with unknown
-// members refused.
-func strictDecode(data []byte, v any) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
 
 // checkEdgeEncode asserts AppendJSON agrees with json.Marshal on r (on a
 // hook-free copy of the type): the same bytes after what dst held, or
@@ -33,22 +22,16 @@ func checkEdgeEncode(t testing.TB, r *EdgeBatchRequest) []byte {
 	return want
 }
 
-// checkEdgeDecode asserts DecodeJSON agrees with the strict decode on
-// data: the same error text, or equal requests. Into a used value whose
-// array holds stale edges it must decode the same edges, none of them
-// merged with what the array held.
+// checkEdgeDecode asserts DecodeJSON agrees with UnmarshalStrict, the
+// decode graphd applies to every request body, on data: the same error
+// text, or equal requests. Into a used value whose array holds stale
+// edges it must decode the same edges, none of them merged with what the
+// array held.
 func checkEdgeDecode(t testing.TB, data []byte) {
 	t.Helper()
 	var got, want EdgeBatchRequest
-	err, wantErr := got.DecodeJSON(data), strictDecode(data, &want)
-	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
-		t.Fatalf("DecodeJSON(%q) error %v, the strict decode says %v", data, err, wantErr)
-	}
-	a, _ := json.Marshal(got)
-	b, _ := json.Marshal(want)
-	if !reflect.DeepEqual(got, want) || !bytes.Equal(a, b) {
-		t.Fatalf("DecodeJSON(%q):\n%s\nthe strict decode:\n%s", data, a, b)
-	}
+	err, wantErr := got.DecodeJSON(data), UnmarshalStrict(data, &want)
+	sameDecode(t, "UnmarshalStrict", data, err, wantErr, got, want)
 	stale := slices.Repeat([]StreamEdge{{U: 7, V: 8, W: 9}}, 4)
 	used := EdgeBatchRequest{Edges: stale[:1]}
 	if err := used.DecodeJSON(data); (err == nil) != (wantErr == nil) || !slices.Equal(used.Edges, want.Edges) {
@@ -81,10 +64,10 @@ func TestEdgeBatchCodec(t *testing.T) {
 
 // TestEdgeBatchFallback feeds the decoder what the SDK does not send.
 // What the strict decode tolerates must decode as it does (white space,
-// other key order, an explicit zero weight, odd casing, duplicates,
-// trailing bytes after the one value it reads); what it refuses must
-// fail with its words (an unknown member, a float or overflowing
-// endpoint, a weight out of range, broken JSON).
+// other key order, an explicit zero weight, odd casing, duplicates);
+// what it refuses must fail with its words (an unknown member, a float
+// or overflowing endpoint, a weight out of range, bytes or a second
+// value after the first, broken JSON).
 func TestEdgeBatchFallback(t *testing.T) {
 	for _, data := range []string{
 		`{"edges":[{"u":0,"v":1},{"u":1,"v":2,"w":0.5}]}`,

@@ -14,18 +14,20 @@ import (
 )
 
 // The encoder's reference is encoding/json on types that have the
-// replies' fields and tags but none of their methods, so no later hook
-// on the real types can make the codec its own oracle. The decoder's
-// reference has to be the real types, whose names the library's errors
-// carry; TestCodecIsNotHooked keeps them hook-free.
+// wire types' fields and tags but none of their methods, so no later
+// hook on the real types can make the codec its own oracle. The
+// decoder's reference has to be the real types, whose names the
+// library's errors carry; TestCodecIsNotHooked keeps them hook-free.
 type (
-	plainResponse      PPRResponse
-	plainBatchResponse PPRBatchResponse
-	plainEdgeBatch     EdgeBatchRequest
+	plainResponse        PPRResponse
+	plainBatchResponse   PPRBatchResponse
+	plainEdgeBatch       EdgeBatchRequest
+	plainPPRRequest      PPRRequest
+	plainPPRBatchRequest PPRBatchRequest
 )
 
 func TestCodecIsNotHooked(t *testing.T) {
-	for _, v := range []any{&PPRResponse{}, &PPRBatchResponse{}, &PPRBatchResult{}, &NodeMass{}, &SweepInfo{}, &WorkStats{}, &EdgeBatchRequest{}, &StreamEdge{}} {
+	for _, v := range []any{&PPRResponse{}, &PPRBatchResponse{}, &PPRBatchResult{}, &NodeMass{}, &SweepInfo{}, &WorkStats{}, &EdgeBatchRequest{}, &StreamEdge{}, &PPRRequest{}, &PPRBatchRequest{}} {
 		if _, ok := v.(json.Unmarshaler); ok {
 			t.Errorf("%T implements json.Unmarshaler: json.Unmarshal no longer is the reference", v)
 		}
@@ -173,21 +175,24 @@ func checkDecode(t testing.TB, data []byte) {
 	t.Helper()
 	var got, want PPRResponse
 	err, wantErr := got.DecodeJSON(data), json.Unmarshal(data, &want)
-	sameDecode(t, data, err, wantErr, got, want)
+	sameDecode(t, "json.Unmarshal", data, err, wantErr, got, want)
 	var gotB, wantB PPRBatchResponse
 	err, wantErr = gotB.DecodeJSON(data), json.Unmarshal(data, &wantB)
-	sameDecode(t, data, err, wantErr, gotB, wantB)
+	sameDecode(t, "json.Unmarshal", data, err, wantErr, gotB, wantB)
 }
 
-func sameDecode(t testing.TB, data []byte, err, wantErr error, got, want any) {
+// sameDecode asserts DecodeJSON agrees with its reference decode, named
+// ref, on data: the same error text, or values that are DeepEqual and
+// marshal to the same bytes.
+func sameDecode(t testing.TB, ref string, data []byte, err, wantErr error, got, want any) {
 	t.Helper()
 	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
-		t.Fatalf("DecodeJSON(%q) error %v, json.Unmarshal says %v", data, err, wantErr)
+		t.Fatalf("DecodeJSON(%q) error %v, %s says %v", data, err, ref, wantErr)
 	}
 	a, _ := json.Marshal(got)
 	b, _ := json.Marshal(want)
 	if !reflect.DeepEqual(got, want) || !bytes.Equal(a, b) {
-		t.Fatalf("DecodeJSON(%q):\n%s\njson.Unmarshal:\n%s", data, a, b)
+		t.Fatalf("DecodeJSON(%q):\n%s\n%s:\n%s", data, a, ref, b)
 	}
 }
 
@@ -316,7 +321,7 @@ func TestCodecFallback(t *testing.T) {
 func TestDecodeIntoUsedValue(t *testing.T) {
 	body := checkEncode(t, sampleReply(1, false, false))
 	got, want := *sampleReply(2, true, true), *sampleReply(2, true, true)
-	sameDecode(t, body, got.DecodeJSON(body), json.Unmarshal(body, &want), got, want)
+	sameDecode(t, "json.Unmarshal", body, got.DecodeJSON(body), json.Unmarshal(body, &want), got, want)
 	if got.Sweep == nil || got.Work == nil || len(got.Top) != 1 {
 		t.Fatalf("decoded into a used value: %+v", got)
 	}

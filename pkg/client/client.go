@@ -166,10 +166,10 @@ func (c *Client) queryValues() url.Values {
 
 // doJSON encodes in (when non-nil), performs the call with retries, and
 // decodes the response into out (when non-nil). A request with its own
-// encoder (an edge batch) is encoded by it into a pooled buffer, any
-// other by json.Marshal; a reply with its own decoder (the ppr replies)
-// is read into a pooled buffer, since that decoder keeps no byte of it,
-// and any other is decoded by json.Unmarshal.
+// encoder (an edge batch, a ppr request) is encoded by it (see
+// encodeBody), any other by json.Marshal; a reply with its own decoder
+// (the ppr replies) is read into a pooled buffer, since that decoder
+// keeps no byte of it, and any other is decoded by json.Unmarshal.
 func (c *Client) doJSON(ctx context.Context, method, path string, q url.Values, in, out any) error {
 	var body *requestBody
 	contentType := ""
@@ -217,6 +217,13 @@ var (
 // edge batch does not pin its size afterwards.
 const maxKeptBody = 1 << 20
 
+// maxCopiedBody is the largest encoded body sent from a copy instead of
+// its pooled buffer: net/http writes the headers and a *bytes.Reader
+// body together, but flushes the headers alone before a body of any
+// other type, which costs a small request a second write. Up to its
+// default 4 kB write buffer, the copy is the cheaper of the two.
+const maxCopiedBody = 4 << 10
+
 // requestBody is what a call sends, replayed from data on every attempt.
 // The transport may still be reading a request's body after the call
 // has returned, and closes it when it is done, so a body encoded into a
@@ -228,25 +235,31 @@ type requestBody struct {
 	refs atomic.Int32 // the call's reference and one per open reader
 }
 
-// encodeBody encodes in with its own AppendJSON when it has one, else
-// with json.Marshal.
+// encodeBody encodes in with its own AppendJSON when it has one, into a
+// pooled buffer that a body over maxCopiedBody is sent from, else with
+// json.Marshal.
 func encodeBody(in any) (*requestBody, error) {
 	a, direct := in.(interface{ AppendJSON([]byte) ([]byte, error) })
 	if !direct {
 		data, err := json.Marshal(in)
 		return &requestBody{data: data}, err
 	}
-	b := &requestBody{buf: bodyScratch.Get().(*[]byte)}
-	b.refs.Store(1)
-	data, err := a.AppendJSON((*b.buf)[:0])
+	buf := bodyScratch.Get().(*[]byte)
+	data, err := a.AppendJSON((*buf)[:0])
 	if cap(data) <= maxKeptBody {
-		*b.buf = data
+		*buf = data
 	}
-	b.data = data
 	if err != nil {
-		b.release()
+		bodyScratch.Put(buf)
 		return nil, err
 	}
+	if len(data) <= maxCopiedBody {
+		b := &requestBody{data: bytes.Clone(data)}
+		bodyScratch.Put(buf)
+		return b, nil
+	}
+	b := &requestBody{data: data, buf: buf}
+	b.refs.Store(1)
 	return b, nil
 }
 

@@ -489,10 +489,11 @@ func TestEdgeBatchBodies(t *testing.T) {
 	}
 }
 
-// TestPooledRequestBody: a pooled request buffer is not reused while a
-// reader the transport opened over it is still open, even after the
-// call let go, and after one oversized batch the pool keeps no buffer
-// over maxKeptBody.
+// TestPooledRequestBody: a body up to maxCopiedBody is sent from a copy;
+// a larger one's pooled buffer is not reused while a reader the
+// transport opened over it is still open, even after the call let go;
+// and after one oversized batch the pool keeps no buffer over
+// maxKeptBody.
 func TestPooledRequestBody(t *testing.T) {
 	// One P and no collection: the pool's puts land where this
 	// goroutine's gets look, and stay there.
@@ -506,11 +507,19 @@ func TestPooledRequestBody(t *testing.T) {
 		}
 		return b
 	}
-	first := encode([]api.StreamEdge{{U: 1, V: 2}})
+	if small := encode([]api.StreamEdge{{U: 1, V: 2}}); small.buf != nil {
+		t.Fatalf("a %d-byte body is sent from the pool", len(small.data))
+	}
+	pooled := make([]api.StreamEdge, maxCopiedBody/8) // 14 bytes an edge
+	first := encode(pooled)
+	if first.buf == nil {
+		t.Fatalf("a %d-byte body is sent from a copy", len(first.data))
+	}
 	want := string(first.data)
 	r := first.open()
 	first.release()
-	second := encode([]api.StreamEdge{{U: 3, V: 4, W: 5}})
+	pooled[0] = api.StreamEdge{U: 3, V: 4, W: 5}
+	second := encode(pooled)
 	if got, _ := io.ReadAll(r); string(got) != want {
 		t.Fatalf("an open reader read %s, the call sent %s", got, want)
 	}
