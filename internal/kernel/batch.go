@@ -176,15 +176,17 @@ func (r *rows[P, A, W]) pushQueue(d PushACL, ws *Workspace, st *Stats) (paused b
 		}
 		spread := (1 - d.Alpha) * ru / 2
 		// Ranging over row subslices (not indexing adj[lo:hi] in place)
-		// lets the compiler drop the per-edge bounds checks.
+		// lets the compiler drop the per-edge bounds checks. A queued
+		// neighbour is skipped before its degree is loaded: the push
+		// would be a no-op, so only the cache miss is saved.
 		lo, hi := int(r.rowPtr[u]), int(r.rowPtr[u+1])
 		if len(r.wts) == 0 {
 			share := spread / du
 			for _, a := range r.adj[lo:hi] {
 				v := int(a)
-				rv := ws.r.get(v) + share
-				ws.r.set(v, rv)
-				if rv >= d.Eps*deg[v] {
+				c := ws.r.touch(v)
+				c.val += share
+				if c.inQ != ws.r.epoch && c.val >= d.Eps*deg[v] {
 					ws.q.push(v)
 				}
 			}
@@ -192,9 +194,9 @@ func (r *rows[P, A, W]) pushQueue(d PushACL, ws *Workspace, st *Stats) (paused b
 			row, wrow := r.adj[lo:hi], r.wts[lo:hi]
 			for k, a := range row {
 				v := int(a)
-				rv := ws.r.get(v) + spread*float64(wrow[k])/du
-				ws.r.set(v, rv)
-				if rv >= d.Eps*deg[v] {
+				c := ws.r.touch(v)
+				c.val += spread * float64(wrow[k]) / du
+				if c.inQ != ws.r.epoch && c.val >= d.Eps*deg[v] {
 					ws.q.push(v)
 				}
 			}
@@ -229,7 +231,7 @@ func (d NibbleWalk) run(ctx context.Context, g gstore.Graph, ws *Workspace, st *
 	}
 	// Mirror the final distribution into the output plane.
 	for _, u := range ws.r.list {
-		ws.p.add(u, ws.r.val[u])
+		ws.p.add(u, ws.r.c[u].val)
 	}
 	return nil
 }
@@ -238,7 +240,7 @@ func (d HeatKernel) run(ctx context.Context, g gstore.Graph, ws *Workspace, st *
 	terms := d.terms()
 	weight := math.Exp(-d.T)
 	for _, u := range ws.r.list {
-		ws.p.add(u, weight*ws.r.val[u])
+		ws.p.add(u, weight*ws.r.c[u].val)
 	}
 	for kk := 1; kk <= terms && len(ws.r.list) > 0; kk++ {
 		if err := ctx.Err(); err != nil {
@@ -249,7 +251,7 @@ func (d HeatKernel) run(ctx context.Context, g gstore.Graph, ws *Workspace, st *
 		}
 		weight *= d.T / float64(kk)
 		for _, u := range ws.r.list {
-			ws.p.add(u, weight*ws.r.val[u])
+			ws.p.add(u, weight*ws.r.c[u].val)
 		}
 		st.MaxSupport = max(st.MaxSupport, len(ws.r.list))
 		st.Terms = kk
@@ -262,12 +264,15 @@ func (d HeatKernel) run(ctx context.Context, g gstore.Graph, ws *Workspace, st *
 // scratch plane, then truncate below eps·deg — the regularization step
 // — swap the result into R and sort its touched list.
 func (r *rows[P, A, W]) walkStep(ws *Workspace, eps float64) {
+	if ws.s.c == nil {
+		ws.s.init(ws.n) // the first walk step this workspace takes
+	}
 	ws.s.reset()
 	rowPtr, adj, wts, deg := r.rowPtr, r.adj, r.wts, r.deg
 	unit := len(wts) == 0
 	for _, u := range ws.r.list {
 		du := deg[u]
-		mass := ws.r.val[u]
+		mass := ws.r.c[u].val
 		if du == 0 {
 			ws.s.add(u, mass)
 			continue
@@ -290,7 +295,7 @@ func (r *rows[P, A, W]) walkStep(ws *Workspace, eps float64) {
 	// dropped entries so a later touch re-adds them.
 	live := ws.s.list[:0]
 	for _, u := range ws.s.list {
-		if ws.s.val[u] < eps*deg[u] {
+		if ws.s.c[u].val < eps*deg[u] {
 			ws.s.kill(u)
 			continue
 		}

@@ -59,8 +59,8 @@ type op struct {
 	ws     *Workspace
 	st     *Stats
 	eps    float64
-	// opSweepScan: the membership plane, the order prefix, the visitor.
-	inS   *plane
+	// opSweepScan: the membership set, the order prefix, the visitor.
+	inS   []uint64
 	order []sweepPair
 	visit SweepVisit
 }

@@ -51,9 +51,16 @@ func TestWorkspacePlaneBasics(t *testing.T) {
 
 func TestWorkspaceKillThenRetouch(t *testing.T) {
 	ws := NewWorkspace(4)
+	if ws.s.c != nil {
+		t.Fatal("a new workspace allocated the walk's scratch plane")
+	}
+	ws.s.init(ws.N()) // as the first walk step does
 	ws.s.add(2, 0.5)
 	ws.s.kill(2)
 	ws.s.list = ws.s.list[:0] // caller-side compaction, as walkStep does
+	if c := ws.s.c[2]; c.stamp != 0 || c.val != 0.5 {
+		t.Fatalf("killed record = %+v, want stamp 0 and the stale value kept", c)
+	}
 	if got := ws.s.get(2); got != 0 {
 		t.Fatalf("killed entry reads %v, want 0", got)
 	}
@@ -92,26 +99,52 @@ func TestWorkspaceEpochWraparound(t *testing.T) {
 	// Force the uint32 epoch to wrap; the entry from before the wrap
 	// must not read as live once the epochs collide again.
 	ws.p.epoch = ^uint32(0) - 1
-	ws.p.stamp[1] = ws.p.epoch // keep the entry live at the pre-wrap epoch
-	ws.p.reset()               // -> max uint32
-	ws.p.reset()               // wraps: stamps cleared, epoch back to 1
+	ws.p.c[1].stamp = ws.p.epoch // keep the entry live at the pre-wrap epoch
+	ws.p.reset()                 // -> max uint32
+	ws.p.reset()                 // wraps: records cleared, epoch back to 1
 	if ws.p.epoch != 1 {
 		t.Fatalf("post-wrap epoch = %d, want 1", ws.p.epoch)
 	}
 	if got := ws.p.get(1); got != 0 {
 		t.Fatalf("entry survived epoch wraparound: %v", got)
 	}
-	// Queue wraps the same way.
-	ws.q.push(2)
-	ws.q.epoch = ^uint32(0)
-	ws.q.inQ[3] = ws.q.epoch
-	ws.q.reset()
-	if ws.q.epoch != 1 {
-		t.Fatalf("queue post-wrap epoch = %d, want 1", ws.q.epoch)
+	// Queue marks live in the records of whichever plane is R, and a
+	// walk step swaps R with the scratch plane, so marks left behind (a
+	// push stopped mid-queue) can sit in either. Each plane's wrap must
+	// clear the marks in its own records.
+	ws.s.init(ws.N())
+	ws.q.push(2)            // marked in R's record
+	ws.r, ws.s = ws.s, ws.r // as walkStep swaps
+	ws.q.push(3)            // marked in the other plane's record
+	for _, pl := range []*plane{&ws.r, &ws.s} {
+		pl.epoch = ^uint32(0)
+		for u := range pl.c {
+			if pl.c[u].inQ != 0 {
+				pl.c[u].inQ = pl.epoch // queued at the pre-wrap epoch
+			}
+		}
 	}
-	ws.q.push(3) // must not be treated as already queued
-	if u, ok := ws.q.pop(); !ok || u != 3 {
-		t.Fatalf("pop after wrap = (%d,%v), want (3,true)", u, ok)
+	ws.Reset() // wraps both planes and empties the queue buffer
+	for name, pl := range map[string]*plane{"residual": &ws.r, "scratch": &ws.s} {
+		if pl.epoch != 1 {
+			t.Fatalf("%s post-wrap epoch = %d, want 1", name, pl.epoch)
+		}
+		for u, c := range pl.c {
+			if c.inQ != 0 || c.stamp != 0 {
+				t.Fatalf("%s record %d = %+v after the wrap, want no stamp and no mark", name, u, c)
+			}
+		}
+	}
+	for range 2 {
+		ws.q.push(3) // must not be treated as already queued
+		ws.q.push(2)
+		if u, ok := ws.q.pop(); !ok || u != 3 {
+			t.Fatalf("pop after wrap = (%d,%v), want (3,true)", u, ok)
+		}
+		if u, ok := ws.q.pop(); !ok || u != 2 {
+			t.Fatalf("pop after wrap = (%d,%v), want (2,true)", u, ok)
+		}
+		ws.r, ws.s = ws.s, ws.r // and again on the other plane's records
 	}
 }
 

@@ -1,80 +1,89 @@
 // Package kernel is the shared compute core of every strongly-local
 // diffusion in this repository (§3.3 of the paper): an epoch-stamped
-// indexed sparse workspace — dense scratch arrays plus touched-node
+// indexed sparse workspace — dense per-node records plus touched-node
 // lists, reset in O(touched) — and the Diffuser strategies (ACL push,
 // Spielman–Teng Nibble, the heat-kernel variant) that run on it.
 //
 // The legacy implementations kept sparse vectors as map[int]float64,
 // paying a hash and an allocation per touched node in the innermost
 // loop and iterating in randomized order. The workspace replaces the
-// map with dense value arrays indexed by node id, validity tracked by
-// an epoch counter per entry: an entry is live iff its stamp equals the
-// plane's current epoch, so clearing the whole vector is a single
-// epoch increment plus truncating the touched list — O(support), never
-// O(n). Node ordering is deterministic everywhere (FIFO push order,
+// map with a dense array of 16-byte records indexed by node id — the
+// value, an epoch stamp, and the push queue's mark in what would be
+// padding — so the push reads everything it needs of a neighbour on
+// one cache line. An entry is live iff its stamp equals the plane's
+// current epoch, so clearing the whole vector is a single epoch
+// increment plus truncating the touched list — O(support), never O(n).
+// Node ordering is deterministic everywhere (FIFO push order,
 // ascending-id walk steps), so results are reproducible bit-for-bit.
 //
 // Workspaces are sized to one graph's node count and meant to be
 // reused: a Pool (sync.Pool keyed per graph size) hands them out so
-// steady-state serving allocates nothing on the hot path.
+// steady-state serving allocates nothing on the hot path. A workspace
+// holds 32 bytes per node until it first runs a walk, which allocates
+// the walk's scratch plane (48 bytes per node from then on), plus an
+// n-bit set for the sweep.
 package kernel
 
 import "sort"
 
+// cell is one node's record in a plane: its value, its epoch stamp,
+// and the push queue's mark. The mark fills what would be the stamp's
+// padding, so a push reads and writes a neighbour's residual, its
+// liveness and its queue membership on one cache line.
+type cell struct {
+	val   float64
+	stamp uint32
+	inQ   uint32
+}
+
 // plane is one epoch-stamped sparse vector over nodes 0..n-1. An entry
-// u is live iff stamp[u] == epoch; list holds the live ids in the order
-// they were first touched. Dead entries keep stale values — readers
-// must check the stamp (get does).
+// u is live iff c[u].stamp == epoch; list holds the live ids in the
+// order they were first touched. Dead entries keep stale values —
+// readers must check the stamp (get does).
 type plane struct {
-	val   []float64
-	stamp []uint32
+	c     []cell
 	epoch uint32
 	list  []int
 }
 
 func (pl *plane) init(n int) {
-	pl.val = make([]float64, n)
-	pl.stamp = make([]uint32, n)
+	pl.c = make([]cell, n)
 	pl.epoch = 1
 	pl.list = pl.list[:0]
 }
 
 // reset clears the vector in O(touched): bump the epoch, drop the list.
-// On the (rare) uint32 wraparound every stamp is zeroed so no stale
-// entry from 2^32 resets ago can appear live.
+// On the (rare) uint32 wraparound every record is zeroed, stamps and
+// queue marks alike, so nothing from 2^32 resets ago can appear live or
+// queued.
 func (pl *plane) reset() {
 	pl.list = pl.list[:0]
 	pl.epoch++
 	if pl.epoch == 0 {
-		for i := range pl.stamp {
-			pl.stamp[i] = 0
-		}
+		clear(pl.c)
 		pl.epoch = 1
 	}
 }
 
-// touch makes u live with value 0 if it is not live already.
-func (pl *plane) touch(u int) {
-	if pl.stamp[u] != pl.epoch {
-		pl.stamp[u] = pl.epoch
-		pl.val[u] = 0
+// touch makes u live with value 0 if it is not live already and
+// returns its record.
+func (pl *plane) touch(u int) *cell {
+	c := &pl.c[u]
+	if c.stamp != pl.epoch {
+		c.stamp = pl.epoch
+		c.val = 0
 		pl.list = append(pl.list, u)
 	}
+	return c
 }
 
-func (pl *plane) add(u int, x float64) {
-	pl.touch(u)
-	pl.val[u] += x
-}
+func (pl *plane) add(u int, x float64) { pl.touch(u).val += x }
 
-func (pl *plane) set(u int, x float64) {
-	pl.touch(u)
-	pl.val[u] = x
-}
+func (pl *plane) set(u int, x float64) { pl.touch(u).val = x }
 
 func (pl *plane) get(u int) float64 {
-	if pl.stamp[u] == pl.epoch {
-		return pl.val[u]
+	if c := &pl.c[u]; c.stamp == pl.epoch {
+		return c.val
 	}
 	return 0
 }
@@ -84,7 +93,7 @@ func (pl *plane) get(u int) float64 {
 // kernels rebuild the list during truncation). A killed entry re-added
 // later goes through touch and rejoins the list.
 func (pl *plane) kill(u int) {
-	pl.stamp[u] = 0
+	pl.c[u].stamp = 0
 }
 
 // sortList orders the touched list ascending by node id, the canonical
@@ -93,35 +102,21 @@ func (pl *plane) sortList() {
 	sort.Ints(pl.list)
 }
 
-// fifo is an intrusive FIFO work queue with epoch-stamped membership:
-// pushing an already-queued node is a no-op, exactly the inQueue map of
-// the legacy push implementation without the map.
+// fifo is an intrusive FIFO work queue with membership marked in the
+// records of the workspace's R plane: u is queued iff its inQ equals
+// R's epoch, so pushing an already-queued node is a no-op — the
+// inQueue map of the legacy push implementation without the map — and
+// R's reset un-queues everything with its stamps. pop writes 0, which
+// no live epoch ever is.
 type fifo struct {
 	buf  []int
 	head int
-	inQ  []uint32
-	// epoch is shared with the queue's owner via reset; 0 marks
-	// "not queued" (no live epoch is ever 0).
-	epoch uint32
-}
-
-func (q *fifo) init(n int) {
-	q.buf = q.buf[:0]
-	q.head = 0
-	q.inQ = make([]uint32, n)
-	q.epoch = 1
+	res  *plane // always &Workspace.r, whichever records the swaps left there
 }
 
 func (q *fifo) reset() {
 	q.buf = q.buf[:0]
 	q.head = 0
-	q.epoch++
-	if q.epoch == 0 {
-		for i := range q.inQ {
-			q.inQ[i] = 0
-		}
-		q.epoch = 1
-	}
 }
 
 // push enqueues u unless it is already queued. At most n nodes are
@@ -129,10 +124,11 @@ func (q *fifo) reset() {
 // live tail to the front instead of growing: a push run of any length
 // keeps the buffer O(n).
 func (q *fifo) push(u int) {
-	if q.inQ[u] == q.epoch {
+	c := &q.res.c[u]
+	if c.inQ == q.res.epoch {
 		return
 	}
-	q.inQ[u] = q.epoch
+	c.inQ = q.res.epoch
 	if len(q.buf) == cap(q.buf) && q.head > len(q.buf)/2 {
 		q.buf = q.buf[:copy(q.buf, q.buf[q.head:])]
 		q.head = 0
@@ -147,32 +143,35 @@ func (q *fifo) pop() (int, bool) {
 	}
 	u := q.buf[q.head]
 	q.head++
-	q.inQ[u] = 0
+	q.res.c[u].inQ = 0
 	return u, true
 }
 
 // Workspace is the reusable scratch state for one diffusion on one
 // graph: the P plane holds the method's primary output, the R plane the
 // push residual (or the live walk distribution mid-flight), the s plane
-// is the walk kernels' step target, and q is the push work queue. sweep
-// is the scratch of the sweep over a finished plane (sweep.go): the
-// support as sorted (value, node) pairs. All state resets in
-// O(touched); a Workspace is not safe for concurrent use, but is safe
-// to reuse serially forever.
+// is the walk kernels' step target, and q is the push work queue. s is
+// allocated by the first walk step, so a workspace that only ever
+// pushes holds two records, 32 bytes, per node (48 once it has walked).
+// The rest is sweep scratch (sweep.go): the support as sorted (value,
+// node) pairs, the radix sort's second buffer, and inS, the n-bit
+// prefix-membership set of a scan. All state resets in O(touched); a
+// Workspace is not safe for concurrent use, but is safe to reuse
+// serially forever.
 type Workspace struct {
-	n       int
-	p, r, s plane
-	q       fifo
-	sweep   []sweepPair
+	n          int
+	p, r, s    plane
+	q          fifo
+	inS        []uint64
+	sweep, tmp []sweepPair
 }
 
 // NewWorkspace allocates a workspace for graphs with n nodes.
 func NewWorkspace(n int) *Workspace {
-	ws := &Workspace{n: n}
+	ws := &Workspace{n: n, inS: make([]uint64, (n+63)/64)}
 	ws.p.init(n)
 	ws.r.init(n)
-	ws.s.init(n)
-	ws.q.init(n)
+	ws.q.res = &ws.r
 	return ws
 }
 
@@ -191,7 +190,7 @@ func (ws *Workspace) Reset() {
 // order the nodes were first touched (deterministic for a given run).
 func (ws *Workspace) ForEachP(fn func(u int, x float64)) {
 	for _, u := range ws.p.list {
-		if x := ws.p.val[u]; x != 0 {
+		if x := ws.p.c[u].val; x != 0 {
 			fn(u, x)
 		}
 	}
@@ -200,7 +199,7 @@ func (ws *Workspace) ForEachP(fn func(u int, x float64)) {
 // ForEachR is ForEachP for the residual plane.
 func (ws *Workspace) ForEachR(fn func(u int, x float64)) {
 	for _, u := range ws.r.list {
-		if x := ws.r.val[u]; x != 0 {
+		if x := ws.r.c[u].val; x != 0 {
 			fn(u, x)
 		}
 	}
@@ -210,7 +209,7 @@ func (ws *Workspace) ForEachR(fn func(u int, x float64)) {
 func (ws *Workspace) PSupport() int {
 	n := 0
 	for _, u := range ws.p.list {
-		if ws.p.val[u] != 0 {
+		if ws.p.c[u].val != 0 {
 			n++
 		}
 	}
@@ -221,7 +220,7 @@ func (ws *Workspace) PSupport() int {
 func (ws *Workspace) PSum() float64 {
 	var s float64
 	for _, u := range ws.p.list {
-		s += ws.p.val[u]
+		s += ws.p.c[u].val
 	}
 	return s
 }
