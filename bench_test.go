@@ -313,14 +313,16 @@ func BenchmarkSec33LocalRuntime(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		cg := gstore.Wrap(g)
+		ws := kernel.NewWorkspace(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var work float64
 			for i := 0; i < b.N; i++ {
-				pr, err := local.ApproxPageRank(gstore.Wrap(g), []int{n / 2}, 0.1, 1e-4)
+				st, err := kernel.PushACL{Alpha: 0.1, Eps: 1e-4}.Diffuse(cg, ws, []int{n / 2})
 				if err != nil {
 					b.Fatal(err)
 				}
-				work = pr.WorkVolume
+				work = st.WorkVolume
 			}
 			b.Logf("sec3.3 locality: n=%d push work volume %.0f (should not grow with n)", n, work)
 		})
@@ -409,13 +411,13 @@ func BenchmarkAblationMaxFlow(b *testing.B) {
 // regularization knob of §3.3 — and reports the work/support tradeoff.
 func BenchmarkAblationPushEps(b *testing.B) {
 	setup(b)
-	g := fixtures.fig1Graph
+	g := gstore.Wrap(fixtures.fig1Graph)
 	for _, eps := range []float64{1e-3, 1e-4, 1e-5} {
 		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
 			var work float64
 			var support int
 			for i := 0; i < b.N; i++ {
-				pr, err := local.ApproxPageRank(gstore.Wrap(g), []int{17}, 0.1, eps)
+				pr, err := local.ApproxPageRank(g, []int{17}, 0.1, eps)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -823,7 +825,7 @@ func BenchmarkPushMap(b *testing.B) {
 // O(touched), no allocation in the inner loop. The acceptance bar is
 // ≥2x fewer allocs/op and lower ns/op than BenchmarkPushMap.
 func BenchmarkPushIndexed(b *testing.B) {
-	g := ncpBenchGraph(b)
+	g := gstore.Wrap(ncpBenchGraph(b))
 	seed := []int{g.N() / 2}
 	pool := kernel.NewPool(g.N())
 	pool.Put(pool.Get()) // pre-warm one workspace
@@ -832,7 +834,7 @@ func BenchmarkPushIndexed(b *testing.B) {
 	var support int
 	for i := 0; i < b.N; i++ {
 		ws := pool.Get()
-		if _, err := (kernel.PushACL{Alpha: 0.1, Eps: 1e-4}).Diffuse(gstore.Wrap(g), ws, seed); err != nil {
+		if _, err := (kernel.PushACL{Alpha: 0.1, Eps: 1e-4}).Diffuse(g, ws, seed); err != nil {
 			b.Fatal(err)
 		}
 		support = ws.PSupport()
@@ -862,14 +864,12 @@ func BenchmarkSweepWorkspace(b *testing.B) {
 	if err := persist.WriteSnapshotFile(path, g); err != nil {
 		b.Fatal(err)
 	}
-	for _, kind := range []gstore.Kind{gstore.KindHeap, gstore.KindCompact, gstore.KindMmap} {
+	for _, kind := range []gstore.Kind{gstore.KindCompact, gstore.KindMmap} {
 		b.Run(string(kind), func(b *testing.B) {
 			// Open each backend from the snapshot, the way graphd's
 			// recovery path would.
 			var bg gstore.Graph
 			switch kind {
-			case gstore.KindHeap:
-				bg = gstore.Wrap(g)
 			case gstore.KindCompact:
 				bg, err = persist.ReadCompactFile(path)
 			case gstore.KindMmap:
@@ -925,6 +925,7 @@ func BenchmarkNibble(b *testing.B) {
 		}
 	})
 	b.Run("indexed", func(b *testing.B) {
+		cg := gstore.Wrap(g)
 		pool := kernel.NewPool(g.N())
 		pool.Put(pool.Get())
 		b.ReportAllocs()
@@ -934,7 +935,7 @@ func BenchmarkNibble(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ws := pool.Get()
-			if _, err := (kernel.NibbleWalk{Eps: eps, Steps: steps}).Diffuse(gstore.Wrap(g), ws, seeds); err != nil {
+			if _, err := (kernel.NibbleWalk{Eps: eps, Steps: steps}).Diffuse(cg, ws, seeds); err != nil {
 				b.Fatal(err)
 			}
 			pool.Put(ws)
@@ -964,6 +965,7 @@ func BenchmarkHeatKernel(b *testing.B) {
 		}
 	})
 	b.Run("indexed", func(b *testing.B) {
+		cg := gstore.Wrap(g)
 		pool := kernel.NewPool(g.N())
 		pool.Put(pool.Get())
 		b.ReportAllocs()
@@ -972,7 +974,7 @@ func BenchmarkHeatKernel(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ws := pool.Get()
-			if _, err := (kernel.HeatKernel{T: tVal, Eps: eps}).DiffuseContext(context.Background(), gstore.Wrap(g), ws, seeds); err != nil {
+			if _, err := (kernel.HeatKernel{T: tVal, Eps: eps}).DiffuseContext(context.Background(), cg, ws, seeds); err != nil {
 				b.Fatal(err)
 			}
 			pool.Put(ws)

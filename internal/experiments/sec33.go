@@ -41,13 +41,14 @@ func Sec33LocalRuntime(seed int64) ([]Sec33LocalityRow, error) {
 			return nil, fmt.Errorf("experiments: sec3.3 generator n=%d: %w", n, err)
 		}
 		const alpha, eps = 0.1, 1e-4
+		cg := gstore.Wrap(g)
 		t0 := time.Now()
-		pr, err := local.ApproxPageRank(gstore.Wrap(g), []int{17}, alpha, eps)
+		pr, err := local.ApproxPageRank(cg, []int{17}, alpha, eps)
 		if err != nil {
 			return nil, err
 		}
 		pushDur := time.Since(t0)
-		nb, err := local.Nibble(gstore.Wrap(g), []int{17}, eps, 25)
+		nb, err := local.Nibble(cg, []int{17}, eps, 25)
 		if err != nil {
 			return nil, err
 		}
@@ -106,6 +107,7 @@ func Sec33LocalCheeger(seed int64) ([]Sec33CheegerRow, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: sec3.3 planted graph: %w", err)
 	}
+	cg := gstore.Wrap(g)
 	var rows []Sec33CheegerRow
 	for trial := 0; trial < 6; trial++ {
 		s := rng.Intn(g.N())
@@ -115,11 +117,11 @@ func Sec33LocalCheeger(seed int64) ([]Sec33CheegerRow, error) {
 			blockNodes[i] = block*blockN + i
 		}
 		phiPlanted := g.ConductanceOfSet(blockNodes)
-		pr, err := local.ApproxPageRank(gstore.Wrap(g), []int{s}, 0.03, 2e-6)
+		pr, err := local.ApproxPageRank(cg, []int{s}, 0.03, 2e-6)
 		if err != nil {
 			return nil, err
 		}
-		sw, err := local.SweepCut(gstore.Wrap(g), pr.P)
+		sw, err := local.SweepCut(cg, pr.P)
 		if err != nil {
 			return nil, err
 		}

@@ -51,14 +51,11 @@ func oracleBuild(n int, us, vs []int, ws []float64) (*Graph, error) {
 		i = j
 	}
 	es = merged
-	g := &Graph{n: n, rowPtr: make([]int, n+1), deg: make([]float64, n), edges: len(es), unit: true}
+	g := &Graph{n: n, rowPtr: make([]int, n+1), deg: make([]float64, n), edges: len(es)}
 	counts := make([]int, n)
 	for _, e := range es {
 		counts[e.u]++
 		counts[e.v]++
-		if e.w != 1 {
-			g.unit = false
-		}
 	}
 	for i := 0; i < n; i++ {
 		g.rowPtr[i+1] = g.rowPtr[i] + counts[i]
@@ -94,7 +91,7 @@ func sameGraph(t *testing.T, what string, a, b *Graph) {
 		}
 		return out
 	}
-	if a.n != b.n || a.edges != b.edges || a.unit != b.unit ||
+	if a.n != b.n || a.edges != b.edges ||
 		!slices.Equal(a.rowPtr, b.rowPtr) || !slices.Equal(a.adj, b.adj) ||
 		!slices.Equal(bits(a.w), bits(b.w)) || !slices.Equal(bits(a.deg), bits(b.deg)) ||
 		math.Float64bits(a.volume) != math.Float64bits(b.volume) {

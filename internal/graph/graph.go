@@ -27,7 +27,6 @@ type Graph struct {
 	deg    []float64 // weighted degree of each node
 	volume float64   // sum of all weighted degrees = 2 * total edge weight
 	edges  int       // number of undirected edges
-	unit   bool      // every stored weight is exactly 1.0 (see UnitWeights)
 }
 
 // Builder accumulates edges and produces an immutable Graph.
@@ -116,12 +115,11 @@ func (b *Builder) Build() (*Graph, error) {
 	// rowPtr[x+1] first counts row x. The prefix sum makes rowPtr[x] row
 	// x's start, which then serves as its fill cursor and so ends at row
 	// x's end; one shift puts every start back.
-	g := &Graph{n: n, rowPtr: make([]int, n+1), deg: make([]float64, n), edges: len(es), unit: true}
+	g := &Graph{n: n, rowPtr: make([]int, n+1), deg: make([]float64, n), edges: len(es)}
 	rowPtr := g.rowPtr
 	for _, e := range es {
 		rowPtr[e.u+1]++
 		rowPtr[e.v+1]++
-		g.unit = g.unit && e.w == 1
 	}
 	for i := 0; i < n; i++ {
 		rowPtr[i+1] += rowPtr[i]
@@ -156,17 +154,17 @@ func (b *Builder) Build() (*Graph, error) {
 // The returned slices are NOT copies: they alias the graph's internal
 // storage — every call returns views of the same backing arrays, and
 // Neighbors hands out sub-slices of the same adj/w arrays. That is the
-// point: the diffusion kernels (internal/kernel/csr.go) run their
-// monomorphized inner loops directly over these arrays with zero
-// per-query copying, and the snapshot writer streams them to disk
-// unchanged. The flip side is a strict read-only contract: writing
-// through any of the three slices corrupts the graph for every holder
-// (and for a future mmap-backed Compact, writing through the analogous
-// accessors is a SIGSEGV). graphlint's nomutate analyzer enforces the
-// same discipline for gstore accessors; TestCSRAliasesInternalStorage
-// pins the aliasing itself so a defensive copy cannot sneak in and
-// silently change the cost model. This is the encoding surface of the
-// binary snapshot format (internal/persist); FromCSR is its inverse.
+// point: the snapshot writer and gstore.NewCompact read them with no
+// copy on the way, and the dense algorithms walk Neighbors' rows in
+// place. (The diffusion kernels do not: they run on the compact form,
+// whose uint32 arrays NewCompact fills from these.) The flip side is a strict
+// read-only contract: writing through any of the three slices corrupts
+// the graph for every holder. graphlint's nomutate analyzer enforces
+// that, and the same discipline for gstore accessors, where a mapped
+// graph makes a write a SIGSEGV; TestCSRAliasesInternalStorage pins the
+// aliasing itself so a defensive copy cannot sneak in and silently
+// change the cost model. This is the encoding surface of the binary
+// snapshot format (internal/persist); FromCSR is its inverse.
 func (g *Graph) CSR() (rowPtr, adj []int, w []float64) {
 	return g.rowPtr, g.adj, g.w
 }
@@ -202,7 +200,7 @@ func FromCSR(rowPtr, adj []int, w []float64) (*Graph, error) {
 	if len(adj)%2 != 0 {
 		return nil, fmt.Errorf("graph: FromCSR: odd entry count %d cannot be symmetric", len(adj))
 	}
-	g := &Graph{n: n, rowPtr: rowPtr, adj: adj, w: w, deg: make([]float64, n), edges: len(adj) / 2, unit: true}
+	g := &Graph{n: n, rowPtr: rowPtr, adj: adj, w: w, deg: make([]float64, n), edges: len(adj) / 2}
 	pairs := 0
 	for u := 0; u < n; u++ {
 		prev := -1
@@ -221,9 +219,6 @@ func FromCSR(rowPtr, adj []int, w []float64) (*Graph, error) {
 			wt := w[k]
 			if wt <= 0 || math.IsNaN(wt) || math.IsInf(wt, 0) {
 				return nil, fmt.Errorf("graph: FromCSR: edge (%d,%d) has invalid weight %v", u, v, wt)
-			}
-			if wt != 1 {
-				g.unit = false
 			}
 			g.deg[u] += wt
 			if u < v {
@@ -260,12 +255,6 @@ func (g *Graph) Degree(u int) float64 { return g.deg[u] }
 // Degrees returns the weighted degree vector. The returned slice aliases
 // internal storage and must not be modified.
 func (g *Graph) Degrees() []float64 { return g.deg }
-
-// UnitWeights reports whether every stored edge weight is exactly 1.0
-// (vacuously true for an edgeless graph). It is decided once, at
-// construction, inside the loops that already visit every weight, so a
-// caller may skip the weight array altogether: x*1.0 == x exactly.
-func (g *Graph) UnitWeights() bool { return g.unit }
 
 // Neighbors returns u's neighbor list and the corresponding edge weights.
 // Both slices alias internal storage and must not be modified.

@@ -266,8 +266,8 @@ func (c *Compact) Neighbors(u int) NeighborIter {
 func (c *Compact) Backend() Kind { return c.kind }
 
 // RawRowPtr exposes the row-pointer array (length n+1) for the
-// kernel's monomorphized loops. Read-only: for a mapped graph the
-// bytes belong to a read-only mapping.
+// kernel's loops. Read-only: for a mapped graph the bytes belong to a
+// read-only mapping.
 func (c *Compact) RawRowPtr() []int64 { return c.rowPtr }
 
 // RawAdj exposes the adjacency array (length 2m). Read-only.

@@ -1,26 +1,23 @@
 // Package gstore is graphd's storage subsystem: one small read
-// interface over a sealed CSR graph, with three interchangeable
-// backends behind it. graphd serves every graph from the last two;
-// the heap backend is for in-process callers holding a built graph.
+// interface over a sealed CSR graph, with two backends behind it that
+// share one struct, Compact:
 //
-//   - heap    — the builder's *graph.Graph ([]int adjacency, []float64
-//     weights), wrapped by Heap: 8 bytes per adjacency entry plus 8
-//     per weight.
-//   - compact — Compact with in-heap uint32 adjacency and the smallest
-//     lossless weight encoding (absent for unit weights, float32 when
-//     every weight round-trips, float64 otherwise). Roughly a third of
-//     the heap footprint on unweighted graphs; graphd's default.
-//   - mmap    — the same Compact layout, but with every array sliced
-//     directly out of a memory-mapped GSNAP v2 snapshot
+//   - compact — in-heap uint32 adjacency, int64 row pointers and the
+//     smallest lossless weight encoding (absent for unit weights,
+//     float32 when every weight round-trips, float64 otherwise).
+//     graphd's default, and what Wrap and NewCompact build from the
+//     builder's *graph.Graph.
+//   - mmap    — the same layout, but with every array sliced directly
+//     out of a memory-mapped GSNAP v2 snapshot
 //     (internal/persist.OpenMapped). Loading copies nothing: the
 //     kernel's inner loops read straight from the page cache, restarts
 //     are near-instant, and concurrent daemons share physical pages.
 //
 // The interface is deliberately tiny — N/M/Volume/Degree/Neighbors —
 // because the diffusion kernels of internal/kernel do not go through
-// it on the hot path: one dispatch (internal/kernel/csr.go) switches on
-// the concrete backend and runs monomorphized generic loops over the
-// raw arrays. The interface is the contract for everything around the
+// it on the hot path: one dispatch (internal/kernel/csr.go) takes the
+// *Compact and runs generic loops, one per weight form, over the raw
+// arrays. The interface is the contract for everything around the
 // kernels: sweep cuts, NCP collection, the service layer.
 //
 // Mutation contract: every slice reachable through a backend aliases
@@ -43,8 +40,9 @@ import (
 type Kind string
 
 const (
-	// KindHeap is the builder's *graph.Graph CSR ([]int + []float64).
-	// It is not a serving kind: ParseKind refuses it.
+	// KindHeap names the builder's *graph.Graph CSR ([]int +
+	// []float64). No backend serves it and ParseKind refuses it; it
+	// survives as a benchmark row label.
 	KindHeap Kind = "heap"
 	// KindCompact is the in-heap compact CSR (uint32 adjacency,
 	// smallest lossless weight form).
@@ -69,11 +67,10 @@ func ParseKind(s string) (Kind, error) {
 // methods are safe for concurrent use; implementations are immutable
 // once constructed.
 //
-// Neighbors returns a by-value cursor rather than slices so that a
-// backend whose adjacency is not []int (compact, mmap) can be iterated
-// without converting — and without allocating: the cursor is a small
-// struct returned by value, and its Next method is a concrete,
-// inlinable call.
+// Neighbors returns a by-value cursor rather than slices so that the
+// uint32 adjacency can be iterated without converting — and without
+// allocating: the cursor is a small struct returned by value, and its
+// Next method is a concrete, inlinable call.
 type Graph interface {
 	// N returns the number of nodes.
 	N() int
@@ -94,9 +91,7 @@ type Graph interface {
 // The zero value is an exhausted iterator. It is exactly one row's
 // slices plus a position — copying it is cheap and restarts nothing.
 type NeighborIter struct {
-	// Exactly one of adjInt/adj32 is non-nil (unless the row is empty).
-	adjInt []int
-	adj32  []uint32
+	adj32 []uint32
 	// At most one of w64/w32 is non-nil; both nil means unit weights.
 	w64 []float64
 	w32 []float32
@@ -109,24 +104,12 @@ type NeighborIter struct {
 }
 
 // Len returns the number of entries remaining.
-func (it *NeighborIter) Len() int {
-	if it.adjInt != nil {
-		return len(it.adjInt) - it.i
-	}
-	return len(it.adj32) - it.i
-}
+func (it *NeighborIter) Len() int { return len(it.adj32) - it.i }
 
 // Next returns the next neighbor and its edge weight, advancing the
 // cursor; ok is false when the row is exhausted.
 func (it *NeighborIter) Next() (v int, w float64, ok bool) {
 	i := it.i
-	if it.adjInt != nil {
-		if i >= len(it.adjInt) {
-			return 0, 0, false
-		}
-		it.i = i + 1
-		return it.adjInt[i], it.w64[i], true
-	}
 	if i >= len(it.adj32) {
 		return 0, 0, false
 	}
@@ -140,76 +123,35 @@ func (it *NeighborIter) Next() (v int, w float64, ok bool) {
 	return int(it.adj32[i]), w, true
 }
 
-// Heap adapts a *graph.Graph to the backend interface. It is
-// pointer-shaped (a single pointer field), so converting a Heap to the
-// Graph interface never allocates.
-type Heap struct {
-	g *graph.Graph
-}
-
-// Wrap adapts a heap CSR graph to the backend interface.
-func Wrap(g *graph.Graph) Heap { return Heap{g: g} }
-
-// Unwrap returns the underlying heap graph.
-func (h Heap) Unwrap() *graph.Graph { return h.g }
-
-// RawCSR returns the heap graph's raw CSR arrays and degree vector for
-// the kernels' backend dispatch (internal/kernel/csr.go), with one
-// twist: wts is nil when every weight is exactly 1.0. A nil weight
-// slice is the loops' "unit" form — the one the compact backend
-// already serves unit graphs in — so the heap backend then never
-// streams its 8-byte-per-edge array of ones. The slices alias the
-// graph's storage (see graph.Graph.CSR) and must not be written.
-func (h Heap) RawCSR() (rowPtr, adj []int, wts, deg []float64) {
-	rowPtr, adj, wts = h.g.CSR()
-	if h.g.UnitWeights() {
-		wts = nil
+// Wrap converts a builder graph to the compact in-heap backend: it is
+// NewCompact for callers that hold a graph.Builder result, whose node
+// count (at most math.MaxUint32) NewCompact's one error cannot reach.
+// It panics if it does.
+func Wrap(g *graph.Graph) *Compact {
+	c, err := NewCompact(g)
+	if err != nil {
+		panic(err)
 	}
-	return rowPtr, adj, wts, h.g.Degrees()
+	return c
 }
 
-// N returns the number of nodes.
-func (h Heap) N() int { return h.g.N() }
-
-// M returns the number of undirected edges.
-func (h Heap) M() int { return h.g.M() }
-
-// Volume returns vol(V).
-func (h Heap) Volume() float64 { return h.g.Volume() }
-
-// Degree returns the weighted degree of u.
-func (h Heap) Degree(u int) float64 { return h.g.Degree(u) }
-
-// Neighbors returns the zero-alloc cursor over u's row.
-func (h Heap) Neighbors(u int) NeighborIter {
-	nbrs, wts := h.g.Neighbors(u)
-	return NeighborIter{adjInt: nbrs, w64: wts}
-}
-
-// Backend reports KindHeap.
-func (h Heap) Backend() Kind { return KindHeap }
-
-// Materialize returns a heap *graph.Graph equivalent to g: the
-// identity for a Heap backend, a validated copy for a Compact (in-heap
-// or mapped). The copy reproduces adjacency, weights, degrees and
-// volume bit-for-bit (weights were only stored compactly when the
-// narrowing was lossless), so a dense algorithm run on the
-// materialization is indistinguishable from one run on the original
-// heap graph. Global paths that need raw CSR slices (dense diffusion,
-// flow NCP, multilevel partitioning) go through this.
+// Materialize returns a validated heap *graph.Graph copy of a Compact
+// (in-heap or mapped); every call copies. The copy reproduces
+// adjacency, weights, degrees and volume bit-for-bit (weights were only
+// stored compactly when the narrowing was lossless), so a dense
+// algorithm run on the materialization is indistinguishable from one
+// run on the builder's graph. Global paths that need raw CSR slices
+// (dense diffusion, flow NCP, multilevel partitioning) go through this.
 func Materialize(g Graph) (*graph.Graph, error) {
-	switch t := g.(type) {
-	case Heap:
-		return t.g, nil
-	case *Compact:
+	if c, ok := g.(*Compact); ok {
 		stats.noteMaterialization()
-		return t.materialize()
+		return c.materialize()
 	}
 	return nil, fmt.Errorf("gstore: materialize: unsupported backend %T", g)
 }
 
 // Close releases backend resources (the mmap backend's mapping). It is
-// a no-op for backends that hold only ordinary heap memory. After
+// a no-op for a graph that holds only ordinary heap memory. After
 // Close, the mmap backend's slices must not be touched.
 func Close(g Graph) error {
 	if c, ok := g.(*Compact); ok {

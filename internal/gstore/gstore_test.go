@@ -68,7 +68,7 @@ func testGraphs(t testing.TB) map[string]*graph.Graph {
 	}
 }
 
-// openBackends serves g from all three backends. The mmap instance is
+// openBackends serves g from both backends. The mmap instance is
 // opened off a GSNAP v2 snapshot written to a temp dir and unmapped in
 // cleanup.
 func openBackends(t testing.TB, g *graph.Graph) map[gstore.Kind]gstore.Graph {
@@ -90,7 +90,6 @@ func openBackends(t testing.TB, g *graph.Graph) map[gstore.Kind]gstore.Graph {
 	}
 	t.Cleanup(func() { m.Close() })
 	return map[gstore.Kind]gstore.Graph{
-		gstore.KindHeap:    gstore.Wrap(g),
 		gstore.KindCompact: c,
 		gstore.KindMmap:    m,
 	}
@@ -105,7 +104,7 @@ func TestParseKind(t *testing.T) {
 		{"", gstore.KindCompact, true},
 		{"compact", gstore.KindCompact, true},
 		{"mmap", gstore.KindMmap, true},
-		// The heap backend wraps a graph in hand; graphd never serves it.
+		// The builder's heap graph is never served.
 		{"heap", "", false},
 		{"Compact", "", false},
 		{"disk", "", false},
@@ -157,7 +156,7 @@ func TestCompactWeightStorage(t *testing.T) {
 }
 
 // TestBackendConformance checks that every backend reports bit-identical
-// scalars and identical adjacency (ids and weight bits) to the heap
+// scalars and identical adjacency (ids and weight bits) to the builder
 // graph it was derived from.
 func TestBackendConformance(t *testing.T) {
 	for name, hg := range testGraphs(t) {
@@ -216,8 +215,8 @@ func TestNeighborIterZeroValue(t *testing.T) {
 var allocSink float64
 
 // TestIteratorZeroAlloc asserts that a full interface-driven traversal
-// of every backend allocates nothing: the cursor is by-value, Heap is
-// pointer-shaped, and Next is a concrete call.
+// of every backend allocates nothing: the cursor is by-value and Next
+// is a concrete call.
 func TestIteratorZeroAlloc(t *testing.T) {
 	g := testGraphs(t)["weighted-f32"]
 	for kind, bg := range openBackends(t, g) {
@@ -235,19 +234,6 @@ func TestIteratorZeroAlloc(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: traversal allocated %.1f objects per run, want 0", kind, allocs)
 		}
-	}
-}
-
-var graphSink gstore.Graph
-
-// TestWrapInterfaceNoAlloc asserts the Heap wrapper stays pointer-shaped:
-// converting it to the Graph interface must not allocate, because the
-// service layer does this on every query.
-func TestWrapInterfaceNoAlloc(t *testing.T) {
-	g := gen.Path(16)
-	allocs := testing.AllocsPerRun(50, func() { graphSink = gstore.Wrap(g) })
-	if allocs != 0 {
-		t.Errorf("Wrap→interface allocated %.1f objects per run, want 0", allocs)
 	}
 }
 
@@ -461,28 +447,30 @@ func TestCompactFinalizerCloses(t *testing.T) {
 	}
 }
 
-func TestCloseHeapNoop(t *testing.T) {
-	if err := gstore.Close(gstore.Wrap(gen.Path(4))); err != nil {
-		t.Fatalf("Close(heap) = %v", err)
-	}
-}
-
-// TestMaterializeBitIdentity round-trips each non-heap backend through
-// Materialize and requires the heap result to match the original graph
-// bit-for-bit: same CSR, same weight bits, same degree bits, same
-// volume bits.
+// TestMaterializeBitIdentity round-trips each backend, and Wrap's
+// compact conversion, through Materialize and requires the heap result
+// to be a copy matching the original graph bit-for-bit: same CSR, same
+// weight bits, same degree bits, same volume bits.
 func TestMaterializeBitIdentity(t *testing.T) {
 	for name, hg := range testGraphs(t) {
 		t.Run(name, func(t *testing.T) {
+			wrapped := gstore.Wrap(hg)
+			if wrapped.Backend() != gstore.KindCompact {
+				t.Fatalf("Wrap serves %q, want compact", wrapped.Backend())
+			}
+			inputs := map[string]gstore.Graph{"wrap": wrapped}
 			for kind, bg := range openBackends(t, hg) {
+				inputs[string(kind)] = bg
+			}
+			for label, bg := range inputs {
 				got, err := gstore.Materialize(bg)
 				if err != nil {
-					t.Fatalf("%s: Materialize: %v", kind, err)
+					t.Fatalf("%s: Materialize: %v", label, err)
 				}
-				if kind == gstore.KindHeap && got != hg {
-					t.Fatal("heap Materialize is not the identity")
+				if got == hg {
+					t.Fatalf("%s: Materialize returned the original graph, not a copy", label)
 				}
-				assertSameHeapGraph(t, string(kind), got, hg)
+				assertSameHeapGraph(t, label, got, hg)
 			}
 		})
 	}

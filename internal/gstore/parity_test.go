@@ -2,6 +2,7 @@ package gstore_test
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"math"
 	"math/rand"
@@ -20,12 +21,15 @@ import (
 
 // This file is the storage-engine parity suite: every diffusion and the
 // NCP fingerprint must be byte-identical — Float64bits, not tolerances —
-// across the heap, compact and mmap backends. It is the executable form
-// of the contract that lets graphd switch backends per graph (or per
-// query, via ?backend=) without perturbing a single result: the compact
-// form narrows weights only when lossless, degrees are carried
-// bit-for-bit, and the kernel's monomorphized loops accumulate in the
-// same order on all three array shapes.
+// on the compact and mmap backends, and equal to a pinned sha256. The
+// pins were recorded while the kernel still also ran on the builder's
+// own []int/[]float64 arrays, and all three forms agreed on them, so
+// they tie today's results to the uncompacted graph. It is the
+// executable form of the contract that lets graphd switch backends per
+// graph (or per query, via ?backend=) without perturbing a single
+// result: the compact form narrows weights only when lossless, degrees
+// are carried bit-for-bit, and the kernel's loops accumulate in the
+// builder's order.
 
 // parityDiffusions runs each local diffusion on one backend and folds
 // the complete output (support, value bits, counters, sweep cut) into a
@@ -87,12 +91,61 @@ func writeSweep(sb *strings.Builder, label string, sw *partition.SweepResult) {
 		math.Float64bits(sw.Conductance), sw.Prefix, sw.Set)
 }
 
+// diffusionPins holds, per graph of testGraphs, the sha256 of
+// parityFingerprint on the seed sets {0}, {n/2} and {max-degree node}.
+var diffusionPins = map[string][3]string{
+	"dumbbell": {
+		"886ed1e81eaa76ac2cf58bdf5abad6ad81f9bdfaf3a532c4c3f32b7136ecfa2f",
+		"d0bd67da4b2d1127bc3a3f817ffbbf4ec78af0b6877f9f77e980466a6949a83a",
+		"886ed1e81eaa76ac2cf58bdf5abad6ad81f9bdfaf3a532c4c3f32b7136ecfa2f",
+	},
+	"erdos-renyi": {
+		"55f7d7dc4be9ef6ee7034e531766d50e01fec629ae4fa56dbda99c57351240dc",
+		"e54bee3acf335eb115c34b916b2378070e73f24f11ee3912fc6248dc96c6b3e0",
+		"15bebc080ab379b4f04ca566f14c011a21cec63ec88e9d8ae86493eff2690a74",
+	},
+	"grid": {
+		"734ae4da2f74c4646485b18aefdc07e225a81d1161a537e2d23afbc82cd656cb",
+		"b99d27f7a54ff5811fc66b1621092ecdf0a5fca830cfa45eaa9472069b353911",
+		"f9bba594c5b9c9b481ca523ecca9a0111946a486574d805483225beeee667ce9",
+	},
+	"ring-of-cliques": {
+		"20eea9d6126a44ceab07fdabe47eac65ef149e70c651cf08326e5f2eda022a2f",
+		"adadf3a4004727af181b02994a1cec949d2f05fb05a43d719b2cd2ca3512d2ef",
+		"20eea9d6126a44ceab07fdabe47eac65ef149e70c651cf08326e5f2eda022a2f",
+	},
+	"weighted-f32": {
+		"e8d7b773cf86d566feb0653e0a2bf1cc78c36bf9d092ab91c5e1b622d84b8e2c",
+		"7817c926b3de65cb062912d17dc523a2edafa58fa5241dc711ce42efb228a4c2",
+		"f1da5f569266b04e77c225801f063ace88545c87edb4d13eb0c78f075f77661a",
+	},
+	"weighted-f64": {
+		"13a2bbffb47fc1d3927ca5f3a8ffb4487bf4e002ad331a56913f2ab1a3b27a94",
+		"97094b92bee99b833d0d4d53806aea080fea8d0412325a95cf361772d7f04b13",
+		"2f8b59245df945d2f03676bf6259df5572a981be1e206d55b2ad47ac0469ca74",
+	},
+	"with-isolated": {
+		"76d9c5f78a73aaf8549bfd18d7794ddf9f9d8b0aebef9df1de07e03e23dca5a5",
+		"4552a6e853cc42cf097ebcec48048e65cd561732f711fe4521e1e8a85dbe061b",
+		"f83f291cf016c9db3c15d343c5b7334fde8846ca47153c6ac44f4491878d5e70",
+	},
+}
+
+// ncpPin is the sha256 of TestNCPFingerprintParity's profile fingerprint.
+const ncpPin = "d7c465390b63efb4c3b412a437a5661ccf4eea545056cfd9c81e1fa603b9e3cf"
+
+func sha256Hex(s string) string { return fmt.Sprintf("%x", sha256.Sum256([]byte(s))) }
+
 // TestDiffusionParityAcrossBackends: push/nibble/heat planes and sweep
-// cuts are byte-identical on heap, compact and mmap for every graph in
-// the grid, weighted and unweighted.
+// cuts are byte-identical on compact and mmap, and equal to the pins,
+// for every graph in the grid, weighted and unweighted.
 func TestDiffusionParityAcrossBackends(t *testing.T) {
 	for name, hg := range testGraphs(t) {
 		t.Run(name, func(t *testing.T) {
+			pins, ok := diffusionPins[name]
+			if !ok {
+				t.Fatalf("no pinned fingerprints for graph %q", name)
+			}
 			// Seeds: first node, a middle node, and the max-degree node.
 			maxU := 0
 			for u := 1; u < hg.N(); u++ {
@@ -102,14 +155,13 @@ func TestDiffusionParityAcrossBackends(t *testing.T) {
 			}
 			seedSets := [][]int{{0}, {hg.N() / 2}, {maxU}}
 			backends := openBackends(t, hg)
-			for _, seeds := range seedSets {
-				want := parityFingerprint(t, backends[gstore.KindHeap], seeds)
-				for _, kind := range []gstore.Kind{gstore.KindCompact, gstore.KindMmap} {
-					got := parityFingerprint(t, backends[kind], seeds)
-					if got != want {
-						t.Fatalf("%s diverges from heap on seeds %v:\n%s", kind, seeds,
-							firstDiff(want, got))
-					}
+			for i, seeds := range seedSets {
+				want := parityFingerprint(t, backends[gstore.KindCompact], seeds)
+				if sum := sha256Hex(want); sum != pins[i] {
+					t.Fatalf("compact fingerprint on seeds %v has sha256 %s, pinned %s", seeds, sum, pins[i])
+				}
+				if got := parityFingerprint(t, backends[gstore.KindMmap], seeds); got != want {
+					t.Fatalf("mmap diverges from compact on seeds %v:\n%s", seeds, firstDiff(want, got))
 				}
 			}
 		})
@@ -190,7 +242,7 @@ func TestWorkspaceSweepMatchesOrderedOracle(t *testing.T) {
 			for kind, g := range openBackends(t, hg) {
 				backends[string(kind)] = g
 			}
-			if hg.UnitWeights() {
+			if _, _, w := hg.CSR(); gstore.DetectWeightForm(w) == gstore.WeightsUnit {
 				backends["ones-weighted"] = onesWeighted(t, hg)
 			}
 			isolated := -1
@@ -210,7 +262,7 @@ func TestWorkspaceSweepMatchesOrderedOracle(t *testing.T) {
 				for _, seeds := range seedSets {
 					label := fmt.Sprintf("eps=%g seeds=%v", eps, seeds)
 					var want string
-					for _, backend := range []string{"heap", "compact", "mmap", "ones-weighted"} {
+					for _, backend := range []string{"compact", "mmap", "ones-weighted"} {
 						g, ok := backends[backend]
 						if !ok {
 							continue
@@ -219,10 +271,10 @@ func TestWorkspaceSweepMatchesOrderedOracle(t *testing.T) {
 							t.Fatalf("%s on %s: %v", label, backend, err)
 						}
 						got := sweepFingerprint(t, label+" on "+backend, g, ws)
-						if backend == "heap" {
+						if backend == "compact" {
 							want = got
 						} else if got != want {
-							t.Fatalf("%s: %s diverges from heap:\n%s\n%s", label, backend, got, want)
+							t.Fatalf("%s: %s diverges from compact:\n%s\n%s", label, backend, got, want)
 						}
 						if len(seeds) == 1 && seeds[0] == isolated && got != "err=local: sweep support has only zero-degree nodes" {
 							t.Fatalf("%s on %s: all-isolated support swept to %q", label, backend, got)
@@ -231,7 +283,7 @@ func TestWorkspaceSweepMatchesOrderedOracle(t *testing.T) {
 				}
 			}
 			ws.Reset()
-			if got := sweepFingerprint(t, "empty", backends["heap"], ws); got != "err=local: sweep over empty vector" {
+			if got := sweepFingerprint(t, "empty", backends["compact"], ws); got != "err=local: sweep over empty vector" {
 				t.Fatalf("empty plane swept to %q", got)
 			}
 		})
@@ -263,7 +315,8 @@ func TestWorkspaceSweepMatchesOrderedOracle(t *testing.T) {
 
 // TestNCPFingerprintParity: a full spectral NCP sweep — many PPR runs,
 // sweep cuts, cluster collection, parallel workers — lands on the same
-// profile, cluster for cluster and bit for bit, on every backend.
+// profile, cluster for cluster and bit for bit, on both backends, and
+// on the pinned one.
 func TestNCPFingerprintParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("NCP parity sweep is not short")
@@ -289,11 +342,12 @@ func TestNCPFingerprintParity(t *testing.T) {
 		return sb.String()
 	}
 	backends := openBackends(t, hg)
-	want := fingerprint(backends[gstore.KindHeap])
-	for _, kind := range []gstore.Kind{gstore.KindCompact, gstore.KindMmap} {
-		if got := fingerprint(backends[kind]); got != want {
-			t.Fatalf("NCP profile on %s diverges from heap:\n%s", kind, firstDiff(want, got))
-		}
+	want := fingerprint(backends[gstore.KindCompact])
+	if sum := sha256Hex(want); sum != ncpPin {
+		t.Fatalf("compact NCP profile has sha256 %s, pinned %s", sum, ncpPin)
+	}
+	if got := fingerprint(backends[gstore.KindMmap]); got != want {
+		t.Fatalf("NCP profile on mmap diverges from compact:\n%s", firstDiff(want, got))
 	}
 }
 
@@ -302,8 +356,8 @@ func firstDiff(want, got string) string {
 	wl, gl := strings.Split(want, "\n"), strings.Split(got, "\n")
 	for i := 0; i < len(wl) && i < len(gl); i++ {
 		if wl[i] != gl[i] {
-			return fmt.Sprintf("line %d:\n  heap:  %.200s\n  other: %.200s", i+1, wl[i], gl[i])
+			return fmt.Sprintf("line %d:\n  want: %.200s\n  got:  %.200s", i+1, wl[i], gl[i])
 		}
 	}
-	return fmt.Sprintf("lengths differ: heap %d lines, other %d lines", len(wl), len(gl))
+	return fmt.Sprintf("lengths differ: want %d lines, got %d lines", len(wl), len(gl))
 }

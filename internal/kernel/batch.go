@@ -154,7 +154,7 @@ const pushesPerCheck = 1 << 12
 // half the rest, and spreads the other half along u's row, queueing
 // every node whose residual reaches ε·deg. It pauses — returns true
 // with the queue not yet drained — after every pushesPerCheck pushes.
-func (r *rows[P, A, W]) pushQueue(d PushACL, ws *Workspace, st *Stats) (paused bool) {
+func (r *rows[W]) pushQueue(d PushACL, ws *Workspace, st *Stats) (paused bool) {
 	deg := r.deg
 	for u, ok := ws.q.pop(); ok; u, ok = ws.q.pop() {
 		du := deg[u]
@@ -263,7 +263,7 @@ func (d HeatKernel) run(ctx context.Context, g gstore.Graph, ws *Workspace, st *
 // frontier in ascending node order, spreading each node's row into the
 // scratch plane, then truncate below eps·deg — the regularization step
 // — swap the result into R and sort its touched list.
-func (r *rows[P, A, W]) walkStep(ws *Workspace, eps float64) {
+func (r *rows[W]) walkStep(ws *Workspace, eps float64) {
 	if ws.s.c == nil {
 		ws.s.init(ws.n) // the first walk step this workspace takes
 	}

@@ -36,22 +36,23 @@ func batchTestGraph(t testing.TB) *graph.Graph {
 	return g
 }
 
-// batchBackends serves g from heap, compact and mmap, skipping mmap on
-// platforms that cannot map snapshots.
+// batchBackends serves g the three ways a *gstore.Compact comes to be:
+// "heap" is the builder's graph converted by gstore.Wrap, as every
+// in-process caller holding a *graph.Graph hands it to the kernel;
+// "compact" is its snapshot decoded into one buffer, graphd's in-memory
+// load; "mmap" is the same snapshot mapped, skipped on platforms that
+// cannot map snapshots.
 func batchBackends(t testing.TB, g *graph.Graph) map[string]gstore.Graph {
 	t.Helper()
-	c, err := gstore.NewCompact(g)
-	if err != nil {
-		t.Fatalf("NewCompact: %v", err)
-	}
-	out := map[string]gstore.Graph{
-		"heap":    gstore.Wrap(g),
-		"compact": c,
-	}
 	path := filepath.Join(t.TempDir(), "g"+persist.SnapshotExt)
 	if err := persist.WriteSnapshotFile(path, g); err != nil {
 		t.Fatalf("WriteSnapshotFile: %v", err)
 	}
+	c, err := persist.ReadCompactFile(path)
+	if err != nil {
+		t.Fatalf("ReadCompactFile: %v", err)
+	}
+	out := map[string]gstore.Graph{"heap": gstore.Wrap(g), "compact": c}
 	m, err := persist.OpenMapped(path)
 	if errors.Is(err, persist.ErrNotMappable) {
 		t.Logf("platform cannot mmap snapshots: %v", err)
@@ -388,8 +389,8 @@ func (foreignDiffuser) DiffuseContext(context.Context, gstore.Graph, *kernel.Wor
 	return kernel.Stats{}, nil
 }
 
-// TestUnknownBackendIsAnError: a gstore.Graph that is neither Heap nor
-// *Compact has no rows view; every strategy reports it, alone and
+// TestUnknownBackendIsAnError: a gstore.Graph that is not a *Compact
+// has no rows view; every strategy reports it, alone and
 // batched, instead of iterating.
 func TestUnknownBackendIsAnError(t *testing.T) {
 	type opaque struct{ gstore.Graph }
@@ -410,8 +411,8 @@ func TestUnknownBackendIsAnError(t *testing.T) {
 
 // onesWeighted serves a unit-weight graph as a compact backend that
 // carries an explicit float64 weight array of ones, which sends every
-// kernel loop down its weighted branch on a graph the heap backend
-// serves through the nil-weight unit branch.
+// kernel loop down its weighted branch on a graph gstore.Wrap serves
+// through the nil-weight unit branch.
 func onesWeighted(t testing.TB, hg *graph.Graph) *gstore.Compact {
 	t.Helper()
 	rowPtrI, adjI, wts := hg.CSR()
@@ -434,19 +435,13 @@ func onesWeighted(t testing.TB, hg *graph.Graph) *gstore.Compact {
 	return c
 }
 
-// TestUnitFastPathMatchesWeightedBranch: the heap backend hands the
-// kernels a nil weight slice for a unit-weight graph, so push, walk
-// steps and their batched forms run the hoisted unit branch. The
-// output must be byte-identical to the weighted branch reading 1.0 per
-// edge (spread*1.0/du == spread/du), sequentially and batched.
+// TestUnitFastPathMatchesWeightedBranch: the compact form stores no
+// weight array for a unit-weight graph, so push, walk steps and their
+// batched forms run the hoisted unit branch. The output must be
+// byte-identical to the weighted branch reading 1.0 per edge
+// (spread*1.0/du == spread/du), sequentially and batched.
 func TestUnitFastPathMatchesWeightedBranch(t *testing.T) {
 	hg := batchTestGraph(t)
-	if !hg.UnitWeights() {
-		t.Fatal("fixture graph is not unit-weight")
-	}
-	if _, _, wts, _ := gstore.Wrap(hg).RawCSR(); wts != nil {
-		t.Fatal("heap backend hands out a weight array for a unit-weight graph")
-	}
 	var unit, weighted gstore.Graph = gstore.Wrap(hg), onesWeighted(t, hg)
 	seeds := batchSeeds(hg.N(), 20)
 	pool := kernel.NewPool(hg.N())

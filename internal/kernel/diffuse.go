@@ -35,11 +35,10 @@ type Stats struct {
 //
 // Every diffusion is the engine's unit of work (batch.go): validate, seed
 // the R plane with the seed set, run the strategy's runner on the
-// workspace. The loops run monomorphized over the backend's raw CSR
-// arrays behind one dispatch (csr.go), so the arithmetic — and
-// therefore the floating-point output — is identical bit for bit across
-// the heap, compact and mmap backends; a backend the dispatch does not
-// know is an error.
+// workspace. The loops run over the compact graph's raw CSR arrays
+// behind one dispatch (csr.go), so the arithmetic — and therefore the
+// floating-point output — is identical bit for bit across the compact
+// and mmap backends; a graph the dispatch does not know is an error.
 type Diffuser interface {
 	// DiffuseContext runs the diffusion under ctx: once ctx is done the
 	// run stops, between walk steps or within 4096 pushes, with ctx's

@@ -295,20 +295,6 @@ func TestPoolReuseAndSizeGuard(t *testing.T) {
 	}
 }
 
-func TestAcquireReleaseGlobalRegistry(t *testing.T) {
-	ws := Acquire(32)
-	if ws.N() != 32 {
-		t.Fatalf("Acquire(32).N() = %d", ws.N())
-	}
-	Release(ws)
-	Release(nil) // must not panic
-	ws2 := Acquire(32)
-	if ws2.PSupport() != 0 || ws2.N() != 32 {
-		t.Fatal("registry returned a dirty or mis-sized workspace")
-	}
-	Release(ws2)
-}
-
 // TestPoolConcurrentPush hammers one pool from many goroutines; with
 // -race this locks the claim that pooled workspace reuse is safe as
 // long as each workspace has a single holder at a time.

@@ -39,28 +39,3 @@ func (p *Pool) Put(ws *Workspace) {
 	}
 	p.pool.Put(ws)
 }
-
-// pools is the package-level registry of pools keyed by graph size,
-// serving callers (like local's map-compatible wrappers) that have no
-// natural place to hang a per-graph pool.
-var pools sync.Map // int -> *Pool
-
-// Acquire returns a reset workspace for n-node graphs from the global
-// size-keyed pool registry. Pair with Release.
-func Acquire(n int) *Workspace {
-	if p, ok := pools.Load(n); ok {
-		return p.(*Pool).Get()
-	}
-	p, _ := pools.LoadOrStore(n, NewPool(n))
-	return p.(*Pool).Get()
-}
-
-// Release returns a workspace obtained from Acquire to its pool.
-func Release(ws *Workspace) {
-	if ws == nil {
-		return
-	}
-	if p, ok := pools.Load(ws.n); ok {
-		p.(*Pool).Put(ws)
-	}
-}

@@ -144,8 +144,8 @@ func (ws *Workspace) SweepScan(g gstore.Graph, maxPrefix int, visit SweepVisit) 
 	}
 }
 
-// sweepScan is the monomorphized prefix scan.
-func (r *rows[P, A, W]) sweepScan(inS []uint64, order []sweepPair, visit SweepVisit) {
+// sweepScan is the prefix scan over the raw rows.
+func (r *rows[W]) sweepScan(inS []uint64, order []sweepPair, visit SweepVisit) {
 	rowPtr, adj, wts, deg := r.rowPtr, r.adj, r.wts, r.deg
 	unit := len(wts) == 0
 	var cut, vol float64
@@ -158,7 +158,7 @@ func (r *rows[P, A, W]) sweepScan(inS []uint64, order []sweepPair, visit SweepVi
 		} else {
 			row, wrow := adj[lo:hi], wts[lo:hi]
 			for i, a := range row {
-				if w := float64(wrow[i]); inS[uint64(a)>>6]>>(uint64(a)&63)&1 != 0 {
+				if w := float64(wrow[i]); inS[a>>6]>>(a&63)&1 != 0 {
 					cut -= w
 				} else {
 					cut += w
@@ -183,10 +183,10 @@ func (r *rows[P, A, W]) sweepScan(inS []uint64, order []sweepPair, visit SweepVi
 // at 6–15 % of the whole sweep on the G16 benchmark).
 //
 //go:noinline
-func countIn[A ix](row []A, inS []uint64) int {
+func countIn(row []uint32, inS []uint64) int {
 	in := 0
 	for _, a := range row {
-		in += int(inS[uint64(a)>>6] >> (uint64(a) & 63) & 1)
+		in += int(inS[a>>6] >> (a & 63) & 1)
 	}
 	return in
 }

@@ -87,10 +87,7 @@ func TestWorkspaceReuseAcrossMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cg, err := gstore.NewCompact(hg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := gstore.Wrap(hg)
 	seeds := []int{11}
 	push := PushACL{Alpha: 0.05, Eps: 1e-7}
 	methods := []Diffuser{
@@ -110,36 +107,34 @@ func TestWorkspaceReuseAcrossMethods(t *testing.T) {
 		}
 		return sb.String()
 	}
-	for name, g := range map[string]gstore.Graph{"heap": gstore.Wrap(hg), "compact": cg} {
-		ws := NewWorkspace(g.N())
-		cancelled, cancel := context.WithCancel(context.Background())
-		cancel()
-		if _, err := push.DiffuseContext(cancelled, g, ws, seeds); err != context.Canceled {
-			t.Fatalf("%s: cancelled push = %v, want context.Canceled", name, err)
+	ws := NewWorkspace(g.N())
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := push.DiffuseContext(cancelled, g, ws, seeds); err != context.Canceled {
+		t.Fatalf("cancelled push = %v, want context.Canceled", err)
+	}
+	if ws.q.head == len(ws.q.buf) {
+		t.Fatalf("the cancelled push drained its queue; it must stop mid-queue to leave marks")
+	}
+	for i, m := range methods {
+		st, err := m.DiffuseContext(context.Background(), g, ws, seeds)
+		if err != nil {
+			t.Fatalf("run %d (%T): %v", i, m, err)
 		}
-		if ws.q.head == len(ws.q.buf) {
-			t.Fatalf("%s: the cancelled push drained its queue; it must stop mid-queue to leave marks", name)
+		fresh := NewWorkspace(g.N())
+		wantSt, err := m.DiffuseContext(context.Background(), g, fresh, seeds)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, m := range methods {
-			st, err := m.DiffuseContext(context.Background(), g, ws, seeds)
-			if err != nil {
-				t.Fatalf("%s run %d (%T): %v", name, i, m, err)
-			}
-			fresh := NewWorkspace(g.N())
-			wantSt, err := m.DiffuseContext(context.Background(), g, fresh, seeds)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st != wantSt {
-				t.Fatalf("%s run %d (%T): stats %+v on the reused workspace, %+v on a fresh one", name, i, m, st, wantSt)
-			}
-			if got, want := planes(ws), planes(fresh); got != want {
-				t.Fatalf("%s run %d (%T): planes differ from a fresh workspace's\ngot  %.300s\nwant %.300s", name, i, m, got, want)
-			}
+		if st != wantSt {
+			t.Fatalf("run %d (%T): stats %+v on the reused workspace, %+v on a fresh one", i, m, st, wantSt)
 		}
-		if ws.s.c == nil {
-			t.Fatalf("%s: the walks never allocated the scratch plane", name)
+		if got, want := planes(ws), planes(fresh); got != want {
+			t.Fatalf("run %d (%T): planes differ from a fresh workspace's\ngot  %.300s\nwant %.300s", i, m, got, want)
 		}
+	}
+	if ws.s.c == nil {
+		t.Fatalf("the walks never allocated the scratch plane")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package lint is graphlint: a suite of static analyzers that
 // mechanically enforce the repo's cross-package invariants — the
-// determinism contract of the diffusion engine, the Acquire/Release
+// determinism contract of the diffusion engine, the Get/Put
 // discipline of pooled kernel workspaces, the temp+rename+fsync
 // persistence protocol, the pkg/api error envelope, and context
 // responsiveness of service-reachable hot loops. Each invariant was

@@ -22,9 +22,8 @@ var NoMutate = &Analyzer{
 	Name: "nomutate",
 	Doc: `flag writes through storage-accessor results outside internal/gstore
 
-gstore.Compact.Raw*, gstore.Heap.RawCSR and
-graph.Graph.CSR/Degrees/Neighbors return views of the graph's single
-backing arrays — immutable by contract
+gstore.Compact.Raw* and graph.Graph.CSR/Degrees/Neighbors return
+views of the graph's single backing arrays — immutable by contract
 (docs/storage.md), and physically unwritable when the graph is served
 by the mmap backend. A write through any of them corrupts the graph
 for every concurrent holder at best and segfaults the daemon at worst.
@@ -56,9 +55,6 @@ func isStorageAccessorCall(info *types.Info, call *ast.CallExpr) (string, bool) 
 		if isFunc(fn, gstorePath, "Compact", m) {
 			return "Compact." + m, true
 		}
-	}
-	if isFunc(fn, gstorePath, "Heap", "RawCSR") {
-		return "Heap.RawCSR", true
 	}
 	for _, m := range []string{"CSR", "Degrees", "Neighbors"} {
 		if isFunc(fn, graphPath, "Graph", m) {

@@ -1,18 +1,11 @@
-// Sanctioned pooling patterns: deferred release (direct, via Pool,
-// or inside a deferred closure) and ownership transfer out of the
-// acquiring function.
+// Sanctioned pooling patterns: deferred release (direct or inside a
+// deferred closure) and ownership transfer out of the acquiring
+// function.
 package fixture
 
 import "repro/internal/kernel"
 
-// DeferredRelease is the canonical pattern from docs/kernel.md.
-func DeferredRelease(n int) {
-	ws := kernel.Acquire(n)
-	defer kernel.Release(ws)
-	use(ws)
-}
-
-// DeferredPut pairs Pool.Get with a deferred Put.
+// DeferredPut is the canonical pattern from docs/kernel.md.
 func DeferredPut(p *kernel.Pool) {
 	ws := p.Get()
 	defer p.Put(ws)
@@ -20,22 +13,21 @@ func DeferredPut(p *kernel.Pool) {
 }
 
 // DeferredClosure releases inside a deferred literal.
-func DeferredClosure(n int) {
-	ws := kernel.Acquire(n)
-	defer func() { kernel.Release(ws) }()
+func DeferredClosure(p *kernel.Pool) {
+	ws := p.Get()
+	defer func() { p.Put(ws) }()
 	use(ws)
 }
 
 // TransferReturn hands ownership to the caller, which releases.
-func TransferReturn(n int) *kernel.Workspace {
-	ws := kernel.Acquire(n)
+func TransferReturn(p *kernel.Pool) *kernel.Workspace {
+	ws := p.Get()
 	return ws
 }
 
-// TransferDirect returns the acquire result directly (the registry's
-// own Acquire implementation has this shape).
-func TransferDirect(n int) *kernel.Workspace {
-	return kernel.Acquire(n)
+// TransferDirect returns the Get result directly.
+func TransferDirect(p *kernel.Pool) *kernel.Workspace {
+	return p.Get()
 }
 
 // holder retains a workspace across calls; storing into it transfers
@@ -43,14 +35,14 @@ func TransferDirect(n int) *kernel.Workspace {
 type holder struct{ ws *kernel.Workspace }
 
 // TransferStruct stores the workspace in a struct it returns.
-func TransferStruct(n int) *holder {
-	ws := kernel.Acquire(n)
+func TransferStruct(p *kernel.Pool) *holder {
+	ws := p.Get()
 	return &holder{ws: ws}
 }
 
 // TransferField stores the workspace into an existing struct.
-func TransferField(h *holder, n int) {
-	ws := kernel.Acquire(n)
+func TransferField(h *holder, p *kernel.Pool) {
+	ws := p.Get()
 	h.ws = ws
 }
 

@@ -1,43 +1,36 @@
-// Violations of the workspace pooling discipline: acquired
-// workspaces that leak, are discarded, or are released without defer.
+// Violations of the workspace pooling discipline: pooled workspaces
+// that leak, are discarded, or are released without defer.
 package fixture
 
 import "repro/internal/kernel"
 
-// Leak acquires and never releases.
-func Leak(n int) int {
-	ws := kernel.Acquire(n) // want `no matching deferred Release/Put`
+// PoolLeak takes a workspace and never returns it.
+func PoolLeak(p *kernel.Pool) {
+	ws := p.Get() // want `no matching deferred Put`
 	use(ws)
-	return n
 }
 
-// LateRelease releases, but not via defer: the early return path and
-// any panic in use() leak the workspace.
-func LateRelease(n int, skip bool) {
-	ws := kernel.Acquire(n) // want `not via defer`
+// LatePut returns the workspace, but not via defer: the early return
+// path and any panic in use() leak it.
+func LatePut(p *kernel.Pool, skip bool) {
+	ws := p.Get() // want `not via defer`
 	if skip {
 		return
 	}
 	use(ws)
-	kernel.Release(ws)
+	p.Put(ws)
 }
 
 // Discard drops the result on the floor.
-func Discard(n int) {
-	kernel.Acquire(n) // want `not bound to a variable`
-}
-
-// PoolLeak leaks a per-graph pool workspace.
-func PoolLeak(p *kernel.Pool) {
-	ws := p.Get() // want `no matching deferred Release/Put`
-	use(ws)
+func Discard(p *kernel.Pool) {
+	p.Get() // want `not bound to a variable`
 }
 
 // ClosureLeak leaks inside a function literal; each literal is its
 // own accounting scope.
-func ClosureLeak(n int) func() {
+func ClosureLeak(p *kernel.Pool) func() {
 	return func() {
-		ws := kernel.Acquire(n) // want `no matching deferred Release/Put`
+		ws := p.Get() // want `no matching deferred Put`
 		use(ws)
 	}
 }

@@ -9,26 +9,25 @@ import (
 // analyzer guards.
 const kernelPath = "repro/internal/kernel"
 
-// WSPool enforces the Acquire/Release discipline of pooled kernel
-// workspaces (PR 5): every workspace taken from kernel.Acquire or
-// (*kernel.Pool).Get must be returned on all paths, which in practice
-// means a deferred kernel.Release / (*kernel.Pool).Put in the same
-// function, unless ownership demonstrably leaves the function.
+// WSPool enforces the Get/Put discipline of pooled kernel workspaces
+// (PR 5): every workspace taken from (*kernel.Pool).Get must be
+// returned on all paths, which in practice means a deferred
+// (*kernel.Pool).Put in the same function, unless ownership
+// demonstrably leaves the function.
 var WSPool = &Analyzer{
 	Name: "wspool",
 	Doc: `flag pooled kernel workspaces that are not released on all paths
 
 kernel.Pool keeps steady-state diffusion allocation-free; a workspace
 that escapes collection silently regresses the pool to one allocation
-per query, and an early return between Acquire and a non-deferred
-Release leaks on every error path. The contract (docs/kernel.md) is:
+per query, and an early return between Get and a non-deferred Put
+leaks on every error path. The contract (docs/kernel.md) is:
 
-    ws := kernel.Acquire(g.N())   // or pool.Get()
-    defer kernel.Release(ws)      // or defer pool.Put(ws)
+    ws := pool.Get()
+    defer pool.Put(ws)
 
-Acquired workspaces that are returned to the caller, stored into a
-struct, or sent over a channel transfer ownership and are not
-flagged.`,
+Workspaces that are returned to the caller, stored into a struct, or
+sent over a channel transfer ownership and are not flagged.`,
 	Run: runWSPool,
 }
 
@@ -42,35 +41,25 @@ func runWSPool(pass *Pass) error {
 }
 
 // isAcquireCall reports whether call obtains a pooled workspace.
-func isAcquireCall(info *types.Info, call *ast.CallExpr) (string, bool) {
-	fn := calleeFunc(info, call)
-	switch {
-	case isFunc(fn, kernelPath, "", "Acquire"):
-		return "kernel.Acquire", true
-	case isFunc(fn, kernelPath, "Pool", "Get"):
-		return "Pool.Get", true
-	}
-	return "", false
+func isAcquireCall(info *types.Info, call *ast.CallExpr) bool {
+	return isFunc(calleeFunc(info, call), kernelPath, "Pool", "Get")
 }
 
 // isReleaseCall reports whether call returns a workspace to a pool.
 func isReleaseCall(info *types.Info, call *ast.CallExpr) bool {
-	fn := calleeFunc(info, call)
-	return isFunc(fn, kernelPath, "", "Release") ||
-		isFunc(fn, kernelPath, "Pool", "Put")
+	return isFunc(calleeFunc(info, call), kernelPath, "Pool", "Put")
 }
 
 func checkPoolScope(pass *Pass, scope funcScope) {
 	info := pass.TypesInfo
 	type acquire struct {
 		call *ast.CallExpr
-		name string       // "kernel.Acquire" or "Pool.Get"
 		obj  types.Object // bound variable, nil if unbound
 	}
 	var acquires []acquire
 
 	// Pass 1: find acquire calls and how their results are bound.
-	// parent links let us distinguish `ws := Acquire()` from a
+	// parent links let us distinguish `ws := pool.Get()` from a
 	// discarded or inline-argument result.
 	bindings := make(map[*ast.CallExpr]types.Object)
 	escaped := make(map[*ast.CallExpr]bool)
@@ -82,7 +71,7 @@ func checkPoolScope(pass *Pass, scope funcScope) {
 				if !ok {
 					continue
 				}
-				if _, isAcq := isAcquireCall(info, call); !isAcq {
+				if !isAcquireCall(info, call) {
 					continue
 				}
 				// Single-value binding: lhs index matches rhs index
@@ -107,7 +96,7 @@ func checkPoolScope(pass *Pass, scope funcScope) {
 				if !ok {
 					continue
 				}
-				if _, isAcq := isAcquireCall(info, call); !isAcq {
+				if !isAcquireCall(info, call) {
 					continue
 				}
 				if i < len(n.Names) && n.Names[i].Name != "_" {
@@ -117,12 +106,10 @@ func checkPoolScope(pass *Pass, scope funcScope) {
 				}
 			}
 		case *ast.ReturnStmt:
-			// `return kernel.Acquire(n)` transfers ownership.
+			// `return pool.Get()` transfers ownership.
 			for _, res := range n.Results {
-				if call, ok := ast.Unparen(res).(*ast.CallExpr); ok {
-					if _, isAcq := isAcquireCall(info, call); isAcq {
-						escaped[call] = true
-					}
+				if call, ok := ast.Unparen(res).(*ast.CallExpr); ok && isAcquireCall(info, call) {
+					escaped[call] = true
 				}
 			}
 		}
@@ -133,8 +120,8 @@ func checkPoolScope(pass *Pass, scope funcScope) {
 		if !ok {
 			return true
 		}
-		if name, isAcq := isAcquireCall(info, call); isAcq && !escaped[call] {
-			acquires = append(acquires, acquire{call: call, name: name, obj: bindings[call]})
+		if isAcquireCall(info, call) && !escaped[call] {
+			acquires = append(acquires, acquire{call: call, obj: bindings[call]})
 		}
 		return true
 	})
@@ -161,7 +148,7 @@ func checkPoolScope(pass *Pass, scope funcScope) {
 				recordRelease(n.Call, deferredRelease)
 				return true
 			}
-			// defer func() { ...Release(ws)... }() counts too; the
+			// defer func() { ...Put(ws)... }() counts too; the
 			// literal runs exactly when the defer fires.
 			if lit, ok := ast.Unparen(n.Call.Fun).(*ast.FuncLit); ok {
 				ast.Inspect(lit.Body, func(m ast.Node) bool {
@@ -215,15 +202,15 @@ func checkPoolScope(pass *Pass, scope funcScope) {
 		switch {
 		case acq.obj == nil:
 			pass.Reportf(acq.call.Pos(),
-				"result of %s is not bound to a variable, so it can never be released back to the pool", acq.name)
+				"result of Pool.Get is not bound to a variable, so it can never be put back in the pool")
 		case deferredRelease[acq.obj] || escapes[acq.obj]:
 			// released on all paths, or ownership left this function
 		case directRelease[acq.obj]:
 			pass.Reportf(acq.call.Pos(),
-				"workspace from %s is released but not via defer; an early return or panic between %s and the Release leaks it — use `defer`", acq.name, acq.name)
+				"workspace from Pool.Get is put back but not via defer; an early return or panic between Get and Put leaks it — use `defer`")
 		default:
 			pass.Reportf(acq.call.Pos(),
-				"workspace from %s has no matching deferred Release/Put in %s; pair every acquire with `defer kernel.Release(ws)` or `defer pool.Put(ws)`", acq.name, scope.name())
+				"workspace from Pool.Get has no matching deferred Put in %s; pair every Get with `defer pool.Put(ws)`", scope.name())
 		}
 	}
 }

@@ -24,14 +24,13 @@ type NibbleResult struct {
 }
 
 // Nibble runs the Spielman–Teng truncated lazy random walk [39] on a
-// pooled kernel workspace: evolve the seed distribution with
+// fresh kernel workspace: evolve the seed distribution with
 // W = (I + AD^{-1})/2, and after every step zero out ("truncate") every
 // entry with q(u) < eps·deg(u). The truncation keeps the support — and
 // hence the work — small and independent of n; §3.3 identifies it as
 // the implicit regularizer, "a bias analogous to early stopping".
 func Nibble(g gstore.Graph, seeds []int, eps float64, steps int) (*NibbleResult, error) {
-	ws := kernel.Acquire(g.N())
-	defer kernel.Release(ws)
+	ws := kernel.NewWorkspace(g.N())
 	st, best, err := NibbleWorkspace(context.Background(), g, ws, seeds, eps, steps)
 	if err != nil {
 		return nil, err

@@ -299,27 +299,23 @@ func TestWorkspaceSweepMatchesMapSweep(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		ws := kernel.Acquire(g.N())
+		ws := kernel.NewWorkspace(g.N())
 		if _, err := (kernel.PushACL{Alpha: 0.1, Eps: 1e-4}).Diffuse(gstore.Wrap(g), ws, []int{0}); err != nil {
-			kernel.Release(ws)
 			t.Fatalf("%s: %v", name, err)
 		}
 		mapOrder := SweepOrder(DegreeNormalized(gstore.Wrap(g), res.P))
 		k := ws.SweepOrderP(gstore.Wrap(g))
 		wsOrder := ws.SweepNodes(make([]int, 0, k), k)
 		if len(mapOrder) != len(wsOrder) {
-			kernel.Release(ws)
 			t.Fatalf("%s: order lengths %d vs %d", name, len(mapOrder), len(wsOrder))
 		}
 		for i := range mapOrder {
 			if mapOrder[i] != wsOrder[i] {
-				kernel.Release(ws)
 				t.Fatalf("%s: sweep order diverges at %d: %d vs %d", name, i, mapOrder[i], wsOrder[i])
 			}
 		}
 		mapCut, mapErr := SweepCut(gstore.Wrap(g), res.P)
 		wsCut, wsErr := WorkspaceSweepCut(gstore.Wrap(g), ws)
-		kernel.Release(ws)
 		if (mapErr == nil) != (wsErr == nil) {
 			t.Fatalf("%s: sweep errors diverge: %v vs %v", name, mapErr, wsErr)
 		}

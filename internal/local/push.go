@@ -67,14 +67,13 @@ type PushResult struct {
 }
 
 // ApproxPageRank runs the Andersen–Chung–Lang push algorithm [1] on a
-// pooled kernel workspace and snapshots the result into SparseVec maps.
-// Layers that hold a workspace (ncp, stream, service) should run
+// fresh kernel workspace and snapshots the result into SparseVec maps.
+// Layers that hold a workspace (ncp, service) should run
 // kernel.PushACL directly and skip the map conversion; the numerical
-// output is identical either way, bit for bit — on any storage backend
-// (wrap a heap graph with gstore.Wrap).
+// output is identical either way, bit for bit — on the compact and mmap
+// backends alike (gstore.Wrap converts a builder graph to compact).
 func ApproxPageRank(g gstore.Graph, seeds []int, alpha, eps float64) (*PushResult, error) {
-	ws := kernel.Acquire(g.N())
-	defer kernel.Release(ws)
+	ws := kernel.NewWorkspace(g.N())
 	st, err := kernel.PushACL{Alpha: alpha, Eps: eps}.Diffuse(g, ws, seeds)
 	if err != nil {
 		return nil, fmt.Errorf("local: %w", err)

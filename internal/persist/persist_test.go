@@ -178,7 +178,7 @@ func TestV1FixtureReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameCSR(t, want, g)
-	c, err := compactOf(readSnapshot(bytes.NewReader(data), -1))
+	c, err := readSnapshot(bytes.NewReader(data), -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestStreamedLoadGrowsWithTheBytes(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	_, err := compactOf(readSnapshot(bytes.NewReader(stream), -1))
+	_, err := readSnapshot(bytes.NewReader(stream), -1)
 	runtime.ReadMemStats(&after)
 	if err == nil {
 		t.Fatal("a header claiming gigabytes over 1000 bytes was accepted")

@@ -68,38 +68,23 @@ func ReadSnapshot(r io.Reader) (*graph.Graph, error) {
 	return heapOf(readSnapshot(r, -1))
 }
 
-// heapOf converts a decoded snapshot to a heap graph.
-func heapOf(g gstore.Graph, err error) (*graph.Graph, error) {
+// heapOf copies a decoded snapshot into a heap graph.
+func heapOf(c *gstore.Compact, err error) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	hg, err := gstore.Materialize(g)
+	hg, err := gstore.Materialize(c)
 	if err != nil {
 		return nil, fmt.Errorf("persist: snapshot failed CSR validation: %w", err)
 	}
 	return hg, nil
 }
 
-// compactOf converts a decoded snapshot to the compact backend.
-func compactOf(g gstore.Graph, err error) (*gstore.Compact, error) {
-	if err != nil {
-		return nil, err
-	}
-	if c, ok := g.(*gstore.Compact); ok {
-		return c, nil
-	}
-	c, err := gstore.NewCompact(g.(gstore.Heap).Unwrap())
-	if err != nil {
-		return nil, fmt.Errorf("persist: compacting v1 snapshot: %w", err)
-	}
-	return c, nil
-}
-
-// readSnapshot decodes a snapshot of either version: a v1 one into a
-// heap graph, a v2 one into a compact graph over one buffer holding the
-// whole file (see readV2). avail is how many bytes r holds when that is
-// known (a file's size), and negative for a stream.
-func readSnapshot(r io.Reader, avail int64) (gstore.Graph, error) {
+// readSnapshot decodes a snapshot of either version into a compact
+// graph: a v1 one through a validated heap graph, a v2 one over one
+// buffer holding the whole file (see readV2). avail is how many bytes r
+// holds when that is known (a file's size), and negative for a stream.
+func readSnapshot(r io.Reader, avail int64) (*gstore.Compact, error) {
 	var head [v2HeaderSize]byte
 	if _, err := io.ReadFull(r, head[:8]); err != nil {
 		return nil, fmt.Errorf("persist: snapshot header truncated: %w", err)
@@ -109,11 +94,7 @@ func readSnapshot(r io.Reader, avail int64) (gstore.Graph, error) {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
 	if v == SnapshotVersion {
-		g, err := readSnapshotV1(bufio.NewReaderSize(r, sectionChunk), head[:8])
-		if err != nil {
-			return nil, err
-		}
-		return gstore.Wrap(g), nil
+		return readSnapshotV1(bufio.NewReaderSize(r, sectionChunk), head[:8])
 	}
 	if _, err := io.ReadFull(r, head[8:]); err != nil {
 		return nil, fmt.Errorf("persist: v2 snapshot header truncated: %w", err)
@@ -153,8 +134,8 @@ func snapshotVersion(head []byte) (uint16, error) {
 }
 
 // readSnapshotV1 decodes the rest of a v1 snapshot from br, its magic
-// and version bytes, head, having already been read.
-func readSnapshotV1(br io.Reader, head []byte) (*graph.Graph, error) {
+// and version bytes, head, having already been read, and compacts it.
+func readSnapshotV1(br io.Reader, head []byte) (*gstore.Compact, error) {
 	var hdr [28]byte
 	copy(hdr[:], head)
 	if _, err := io.ReadFull(br, hdr[len(head):]); err != nil {
@@ -188,7 +169,11 @@ func readSnapshotV1(br io.Reader, head []byte) (*graph.Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: snapshot failed CSR validation: %w", err)
 	}
-	return g, nil
+	c, err := gstore.NewCompact(g)
+	if err != nil {
+		return nil, fmt.Errorf("persist: compacting v1 snapshot: %w", err)
+	}
+	return c, nil
 }
 
 // WriteSnapshotFile writes g to path atomically: the bytes go to a
@@ -221,18 +206,13 @@ func WriteSnapshotFile(path string, g *graph.Graph) error {
 
 // ReadSnapshotFile reads a GSNAP file.
 func ReadSnapshotFile(path string) (*graph.Graph, error) {
-	return heapOf(readSnapshotFile(path))
+	return heapOf(ReadCompactFile(path))
 }
 
 // ReadCompactFile reads a GSNAP file into the compact representation.
-// A v2 file costs one allocation of its own size.
+// It sizes the file first, so a v2 load costs one allocation of exactly
+// the file's size.
 func ReadCompactFile(path string) (*gstore.Compact, error) {
-	return compactOf(readSnapshotFile(path))
-}
-
-// readSnapshotFile is readSnapshot over a file, which it sizes first so
-// a v2 load reads into one buffer of exactly the file's size.
-func readSnapshotFile(path string) (gstore.Graph, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err

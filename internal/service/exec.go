@@ -8,7 +8,7 @@ import (
 	"math/rand"
 
 	"repro/internal/experiments"
-	"repro/internal/graph"
+	"repro/internal/gstore"
 	"repro/internal/ncp"
 	"repro/internal/partition"
 	"repro/pkg/api"
@@ -41,7 +41,7 @@ func decodeParams(raw json.RawMessage, p api.Request) error {
 	return p.Validate()
 }
 
-func runNCPJob(ctx context.Context, g *graph.Graph, raw json.RawMessage) (any, error) {
+func runNCPJob(ctx context.Context, g gstore.Graph, raw json.RawMessage) (any, error) {
 	var p api.NCPJobParams
 	if err := decodeParams(raw, &p); err != nil {
 		return nil, err
@@ -56,7 +56,7 @@ func runNCPJob(ctx context.Context, g *graph.Graph, raw json.RawMessage) (any, e
 		mid = 0.5
 	}
 	if p.Method != "flow" {
-		prof, err := ncp.SpectralProfileCtx(ctx, g, ncp.SpectralConfig{
+		prof, err := ncp.SpectralProfileOn(ctx, g, ncp.SpectralConfig{
 			Seeds: p.Seeds, Workers: p.Workers, BaseSeed: p.BaseSeed,
 			OnProgress: progressRange(report, 0, mid),
 		}, rng)
@@ -66,7 +66,11 @@ func runNCPJob(ctx context.Context, g *graph.Graph, raw json.RawMessage) (any, e
 		res.Spectral = summarizeProfile(prof)
 	}
 	if p.Method != "spectral" {
-		prof, err := ncp.FlowProfileCtx(ctx, g, ncp.FlowConfig{
+		hg, err := gstore.Materialize(g)
+		if err != nil {
+			return nil, err
+		}
+		prof, err := ncp.FlowProfileCtx(ctx, hg, ncp.FlowConfig{
 			Workers: p.Workers, BaseSeed: p.BaseSeed,
 			OnProgress: progressRange(report, 1-mid, 1),
 		}, rng)
@@ -98,9 +102,13 @@ func summarizeProfile(p *ncp.Profile) *api.ProfileSummary {
 	return s
 }
 
-func runPartitionJob(ctx context.Context, g *graph.Graph, raw json.RawMessage) (any, error) {
+func runPartitionJob(ctx context.Context, sg gstore.Graph, raw json.RawMessage) (any, error) {
 	var p api.PartitionJobParams
 	if err := decodeParams(raw, &p); err != nil {
+		return nil, err
+	}
+	g, err := gstore.Materialize(sg)
+	if err != nil {
 		return nil, err
 	}
 	labels, err := partition.RecursiveBisectCtx(ctx, g, p.K, partition.MultilevelOptions{
@@ -131,7 +139,7 @@ func runPartitionJob(ctx context.Context, g *graph.Graph, raw json.RawMessage) (
 	return res, nil
 }
 
-func runFig1Job(ctx context.Context, _ *graph.Graph, raw json.RawMessage) (any, error) {
+func runFig1Job(ctx context.Context, _ gstore.Graph, raw json.RawMessage) (any, error) {
 	var p api.Fig1JobParams
 	if err := decodeParams(raw, &p); err != nil {
 		return nil, err

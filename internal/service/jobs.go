@@ -13,7 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/graph"
+	"repro/internal/gstore"
 	"repro/pkg/api"
 )
 
@@ -99,12 +99,13 @@ func progressFrom(ctx context.Context) ProgressFunc {
 	return func(float64) {}
 }
 
-// JobExecutor runs one job type. g is nil for job types that do not
-// operate on a stored graph (e.g. fig1, which generates its own). The
-// returned value is marshaled to JSON and must be deterministic for
-// identical params (given a fixed BaseSeed), so cached replays are
-// byte-identical.
-type JobExecutor func(ctx context.Context, g *graph.Graph, params json.RawMessage) (any, error)
+// JobExecutor runs one job type on the served graph: it copies g with
+// gstore.Materialize itself where an algorithm needs the heap form. g
+// is nil for job types that do not operate on a stored graph (e.g.
+// fig1, which generates its own). The returned value is marshaled to
+// JSON and must be deterministic for identical params (given a fixed
+// BaseSeed), so cached replays are byte-identical.
+type JobExecutor func(ctx context.Context, g gstore.Graph, params json.RawMessage) (any, error)
 
 // jobSpec describes a registered job type.
 type jobSpec struct {
@@ -435,12 +436,10 @@ func (m *JobManager) runJob(job *Job) {
 		}
 	}
 	ctx := withProgress(job.ctx, job.setProgress)
-	var g *graph.Graph
+	var g gstore.Graph
 	spec := m.specs[job.jobType]
 	if spec.needsGraph {
-		// Jobs run the dense/batch algorithms, which walk a heap CSR;
-		// GetHeap copies the served graph for this job alone.
-		resolved, id, err := m.store.GetHeap(job.graphName)
+		resolved, id, err := m.store.Get(job.graphName)
 		if err != nil {
 			finish(api.JobFailed, nil, false, err.Error())
 			return
@@ -479,7 +478,7 @@ func (m *JobManager) runJob(job *Job) {
 // runExecutor confines executor panics to the job: the workers run
 // outside net/http's per-request recover, so an uncaught panic in an
 // algorithm would otherwise take down the whole daemon.
-func runExecutor(run JobExecutor, ctx context.Context, g *graph.Graph, params json.RawMessage) (val any, err error) {
+func runExecutor(run JobExecutor, ctx context.Context, g gstore.Graph, params json.RawMessage) (val any, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			val, err = nil, fmt.Errorf("internal panic: %v", p)

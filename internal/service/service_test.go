@@ -21,7 +21,7 @@ import (
 
 	"repro/internal/diffusion"
 	"repro/internal/gen"
-	"repro/internal/graph"
+	"repro/internal/gstore"
 	"repro/pkg/api"
 	"repro/pkg/client"
 )
@@ -386,7 +386,7 @@ func TestJobQueueFullIsUnavailable(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	t.Cleanup(func() { once.Do(func() { close(release) }) })
-	m.Register("block", false, func(ctx context.Context, _ *graph.Graph, _ json.RawMessage) (any, error) {
+	m.Register("block", false, func(ctx context.Context, _ gstore.Graph, _ json.RawMessage) (any, error) {
 		<-release
 		return "done", nil
 	})

@@ -221,7 +221,7 @@ func (s *GraphStore) Get(name string) (gstore.Graph, uint64, error) {
 }
 
 // GetHeap returns a heap *graph.Graph copy of the sealed graph, the
-// form the dense diffusions, batch jobs and snapshot export consume.
+// form the dense diffusions of `diffuse` and snapshot export consume.
 // Every call materializes a fresh copy outside the entry lock, and
 // nothing keeps it: the copy lives only as long as its caller holds it.
 func (s *GraphStore) GetHeap(name string) (*graph.Graph, uint64, error) {
