@@ -721,11 +721,12 @@ func median(xs []float64) float64 {
 
 // ---- kernel: indexed sparse workspaces vs the legacy map vectors ----
 
-// benchPushMap is the pre-kernel map-based ACL push, kept verbatim as
-// the allocation/latency baseline for BenchmarkPushMap (the kernel
-// engine is required to reproduce it bit for bit; the parity tests in
-// internal/local assert that). Twin copy: mapPush in
-// internal/local/parity_test.go is the same legacy code serving as the
+// benchPushMap is the pre-kernel map-based ACL push, with the kernel's
+// push rule (a node the lazy step would re-queue is settled in closed
+// form), kept as the allocation/latency baseline for BenchmarkPushMap
+// (the kernel engine is required to reproduce it bit for bit; the
+// parity tests in internal/local assert that). Twin copy: mapPush in
+// internal/local/parity_test.go is the same code serving as the
 // correctness oracle — change both together.
 func benchPushMap(g *graph.Graph, seeds []int, alpha, eps float64) (local.SparseVec, int) {
 	p := make(local.SparseVec)
@@ -754,14 +755,16 @@ func benchPushMap(g *graph.Graph, seeds []int, alpha, eps float64) (local.Sparse
 			continue
 		}
 		ru := r[u]
-		p[u] += alpha * ru
-		keep := (1 - alpha) * ru / 2
-		r[u] = keep
-		if keep >= eps*du && !inQueue[u] {
-			queue = append(queue, u)
-			inQueue[u] = true
-		}
 		spread := (1 - alpha) * ru / 2
+		if spread < eps*du {
+			p[u] += alpha * ru
+			r[u] = spread
+		} else {
+			// Settle u: its own lazy steps, summed in closed form.
+			p[u] += 2 * alpha / (1 + alpha) * ru
+			delete(r, u)
+			spread = (1 - alpha) / (1 + alpha) * ru
+		}
 		nbrs, ws := g.Neighbors(u)
 		for i, v := range nbrs {
 			r[v] += spread * ws[i] / du

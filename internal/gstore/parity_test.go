@@ -95,44 +95,44 @@ func writeSweep(sb *strings.Builder, label string, sw *partition.SweepResult) {
 // parityFingerprint on the seed sets {0}, {n/2} and {max-degree node}.
 var diffusionPins = map[string][3]string{
 	"dumbbell": {
-		"886ed1e81eaa76ac2cf58bdf5abad6ad81f9bdfaf3a532c4c3f32b7136ecfa2f",
-		"d0bd67da4b2d1127bc3a3f817ffbbf4ec78af0b6877f9f77e980466a6949a83a",
-		"886ed1e81eaa76ac2cf58bdf5abad6ad81f9bdfaf3a532c4c3f32b7136ecfa2f",
+		"f1078bd91a18ad86f98326ff028e27aa49406aa2b5faa99f754a98225a58a803",
+		"a07a3fb14b7079c8a330ba9f3b4fde6bb362fdf2d6381af6a3660f947b2565cf",
+		"f1078bd91a18ad86f98326ff028e27aa49406aa2b5faa99f754a98225a58a803",
 	},
 	"erdos-renyi": {
-		"55f7d7dc4be9ef6ee7034e531766d50e01fec629ae4fa56dbda99c57351240dc",
-		"e54bee3acf335eb115c34b916b2378070e73f24f11ee3912fc6248dc96c6b3e0",
-		"15bebc080ab379b4f04ca566f14c011a21cec63ec88e9d8ae86493eff2690a74",
+		"12fc7a0f32f4712b1da3a117a96e71608b3b9c17328d0a5e61fd64a18b575aee",
+		"8add34490bf60e3da0a7b4e5554d594d12384eabd8f24d5ed40aaf4d91536626",
+		"52bee0e3e512c56204db08888fa143df56edb1380729fac76768a35720361389",
 	},
 	"grid": {
-		"734ae4da2f74c4646485b18aefdc07e225a81d1161a537e2d23afbc82cd656cb",
-		"b99d27f7a54ff5811fc66b1621092ecdf0a5fca830cfa45eaa9472069b353911",
-		"f9bba594c5b9c9b481ca523ecca9a0111946a486574d805483225beeee667ce9",
+		"265fb4a0344fc45019479a58d622a909a5d98b472cd54e2068d5420b511bcb39",
+		"49df2e81f08aa6737e553d79fb6f4a55a848f5ccea17a77ed35497e3f32779ee",
+		"46ce2351d75085ea2ccf053778140b1b806deb52397c76c18af2c89a636bf8b6",
 	},
 	"ring-of-cliques": {
-		"20eea9d6126a44ceab07fdabe47eac65ef149e70c651cf08326e5f2eda022a2f",
-		"adadf3a4004727af181b02994a1cec949d2f05fb05a43d719b2cd2ca3512d2ef",
-		"20eea9d6126a44ceab07fdabe47eac65ef149e70c651cf08326e5f2eda022a2f",
+		"5bb95ad69889f6fd55e2f33447f79b958866e8ce97740580a4150e212d74d406",
+		"3fe9e84a713a2a7af6311a467fe07691a968cc0197f986cba332e1448b1cceb8",
+		"5bb95ad69889f6fd55e2f33447f79b958866e8ce97740580a4150e212d74d406",
 	},
 	"weighted-f32": {
-		"e8d7b773cf86d566feb0653e0a2bf1cc78c36bf9d092ab91c5e1b622d84b8e2c",
-		"7817c926b3de65cb062912d17dc523a2edafa58fa5241dc711ce42efb228a4c2",
-		"f1da5f569266b04e77c225801f063ace88545c87edb4d13eb0c78f075f77661a",
+		"832fbb5d21a2935a717e4cb387edff9f4f8a528d3dc22aeb154ac07bc6e785eb",
+		"404f8031f27d7133b5d79b5535323b4a01cb507f3be43991064d98ff1c86deb2",
+		"f42e40f80bd4921b3ed338f7d414ee3bc4f5b3d2ff8d4d87a9659c6d042b264d",
 	},
 	"weighted-f64": {
-		"13a2bbffb47fc1d3927ca5f3a8ffb4487bf4e002ad331a56913f2ab1a3b27a94",
-		"97094b92bee99b833d0d4d53806aea080fea8d0412325a95cf361772d7f04b13",
-		"2f8b59245df945d2f03676bf6259df5572a981be1e206d55b2ad47ac0469ca74",
+		"fc932a98f686d8087e2e3bbf105b80cd03caf97b0e48afc8f09bebf536ccedcd",
+		"d4f783dcbdb1321fd7c69688665d0b178fd9d7f4cad835a315c162ad052cdedd",
+		"35e9814ef02361146b328d5d6d5b26ac440a629ccd4a82e9aaca9e1a035c78cc",
 	},
 	"with-isolated": {
-		"76d9c5f78a73aaf8549bfd18d7794ddf9f9d8b0aebef9df1de07e03e23dca5a5",
-		"4552a6e853cc42cf097ebcec48048e65cd561732f711fe4521e1e8a85dbe061b",
-		"f83f291cf016c9db3c15d343c5b7334fde8846ca47153c6ac44f4491878d5e70",
+		"8651505bbd17b2bb5b1b71eb66abfe2cde41bd44d10b3ba9deb6ccdc050ce87c",
+		"8b5758c09c5c6f37581d4d61a3911b754fc9752de71e3033831e2552c7ac8252",
+		"b66405881ab1b33f229a79a04fe165059488e4b197ed5fa34f07acadee3bc2a4",
 	},
 }
 
 // ncpPin is the sha256 of TestNCPFingerprintParity's profile fingerprint.
-const ncpPin = "d7c465390b63efb4c3b412a437a5661ccf4eea545056cfd9c81e1fa603b9e3cf"
+const ncpPin = "335e59baa8127f1eaf9f27126604bcbf60da43f3e690e3b7371ccd1aa5d4ae31"
 
 func sha256Hex(s string) string { return fmt.Sprintf("%x", sha256.Sum256([]byte(s))) }
 

@@ -149,13 +149,18 @@ func (d PushACL) run(ctx context.Context, g gstore.Graph, ws *Workspace, st *Sta
 // context.
 const pushesPerCheck = 1 << 12
 
-// pushQueue is the ACL push loop: drain the FIFO queue front to back.
-// One push of node u banks an α fraction of its residual into p, keeps
-// half the rest, and spreads the other half along u's row, queueing
-// every node whose residual reaches ε·deg. It pauses — returns true
-// with the queue not yet drained — after every pushesPerCheck pushes.
+// pushQueue is the ACL push loop: drain the FIFO queue front to back,
+// queueing every node whose residual reaches ε·deg. One push of node u
+// takes the lazy step — bank α·r into p, keep (1−α)·r/2 at u, spread
+// the other (1−α)·r/2 along u's row — unless the kept half would still
+// reach ε·deg(u) and re-queue u. Then it settles u instead: it sums the
+// geometric series of u's own lazy steps in closed form, banking
+// 2α/(1+α)·r, leaving 0 at u and spreading (1−α)/(1+α)·r. Both are
+// exact operations on the same lazy-PPR system. It pauses — returns
+// true with the queue not yet drained — after every pushesPerCheck
+// pushes.
 func (r *rows[W]) pushQueue(d PushACL, ws *Workspace, st *Stats) (paused bool) {
-	deg := r.deg
+	deg, bank, pass := r.deg, 2*d.Alpha/(1+d.Alpha), (1-d.Alpha)/(1+d.Alpha)
 	for u, ok := ws.q.pop(); ok; u, ok = ws.q.pop() {
 		du := deg[u]
 		if du == 0 {
@@ -168,13 +173,15 @@ func (r *rows[W]) pushQueue(d PushACL, ws *Workspace, st *Stats) (paused bool) {
 		if ru < d.Eps*du {
 			continue
 		}
-		ws.p.add(u, d.Alpha*ru)
-		keep := (1 - d.Alpha) * ru / 2
-		ws.r.set(u, keep)
-		if keep >= d.Eps*du {
-			ws.q.push(u)
-		}
 		spread := (1 - d.Alpha) * ru / 2
+		if spread < d.Eps*du {
+			ws.p.add(u, d.Alpha*ru)
+			ws.r.set(u, spread) // the kept half, below threshold
+		} else {
+			ws.p.add(u, bank*ru)
+			ws.r.set(u, 0)
+			spread = pass * ru
+		}
 		// Ranging over row subslices (not indexing adj[lo:hi] in place)
 		// lets the compiler drop the per-edge bounds checks. A queued
 		// neighbour is skipped before its degree is loaded: the push

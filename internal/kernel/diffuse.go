@@ -74,13 +74,13 @@ func seedR(g gstore.Graph, ws *Workspace, seeds []int) error {
 // work O(1/(εα)) independent of the graph size, under the lazy-walk
 // convention pr = α·s + (1−α)·pr·W with W = (I + AD^{-1})/2.
 //
-// Each push banks an α fraction of a node's residual into p, keeps half
-// of the rest and spreads the other half over the neighbors; residuals
-// below ε·deg(u) are never pushed — the implicit regularization by
-// truncation that §3.3 identifies. The FIFO processing order and the
-// per-operation arithmetic reproduce the legacy map-based
-// implementation bit-for-bit, which is what keeps NCP profile output
-// byte-identical across the engine swap.
+// Each push takes the lazy step — bank α·r(u) into p, keep half the
+// rest at u, spread the other half over the neighbours — unless the
+// kept half would still be ≥ ε·deg(u). Then it settles u in closed
+// form: 2α/(1+α)·r(u) to p, nothing kept, (1−α)/(1+α)·r(u) spread.
+// Residuals below ε·deg(u) are never pushed — the implicit
+// regularization by truncation that §3.3 identifies. Only the frontier
+// keeps the lazy step, so the support stays nearly the lazy push's.
 type PushACL struct {
 	Alpha float64 // teleportation, in (0,1)
 	Eps   float64 // truncation threshold, > 0

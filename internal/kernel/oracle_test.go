@@ -59,7 +59,11 @@ func refSeed(n int, seeds []int) (dist []float64, support []int) {
 }
 
 // refPush is the ACL push: FIFO over nodes with r(u) ≥ ε·deg(u),
-// starting from the seeds in ascending order.
+// starting from the seeds in ascending order. A pushed node takes the
+// lazy step (α·r to p, (1−α)·r/2 kept, (1−α)·r/2 spread) when the kept
+// half falls below ε·deg(u), and otherwise is settled: the lazy steps
+// it would take on its own kept residual, summed as a geometric series,
+// give p += 2α/(1+α)·r, r(u) = 0 and (1−α)/(1+α)·r spread.
 func refPush(g gstore.Graph, seeds []int, alpha, eps float64) (p, r []float64, st kernel.Stats) {
 	n := g.N()
 	p = make([]float64, n)
@@ -80,12 +84,16 @@ func refPush(g gstore.Graph, seeds []int, alpha, eps float64) (p, r []float64, s
 		if ru < eps*du {
 			continue
 		}
-		p[u] += alpha * ru
-		r[u] = (1 - alpha) * ru / 2
-		if r[u] >= eps*du {
-			q.push(u)
+		keep := (1 - alpha) * ru / 2
+		spread := keep
+		if keep < eps*du {
+			p[u] += alpha * ru
+			r[u] = keep
+		} else {
+			p[u] += 2 * alpha / (1 + alpha) * ru
+			r[u] = 0
+			spread = (1 - alpha) / (1 + alpha) * ru
 		}
-		spread := (1 - alpha) * ru / 2
 		it := g.Neighbors(u)
 		for v, w, ok := it.Next(); ok; v, w, ok = it.Next() {
 			r[v] += spread * w / du

@@ -150,8 +150,8 @@ func TestPushWorkCounts(t *testing.T) {
 		eps                 float64
 		pushes, work, suppt int
 	}{
-		{1e-4, 7366, 209274, 3154},
-		{1e-6, 3079462, 77889357, 700427},
+		{1e-4, 3461, 101955, 3231},
+		{1e-6, 2094257, 50604229, 701021},
 	} {
 		d := kernel.PushACL{Alpha: 0.15, Eps: c.eps}
 		var pushes, suppt int

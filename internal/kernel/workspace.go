@@ -17,7 +17,7 @@
 // ascending-id walk steps), so results are reproducible bit-for-bit.
 //
 // Workspaces are sized to one graph's node count and meant to be
-// reused: a Pool (sync.Pool keyed per graph size) hands them out so
+// reused: a Pool, built per graph by NewPool(n), hands them out so
 // steady-state serving allocates nothing on the hot path. A workspace
 // holds 32 bytes per node until it first runs a walk, which allocates
 // the walk's scratch plane (48 bytes per node from then on), plus an

@@ -18,15 +18,17 @@ import (
 // for every diffusion, the indexed workspace implementation must equal
 // the legacy map-based implementation bit for bit, node by node, across
 // a table of graph shapes and parameter grids. The map oracles below
-// are the pre-refactor implementations (the push verbatim; the walks
-// with their map iteration pinned to ascending node order, which is the
-// deterministic order the kernel now guarantees).
+// are the pre-refactor implementations (the push with one rule change,
+// below; the walks with their map iteration pinned to ascending node
+// order, which is the deterministic order the kernel now guarantees).
 
-// mapPush is the legacy map-based ACL push, kept verbatim as the
-// oracle: the kernel's FIFO order and per-operation arithmetic are
-// required to reproduce it exactly. Twin copy: benchPushMap in the
-// root bench_test.go is the same legacy code serving as the benchmark
-// baseline — change both together.
+// mapPush is the legacy map-based ACL push, the oracle: the kernel's
+// FIFO order and per-operation arithmetic are required to reproduce it
+// exactly. Its one change from the legacy code is the push rule: a node
+// the lazy step would re-queue (its kept half still ≥ ε·deg) is settled
+// in closed form instead. Twin copy: benchPushMap in the root
+// bench_test.go is the same code serving as the benchmark baseline —
+// change both together.
 func mapPush(g *graph.Graph, seeds []int, alpha, eps float64) (p, r SparseVec, pushes int, work float64) {
 	p = make(SparseVec)
 	r = make(SparseVec)
@@ -53,14 +55,16 @@ func mapPush(g *graph.Graph, seeds []int, alpha, eps float64) (p, r SparseVec, p
 			continue
 		}
 		ru := r[u]
-		p[u] += alpha * ru
-		keep := (1 - alpha) * ru / 2
-		r[u] = keep
-		if keep >= eps*du && !inQueue[u] {
-			queue = append(queue, u)
-			inQueue[u] = true
-		}
 		spread := (1 - alpha) * ru / 2
+		if spread < eps*du {
+			p[u] += alpha * ru
+			r[u] = spread
+		} else {
+			// Settle u: its own lazy steps, summed in closed form.
+			p[u] += 2 * alpha / (1 + alpha) * ru
+			delete(r, u)
+			spread = (1 - alpha) / (1 + alpha) * ru
+		}
 		nbrs, ws := g.Neighbors(u)
 		for i, v := range nbrs {
 			r[v] += spread * ws[i] / du
@@ -216,7 +220,7 @@ func sparseEqualExact(t *testing.T, label string, got, want SparseVec) {
 	}
 }
 
-// TestPushMatchesMapOracle: the kernel push equals the legacy map push
+// TestPushMatchesMapOracle: the kernel push equals the map push
 // value-exactly (same support, bit-identical values, same work counts)
 // across graphs × seed sets × (α, ε).
 func TestPushMatchesMapOracle(t *testing.T) {
