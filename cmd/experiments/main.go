@@ -14,10 +14,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/experiments"
@@ -85,23 +83,13 @@ func main() {
 		fmt.Println(res.Fig1bTable())
 		fmt.Println(res.Fig1cTable())
 		if *tsv != "" {
-			for _, panel := range panels {
-				path := fmt.Sprintf("%s-%s.tsv", *tsv, panel.name)
-				check(writeTSVFile(path, res, panel.sel))
+			for _, panel := range experiments.Panels {
+				path := fmt.Sprintf("%s-%s.tsv", *tsv, panel.Name)
+				check(writeTSVFile(path, res, panel.Sel))
 				fmt.Printf("wrote %s\n", path)
 			}
 		}
 	}
-}
-
-// panels are Figure 1's three size-resolved panels, by file suffix.
-var panels = []struct {
-	name string
-	sel  func(experiments.ScatterPoint) float64
-}{
-	{"1a", func(p experiments.ScatterPoint) float64 { return p.Conductance }},
-	{"1b", func(p experiments.ScatterPoint) float64 { return p.AvgPath }},
-	{"1c", func(p experiments.ScatterPoint) float64 { return p.ExtIntRatio }},
 }
 
 func writeTSVFile(path string, res *experiments.Fig1Result, sel func(experiments.ScatterPoint) float64) error {
@@ -109,33 +97,11 @@ func writeTSVFile(path string, res *experiments.Fig1Result, sel func(experiments
 	if err != nil {
 		return err
 	}
-	if err := writeTSV(f, res, sel); err != nil {
+	if err := experiments.WriteTSV(f, res, sel); err != nil {
 		f.Close()
 		return err
 	}
 	return f.Close()
-}
-
-// writeTSV writes one panel as tab-separated (series, cluster size,
-// value) rows, the spectral series first, each sorted by size: the
-// machine-readable form of the panel for external plotting.
-func writeTSV(w io.Writer, res *experiments.Fig1Result, sel func(experiments.ScatterPoint) float64) error {
-	if _, err := fmt.Fprintln(w, "series\tx\ty"); err != nil {
-		return err
-	}
-	for _, s := range []struct {
-		name string
-		pts  []experiments.ScatterPoint
-	}{{"spectral (LocalSpectral)", res.Spectral}, {"flow (Metis+MQI)", res.Flow}} {
-		pts := slices.Clone(s.pts)
-		sort.Slice(pts, func(a, b int) bool { return pts[a].Size < pts[b].Size })
-		for _, p := range pts {
-			if _, err := fmt.Fprintf(w, "%s\t%g\t%g\n", s.name, float64(p.Size), sel(p)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }
 
 func check(err error) {

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"strings"
@@ -308,12 +310,29 @@ func TestSec33SeedNotInCluster(t *testing.T) {
 	_ = res.Table().String()
 }
 
+// fig1Pins are the sha256 of the three TSVs `experiments -only fig1 -n
+// 1200 -tsv` writes (seed 1, every other knob at its default).
+var fig1Pins = map[string]string{
+	"1a": "bacaac6d1e7b4fd41814db5030aeb294f4a273f6d673aa9924d44022edf8e316",
+	"1b": "2900f61f6ed467936482cab3c42823922a25bcb0f34fe8365a6bebeb511be70b",
+	"1c": "549555ff16ba20d620b499397b92521a4e7e1d8a4913f1f235a72554dadd66b7",
+}
+
+// TestFig1Small runs the reproduction's pinned configuration: the bytes
+// of each panel's TSV are pinned, and the figure's shape is checked.
 func TestFig1Small(t *testing.T) {
-	// A scaled-down Figure 1 run to keep the test fast; the full-size run
-	// lives in the benchmarks and cmd/experiments.
-	res, err := Fig1(Fig1Config{N: 1200, SpectralSeeds: 6, MinSize: 6, MaxSize: 256, Seed: 2})
+	res, err := Fig1(Fig1Config{N: 1200, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, panel := range Panels {
+		h := sha256.New()
+		if err := WriteTSV(h, res, panel.Sel); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := hex.EncodeToString(h.Sum(nil)), fig1Pins[panel.Name]; got != want {
+			t.Errorf("TestFig1Small: panel %s TSV sha256 changed:\n  old %s\n  new %s", panel.Name, want, got)
+		}
 	}
 	if len(res.Spectral) == 0 || len(res.Flow) == 0 {
 		t.Fatal("empty scatter series")
@@ -338,5 +357,28 @@ func TestFig1Small(t *testing.T) {
 			t.Error("empty panel table")
 		}
 		_ = tb.String()
+	}
+}
+
+func TestWriteTSV(t *testing.T) {
+	res := &Fig1Result{
+		Spectral: []ScatterPoint{{Size: 40, Conductance: 0.1}, {Size: 10, Conductance: 0.3}, {Size: 20, Conductance: 0.2}},
+		Flow:     []ScatterPoint{{Size: 1000000, Conductance: 0.05}, {Size: 30, Conductance: 0.15}},
+	}
+	var b strings.Builder
+	if err := WriteTSV(&b, res, func(p ScatterPoint) float64 { return p.Conductance }); err != nil {
+		t.Fatal(err)
+	}
+	want := "series\tx\ty\n" +
+		"spectral (LocalSpectral)\t10\t0.3\n" +
+		"spectral (LocalSpectral)\t20\t0.2\n" +
+		"spectral (LocalSpectral)\t40\t0.1\n" +
+		"flow (Metis+MQI)\t30\t0.15\n" +
+		"flow (Metis+MQI)\t1e+06\t0.05\n"
+	if got := b.String(); got != want {
+		t.Errorf("writeTSV:\n%s\nwant:\n%s", got, want)
+	}
+	if res.Spectral[0].Size != 40 {
+		t.Error("writeTSV reordered the caller's points")
 	}
 }

@@ -3,8 +3,10 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/gen"
@@ -307,6 +309,39 @@ func medianFloat(xs []float64) (float64, bool) {
 		return s[len(s)/2], true
 	}
 	return (s[len(s)/2-1] + s[len(s)/2]) / 2, true
+}
+
+// Panels are Figure 1's three size-resolved panels, by file suffix;
+// Sel picks a scatter point's value on the panel's Y axis.
+var Panels = []struct {
+	Name string
+	Sel  func(ScatterPoint) float64
+}{
+	{"1a", func(p ScatterPoint) float64 { return p.Conductance }},
+	{"1b", func(p ScatterPoint) float64 { return p.AvgPath }},
+	{"1c", func(p ScatterPoint) float64 { return p.ExtIntRatio }},
+}
+
+// WriteTSV writes one panel as tab-separated (series, cluster size,
+// value) rows, the spectral series first, each sorted by size: the
+// machine-readable form of the panel for external plotting.
+func WriteTSV(w io.Writer, res *Fig1Result, sel func(ScatterPoint) float64) error {
+	if _, err := fmt.Fprintln(w, "series\tx\ty"); err != nil {
+		return err
+	}
+	for _, s := range []struct {
+		name string
+		pts  []ScatterPoint
+	}{{"spectral (LocalSpectral)", res.Spectral}, {"flow (Metis+MQI)", res.Flow}} {
+		pts := slices.Clone(s.pts)
+		sort.Slice(pts, func(a, b int) bool { return pts[a].Size < pts[b].Size })
+		for _, p := range pts {
+			if _, err := fmt.Fprintf(w, "%s\t%g\t%g\n", s.name, float64(p.Size), sel(p)); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // Fig1aTable renders panel (a): size-resolved minimum conductance per
