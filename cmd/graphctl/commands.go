@@ -39,7 +39,6 @@ var commands = map[string]command{
 	"debug":        cmdDebug,
 	"ncp":          cmdNCP,
 	"partition":    cmdPartition,
-	"fig1":         cmdFig1,
 }
 
 // flags builds a subcommand flag set named name.
@@ -833,34 +832,6 @@ func cmdPartition(ctx context.Context, c *client.Client, args []string) error {
 			fmt.Printf("  part %d: %d nodes, vol %.0f, phi=%.4f\n",
 				part.Label, part.Size, part.Volume, part.Conductance)
 		}
-	})
-}
-
-func cmdFig1(ctx context.Context, c *client.Client, args []string) error {
-	fs := flags("fig1")
-	var p api.Fig1JobParams
-	fs.IntVar(&p.N, "n", 0, "forest-fire node count (default: experiment default)")
-	fs.Float64Var(&p.FwdProb, "fwd-prob", 0, "forest-fire burn probability")
-	fs.Int64Var(&p.Seed, "seed", 0, "generator seed")
-	fs.IntVar(&p.SpectralSeeds, "spectral-seeds", 0, "spectral profile seeds")
-	fs.IntVar(&p.MinSize, "min-size", 0, "smallest cluster scale sampled")
-	fs.IntVar(&p.MaxSize, "max-size", 0, "largest cluster scale sampled")
-	fs.IntVar(&p.Workers, "workers", 0, "profile workers (default all CPUs)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	var res api.Fig1JobResult
-	view, err := submitAndWait(ctx, c, "fig1", "", &p, &res)
-	if err != nil {
-		return err
-	}
-	return emit(res, func() {
-		fmt.Printf("fig1 %s (%.0fms): n=%d m=%d\n", view.ID, view.RunTimeMS, res.Nodes, res.Edges)
-		fmt.Printf("  median phi: spectral=%.4f flow=%.4f (flow wins %.0f%%)\n",
-			res.MedianPhiSpectral, res.MedianPhiFlow, 100*res.FracFlowWinsPhi)
-		fmt.Printf("  median path: spectral=%.2f flow=%.2f (spectral wins %.0f%%)\n",
-			res.MedianPathSpectral, res.MedianPathFlow, 100*res.FracSpectralWinsPath)
-		fmt.Printf("  envelope ratio geomean: %.3f\n", res.EnvelopeRatioGeoMean)
 	})
 }
 

@@ -32,7 +32,6 @@
 //
 //	graphctl ncp demo -method spectral -seeds 8      # submit + wait + result
 //	graphctl partition demo -k 4
-//	graphctl fig1 -n 2000
 //	graphctl jobs                                    # list
 //	graphctl job get j1 | job result j1 | job wait j1 | job cancel j1
 //
@@ -152,7 +151,6 @@ queries:
 jobs:
   ncp <name> [flags]             NCP profile: submit, wait, print
   partition <name> -k K          k-way partition: submit, wait, print
-  fig1 [flags]                   Figure-1 experiment: submit, wait, print
   jobs                           list jobs
   job <get|wait|result|cancel> <id>
 

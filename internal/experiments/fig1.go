@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math"
@@ -18,51 +17,19 @@ import (
 // reproduces the default experiment: a ~20k-node forest-fire network
 // standing in for AtP-DBLP (see DESIGN.md substitutions).
 type Fig1Config struct {
-	N       int     // network size (default 20000)
-	FwdProb float64 // forest-fire burning probability (default 0.37)
-	Seed    int64   // RNG seed (default 1)
-	// Seeds per scale for the spectral profile (default 20).
-	SpectralSeeds int
-	// MinSize/MaxSize restrict the clusters evaluated for niceness
-	// (defaults 8 and 2048, Fig. 1's 10^1–10^4 decade span scaled to the
-	// synthetic network).
-	MinSize, MaxSize int
-	// Workers is the worker count for the NCP profile engines (default
-	// runtime.NumCPU(); 1 runs serially). The result is identical
-	// whatever the worker count.
-	Workers int
-	// OnProgress, when set, receives experiment progress as
-	// (units done, total units) across five equal phases: generation,
-	// spectral profile, flow profile, and the two niceness evaluations.
-	// The profile phases advance fractionally as their engines report;
-	// the others tick at phase boundaries. Calls may arrive from
-	// multiple goroutines; the hook must be cheap and must not panic. It
-	// has no effect on the result.
-	OnProgress func(done, total int)
+	N    int   // network size (default 20000)
+	Seed int64 // RNG seed (default 1)
 }
 
-func (c *Fig1Config) withDefaults() Fig1Config {
-	out := *c
-	if out.N <= 0 {
-		out.N = 20000
-	}
-	if out.FwdProb <= 0 {
-		out.FwdProb = 0.37
-	}
-	if out.Seed == 0 {
-		out.Seed = 1
-	}
-	if out.SpectralSeeds <= 0 {
-		out.SpectralSeeds = 20
-	}
-	if out.MinSize <= 0 {
-		out.MinSize = 8
-	}
-	if out.MaxSize <= 0 {
-		out.MaxSize = 2048
-	}
-	return out
-}
+// The experiment's fixed knobs: the forest-fire burning probability and
+// the cluster sizes evaluated for niceness (Fig. 1's 10^1–10^4 decade
+// span scaled to the synthetic network). Both profiles run at their
+// engines' defaults (20 spectral seeds per scale).
+const (
+	fig1FwdProb = 0.37
+	fig1MinSize = 8
+	fig1MaxSize = 2048
+)
 
 // ScatterPoint is one cluster in the Fig. 1 scatter plots: its size
 // (X-axis of all panels), conductance (Y of 1a), average shortest path
@@ -98,54 +65,35 @@ type Fig1Result struct {
 // wins on conductance (panel a) while spectral yields nicer clusters
 // (panels b and c).
 func Fig1(cfg Fig1Config) (*Fig1Result, error) {
-	return Fig1Ctx(context.Background(), cfg)
-}
-
-// Fig1Ctx is Fig1 with cooperative cancellation: the profile engines
-// stop dispatching work once ctx is done, so a serving layer can abort
-// the experiment mid-run.
-func Fig1Ctx(ctx context.Context, cfg Fig1Config) (*Fig1Result, error) {
-	c := (&cfg).withDefaults()
-	// Progress is reported in thousandths of a phase so the two profile
-	// engines can advance smoothly inside their phase windows.
-	const unit = 1000
-	progress := func(phasesDone int, frac float64) {
-		if c.OnProgress != nil {
-			c.OnProgress(phasesDone*unit+int(frac*unit), 5*unit)
-		}
+	if cfg.N <= 0 {
+		cfg.N = 20000
 	}
-	rng := rand.New(rand.NewSource(c.Seed))
-	g, err := gen.ForestFire(gen.ForestFireConfig{N: c.N, FwdProb: c.FwdProb, Ambs: 1}, rng)
+	if cfg.Seed == 0 {
+		cfg.Seed = 1
+	}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	g, err := gen.ForestFire(gen.ForestFireConfig{N: cfg.N, FwdProb: fig1FwdProb, Ambs: 1}, rng)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig1 generator: %w", err)
 	}
-	progress(1, 0)
-	spProf, err := ncp.SpectralProfileCtx(ctx, g, ncp.SpectralConfig{
-		Seeds: c.SpectralSeeds, Workers: c.Workers,
-		OnProgress: func(done, total int) { progress(1, float64(done)/float64(total)) },
-	}, rng)
+	spProf, err := ncp.SpectralProfile(g, ncp.SpectralConfig{}, rng)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig1 spectral profile: %w", err)
 	}
-	flProf, err := ncp.FlowProfileCtx(ctx, g, ncp.FlowConfig{
-		Workers:    c.Workers,
-		OnProgress: func(done, total int) { progress(2, float64(done)/float64(total)) },
-	}, rng)
+	flProf, err := ncp.FlowProfile(g, ncp.FlowConfig{}, rng)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig1 flow profile: %w", err)
 	}
 	// 16 evaluated clusters per size bucket per method keeps the scatter
 	// informative while bounding the BFS-heavy niceness evaluation.
-	spM, err := ncp.EvaluateProfileCapped(g, spProf, c.MinSize, c.MaxSize, 16)
+	spM, err := ncp.EvaluateProfileCapped(g, spProf, fig1MinSize, fig1MaxSize, 16)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig1 spectral measures: %w", err)
 	}
-	progress(4, 0)
-	flM, err := ncp.EvaluateProfileCapped(g, flProf, c.MinSize, c.MaxSize, 16)
+	flM, err := ncp.EvaluateProfileCapped(g, flProf, fig1MinSize, fig1MaxSize, 16)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig1 flow measures: %w", err)
 	}
-	progress(5, 0)
 	res := &Fig1Result{Graph: g}
 	for _, m := range spM {
 		res.Spectral = append(res.Spectral, toPoint(m))

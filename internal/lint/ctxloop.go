@@ -19,7 +19,6 @@ var CtxLoopPackages = []string{
 	"repro/internal/ncp",
 	"repro/internal/partition",
 	"repro/internal/par",
-	"repro/internal/experiments",
 }
 
 // CtxLoop enforces context responsiveness of unbounded loops in

@@ -132,8 +132,8 @@ func TestProfilesObserveContextCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SpectralProfileCtx(ctx, g, SpectralConfig{Workers: 2, BaseSeed: 1}, rng); !errors.Is(err, context.Canceled) {
-		t.Errorf("SpectralProfileCtx err = %v, want context.Canceled", err)
+	if _, err := SpectralProfileOn(ctx, gstore.Wrap(g), SpectralConfig{Workers: 2, BaseSeed: 1}, rng); !errors.Is(err, context.Canceled) {
+		t.Errorf("SpectralProfileOn err = %v, want context.Canceled", err)
 	}
 	if _, err := FlowProfileCtx(ctx, g, FlowConfig{Workers: 2, BaseSeed: 1}, rng); !errors.Is(err, context.Canceled) {
 		t.Errorf("FlowProfileCtx err = %v, want context.Canceled", err)
@@ -148,7 +148,7 @@ func TestSpectralProfileCtxMidFlightCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(time.Millisecond, cancel)
-	_, err = SpectralProfileCtx(ctx, g, SpectralConfig{Seeds: 200, Workers: 2, BaseSeed: 1}, rng)
+	_, err = SpectralProfileOn(ctx, gstore.Wrap(g), SpectralConfig{Seeds: 200, Workers: 2, BaseSeed: 1}, rng)
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Errorf("mid-flight cancel: err = %v, want nil or context.Canceled", err)
 	}

@@ -77,19 +77,14 @@ func (c *SpectralConfig) withDefaults() SpectralConfig {
 // cfg.BaseSeed (drawn from rng when unset), so the result is
 // deterministic and independent of the worker count.
 func SpectralProfile(g *graph.Graph, cfg SpectralConfig, rng *rand.Rand) (*Profile, error) {
-	return SpectralProfileCtx(context.Background(), g, cfg, rng)
+	return SpectralProfileOn(context.Background(), gstore.Wrap(g), cfg, rng)
 }
 
-// SpectralProfileCtx is SpectralProfile with cooperative cancellation:
-// when ctx is cancelled or its deadline passes, the sweep stops
-// dispatching (α, seed) tasks and the context's error is returned. This
-// is what makes long NCP jobs cancellable from a serving layer.
-func SpectralProfileCtx(ctx context.Context, g *graph.Graph, cfg SpectralConfig, rng *rand.Rand) (*Profile, error) {
-	return SpectralProfileOn(ctx, gstore.Wrap(g), cfg, rng)
-}
-
-// SpectralProfileOn is SpectralProfileCtx over any storage backend.
-// The profile — every sampled cluster and every conductance float — is
+// SpectralProfileOn is SpectralProfile over any storage backend, with
+// cooperative cancellation: when ctx is cancelled or its deadline
+// passes, the sweep stops dispatching (α, seed) tasks and the context's
+// error is returned. This is what makes long NCP jobs cancellable from
+// a serving layer. The profile — every sampled cluster and every conductance float — is
 // bit-identical across backends: the push, sweep order and prefix
 // conductances all ride on arithmetic the backends reproduce exactly.
 func SpectralProfileOn(ctx context.Context, g gstore.Graph, cfg SpectralConfig, rng *rand.Rand) (*Profile, error) {

@@ -7,7 +7,6 @@ import (
 	"math"
 	"math/rand"
 
-	"repro/internal/experiments"
 	"repro/internal/gstore"
 	"repro/internal/ncp"
 	"repro/internal/partition"
@@ -18,16 +17,14 @@ import (
 //
 //	ncp        — spectral and/or flow Network Community Profile
 //	partition  — k-way recursive multilevel bisection
-//	fig1       — the full Figure-1 experiment (generates its own graph)
 //
-// The params and result payloads are the api.*JobParams / api.*JobResult
+// Both run on a stored graph. The params and result payloads are the api.*JobParams / api.*JobResult
 // wire types. Every executor defaults its seed so results are
 // deterministic for a given params payload, which is what makes
 // job-result caching sound.
 func RegisterDefaultJobs(m *JobManager) {
-	m.Register("ncp", true, runNCPJob)
-	m.Register("partition", true, runPartitionJob)
-	m.Register("fig1", false, runFig1Job)
+	m.Register("ncp", runNCPJob)
+	m.Register("partition", runPartitionJob)
 }
 
 // decodeParams strict-decodes a job's raw params into p, then runs the
@@ -137,31 +134,6 @@ func runPartitionJob(ctx context.Context, sg gstore.Graph, raw json.RawMessage) 
 		res.Labels = labels
 	}
 	return res, nil
-}
-
-func runFig1Job(ctx context.Context, _ gstore.Graph, raw json.RawMessage) (any, error) {
-	var p api.Fig1JobParams
-	if err := decodeParams(raw, &p); err != nil {
-		return nil, err
-	}
-	r, err := experiments.Fig1Ctx(ctx, experiments.Fig1Config{
-		N: p.N, FwdProb: p.FwdProb, Seed: p.Seed, SpectralSeeds: p.SpectralSeeds,
-		MinSize: p.MinSize, MaxSize: p.MaxSize, Workers: p.Workers,
-		OnProgress: progressRange(progressFrom(ctx), 0, 1),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &api.Fig1JobResult{
-		Nodes: r.Graph.N(), Edges: r.Graph.M(),
-		SpectralPoints: len(r.Spectral), FlowPoints: len(r.Flow),
-		MedianPhiSpectral: api.Float(r.MedianPhiSpectral), MedianPhiFlow: api.Float(r.MedianPhiFlow),
-		MedianPathSpectral: api.Float(r.MedianPathSpectral), MedianPathFlow: api.Float(r.MedianPathFlow),
-		MedianRatioSpectral: api.Float(r.MedianRatioSpectral), MedianRatioFlow: api.Float(r.MedianRatioFlow),
-		FracFlowWinsPhi:      api.Float(r.FracFlowWinsPhi),
-		FracSpectralWinsPath: api.Float(r.FracSpectralWinsNicePth),
-		EnvelopeRatioGeoMean: api.Float(r.EnvelopeRatioGeoMean),
-	}, nil
 }
 
 // strictUnmarshal decodes params by api.UnmarshalStrict, so typos in

@@ -100,25 +100,18 @@ func progressFrom(ctx context.Context) ProgressFunc {
 }
 
 // JobExecutor runs one job type on the served graph: it copies g with
-// gstore.Materialize itself where an algorithm needs the heap form. g
-// is nil for job types that do not operate on a stored graph (e.g.
-// fig1, which generates its own). The returned value is marshaled to
-// JSON and must be deterministic for identical params (given a fixed
-// BaseSeed), so cached replays are byte-identical.
+// gstore.Materialize itself where an algorithm needs the heap form. The
+// returned value is marshaled to JSON and must be deterministic for
+// identical params (given a fixed BaseSeed), so cached replays are
+// byte-identical.
 type JobExecutor func(ctx context.Context, g gstore.Graph, params json.RawMessage) (any, error)
-
-// jobSpec describes a registered job type.
-type jobSpec struct {
-	needsGraph bool
-	run        JobExecutor
-}
 
 // JobManager is the bounded async work queue: Submit enqueues, a fixed
 // set of workers drains, Cancel aborts via context cancellation, and
 // results are kept in-memory (and replayed byte-identically through the
 // shared result cache).
 type JobManager struct {
-	specs   map[string]jobSpec
+	specs   map[string]JobExecutor
 	store   *GraphStore
 	cache   *LRUCache
 	metrics *Metrics
@@ -151,7 +144,7 @@ func NewJobManager(store *GraphStore, cache *LRUCache, metrics *Metrics, workers
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &JobManager{
-		specs:   make(map[string]jobSpec),
+		specs:   make(map[string]JobExecutor),
 		store:   store,
 		cache:   cache,
 		metrics: metrics,
@@ -167,14 +160,15 @@ func NewJobManager(store *GraphStore, cache *LRUCache, metrics *Metrics, workers
 	return m
 }
 
-// Register adds a job type. needsGraph job types resolve their graph at
-// submit time and fail submission when it is absent or unsealed.
-func (m *JobManager) Register(name string, needsGraph bool, run JobExecutor) {
-	m.specs[name] = jobSpec{needsGraph: needsGraph, run: run}
+// Register adds a job type. Every job resolves its graph at submit time
+// and fails submission when it is absent or unsealed.
+func (m *JobManager) Register(name string, run JobExecutor) {
+	m.specs[name] = run
 }
 
-// Types returns the registered job type names, for error messages.
-func (m *JobManager) Types() []string { return slices.Collect(maps.Keys(m.specs)) }
+// Types returns the registered job type names, sorted, for error
+// messages.
+func (m *JobManager) Types() []string { return slices.Sorted(maps.Keys(m.specs)) }
 
 // Close cancels all running jobs and waits for the workers to exit.
 // Submissions racing with Close are rejected rather than panicking on
@@ -218,17 +212,12 @@ func canonicalJSON(raw json.RawMessage) (string, error) {
 // params are canonicalized into the job's cache key so that identical
 // submissions replay the cached result bytes.
 func (m *JobManager) Submit(jobType, graphName string, params json.RawMessage) (api.JobView, error) {
-	spec, ok := m.specs[jobType]
-	if !ok {
+	if _, ok := m.specs[jobType]; !ok {
 		return api.JobView{}, storeErrf(ErrBadInput, "unknown job type %q (have %v)", jobType, m.Types())
 	}
-	var graphID uint64
-	if spec.needsGraph {
-		_, id, err := m.store.Get(graphName)
-		if err != nil {
-			return api.JobView{}, err
-		}
-		graphID = id
+	_, graphID, err := m.store.Get(graphName)
+	if err != nil {
+		return api.JobView{}, err
 	}
 	if len(params) == 0 {
 		params = json.RawMessage("{}")
@@ -436,26 +425,21 @@ func (m *JobManager) runJob(job *Job) {
 		}
 	}
 	ctx := withProgress(job.ctx, job.setProgress)
-	var g gstore.Graph
-	spec := m.specs[job.jobType]
-	if spec.needsGraph {
-		resolved, id, err := m.store.Get(job.graphName)
-		if err != nil {
-			finish(api.JobFailed, nil, false, err.Error())
-			return
-		}
-		// The name may have been deleted and re-created while the job
-		// waited; running against a different graph than the one the
-		// caller submitted for would silently answer the wrong question
-		// (and poison the cache key, which embeds the submit-time id).
-		if id != job.graphID {
-			finish(api.JobFailed, nil, false,
-				fmt.Sprintf("graph %q was replaced after submission", job.graphName))
-			return
-		}
-		g = resolved
+	g, id, err := m.store.Get(job.graphName)
+	if err != nil {
+		finish(api.JobFailed, nil, false, err.Error())
+		return
 	}
-	val, err := runExecutor(spec.run, ctx, g, job.params)
+	// The name may have been deleted and re-created while the job
+	// waited; running against a different graph than the one the
+	// caller submitted for would silently answer the wrong question
+	// (and poison the cache key, which embeds the submit-time id).
+	if id != job.graphID {
+		finish(api.JobFailed, nil, false,
+			fmt.Sprintf("graph %q was replaced after submission", job.graphName))
+		return
+	}
+	val, err := runExecutor(m.specs[job.jobType], ctx, g, job.params)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || ctx.Err() != nil {
 			finish(api.JobCancelled, nil, false, err.Error())

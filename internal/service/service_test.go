@@ -381,18 +381,21 @@ func TestJobQueueFullIsUnavailable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := store.Put("ring", gen.RingOfCliques(4, 4)); err != nil {
+		t.Fatal(err)
+	}
 	m := NewJobManager(store, nil, nil, 1, 1)
 	t.Cleanup(m.Close)
 	release := make(chan struct{})
 	var once sync.Once
 	t.Cleanup(func() { once.Do(func() { close(release) }) })
-	m.Register("block", false, func(ctx context.Context, _ gstore.Graph, _ json.RawMessage) (any, error) {
+	m.Register("block", func(ctx context.Context, _ gstore.Graph, _ json.RawMessage) (any, error) {
 		<-release
 		return "done", nil
 	})
 
 	// First job occupies the single worker...
-	running, err := m.Submit("block", "", nil)
+	running, err := m.Submit("block", "ring", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,17 +415,17 @@ func TestJobQueueFullIsUnavailable(t *testing.T) {
 	}
 	// ...the second fills the one queue slot; the third is backpressure,
 	// surfaced as the retryable unavailable code, not conflict.
-	if _, err := m.Submit("block", "", nil); err != nil {
+	if _, err := m.Submit("block", "ring", nil); err != nil {
 		t.Fatal(err)
 	}
-	_, err = m.Submit("block", "", nil)
+	_, err = m.Submit("block", "ring", nil)
 	wantAPIErr(t, err, api.CodeUnavailable)
 
 	once.Do(func() { close(release) })
 
 	// After shutdown, submissions are unavailable too.
 	m.Close()
-	_, err = m.Submit("block", "", nil)
+	_, err = m.Submit("block", "ring", nil)
 	wantAPIErr(t, err, api.CodeUnavailable)
 }
 
@@ -766,6 +769,17 @@ func TestJobListAndBadRequests(t *testing.T) {
 	if want := `{"error":{"code":"invalid_argument","message":"params: invalid character '{' after top-level value"}}` + "\n"; resp.StatusCode != http.StatusBadRequest || string(body) != want {
 		t.Fatalf("submit with a second value: %d %s, want 400 %s", resp.StatusCode, body, want)
 	}
+	// An unregistered type names the registered ones in sorted order, so
+	// the same bad request always gets the same bytes.
+	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{"type":"fig1","graph":"ring"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := `{"error":{"code":"invalid_argument","message":"unknown job type \"fig1\" (have [ncp partition])"}}` + "\n"; resp.StatusCode != http.StatusBadRequest || string(body) != want {
+		t.Fatalf("submit of an unknown type: %d %s, want 400 %s", resp.StatusCode, body, want)
+	}
 
 	// Bad algorithm params fail the job, not the submit.
 	req, err := api.NewJob("ncp", "ring", &api.NCPJobParams{Method: "sideways"})
@@ -821,11 +835,11 @@ func TestJobCancellationMidRun(t *testing.T) {
 	}
 	// The single worker is now busy; a second submission stays queued
 	// and can be cancelled without ever running.
-	fig1Req, err := api.NewJob("fig1", "", &api.Fig1JobParams{N: 500})
+	smallReq, err := api.NewJob("ncp", "ring", &api.NCPJobParams{Method: "spectral", Seeds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	queued, err := c.Jobs.Submit(ctx(), fig1Req)
+	queued, err := c.Jobs.Submit(ctx(), smallReq)
 	if err != nil {
 		t.Fatal(err)
 	}

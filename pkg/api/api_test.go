@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
-	"strings"
 	"testing"
 )
 
@@ -88,8 +86,6 @@ func TestRequestNormalizeAndValidate(t *testing.T) {
 		{"ncp params bad method", &NCPJobParams{Method: "sideways"}, false},
 		{"partition params ok", &PartitionJobParams{K: 4}, true},
 		{"partition params k0", &PartitionJobParams{}, false},
-		{"fig1 params defaults", &Fig1JobParams{}, true},
-		{"fig1 params bad prob", &Fig1JobParams{FwdProb: 1.5}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -145,35 +141,5 @@ func TestJobStatusTerminal(t *testing.T) {
 		if s.Terminal() != want {
 			t.Errorf("%s.Terminal() = %v, want %v", s, !want, want)
 		}
-	}
-}
-
-// TestFig1ResultCarriesNonFiniteMedians: a fig1 median is +Inf when
-// most clusters are disconnected and NaN when there are none. The
-// result still marshals, and decodes back to the same values.
-func TestFig1ResultCarriesNonFiniteMedians(t *testing.T) {
-	in := Fig1JobResult{
-		MedianPhiSpectral: 0.25, MedianPathFlow: Float(math.Inf(1)),
-		MedianRatioFlow: Float(math.Inf(-1)), EnvelopeRatioGeoMean: Float(math.NaN()),
-	}
-	raw, err := json.Marshal(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"median_phi_spectral":0.25`, `"median_path_flow":"+Inf"`, `"median_ratio_flow":"-Inf"`, `"envelope_ratio_geomean":"NaN"`} {
-		if !strings.Contains(string(raw), want) {
-			t.Errorf("%s lacks %s", raw, want)
-		}
-	}
-	var out Fig1JobResult
-	if err := json.Unmarshal(raw, &out); err != nil {
-		t.Fatal(err)
-	}
-	if out.MedianPhiSpectral != 0.25 || !math.IsInf(float64(out.MedianPathFlow), 1) ||
-		!math.IsInf(float64(out.MedianRatioFlow), -1) || !math.IsNaN(float64(out.EnvelopeRatioGeoMean)) {
-		t.Fatalf("round trip: %+v", out)
-	}
-	if err := json.Unmarshal([]byte(`{"median_path_flow":"far"}`), &out); !IsCode(err, CodeInvalidArgument) {
-		t.Fatalf("a string that is no number: %v", err)
 	}
 }

@@ -2,8 +2,6 @@ package api
 
 import (
 	"encoding/json"
-	"math"
-	"strconv"
 	"time"
 )
 
@@ -49,11 +47,11 @@ type JobList struct {
 }
 
 // JobTypes are the job types registered by default.
-var JobTypes = []string{"ncp", "partition", "fig1"}
+var JobTypes = []string{"ncp", "partition"}
 
-// JobSubmitRequest enqueues an async job (POST /v1/jobs). Params is the
-// job type's own params payload (NCPJobParams, PartitionJobParams,
-// Fig1JobParams for the built-in types).
+// JobSubmitRequest enqueues an async job (POST /v1/jobs) on a stored
+// graph. Params is the job type's own params payload (NCPJobParams or
+// PartitionJobParams for the built-in types).
 type JobSubmitRequest struct {
 	Type   string          `json:"type"`
 	Graph  string          `json:"graph,omitempty"`
@@ -73,8 +71,7 @@ func (r *JobSubmitRequest) Validate() error {
 }
 
 // NewJob builds a JobSubmitRequest from typed params, marshaling them
-// into the Params payload. graph may be empty for job types that do not
-// operate on a stored graph (fig1).
+// into the Params payload.
 func NewJob(jobType, graph string, params any) (JobSubmitRequest, error) {
 	req := JobSubmitRequest{Type: jobType, Graph: graph}
 	if params != nil {
@@ -183,81 +180,4 @@ type PartitionJobResult struct {
 	Parts  []PartSummary `json:"parts"`
 	MaxPhi float64       `json:"max_conductance"`
 	Labels []int         `json:"labels,omitempty"`
-}
-
-// Fig1JobParams parameterizes the "fig1" job type, which generates its
-// own forest-fire network; zero values select the experiment defaults.
-type Fig1JobParams struct {
-	N             int     `json:"n,omitempty"`
-	FwdProb       float64 `json:"fwd_prob,omitempty"`
-	Seed          int64   `json:"seed,omitempty"`
-	SpectralSeeds int     `json:"spectral_seeds,omitempty"`
-	MinSize       int     `json:"min_size,omitempty"`
-	MaxSize       int     `json:"max_size,omitempty"`
-	Workers       int     `json:"workers,omitempty"`
-}
-
-func (p *Fig1JobParams) Normalize() {}
-
-func (p *Fig1JobParams) Validate() error {
-	if p.N < 0 {
-		return Errorf(CodeInvalidArgument, "n=%d must be >= 0", p.N)
-	}
-	if p.FwdProb < 0 || p.FwdProb >= 1 {
-		return Errorf(CodeInvalidArgument, "fwd_prob=%v outside [0,1)", p.FwdProb)
-	}
-	return nil
-}
-
-// Fig1JobResult is the "fig1" job's result payload: the aggregate
-// comparison that summarizes all three panels. A median is +Inf when
-// most of a method's clusters are disconnected, and NaN when it has no
-// clusters.
-type Fig1JobResult struct {
-	Nodes                int   `json:"nodes"`
-	Edges                int   `json:"edges"`
-	SpectralPoints       int   `json:"spectral_points"`
-	FlowPoints           int   `json:"flow_points"`
-	MedianPhiSpectral    Float `json:"median_phi_spectral"`
-	MedianPhiFlow        Float `json:"median_phi_flow"`
-	MedianPathSpectral   Float `json:"median_path_spectral"`
-	MedianPathFlow       Float `json:"median_path_flow"`
-	MedianRatioSpectral  Float `json:"median_ratio_spectral"`
-	MedianRatioFlow      Float `json:"median_ratio_flow"`
-	FracFlowWinsPhi      Float `json:"frac_flow_wins_phi"`
-	FracSpectralWinsPath Float `json:"frac_spectral_wins_path"`
-	EnvelopeRatioGeoMean Float `json:"envelope_ratio_geomean"`
-}
-
-// Float is a float64 whose JSON form is a number when it is finite and
-// the string "+Inf", "-Inf" or "NaN" when it is not, which a JSON number
-// cannot be.
-type Float float64
-
-// MarshalJSON implements json.Marshaler.
-func (f Float) MarshalJSON() ([]byte, error) {
-	x := float64(f)
-	if math.IsInf(x, 0) || math.IsNaN(x) {
-		return strconv.AppendQuote(nil, strconv.FormatFloat(x, 'g', -1, 64)), nil
-	}
-	return json.Marshal(x)
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (f *Float) UnmarshalJSON(b []byte) error {
-	var x float64
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		var err error
-		if x, err = strconv.ParseFloat(s, 64); err != nil {
-			return Errorf(CodeInvalidArgument, "%q is not a number", s)
-		}
-	} else if err := json.Unmarshal(b, &x); err != nil {
-		return err
-	}
-	*f = Float(x)
-	return nil
 }

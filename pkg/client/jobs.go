@@ -11,7 +11,8 @@ import (
 )
 
 // JobsService covers the /v1/jobs endpoint family: the async queue for
-// the expensive global computations (NCP profiles, partitions, fig1).
+// the expensive global computations on a stored graph (NCP profiles,
+// partitions).
 type JobsService struct {
 	c *Client
 }
