@@ -9,13 +9,12 @@ import (
 	"sort"
 
 	"repro/internal/gen"
-	"repro/internal/graph"
 	"repro/internal/ncp"
 )
 
 // Fig1Config parameterizes the Figure 1 reproduction. The zero value
 // reproduces the default experiment: a ~20k-node forest-fire network
-// standing in for AtP-DBLP (see DESIGN.md substitutions).
+// standing in for the paper's AtP-DBLP co-authorship network.
 type Fig1Config struct {
 	N    int   // network size (default 20000)
 	Seed int64 // RNG seed (default 1)
@@ -44,7 +43,6 @@ type ScatterPoint struct {
 // Fig1Result carries both methods' scatter series plus the aggregate
 // comparison that summarizes the paper's reading of the figure.
 type Fig1Result struct {
-	Graph    *graph.Graph
 	Spectral []ScatterPoint // blue: LocalSpectral
 	Flow     []ScatterPoint // red: Metis+MQI
 	// Aggregates over the evaluated size range (medians).
@@ -94,7 +92,7 @@ func Fig1(cfg Fig1Config) (*Fig1Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig1 flow measures: %w", err)
 	}
-	res := &Fig1Result{Graph: g}
+	res := &Fig1Result{}
 	for _, m := range spM {
 		res.Spectral = append(res.Spectral, toPoint(m))
 	}
