@@ -84,9 +84,10 @@ func SpectralProfile(g *graph.Graph, cfg SpectralConfig, rng *rand.Rand) (*Profi
 // cooperative cancellation: when ctx is cancelled or its deadline
 // passes, the sweep stops dispatching (α, seed) tasks and the context's
 // error is returned. This is what makes long NCP jobs cancellable from
-// a serving layer. The profile — every sampled cluster and every conductance float — is
-// bit-identical across backends: the push, sweep order and prefix
-// conductances all ride on arithmetic the backends reproduce exactly.
+// a serving layer. The profile — every sampled cluster and every
+// conductance float — is bit-identical across backends: the push, sweep
+// order and prefix conductances all ride on arithmetic the backends
+// reproduce exactly.
 func SpectralProfileOn(ctx context.Context, g gstore.Graph, cfg SpectralConfig, rng *rand.Rand) (*Profile, error) {
 	c := (&cfg).withDefaults()
 	if g.N() < 4 {
