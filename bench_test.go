@@ -17,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -27,7 +28,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/gstore"
 	"repro/internal/kernel"
-	"repro/internal/local"
 	"repro/internal/ncp"
 	"repro/internal/partition"
 	"repro/internal/persist"
@@ -417,11 +417,12 @@ func BenchmarkAblationPushEps(b *testing.B) {
 			var work float64
 			var support int
 			for i := 0; i < b.N; i++ {
-				pr, err := local.ApproxPageRank(g, []int{17}, 0.1, eps)
+				ws := kernel.NewWorkspace(g.N())
+				st, err := kernel.PushACL{Alpha: 0.1, Eps: eps}.Diffuse(g, ws, []int{17})
 				if err != nil {
 					b.Fatal(err)
 				}
-				work, support = pr.WorkVolume, len(pr.P)
+				work, support = st.WorkVolume, ws.PSupport()
 			}
 			b.Logf("eps=%g: work volume %.0f, support %d", eps, work, support)
 		})
@@ -725,17 +726,17 @@ func median(xs []float64) float64 {
 // push rule (a node the lazy step would re-queue is settled in closed
 // form), kept as the allocation/latency baseline for BenchmarkPushMap
 // (the kernel engine is required to reproduce it bit for bit; the
-// parity tests in internal/local assert that). Twin copy: mapPush in
-// internal/local/parity_test.go is the same code serving as the
+// parity tests in internal/kernel assert that). Twin copy: mapPush in
+// internal/kernel/maporacle_test.go is the same code serving as the
 // correctness oracle — change both together.
-func benchPushMap(g *graph.Graph, seeds []int, alpha, eps float64) (local.SparseVec, int) {
-	p := make(local.SparseVec)
-	r := make(local.SparseVec)
+func benchPushMap(g *graph.Graph, seeds []int, alpha, eps float64) (map[int]float64, int) {
+	p := make(map[int]float64)
+	r := make(map[int]float64)
 	w := 1 / float64(len(seeds))
 	for _, u := range seeds {
 		r[u] += w
 	}
-	queue := append([]int(nil), r.Support()...)
+	queue := sortedNodes(r)
 	inQueue := make(map[int]bool)
 	for _, u := range queue {
 		inQueue[u] = true
@@ -781,10 +782,10 @@ func benchPushMap(g *graph.Graph, seeds []int, alpha, eps float64) (local.Sparse
 // benchWalkMap is one legacy map-based lazy-walk step + truncation with
 // iteration pinned to sorted order, the baseline step shared by the
 // Nibble and heat-kernel map baselines below. Twin copy: mapWalkStep in
-// internal/local/parity_test.go — change both together.
-func benchWalkMap(g *graph.Graph, q local.SparseVec, eps float64) local.SparseVec {
-	keys := q.Support()
-	next := make(local.SparseVec, len(q)*2)
+// internal/kernel/maporacle_test.go — change both together.
+func benchWalkMap(g *graph.Graph, q map[int]float64, eps float64) map[int]float64 {
+	keys := sortedNodes(q)
+	next := make(map[int]float64, len(q)*2)
 	for _, u := range keys {
 		mass := q[u]
 		du := g.Degree(u)
@@ -804,6 +805,16 @@ func benchWalkMap(g *graph.Graph, q local.SparseVec, eps float64) local.SparseVe
 		}
 	}
 	return next
+}
+
+// sortedNodes returns the nodes of v in ascending order.
+func sortedNodes(v map[int]float64) []int {
+	out := make([]int, 0, len(v))
+	for u := range v {
+		out = append(out, u)
+	}
+	sort.Ints(out)
+	return out
 }
 
 // BenchmarkPushMap measures the legacy map-based ACL push on the
@@ -852,12 +863,13 @@ func BenchmarkPushIndexed(b *testing.B) {
 const deepSweepSeeds = 16
 
 // BenchmarkSweepWorkspace measures the sweep half of a deep ppr reply —
-// local.WorkspaceSweepCut over the finished push of a G16-scale
+// the kernel's workspace sweep (SweepOrderP, SweepBest, then the kept
+// set copied with SweepNodes) over the finished push of a G16-scale
 // Kronecker graph at eps 1e-6 (support in the thousands) — on each
 // storage backend. The sweep reads the P plane and writes only sweep
 // scratch, so each prepared workspace is swept again and again; what
 // must hold is B/op ≈ the returned set and allocs/op independent of n
-// (TestMaterialisationIsLocal in internal/local pins the latter).
+// (TestMaterialisationIsLocal in internal/service pins the latter).
 func BenchmarkSweepWorkspace(b *testing.B) {
 	g, err := gen.Kronecker(gen.KroneckerConfig{Levels: 16, Edges: 600000}, rand.New(rand.NewSource(1)))
 	if err != nil {
@@ -895,20 +907,31 @@ func BenchmarkSweepWorkspace(b *testing.B) {
 					b.Fatal(err)
 				}
 				support += st.MaxSupport
-				if _, err := local.WorkspaceSweepCut(bg, wss[i]); err != nil { // warm the scratch
-					b.Fatal(err)
+				if sweepWorkspace(bg, wss[i]) == nil { // warm the scratch
+					b.Fatal("no sweep cut")
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := local.WorkspaceSweepCut(bg, wss[i%len(wss)]); err != nil {
-					b.Fatal(err)
+				if sweepWorkspace(bg, wss[i%len(wss)]) == nil {
+					b.Fatal("no sweep cut")
 				}
 			}
 			b.Logf("backend=%s mean support %d on n=%d m=%d", kind, support/len(wss), g.N(), g.M())
 		})
 	}
+}
+
+// sweepWorkspace is the sweep of a ppr reply: the best cut of ws's
+// output plane, its set copied out (nil when there is no cut).
+func sweepWorkspace(g gstore.Graph, ws *kernel.Workspace) []int {
+	ws.SweepOrderP(g)
+	prefix, _ := ws.SweepBest(g)
+	if prefix == 0 {
+		return nil
+	}
+	return ws.SweepNodes(make([]int, 0, prefix), prefix)
 }
 
 // BenchmarkNibble compares the truncated-walk engine on its two sparse
@@ -921,7 +944,7 @@ func BenchmarkNibble(b *testing.B) {
 	b.Run("map", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			q := local.SparseVec{seeds[0]: 1}
+			q := map[int]float64{seeds[0]: 1}
 			for s := 0; s < steps && len(q) > 0; s++ {
 				q = benchWalkMap(g, q, eps)
 			}
@@ -955,13 +978,13 @@ func BenchmarkHeatKernel(b *testing.B) {
 	b.Run("map", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			cur := local.SparseVec{seeds[0]: 1}
-			out := local.SparseVec{seeds[0]: math.Exp(-tVal)}
+			cur := map[int]float64{seeds[0]: 1}
+			out := map[int]float64{seeds[0]: math.Exp(-tVal)}
 			weight := math.Exp(-tVal)
 			for kk := 1; kk <= 40 && len(cur) > 0; kk++ {
 				cur = benchWalkMap(g, cur, eps)
 				weight *= tVal / float64(kk)
-				for _, u := range cur.Support() {
+				for _, u := range sortedNodes(cur) {
 					out[u] += weight * cur[u]
 				}
 			}

@@ -1,4 +1,4 @@
-package local
+package experiments
 
 import (
 	"errors"
@@ -10,8 +10,8 @@ import (
 	"repro/internal/vec"
 )
 
-// MOVResult is the solution of the MOV locally-biased spectral program.
-type MOVResult struct {
+// movResult is the solution of the MOV locally-biased spectral program.
+type movResult struct {
 	// Vector is the unit-norm solution x of Problem (8) in the symmetric
 	// (𝓛) coordinates.
 	Vector []float64
@@ -26,7 +26,7 @@ type MOVResult struct {
 	Iterations      int
 }
 
-// MOV solves the Mahoney–Orecchia–Vishnoi locally-biased spectral
+// mov solves the Mahoney–Orecchia–Vishnoi locally-biased spectral
 // program, Problem (8) of the paper:
 //
 //	minimize xᵀ𝓛x  s.t.  xᵀx = 1,  xᵀD^{1/2}1 = 0,  (xᵀD^{1/2}s)² ≥ κ,
@@ -42,9 +42,9 @@ type MOVResult struct {
 // The solve uses conjugate gradients on the operator (𝓛 − γI) restricted
 // to the complement of the trivial eigenvector, where it is positive
 // definite for γ < λ₂.
-func MOV(g *graph.Graph, seeds []int, gamma float64, maxIter int, tol float64) (*MOVResult, error) {
+func mov(g *graph.Graph, seeds []int, gamma float64, maxIter int, tol float64) (*movResult, error) {
 	if len(seeds) == 0 {
-		return nil, errors.New("local: MOV needs a nonempty seed set")
+		return nil, errors.New("experiments: MOV needs a nonempty seed set")
 	}
 	n := g.N()
 	if maxIter <= 0 {
@@ -61,14 +61,14 @@ func MOV(g *graph.Graph, seeds []int, gamma float64, maxIter int, tol float64) (
 	w := 1 / float64(len(seeds))
 	for _, u := range seeds {
 		if u < 0 || u >= n {
-			return nil, fmt.Errorf("local: seed %d out of range [0,%d)", u, n)
+			return nil, fmt.Errorf("experiments: MOV seed %d out of range [0,%d)", u, n)
 		}
 		s[u] += w
 	}
 	rhs := vec.ScaleByDegree(s, g.Degrees(), 0.5)
 	vec.ProjectOut(rhs, trivial)
 	if vec.Norm2(rhs) == 0 {
-		return nil, errors.New("local: MOV seed is parallel to the trivial eigenvector")
+		return nil, errors.New("experiments: MOV seed is parallel to the trivial eigenvector")
 	}
 
 	apply := func(x []float64) []float64 {
@@ -87,7 +87,7 @@ func MOV(g *graph.Graph, seeds []int, gamma float64, maxIter int, tol float64) (
 		ap := apply(p)
 		denom := vec.Dot(p, ap)
 		if denom <= 0 {
-			return nil, fmt.Errorf("local: MOV operator not positive definite (γ=%v ≥ λ₂?)", gamma)
+			return nil, fmt.Errorf("experiments: MOV operator not positive definite (γ=%v ≥ λ₂?)", gamma)
 		}
 		alpha := rs / denom
 		vec.Axpy(alpha, p, x)
@@ -103,7 +103,7 @@ func MOV(g *graph.Graph, seeds []int, gamma float64, maxIter int, tol float64) (
 	}
 	vec.ProjectOut(x, trivial)
 	if vec.Normalize(x) == 0 {
-		return nil, errors.New("local: MOV solution vanished")
+		return nil, errors.New("experiments: MOV solution vanished")
 	}
 	sd := vec.ScaleByDegree(s, g.Degrees(), 0.5)
 	corr := vec.Dot(x, sd)
@@ -111,7 +111,7 @@ func MOV(g *graph.Graph, seeds []int, gamma float64, maxIter int, tol float64) (
 		vec.Scale(-1, x)
 		corr = -corr
 	}
-	return &MOVResult{
+	return &movResult{
 		Vector:          x,
 		Embedding:       vec.ScaleByDegree(x, g.Degrees(), -0.5),
 		Rayleigh:        spectral.RayleighQuotient(lap, x),

@@ -4,12 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/gstore"
-	"repro/internal/local"
+	"repro/internal/kernel"
 	"repro/internal/spectral"
 	"repro/internal/vec"
 )
@@ -42,27 +43,29 @@ func Sec33LocalRuntime(seed int64) ([]Sec33LocalityRow, error) {
 		}
 		const alpha, eps = 0.1, 1e-4
 		cg := gstore.Wrap(g)
+		ws := kernel.NewWorkspace(n)
 		t0 := time.Now()
-		pr, err := local.ApproxPageRank(cg, []int{17}, alpha, eps)
+		pr, err := kernel.PushACL{Alpha: alpha, Eps: eps}.Diffuse(cg, ws, []int{17})
 		if err != nil {
 			return nil, err
 		}
 		pushDur := time.Since(t0)
-		nb, err := local.Nibble(cg, []int{17}, eps, 25)
+		support := ws.PSupport()
+		nb, err := kernel.NibbleWalk{Eps: eps, Steps: 25}.Diffuse(cg, ws, []int{17})
 		if err != nil {
 			return nil, err
 		}
 		t1 := time.Now()
-		mov, err := local.MOV(g, []int{17}, -0.1, 2000, 1e-8)
+		mv, err := mov(g, []int{17}, -0.1, 2000, 1e-8)
 		if err != nil {
 			return nil, err
 		}
 		movDur := time.Since(t1)
 		rows = append(rows, Sec33LocalityRow{
 			N: n, M: g.M(),
-			Pushes: pr.Pushes, WorkVolume: pr.WorkVolume, Support: len(pr.P),
+			Pushes: pr.Pushes, WorkVolume: pr.WorkVolume, Support: support,
 			NibbleMax: nb.MaxSupport,
-			MOVIters:  mov.Iterations, MOVTouched: n,
+			MOVIters:  mv.Iterations, MOVTouched: n,
 			PushMicros: pushDur.Microseconds(), MOVMicros: movDur.Microseconds(),
 		})
 	}
@@ -108,6 +111,7 @@ func Sec33LocalCheeger(seed int64) ([]Sec33CheegerRow, error) {
 		return nil, fmt.Errorf("experiments: sec3.3 planted graph: %w", err)
 	}
 	cg := gstore.Wrap(g)
+	ws := kernel.NewWorkspace(g.N())
 	var rows []Sec33CheegerRow
 	for trial := 0; trial < 6; trial++ {
 		s := rng.Intn(g.N())
@@ -117,20 +121,20 @@ func Sec33LocalCheeger(seed int64) ([]Sec33CheegerRow, error) {
 			blockNodes[i] = block*blockN + i
 		}
 		phiPlanted := g.ConductanceOfSet(blockNodes)
-		pr, err := local.ApproxPageRank(cg, []int{s}, 0.03, 2e-6)
-		if err != nil {
+		if _, err := (kernel.PushACL{Alpha: 0.03, Eps: 2e-6}).Diffuse(cg, ws, []int{s}); err != nil {
 			return nil, err
 		}
-		sw, err := local.SweepCut(cg, pr.P)
-		if err != nil {
-			return nil, err
+		ws.SweepOrderP(cg)
+		prefix, phi := ws.SweepBest(cg)
+		if prefix == 0 {
+			return nil, fmt.Errorf("experiments: sec3.3 seed %d has no sweep cut", s)
 		}
 		rows = append(rows, Sec33CheegerRow{
 			Seed:        s,
-			PhiLocal:    sw.Conductance,
+			PhiLocal:    phi,
 			PhiPlanted:  phiPlanted,
-			Jaccard:     jaccard(sw.Set, blockNodes),
-			SupportSize: len(pr.P),
+			Jaccard:     jaccard(ws.SweepNodes(nil, prefix), blockNodes),
+			SupportSize: ws.PSupport(),
 		})
 	}
 	return rows, nil
@@ -190,7 +194,7 @@ func Sec33MOVvsPush(seed int64) ([]Sec33MOVRow, error) {
 	seedNode := 5
 	var rows []Sec33MOVRow
 	for _, gamma := range []float64{-5, -1, -0.2, -0.05} {
-		mov, err := local.MOV(g, []int{seedNode}, gamma, 0, 0)
+		mv, err := mov(g, []int{seedNode}, gamma, 0, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -201,12 +205,12 @@ func Sec33MOVvsPush(seed int64) ([]Sec33MOVRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		cos := math.Abs(vec.Dot(mov.Vector, ppr)) / (vec.Norm2(mov.Vector) * vec.Norm2(ppr))
+		cos := math.Abs(vec.Dot(mv.Vector, ppr)) / (vec.Norm2(mv.Vector) * vec.Norm2(ppr))
 		rows = append(rows, Sec33MOVRow{
 			Gamma:       gamma,
 			Correlation: cos,
-			MOVRayleigh: mov.Rayleigh,
-			SeedCorr:    mov.SeedCorrelation,
+			MOVRayleigh: mv.Rayleigh,
+			SeedCorr:    mv.SeedCorrelation,
 		})
 	}
 	return rows, nil
@@ -306,25 +310,29 @@ func Sec33SeedNotInCluster(seed int64) (*Sec33SeedResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: sec3.3 seed construction: %w", err)
 	}
-	nb, err := local.Nibble(gstore.Wrap(g), []int{hub}, 1e-6, 20)
-	if err != nil {
+	// Spielman–Teng sweep every step of the walk and keep the best cut.
+	var best []int
+	bestPhi := math.Inf(1)
+	cg := gstore.Wrap(g)
+	walk := kernel.NibbleWalk{Eps: 1e-6, Steps: 20, OnStep: func(_ int, ws *kernel.Workspace) error {
+		ws.SweepOrderR(cg)
+		if prefix, phi := ws.SweepBest(cg); prefix > 0 && phi < bestPhi {
+			best, bestPhi = ws.SweepNodes(best[:0], prefix), phi
+		}
+		return nil
+	}}
+	if _, err := walk.Diffuse(cg, kernel.NewWorkspace(n), []int{hub}); err != nil {
 		return nil, err
 	}
-	if nb.Best == nil {
+	if best == nil {
 		return nil, fmt.Errorf("experiments: sec3.3 seed construction produced no sweep cut")
-	}
-	inside := false
-	for _, u := range nb.Best.Set {
-		if u == hub {
-			inside = true
-		}
 	}
 	return &Sec33SeedResult{
 		GraphDesc:   "expander(300,6) + K10 + hub seed (10 clique edges, 40 expander edges), Nibble",
 		SeedNode:    hub,
-		ClusterSize: len(nb.Best.Set),
-		SeedInside:  inside,
-		Phi:         nb.Best.Conductance,
+		ClusterSize: len(best),
+		SeedInside:  slices.Contains(best, hub),
+		Phi:         bestPhi,
 	}, nil
 }
 

@@ -3,6 +3,7 @@ package gstore_test
 import (
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,7 +15,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/gstore"
 	"repro/internal/kernel"
-	"repro/internal/local"
 	"repro/internal/ncp"
 	"repro/internal/partition"
 )
@@ -31,57 +31,193 @@ import (
 // are carried bit-for-bit, and the kernel's loops accumulate in the
 // builder's order.
 
-// parityDiffusions runs each local diffusion on one backend and folds
+// parityFingerprint runs each local diffusion on one backend and folds
 // the complete output (support, value bits, counters, sweep cut) into a
 // printable fingerprint. Equal fingerprints ⇒ byte-identical results.
+// The push's residual comes from mapPush, after the kernel's output
+// plane and counters are held equal to it bit for bit: the kernel keeps
+// its residual plane to itself.
 func parityFingerprint(t *testing.T, g gstore.Graph, seeds []int) string {
 	t.Helper()
 	var sb strings.Builder
 
-	pr, err := local.ApproxPageRank(g, seeds, 0.12, 2e-5)
+	ws := kernel.NewWorkspace(g.N())
+	pst, err := kernel.PushACL{Alpha: 0.12, Eps: 2e-5}.Diffuse(g, ws, seeds)
 	if err != nil {
-		t.Fatalf("ApproxPageRank: %v", err)
+		t.Fatalf("push: %v", err)
 	}
-	fmt.Fprintf(&sb, "push pushes=%d work=%016x\n", pr.Pushes, math.Float64bits(pr.WorkVolume))
-	writeSparse(&sb, "push.P", pr.P)
-	writeSparse(&sb, "push.R", pr.R)
-	sw, err := local.SweepCut(g, local.DegreeNormalized(g, pr.P))
+	p := planeP(ws)
+	mp, mr, pushes, work := mapPush(g, seeds, 0.12, 2e-5)
+	if got, want := fmt.Sprint(sparseLines(p)), fmt.Sprint(sparseLines(mp)); got != want || pst.Pushes != pushes || pst.WorkVolume != work {
+		t.Fatalf("push diverges from the map push: (%d, %v) %.200s, map (%d, %v) %.200s", pst.Pushes, pst.WorkVolume, got, pushes, work, want)
+	}
+	fmt.Fprintf(&sb, "push pushes=%d work=%016x\n", pst.Pushes, math.Float64bits(pst.WorkVolume))
+	writeSparse(&sb, "push.P", p)
+	writeSparse(&sb, "push.R", mr)
+	sw, err := mapSweepCut(g, degreeNormalized(g, p))
 	if err == nil {
 		writeSweep(&sb, "push.sweep", sw)
 	} else {
 		fmt.Fprintf(&sb, "push.sweep err=%v\n", err)
 	}
 
-	nb, err := local.Nibble(g, seeds, 2e-4, 12)
+	var best *partition.SweepResult
+	walk := kernel.NibbleWalk{Eps: 2e-4, Steps: 12, OnStep: func(_ int, ws *kernel.Workspace) error {
+		ws.SweepOrderR(g)
+		if prefix, phi := ws.SweepBest(g); prefix > 0 && (best == nil || phi < best.Conductance) {
+			best = &partition.SweepResult{Set: ws.SweepNodes(nil, prefix), Conductance: phi, Prefix: prefix}
+		}
+		return nil
+	}}
+	nb, err := walk.Diffuse(g, ws, seeds)
 	if err != nil {
 		t.Fatalf("Nibble: %v", err)
 	}
 	fmt.Fprintf(&sb, "nibble steps=%d maxsupport=%d\n", nb.Steps, nb.MaxSupport)
-	writeSparse(&sb, "nibble.dist", nb.Dist)
-	if nb.Best != nil {
-		writeSweep(&sb, "nibble.best", nb.Best)
+	writeSparse(&sb, "nibble.dist", planeP(ws))
+	if best != nil {
+		writeSweep(&sb, "nibble.best", best)
 	}
 
-	ws := kernel.NewWorkspace(g.N())
 	hk, err := kernel.HeatKernel{T: 4.0, Eps: 2e-4}.DiffuseContext(context.Background(), g, ws, seeds)
 	if err != nil {
 		t.Fatalf("HeatKernel: %v", err)
 	}
 	fmt.Fprintf(&sb, "heat terms=%d maxsupport=%d\n", hk.Terms, hk.MaxSupport)
-	writeSparse(&sb, "heat.dist", local.FromWorkspaceP(ws))
+	writeSparse(&sb, "heat.dist", planeP(ws))
 
 	return sb.String()
 }
 
-func writeSparse(sb *strings.Builder, label string, v local.SparseVec) {
+// planeP snapshots a workspace's output plane as a map.
+func planeP(ws *kernel.Workspace) map[int]float64 {
+	out := make(map[int]float64)
+	ws.ForEachP(func(u int, x float64) { out[u] = x })
+	return out
+}
+
+// mapPush is the map-based ACL push over the gstore cursor, the
+// oracle internal/kernel holds its push to: FIFO from the seeds in
+// ascending order, the lazy step, or the closed-form settle when the
+// kept half would re-queue the node.
+func mapPush(g gstore.Graph, seeds []int, alpha, eps float64) (p, r map[int]float64, pushes int, work float64) {
+	p, r = make(map[int]float64), make(map[int]float64)
+	for _, u := range seeds {
+		r[u] += 1 / float64(len(seeds))
+	}
+	queue := sortedKeys(r)
+	inQueue := make(map[int]bool)
+	for _, u := range queue {
+		inQueue[u] = true
+	}
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		inQueue[u] = false
+		du := g.Degree(u)
+		if du == 0 {
+			p[u] += r[u]
+			delete(r, u)
+			continue
+		}
+		ru := r[u]
+		if ru < eps*du {
+			continue
+		}
+		spread := (1 - alpha) * ru / 2
+		if spread < eps*du {
+			p[u] += alpha * ru
+			r[u] = spread
+		} else {
+			p[u] += 2 * alpha / (1 + alpha) * ru
+			delete(r, u)
+			spread = (1 - alpha) / (1 + alpha) * ru
+		}
+		it := g.Neighbors(u)
+		for v, w, ok := it.Next(); ok; v, w, ok = it.Next() {
+			r[v] += spread * w / du
+			if r[v] >= eps*g.Degree(v) && !inQueue[v] {
+				queue = append(queue, v)
+				inQueue[v] = true
+			}
+		}
+		pushes++
+		work += du
+	}
+	return p, r, pushes, work
+}
+
+func sortedKeys(v map[int]float64) []int {
 	keys := make([]int, 0, len(v))
 	for u := range v {
 		keys = append(keys, u)
 	}
 	sort.Ints(keys)
-	fmt.Fprintf(sb, "%s n=%d", label, len(keys))
-	for _, u := range keys {
-		fmt.Fprintf(sb, " %d:%016x", u, math.Float64bits(v[u]))
+	return keys
+}
+
+// degreeNormalized is p(u)/deg(u) over the nodes of positive degree.
+func degreeNormalized(g gstore.Graph, p map[int]float64) map[int]float64 {
+	out := make(map[int]float64, len(p))
+	for u, x := range p {
+		if d := g.Degree(u); d > 0 {
+			out[u] = x / d
+		}
+	}
+	return out
+}
+
+// sweepOrder is the nodes of v by value descending, ties by node id.
+func sweepOrder(v map[int]float64) []int {
+	order := sortedKeys(v)
+	sort.SliceStable(order, func(a, b int) bool { return v[order[a]] > v[order[b]] })
+	return order
+}
+
+// mapSweepCut is the map-based sweep graphd ran before the kernel
+// swept: v ordered by v(u)/deg(u), swept by partition.SweepCutOrdered,
+// with its error texts.
+func mapSweepCut(g gstore.Graph, v map[int]float64) (*partition.SweepResult, error) {
+	if len(v) == 0 {
+		return nil, errors.New("local: sweep over empty vector")
+	}
+	order := sweepOrder(degreeNormalized(g, v))
+	if len(order) == 0 {
+		return nil, errors.New("local: sweep support has only zero-degree nodes")
+	}
+	return partition.SweepCutOrdered(g, order, len(order))
+}
+
+// workspaceSweepCut is the kernel's sweep of ws's output plane, with
+// the error texts graphd's ppr replies carry.
+func workspaceSweepCut(g gstore.Graph, ws *kernel.Workspace) (*partition.SweepResult, error) {
+	k := ws.SweepOrderP(g)
+	switch {
+	case k == 0 && ws.PSupport() == 0:
+		return nil, errors.New("local: sweep over empty vector")
+	case k == 0:
+		return nil, errors.New("local: sweep support has only zero-degree nodes")
+	}
+	prefix, phi := ws.SweepBest(g)
+	if prefix == 0 {
+		return nil, errors.New("partition: sweep found no valid cut")
+	}
+	return &partition.SweepResult{Set: ws.SweepNodes(nil, prefix), Conductance: phi, Prefix: prefix}, nil
+}
+
+// sparseLines prints v's entries in ascending node order.
+func sparseLines(v map[int]float64) []string {
+	var lines []string
+	for _, u := range sortedKeys(v) {
+		lines = append(lines, fmt.Sprintf("%d:%016x", u, math.Float64bits(v[u])))
+	}
+	return lines
+}
+
+func writeSparse(sb *strings.Builder, label string, v map[int]float64) {
+	fmt.Fprintf(sb, "%s n=%d", label, len(v))
+	for _, line := range sparseLines(v) {
+		sb.WriteString(" " + line)
 	}
 	sb.WriteByte('\n')
 }
@@ -197,8 +333,8 @@ func onesWeighted(t testing.TB, hg *graph.Graph) *gstore.Compact {
 // for the cross-backend comparison.
 func sweepFingerprint(t *testing.T, label string, g gstore.Graph, ws *kernel.Workspace) string {
 	t.Helper()
-	order := local.SweepOrder(local.DegreeNormalized(g, local.FromWorkspaceP(ws)))
-	got, gotErr := local.WorkspaceSweepCut(g, ws)
+	order := sweepOrder(degreeNormalized(g, planeP(ws)))
+	got, gotErr := workspaceSweepCut(g, ws)
 	if len(order) == 0 {
 		if gotErr == nil {
 			t.Fatalf("%s: swept an empty order into %+v", label, got)
@@ -295,7 +431,7 @@ func TestWorkspaceSweepMatchesOrderedOracle(t *testing.T) {
 	if _, err := (kernel.PushACL{Alpha: 0.12, Eps: 1e-6}).Diffuse(star, ws, []int{0}); err != nil {
 		t.Fatal(err)
 	}
-	p := local.FromWorkspaceP(ws)
+	p := planeP(ws)
 	if math.Float64bits(p[1]) != math.Float64bits(p[2]) || p[1] == 0 {
 		t.Fatalf("star leaves do not tie exactly: p(1)=%v p(2)=%v", p[1], p[2])
 	}
@@ -304,11 +440,11 @@ func TestWorkspaceSweepMatchesOrderedOracle(t *testing.T) {
 	if _, err := (kernel.PushACL{Alpha: 0.12, Eps: 1e-12}).Diffuse(full, ws, []int{0}); err != nil {
 		t.Fatal(err)
 	}
-	sw, err := local.WorkspaceSweepCut(full, ws)
+	sw, err := workspaceSweepCut(full, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := len(local.SweepOrder(local.DegreeNormalized(full, local.FromWorkspaceP(ws)))); n != full.N() || sw.Prefix > full.N()-1 {
+	if n := len(sweepOrder(degreeNormalized(full, planeP(ws)))); n != full.N() || sw.Prefix > full.N()-1 {
 		t.Fatalf("complete graph: order has %d of %d nodes, prefix %d", n, full.N(), sw.Prefix)
 	}
 }

@@ -129,7 +129,8 @@ type NibbleWalk struct {
 	// OnStep, when non-nil, is called after each step's truncation
 	// while the R plane holds the current (post-truncation, nonempty)
 	// distribution with its touched list sorted ascending. Returning an
-	// error aborts the walk. internal/local uses it to sweep every step.
+	// error aborts the walk. graphd's localcluster uses it to sweep every
+	// step.
 	OnStep func(step int, ws *Workspace) error
 }
 

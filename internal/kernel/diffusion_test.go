@@ -1,4 +1,4 @@
-package local
+package kernel_test
 
 import (
 	"context"
@@ -12,31 +12,19 @@ import (
 	"repro/internal/graph"
 	"repro/internal/gstore"
 	"repro/internal/kernel"
-	"repro/internal/spectral"
-	"repro/internal/vec"
 )
 
 func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-// Sum returns the total mass of the vector, accumulated in ascending
-// node order so the result is bit-identical run to run.
-func (v SparseVec) Sum() float64 {
-	var s float64
-	for _, u := range v.Support() {
-		s += v[u]
-	}
-	return s
-}
-
-// ExactPageRankDense computes the exact PPR vector with the same lazy
-// convention as ApproxPageRank by dense iteration, used to validate the
+// exactPageRankDense computes the exact PPR vector with the same lazy
+// convention as kernel.PushACL by dense iteration, used to validate the
 // push invariant. O(m·iterations); for tests and small graphs.
-func ExactPageRankDense(g *graph.Graph, seed []float64, alpha float64, tol float64, maxIter int) ([]float64, error) {
+func exactPageRankDense(g *graph.Graph, seed []float64, alpha float64, tol float64, maxIter int) ([]float64, error) {
 	if alpha <= 0 || alpha >= 1 {
-		return nil, fmt.Errorf("local: alpha=%v outside (0,1)", alpha)
+		return nil, fmt.Errorf("exact PPR: alpha=%v outside (0,1)", alpha)
 	}
 	if len(seed) != g.N() {
-		return nil, fmt.Errorf("local: seed length %d != %d nodes", len(seed), g.N())
+		return nil, fmt.Errorf("exact PPR: seed length %d != %d nodes", len(seed), g.N())
 	}
 	if tol <= 0 {
 		tol = 1e-12
@@ -80,7 +68,7 @@ func ExactPageRankDense(g *graph.Graph, seed []float64, alpha float64, tol float
 			return x, nil
 		}
 	}
-	return x, fmt.Errorf("local: exact PPR did not converge in %d iterations", maxIter)
+	return x, fmt.Errorf("exact PPR did not converge in %d iterations", maxIter)
 }
 
 func TestApproxPageRankInvariant(t *testing.T) {
@@ -88,14 +76,14 @@ func TestApproxPageRankInvariant(t *testing.T) {
 	// solver: pr(s) − p must equal pr(r).
 	g := gen.RingOfCliques(3, 5)
 	alpha, eps := 0.2, 1e-4
-	res, err := ApproxPageRank(gstore.Wrap(g), []int{0}, alpha, eps)
+	res, err := approxPageRank(gstore.Wrap(g), []int{0}, alpha, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
 	n := g.N()
 	seed := make([]float64, n)
 	seed[0] = 1
-	exact, err := ExactPageRankDense(g, seed, alpha, 1e-14, 0)
+	exact, err := exactPageRankDense(g, seed, alpha, 1e-14, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +91,7 @@ func TestApproxPageRankInvariant(t *testing.T) {
 	for u, m := range res.R {
 		rDense[u] = m
 	}
-	prR, err := ExactPageRankDense(g, rDense, alpha, 1e-14, 0)
+	prR, err := exactPageRankDense(g, rDense, alpha, 1e-14, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +106,7 @@ func TestApproxPageRankInvariant(t *testing.T) {
 func TestApproxPageRankResidualBound(t *testing.T) {
 	g := gen.Dumbbell(10, 2)
 	eps := 1e-3
-	res, err := ApproxPageRank(gstore.Wrap(g), []int{0}, 0.1, eps)
+	res, err := approxPageRank(gstore.Wrap(g), []int{0}, 0.1, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,8 +116,8 @@ func TestApproxPageRankResidualBound(t *testing.T) {
 		}
 	}
 	// Mass conservation: Σp + Σr = 1.
-	if !almostEq(res.P.Sum()+res.R.Sum(), 1, 1e-10) {
-		t.Fatalf("mass = %v, want 1", res.P.Sum()+res.R.Sum())
+	if !almostEq(res.P.sum()+res.R.sum(), 1, 1e-10) {
+		t.Fatalf("mass = %v, want 1", res.P.sum()+res.R.sum())
 	}
 }
 
@@ -142,7 +130,7 @@ func TestApproxPageRankWorkBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	alpha, eps := 0.1, 1e-4
-	res, err := ApproxPageRank(gstore.Wrap(g), []int{42}, alpha, eps)
+	res, err := approxPageRank(gstore.Wrap(g), []int{42}, alpha, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +150,7 @@ func TestApproxPageRankLocality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := ApproxPageRank(gstore.Wrap(g), []int{7}, 0.15, 1e-3)
+		res, err := approxPageRank(gstore.Wrap(g), []int{7}, 0.15, 1e-3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,16 +163,16 @@ func TestApproxPageRankLocality(t *testing.T) {
 
 func TestApproxPageRankErrors(t *testing.T) {
 	g := gen.Path(5)
-	if _, err := ApproxPageRank(gstore.Wrap(g), nil, 0.1, 1e-3); err == nil {
+	if _, err := approxPageRank(gstore.Wrap(g), nil, 0.1, 1e-3); err == nil {
 		t.Fatal("empty seeds accepted")
 	}
-	if _, err := ApproxPageRank(gstore.Wrap(g), []int{0}, 0, 1e-3); err == nil {
+	if _, err := approxPageRank(gstore.Wrap(g), []int{0}, 0, 1e-3); err == nil {
 		t.Fatal("alpha=0 accepted")
 	}
-	if _, err := ApproxPageRank(gstore.Wrap(g), []int{0}, 0.5, 0); err == nil {
+	if _, err := approxPageRank(gstore.Wrap(g), []int{0}, 0.5, 0); err == nil {
 		t.Fatal("eps=0 accepted")
 	}
-	if _, err := ApproxPageRank(gstore.Wrap(g), []int{9}, 0.5, 1e-3); err == nil {
+	if _, err := approxPageRank(gstore.Wrap(g), []int{9}, 0.5, 1e-3); err == nil {
 		t.Fatal("out-of-range seed accepted")
 	}
 }
@@ -195,11 +183,11 @@ func TestSweepCutFindsPlantedCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ApproxPageRank(gstore.Wrap(g), []int{3}, 0.05, 1e-5)
-	if err != nil {
+	ws := kernel.NewWorkspace(g.N())
+	if _, err := (kernel.PushACL{Alpha: 0.05, Eps: 1e-5}).Diffuse(gstore.Wrap(g), ws, []int{3}); err != nil {
 		t.Fatal(err)
 	}
-	sw, err := SweepCut(gstore.Wrap(g), res.P)
+	sw, err := workspaceSweepCut(gstore.Wrap(g), ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +212,7 @@ func TestNibbleStaysLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Nibble(gstore.Wrap(g), []int{11}, 1e-4, 30)
+	res, err := nibble(gstore.Wrap(g), []int{11}, 1e-4, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +226,7 @@ func TestNibbleStaysLocal(t *testing.T) {
 
 func TestNibbleFindsCliqueCluster(t *testing.T) {
 	g := gen.RingOfCliques(6, 8)
-	res, err := Nibble(gstore.Wrap(g), []int{0}, 1e-5, 40)
+	res, err := nibble(gstore.Wrap(g), []int{0}, 1e-5, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +240,7 @@ func TestNibbleFindsCliqueCluster(t *testing.T) {
 
 func TestNibbleTruncationIsRealized(t *testing.T) {
 	g := gen.Path(200)
-	res, err := Nibble(gstore.Wrap(g), []int{100}, 1e-3, 10)
+	res, err := nibble(gstore.Wrap(g), []int{100}, 1e-3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,13 +253,13 @@ func TestNibbleTruncationIsRealized(t *testing.T) {
 
 func TestNibbleErrors(t *testing.T) {
 	g := gen.Path(5)
-	if _, err := Nibble(gstore.Wrap(g), []int{0}, 0, 5); err == nil {
+	if _, err := nibble(gstore.Wrap(g), []int{0}, 0, 5); err == nil {
 		t.Fatal("eps=0 accepted")
 	}
-	if _, err := Nibble(gstore.Wrap(g), []int{0}, 1e-3, 0); err == nil {
+	if _, err := nibble(gstore.Wrap(g), []int{0}, 1e-3, 0); err == nil {
 		t.Fatal("steps=0 accepted")
 	}
-	if _, err := Nibble(gstore.Wrap(g), nil, 1e-3, 5); err == nil {
+	if _, err := nibble(gstore.Wrap(g), nil, 1e-3, 5); err == nil {
 		t.Fatal("empty seeds accepted")
 	}
 }
@@ -283,7 +271,7 @@ func TestHeatKernelLocalApproximatesDense(t *testing.T) {
 	if _, err := (kernel.HeatKernel{T: tVal, Eps: 1e-9}).DiffuseContext(context.Background(), gstore.Wrap(g), ws, []int{0}); err != nil {
 		t.Fatal(err)
 	}
-	dist := FromWorkspaceP(ws)
+	dist := fromP(ws)
 	// Dense reference: exp(−t(I−W))·s over the lazy walk W.
 	n := g.N()
 	seed := make([]float64, n)
@@ -332,118 +320,68 @@ func denseLazyHeatKernel(g *graph.Graph, seed []float64, t float64) []float64 {
 	return out
 }
 
-func TestMOVInterpolatesSeedToFiedler(t *testing.T) {
-	g := gen.Dumbbell(6, 2)
-	fied, err := spectral.Fiedler(g, spectral.FiedlerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeds := []int{0}
-	// γ far below 0: solution close to the (projected) seed direction.
-	resLow, err := MOV(g, seeds, -100, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// γ close to λ₂: solution close to the Fiedler vector.
-	resHigh, err := MOV(g, seeds, fied.Lambda2*0.995, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	align := math.Abs(vec.Dot(resHigh.Vector, fied.Vector))
-	if align < 0.99 {
-		t.Errorf("γ→λ₂ MOV alignment with Fiedler = %v, want ≈1", align)
-	}
-	if resLow.SeedCorrelation < resHigh.SeedCorrelation {
-		t.Errorf("seed correlation should decrease with γ: low=%v high=%v",
-			resLow.SeedCorrelation, resHigh.SeedCorrelation)
-	}
-	// Objective must increase as the locality constraint tightens.
-	if resLow.Rayleigh < resHigh.Rayleigh-1e-9 {
-		t.Errorf("Rayleigh should grow with locality: low-γ %v < high-γ %v",
-			resLow.Rayleigh, resHigh.Rayleigh)
-	}
-}
-
-func TestMOVSatisfiesStationarity(t *testing.T) {
-	// (𝓛 − γI)x must be parallel to P D^{1/2}s.
-	g := gen.RingOfCliques(3, 4)
-	gamma := -0.5
-	res, err := MOV(g, []int{2}, gamma, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lap := spectral.NormalizedLaplacian(g)
-	y := lap.MulVec(res.Vector, nil)
-	vec.Axpy(-gamma, res.Vector, y)
-	s := make([]float64, g.N())
-	s[2] = 1
-	rhs := vec.ScaleByDegree(s, g.Degrees(), 0.5)
-	vec.ProjectOut(rhs, spectral.TrivialEigvec(g))
-	// Cosine similarity between y and rhs should be ±1.
-	cos := vec.Dot(y, rhs) / (vec.Norm2(y) * vec.Norm2(rhs))
-	if math.Abs(math.Abs(cos)-1) > 1e-6 {
-		t.Fatalf("stationarity violated: cos = %v", cos)
-	}
-}
-
-func TestMOVErrors(t *testing.T) {
-	g := gen.Dumbbell(4, 0)
-	if _, err := MOV(g, nil, -1, 0, 0); err == nil {
-		t.Fatal("empty seeds accepted")
-	}
-	if _, err := MOV(g, []int{99}, -1, 0, 0); err == nil {
-		t.Fatal("out-of-range seed accepted")
-	}
-	// γ ≥ λ₂ makes the operator indefinite; must error, not hang.
-	if _, err := MOV(g, []int{0}, 10, 0, 0); err == nil {
-		t.Fatal("γ > λ₂ accepted")
-	}
-}
-
-func TestSparseVecHelpers(t *testing.T) {
-	v := SparseVec{3: 0.5, 1: 0.25}
-	if !almostEq(v.Sum(), 0.75, 1e-12) {
-		t.Fatal("Sum wrong")
-	}
-	sup := v.Support()
-	if len(sup) != 2 || sup[0] != 1 || sup[1] != 3 {
-		t.Fatalf("Support = %v", sup)
-	}
-	order := SweepOrder(v)
-	if order[0] != 3 || order[1] != 1 {
-		t.Fatalf("SweepOrder = %v", order)
-	}
-}
-
-// Property: push mass conservation and residual bound hold for random
-// graphs and parameters.
+// Property: push mass conservation and the residual bound hold for
+// random graphs and parameters, in every weight form — unit weights,
+// weights float32 holds exactly, weights only float64 holds — on every
+// backend batchBackends serves, the mapped snapshot included. Masses
+// are summed in ascending node order (sparseVec.sum), so a failing
+// draw fails the same way every run.
 func TestPropPushInvariants(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g, err := gen.ErdosRenyi(10+rng.Intn(40), 0.15, rng)
-		if err != nil {
-			return false
-		}
-		alpha := 0.05 + rng.Float64()*0.9
-		eps := math.Pow(10, -1-3*rng.Float64())
-		node := rng.Intn(g.N())
-		res, err := ApproxPageRank(gstore.Wrap(g), []int{node}, alpha, eps)
-		if err != nil {
-			return false
-		}
-		if !almostEq(res.P.Sum()+res.R.Sum(), 1, 1e-9) {
-			return false
-		}
-		for u, r := range res.R {
-			if g.Degree(u) > 0 && r >= eps*g.Degree(u)+1e-12 {
+	for _, wf := range []struct {
+		name    string
+		form    gstore.WeightForm
+		weights []float64
+	}{
+		{"unit", gstore.WeightsUnit, []float64{1}},
+		{"f32", gstore.WeightsF32, []float64{0.5, 2.25, 8}}, // dyadic
+		{"f64", gstore.WeightsF64, []float64{0.1, 0.3}},
+	} {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			g, err := weightedER(10+rng.Intn(40), 0.15, wf.weights, rng)
+			if err != nil {
 				return false
 			}
+			if _, _, w := g.CSR(); g.M() > 0 && gstore.DetectWeightForm(w) != wf.form {
+				return false
+			}
+			alpha := 0.05 + rng.Float64()*0.9
+			eps := math.Pow(10, -1-3*rng.Float64())
+			node := rng.Intn(g.N())
+			for _, bg := range batchBackends(t, g) {
+				res, err := approxPageRank(bg, []int{node}, alpha, eps)
+				if err != nil {
+					return false
+				}
+				if !almostEq(res.P.sum()+res.R.sum(), 1, 1e-9) {
+					return false
+				}
+				for u, r := range res.R {
+					if g.Degree(u) > 0 && r >= eps*g.Degree(u)+1e-12 {
+						return false
+					}
+				}
+			}
+			return true
 		}
-		return true
+		if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+			t.Errorf("%s weights: %v", wf.name, err)
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
+}
+
+// weightedER is an Erdős–Rényi graph on n nodes whose edges carry
+// weights drawn from weights.
+func weightedER(n int, p float64, weights []float64, rng *rand.Rand) (*graph.Graph, error) {
+	b := graph.NewBuilder(n)
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if rng.Float64() < p {
+				b.AddWeightedEdge(u, v, weights[rng.Intn(len(weights))])
+			}
+		}
 	}
+	return b.Build()
 }
 
 // Property: Nibble distributions stay sub-stochastic (truncation only
@@ -455,11 +393,11 @@ func TestPropNibbleSubStochastic(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := Nibble(gstore.Wrap(g), []int{rng.Intn(g.N())}, 1e-3, 1+rng.Intn(15))
+		res, err := nibble(gstore.Wrap(g), []int{rng.Intn(g.N())}, 1e-3, 1+rng.Intn(15))
 		if err != nil {
 			return false
 		}
-		return res.Dist.Sum() <= 1+1e-9
+		return res.Dist.sum() <= 1+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

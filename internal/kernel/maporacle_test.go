@@ -1,7 +1,8 @@
-package local
+package kernel_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/gstore"
 	"repro/internal/kernel"
+	"repro/internal/partition"
 )
 
 // This file locks the kernel engine swap with value-exact parity tests:
@@ -21,6 +23,117 @@ import (
 // are the pre-refactor implementations (the push with one rule change,
 // below; the walks with their map iteration pinned to ascending node
 // order, which is the deterministic order the kernel now guarantees).
+// The sweep oracle is the map path graphd's sweepcut ran before it
+// moved onto the workspace: order the support by value/degree and
+// sweep it with partition.SweepCutOrdered.
+
+// sparseVec is a sparse vector over graph nodes, the map form the
+// oracles compute on.
+type sparseVec map[int]float64
+
+// sum returns the total mass of the vector, accumulated in ascending
+// node order so the result is bit-identical run to run.
+func (v sparseVec) sum() float64 {
+	var s float64
+	for _, u := range sortedKeys(v) {
+		s += v[u]
+	}
+	return s
+}
+
+// fromP snapshots a workspace's output plane as a sparseVec.
+func fromP(ws *kernel.Workspace) sparseVec {
+	out := make(sparseVec)
+	ws.ForEachP(func(u int, x float64) { out[u] = x })
+	return out
+}
+
+// fromR snapshots a workspace's residual plane as a sparseVec.
+func fromR(ws *kernel.Workspace) sparseVec {
+	out := make(sparseVec)
+	ws.ForEachR(func(u int, x float64) { out[u] = x })
+	return out
+}
+
+// pushResult is one push snapshotted into maps.
+type pushResult struct {
+	P, R       sparseVec
+	Pushes     int
+	WorkVolume float64
+}
+
+// approxPageRank runs kernel.PushACL on a fresh workspace and
+// snapshots its planes.
+func approxPageRank(g gstore.Graph, seeds []int, alpha, eps float64) (*pushResult, error) {
+	ws := kernel.NewWorkspace(g.N())
+	st, err := kernel.PushACL{Alpha: alpha, Eps: eps}.Diffuse(g, ws, seeds)
+	if err != nil {
+		return nil, err
+	}
+	return &pushResult{P: fromP(ws), R: fromR(ws), Pushes: st.Pushes, WorkVolume: st.WorkVolume}, nil
+}
+
+// nibbleResult is one truncated walk snapshotted into a map, with the
+// best sweep cut over its steps (nil if no step had a valid cut).
+type nibbleResult struct {
+	Dist       sparseVec
+	Best       *partition.SweepResult
+	Steps      int
+	MaxSupport int
+}
+
+// nibble runs kernel.NibbleWalk on a fresh workspace, sweeping the
+// live distribution after every step and keeping the first strictly
+// best cut — the Spielman–Teng procedure graphd's localcluster runs.
+func nibble(g gstore.Graph, seeds []int, eps float64, steps int) (*nibbleResult, error) {
+	var best *partition.SweepResult
+	walk := kernel.NibbleWalk{Eps: eps, Steps: steps, OnStep: func(_ int, ws *kernel.Workspace) error {
+		ws.SweepOrderR(g)
+		if prefix, phi := ws.SweepBest(g); prefix > 0 && (best == nil || phi < best.Conductance) {
+			best = &partition.SweepResult{Set: ws.SweepNodes(nil, prefix), Conductance: phi, Prefix: prefix}
+		}
+		return nil
+	}}
+	ws := kernel.NewWorkspace(g.N())
+	st, err := walk.Diffuse(g, ws, seeds)
+	if err != nil {
+		return nil, err
+	}
+	return &nibbleResult{Dist: fromP(ws), Best: best, Steps: st.Steps, MaxSupport: st.MaxSupport}, nil
+}
+
+// workspaceSweepCut is the workspace sweep of ws's output plane.
+func workspaceSweepCut(g gstore.Graph, ws *kernel.Workspace) (*partition.SweepResult, error) {
+	ws.SweepOrderP(g)
+	prefix, phi := ws.SweepBest(g)
+	if prefix == 0 {
+		return nil, errors.New("no sweep cut")
+	}
+	return &partition.SweepResult{Set: ws.SweepNodes(nil, prefix), Conductance: phi, Prefix: prefix}, nil
+}
+
+// mapSweepOrder is the map path's sweep order of p: the nodes of
+// positive degree by p(u)/deg(u) descending, ties by node id.
+func mapSweepOrder(g gstore.Graph, p sparseVec) []int {
+	v := make(sparseVec, len(p))
+	for u, x := range p {
+		if d := g.Degree(u); d > 0 {
+			v[u] = x / d
+		}
+	}
+	order := sortedKeys(v)
+	sort.SliceStable(order, func(a, b int) bool { return v[order[a]] > v[order[b]] })
+	return order
+}
+
+// mapSweepCut is the map path's sweep of p.
+func mapSweepCut(g gstore.Graph, p sparseVec) (*partition.SweepResult, error) {
+	order := mapSweepOrder(g, p)
+	if len(order) == 0 {
+		return nil, errors.New("no sweep order")
+	}
+	return partition.SweepCutOrdered(g, order, len(order))
+}
 
 // mapPush is the legacy map-based ACL push, the oracle: the kernel's
 // FIFO order and per-operation arithmetic are required to reproduce it
@@ -29,14 +142,14 @@ import (
 // in closed form instead. Twin copy: benchPushMap in the root
 // bench_test.go is the same code serving as the benchmark baseline —
 // change both together.
-func mapPush(g *graph.Graph, seeds []int, alpha, eps float64) (p, r SparseVec, pushes int, work float64) {
-	p = make(SparseVec)
-	r = make(SparseVec)
+func mapPush(g *graph.Graph, seeds []int, alpha, eps float64) (p, r sparseVec, pushes int, work float64) {
+	p = make(sparseVec)
+	r = make(sparseVec)
 	w := 1 / float64(len(seeds))
 	for _, u := range seeds {
 		r[u] += w
 	}
-	queue := append([]int(nil), r.Support()...)
+	queue := sortedKeys(r)
 	inQueue := make(map[int]bool)
 	for _, u := range queue {
 		inQueue[u] = true
@@ -81,7 +194,7 @@ func mapPush(g *graph.Graph, seeds []int, alpha, eps float64) (p, r SparseVec, p
 
 // sortedKeys pins a map iteration to ascending node order, the
 // deterministic order the kernel walks in.
-func sortedKeys(v SparseVec) []int {
+func sortedKeys(v sparseVec) []int {
 	out := make([]int, 0, len(v))
 	for u := range v {
 		out = append(out, u)
@@ -91,8 +204,8 @@ func sortedKeys(v SparseVec) []int {
 }
 
 // mapWalkStep is one legacy lazy-walk step + truncation over maps.
-func mapWalkStep(g *graph.Graph, q SparseVec, eps float64) SparseVec {
-	next := make(SparseVec, len(q)*2)
+func mapWalkStep(g *graph.Graph, q sparseVec, eps float64) sparseVec {
+	next := make(sparseVec, len(q)*2)
 	for _, u := range sortedKeys(q) {
 		mass := q[u]
 		du := g.Degree(u)
@@ -116,8 +229,8 @@ func mapWalkStep(g *graph.Graph, q SparseVec, eps float64) SparseVec {
 
 // mapNibble is the legacy map-based truncated walk (iteration order
 // pinned), the oracle for the kernel NibbleWalk.
-func mapNibble(g *graph.Graph, seeds []int, eps float64, steps int) (dist SparseVec, nsteps, maxSupport int) {
-	q := make(SparseVec)
+func mapNibble(g *graph.Graph, seeds []int, eps float64, steps int) (dist sparseVec, nsteps, maxSupport int) {
+	q := make(sparseVec)
 	w := 1 / float64(len(seeds))
 	for _, u := range seeds {
 		q[u] += w
@@ -137,8 +250,8 @@ func mapNibble(g *graph.Graph, seeds []int, eps float64, steps int) (dist Sparse
 
 // mapHeatKernel is the legacy map-based truncated Taylor expansion
 // (iteration order pinned), the oracle for the kernel HeatKernel.
-func mapHeatKernel(g *graph.Graph, seeds []int, t, eps float64) (out SparseVec, terms, maxSupport int) {
-	seed := make(SparseVec)
+func mapHeatKernel(g *graph.Graph, seeds []int, t, eps float64) (out sparseVec, terms, maxSupport int) {
+	seed := make(sparseVec)
 	w := 1 / float64(len(seeds))
 	for _, u := range seeds {
 		seed[u] += w
@@ -151,8 +264,8 @@ func mapHeatKernel(g *graph.Graph, seeds []int, t, eps float64) (out SparseVec, 
 		tail -= term
 		k++
 	}
-	out = make(SparseVec, len(seed))
-	cur := make(SparseVec, len(seed))
+	out = make(sparseVec, len(seed))
+	cur := make(sparseVec, len(seed))
 	for _, u := range sortedKeys(seed) {
 		cur[u] = seed[u]
 		out[u] = math.Exp(-t) * seed[u]
@@ -208,7 +321,7 @@ func parityGraphs(t testing.TB) map[string]*graph.Graph {
 	}
 }
 
-func sparseEqualExact(t *testing.T, label string, got, want SparseVec) {
+func sparseEqualExact(t *testing.T, label string, got, want sparseVec) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: support %d != oracle %d", label, len(got), len(want))
@@ -232,7 +345,7 @@ func TestPushMatchesMapOracle(t *testing.T) {
 			for _, alpha := range alphas {
 				for _, eps := range epss {
 					label := fmt.Sprintf("%s seeds=%v a=%g e=%g", name, seeds, alpha, eps)
-					res, err := ApproxPageRank(gstore.Wrap(g), seeds, alpha, eps)
+					res, err := approxPageRank(gstore.Wrap(g), seeds, alpha, eps)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -256,7 +369,7 @@ func TestNibbleMatchesMapOracle(t *testing.T) {
 		for _, eps := range []float64{1e-2, 1e-3, 1e-5} {
 			for _, steps := range []int{1, 7, 25} {
 				label := fmt.Sprintf("%s e=%g steps=%d", name, eps, steps)
-				res, err := Nibble(gstore.Wrap(g), []int{0, g.N() - 1}, eps, steps)
+				res, err := nibble(gstore.Wrap(g), []int{0, g.N() - 1}, eps, steps)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -285,7 +398,7 @@ func TestHeatKernelMatchesMapOracle(t *testing.T) {
 					t.Fatalf("%s: %v", label, err)
 				}
 				out, terms, maxSupport := mapHeatKernel(g, []int{1}, tv, eps)
-				sparseEqualExact(t, label, FromWorkspaceP(ws), out)
+				sparseEqualExact(t, label, fromP(ws), out)
 				if st.Terms != terms || st.MaxSupport != maxSupport {
 					t.Fatalf("%s: (terms,max)=(%d,%d) != oracle (%d,%d)",
 						label, st.Terms, st.MaxSupport, terms, maxSupport)
@@ -299,7 +412,7 @@ func TestHeatKernelMatchesMapOracle(t *testing.T) {
 // sweep path produces the same order and the same cut as the map path.
 func TestWorkspaceSweepMatchesMapSweep(t *testing.T) {
 	for name, g := range parityGraphs(t) {
-		res, err := ApproxPageRank(gstore.Wrap(g), []int{0}, 0.1, 1e-4)
+		res, err := approxPageRank(gstore.Wrap(g), []int{0}, 0.1, 1e-4)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -307,7 +420,7 @@ func TestWorkspaceSweepMatchesMapSweep(t *testing.T) {
 		if _, err := (kernel.PushACL{Alpha: 0.1, Eps: 1e-4}).Diffuse(gstore.Wrap(g), ws, []int{0}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		mapOrder := SweepOrder(DegreeNormalized(gstore.Wrap(g), res.P))
+		mapOrder := mapSweepOrder(gstore.Wrap(g), res.P)
 		k := ws.SweepOrderP(gstore.Wrap(g))
 		wsOrder := ws.SweepNodes(make([]int, 0, k), k)
 		if len(mapOrder) != len(wsOrder) {
@@ -318,8 +431,8 @@ func TestWorkspaceSweepMatchesMapSweep(t *testing.T) {
 				t.Fatalf("%s: sweep order diverges at %d: %d vs %d", name, i, mapOrder[i], wsOrder[i])
 			}
 		}
-		mapCut, mapErr := SweepCut(gstore.Wrap(g), res.P)
-		wsCut, wsErr := WorkspaceSweepCut(gstore.Wrap(g), ws)
+		mapCut, mapErr := mapSweepCut(gstore.Wrap(g), res.P)
+		wsCut, wsErr := workspaceSweepCut(gstore.Wrap(g), ws)
 		if (mapErr == nil) != (wsErr == nil) {
 			t.Fatalf("%s: sweep errors diverge: %v vs %v", name, mapErr, wsErr)
 		}

@@ -7,16 +7,18 @@ import (
 )
 
 // This file is the sweep half of result materialisation: ordering a
-// plane's support by value per degree and walking the prefixes of that
-// order with the cut maintained incrementally. Like the diffusion
+// plane's support, or a caller's (node, value) list, by value per
+// degree, walking the prefixes of that order with the cut maintained
+// incrementally, and picking the best one. Like the diffusion
 // loops it runs on workspace-resident scratch and raw CSR rows, so one
 // sweep costs O(support + vol(support)) time (the sort is a radix sort:
 // one pass per byte of the key that varies) and no allocation — no
 // step of it is sized by the graph.
 
-// sweepPair is one entry of a sweep order: a node and its sort key.
+// sweepPair is one entry of a sweep order: a node and its sort key,
+// sweepKey of the node's value per degree.
 type sweepPair struct {
-	val  float64
+	key  uint64
 	node int
 }
 
@@ -24,8 +26,9 @@ type sweepPair struct {
 // every node with a nonzero value and a positive degree, by
 // p(u)/deg(u) descending with node id ascending as the tiebreak, and
 // returns how many nodes that is. The order lives in workspace scratch
-// (read it with SweepNodes, walk it with SweepScan) and is valid until
-// the next SweepOrder call on this workspace.
+// (read it with SweepNodes, walk it with SweepScan, cut it with
+// SweepBest) and is valid until the next SweepOrder call on this
+// workspace.
 //
 // The order is a strict total order over distinct nodes, so the
 // permutation does not depend on the sorting algorithm; and because it
@@ -44,7 +47,7 @@ func (ws *Workspace) sweepOrder(g gstore.Graph, pl *plane) int {
 	for _, u := range pl.list {
 		if x := pl.c[u].val; x != 0 {
 			if d := g.Degree(u); d > 0 {
-				pairs = append(pairs, sweepPair{val: x / d, node: u})
+				pairs = append(pairs, sweepPair{key: sweepKey(x / d), node: u})
 			}
 		}
 	}
@@ -52,13 +55,62 @@ func (ws *Workspace) sweepOrder(g gstore.Graph, pl *plane) int {
 	return len(pairs)
 }
 
+// SweepOrderList loads the sweep order of a caller's list of
+// (node, value) entries, read through at: the same order rule as
+// SweepOrderP, except that every entry counts — zero values are kept
+// and negative ones sort after all the others. Zero-degree nodes are
+// dropped. It returns the order's length, and bad, the index of the
+// first entry whose node is outside [0, n) or repeats an earlier
+// entry's; then nothing is loaded and bad ≥ 0. Otherwise bad is −1.
+func (ws *Workspace) SweepOrderList(g gstore.Graph, entries int, at func(i int) (node int, val float64)) (k, bad int) {
+	pairs, seen := ws.sweep[:0], ws.inS
+	bad = -1
+	i := 0
+	for ; i < entries; i++ {
+		u, x := at(i)
+		if u < 0 || u >= ws.n || seen[u>>6]>>(u&63)&1 != 0 {
+			bad = i
+			break
+		}
+		seen[u>>6] |= 1 << (u & 63)
+		if d := g.Degree(u); d > 0 {
+			pairs = append(pairs, sweepPair{key: sweepKey(x / d), node: u})
+		}
+	}
+	for j := range i { // the scan's set starts empty
+		u, _ := at(j)
+		seen[u>>6] = 0
+	}
+	if bad >= 0 {
+		pairs = pairs[:0]
+	}
+	ws.sweep, ws.tmp = sortSweep(pairs, ws.tmp, ws.n)
+	return len(pairs), bad
+}
+
+// sweepKey maps a value to a key that ascends as the value descends:
+// the non-negative values first (+Inf, the finite ones, then 0 — a −0
+// is 0 here), then the negative ones, nearest zero first. A
+// non-negative value's key is its complemented bits with the sign bit
+// cleared, a negative value's its own bits, whose sign bit is set.
+func sweepKey(x float64) uint64 {
+	if x == 0 {
+		x = 0 // −0 ties with +0
+	}
+	b := math.Float64bits(x)
+	if b>>63 != 0 {
+		return b
+	}
+	return ^b &^ (1 << 63)
+}
+
 // sortSweep sorts pairs of distinct nodes below n into sweep order and
 // returns it with the spare buffer (one of the two is pairs' array,
 // the other tmp's, grown to pairs' capacity if short). It is an LSD
 // radix sort of 8-bit digits, least significant key first: the node
-// id's bytes below n, then the value's. Every pass is stable, so the
-// result is ordered by value and, among equal values, by node — the
-// one order, whatever algorithm produces it.
+// id's bytes below n, then the key's. Every pass is stable, so the
+// result is ordered by key and, among equal keys, by node — the one
+// order, whatever algorithm produces it.
 func sortSweep(pairs, tmp []sweepPair, n int) (sorted, spare []sweepPair) {
 	if cap(tmp) < len(pairs) {
 		tmp = make([]sweepPair, cap(pairs))
@@ -74,14 +126,12 @@ func sortSweep(pairs, tmp []sweepPair, n int) (sorted, spare []sweepPair) {
 }
 
 // digit returns byte shift/8 of the pair's node id (byNode) or of its
-// value key ^Float64bits(val). The key ascends as the value descends
-// over the nonnegative values (+Inf first, then finite ones, then +0)
-// — all a sweep sorts, since every plane is a mass vector.
+// key.
 func (p *sweepPair) digit(shift uint, byNode bool) uint8 {
 	if byNode {
 		return uint8(p.node >> shift)
 	}
-	return uint8(^math.Float64bits(p.val) >> shift)
+	return uint8(p.key >> shift)
 }
 
 // radixPass is one stable counting-sort pass of src into dst by one
@@ -115,6 +165,27 @@ func (ws *Workspace) SweepNodes(dst []int, k int) []int {
 		dst = append(dst, pr.node)
 	}
 	return dst
+}
+
+// SweepBest returns the best-conductance prefix of the loaded sweep
+// order and its conductance, with partition.SweepCutOrdered's
+// semantics: prefixes are capped at n−1 nodes, a prefix whose smaller
+// side has no volume is skipped, and the first minimum wins. A zero
+// prefix means no prefix is a valid cut (an empty order has none). It
+// copies nothing: a caller that keeps the cut reads its set with
+// SweepNodes.
+func (ws *Workspace) SweepBest(g gstore.Graph) (prefix int, phi float64) {
+	volume := g.Volume()
+	phi = math.Inf(1)
+	ws.SweepScan(g, max(g.N()-1, 0), func(size int, cut, vol float64) bool {
+		if denom := math.Min(vol, volume-vol); denom > 0 {
+			if p := cut / denom; p < phi {
+				phi, prefix = p, size
+			}
+		}
+		return true
+	})
+	return prefix, phi
 }
 
 // SweepVisit is called by SweepScan after each node joins the prefix

@@ -153,9 +153,10 @@ func (q *fifo) pop() (int, bool) {
 // is the walk kernels' step target, and q is the push work queue. s is
 // allocated by the first walk step, so a workspace that only ever
 // pushes holds two records, 32 bytes, per node (48 once it has walked).
-// The rest is sweep scratch (sweep.go): the support as sorted (value,
+// The rest is sweep scratch (sweep.go): the support as sorted (key,
 // node) pairs, the radix sort's second buffer, and inS, the n-bit
-// prefix-membership set of a scan. All state resets in O(touched); a
+// prefix-membership set of a scan (and the duplicate check of
+// SweepOrderList). All state resets in O(touched); a
 // Workspace is not safe for concurrent use, but is safe to reuse
 // serially forever.
 type Workspace struct {
@@ -191,15 +192,6 @@ func (ws *Workspace) Reset() {
 func (ws *Workspace) ForEachP(fn func(u int, x float64)) {
 	for _, u := range ws.p.list {
 		if x := ws.p.c[u].val; x != 0 {
-			fn(u, x)
-		}
-	}
-}
-
-// ForEachR is ForEachP for the residual plane.
-func (ws *Workspace) ForEachR(fn func(u int, x float64)) {
-	for _, u := range ws.r.list {
-		if x := ws.r.c[u].val; x != 0 {
 			fn(u, x)
 		}
 	}

@@ -10,13 +10,22 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/gstore"
 )
 
+// sweepEntry is one node of a sweep order with the value it is
+// ordered by.
+type sweepEntry struct {
+	val  float64
+	node int
+}
+
 // sweepComparator is the order sweepOrder sorted by before the radix
 // sort: value descending, node id ascending. It stays here as the
-// oracle the radix order must reproduce.
-func sweepComparator(a, b sweepPair) int {
+// oracle the radix order must reproduce. Float comparison makes −0
+// equal to +0, as the sweep's key does.
+func sweepComparator(a, b sweepEntry) int {
 	switch {
 	case a.val > b.val:
 		return -1
@@ -26,12 +35,13 @@ func sweepComparator(a, b sweepPair) int {
 	return a.node - b.node
 }
 
-// TestSweepOrderMatchesComparator: the radix sort and the comparison
-// sort agree pair for pair on value sets built to hit the corners of a
-// bitwise key — exact ties, one-ulp neighbours, subnormals, huge
-// values, +Inf and an underflowed +0 — over node ranges that need one,
-// two and three id bytes, with the top id itself present. The values
-// are nonnegative, as a sweep's are: every plane is a mass vector.
+// TestSweepOrderMatchesComparator: the radix sort of sweepKey and the
+// comparison sort agree node for node on value sets built to hit the
+// corners of a bitwise key — exact ties, one-ulp neighbours,
+// subnormals, huge values, ±Inf, an underflowed +0 and −0, negatives
+// of every corner — over node ranges that need one, two and three id
+// bytes, with the top id itself present. Planes only hold non-negative
+// values; a caller's list (SweepOrderList) may hold any finite value.
 func TestSweepOrderMatchesComparator(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	base := []float64{
@@ -40,36 +50,44 @@ func TestSweepOrderMatchesComparator(t *testing.T) {
 		0x1p-1030, math.Nextafter(0x1p-1022, 0), 0x1p-1022,
 		math.MaxFloat64, math.Nextafter(math.MaxFloat64, 0), 1e300, math.Inf(1), 0,
 	}
-	value := func() float64 {
-		switch rng.Intn(3) {
-		case 0: // a corner value, so ties are common
-			return base[rng.Intn(len(base))]
-		case 1: // a one-ulp neighbour of a corner value (0's is above it)
-			x := base[rng.Intn(len(base))]
-			return math.Abs(math.Nextafter(x, math.Inf(1-2*rng.Intn(2))))
+	for _, signed := range []bool{false, true} {
+		value := func() float64 {
+			var x float64
+			switch rng.Intn(3) {
+			case 0: // a corner value, so ties are common
+				x = base[rng.Intn(len(base))]
+			case 1: // a one-ulp neighbour of a corner value (0's is above it)
+				x = math.Abs(math.Nextafter(base[rng.Intn(len(base))], math.Inf(1-2*rng.Intn(2))))
+			default:
+				x = math.Ldexp(rng.Float64(), -rng.Intn(60))
+			}
+			if signed && rng.Intn(2) == 0 {
+				x = -x // a zero becomes −0
+			}
+			return x
 		}
-		return math.Ldexp(rng.Float64(), -rng.Intn(60))
-	}
-	for _, n := range []int{255, 256, 257, 65537} {
-		for _, size := range []int{0, 1, 2, 17, n / 3, n} {
-			nodes := rng.Perm(n)
-			if size > 0 { // the widest id is always among the nodes
-				top := slices.Index(nodes, n-1)
-				j := rng.Intn(size)
-				nodes[top], nodes[j] = nodes[j], nodes[top]
-			}
-			nodes = nodes[:size]
-			pairs := make([]sweepPair, len(nodes))
-			for i, u := range nodes {
-				pairs[i] = sweepPair{val: value(), node: u}
-			}
-			want := slices.Clone(pairs)
-			slices.SortFunc(want, sweepComparator)
-			got, _ := sortSweep(pairs, nil, n)
-			for i := range want {
-				if got[i].node != want[i].node || math.Float64bits(got[i].val) != math.Float64bits(want[i].val) {
-					t.Fatalf("n=%d size=%d: position %d is (%v, %d), comparator order has (%v, %d)",
-						n, len(want), i, got[i].val, got[i].node, want[i].val, want[i].node)
+		for _, n := range []int{255, 256, 257, 65537} {
+			for _, size := range []int{0, 1, 2, 17, n / 3, n} {
+				nodes := rng.Perm(n)
+				if size > 0 { // the widest id is always among the nodes
+					top := slices.Index(nodes, n-1)
+					j := rng.Intn(size)
+					nodes[top], nodes[j] = nodes[j], nodes[top]
+				}
+				nodes = nodes[:size]
+				want := make([]sweepEntry, len(nodes))
+				pairs := make([]sweepPair, len(nodes))
+				for i, u := range nodes {
+					want[i] = sweepEntry{val: value(), node: u}
+					pairs[i] = sweepPair{key: sweepKey(want[i].val), node: u}
+				}
+				slices.SortFunc(want, sweepComparator)
+				got, _ := sortSweep(pairs, nil, n)
+				for i := range want {
+					if got[i].node != want[i].node {
+						t.Fatalf("signed=%v n=%d size=%d: position %d is node %d, comparator order has (%v, %d)",
+							signed, n, len(want), i, got[i].node, want[i].val, want[i].node)
+					}
 				}
 			}
 		}
@@ -181,4 +199,73 @@ func TestSweepScanEmptiesSet(t *testing.T) {
 	if !slices.Equal(capped, full[:len(capped)]) {
 		t.Fatal("the capped scan's prefixes differ from the full scan's")
 	}
+}
+
+// TestSweepOrderList: a caller's list is ordered by the plane rule
+// with every entry kept — zero and negative values too, −0 equal to
+// +0 — except zero-degree nodes; the first out-of-range or repeated
+// node is reported by index and loads nothing; and the duplicate check
+// leaves the scan's set empty either way, so the cut that follows is
+// the plane path's own.
+func TestSweepOrderList(t *testing.T) {
+	b := graph.NewBuilder(14) // a 12-cycle, then two isolated nodes
+	for u := 0; u < 12; u++ {
+		b.AddEdge(u, (u+1)%12)
+	}
+	hg, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := gstore.Wrap(hg)
+	ws := NewWorkspace(g.N())
+	empty := func(label string) {
+		t.Helper()
+		for i, w := range ws.inS {
+			if w != 0 {
+				t.Fatalf("%s: set word %d = %#x, want empty", label, i, w)
+			}
+		}
+	}
+	type entry struct {
+		node int
+		val  float64
+	}
+	load := func(list []entry) (k, bad int) {
+		return ws.SweepOrderList(g, len(list), func(i int) (int, float64) { return list[i].node, list[i].val })
+	}
+	for _, c := range []struct {
+		list  []entry
+		order []int
+		bad   int
+	}{
+		{[]entry{{6, -1}, {2, -0.2}, {12, 5}, {3, 0}, {1, 0.5}, {4, math.Copysign(0, -1)}, {0, 1}}, []int{0, 1, 3, 4, 2, 6}, -1},
+		{[]entry{{5, 0.5}, {0, 1}, {4, 0.5}}, []int{0, 4, 5}, -1},
+		{[]entry{{12, 1}, {13, 0.5}}, nil, -1},
+		{[]entry{{1, 1}, {1, 0.5}, {14, 1}}, nil, 1},
+		{[]entry{{14, 1}, {1, 1}, {1, 0.5}}, nil, 0},
+		{[]entry{{2, 1}, {12, 1}, {-1, 1}}, nil, 2},
+	} {
+		k, bad := load(c.list)
+		if got := ws.SweepNodes(nil, k); bad != c.bad || !slices.Equal(got, c.order) {
+			t.Fatalf("%v: order %v bad %d, want %v bad %d", c.list, got, bad, c.order, c.bad)
+		}
+		empty(fmt.Sprint(c.list))
+	}
+	// On a plane's values the list and the plane give one order and one
+	// cut.
+	if _, err := (PushACL{Alpha: 0.2, Eps: 1e-4}).Diffuse(g, ws, []int{3}); err != nil {
+		t.Fatal(err)
+	}
+	var list []entry
+	ws.ForEachP(func(u int, x float64) { list = append(list, entry{u, x}) })
+	k := ws.SweepOrderP(g)
+	want := ws.SweepNodes(nil, k)
+	wantPrefix, wantPhi := ws.SweepBest(g)
+	if k, bad := load(list); bad != -1 || !slices.Equal(ws.SweepNodes(nil, k), want) {
+		t.Fatalf("list order %v (bad %d), plane order %v", ws.SweepNodes(nil, k), bad, want)
+	}
+	if prefix, phi := ws.SweepBest(g); prefix != wantPrefix || phi != wantPhi || prefix == 0 {
+		t.Fatalf("list cut (%d, %v), plane cut (%d, %v)", prefix, phi, wantPrefix, wantPhi)
+	}
+	empty("after the cut")
 }

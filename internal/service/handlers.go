@@ -243,7 +243,7 @@ func (s *Server) handleSweepCut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveQuery(w, r, query{endpoint: "sweepcut", params: mustParams(req), compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
-		return execSweepCut(q.g, req)
+		return execSweepCut(q.g, q.pool, req)
 	}})
 }
 

@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 
@@ -11,8 +13,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/gstore"
 	"repro/internal/kernel"
-	"repro/internal/local"
-	"repro/internal/partition"
 	"repro/pkg/api"
 )
 
@@ -74,16 +74,50 @@ func pprResult(g gstore.Graph, ws *kernel.Workspace, st kernel.Stats, topK int, 
 		*top = out.Top
 	}
 	if sweep {
-		sw, err := local.WorkspaceSweepCut(g, ws)
+		err := errors.New("local: sweep over empty vector")
+		if out.Support > 0 {
+			out.Sweep, err = sweepCut(g, ws, ws.SweepOrderP(g))
+		}
 		if err != nil {
 			return api.PPRResponse{}, storeErrf(ErrBadInput, "ppr produced no sweepable support (eps too large?): %v", err)
 		}
-		out.Sweep = &api.SweepInfo{
-			Set: sw.Set, Size: len(sw.Set),
-			Conductance: sw.Conductance, Prefix: sw.Prefix,
-		}
 	}
 	return out, nil
+}
+
+// sweepCut is the best sweep cut of the k-node order loaded in ws, as a
+// reply carries it. The error texts are wire bytes, kept from the
+// packages that swept before the kernel did.
+func sweepCut(g gstore.Graph, ws *kernel.Workspace, k int) (*api.SweepInfo, error) {
+	if k == 0 {
+		return nil, errors.New("local: sweep support has only zero-degree nodes")
+	}
+	prefix, phi := ws.SweepBest(g)
+	if prefix == 0 {
+		return nil, errors.New("partition: sweep found no valid cut")
+	}
+	return keepCut(ws, prefix, phi), nil
+}
+
+// keepCut copies the best prefix of the loaded sweep order out of the
+// workspace.
+func keepCut(ws *kernel.Workspace, prefix int, phi float64) *api.SweepInfo {
+	return &api.SweepInfo{
+		Set: ws.SweepNodes(make([]int, 0, prefix), prefix), Size: prefix,
+		Conductance: phi, Prefix: prefix,
+	}
+}
+
+// betterCut is Nibble's per-step sweep: it sweeps the live walk
+// distribution (the R plane) and returns that cut if it strictly
+// improves on best, else best. Only an improving step copies its set.
+func betterCut(g gstore.Graph, ws *kernel.Workspace, best *api.SweepInfo) *api.SweepInfo {
+	ws.SweepOrderR(g)
+	prefix, phi := ws.SweepBest(g)
+	if prefix == 0 || (best != nil && phi >= best.Conductance) {
+		return best
+	}
+	return keepCut(ws, prefix, phi)
 }
 
 // execPPR answers a PPR query on a pooled kernel workspace.
@@ -139,7 +173,7 @@ func (p *pprSeeds) splice(dst []byte, seeds []int, body func(int) []byte, totalW
 type clusterSeeds api.LocalClusterRequest
 
 func (c *clusterSeeds) runSeeds(ctx context.Context, v queryView, seeds []int, debugWork bool, emit func(i int, body []byte, work api.WorkStats, err error)) error {
-	reply := func(i int, cut *partition.SweepResult, st kernel.Stats) {
+	reply := func(i int, cut *api.SweepInfo, st kernel.Stats) {
 		out, work, err := clusterResult(v.g, c.Method, cut, st)
 		var body []byte
 		if err == nil {
@@ -151,9 +185,17 @@ func (c *clusterSeeds) runSeeds(ctx context.Context, v queryView, seeds []int, d
 		emit(i, body, work, err)
 	}
 	if c.Method == "nibble" {
-		sts, best, err := local.NibbleBatch(ctx, v.g, v.pool, seeds, c.Eps, c.Steps)
+		best := make([]*api.SweepInfo, len(seeds))
+		bd := kernel.BatchDiffuser{
+			Method: kernel.NibbleWalk{Eps: c.Eps, Steps: c.Steps},
+			OnStep: func(i, _ int, ws *kernel.Workspace) error {
+				best[i] = betterCut(v.g, ws, best[i])
+				return nil
+			},
+		}
+		sts, err := bd.Run(ctx, v.g, v.pool, seeds, nil)
 		if err != nil {
-			return err
+			return nibbleErr(err)
 		}
 		for i := range seeds {
 			reply(i, best[i], sts[i])
@@ -162,12 +204,16 @@ func (c *clusterSeeds) runSeeds(ctx context.Context, v queryView, seeds []int, d
 	}
 	bd := kernel.BatchDiffuser{Method: clusterDiffuser((*api.LocalClusterRequest)(c))}
 	_, err := bd.Run(ctx, v.g, v.pool, seeds, func(i int, ws *kernel.Workspace, st kernel.Stats) error {
-		cut, _ := local.WorkspaceSweepCut(v.g, ws) // nil: no sweepable support
+		cut, _ := sweepCut(v.g, ws, ws.SweepOrderP(v.g)) // nil: no sweepable support
 		reply(i, cut, st)
 		return nil
 	})
 	return err
 }
+
+// nibbleErr prefixes a failed Nibble walk's error the way its replies
+// have always read (TestBatchRepliesMatchTheirGoldens pins the bytes).
+func nibbleErr(err error) error { return fmt.Errorf("local: %w", err) }
 
 func (c *clusterSeeds) splice(dst []byte, seeds []int, body func(int) []byte, _ float64, work *api.WorkStats) ([]byte, error) {
 	return api.AppendLocalClusterBatchJSON(dst, c.Method, seeds, body, work)
@@ -178,13 +224,19 @@ func execLocalCluster(ctx context.Context, g gstore.Graph, pool *kernel.Pool, re
 	defer pool.Put(ws)
 	var (
 		st  kernel.Stats
-		cut *partition.SweepResult
+		cut *api.SweepInfo
 		err error
 	)
 	if req.Method == "nibble" {
-		st, cut, err = local.NibbleWorkspace(ctx, g, ws, req.Seeds, req.Eps, req.Steps)
+		walk := kernel.NibbleWalk{Eps: req.Eps, Steps: req.Steps, OnStep: func(_ int, ws *kernel.Workspace) error {
+			cut = betterCut(g, ws, cut)
+			return nil
+		}}
+		if st, err = walk.DiffuseContext(ctx, g, ws, req.Seeds); err != nil {
+			err = nibbleErr(err)
+		}
 	} else if st, err = clusterDiffuser(&req).DiffuseContext(ctx, g, ws, req.Seeds); err == nil {
-		cut, _ = local.WorkspaceSweepCut(g, ws)
+		cut, _ = sweepCut(g, ws, ws.SweepOrderP(g))
 	}
 	if err != nil {
 		return nil, nil, err
@@ -206,7 +258,7 @@ func clusterDiffuser(req *api.LocalClusterRequest) kernel.Diffuser {
 
 // clusterResult assembles a localcluster reply from the method's best
 // cut (nil when it found none) and its diffusion's stats.
-func clusterResult(g gstore.Graph, method string, cut *partition.SweepResult, st kernel.Stats) (api.LocalClusterResponse, api.WorkStats, error) {
+func clusterResult(g gstore.Graph, method string, cut *api.SweepInfo, st kernel.Stats) (api.LocalClusterResponse, api.WorkStats, error) {
 	diffusion, noCut := "push", "ppr produced no sweepable support (eps too large?)"
 	switch method {
 	case "nibble":
@@ -272,25 +324,23 @@ func execDiffuse(ctx context.Context, g *graph.Graph, req api.DiffuseRequest) (*
 	return &api.DiffuseResponse{Kind: req.Kind, Sum: sum, Top: topMassesDense(v, support, req.TopK)}, work, nil
 }
 
-func execSweepCut(g gstore.Graph, req api.SweepCutRequest) (*api.SweepInfo, *api.WorkStats, error) {
-	v := make(local.SparseVec, len(req.Values))
-	for _, nm := range req.Values {
-		if nm.Node < 0 || nm.Node >= g.N() {
-			return nil, nil, storeErrf(ErrBadInput, "node %d out of range [0,%d)", nm.Node, g.N())
+// execSweepCut sweeps a caller's vector on a pooled workspace: by
+// mass/degree descending, ties by node id, zero and negative masses
+// kept, zero-degree nodes dropped (docs/api.md).
+func execSweepCut(g gstore.Graph, pool *kernel.Pool, req api.SweepCutRequest) (*api.SweepInfo, *api.WorkStats, error) {
+	ws := pool.Get()
+	defer pool.Put(ws)
+	k, bad := ws.SweepOrderList(g, len(req.Values), func(i int) (int, float64) {
+		return req.Values[i].Node, req.Values[i].Mass
+	})
+	if bad >= 0 {
+		if u := req.Values[bad].Node; u >= g.N() {
+			return nil, nil, storeErrf(ErrBadInput, "node %d out of range [0,%d)", u, g.N())
 		}
-		if _, dup := v[nm.Node]; dup {
-			return nil, nil, storeErrf(ErrBadInput, "node %d appears twice", nm.Node)
-		}
-		v[nm.Node] = nm.Mass
+		return nil, nil, storeErrf(ErrBadInput, "node %d appears twice", req.Values[bad].Node)
 	}
-	cut, err := local.SweepCut(g, v)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &api.SweepInfo{
-		Set: cut.Set, Size: len(cut.Set),
-		Conductance: cut.Conductance, Prefix: cut.Prefix,
-	}, nil, nil
+	cut, err := sweepCut(g, ws, k)
+	return cut, nil, err
 }
 
 // Generator size caps: server-side synthesis runs synchronously on the
