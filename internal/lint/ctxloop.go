@@ -15,7 +15,6 @@ import (
 var CtxLoopPackages = []string{
 	"repro/internal/service",
 	"repro/internal/kernel",
-	"repro/internal/local",
 	"repro/internal/ncp",
 	"repro/internal/partition",
 	"repro/internal/par",

@@ -12,7 +12,6 @@ import (
 // profiles). Subpackages inherit the contract.
 var DeterministicPackages = []string{
 	"repro/internal/kernel",
-	"repro/internal/local",
 	"repro/internal/ncp",
 	"repro/internal/partition",
 }
@@ -24,7 +23,7 @@ var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: `flag nondeterminism sources in the diffusion packages
 
-The kernel/local/ncp/partition packages promise bit-identical
+The kernel/ncp/partition packages promise bit-identical
 results for a given seed at any worker count (PR 1, PR 5). Three
 things silently break that promise:
 

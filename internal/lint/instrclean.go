@@ -13,7 +13,6 @@ import (
 // inherit the contract.
 var InstrCleanPackages = []string{
 	"repro/internal/kernel",
-	"repro/internal/local",
 }
 
 // InstrClean enforces the instrumentation-free hot loop contract of
@@ -22,8 +21,8 @@ var InstrClean = &Analyzer{
 	Name: "instrclean",
 	Doc: `forbid instrumentation inside diffusion loops
 
-The kernel and local packages answer queries by running tight push
-loops millions of times; their work telemetry is plain int counters
+The kernel package answers queries by running tight push loops
+millions of times; their work telemetry is plain int counters
 accumulated in kernel.Stats and observed once, at the serving
 boundary, after the response is written. Two kinds of instrumentation
 silently break the engine's contracts when they creep into a loop

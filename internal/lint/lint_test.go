@@ -13,7 +13,7 @@ import (
 // outside them. The paths do not need to exist on disk; fixtures are
 // typechecked directly against the repo's real dependencies.
 const (
-	inDeterministic = "repro/internal/local/lintfixture"
+	inDeterministic = "repro/internal/kernel/lintfixture"
 	inPersist       = "repro/internal/persist/lintfixture"
 	inService       = "repro/internal/service/lintfixture"
 	outOfScope      = "repro/cmd/lintfixture"

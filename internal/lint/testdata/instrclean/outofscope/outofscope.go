@@ -1,4 +1,4 @@
-// The same loop instrumentation outside the kernel/local scope: the
+// The same loop instrumentation outside the kernel scope: the
 // serving layer may time and log per iteration freely.
 package fixture
 
