@@ -1,11 +1,11 @@
 // Benchmarks: one per reproduced paper artifact (Figure 1 panels a–c and
-// the quantitative claims of Sections 3.1–3.3, indexed in DESIGN.md §4),
-// plus ablations of the repository's own design choices (max-flow engine,
-// push tolerance, worker count).
+// the quantitative claims of Sections 3.1–3.3, each asserted by a claim
+// test in internal/experiments), plus ablations of the repository's own
+// design choices (max-flow engine, push tolerance, worker count).
 //
 // Run with `go test -bench=. -benchmem`. Under -v each benchmark also
 // logs the series or summary row it reproduces, so the bench run doubles
-// as a compact regeneration of EXPERIMENTS.md's measured columns.
+// as a compact regeneration of the tables cmd/experiments prints.
 package repro
 
 import (

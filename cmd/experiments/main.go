@@ -1,7 +1,7 @@
 // Command experiments runs the full paper-reproduction suite — Figure 1
-// (all three panels) and every quantitative §3 claim — and prints the
-// tables EXPERIMENTS.md records. All runs are deterministic for a given
-// -seed.
+// (all three panels) and every quantitative §3 claim — and prints their
+// tables; the claim tests in internal/experiments assert what each
+// table shows. All runs are deterministic for a given -seed.
 //
 // Usage:
 //

@@ -3,8 +3,8 @@
 // studies. Each driver is deterministic given its seed, returns a typed
 // result, and can render itself as the table the paper's figure/claim
 // reports. cmd/experiments and the root-level benchmarks are thin
-// wrappers around these drivers; EXPERIMENTS.md records paper-vs-measured
-// for each.
+// wrappers around these drivers; the claim tests in this package assert
+// the paper's reading of each.
 package experiments
 
 import (

@@ -35,7 +35,8 @@ type Sec31Result struct {
 // Sec31Equivalence verifies, on a family of small graphs, that each of
 // the three diffusion dynamics computes exactly the optimum of its
 // regularized SDP (the Mahoney–Orecchia correspondence quoted by §3.1).
-// WeightDiff ~ 1e-12 is the "measured" column for EXPERIMENTS.md.
+// WeightDiff ~ 1e-12 is the measured column of its table
+// (TestSec31EquivalenceHolds asserts it).
 func Sec31Equivalence(seed int64) ([]*Sec31Result, error) {
 	graphs, err := sec31Graphs(seed)
 	if err != nil {

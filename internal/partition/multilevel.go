@@ -67,8 +67,7 @@ type level struct {
 // MultilevelBisect runs the Metis-style multilevel heuristic: coarsen by
 // heavy-edge matching, cut the coarsest graph greedily, then uncoarsen
 // with Fiduccia–Mattheyses boundary refinement at every level. It is the
-// stand-in for Metis in the paper's "Metis+MQI" flow-based pipeline (see
-// DESIGN.md's substitution table).
+// stand-in for Metis in the paper's "Metis+MQI" flow-based pipeline.
 func MultilevelBisect(g *graph.Graph, opt MultilevelOptions) (*MultilevelResult, error) {
 	o := (&opt).withDefaults()
 	if g.N() < 2 {
