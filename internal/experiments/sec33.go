@@ -310,7 +310,8 @@ func Sec33SeedNotInCluster(seed int64) (*Sec33SeedResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: sec3.3 seed construction: %w", err)
 	}
-	// Spielman–Teng sweep every step of the walk and keep the best cut.
+	// Sweep after every step of the walk, as Spielman–Teng do, and keep
+	// the best cut.
 	var best []int
 	bestPhi := math.Inf(1)
 	cg := gstore.Wrap(g)
