@@ -558,7 +558,7 @@ func persistBenchFiles(b *testing.B) (snapPath, textPath string, n, m int) {
 		}
 		persistBench.snapPath = filepath.Join(dir, "bench.gsnap")
 		persistBench.textPath = filepath.Join(dir, "bench.txt")
-		if err := persist.WriteSnapshotFile(persistBench.snapPath, g); err != nil {
+		if err := persist.WriteSnapshotFile(persistBench.snapPath, gstore.Wrap(g)); err != nil {
 			persistBench.err = err
 			return
 		}
@@ -631,7 +631,7 @@ func BenchmarkPersistSnapshotWrite(b *testing.B) {
 	dir := b.TempDir()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := persist.WriteSnapshotFile(filepath.Join(dir, "w.gsnap"), g); err != nil {
+		if err := persist.WriteSnapshotFile(filepath.Join(dir, "w.gsnap"), gstore.Wrap(g)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -876,7 +876,7 @@ func BenchmarkSweepWorkspace(b *testing.B) {
 		b.Fatal(err)
 	}
 	path := filepath.Join(b.TempDir(), "n64k"+persist.SnapshotExt)
-	if err := persist.WriteSnapshotFile(path, g); err != nil {
+	if err := persist.WriteSnapshotFile(path, gstore.Wrap(g)); err != nil {
 		b.Fatal(err)
 	}
 	for _, kind := range []gstore.Kind{gstore.KindCompact, gstore.KindMmap} {
@@ -1127,7 +1127,7 @@ func benchGraphdPPR(b *testing.B, cfg service.Config, cached bool) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	if _, err := srv.Store().Put("bench", g); err != nil {
+	if _, err := srv.Store().Put("bench", gstore.Wrap(g)); err != nil {
 		b.Fatal(err)
 	}
 	h := srv.Handler()

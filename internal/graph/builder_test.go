@@ -132,15 +132,54 @@ func randomEdges(rng *rand.Rand, n int) (us, vs []int, ws []float64) {
 	return us, vs, ws
 }
 
+// chunkCounts are stored-edge counts around the builder's chunk
+// boundaries: one short of a chunk, a full one, one over, and a few
+// chunks and a partial one.
+var chunkCounts = []int{builderChunk - 1, builderChunk, builderChunk + 1, 3*builderChunk + 7}
+
+// randomEdgesCount is randomEdges on n >= 2 nodes, drawn until it holds
+// k edges that are not self-loops and cut after the k-th: a builder fed
+// it stores exactly k edges.
+func randomEdgesCount(rng *rand.Rand, n, k int) (us, vs []int, ws []float64) {
+	for {
+		a, b, c := randomEdges(rng, n)
+		us, vs, ws = append(us, a...), append(vs, b...), append(ws, c...)
+		stored := 0
+		for i := range us {
+			if us[i] == vs[i] {
+				continue
+			}
+			if stored++; stored == k {
+				return us[:i+1], vs[:i+1], ws[:i+1]
+			}
+		}
+	}
+}
+
+// buildTrials calls each on the random multigraphs the builder tests
+// run on: trials small ones on minN+rng.Intn(spanN) nodes, then one for
+// each of chunkCounts.
+func buildTrials(rng *rand.Rand, trials, minN, spanN int, each func(n int, us, vs []int, ws []float64)) {
+	for trial := 0; trial < trials; trial++ {
+		n := minN + rng.Intn(spanN)
+		us, vs, ws := randomEdges(rng, n)
+		each(n, us, vs, ws)
+	}
+	for _, k := range chunkCounts {
+		n := 2 + rng.Intn(200)
+		us, vs, ws := randomEdgesCount(rng, n, k)
+		each(n, us, vs, ws)
+	}
+}
+
 // TestBuildMatchesOracle: on random multigraphs with weighted triples,
-// both orientations and self-loops, Build gives the graph the old Build
-// gave, to the bit; in particular every merged weight sums its parts in
-// the old order.
+// both orientations and self-loops, some of them filling the builder's
+// chunks to their boundaries, Build gives the graph the old Build gave,
+// to the bit; in particular every merged weight sums its parts in the
+// old order.
 func TestBuildMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 300; trial++ {
-		n := 1 + rng.Intn(60)
-		us, vs, ws := randomEdges(rng, n)
+	buildTrials(rng, 300, 1, 60, func(n int, us, vs []int, ws []float64) {
 		b := NewBuilder(n)
 		for i := range us {
 			b.AddWeightedEdge(us[i], vs[i], ws[i])
@@ -153,8 +192,8 @@ func TestBuildMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameGraph(t, "Build vs the old Build", got, want)
-	}
+		sameGraph(t, fmt.Sprintf("Build vs the old Build, %d arrivals", len(us)), got, want)
+	})
 }
 
 // TestBuildLeavesBuilderIntact: Build, more edges, Build again gives what
@@ -163,9 +202,7 @@ func TestBuildMatchesOracle(t *testing.T) {
 // replay would rebuild.
 func TestBuildLeavesBuilderIntact(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
-	for trial := 0; trial < 100; trial++ {
-		n := 2 + rng.Intn(40)
-		us, vs, ws := randomEdges(rng, n)
+	buildTrials(rng, 100, 2, 40, func(n int, us, vs []int, ws []float64) {
 		cut := rng.Intn(len(us) + 1)
 		b, fresh := NewBuilder(n), NewBuilder(n)
 		for i := range us {
@@ -189,7 +226,7 @@ func TestBuildLeavesBuilderIntact(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameGraph(t, "Build, Add, Build vs a fresh builder", got, want)
-	}
+	})
 }
 
 // TestBuildOverflowAndBounds: a pair whose merged weight overflows fails

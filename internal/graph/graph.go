@@ -29,12 +29,18 @@ type Graph struct {
 	edges  int       // number of undirected edges
 }
 
-// Builder accumulates edges and produces an immutable Graph.
+// Builder accumulates edges and produces an immutable Graph, or the
+// compact CSR arrays of one (BuildCSR).
 type Builder struct {
-	n   int
-	es  []builderEdge // in arrival order, each with u < v
-	err error
+	n int
+	// chunks hold the added edges in arrival order, builderChunk to a
+	// chunk, so the list grows without copying what it holds.
+	chunks [][]builderEdge
+	err    error
 }
+
+// builderChunk is the number of edges one chunk of a Builder holds.
+const builderChunk = 1024
 
 // builderEdge is one added edge, its endpoints ordered u < v.
 type builderEdge struct {
@@ -79,25 +85,66 @@ func (b *Builder) AddWeightedEdge(u, v int, w float64) {
 	if u > v {
 		u, v = v, u
 	}
-	b.es = append(b.es, builderEdge{uint32(u), uint32(v), w})
+	last := len(b.chunks) - 1
+	if last < 0 || len(b.chunks[last]) == builderChunk {
+		b.chunks = append(b.chunks, make([]builderEdge, 0, builderChunk))
+		last++
+	}
+	b.chunks[last] = append(b.chunks[last], builderEdge{uint32(u), uint32(v), w})
 }
 
 // Build assembles the graph, merging parallel edges by summing weights.
 // It sorts a copy of the added edges, so the builder can take more edges
 // and build again.
 func (b *Builder) Build() (*Graph, error) {
-	if b.err != nil {
-		return nil, b.err
+	es, _, err := b.merged()
+	if err != nil {
+		return nil, err
 	}
-	n := b.n
-	// Sort by (u,v) and merge duplicates in sorted order. The sort is not
-	// stable, and it fixes the order in which a pair's weights are summed:
-	// it must stay this pdqsort on this key (the comparisons sort.Slice
-	// makes, see TestBuildMatchesOracle), or merged weights, and with them
+	g := &Graph{n: b.n, edges: len(es)}
+	g.rowPtr, g.adj, g.w, g.deg = fill[int, int](b.n, es, true)
+	for _, d := range g.deg {
+		g.volume += d
+	}
+	return g, nil
+}
+
+// BuildCSR is Build for the compact backend: the same graph as the
+// arrays of gstore's compact CSR — int64 row pointers, uint32
+// adjacency, the weights, nil when every merged weight is 1, and the
+// degrees, bit for bit those of Build's graph. gstore.Build wraps them.
+func (b *Builder) BuildCSR() (rowPtr []int64, adj []uint32, w, deg []float64, err error) {
+	es, unit, err := b.merged()
+	if err != nil {
+		return nil, nil, nil, nil, err
+	}
+	rowPtr, adj, w, deg = fill[int64, uint32](b.n, es, !unit)
+	return rowPtr, adj, w, deg, nil
+}
+
+// merged gathers the added edges into one slice, sorts it by (u,v) and
+// merges each pair's parallel edges, summing their weights; unit
+// reports that every merged weight is 1.
+func (b *Builder) merged() (es []builderEdge, unit bool, err error) {
+	if b.err != nil {
+		return nil, false, b.err
+	}
+	// The sort is not stable, and it fixes the order in which a pair's
+	// weights are summed: it must stay this pdqsort on this key over
+	// the arrival order (the comparisons sort.Slice makes, see
+	// TestBuildMatchesOracle), or merged weights, and with them
 	// snapshot bytes, change in their last bits.
-	es := slices.Clone(b.es)
+	m := 0
+	for _, c := range b.chunks {
+		m += len(c)
+	}
+	es = make([]builderEdge, 0, m)
+	for _, c := range b.chunks {
+		es = append(es, c...)
+	}
 	slices.SortFunc(es, func(a, c builderEdge) int { return cmp.Compare(a.key(), c.key()) })
 	merged := es[:0]
+	unit = true
 	for i := 0; i < len(es); {
 		e := es[i]
 		j := i + 1
@@ -105,18 +152,28 @@ func (b *Builder) Build() (*Graph, error) {
 			e.w += es[j].w
 		}
 		if math.IsInf(e.w, 0) {
-			return nil, fmt.Errorf("graph: edge (%d,%d) merged weight overflows", e.u, e.v)
+			return nil, false, fmt.Errorf("graph: edge (%d,%d) merged weight overflows", e.u, e.v)
 		}
+		unit = unit && e.w == 1
 		merged = append(merged, e)
 		i = j
 	}
-	es = merged
+	return merged, unit, nil
+}
 
+// fill lays the merged edges es out as CSR arrays on n nodes, the row
+// pointers as P and the neighbour ids as A; the weight array is nil
+// unless weighted. Every row is strictly ascending by construction: es
+// (u<v) is sorted by (u,v), so row x first receives its smaller
+// neighbours (edges (u,x), in ascending u, all before any edge that
+// starts at x) and then its larger ones (edges (x,v), ascending v).
+// The degrees sum each row's weights in that same row order.
+func fill[P int | int64, A int | uint32](n int, es []builderEdge, weighted bool) (rowPtr []P, adj []A, w, deg []float64) {
 	// rowPtr[x+1] first counts row x. The prefix sum makes rowPtr[x] row
 	// x's start, which then serves as its fill cursor and so ends at row
 	// x's end; one shift puts every start back.
-	g := &Graph{n: n, rowPtr: make([]int, n+1), deg: make([]float64, n), edges: len(es)}
-	rowPtr := g.rowPtr
+	rowPtr = make([]P, n+1)
+	deg = make([]float64, n)
 	for _, e := range es {
 		rowPtr[e.u+1]++
 		rowPtr[e.v+1]++
@@ -124,27 +181,24 @@ func (b *Builder) Build() (*Graph, error) {
 	for i := 0; i < n; i++ {
 		rowPtr[i+1] += rowPtr[i]
 	}
-	g.adj = make([]int, rowPtr[n])
-	g.w = make([]float64, rowPtr[n])
+	adj = make([]A, rowPtr[n])
+	if weighted {
+		w = make([]float64, rowPtr[n])
+	}
 	for _, e := range es {
-		u, v := int(e.u), int(e.v)
-		g.adj[rowPtr[u]], g.w[rowPtr[u]] = v, e.w
-		rowPtr[u]++
-		g.adj[rowPtr[v]], g.w[rowPtr[v]] = u, e.w
-		rowPtr[v]++
-		g.deg[u] += e.w
-		g.deg[v] += e.w
+		pu, pv := rowPtr[e.u], rowPtr[e.v]
+		adj[pu], adj[pv] = A(e.v), A(e.u)
+		if weighted {
+			w[pu], w[pv] = e.w, e.w
+		}
+		rowPtr[e.u]++
+		rowPtr[e.v]++
+		deg[e.u] += e.w
+		deg[e.v] += e.w
 	}
 	copy(rowPtr[1:], rowPtr[:n])
 	rowPtr[0] = 0
-	// Every row is strictly ascending by construction: the merged edges
-	// (u<v) are sorted by (u,v), so row x first receives its smaller
-	// neighbours (edges (u,x), in ascending u, all before any edge that
-	// starts at x) and then its larger ones (edges (x,v), ascending v).
-	for _, d := range g.deg {
-		g.volume += d
-	}
-	return g, nil
+	return rowPtr, adj, w, deg
 }
 
 // CSR returns the graph's raw CSR arrays: rowPtr (length n+1), the
@@ -154,17 +208,17 @@ func (b *Builder) Build() (*Graph, error) {
 // The returned slices are NOT copies: they alias the graph's internal
 // storage — every call returns views of the same backing arrays, and
 // Neighbors hands out sub-slices of the same adj/w arrays. That is the
-// point: the snapshot writer and gstore.NewCompact read them with no
-// copy on the way, and the dense algorithms walk Neighbors' rows in
-// place. (The diffusion kernels do not: they run on the compact form,
-// whose uint32 arrays NewCompact fills from these.) The flip side is a strict
-// read-only contract: writing through any of the three slices corrupts
-// the graph for every holder. graphlint's nomutate analyzer enforces
-// that, and the same discipline for gstore accessors, where a mapped
-// graph makes a write a SIGSEGV; TestCSRAliasesInternalStorage pins the
-// aliasing itself so a defensive copy cannot sneak in and silently
-// change the cost model. This is the encoding surface of the binary
-// snapshot format (internal/persist); FromCSR is its inverse.
+// point: gstore.NewCompact reads them with no copy on the way, and the
+// dense algorithms walk Neighbors' rows in place. (The diffusion
+// kernels and the snapshot writer do not: they take the compact form,
+// which BuildCSR emits directly and NewCompact fills from these.) The
+// flip side is a strict read-only contract: writing through any of the
+// three slices corrupts the graph for every holder. graphlint's
+// nomutate analyzer enforces that, and the same discipline for gstore
+// accessors, where a mapped graph makes a write a SIGSEGV;
+// TestCSRAliasesInternalStorage pins the aliasing itself so a defensive
+// copy cannot sneak in and silently change the cost model. FromCSR is
+// its inverse.
 func (g *Graph) CSR() (rowPtr, adj []int, w []float64) {
 	return g.rowPtr, g.adj, g.w
 }

@@ -62,41 +62,59 @@ type Compact struct {
 	closeOnce sync.Once
 }
 
-// NewCompact converts a heap graph to the compact in-heap form. The
-// degrees and volume are copied bit-for-bit (not recomputed), so
-// degree-thresholded diffusions behave identically. Fails only when
-// the graph is too large for uint32 node ids.
+// Build builds the builder's graph straight into the compact in-heap
+// form, with no heap graph on the way: the same adjacency, weights,
+// degrees and volume, bit for bit, as NewCompact(b.Build()).
+func Build(b *graph.Builder) (*Compact, error) {
+	rowPtr, adj, w, deg, err := b.BuildCSR()
+	if err != nil {
+		return nil, err
+	}
+	return newCompact(rowPtr, adj, w, deg), nil
+}
+
+// NewCompact converts a heap graph to the compact in-heap form. It
+// shares the heap graph's immutable degree array, and its weight array
+// when the weights need float64, so the degrees are bit for bit the
+// heap graph's (not recomputed) and degree-thresholded diffusions
+// behave identically. Fails only when the graph is too large for
+// uint32 node ids.
 func NewCompact(g *graph.Graph) (*Compact, error) {
 	if uint64(g.N()) > math.MaxUint32 {
 		return nil, fmt.Errorf("gstore: %d nodes exceed the compact backend's uint32 id space", g.N())
 	}
 	rowPtrI, adjI, wts := g.CSR()
-	c := &Compact{
-		kind:   KindCompact,
-		n:      g.N(),
-		m:      g.M(),
-		rowPtr: make([]int64, len(rowPtrI)),
-		adj:    make([]uint32, len(adjI)),
-		deg:    append([]float64(nil), g.Degrees()...),
-		volume: g.Volume(),
-	}
+	rowPtr := make([]int64, len(rowPtrI))
 	for i, v := range rowPtrI {
-		c.rowPtr[i] = int64(v)
+		rowPtr[i] = int64(v)
 	}
+	adj := make([]uint32, len(adjI))
 	for i, v := range adjI {
-		c.adj[i] = uint32(v)
+		adj[i] = uint32(v)
 	}
-	switch DetectWeightForm(wts) {
+	return newCompact(rowPtr, adj, wts, g.Degrees()), nil
+}
+
+// newCompact assembles the compact in-heap form over trusted CSR
+// arrays, a builder's or a heap graph's, keeping them. w (nil means unit weights) is stored in the narrowest lossless
+// form DetectWeightForm finds, and the volume sums deg in node order,
+// as graph.Build sums it.
+func newCompact(rowPtr []int64, adj []uint32, w, deg []float64) *Compact {
+	c := &Compact{kind: KindCompact, n: len(deg), m: len(adj) / 2, rowPtr: rowPtr, adj: adj, deg: deg}
+	switch DetectWeightForm(w) {
 	case WeightsUnit:
 	case WeightsF32:
-		c.w32 = make([]float32, len(wts))
-		for i, x := range wts {
+		c.w32 = make([]float32, len(w))
+		for i, x := range w {
 			c.w32[i] = float32(x)
 		}
 	default:
-		c.w64 = append([]float64(nil), wts...)
+		c.w64 = w
 	}
-	return c, nil
+	for _, d := range deg {
+		c.volume += d
+	}
+	return c
 }
 
 // NewCompactFromParts assembles a Compact directly from raw arrays —

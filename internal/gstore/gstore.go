@@ -5,8 +5,9 @@
 //   - compact — in-heap uint32 adjacency, int64 row pointers and the
 //     smallest lossless weight encoding (absent for unit weights,
 //     float32 when every weight round-trips, float64 otherwise).
-//     graphd's default, and what Wrap and NewCompact build from the
-//     builder's *graph.Graph.
+//     graphd's default: what Build makes straight from a graph.Builder
+//     (a stream's seal), and what Wrap and NewCompact convert a heap
+//     *graph.Graph into (loads and generators).
 //   - mmap    — the same layout, but with every array sliced directly
 //     out of a memory-mapped GSNAP v2 snapshot
 //     (internal/persist.OpenMapped). Loading copies nothing: the

@@ -1,11 +1,14 @@
 package gstore_test
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -78,7 +81,7 @@ func openBackends(t testing.TB, g *graph.Graph) map[gstore.Kind]gstore.Graph {
 		t.Fatalf("NewCompact: %v", err)
 	}
 	path := filepath.Join(t.TempDir(), "g"+persist.SnapshotExt)
-	if err := persist.WriteSnapshotFile(path, g); err != nil {
+	if err := persist.WriteSnapshotFile(path, c); err != nil {
 		t.Fatalf("WriteSnapshotFile: %v", err)
 	}
 	m, err := persist.OpenMapped(path)
@@ -473,6 +476,96 @@ func TestMaterializeBitIdentity(t *testing.T) {
 				assertSameHeapGraph(t, label, got, hg)
 			}
 		})
+	}
+}
+
+// TestBuildMatchesNewCompact: on random multigraphs of every weight
+// form, with parallel edges in both orientations and self-loops, some
+// past the builder's first chunks, gstore.Build gives what converting
+// the builder's heap graph gives, array for array and bit for bit, m
+// and the volume included, and the two write the same snapshot bytes.
+func TestBuildMatchesNewCompact(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	weights := []struct {
+		form   gstore.WeightForm
+		weight func() float64
+	}{
+		{gstore.WeightsUnit, func() float64 { return 1 }},
+		// Quarters: every sum of a few stays float32-exact.
+		{gstore.WeightsF32, func() float64 { return float64(1+rng.Intn(12)) / 4 }},
+		{gstore.WeightsF64, func() float64 { return 0.1 * float64(1+rng.Intn(30)) }},
+	}
+	for _, wf := range weights {
+		seen := 0
+		for trial := range 100 {
+			n := 1 + rng.Intn(400)
+			b := graph.NewBuilder(n)
+			for e := rng.Intn(6 * n); e > 0; e-- {
+				u, v := rng.Intn(n), rng.Intn(n)
+				b.AddWeightedEdge(u, v, wf.weight())
+				if trial%2 == 1 && rng.Intn(3) == 0 {
+					b.AddWeightedEdge(v, u, wf.weight())
+				}
+			}
+			got, err := gstore.Build(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hg, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := gstore.Wrap(hg)
+			label := fmt.Sprintf("form %d trial %d (n=%d m=%d)", wf.form, trial, n, want.M())
+			sameCompact(t, label, got, want)
+			var gotSnap, wantSnap bytes.Buffer
+			if err := errors.Join(persist.WriteSnapshot(&gotSnap, got), persist.WriteSnapshot(&wantSnap, want)); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(gotSnap.Bytes(), wantSnap.Bytes()) {
+				t.Fatalf("%s: snapshot bytes differ", label)
+			}
+			if _, _, w := hg.CSR(); gstore.DetectWeightForm(w) == wf.form {
+				seen++
+			}
+		}
+		if seen == 0 {
+			t.Errorf("no draw landed in weight form %d", wf.form)
+		}
+	}
+}
+
+// sameCompact fails unless got and want agree to the bit: backend,
+// sizes, volume and every raw array.
+func sameCompact(t *testing.T, label string, got, want *gstore.Compact) {
+	t.Helper()
+	f64bits := func(fs []float64) []uint64 {
+		out := make([]uint64, len(fs))
+		for i, f := range fs {
+			out[i] = math.Float64bits(f)
+		}
+		return out
+	}
+	f32bits := func(fs []float32) []uint32 {
+		out := make([]uint32, len(fs))
+		for i, f := range fs {
+			out[i] = math.Float32bits(f)
+		}
+		return out
+	}
+	switch {
+	case got.Backend() != want.Backend() || got.N() != want.N() || got.M() != want.M():
+		t.Fatalf("%s: backend, n, m = %s, %d, %d, want %s, %d, %d", label, got.Backend(), got.N(), got.M(), want.Backend(), want.N(), want.M())
+	case math.Float64bits(got.Volume()) != math.Float64bits(want.Volume()):
+		t.Fatalf("%s: volume %v, want %v", label, got.Volume(), want.Volume())
+	case !slices.Equal(got.RawRowPtr(), want.RawRowPtr()) || !slices.Equal(got.RawAdj(), want.RawAdj()):
+		t.Fatalf("%s: row pointers or adjacency differ", label)
+	case (got.RawWeights32() == nil) != (want.RawWeights32() == nil) || (got.RawWeights64() == nil) != (want.RawWeights64() == nil) ||
+		!slices.Equal(f32bits(got.RawWeights32()), f32bits(want.RawWeights32())) ||
+		!slices.Equal(f64bits(got.RawWeights64()), f64bits(want.RawWeights64())):
+		t.Fatalf("%s: weights differ", label)
+	case !slices.Equal(f64bits(got.RawDegrees()), f64bits(want.RawDegrees())):
+		t.Fatalf("%s: degrees differ", label)
 	}
 }
 

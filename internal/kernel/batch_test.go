@@ -45,7 +45,7 @@ func batchTestGraph(t testing.TB) *graph.Graph {
 func batchBackends(t testing.TB, g *graph.Graph) map[string]gstore.Graph {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "g"+persist.SnapshotExt)
-	if err := persist.WriteSnapshotFile(path, g); err != nil {
+	if err := persist.WriteSnapshotFile(path, gstore.Wrap(g)); err != nil {
 		t.Fatalf("WriteSnapshotFile: %v", err)
 	}
 	c, err := persist.ReadCompactFile(path)

@@ -210,8 +210,19 @@ func observed[T any](d *Dir, op Op, c *atomic.Uint64, path string, fn func(strin
 	return v, nil
 }
 
-// SaveSnapshot atomically writes the graph's snapshot.
+// SaveSnapshot converts a heap graph to the compact form and writes its
+// snapshot atomically. It goes, with LoadSnapshot, once nothing holds a
+// heap graph to save (ROADMAP items 1 and 13d).
 func (d *Dir) SaveSnapshot(name string, g *graph.Graph) error {
+	c, err := gstore.NewCompact(g)
+	if err != nil {
+		return err
+	}
+	return d.writeSnapshot(name, c)
+}
+
+// writeSnapshot atomically writes g's snapshot under name.
+func (d *Dir) writeSnapshot(name string, g *gstore.Compact) error {
 	_, err := observed(d, OpSnapshotWrite, &d.counters.SnapshotsWritten, d.SnapshotPath(name),
 		func(path string) (struct{}, error) { return struct{}{}, WriteSnapshotFile(path, g) })
 	return err
@@ -237,14 +248,13 @@ func (d *Dir) MapSnapshot(name string) (*gstore.Compact, error) {
 
 // Open serves the named graph from backend kind: mmap, or compact for
 // any other kind (gstore.ParseKind admits no third). g is the graph in
-// hand when there is one (Put, Seal): compact then converts it without
-// reading the snapshot back; recovery passes nil and the snapshot is
-// loaded. mmap maps the snapshot, which a nil Dir cannot do. A snapshot
-// that cannot be mapped is served compact instead, with a log line,
-// and so is a graph in hand whose mapping failed for any reason, since
-// its data is intact. Every admitted graph fits the compact backend's
-// uint32 ids (graph.MaxEdgeListNodes), so there is no further fallback.
-func (d *Dir) Open(name string, g *graph.Graph, kind gstore.Kind) (gstore.Graph, error) {
+// hand when there is one (Put, Seal): compact then serves g itself
+// without reading the snapshot back; recovery passes nil and the
+// snapshot is loaded. mmap maps the snapshot, which a nil Dir cannot
+// do. A snapshot that cannot be mapped is served compact instead, with
+// a log line, and so is a graph in hand whose mapping failed for any
+// reason, since its data is intact.
+func (d *Dir) Open(name string, g *gstore.Compact, kind gstore.Kind) (gstore.Graph, error) {
 	if kind == gstore.KindMmap {
 		c, err := d.MapSnapshot(name)
 		if err == nil {
@@ -256,7 +266,7 @@ func (d *Dir) Open(name string, g *graph.Graph, kind gstore.Kind) (gstore.Graph,
 		d.logf("persist: graph %q: %v; serving compact instead", name, err)
 	}
 	if g != nil {
-		return served(gstore.NewCompact(g))
+		return g, nil
 	}
 	return served(d.LoadCompactSnapshot(name))
 }
@@ -271,11 +281,11 @@ func served(c *gstore.Compact, err error) (gstore.Graph, error) {
 }
 
 // Put makes g durable as the named graph's snapshot and serves it from
-// backend kind (see Open). A graph the snapshot can hold always fits
-// the compact backend, so once the snapshot is written Open cannot fail.
-func (d *Dir) Put(name string, g *graph.Graph, kind gstore.Kind) (gstore.Graph, error) {
+// backend kind (see Open); once the snapshot is written, Open cannot
+// fail.
+func (d *Dir) Put(name string, g *gstore.Compact, kind gstore.Kind) (gstore.Graph, error) {
 	if d != nil {
-		if err := d.SaveSnapshot(name, g); err != nil {
+		if err := d.writeSnapshot(name, g); err != nil {
 			return nil, err
 		}
 	}
@@ -286,7 +296,7 @@ func (d *Dir) Put(name string, g *graph.Graph, kind gstore.Kind) (gstore.Graph, 
 // stream's log w. The snapshot lands first: a crash between the two
 // leaves both files, and Recover lets the snapshot win. On error the
 // log is untouched, so the stream can be sealed again.
-func (d *Dir) Seal(name string, g *graph.Graph, w *WAL, kind gstore.Kind) (gstore.Graph, error) {
+func (d *Dir) Seal(name string, g *gstore.Compact, w *WAL, kind gstore.Kind) (gstore.Graph, error) {
 	sg, err := d.Put(name, g, kind)
 	if err != nil || d == nil {
 		return sg, err

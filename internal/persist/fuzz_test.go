@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/gstore"
 )
 
 // FuzzReadSnapshot drives the snapshot decoder with arbitrary bytes: it
@@ -19,7 +20,7 @@ import (
 func FuzzReadSnapshot(f *testing.F) {
 	seed := func(g *graph.Graph) []byte {
 		var buf bytes.Buffer
-		if err := WriteSnapshot(&buf, g); err != nil {
+		if err := WriteSnapshot(&buf, gstore.Wrap(g)); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
@@ -50,7 +51,7 @@ func FuzzReadSnapshot(f *testing.F) {
 			return
 		}
 		var buf bytes.Buffer
-		if err := WriteSnapshot(&buf, g); err != nil {
+		if err := WriteSnapshot(&buf, gstore.Wrap(g)); err != nil {
 			t.Fatalf("accepted graph failed to re-encode: %v", err)
 		}
 		if binary.LittleEndian.Uint16(data[6:8]) == SnapshotVersion {

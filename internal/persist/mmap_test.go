@@ -23,7 +23,7 @@ import (
 func writeV2Temp(t testing.TB, g *graph.Graph) (string, []byte) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "g"+SnapshotExt)
-	if err := WriteSnapshotFile(path, g); err != nil {
+	if err := WriteSnapshotFile(path, gstore.Wrap(g)); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -172,7 +172,7 @@ func TestCompactLoadAllocatesTheFileOnce(t *testing.T) {
 func FuzzOpenMapped(f *testing.F) {
 	seed := func(g *graph.Graph) []byte {
 		var buf bytes.Buffer
-		if err := WriteSnapshot(&buf, g); err != nil {
+		if err := WriteSnapshot(&buf, gstore.Wrap(g)); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
@@ -217,7 +217,7 @@ func FuzzOpenMapped(f *testing.F) {
 			t.Fatalf("materialized N,M = %d,%d, mapped claims %d,%d", hg.N(), hg.M(), c.N(), c.M())
 		}
 		var buf bytes.Buffer
-		if err := WriteSnapshot(&buf, hg); err != nil {
+		if err := WriteSnapshot(&buf, gstore.Wrap(hg)); err != nil {
 			t.Fatalf("accepted graph failed to re-encode: %v", err)
 		}
 		rt, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))

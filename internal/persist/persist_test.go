@@ -23,6 +23,12 @@ import (
 	"repro/internal/gstore"
 )
 
+// ReadSnapshot decodes a GSNAP stream into a heap graph, the form the
+// tests compare; graphd itself reads snapshots compact (ReadCompact).
+func ReadSnapshot(r io.Reader) (*graph.Graph, error) {
+	return heapOf(ReadCompact(r))
+}
+
 // testGraphs builds a spread of shapes: structured, random, weighted
 // (parallel edges merged into non-integer weights), a graph with
 // isolated nodes, a single-edge graph, and an empty graph.
@@ -127,7 +133,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		t.Run(name, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := WriteSnapshot(&buf, g); err != nil {
+			if err := WriteSnapshot(&buf, gstore.Wrap(g)); err != nil {
 				t.Fatal(err)
 			}
 			got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
@@ -156,7 +162,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 	graphs["f32"] = weightedTestGraph(t)
 	for name, g := range graphs {
 		var buf bytes.Buffer
-		if err := WriteSnapshot(&buf, g); err != nil {
+		if err := WriteSnapshot(&buf, gstore.Wrap(g)); err != nil {
 			t.Fatal(err)
 		}
 		sum := sha256.Sum256(buf.Bytes())
@@ -252,7 +258,7 @@ func TestStreamedLoadGrowsWithTheBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, g); err != nil {
+	if err := WriteSnapshot(&buf, gstore.Wrap(g)); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() < 4*sectionChunk {
@@ -276,7 +282,7 @@ func TestDecodeWordsMatchesAliasing(t *testing.T) {
 	graphs["f32"] = weightedTestGraph(t)
 	for name, g := range graphs {
 		var buf bytes.Buffer
-		if err := WriteSnapshot(&buf, g); err != nil {
+		if err := WriteSnapshot(&buf, gstore.Wrap(g)); err != nil {
 			t.Fatal(err)
 		}
 		data := alignedBytes(buf.Len())
@@ -304,7 +310,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	g := testGraphs(t)["weighted"]
 	path := filepath.Join(dir, "g.gsnap")
-	if err := WriteSnapshotFile(path, g); err != nil {
+	if err := WriteSnapshotFile(path, gstore.Wrap(g)); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadSnapshotFile(path)
@@ -325,7 +331,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameCSR(t, g, auto)
+	assertSameCompact(t, g, auto, gstore.KindCompact)
 }
 
 // TestSnapshotEveryPrefixFails asserts the truncation property: no
@@ -334,7 +340,7 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 func TestSnapshotEveryPrefixFails(t *testing.T) {
 	g := gen.RingOfCliques(3, 4)
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, g); err != nil {
+	if err := WriteSnapshot(&buf, gstore.Wrap(g)); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -350,7 +356,7 @@ func TestSnapshotEveryPrefixFails(t *testing.T) {
 func TestSnapshotEveryByteFlipFails(t *testing.T) {
 	g := gen.RingOfCliques(3, 4)
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, g); err != nil {
+	if err := WriteSnapshot(&buf, gstore.Wrap(g)); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -660,13 +666,16 @@ func TestDirCountsWALAppends(t *testing.T) {
 	}
 }
 
-// TestWriteSnapshotAllocatesOneChunk bounds the bytes WriteSnapshot
-// allocates for a small graph with all four sections: the one
-// sectionChunk buffer that both passes, every section and the output
-// share, plus the header and a few small objects — not a chunk per
-// section per pass.
-func TestWriteSnapshotAllocatesOneChunk(t *testing.T) {
-	g := testGraphs(t)["weighted"]
+// TestWriteSnapshotWritesInPlace bounds the bytes WriteSnapshot
+// allocates for a graph with all four sections on a host whose layout
+// matches the file's: the sections are written from the graph's own
+// arrays, so a call allocates the header and a few small objects, not
+// a buffer that grows with the graph.
+func TestWriteSnapshotWritesInPlace(t *testing.T) {
+	if !hostLayoutMappable() {
+		t.Skip("this host encodes a copy of every section")
+	}
+	g := gstore.Wrap(testGraphs(t)["weighted"])
 	if err := WriteSnapshot(io.Discard, g); err != nil { // warm up
 		t.Fatal(err)
 	}
@@ -681,7 +690,29 @@ func TestWriteSnapshotAllocatesOneChunk(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
-	if limit := uint64(sectionChunk + 1024); perRun > limit {
-		t.Errorf("WriteSnapshot allocated %d bytes per call, want at most %d (one chunk plus the header)", perRun, limit)
+	if limit := uint64(1024); perRun > limit {
+		t.Errorf("WriteSnapshot allocated %d bytes per call, want at most %d (the header and small objects)", perRun, limit)
 	}
+}
+
+// TestEncodeWordsMatchesByteView checks the copying encode, which hosts
+// whose layout cannot write a graph's arrays as they lie use, against
+// the byte views this host writes: every section of every weight form.
+func TestEncodeWordsMatchesByteView(t *testing.T) {
+	if !hostLayoutMappable() {
+		t.Skip("this host encodes; there is no byte view to compare against")
+	}
+	graphs := testGraphs(t)
+	graphs["f32"] = weightedTestGraph(t)
+	for name, hg := range graphs {
+		g := gstore.Wrap(hg)
+		if !sameBytes(g.RawRowPtr()) || !sameBytes(g.RawAdj()) || !sameBytes(g.RawWeights32()) ||
+			!sameBytes(g.RawWeights64()) || !sameBytes(g.RawDegrees()) {
+			t.Errorf("%s: encoded words differ from the byte views", name)
+		}
+	}
+}
+
+func sameBytes[T sectionWord](vals []T) bool {
+	return bytes.Equal(sectionBytes(vals), encodeWords(vals))
 }

@@ -5,10 +5,11 @@
 // Together they let a daemon restart recover every sealed graph and
 // replay every in-flight stream without re-parsing text edge lists.
 //
-// WriteSnapshot writes v2 (see snapshot_v2.go for the layout): compact
-// 8-byte-aligned sections that a memory mapping can serve in place, plus
-// the degree vector, so mapped loads copy nothing. v1 is the original
-// streaming layout below; it is read transparently but never written:
+// WriteSnapshot writes v2 (see snapshot_v2.go for the layout) from a
+// compact graph, whose arrays are the sections: compact 8-byte-aligned
+// sections that a memory mapping can serve in place, plus the degree
+// vector, so mapped loads copy nothing. v1 is the original streaming
+// layout below; it is read transparently but never written:
 //
 //	magic    [6]byte  "GSNAP\x00"
 //	version  uint16   1
@@ -54,18 +55,18 @@ var snapMagic = [6]byte{'G', 'S', 'N', 'A', 'P', 0}
 // costs an error, not memory.
 const maxSnapshotDim = 1 << 48
 
-// sectionChunk is the encode/decode buffer size: large enough to
-// amortize syscalls, small enough that a truncated file never provokes a
-// large allocation.
+// sectionChunk is the decode buffer size: large enough to amortize
+// syscalls, small enough that a truncated file never provokes a large
+// allocation.
 const sectionChunk = 1 << 16
 
-// ReadSnapshot decodes a GSNAP stream (either version) into a Graph,
-// verifying the magic, version, header checksum, every section
-// checksum, and finally the full CSR invariants. It never panics on
-// malformed input and allocates in proportion to the bytes actually
-// present.
-func ReadSnapshot(r io.Reader) (*graph.Graph, error) {
-	return heapOf(readSnapshot(r, -1))
+// ReadCompact decodes a GSNAP stream (either version) into the compact
+// in-heap representation, verifying the magic, version, header
+// checksum, every section checksum, and finally the full CSR
+// invariants. It never panics on malformed input and allocates in
+// proportion to the bytes actually present.
+func ReadCompact(r io.Reader) (*gstore.Compact, error) {
+	return readSnapshot(r, -1)
 }
 
 // heapOf copies a decoded snapshot into a heap graph.
@@ -176,11 +177,11 @@ func readSnapshotV1(br io.Reader, head []byte) (*gstore.Compact, error) {
 	return c, nil
 }
 
-// WriteSnapshotFile writes g to path atomically: the bytes go to a
-// temporary file in the same directory, are fsynced, and are renamed
-// into place, so a crash mid-write can never leave a half-written
-// snapshot under the final name.
-func WriteSnapshotFile(path string, g *graph.Graph) error {
+// WriteSnapshotFile writes g's snapshot to path atomically: the bytes
+// go to a temporary file in the same directory, are fsynced, and are
+// renamed into place, so a crash mid-write can never leave a
+// half-written snapshot under the final name.
+func WriteSnapshotFile(path string, g *gstore.Compact) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -231,16 +232,21 @@ func ReadCompactFile(path string) (*gstore.Compact, error) {
 	return g, nil
 }
 
-// ReadGraphFile loads a graph from path, dispatching on the extension:
-// ".gsnap" files decode as binary snapshots, anything else parses as a
-// text edge list (".gz" transparently gunzipped, "" meaning stdin).
+// ReadGraphFile loads a graph from path into the compact in-heap
+// representation, dispatching on the extension: ".gsnap" files decode
+// as binary snapshots, anything else parses as a text edge list (".gz"
+// transparently gunzipped, "" meaning stdin) and is converted once.
 // graphd -load reads its graphs with it, so a generation gengraph wrote
 // as a snapshot is parsed once and reloaded in binary form thereafter.
-func ReadGraphFile(path string) (*graph.Graph, error) {
+func ReadGraphFile(path string) (*gstore.Compact, error) {
 	if filepath.Ext(path) == SnapshotExt {
-		return ReadSnapshotFile(path)
+		return ReadCompactFile(path)
 	}
-	return graph.ReadEdgeListFile(path)
+	g, err := graph.ReadEdgeListFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return gstore.NewCompact(g)
 }
 
 // syncDir fsyncs a directory so a just-renamed file's directory entry is

@@ -7,10 +7,10 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"runtime"
 	"strconv"
 	"unsafe"
 
-	"repro/internal/graph"
 	"repro/internal/gstore"
 )
 
@@ -181,115 +181,64 @@ func encodeV2Header(h *v2Header) []byte {
 	return hdr
 }
 
-// WriteSnapshot encodes g in GSNAP v2. The writer is buffered
-// internally; the caller owns any file-level durability (fsync,
-// rename). Graphs beyond the uint32 id space cannot be written; graphd
-// never admits one (graph.MaxEdgeListNodes).
-func WriteSnapshot(w io.Writer, g *graph.Graph) error {
-	if uint64(g.N()) > math.MaxUint32 {
-		return fmt.Errorf("persist: %d nodes exceed the snapshot's uint32 id space", g.N())
-	}
-	rowPtr, adj, wts := g.CSR()
-	deg := g.Degrees()
+// WriteSnapshot encodes g in GSNAP v2. The sections are g's own arrays:
+// on a host whose layout matches the file's, each is written as it lies
+// in memory (a mapped graph's straight from its mapping) after one CRC
+// pass over the same bytes; elsewhere each is first encoded into a
+// little-endian copy. The caller owns any file-level durability (fsync,
+// rename).
+func WriteSnapshot(w io.Writer, g *gstore.Compact) error {
+	// The byte views below alias g's arrays, which for a mapped graph
+	// its finalizer unmaps: g must outlive the last write.
+	defer runtime.KeepAlive(g)
 	h := &v2Header{n: uint64(g.N()), m: uint64(g.M())}
-	encodeW := func(*chunkWriter) error { return nil }
-	switch gstore.DetectWeightForm(wts) {
-	case gstore.WeightsF32:
-		h.flags = v2FlagW | v2FlagWF32
-		encodeW = func(c *chunkWriter) error { return encodeSection[float32](c, wts) }
-	case gstore.WeightsF64:
-		h.flags = v2FlagW
-		encodeW = func(c *chunkWriter) error { return encodeSection[float64](c, wts) }
+	var weights []byte
+	if w32 := g.RawWeights32(); w32 != nil {
+		h.flags, weights = v2FlagW|v2FlagWF32, sectionBytes(w32)
+	} else if w64 := g.RawWeights64(); w64 != nil {
+		h.flags, weights = v2FlagW, sectionBytes(w64)
 	}
-	encoders := [4]func(*chunkWriter) error{
-		func(c *chunkWriter) error { return encodeSection[int64](c, rowPtr) },
-		func(c *chunkWriter) error { return encodeSection[uint32](c, adj) },
-		encodeW,
-		func(c *chunkWriter) error { return encodeSection[float64](c, deg) },
-	}
-	// One chunk serves both passes, every section and the output.
-	buf := make([]byte, 0, sectionChunk)
-	// First pass: lengths, offsets and CRCs into the descriptors.
-	lens := h.sectionLens()
+	secs := [4][]byte{sectionBytes(g.RawRowPtr()), sectionBytes(g.RawAdj()), weights, sectionBytes(g.RawDegrees())}
+	// Every section is a whole number of 8-byte words (n+1 row
+	// pointers, 2m 4-byte ids or weights, n degrees), so none is padded.
 	off := uint64(v2HeaderSize)
-	for i, enc := range encoders {
-		crc := crc32.NewIEEE()
-		c := &chunkWriter{w: crc, buf: buf}
-		if err := errors.Join(enc(c), c.flush()); err != nil {
-			return fmt.Errorf("persist: checksum section %d: %w", i, err)
-		}
-		h.sec[i] = v2Section{off: off, len: lens[i], crc: crc.Sum32()}
-		off += pad8(lens[i])
+	for i, b := range secs {
+		h.sec[i] = v2Section{off: off, len: uint64(len(b)), crc: crc32.ChecksumIEEE(b)}
+		off += uint64(len(b))
 	}
-	// Second pass: header, then each section followed by zero padding.
-	out := &chunkWriter{w: w, buf: buf}
-	if err := out.put(encodeV2Header(h)); err != nil {
+	if _, err := w.Write(encodeV2Header(h)); err != nil {
 		return fmt.Errorf("persist: write v2 header: %w", err)
 	}
-	var zeros [8]byte
-	for i, enc := range encoders {
-		if err := enc(out); err != nil {
-			return fmt.Errorf("persist: write section %d: %w", i, err)
+	for i, b := range secs {
+		if len(b) == 0 {
+			continue
 		}
-		if err := out.put(zeros[:pad8(lens[i])-lens[i]]); err != nil {
-			return fmt.Errorf("persist: pad section %d: %w", i, err)
+		if _, err := w.Write(b); err != nil {
+			return fmt.Errorf("persist: write %s section: %w", v2SectionNames[i], err)
 		}
-	}
-	if err := out.flush(); err != nil {
-		return fmt.Errorf("persist: flush snapshot: %w", err)
 	}
 	return nil
 }
 
-// chunkWriter gathers snapshot bytes into buf, a sectionChunk buffer,
-// and hands w one nearly full chunk at a time. Between calls buf holds
-// at most sectionChunk-8 bytes, so one word always fits without growing
-// it.
-type chunkWriter struct {
-	w   io.Writer
-	buf []byte
-}
-
-// put appends b: the header into the empty buffer, or a padding run of
-// under 8 bytes.
-func (c *chunkWriter) put(b []byte) error {
-	c.buf = append(c.buf, b...)
-	if len(c.buf) > sectionChunk-8 {
-		return c.flush()
+// sectionBytes returns the little-endian bytes of one section's words:
+// where the host layout matches the file's, a view of vals itself, to
+// be read only; elsewhere an encoded copy. It is sectionWords' inverse.
+func sectionBytes[T sectionWord](vals []T) []byte {
+	if len(vals) == 0 {
+		return nil
 	}
-	return nil
-}
-
-// flush writes out the buffered bytes.
-func (c *chunkWriter) flush() error {
-	_, err := c.w.Write(c.buf)
-	c.buf = c.buf[:0]
-	return err
-}
-
-// encodeSection streams vals through c as the little-endian words of a
-// section stored as S — int64 row pointers, uint32 ids, float32 or
-// float64 weights. The writer runs it once into a CRC and once into the
-// file, so hashing and output share one code path.
-func encodeSection[S sectionWord, T int | float64](c *chunkWriter, vals []T) error {
-	buf := c.buf
-	for _, v := range vals {
-		s := S(v)
-		if unsafe.Sizeof(s) == 4 {
-			buf = binary.LittleEndian.AppendUint32(buf, *(*uint32)(unsafe.Pointer(&s)))
-		} else {
-			buf = binary.LittleEndian.AppendUint64(buf, *(*uint64)(unsafe.Pointer(&s)))
-		}
-		if len(buf) > sectionChunk-8 {
-			c.buf = buf
-			if err := c.flush(); err != nil {
-				return err
-			}
-			buf = c.buf
-		}
+	if !hostLayoutMappable() {
+		return encodeWords(vals)
 	}
-	c.buf = buf
-	return nil
+	return unsafe.Slice((*byte)(unsafe.Pointer(&vals[0])), len(vals)*int(unsafe.Sizeof(vals[0])))
+}
+
+// encodeWords copies vals into fresh little-endian bytes, the inverse
+// of decodeWords.
+func encodeWords[T sectionWord](vals []T) []byte {
+	out := make([]byte, len(vals)*int(unsafe.Sizeof(*new(T))))
+	_, _ = binary.Encode(out, binary.LittleEndian, vals) // cannot fail: out holds len(vals) words
+	return out
 }
 
 // verifyV2 checks a whole v2 snapshot held in data — its header, that

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/gen"
+	"repro/internal/gstore"
 	"repro/pkg/api"
 )
 
@@ -43,7 +44,7 @@ func FuzzAPIDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Cleanup(srv.Close)
-	if _, err := srv.Store().Put("ring", gen.RingOfCliques(8, 8)); err != nil {
+	if _, err := srv.Store().Put("ring", gstore.Wrap(gen.RingOfCliques(8, 8))); err != nil {
 		f.Fatal(err)
 	}
 	if _, err := srv.Store().BeginStream("s", 4); err != nil {

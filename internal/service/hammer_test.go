@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/gstore"
 	"repro/pkg/api"
 )
 
@@ -18,7 +19,7 @@ import (
 // to answer a final health check.
 func TestConcurrentHammer(t *testing.T) {
 	srv, _, c := testServer(t, Config{JobWorkers: 4, JobQueue: 4096, CacheEntries: 64})
-	if _, err := srv.Store().Put("cave", gen.Caveman(6, 6)); err != nil {
+	if _, err := srv.Store().Put("cave", gstore.Wrap(gen.Caveman(6, 6))); err != nil {
 		t.Fatal(err)
 	}
 

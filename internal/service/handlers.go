@@ -72,7 +72,7 @@ func (s *Server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 		writeError(w, storeErrf(ErrBadInput, "%v", err))
 		return
 	}
-	s.createGraph(w, r, g)
+	s.createGraph(w, r, gstore.Wrap(g))
 }
 
 // handleGetGraph reports one graph's descriptive record (state, sizes,
@@ -83,20 +83,25 @@ func (s *Server) handleGetGraph(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleExportSnapshot streams the sealed graph as a binary GSNAP
-// snapshot (application/octet-stream), encoded directly from the
-// in-memory CSR — export works whether or not the server runs with a
-// data directory.
+// snapshot (application/octet-stream), written from the served graph
+// itself, compact or mapped, with no copy. Export works whether or not
+// the server runs with a data directory; with one, the bytes are the
+// graph's snapshot file.
 func (s *Server) handleExportSnapshot(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	// The snapshot encoder walks a heap CSR: a transient copy.
-	g, _, err := s.store.GetHeap(name)
+	g, _, err := s.store.Get(name)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
+	c, ok := g.(*gstore.Compact)
+	if !ok {
+		writeError(w, storeErrf(ErrInternal, "graph %q is served from %T, which has no snapshot form", name, g))
+		return
+	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", name+persist.SnapshotExt))
-	if err := persist.WriteSnapshot(w, g); err != nil {
+	if err := persist.WriteSnapshot(w, c); err != nil {
 		// Headers are out; all we can do is cut the response short so
 		// the client sees a truncated (and checksum-failing) stream.
 		s.logOp("graphd: exporting snapshot of %q: %v", name, err)
@@ -105,9 +110,10 @@ func (s *Server) handleExportSnapshot(w http.ResponseWriter, r *http.Request) {
 
 // handleImportSnapshot registers a sealed graph from an uploaded GSNAP
 // snapshot. The body is capped by the MaxBytes middleware and fully
-// validated (checksums + CSR invariants) before the graph is stored.
+// validated (checksums + CSR invariants) before the graph is stored;
+// the compact graph the decoder built is the one stored.
 func (s *Server) handleImportSnapshot(w http.ResponseWriter, r *http.Request) {
-	g, err := persist.ReadSnapshot(r.Body)
+	g, err := persist.ReadCompact(r.Body)
 	if err != nil {
 		writeError(w, storeErrf(ErrBadInput, "%v", err))
 		return
@@ -129,7 +135,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	s.createGraph(w, r, g)
+	s.createGraph(w, r, gstore.Wrap(g))
 }
 
 func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
@@ -282,7 +288,7 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 // createGraph is the tail the graph-creating endpoints share: store g
 // under the route's {name}, on the backend the optional ?backend= names
 // (empty means the store's default), and answer 201 with its record.
-func (s *Server) createGraph(w http.ResponseWriter, r *http.Request, g *graph.Graph) {
+func (s *Server) createGraph(w http.ResponseWriter, r *http.Request, g *gstore.Compact) {
 	var backend gstore.Kind
 	if v := urlParams(r).Get("backend"); v != "" {
 		var err error

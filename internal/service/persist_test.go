@@ -71,7 +71,7 @@ func TestPersistCleanShutdownRestartIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	ring := gen.RingOfCliques(6, 5)
-	if _, err := s1.Put("ring", ring); err != nil {
+	if _, err := s1.Put("ring", gstore.Wrap(ring)); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
@@ -79,7 +79,7 @@ func TestPersistCleanShutdownRestartIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s1.Put("er", er); err != nil {
+	if _, err := s1.Put("er", gstore.Wrap(er)); err != nil {
 		t.Fatal(err)
 	}
 	info, err := s1.BeginStream("inc", 40)
@@ -107,7 +107,7 @@ func TestPersistCleanShutdownRestartIdentity(t *testing.T) {
 	if err := s1.AppendEdges("inc", []api.StreamEdge{{U: 0, V: 1}}); err == nil {
 		t.Fatal("append after Close succeeded")
 	}
-	if _, err := s1.Put("late", ring); err == nil {
+	if _, err := s1.Put("late", gstore.Wrap(ring)); err == nil {
 		t.Fatal("put after Close succeeded")
 	}
 
@@ -226,13 +226,13 @@ func TestPersistQuarantineCorruptFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := gen.RingOfCliques(4, 4)
-	if _, err := s1.Put("good", good); err != nil {
+	if _, err := s1.Put("good", gstore.Wrap(good)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s1.Put("truncated", gen.Caveman(3, 4)); err != nil {
+	if _, err := s1.Put("truncated", gstore.Wrap(gen.Caveman(3, 4))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s1.Put("flipped", gen.Caveman(4, 3)); err != nil {
+	if _, err := s1.Put("flipped", gstore.Wrap(gen.Caveman(4, 3))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s1.BeginStream("torn", 8); err != nil {
@@ -310,7 +310,7 @@ func TestPersistQuarantineCorruptFiles(t *testing.T) {
 		t.Fatalf("no quarantine log line emitted: %v", lc.lines)
 	}
 	// Quarantine frees the name: the graph can be re-created.
-	if _, err := s2.Put("flipped", gen.Caveman(4, 3)); err != nil {
+	if _, err := s2.Put("flipped", gstore.Wrap(gen.Caveman(4, 3))); err != nil {
 		t.Fatalf("re-creating quarantined name: %v", err)
 	}
 }
@@ -376,7 +376,7 @@ func TestPersistDeleteRemovesFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s1.Put("sealed", gen.RingOfCliques(3, 3)); err != nil {
+	if _, err := s1.Put("sealed", gstore.Wrap(gen.RingOfCliques(3, 3))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s1.BeginStream("streamy", 4); err != nil {
@@ -416,7 +416,7 @@ func TestListDeterministicallySorted(t *testing.T) {
 	}
 	names := []string{"zeta", "alpha", "mid", "beta.2", "beta.10", "Alpha"}
 	for _, n := range names {
-		if _, err := s.Put(n, gen.RingOfCliques(3, 3)); err != nil {
+		if _, err := s.Put(n, gstore.Wrap(gen.RingOfCliques(3, 3))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -453,7 +453,7 @@ func TestPersistTrickyNamesSurviveRestart(t *testing.T) {
 	}
 	names := []string{"a.corrupt", "b.tmp-1", "c.gsnap", "d.wal"}
 	for _, n := range names {
-		if _, err := s1.Put(n, gen.RingOfCliques(3, 3)); err != nil {
+		if _, err := s1.Put(n, gstore.Wrap(gen.RingOfCliques(3, 3))); err != nil {
 			t.Fatalf("put %q: %v", n, err)
 		}
 	}
@@ -572,6 +572,71 @@ func TestServerPersistenceOverHTTP(t *testing.T) {
 	// Export of a streaming graph is a conflict.
 	_, err = c2.Graphs.Export(ctx, "inc", io.Discard)
 	wantAPIErr(t, err, api.CodeConflict)
+}
+
+// TestExportIsTheSnapshotFile: on a durable mmap daemon, the export of
+// a graph, generated or streamed and sealed, is its snapshot file byte
+// for byte, written from the served mapping with no heap copy, so
+// graphd_gstore_heap_materializations_total does not move.
+func TestExportIsTheSnapshotFile(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	_, ts, c := testServer(t, Config{DataDir: dir, Backend: string(gstore.KindMmap)}) // Puts "ring"
+	if _, err := c.Graphs.Generate(ctx, "gen", api.GenerateRequest{Family: "kronecker", Levels: 9, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Graphs.Stream(ctx, "inc", 40); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Graphs.AppendEdges(ctx, "inc", []api.StreamEdge{{U: 0, V: 1}, {U: 3, V: 39, W: 0.3}, {U: 1, V: 0, W: 2}, {U: 7, V: 7}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Graphs.Seal(ctx, "inc"); err != nil {
+		t.Fatal(err)
+	}
+	materializations := func() string {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(string(body), "\n") {
+			if v, ok := strings.CutPrefix(line, "graphd_gstore_heap_materializations_total "); ok {
+				return v
+			}
+		}
+		t.Fatal("no graphd_gstore_heap_materializations_total sample")
+		return ""
+	}
+	before := materializations()
+	for _, name := range []string{"gen", "inc", "ring"} {
+		info, err := c.Graphs.Get(ctx, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Backend != api.BackendMmap {
+			t.Fatalf("%s served from %q, want mmap", name, info.Backend)
+		}
+		var got bytes.Buffer
+		if _, err := c.Graphs.Export(ctx, name, &got); err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(dir, name+persist.SnapshotExt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s: export of %d bytes differs from its %d-byte snapshot file", name, got.Len(), len(want))
+		}
+	}
+	if after := materializations(); after != before {
+		t.Errorf("exports moved graphd_gstore_heap_materializations_total from %s to %s", before, after)
+	}
 }
 
 // TestNodeCapRefusedAtEveryIngress asks for one node more than

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/gen"
+	"repro/internal/gstore"
 	"repro/internal/kernel"
 	"repro/pkg/api"
 )
@@ -219,7 +220,7 @@ func TestTimeoutOverrideOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Store().Put("big", g); err != nil {
+	if _, err := srv.Store().Put("big", gstore.Wrap(g)); err != nil {
 		t.Fatal(err)
 	}
 	url := ts.URL + "/v1/graphs/big/ppr?timeout_ms=1"

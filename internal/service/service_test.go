@@ -40,7 +40,7 @@ func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *client.Cl
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	if _, err := srv.Store().Put("ring", gen.RingOfCliques(8, 8)); err != nil {
+	if _, err := srv.Store().Put("ring", gstore.Wrap(gen.RingOfCliques(8, 8))); err != nil {
 		// A persistent store rebooted on a reused data dir has already
 		// recovered "ring"; that satisfies the fixture.
 		var se *StoreError
@@ -381,7 +381,7 @@ func TestJobQueueFullIsUnavailable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Put("ring", gen.RingOfCliques(4, 4)); err != nil {
+	if _, err := store.Put("ring", gstore.Wrap(gen.RingOfCliques(4, 4))); err != nil {
 		t.Fatal(err)
 	}
 	m := NewJobManager(store, nil, nil, 1, 1)
@@ -819,7 +819,7 @@ func TestJobCancellationMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Store().Put("big", g); err != nil {
+	if _, err := srv.Store().Put("big", gstore.Wrap(g)); err != nil {
 		t.Fatal(err)
 	}
 

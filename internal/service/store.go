@@ -183,13 +183,13 @@ func (s *GraphStore) abortReserve(name string, e *entry) {
 // default backend. It fails with ErrConflict if the name is taken. With
 // a data directory attached the snapshot is written (atomically) before
 // the graph becomes visible as sealed.
-func (s *GraphStore) Put(name string, g *graph.Graph) (api.GraphInfo, error) {
+func (s *GraphStore) Put(name string, g *gstore.Compact) (api.GraphInfo, error) {
 	return s.PutWithBackend(name, g, "")
 }
 
 // PutWithBackend is Put with a per-graph serving-backend override; the
 // empty kind means the store default.
-func (s *GraphStore) PutWithBackend(name string, g *graph.Graph, kind gstore.Kind) (api.GraphInfo, error) {
+func (s *GraphStore) PutWithBackend(name string, g *gstore.Compact, kind gstore.Kind) (api.GraphInfo, error) {
 	if kind == "" {
 		kind = s.backend
 	}
@@ -221,9 +221,9 @@ func (s *GraphStore) Get(name string) (gstore.Graph, uint64, error) {
 }
 
 // GetHeap returns a heap *graph.Graph copy of the sealed graph, the
-// form the dense diffusions of `diffuse` and snapshot export consume.
-// Every call materializes a fresh copy outside the entry lock, and
-// nothing keeps it: the copy lives only as long as its caller holds it.
+// form the dense diffusions of `diffuse` consume. Every call
+// materializes a fresh copy outside the entry lock, and nothing keeps
+// it: the copy lives only as long as its caller holds it.
 func (s *GraphStore) GetHeap(name string) (*graph.Graph, uint64, error) {
 	g, id, err := s.Get(name)
 	if err != nil {
@@ -424,11 +424,12 @@ func (s *GraphStore) AppendEdges(name string, edges []api.StreamEdge) error {
 	return nil
 }
 
-// Seal snapshots a streaming graph into its immutable CSR form, after
-// which it is queryable and frozen. With a data directory attached,
-// persist.Dir.Seal writes the binary snapshot before it retires the
-// write-ahead log; on failure the stream stays intact (builder and WAL
-// untouched), so the caller can retry once the I/O problem clears.
+// Seal builds a streaming graph straight into its immutable compact CSR
+// form, with no heap graph on the way, after which it is queryable and
+// frozen. With a data directory attached, persist.Dir.Seal writes the
+// binary snapshot before it retires the write-ahead log; on failure the
+// stream stays intact (builder and WAL untouched), so the caller can
+// retry once the I/O problem clears.
 func (s *GraphStore) Seal(name string) (api.GraphInfo, error) {
 	e, err := s.lock(name)
 	if err != nil {
@@ -441,11 +442,11 @@ func (s *GraphStore) Seal(name string) (api.GraphInfo, error) {
 	if e.b == nil {
 		return api.GraphInfo{}, storeErrf(ErrConflict, "graph %q is already sealed", name)
 	}
-	hg, err := e.b.Build()
+	c, err := gstore.Build(e.b)
 	if err != nil {
 		return api.GraphInfo{}, storeErrf(ErrBadInput, "sealing %q: %v", name, err)
 	}
-	sg, err := s.dir.Seal(name, hg, e.wal, s.backend)
+	sg, err := s.dir.Seal(name, c, e.wal, s.backend)
 	if err != nil {
 		return api.GraphInfo{}, storeErrf(ErrInternal, "persisting sealed graph %q: %v", name, err)
 	}

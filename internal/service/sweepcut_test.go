@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/gstore"
 )
 
 // TestSweepCutPinned pins the sweepcut reply bytes for the corners of
@@ -19,7 +20,7 @@ import (
 // entry in request order decides the error.
 func TestSweepCutPinned(t *testing.T) {
 	srv, ts, _ := testServer(t, Config{})
-	if _, err := srv.Store().Put("cycle", gen.Cycle(12)); err != nil {
+	if _, err := srv.Store().Put("cycle", gstore.Wrap(gen.Cycle(12))); err != nil {
 		t.Fatal(err)
 	}
 	b := graph.NewBuilder(14)
@@ -30,7 +31,7 @@ func TestSweepCutPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Store().Put("cycle-iso", iso); err != nil {
+	if _, err := srv.Store().Put("cycle-iso", gstore.Wrap(iso)); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {

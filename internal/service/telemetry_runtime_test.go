@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/gstore"
 	"repro/internal/promtext"
 	"repro/pkg/api"
 )
@@ -152,7 +153,7 @@ func TestTelemetryUnderConcurrentMmapDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Store().Put("victim", er); err != nil {
+	if _, err := srv.Store().Put("victim", gstore.Wrap(er)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -184,7 +185,7 @@ func TestTelemetryUnderConcurrentMmapDelete(t *testing.T) {
 		if err := srv.Store().Delete("victim"); err != nil {
 			t.Fatalf("round %d: delete: %v", r, err)
 		}
-		if _, err := srv.Store().Put("victim", er); err != nil {
+		if _, err := srv.Store().Put("victim", gstore.Wrap(er)); err != nil {
 			t.Fatalf("round %d: re-create: %v", r, err)
 		}
 	}
@@ -208,7 +209,7 @@ func TestTelemetryUnderConcurrentMmapDelete(t *testing.T) {
 // histogram series.
 func TestWorkHistogramBackendLabel(t *testing.T) {
 	srv, _, c := testServer(t, Config{DataDir: t.TempDir()})
-	if _, err := srv.Store().PutWithBackend("ring-mmap", gen.RingOfCliques(8, 8), "mmap"); err != nil {
+	if _, err := srv.Store().PutWithBackend("ring-mmap", gstore.Wrap(gen.RingOfCliques(8, 8)), "mmap"); err != nil {
 		t.Fatal(err)
 	}
 	for _, g := range []string{"ring", "ring-mmap"} {

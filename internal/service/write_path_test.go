@@ -2,10 +2,13 @@ package service
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"testing"
 
+	"repro/internal/gstore"
 	"repro/pkg/api"
 )
 
@@ -20,8 +23,8 @@ func edgeBatch(n, nodes int) []api.StreamEdge {
 
 // TestAppendEdgesSteadyStateAllocs locks the store's write path: once an
 // entry's scratch batch and its WAL's record buffer have grown, logging
-// and applying a batch allocates nothing but the builder's amortised
-// growth.
+// and applying a batch allocates nothing but a new builder chunk every
+// 1 024 edges.
 func TestAppendEdgesSteadyStateAllocs(t *testing.T) {
 	s, err := NewGraphStore(t.TempDir(), "", nil, nil)
 	if err != nil {
@@ -41,6 +44,53 @@ func TestAppendEdgesSteadyStateAllocs(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("a steady-state AppendEdges allocates %v times, want 0", got)
+	}
+}
+
+// TestSealAllocatesOneCompactGraph bounds the bytes GraphStore.Seal
+// allocates for a stream of ingest_cycle's shape, 8 batches of 256
+// distinct unit edges on 4 096 nodes, sealed on a durable mmap store.
+// The compact graph the builder emits is nearly all of it: the gathered
+// edges (32 kB), row pointers (32 kB), adjacency (16 kB) and degrees
+// (32 kB). A heap graph or an encode buffer on the way would add at
+// least 64 kB and fail the bound.
+func TestSealAllocatesOneCompactGraph(t *testing.T) {
+	const nodes, batches, batchLen, limit = 4096, 8, 256, 160_000
+	s, err := NewGraphStore(t.TempDir(), gstore.KindMmap, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	least := uint64(math.MaxUint64)
+	for r := range 3 {
+		name := fmt.Sprintf("g%d", r)
+		if _, err := s.BeginStream(name, nodes); err != nil {
+			t.Fatal(err)
+		}
+		for b := range batches {
+			batch := make([]api.StreamEdge, batchLen)
+			for i := range batch {
+				j := b*batchLen + i
+				batch[i] = api.StreamEdge{U: j, V: j + nodes/2}
+			}
+			if err := s.AppendEdges(name, batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		info, err := s.Seal(name)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Backend != api.BackendMmap || info.Edges != batches*batchLen {
+			t.Fatalf("sealed %+v, want %d edges on mmap", info, batches*batchLen)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least > limit {
+		t.Errorf("Seal allocated %d bytes, want at most %d", least, limit)
 	}
 }
 
