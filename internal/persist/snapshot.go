@@ -21,7 +21,7 @@
 //	w        (2m)  × float64 (IEEE 754 bits), then uint32 CRC32
 //
 // Every section carries its own checksum so corruption is localized in
-// error messages. A graph that survives ReadSnapshot is bit-identical
+// error messages. A graph that survives ReadCompact is bit-identical
 // (adjacency, weights, degrees, volume) to the one that was written,
 // whichever version carried it.
 package persist
