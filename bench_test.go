@@ -893,7 +893,7 @@ func BenchmarkSweepWorkspace(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer gstore.Close(bg)
+			defer bg.Close()
 			wss := make([]*kernel.Workspace, deepSweepSeeds)
 			support := 0
 			for i := range wss {

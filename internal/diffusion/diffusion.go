@@ -5,6 +5,10 @@
 // the seed and converge to the stationary distribution, truncated early
 // they compute the implicitly regularized objects that §3.1 characterizes
 // as exact optima of regularized SDPs (see package regsdp).
+//
+// They are dense: every step multiplies a length-n vector by the walk
+// matrix, O(n + m) work over the graph's rows, read in place (mulWalk);
+// no matrix is built and the graph is not copied.
 package diffusion
 
 import (
@@ -12,8 +16,7 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/graph"
-	"repro/internal/spectral"
+	"repro/internal/gstore"
 	"repro/internal/vec"
 )
 
@@ -38,25 +41,66 @@ func SeedVector(n int, seeds []int) ([]float64, error) {
 	return s, nil
 }
 
+// invDegrees returns 1/deg(j) per node, 0 for an isolated node: the
+// column scaling of the walk matrix M = A·D^{-1}.
+func invDegrees(g gstore.Graph) []float64 {
+	inv := make([]float64, g.N())
+	for j := range inv {
+		if d := g.Degree(j); d > 0 {
+			inv[j] = 1 / d
+		}
+	}
+	return inv
+}
+
+// mulWalk sets y = (αI + (1−α)M)·x, M = A·D^{-1}, reading g's rows in
+// place; α = 0 is M itself. Row i sums ((1−α)·(w·inv[j]))·x[j] over its
+// neighbours in ascending order, with α·x[i] (skipped when α = 0) added
+// between the neighbours below i and those above: the CSR product over
+// the assembled matrix, term for term. The matrix drops entries that
+// are exactly zero and this loop adds them, but a zero term changes no
+// partial sum (a sum that starts at +0 never reaches −0), so for finite
+// x the bits are the matrix form's, which the tests keep as their
+// oracle.
+func mulWalk(g gstore.Graph, inv []float64, alpha float64, x, y []float64) {
+	beta := 1 - alpha
+	for i := range y {
+		var s float64
+		diag := alpha != 0
+		it := g.Neighbors(i)
+		for j, w, ok := it.Next(); ok; j, w, ok = it.Next() {
+			if diag && j > i {
+				s += alpha * x[i]
+				diag = false
+			}
+			s += beta * (w * inv[j]) * x[j]
+		}
+		if diag {
+			s += alpha * x[i]
+		}
+		y[i] = s
+	}
+}
+
 // LazyWalk evolves the seed distribution for k steps of the lazy random
 // walk W_α = αI + (1−α)AD^{-1} and returns the resulting distribution.
 // k is the aggressiveness parameter: k→∞ converges to the stationary
 // distribution for α ∈ (0,1); small k keeps the output seed-dependent.
-func LazyWalk(g *graph.Graph, seed []float64, alpha float64, k int) ([]float64, error) {
+func LazyWalk(g gstore.Graph, seed []float64, alpha float64, k int) ([]float64, error) {
 	if len(seed) != g.N() {
 		return nil, fmt.Errorf("diffusion: seed length %d != %d nodes", len(seed), g.N())
 	}
 	if k < 0 {
 		return nil, fmt.Errorf("diffusion: negative step count %d", k)
 	}
-	w, err := spectral.LazyWalkMatrix(g, alpha)
-	if err != nil {
-		return nil, fmt.Errorf("diffusion: LazyWalk: %w", err)
+	if alpha < 0 || alpha > 1 {
+		return nil, fmt.Errorf("diffusion: LazyWalk alpha=%v outside [0,1]", alpha)
 	}
+	inv := invDegrees(g)
 	x := vec.Clone(seed)
 	y := make([]float64, g.N())
 	for step := 0; step < k; step++ {
-		y = w.MulVec(x, y)
+		mulWalk(g, inv, alpha, x, y)
 		x, y = y, x
 	}
 	return x, nil
@@ -75,7 +119,7 @@ type PageRankOptions struct {
 // geometrically with rate (1−γ). The teleportation parameter γ ∈ (0, 1]
 // is the aggressiveness knob: γ→0 forgets the seed (stationary limit),
 // γ→1 returns the seed itself.
-func PageRank(g *graph.Graph, seed []float64, gamma float64, opt PageRankOptions) ([]float64, error) {
+func PageRank(g gstore.Graph, seed []float64, gamma float64, opt PageRankOptions) ([]float64, error) {
 	if len(seed) != g.N() {
 		return nil, fmt.Errorf("diffusion: seed length %d != %d nodes", len(seed), g.N())
 	}
@@ -93,11 +137,11 @@ func PageRank(g *graph.Graph, seed []float64, gamma float64, opt PageRankOptions
 	if gamma == 1 {
 		return vec.Clone(seed), nil
 	}
-	m := spectral.WalkMatrix(g)
+	inv := invDegrees(g)
 	x := vec.Clone(seed)
 	y := make([]float64, g.N())
 	for it := 0; it < maxIter; it++ {
-		y = m.MulVec(x, y)
+		mulWalk(g, inv, 0, x, y)
 		for i := range y {
 			y[i] = gamma*seed[i] + (1-gamma)*y[i]
 		}
@@ -127,7 +171,7 @@ type HeatKernelOptions struct {
 // §3.1: t→∞ equilibrates to the stationary distribution. The series
 // is scaled by e^{−t} and stopped against e^t, so t is refused past
 // t = 700, short of where e^t overflows float64 (t ≈ 709.78).
-func HeatKernel(g *graph.Graph, seed []float64, t float64, opt HeatKernelOptions) ([]float64, error) {
+func HeatKernel(g gstore.Graph, seed []float64, t float64, opt HeatKernelOptions) ([]float64, error) {
 	if len(seed) != g.N() {
 		return nil, fmt.Errorf("diffusion: seed length %d != %d nodes", len(seed), g.N())
 	}
@@ -145,7 +189,7 @@ func HeatKernel(g *graph.Graph, seed []float64, t float64, opt HeatKernelOptions
 	if maxTerms <= 0 {
 		maxTerms = 10000
 	}
-	m := spectral.WalkMatrix(g)
+	inv := invDegrees(g)
 	// out = e^{-t} Σ_k (t^k/k!) M^k s, accumulating term-by-term. The
 	// coefficient weights are the Poisson(t) pmf, so we can stop when the
 	// remaining tail mass is below tol (all ||M^k s||₁ ≤ ||s||₁).
@@ -155,7 +199,7 @@ func HeatKernel(g *graph.Graph, seed []float64, t float64, opt HeatKernelOptions
 	sumWeights := 1.0
 	next := make([]float64, g.N())
 	for k := 1; k <= maxTerms; k++ {
-		next = m.MulVec(term, next)
+		mulWalk(g, inv, 0, term, next)
 		term, next = next, term
 		weight *= t / float64(k)
 		vec.Axpy(weight, term, out)

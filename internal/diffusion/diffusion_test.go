@@ -8,7 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/gen"
-	"repro/internal/graph"
+	"repro/internal/gstore"
 	"repro/internal/mat"
 	"repro/internal/spectral"
 	"repro/internal/vec"
@@ -26,7 +26,7 @@ func sum(x []float64) float64 {
 
 // StationaryDistribution returns the random-walk stationary distribution
 // π with π(u) = deg(u)/vol(V).
-func StationaryDistribution(g *graph.Graph) []float64 {
+func StationaryDistribution(g gstore.Graph) []float64 {
 	n := g.N()
 	pi := make([]float64, n)
 	volume := g.Volume()
@@ -43,7 +43,7 @@ func StationaryDistribution(g *graph.Graph) []float64 {
 // distribution π in total variation distance, ½||x − π||₁. A diffusion
 // run "to the limiting value of the aggressiveness parameter" drives this
 // to zero, independent of the seed — the un-regularized regime.
-func Equilibrium(g *graph.Graph, x []float64) float64 {
+func Equilibrium(g gstore.Graph, x []float64) float64 {
 	pi := StationaryDistribution(g)
 	var s float64
 	for i := range x {
@@ -52,7 +52,7 @@ func Equilibrium(g *graph.Graph, x []float64) float64 {
 	return s / 2
 }
 
-func connectedER(t *testing.T, seed int64, n int, p float64) *graph.Graph {
+func connectedER(t *testing.T, seed int64, n int, p float64) gstore.Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	for tries := 0; tries < 50; tries++ {
@@ -61,7 +61,7 @@ func connectedER(t *testing.T, seed int64, n int, p float64) *graph.Graph {
 			t.Fatal(err)
 		}
 		if g.IsConnected() {
-			return g
+			return gstore.Wrap(g)
 		}
 	}
 	t.Fatal("could not sample a connected ER graph")
@@ -85,7 +85,7 @@ func TestSeedVector(t *testing.T) {
 }
 
 func TestLazyWalkPreservesMass(t *testing.T) {
-	g := gen.RingOfCliques(3, 4)
+	g := gstore.Wrap(gen.RingOfCliques(3, 4))
 	seed, err := SeedVector(g.N(), []int{0})
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestLazyWalkPreservesMass(t *testing.T) {
 }
 
 func TestLazyWalkZeroStepsIsSeed(t *testing.T) {
-	g := gen.Cycle(6)
+	g := gstore.Wrap(gen.Cycle(6))
 	seed, _ := SeedVector(6, []int{2})
 	x, err := LazyWalk(g, seed, 0.5, 0)
 	if err != nil {
@@ -144,8 +144,7 @@ func TestPageRankIsLinearSystemSolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := spectral.WalkMatrix(g)
-	rhs := m.MulVec(pr, nil)
+	rhs := walkMatrix(g, 0).MulVec(pr, nil)
 	for i := range rhs {
 		rhs[i] = gamma*seed[i] + (1-gamma)*rhs[i]
 	}
@@ -158,7 +157,7 @@ func TestPageRankIsLinearSystemSolution(t *testing.T) {
 }
 
 func TestPageRankGammaOneIsSeed(t *testing.T) {
-	g := gen.Cycle(5)
+	g := gstore.Wrap(gen.Cycle(5))
 	seed, _ := SeedVector(5, []int{1})
 	pr, err := PageRank(g, seed, 1, PageRankOptions{})
 	if err != nil {
@@ -182,7 +181,7 @@ func TestPageRankSmallGammaNearStationary(t *testing.T) {
 }
 
 func TestPageRankErrors(t *testing.T) {
-	g := gen.Cycle(4)
+	g := gstore.Wrap(gen.Cycle(4))
 	seed, _ := SeedVector(4, []int{0})
 	if _, err := PageRank(g, seed, 0, PageRankOptions{}); err == nil {
 		t.Fatal("gamma=0 accepted")
@@ -247,8 +246,12 @@ func TestHeatKernelMatchesDense(t *testing.T) {
 		// I − M in symmetric coordinates. M = A D^{-1} is similar to the
 		// symmetric 𝓝 = D^{-1/2} A D^{-1/2}: M = D^{1/2} 𝓝 D^{-1/2}.
 		// So exp(−t(I−M)) s = D^{1/2} exp(−t𝓛) D^{-1/2} s.
-		lap := spectral.NormalizedLaplacian(g)
-		deg := g.Degrees()
+		hg, err := gstore.Materialize(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lap := spectral.NormalizedLaplacian(hg)
+		deg := hg.Degrees()
 		sTilde := vec.ScaleByDegree(seed, deg, -0.5)
 		hTilde, err := HeatKernelDense(lap, sTilde, tm)
 		if err != nil {
@@ -262,7 +265,7 @@ func TestHeatKernelMatchesDense(t *testing.T) {
 }
 
 func TestHeatKernelZeroTimeIsSeed(t *testing.T) {
-	g := gen.Cycle(7)
+	g := gstore.Wrap(gen.Cycle(7))
 	seed, _ := SeedVector(7, []int{0})
 	x, err := HeatKernel(g, seed, 0, HeatKernelOptions{})
 	if err != nil {
@@ -286,7 +289,7 @@ func TestHeatKernelEquilibrates(t *testing.T) {
 }
 
 func TestHeatKernelErrors(t *testing.T) {
-	g := gen.Cycle(4)
+	g := gstore.Wrap(gen.Cycle(4))
 	seed, _ := SeedVector(4, []int{0})
 	if _, err := HeatKernel(g, seed, -1, HeatKernelOptions{}); err == nil {
 		t.Fatal("negative t accepted")
@@ -300,7 +303,7 @@ func TestHeatKernelErrors(t *testing.T) {
 // past it, where e^t overflows float64 and the sum drifts off 1,
 // HeatKernel refuses t instead of answering.
 func TestHeatKernelTimeBound(t *testing.T) {
-	g := gen.RingOfCliques(8, 8)
+	g := gstore.Wrap(gen.RingOfCliques(8, 8))
 	seed, _ := SeedVector(g.N(), []int{0})
 	x, err := HeatKernel(g, seed, maxHeatT, HeatKernelOptions{})
 	if err != nil {
@@ -315,7 +318,7 @@ func TestHeatKernelTimeBound(t *testing.T) {
 }
 
 func TestStationaryDistribution(t *testing.T) {
-	g := gen.Star(4)
+	g := gstore.Wrap(gen.Star(4))
 	pi := StationaryDistribution(g)
 	// vol = 6; π(center) = 3/6.
 	if !almostEq(pi[0], 0.5, 1e-12) || !almostEq(pi[1], 1.0/6, 1e-12) {
@@ -332,10 +335,11 @@ func TestStationaryDistribution(t *testing.T) {
 func TestPropDynamicsPreserveDistribution(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		g, err := gen.ErdosRenyi(5+rng.Intn(20), 0.4, rng)
-		if err != nil || !g.IsConnected() || g.N() < 2 {
+		hg, err := gen.ErdosRenyi(5+rng.Intn(20), 0.4, rng)
+		if err != nil || !hg.IsConnected() || hg.N() < 2 {
 			return true
 		}
+		g := gstore.Wrap(hg)
 		s, err := SeedVector(g.N(), []int{rng.Intn(g.N())})
 		if err != nil {
 			return false

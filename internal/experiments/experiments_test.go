@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/diffusion"
 	"repro/internal/gen"
+	"repro/internal/gstore"
 	"repro/internal/regsdp"
 	"repro/internal/spectral"
 	"repro/internal/vec"
@@ -75,6 +76,7 @@ func TestSec31ServedDiffusionsSolveTheSDP(t *testing.T) {
 		n := tc.g.N()
 		deg := tc.g.Degrees()
 		trivial := spectral.TrivialEigvec(tc.g)
+		served := gstore.Wrap(tc.g)
 		for _, src := range []int{0, n - 1} {
 			seed, err := diffusion.SeedVector(n, []int{src})
 			if err != nil {
@@ -84,11 +86,11 @@ func TestSec31ServedDiffusionsSolveTheSDP(t *testing.T) {
 				var x []float64
 				switch c.reg {
 				case regsdp.Entropy:
-					x, err = diffusion.HeatKernel(tc.g, seed, c.param, diffusion.HeatKernelOptions{})
+					x, err = diffusion.HeatKernel(served, seed, c.param, diffusion.HeatKernelOptions{})
 				case regsdp.LogDet:
-					x, err = diffusion.PageRank(tc.g, seed, c.param, diffusion.PageRankOptions{})
+					x, err = diffusion.PageRank(served, seed, c.param, diffusion.PageRankOptions{})
 				default:
-					x, err = diffusion.LazyWalk(tc.g, seed, c.param, c.k)
+					x, err = diffusion.LazyWalk(served, seed, c.param, c.k)
 				}
 				if err != nil {
 					t.Fatal(err)

@@ -305,10 +305,14 @@ func (c *Compact) RawDegrees() []float64 { return c.deg }
 
 // Close releases the backing mapping, if any. Idempotent and safe for
 // concurrent use: the first call returns the unmap error, later calls
-// return nil. After Close on a mapped graph, every slice previously
-// obtained from it is dead. Mapped graphs that are never explicitly
-// closed are unmapped by a finalizer when collected.
+// return nil, and so does a nil graph's (a streaming graph has none
+// yet). After Close on a mapped graph, every slice previously obtained
+// from it is dead. Mapped graphs that are never explicitly closed are
+// unmapped by a finalizer when collected.
 func (c *Compact) Close() error {
+	if c == nil {
+		return nil
+	}
 	var err error
 	c.closeOnce.Do(func() {
 		runtime.SetFinalizer(c, nil)

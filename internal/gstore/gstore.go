@@ -1,6 +1,6 @@
-// Package gstore is graphd's storage subsystem: one small read
-// interface over a sealed CSR graph, with two backends behind it that
-// share one struct, Compact:
+// Package gstore is graphd's storage subsystem: one graph type, the
+// compact CSR Compact (spelled Graph by its readers), served from one
+// of two backends:
 //
 //   - compact — in-heap uint32 adjacency, int64 row pointers and the
 //     smallest lossless weight encoding (absent for unit weights,
@@ -14,12 +14,11 @@
 //     kernel's inner loops read straight from the page cache, restarts
 //     are near-instant, and concurrent daemons share physical pages.
 //
-// The interface is deliberately tiny — N/M/Volume/Degree/Neighbors —
-// because the diffusion kernels of internal/kernel do not go through
-// it on the hot path: one dispatch (internal/kernel/csr.go) takes the
-// *Compact and runs generic loops, one per weight form, over the raw
-// arrays. The interface is the contract for everything around the
-// kernels: sweep cuts, NCP collection, the service layer.
+// Sweep cuts, NCP collection and the service layer read a graph
+// through N/M/Volume/Degree/Neighbors. The loops that touch every edge
+// read the Raw* arrays instead: the push kernels (one dispatch in
+// internal/kernel/csr.go picks a generic loop per weight form), the
+// dense diffusions of internal/diffusion and the snapshot writer.
 //
 // Mutation contract: every slice reachable through a backend aliases
 // the graph's storage — for the mmap backend it aliases a read-only
@@ -64,29 +63,13 @@ func ParseKind(s string) (Kind, error) {
 	return "", fmt.Errorf("gstore: unknown backend %q (want compact or mmap)", s)
 }
 
-// Graph is the read interface every storage backend implements. All
-// methods are safe for concurrent use; implementations are immutable
-// once constructed.
-//
-// Neighbors returns a by-value cursor rather than slices so that the
-// uint32 adjacency can be iterated without converting — and without
-// allocating: the cursor is a small struct returned by value, and its
-// Next method is a concrete, inlinable call.
-type Graph interface {
-	// N returns the number of nodes.
-	N() int
-	// M returns the number of undirected edges.
-	M() int
-	// Volume returns vol(V) = Σᵢ deg(i).
-	Volume() float64
-	// Degree returns the weighted degree of node u.
-	Degree(u int) float64
-	// Neighbors returns a zero-alloc iterator over u's neighbors in
-	// ascending id order with their edge weights.
-	Neighbors(u int) NeighborIter
-	// Backend reports which storage backend serves this graph.
-	Backend() Kind
-}
+// Graph is the sealed graph every layer above gstore reads: the
+// compact CSR, in-heap or mapped. It is an alias, not an interface, so
+// the kernels, the dense diffusions and the snapshot writer read its
+// arrays with no type assertion, and a nil Graph is a nil pointer. Its
+// methods are safe for concurrent use; a Compact is immutable once
+// constructed.
+type Graph = *Compact
 
 // NeighborIter is a by-value cursor over one node's adjacency row.
 // The zero value is an exhausted iterator. It is exactly one row's
@@ -103,9 +86,6 @@ type NeighborIter struct {
 	// between the caller's last use of it and the cursor's last Next.
 	pin *Compact
 }
-
-// Len returns the number of entries remaining.
-func (it *NeighborIter) Len() int { return len(it.adj32) - it.i }
 
 // Next returns the next neighbor and its edge weight, advancing the
 // cursor; ok is false when the row is exhausted.
@@ -136,29 +116,16 @@ func Wrap(g *graph.Graph) *Compact {
 	return c
 }
 
-// Materialize returns a validated heap *graph.Graph copy of a Compact
-// (in-heap or mapped); every call copies. The copy reproduces
-// adjacency, weights, degrees and volume bit-for-bit (weights were only
-// stored compactly when the narrowing was lossless), so a dense
-// algorithm run on the materialization is indistinguishable from one
-// run on the builder's graph. Global paths that need raw CSR slices
-// (dense diffusion, flow NCP, multilevel partitioning) go through this.
+// Materialize returns a validated heap *graph.Graph copy of g (in-heap
+// or mapped); every call copies. The copy reproduces adjacency,
+// weights, degrees and volume bit-for-bit (weights were only stored
+// compactly when the narrowing was lossless), so an algorithm run on
+// the materialization is indistinguishable from one run on the
+// builder's graph. The global jobs that need a heap CSR (flow NCP,
+// multilevel partitioning) go through this.
 func Materialize(g Graph) (*graph.Graph, error) {
-	if c, ok := g.(*Compact); ok {
-		stats.noteMaterialization()
-		return c.materialize()
-	}
-	return nil, fmt.Errorf("gstore: materialize: unsupported backend %T", g)
-}
-
-// Close releases backend resources (the mmap backend's mapping). It is
-// a no-op for a graph that holds only ordinary heap memory. After
-// Close, the mmap backend's slices must not be touched.
-func Close(g Graph) error {
-	if c, ok := g.(*Compact); ok {
-		return c.Close()
-	}
-	return nil
+	stats.noteMaterialization()
+	return g.materialize()
 }
 
 // VolumeOfSet returns vol(S) = Σ_{u∈S} deg(u) for a node-list set.

@@ -408,10 +408,10 @@ func TestCompactCloseIdempotent(t *testing.T) {
 	if c.Backend() != gstore.KindMmap {
 		t.Fatalf("Backend = %q", c.Backend())
 	}
-	if err := gstore.Close(c); err == nil || closed != 1 {
+	if err := c.Close(); err == nil || closed != 1 {
 		t.Fatalf("first Close: err=%v closed=%d, want closer error once", err, closed)
 	}
-	if err := gstore.Close(c); err != nil || closed != 1 {
+	if err := c.Close(); err != nil || closed != 1 {
 		t.Fatalf("second Close: err=%v closed=%d, want silent no-op", err, closed)
 	}
 }
@@ -566,16 +566,6 @@ func sameCompact(t *testing.T, label string, got, want *gstore.Compact) {
 		t.Fatalf("%s: weights differ", label)
 	case !slices.Equal(f64bits(got.RawDegrees()), f64bits(want.RawDegrees())):
 		t.Fatalf("%s: degrees differ", label)
-	}
-}
-
-// TestMaterializeUnknownBackend: a backend hidden behind a type
-// Materialize does not know is an error, not an iterator rebuild.
-func TestMaterializeUnknownBackend(t *testing.T) {
-	type opaque struct{ gstore.Graph }
-	_, err := gstore.Materialize(opaque{gstore.Wrap(gen.Path(4))})
-	if want := "gstore: materialize: unsupported backend gstore_test.opaque"; err == nil || err.Error() != want {
-		t.Fatalf("Materialize(opaque) = %v, want %q", err, want)
 	}
 }
 

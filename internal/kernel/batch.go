@@ -128,9 +128,7 @@ func (d PushACL) run(ctx context.Context, g gstore.Graph, ws *Workspace, st *Sta
 	// the same queue, so pausing changes no result bit.
 	o := op{kind: opPush, push: d, ws: ws, st: st}
 	for {
-		if err := dispatch(g, &o); err != nil {
-			return err
-		}
+		dispatch(g, &o)
 		if !o.paused {
 			break
 		}
@@ -222,9 +220,7 @@ func (d NibbleWalk) run(ctx context.Context, g gstore.Graph, ws *Workspace, st *
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := dispatch(g, &op{kind: opWalkStep, ws: ws, eps: d.Eps}); err != nil {
-			return err
-		}
+		dispatch(g, &op{kind: opWalkStep, ws: ws, eps: d.Eps})
 		if len(ws.r.list) == 0 {
 			break // the walk died out: no stats, no hook
 		}
@@ -253,9 +249,7 @@ func (d HeatKernel) run(ctx context.Context, g gstore.Graph, ws *Workspace, st *
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := dispatch(g, &op{kind: opWalkStep, ws: ws, eps: d.Eps}); err != nil {
-			return err
-		}
+		dispatch(g, &op{kind: opWalkStep, ws: ws, eps: d.Eps})
 		weight *= d.T / float64(kk)
 		for _, u := range ws.r.list {
 			ws.p.add(u, weight*ws.r.c[u].val)

@@ -389,26 +389,6 @@ func (foreignDiffuser) DiffuseContext(context.Context, gstore.Graph, *kernel.Wor
 	return kernel.Stats{}, nil
 }
 
-// TestUnknownBackendIsAnError: a gstore.Graph that is not a *Compact
-// has no rows view; every strategy reports it, alone and
-// batched, instead of iterating.
-func TestUnknownBackendIsAnError(t *testing.T) {
-	type opaque struct{ gstore.Graph }
-	g := opaque{gstore.Wrap(batchTestGraph(t))}
-	const want = "kernel: unsupported backend kernel_test.opaque"
-	pool := kernel.NewPool(g.N())
-	for name, method := range batchMethods() {
-		ws := pool.Get()
-		if _, err := method.DiffuseContext(context.Background(), g, ws, []int{1}); err == nil || err.Error() != want {
-			t.Errorf("%s: DiffuseContext = %v, want %q", name, err, want)
-		}
-		pool.Put(ws)
-		if _, err := (kernel.BatchDiffuser{Method: method}).Run(context.Background(), g, pool, []int{1, 2}, nil); err == nil || err.Error() != want {
-			t.Errorf("%s: Run = %v, want %q", name, err, want)
-		}
-	}
-}
-
 // onesWeighted serves a unit-weight graph as a compact backend that
 // carries an explicit float64 weight array of ones, which sends every
 // kernel loop down its weighted branch on a graph gstore.Wrap serves

@@ -1,21 +1,19 @@
 package kernel
 
 import (
-	"fmt"
 	"runtime"
 
 	"repro/internal/gstore"
 )
 
 // This file is the one place that knows the storage layout and its
-// weight forms. dispatch turns a gstore.Graph — which must be a
-// *gstore.Compact, in-heap or mapped — into a rows view of its raw CSR
-// arrays and runs the requested operation on it; the loops themselves
-// (pushQueue and walkStep in batch.go, sweepScan in sweep.go) are
-// methods of rows, written once and instantiated by the compiler for
-// each stored weight type (float32, or float64 with a nil slice for
-// unit weights). One type assertion runs per 4096 pushes, walk step or
-// sweep — never per edge.
+// weight forms. dispatch turns a gstore.Graph, in-heap or mapped, into
+// a rows view of its raw CSR arrays and runs the requested operation
+// on it; the loops themselves (pushQueue and walkStep in batch.go,
+// sweepScan in sweep.go) are methods of rows, written once and
+// instantiated by the compiler for each stored weight type (float32,
+// or float64 with a nil slice for unit weights). The weight form is
+// chosen once per 4096 pushes, walk step or sweep — never per edge.
 //
 // Bit-parity invariants the loops rely on:
 //   - spread*1.0 == spread exactly, so the nil-weight (unit) branch
@@ -68,24 +66,19 @@ const (
 	opSweepScan
 )
 
-// dispatch runs o on g's compact arrays. Any other gstore.Graph is an
-// error: there is no iterator fallback.
-func dispatch(g gstore.Graph, o *op) error {
-	c, ok := g.(*gstore.Compact)
-	if !ok {
-		return fmt.Errorf("kernel: unsupported backend %T", g)
-	}
-	rowPtr, adj, deg := c.RawRowPtr(), c.RawAdj(), c.RawDegrees()
-	if w32 := c.RawWeights32(); w32 != nil {
+// dispatch runs o on g's raw arrays, in the instantiation of g's
+// weight form.
+func dispatch(g gstore.Graph, o *op) {
+	rowPtr, adj, deg := g.RawRowPtr(), g.RawAdj(), g.RawDegrees()
+	if w32 := g.RawWeights32(); w32 != nil {
 		(&rows[float32]{rowPtr, adj, w32, deg}).run(o)
 	} else {
-		(&rows[float64]{rowPtr, adj, c.RawWeights64(), deg}).run(o)
+		(&rows[float64]{rowPtr, adj, g.RawWeights64(), deg}).run(o)
 	}
-	// The raw slices of a mapped graph do not keep c reachable (they
+	// The raw slices of a mapped graph do not keep g reachable (they
 	// point into non-GC memory); without this pin the collector could
-	// finalize — unmap — c mid-loop.
-	runtime.KeepAlive(c)
-	return nil
+	// finalize — unmap — g mid-loop.
+	runtime.KeepAlive(g)
 }
 
 // run is the second half of dispatch: the operation switch, inside the

@@ -38,7 +38,7 @@ type Stats struct {
 // workspace. The loops run over the compact graph's raw CSR arrays
 // behind one dispatch (csr.go), so the arithmetic — and therefore the
 // floating-point output — is identical bit for bit across the compact
-// and mmap backends; a graph the dispatch does not know is an error.
+// and mmap backends.
 type Diffuser interface {
 	// DiffuseContext runs the diffusion under ctx: once ctx is done the
 	// run stops, between walk steps or within 4096 pushes, with ctx's

@@ -10,3 +10,6 @@ func (ws *Workspace) ForEachR(fn func(u int, x float64)) {
 		}
 	}
 }
+
+// N returns the node count the workspace is sized for. Only tests ask.
+func (ws *Workspace) N() int { return ws.n }

@@ -346,7 +346,7 @@ func TestEngineMatchesOracle(t *testing.T) {
 			t.Fatal("fixture lost its isolated nodes")
 		}
 		backends := batchBackends(t, hg)
-		c := backends["compact"].(*gstore.Compact)
+		c := backends["compact"]
 		if w32, w64 := c.RawWeights32() != nil, c.RawWeights64() != nil; w32 != (wf.name == "f32") || w64 != (wf.name == "f64") {
 			t.Fatalf("%s fixture stored with w32=%v w64=%v", wf.name, w32, w64)
 		}

@@ -206,13 +206,10 @@ type SweepVisit func(size int, cut, vol float64) bool
 // the visitor stopped it.
 //
 // Like every Diffuse, the scan reaches the rows through the kernel's one
-// backend dispatch; it panics on a backend that dispatch does not know
-// (a diffusion on such a graph has already failed with that error).
+// dispatch.
 func (ws *Workspace) SweepScan(g gstore.Graph, maxPrefix int, visit SweepVisit) {
 	order := ws.sweep[:min(maxPrefix, len(ws.sweep))]
-	if err := dispatch(g, &op{kind: opSweepScan, inS: ws.inS, order: order, visit: visit}); err != nil {
-		panic(err)
-	}
+	dispatch(g, &op{kind: opSweepScan, inS: ws.inS, order: order, visit: visit})
 }
 
 // sweepScan is the prefix scan over the raw rows.

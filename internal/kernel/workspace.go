@@ -176,9 +176,6 @@ func NewWorkspace(n int) *Workspace {
 	return ws
 }
 
-// N returns the node count the workspace is sized for.
-func (ws *Workspace) N() int { return ws.n }
-
 // Reset clears every plane and the queue in O(touched).
 func (ws *Workspace) Reset() {
 	ws.p.reset()

@@ -101,16 +101,3 @@ func (m *CSR) Dense() *Dense {
 	}
 	return d
 }
-
-// ScaleCols returns a new CSR equal to m·diag(s).
-func (m *CSR) ScaleCols(s []float64) *CSR {
-	if len(s) != m.ColsN {
-		panic(fmt.Sprintf("mat: ScaleCols dimension mismatch %d != %d", len(s), m.ColsN))
-	}
-	out := &CSR{Rows: m.Rows, ColsN: m.ColsN, RowPtr: append([]int(nil), m.RowPtr...),
-		Cols: append([]int(nil), m.Cols...), Vals: make([]float64, len(m.Vals))}
-	for k, c := range m.Cols {
-		out.Vals[k] = m.Vals[k] * s[c]
-	}
-	return out
-}

@@ -154,21 +154,6 @@ func TestCSROutOfRange(t *testing.T) {
 	}
 }
 
-func TestCSRScaleCols(t *testing.T) {
-	m, err := NewCSR(2, 2, []Triplet{{0, 0, 1}, {0, 1, 2}, {1, 1, 3}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := m.ScaleCols([]float64{2, 10}).Dense()
-	if c.At(0, 0) != 2 || c.At(0, 1) != 20 || c.At(1, 1) != 30 {
-		t.Fatalf("ScaleCols wrong: %v", c.Data)
-	}
-	// Original untouched.
-	if m.Vals[0] != 1 {
-		t.Fatal("ScaleCols mutated receiver")
-	}
-}
-
 func TestCSRDenseRoundTrip(t *testing.T) {
 	trips := []Triplet{{0, 1, 1}, {1, 0, 1}, {2, 2, 4}, {1, 2, -1}}
 	m, err := NewCSR(3, 3, trips)

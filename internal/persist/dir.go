@@ -268,16 +268,7 @@ func (d *Dir) Open(name string, g *gstore.Compact, kind gstore.Kind) (gstore.Gra
 	if g != nil {
 		return g, nil
 	}
-	return served(d.LoadCompactSnapshot(name))
-}
-
-// served returns c as a gstore.Graph, keeping a failed load's nil
-// pointer out of the interface.
-func served(c *gstore.Compact, err error) (gstore.Graph, error) {
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
+	return d.LoadCompactSnapshot(name)
 }
 
 // Put makes g durable as the named graph's snapshot and serves it from

@@ -94,14 +94,9 @@ func (s *Server) handleExportSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	c, ok := g.(*gstore.Compact)
-	if !ok {
-		writeError(w, storeErrf(ErrInternal, "graph %q is served from %T, which has no snapshot form", name, g))
-		return
-	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", name+persist.SnapshotExt))
-	if err := persist.WriteSnapshot(w, c); err != nil {
+	if err := persist.WriteSnapshot(w, g); err != nil {
 		// Headers are out; all we can do is cut the response short so
 		// the client sees a truncated (and checksum-failing) stream.
 		s.logOp("graphd: exporting snapshot of %q: %v", name, err)
@@ -228,18 +223,8 @@ func (s *Server) handleDiffuse(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	name := r.PathValue("name")
 	s.serveQuery(w, r, query{endpoint: "diffuse", params: mustParams(req), compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
-		// The dense diffusions walk a heap CSR: a copy per miss, which
-		// the reply outlives (the cache keeps bytes, not the graph).
-		hg, hid, err := s.store.GetHeap(name)
-		if err == nil && hid != q.id {
-			err = storeErrf(ErrConflict, "graph %q was replaced mid-query", name)
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-		return execDiffuse(ctx, hg, req)
+		return execDiffuse(ctx, q.g, req)
 	}})
 }
 

@@ -46,6 +46,16 @@ func (l *logCapture) contains(substr string) bool {
 }
 
 // assertSameGraph asserts bit-identical CSR state between two graphs.
+// heapOf is a heap copy of the sealed graph name, for comparing it with
+// the graph that was stored.
+func heapOf(s *GraphStore, name string) (*graph.Graph, error) {
+	g, _, err := s.Get(name)
+	if err != nil {
+		return nil, err
+	}
+	return gstore.Materialize(g)
+}
+
 func assertSameGraph(t *testing.T, want, got *graph.Graph) {
 	t.Helper()
 	wr, wa, ww := want.CSR()
@@ -120,7 +130,7 @@ func TestPersistCleanShutdownRestartIdentity(t *testing.T) {
 		t.Fatalf("clean restart quarantined files: %v", lc.lines)
 	}
 	for name, want := range map[string]*graph.Graph{"ring": ring, "er": er} {
-		got, _, err := s2.GetHeap(name)
+		got, err := heapOf(s2, name)
 		if err != nil {
 			t.Fatalf("recovering %q: %v", name, err)
 		}
@@ -153,7 +163,7 @@ func TestPersistCleanShutdownRestartIdentity(t *testing.T) {
 	if sealedInfo.Persistence != api.PersistSnapshot {
 		t.Fatalf("sealed persistence = %q", sealedInfo.Persistence)
 	}
-	sealed, _, err := s2.GetHeap("inc")
+	sealed, err := heapOf(s2, "inc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +207,7 @@ func TestPersistThirdGenerationRecovery(t *testing.T) {
 	if _, err := s2.Seal("g"); err != nil {
 		t.Fatal(err)
 	}
-	g2, _, err := s2.GetHeap("g")
+	g2, err := heapOf(s2, "g")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +217,7 @@ func TestPersistThirdGenerationRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s3.Close()
-	g3, _, err := s3.GetHeap("g")
+	g3, err := heapOf(s3, "g")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +293,7 @@ func TestPersistQuarantineCorruptFiles(t *testing.T) {
 		t.Fatalf("boot failed instead of quarantining: %v", err)
 	}
 	defer s2.Close()
-	g, _, err := s2.GetHeap("good")
+	g, err := heapOf(s2, "good")
 	if err != nil {
 		t.Fatalf("healthy graph lost: %v", err)
 	}
@@ -340,7 +350,7 @@ func TestPersistStaleWALAfterSeal(t *testing.T) {
 	if _, err := s1.Seal("g"); err != nil {
 		t.Fatal(err)
 	}
-	sealed, _, err := s1.GetHeap("g")
+	sealed, err := heapOf(s1, "g")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +365,7 @@ func TestPersistStaleWALAfterSeal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	g, _, err := s2.GetHeap("g")
+	g, err := heapOf(s2, "g")
 	if err != nil {
 		t.Fatalf("graph not recovered sealed: %v", err)
 	}
@@ -503,7 +513,7 @@ func TestServerPersistenceOverHTTP(t *testing.T) {
 	if info.Persistence != api.PersistSnapshot {
 		t.Fatalf("gen persistence = %q", info.Persistence)
 	}
-	genGraph, _, err := srv1.Store().GetHeap("gen")
+	genGraph, err := heapOf(srv1.Store(), "gen")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +541,7 @@ func TestServerPersistenceOverHTTP(t *testing.T) {
 	if inc.State != api.GraphStreaming || inc.Edges != 2 || inc.Persistence != api.PersistWAL {
 		t.Fatalf("inc recovered as %+v", inc)
 	}
-	recovered, _, err := srv2.Store().GetHeap("gen")
+	recovered, err := heapOf(srv2.Store(), "gen")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -549,7 +559,7 @@ func TestServerPersistenceOverHTTP(t *testing.T) {
 	if !imported.Sealed || imported.Nodes != info.Nodes || imported.Edges != info.Edges {
 		t.Fatalf("imported info %+v, want clone of %+v", imported, info)
 	}
-	g2, _, err := srv2.Store().GetHeap("gen2")
+	g2, err := heapOf(srv2.Store(), "gen2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -594,26 +604,7 @@ func TestExportIsTheSnapshotFile(t *testing.T) {
 	if _, err := c.Graphs.Seal(ctx, "inc"); err != nil {
 		t.Fatal(err)
 	}
-	materializations := func() string {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, line := range strings.Split(string(body), "\n") {
-			if v, ok := strings.CutPrefix(line, "graphd_gstore_heap_materializations_total "); ok {
-				return v
-			}
-		}
-		t.Fatal("no graphd_gstore_heap_materializations_total sample")
-		return ""
-	}
-	before := materializations()
+	before := materializations(t, ts.URL)
 	for _, name := range []string{"gen", "inc", "ring"} {
 		info, err := c.Graphs.Get(ctx, name)
 		if err != nil {
@@ -634,8 +625,59 @@ func TestExportIsTheSnapshotFile(t *testing.T) {
 			t.Errorf("%s: export of %d bytes differs from its %d-byte snapshot file", name, got.Len(), len(want))
 		}
 	}
-	if after := materializations(); after != before {
+	if after := materializations(t, ts.URL); after != before {
 		t.Errorf("exports moved graphd_gstore_heap_materializations_total from %s to %s", before, after)
+	}
+}
+
+// materializations reads graphd_gstore_heap_materializations_total off
+// the server's /metrics.
+func materializations(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if v, ok := strings.CutPrefix(line, "graphd_gstore_heap_materializations_total "); ok {
+			return v
+		}
+	}
+	t.Fatal("no graphd_gstore_heap_materializations_total sample")
+	return ""
+}
+
+// TestDiffuseCopiesNothing: on a durable mmap daemon, heat, ppr and
+// lazy diffusions read the served mapping, so
+// graphd_gstore_heap_materializations_total does not move.
+func TestDiffuseCopiesNothing(t *testing.T) {
+	ctx := context.Background()
+	_, ts, c := testServer(t, Config{DataDir: t.TempDir(), Backend: string(gstore.KindMmap)}) // Puts "ring"
+	if _, err := c.Graphs.Generate(ctx, "gen", api.GenerateRequest{Family: "kronecker", Levels: 9, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	before := materializations(t, ts.URL)
+	for _, name := range []string{"gen", "ring"} {
+		info, err := c.Graphs.Get(ctx, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Backend != api.BackendMmap {
+			t.Fatalf("%s served from %q, want mmap", name, info.Backend)
+		}
+		for _, kind := range api.DiffuseKinds {
+			if _, err := c.Graphs.Diffuse(ctx, name, api.DiffuseRequest{Kind: kind, Seeds: []int{0, 3}}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if after := materializations(t, ts.URL); after != before {
+		t.Errorf("diffusions moved graphd_gstore_heap_materializations_total from %s to %s", before, after)
 	}
 }
 
@@ -685,8 +727,7 @@ func TestNodeCapRefusedAtEveryIngress(t *testing.T) {
 // graph enters a store without an mmap default — Put, generate, an
 // edge-list load, a snapshot import, a sealed stream, or recovery on a
 // data dir — it is served compact. heap is no serving backend, so
-// ?backend=heap and Config{Backend: "heap"} are refused. GetHeap hands
-// out a fresh copy per call and the entry keeps none.
+// ?backend=heap and Config{Backend: "heap"} are refused.
 func TestEveryIngressServesCompact(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -735,23 +776,6 @@ func TestEveryIngressServesCompact(t *testing.T) {
 	}
 	if _, err := NewServer(Config{Backend: "heap"}); err == nil {
 		t.Fatal(`NewServer accepted Config{Backend: "heap"}`)
-	}
-
-	before := gstore.Telemetry().HeapMaterializations()
-	a, _, err := srv.Store().GetHeap("gen")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := srv.Store().GetHeap("gen")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == b {
-		t.Fatal("two GetHeap calls returned the same graph: the entry keeps a heap copy")
-	}
-	assertSameGraph(t, a, b)
-	if got := gstore.Telemetry().HeapMaterializations() - before; got != 2 {
-		t.Fatalf("two GetHeap calls materialized %d times, want 2", got)
 	}
 
 	ts.Close()

@@ -282,7 +282,7 @@ func clusterResult(g gstore.Graph, method string, cut *api.SweepInfo, st kernel.
 // the query's context: k has no cap, so only the deadline bounds a walk.
 const lazyStepsPerCheck = 1 << 10
 
-func execDiffuse(ctx context.Context, g *graph.Graph, req api.DiffuseRequest) (*api.DiffuseResponse, *api.WorkStats, error) {
+func execDiffuse(ctx context.Context, g gstore.Graph, req api.DiffuseRequest) (*api.DiffuseResponse, *api.WorkStats, error) {
 	seed, err := diffusion.SeedVector(g.N(), req.Seeds)
 	if err != nil {
 		return nil, nil, err

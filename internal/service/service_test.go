@@ -652,7 +652,7 @@ func TestHeatTimeBoundOverHTTP(t *testing.T) {
 // the bits of a single diffusion.LazyWalk call, and a done context
 // stops a walk whose k has no cap.
 func TestDiffuseLazyWalksInChunks(t *testing.T) {
-	g := gen.RingOfCliques(8, 8)
+	g := gstore.Wrap(gen.RingOfCliques(8, 8))
 	req := api.DiffuseRequest{Kind: "lazy", Seeds: []int{0, 9}, Alpha: 0.3, K: 2*lazyStepsPerCheck + 5, TopK: 64}
 	got, _, err := execDiffuse(context.Background(), g, req)
 	if err != nil {

@@ -220,22 +220,6 @@ func (s *GraphStore) Get(name string) (gstore.Graph, uint64, error) {
 	return g, id, err
 }
 
-// GetHeap returns a heap *graph.Graph copy of the sealed graph, the
-// form the dense diffusions of `diffuse` consume. Every call
-// materializes a fresh copy outside the entry lock, and nothing keeps
-// it: the copy lives only as long as its caller holds it.
-func (s *GraphStore) GetHeap(name string) (*graph.Graph, uint64, error) {
-	g, id, err := s.Get(name)
-	if err != nil {
-		return nil, 0, err
-	}
-	hg, err := gstore.Materialize(g)
-	if err != nil {
-		return nil, 0, storeErrf(ErrInternal, "materializing graph %q: %v", name, err)
-	}
-	return hg, id, nil
-}
-
 // GetForQuery is Get plus the graph's workspace pool, the form the
 // synchronous query path uses so every request borrows (and returns)
 // pooled kernel scratch instead of allocating sparse vectors.
@@ -481,7 +465,7 @@ func (s *GraphStore) Close() error {
 		// mappings. The caller must have stopped every reader first: a
 		// stopped listener is not enough (query flights outlive their
 		// handlers), which is why Server.Close drains them before this.
-		if err := gstore.Close(e.g); err != nil {
+		if err := e.g.Close(); err != nil {
 			s.logf("store: closing backend of %q on shutdown: %v", name, err)
 			errs = append(errs, err)
 		}

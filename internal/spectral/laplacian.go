@@ -1,5 +1,5 @@
 // Package spectral implements the spectral graph theory substrate of the
-// paper: Laplacian and walk matrices, the Power Method of §3.1, Fiedler
+// paper: the normalized Laplacian, the Power Method of §3.1, Fiedler
 // vectors, Rayleigh quotients and the Cheeger inequality used by §3.2's
 // quality-of-approximation discussion.
 package spectral
@@ -11,20 +11,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/mat"
 )
-
-// Adjacency returns the weighted adjacency matrix A of g as CSR.
-func Adjacency(g *graph.Graph) *mat.CSR {
-	n := g.N()
-	var trips []mat.Triplet
-	g.Edges(func(u, v int, w float64) {
-		trips = append(trips, mat.Triplet{Row: u, Col: v, Val: w}, mat.Triplet{Row: v, Col: u, Val: w})
-	})
-	m, err := mat.NewCSR(n, n, trips)
-	if err != nil {
-		panic(fmt.Sprintf("spectral: Adjacency: %v", err)) // cannot happen: indices from a valid graph
-	}
-	return m
-}
 
 // NormalizedLaplacian returns 𝓛 = I − D^{-1/2} A D^{-1/2} as CSR.
 // Isolated nodes contribute a zero row (by convention their diagonal is
@@ -53,44 +39,6 @@ func NormalizedLaplacian(g *graph.Graph) *mat.CSR {
 		panic(fmt.Sprintf("spectral: NormalizedLaplacian: %v", err))
 	}
 	return m
-}
-
-// WalkMatrix returns the natural random-walk transition matrix
-// M = A D^{-1} as CSR, i.e. column-stochastic: column j sums to 1 when
-// node j has positive degree. Applying M to a probability (column) vector
-// moves mass one step along the walk, matching the paper's
-// M = A D^{-1} convention in Eq. (2).
-func WalkMatrix(g *graph.Graph) *mat.CSR {
-	n := g.N()
-	deg := g.Degrees()
-	inv := make([]float64, n)
-	for i, d := range deg {
-		if d > 0 {
-			inv[i] = 1 / d
-		}
-	}
-	return Adjacency(g).ScaleCols(inv)
-}
-
-// LazyWalkMatrix returns W_α = αI + (1−α)M, the lazy random-walk matrix
-// of §3.1 with holding probability α.
-func LazyWalkMatrix(g *graph.Graph, alpha float64) (*mat.CSR, error) {
-	if alpha < 0 || alpha > 1 {
-		return nil, fmt.Errorf("spectral: LazyWalkMatrix alpha=%v outside [0,1]", alpha)
-	}
-	n := g.N()
-	m := WalkMatrix(g)
-	var trips []mat.Triplet
-	for i := 0; i < n; i++ {
-		trips = append(trips, mat.Triplet{Row: i, Col: i, Val: alpha})
-	}
-	for i := 0; i < n; i++ {
-		cols, vals := m.RowNNZ(i)
-		for k, j := range cols {
-			trips = append(trips, mat.Triplet{Row: i, Col: j, Val: (1 - alpha) * vals[k]})
-		}
-	}
-	return mat.NewCSR(n, n, trips)
 }
 
 // RayleighQuotient returns xᵀMx / xᵀx for a CSR matrix M.

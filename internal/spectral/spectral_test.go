@@ -46,46 +46,6 @@ func TestNormalizedLaplacianPSD(t *testing.T) {
 	}
 }
 
-func TestWalkMatrixColumnStochastic(t *testing.T) {
-	g := gen.Lollipop(4, 3)
-	m := WalkMatrix(g)
-	// Column sums: Σᵢ M[i][j] = 1 when deg(j) > 0. Column sums of CSR =
-	// row sums of the transpose; exploit symmetry of A: M = A D^{-1}, so
-	// column j sums to deg(j)/deg(j) = 1.
-	n := g.N()
-	colSum := make([]float64, n)
-	for i := 0; i < n; i++ {
-		cols, vals := m.RowNNZ(i)
-		for k, j := range cols {
-			colSum[j] += vals[k]
-		}
-	}
-	for j := 0; j < n; j++ {
-		if !almostEq(colSum[j], 1, 1e-12) {
-			t.Fatalf("column %d sums to %v, want 1", j, colSum[j])
-		}
-	}
-}
-
-func TestLazyWalkMatrix(t *testing.T) {
-	g := gen.Cycle(5)
-	w, err := LazyWalkMatrix(g, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Diagonal is α; off-diagonals (1-α)/2 for the cycle.
-	d := w.Dense()
-	if !almostEq(d.At(0, 0), 0.5, 1e-12) {
-		t.Fatalf("diag = %v", d.At(0, 0))
-	}
-	if !almostEq(d.At(0, 1), 0.25, 1e-12) {
-		t.Fatalf("offdiag = %v", d.At(0, 1))
-	}
-	if _, err := LazyWalkMatrix(g, 1.5); err == nil {
-		t.Fatal("alpha out of range accepted")
-	}
-}
-
 func TestPowerMethodDominant(t *testing.T) {
 	// diag(1, 2, 5): dominant eigenpair (5, e3).
 	m, err := mat.NewCSR(3, 3, []mat.Triplet{{Row: 0, Col: 0, Val: 1}, {Row: 1, Col: 1, Val: 2}, {Row: 2, Col: 2, Val: 5}})
