@@ -28,13 +28,13 @@ const (
 )
 
 // DetectWeightForm returns the narrowest lossless encoding for w.
-func DetectWeightForm(w []float64) WeightForm {
+func DetectWeightForm[W float32 | float64](w []W) WeightForm {
 	form := WeightsUnit
 	for _, x := range w {
 		if x == 1 {
 			continue
 		}
-		if float64(float32(x)) != x {
+		if float64(float32(x)) != float64(x) {
 			return WeightsF64
 		}
 		form = WeightsF32

@@ -42,6 +42,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add([]byte("GSNAP\x00"))
 	f.Add([]byte{})
 	f.Add(v1Fixture(f))
+	f.Add(widePatched(f, 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<20 {
 			t.Skip("oversized input")

@@ -3,9 +3,11 @@ package persist
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
@@ -347,6 +349,97 @@ func TestSnapshotEveryPrefixFails(t *testing.T) {
 	for i := 0; i < len(data); i++ {
 		if _, err := ReadSnapshot(bytes.NewReader(data[:i])); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded successfully", i, len(data))
+		}
+	}
+}
+
+// widePatched returns the v2 snapshot of a 5-cycle whose weights are
+// all w and whose degrees are all 2w, with the weights stored as
+// float64: the writer's bytes for a 5-cycle with weights 0.1, patched
+// in place, with the weight and degree section CRCs and the header CRC
+// recomputed.
+func widePatched(t testing.TB, w float64) []byte {
+	b := graph.NewBuilder(5)
+	for u := 0; u < 5; u++ {
+		b.AddWeightedEdge(u, (u+1)%5, 0.1)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteSnapshot(&buf, gstore.Wrap(g)); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	h, err := parseV2Header(data[:v2HeaderSize])
+	if err != nil || h.flags != v2FlagW {
+		t.Fatalf("5-cycle header: flags %#x, %v; want float64 weights", h.flags, err)
+	}
+	for i, v := range map[int]float64{v2SecW: w, v2SecDeg: 2 * w} {
+		sec := &h.sec[i]
+		for off := sec.off; off < sec.off+sec.len; off += 8 {
+			binary.LittleEndian.PutUint64(data[off:], math.Float64bits(v))
+		}
+		sec.crc = crc32.ChecksumIEEE(data[sec.off : sec.off+sec.len])
+	}
+	copy(data, encodeV2Header(h))
+	return data
+}
+
+// TestWideWeightSectionRefused: a snapshot whose float64 weight section
+// holds only ones, or only float32-exact weights, is refused by the
+// copying decode and by OpenMapped, since the writer would store it
+// narrower; the same patch with weights that need float64 loads.
+func TestWideWeightSectionRefused(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		w    float64
+		want string
+	}{
+		{1, "weights stored as float64, wider than their narrowest lossless form unit"},
+		{0.5, "weights stored as float64, wider than their narrowest lossless form float32"},
+		{0.3, ""},
+	} {
+		data := widePatched(t, tc.w)
+		path := filepath.Join(dir, fmt.Sprintf("w%v%s", tc.w, SnapshotExt))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := ReadCompact(bytes.NewReader(data))
+		c, merr := OpenMapped(path)
+		if merr == nil {
+			c.Close()
+		}
+		if tc.want == "" {
+			if err != nil || merr != nil {
+				t.Fatalf("w=%v: ReadCompact %v, OpenMapped %v; want both to load", tc.w, err, merr)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("w=%v: ReadCompact = %v, want %q", tc.w, err, tc.want)
+		}
+		if merr == nil || !strings.Contains(merr.Error(), tc.want) {
+			t.Errorf("w=%v: OpenMapped = %v, want %q", tc.w, merr, tc.want)
+		}
+	}
+}
+
+// TestRecoverQuarantinesWideWeights: a wide snapshot already in a data
+// directory is set aside at boot, not fatal, on either backend.
+func TestRecoverQuarantinesWideWeights(t *testing.T) {
+	for _, kind := range []gstore.Kind{gstore.KindCompact, gstore.KindMmap} {
+		root := t.TempDir()
+		if err := os.WriteFile(filepath.Join(root, "wide"+SnapshotExt), widePatched(t, 1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, rec, err := Recover(root, kind, nil, t.Logf)
+		if err != nil {
+			t.Fatalf("%s: Recover = %v", kind, err)
+		}
+		if len(rec) != 0 || d.Counters().Quarantined.Load() != 1 {
+			t.Fatalf("%s: recovered %d graphs, quarantined %d; want 0 and 1", kind, len(rec), d.Counters().Quarantined.Load())
 		}
 	}
 }

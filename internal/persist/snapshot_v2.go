@@ -311,16 +311,27 @@ func alignedBytes(n int) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), n)
 }
 
+// weightFormNames names each gstore.WeightForm in load errors.
+var weightFormNames = [...]string{gstore.WeightsUnit: "unit", gstore.WeightsF32: "float32", gstore.WeightsF64: "float64"}
+
 // compactV2 builds the compact graph of kind over the sections of a
-// snapshot verifyV2 accepted. NewCompactFromParts revalidates every CSR
-// invariant, including the stored degree bits; closer is passed on.
+// snapshot verifyV2 accepted. It refuses a weight section wider than
+// the narrowest lossless form, the only one the writer stores, so a
+// graph has one encoding and an accepted file is that encoding.
+// NewCompactFromParts revalidates every CSR invariant, including the
+// stored degree bits; closer is passed on.
 func compactV2(data []byte, h *v2Header, kind gstore.Kind, closer func() error) (*gstore.Compact, error) {
 	var w32 []float32
 	var w64 []float64
+	stored := gstore.WeightsUnit
 	if h.flags&v2FlagWF32 != 0 {
-		w32 = sectionWords[float32](data, h.sec[v2SecW])
+		w32, stored = sectionWords[float32](data, h.sec[v2SecW]), gstore.WeightsF32
 	} else if h.flags&v2FlagW != 0 {
-		w64 = sectionWords[float64](data, h.sec[v2SecW])
+		w64, stored = sectionWords[float64](data, h.sec[v2SecW]), gstore.WeightsF64
+	}
+	if narrow := max(gstore.DetectWeightForm(w32), gstore.DetectWeightForm(w64)); narrow != stored {
+		return nil, fmt.Errorf("weights stored as %s, wider than their narrowest lossless form %s",
+			weightFormNames[stored], weightFormNames[narrow])
 	}
 	return gstore.NewCompactFromParts(kind,
 		sectionWords[int64](data, h.sec[v2SecRowPtr]),
