@@ -99,8 +99,9 @@ func progressFrom(ctx context.Context) ProgressFunc {
 	return func(float64) {}
 }
 
-// JobExecutor runs one job type on the served graph: it copies g with
-// gstore.Materialize itself where an algorithm needs the heap form. The
+// JobExecutor runs one job type on the served graph, compact or
+// mapped. An algorithm that needs a heap CSR (flow NCP, multilevel
+// partitioning) takes a gstore.Materialize copy itself. The
 // returned value is marshaled to JSON and must be deterministic for
 // identical params (given a fixed BaseSeed), so cached replays are
 // byte-identical.
