@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 
 	"repro/internal/gstore"
 	"repro/internal/vec"
@@ -63,12 +64,28 @@ func invDegrees(g gstore.Graph) []float64 {
 // x the bits are the matrix form's, which the tests keep as their
 // oracle.
 func mulWalk(g gstore.Graph, inv []float64, alpha float64, x, y []float64) {
+	if w32 := g.RawWeights32(); w32 != nil {
+		mulRows(g.RawRowPtr(), g.RawAdj(), w32, inv, alpha, x, y)
+	} else {
+		mulRows(g.RawRowPtr(), g.RawAdj(), g.RawWeights64(), inv, alpha, x, y)
+	}
+	// A mapped graph's raw slices do not keep g reachable; without this
+	// pin the collector could unmap it mid-product.
+	runtime.KeepAlive(g)
+}
+
+// mulRows is mulWalk over the raw CSR arrays, instantiated per stored
+// weight type; nil wts means unit weights.
+func mulRows[W float32 | float64](rowPtr []int64, adj []uint32, wts []W, inv []float64, alpha float64, x, y []float64) {
 	beta := 1 - alpha
 	for i := range y {
 		var s float64
 		diag := alpha != 0
-		it := g.Neighbors(i)
-		for j, w, ok := it.Next(); ok; j, w, ok = it.Next() {
+		for k := rowPtr[i]; k < rowPtr[i+1]; k++ {
+			j, w := int(adj[k]), 1.0
+			if wts != nil {
+				w = float64(wts[k])
+			}
 			if diag && j > i {
 				s += alpha * x[i]
 				diag = false

@@ -16,8 +16,8 @@
 //
 // Sweep cuts, NCP collection and the service layer read a graph
 // through N/M/Volume/Degree/Neighbors. The loops that touch every edge
-// read the Raw* arrays instead: the push kernels (one dispatch in
-// internal/kernel/csr.go picks a generic loop per weight form), the
+// read the Raw* arrays instead, with one generic loop per stored weight
+// type: the push kernels (one dispatch in internal/kernel/csr.go), the
 // dense diffusions of internal/diffusion and the snapshot writer.
 //
 // Mutation contract: every slice reachable through a backend aliases
@@ -64,11 +64,10 @@ func ParseKind(s string) (Kind, error) {
 }
 
 // Graph is the sealed graph every layer above gstore reads: the
-// compact CSR, in-heap or mapped. It is an alias, not an interface, so
-// the kernels, the dense diffusions and the snapshot writer read its
-// arrays with no type assertion, and a nil Graph is a nil pointer. Its
-// methods are safe for concurrent use; a Compact is immutable once
-// constructed.
+// compact CSR, in-heap or mapped. It is an alias, not an interface:
+// its methods are direct calls, the loops that read its arrays need no
+// type assertion, and a nil Graph is a nil pointer. Its methods are safe for concurrent use; a Compact is
+// immutable once constructed.
 type Graph = *Compact
 
 // NeighborIter is a by-value cursor over one node's adjacency row.
