@@ -2,8 +2,10 @@ package service
 
 import (
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"testing"
 
 	"repro/internal/graph"
@@ -151,6 +153,29 @@ func TestDiffusePinned(t *testing.T) {
 			if got := fmt.Sprintf("%d %x", status, sha256.Sum256(body)); got != pins[i] {
 				t.Errorf("%s %+v: got %s, pinned %s\n%s", name, req, got, pins[i], body)
 			}
+		}
+	}
+}
+
+// TestDiffuseRefusesAlphaOutsideUnitInterval: a diffuse alpha outside
+// [0,1] is the request's own invalid_argument, worded like its other
+// knobs and refused for every kind, before any diffusion runs.
+func TestDiffuseRefusesAlphaOutsideUnitInterval(t *testing.T) {
+	_, ts, _ := testServer(t, Config{})
+	for _, c := range []struct {
+		body, want string
+	}{
+		{`{"kind":"lazy","seeds":[0],"alpha":1.5}`, "alpha=1.5 outside [0,1]"},
+		{`{"kind":"lazy","seeds":[0],"alpha":-0.25}`, "alpha=-0.25 outside [0,1]"},
+		{`{"kind":"heat","seeds":[0],"alpha":2}`, "alpha=2 outside [0,1]"},
+	} {
+		status, body, _ := postWire(t, ts.URL+"/v1/graphs/ring/diffuse", json.RawMessage(c.body))
+		var reply struct{ Error api.Error }
+		if err := json.Unmarshal(body, &reply); err != nil {
+			t.Fatalf("%s: %v in %s", c.body, err, body)
+		}
+		if e := reply.Error; status != http.StatusBadRequest || e.Code != api.CodeInvalidArgument || e.Message != c.want {
+			t.Errorf("%s: %d %s, want 400 invalid_argument %q", c.body, status, body, c.want)
 		}
 	}
 }

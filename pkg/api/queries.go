@@ -159,7 +159,7 @@ type DiffuseRequest struct {
 	Seeds []int   `json:"seeds"`
 	T     float64 `json:"t,omitempty"`     // heat time
 	Gamma float64 `json:"gamma,omitempty"` // ppr teleportation
-	Alpha float64 `json:"alpha,omitempty"` // lazy-walk laziness (default 0.5)
+	Alpha float64 `json:"alpha,omitempty"` // lazy-walk laziness (0 or omitted: 0.5)
 	K     int     `json:"k,omitempty"`     // lazy-walk steps
 	TopK  int     `json:"topk,omitempty"`
 }
@@ -202,6 +202,9 @@ func (r *DiffuseRequest) Validate() error {
 	}
 	if r.Gamma <= 0 || r.Gamma >= 1 {
 		return Errorf(CodeInvalidArgument, "gamma=%v outside (0,1)", r.Gamma)
+	}
+	if !(r.Alpha >= 0 && r.Alpha <= 1) {
+		return Errorf(CodeInvalidArgument, "alpha=%v outside [0,1]", r.Alpha)
 	}
 	if r.K < 1 {
 		return Errorf(CodeInvalidArgument, "k=%d must be >= 1", r.K)
