@@ -266,7 +266,7 @@ func (d HeatKernel) run(ctx context.Context, g gstore.Graph, ws *Workspace, st *
 // — swap the result into R and sort its touched list.
 func (r *rows[W]) walkStep(ws *Workspace, eps float64) {
 	if ws.s.c == nil {
-		ws.s.init(ws.n) // the first walk step this workspace takes
+		ws.s.init(ws.capacity()) // the first walk step this workspace takes
 	}
 	ws.s.reset()
 	rowPtr, adj, wts, deg := r.rowPtr, r.adj, r.wts, r.deg

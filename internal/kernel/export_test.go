@@ -13,3 +13,7 @@ func (ws *Workspace) ForEachR(fn func(u int, x float64)) {
 
 // N returns the node count the workspace is sized for. Only tests ask.
 func (ws *Workspace) N() int { return ws.n }
+
+// Capacity returns the node count the workspace's planes are sized for.
+// Only tests ask.
+func (ws *Workspace) Capacity() int { return ws.capacity() }

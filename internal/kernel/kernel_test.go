@@ -286,7 +286,7 @@ func TestPoolReuseAndSizeGuard(t *testing.T) {
 	if ws2.PSupport() != 0 {
 		t.Fatal("pooled workspace not reset on Get")
 	}
-	// A workspace of the wrong size must be dropped, not recycled.
+	// A workspace of another size class never comes out of this one.
 	p.Put(NewWorkspace(8))
 	for i := 0; i < 64; i++ {
 		if got := p.Get().N(); got != 16 {

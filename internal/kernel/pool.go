@@ -1,41 +1,62 @@
 package kernel
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
-// Pool hands out workspaces for graphs with one fixed node count,
-// backed by a sync.Pool: with W concurrent users at most W workspaces
-// are ever live, and steady-state Get/Put pairs allocate nothing. The
-// serving layer keeps one Pool per loaded graph; the batch layers
-// create one per run and share it across their par workers, one
+// classes is the process-wide workspace cache: classes[c] holds idle
+// workspaces of capacity 1<<c, shared by every graph whose node count
+// rounds up to that power of two. A graph that is sealed, replaced or
+// reloaded borrows the warm workspaces its predecessors of the same
+// class put back, so its first query pays no O(n) allocation. The array
+// is fixed: there is no map, lock or registry to grow, and every GC
+// empties it like any sync.Pool.
+var classes [64]sync.Pool
+
+// class returns the size class of an n-node graph, the least c with
+// 1<<c >= n.
+func class(n int) int { return bits.Len(uint(max(n, 1) - 1)) }
+
+// Pool is one graph's handle on the workspace cache: it keeps only the
+// graph's node count, and hands out workspaces of its size class set to
+// serve that count. With W concurrent users of a class at most W of its
+// workspaces are ever live, and steady-state Get/Put pairs allocate
+// nothing. The serving layer keeps one Pool per loaded graph; the batch
+// layers create one per run and share it across their par workers, one
 // workspace per worker.
 type Pool struct {
-	n    int
-	pool sync.Pool
+	n int
 }
 
-// NewPool returns a pool of workspaces for n-node graphs.
-func NewPool(n int) *Pool {
-	p := &Pool{n: n}
-	p.pool.New = func() any { return NewWorkspace(n) }
-	return p
-}
+// NewPool returns the workspace handle for n-node graphs.
+func NewPool(n int) *Pool { return &Pool{n: n} }
 
-// N returns the node count the pool's workspaces are sized for.
+// N returns the node count the pool's workspaces serve.
 func (p *Pool) N() int { return p.n }
 
-// Get returns a reset workspace.
+// Get returns a reset workspace for the pool's node count, taken from
+// its size class or allocated at the class capacity.
 func (p *Pool) Get() *Workspace {
-	ws := p.pool.Get().(*Workspace)
+	c := class(p.n)
+	ws, _ := classes[c].Get().(*Workspace)
+	if ws == nil {
+		ws = NewWorkspace(1 << c)
+	}
+	ws.n = p.n
 	ws.Reset()
 	return ws
 }
 
-// Put returns a workspace to the pool. Workspaces of the wrong size
-// (from another graph's pool) are dropped rather than poisoning this
-// one.
+// Put returns a workspace to the size class its capacity fills. A
+// workspace whose capacity is no class capacity, such as one made by
+// NewWorkspace for a graph of another size, is dropped.
 func (p *Pool) Put(ws *Workspace) {
-	if ws == nil || ws.n != p.n {
+	if ws == nil {
 		return
 	}
-	p.pool.Put(ws)
+	capacity := ws.capacity()
+	if c := class(capacity); capacity == 1<<c {
+		classes[c].Put(ws)
+	}
 }

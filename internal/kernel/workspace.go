@@ -16,12 +16,16 @@
 // Node ordering is deterministic everywhere (FIFO push order,
 // ascending-id walk steps), so results are reproducible bit-for-bit.
 //
-// Workspaces are sized to one graph's node count and meant to be
-// reused: a Pool, built per graph by NewPool(n), hands them out so
-// steady-state serving allocates nothing on the hot path. A workspace
-// holds 32 bytes per node until it first runs a walk, which allocates
-// the walk's scratch plane (48 bytes per node from then on), plus an
-// n-bit set for the sweep.
+// A workspace has a capacity, which sizes its planes and bit set, and
+// serves one graph of at most that many nodes at a time. Workspaces are
+// meant to be reused: a Pool, the handle NewPool(n) returns for an
+// n-node graph, borrows them from a process-wide cache with one entry
+// per power-of-two capacity, so steady-state serving allocates nothing
+// on the hot path and a newly sealed graph reuses the workspaces of any
+// earlier graph of its size class. A workspace holds 32 bytes per unit
+// of capacity until it first runs a walk, which allocates the walk's
+// scratch plane (48 bytes from then on), plus a one-bit-per-node set
+// for the sweep.
 package kernel
 
 import "sort"
@@ -152,22 +156,25 @@ func (q *fifo) pop() (int, bool) {
 // push residual (or the live walk distribution mid-flight), the s plane
 // is the walk kernels' step target, and q is the push work queue. s is
 // allocated by the first walk step, so a workspace that only ever
-// pushes holds two records, 32 bytes, per node (48 once it has walked).
-// The rest is sweep scratch (sweep.go): the support as sorted (key,
-// node) pairs, the radix sort's second buffer, and inS, the n-bit
-// prefix-membership set of a scan (and the duplicate check of
-// SweepOrderList). All state resets in O(touched); a
+// pushes holds two records, 32 bytes, per node of capacity (48 once it
+// has walked). The rest is sweep scratch (sweep.go): the support as
+// sorted (key, node) pairs, the radix sort's second buffer, and inS,
+// the one-bit-per-node prefix-membership set of a scan (and the
+// duplicate check of SweepOrderList). Every plane and inS are sized by
+// the capacity; n, the node count of the graph the workspace currently
+// serves, bounds every node id. All state resets in O(touched); a
 // Workspace is not safe for concurrent use, but is safe to reuse
 // serially forever.
 type Workspace struct {
-	n          int
+	n          int // node count of the served graph, at most the capacity
 	p, r, s    plane
 	q          fifo
 	inS        []uint64
 	sweep, tmp []sweepPair
 }
 
-// NewWorkspace allocates a workspace for graphs with n nodes.
+// NewWorkspace allocates a workspace for graphs with n nodes, of
+// capacity n.
 func NewWorkspace(n int) *Workspace {
 	ws := &Workspace{n: n, inS: make([]uint64, (n+63)/64)}
 	ws.p.init(n)
@@ -175,6 +182,9 @@ func NewWorkspace(n int) *Workspace {
 	ws.q.res = &ws.r
 	return ws
 }
+
+// capacity returns the node count the workspace's planes are sized for.
+func (ws *Workspace) capacity() int { return len(ws.p.c) }
 
 // Reset clears every plane and the queue in O(touched).
 func (ws *Workspace) Reset() {

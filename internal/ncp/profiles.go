@@ -103,8 +103,9 @@ func SpectralProfileOn(ctx context.Context, g gstore.Graph, cfg SpectralConfig, 
 	// one-task-per-pair loop drew it, each emit writes only its own
 	// slot, and slots are concatenated in task order afterwards, so the
 	// assembled profile is byte-identical for any worker count or
-	// schedule. Workspaces are pooled by the engine: a run keeps at most
-	// Workers workspaces live.
+	// schedule. Workspaces are pooled by the engine: a run borrows at
+	// most Workers of them from the size class it shares with every
+	// other graph of its class.
 	tasks := len(c.Alphas) * c.Seeds
 	perTask := make([][]Cluster, tasks)
 	pool := kernel.NewPool(g.N())

@@ -2,7 +2,10 @@ package service
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -121,4 +124,97 @@ func TestConcurrentHammer(t *testing.T) {
 			t.Errorf("job %s: %v", j.ID, err)
 		}
 	}
+}
+
+// TestSizeClassSharedAcrossGraphs: four goroutines query two graphs of
+// one workspace size class (3 000 and 4 096 nodes) while a fifth seals,
+// queries and deletes a third graph of that class over and over, so
+// every workspace passes between graphs of different node counts. Run
+// under -race (CI does, ten times over) it checks that the shared class
+// hands each workspace to one holder at a time; every ppr (with its
+// sweep) and nibble localcluster reply must equal the one computed
+// serially before.
+func TestSizeClassSharedAcrossGraphs(t *testing.T) {
+	s, err := NewGraphStore("", "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	put := func(name string, n int, seed int64) error {
+		hg, err := gen.ForestFire(gen.ForestFireConfig{N: n, FwdProb: 0.35, Ambs: 1}, rand.New(rand.NewSource(seed)))
+		if err == nil {
+			_, err = s.Put(name, gstore.Wrap(hg))
+		}
+		return err
+	}
+	if err := errors.Join(put("a", 3000, 1), put("b", 4096, 2)); err != nil {
+		t.Fatal(err)
+	}
+	const seeds = 12
+	reply := func(name string, seed int) string {
+		g, _, pool, err := s.GetForQuery(name)
+		if err != nil {
+			return err.Error()
+		}
+		ppr := api.PPRRequest{Seeds: []int{seed * 97}, Sweep: true}
+		ppr.Normalize()
+		pr, _, err := execPPR(context.Background(), g, pool, ppr)
+		if err != nil {
+			return err.Error()
+		}
+		lc := api.LocalClusterRequest{Seeds: []int{seed * 89}, Method: "nibble"}
+		lc.Normalize()
+		cr, _, err := execLocalCluster(context.Background(), g, pool, lc)
+		if err != nil {
+			return err.Error()
+		}
+		body, err := json.Marshal([]any{pr, cr})
+		if err != nil {
+			return err.Error()
+		}
+		return string(body)
+	}
+	want := map[string][]string{}
+	for _, name := range []string{"a", "b"} {
+		for seed := range seeds {
+			want[name] = append(want[name], reply(name, seed))
+		}
+	}
+
+	done, churned := make(chan struct{}), make(chan struct{})
+	go func() { // the third graph, sealed and deleted until the readers finish
+		defer close(churned)
+		for cycle := 0; ; cycle++ {
+			if err := put("c", 2500+cycle%1500, int64(3+cycle)); err != nil {
+				t.Error(err)
+				return
+			}
+			reply("c", cycle%seeds)
+			if err := s.Delete("c"); err != nil {
+				t.Error(err)
+				return
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 2 * seeds {
+				name, seed := []string{"a", "b"}[(w+i)%2], (w*5+i)%seeds
+				if got := reply(name, seed); got != want[name][seed] {
+					t.Errorf("worker %d: %s seed %d replied\n%.300s\nserially\n%.300s", w, name, seed, got, want[name][seed])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(done)
+	<-churned
 }

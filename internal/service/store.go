@@ -69,7 +69,7 @@ type entry struct {
 	mu     sync.Mutex
 	g      gstore.Graph // sealed read view (compact or mmap backend)
 	b      *graph.Builder
-	pool   *kernel.Pool // per-graph diffusion workspaces; set when sealed
+	pool   *kernel.Pool // handle on the diffusion workspaces of its size class; set when sealed
 	nNodes int
 	nEdges int            // edges accepted while streaming
 	wal    *persist.WAL   // open log while streaming with a data dir
@@ -85,8 +85,10 @@ const maxKeptBytes = 1 << 20
 func small[T any](s []T) bool { return uintptr(cap(s))*unsafe.Sizeof(*new(T)) <= maxKeptBytes }
 
 // seal installs the immutable graph on the entry (caller holds e.mu)
-// together with its workspace pool, so every strongly-local query on
-// this graph reuses the same kernel scratch instead of allocating.
+// together with its workspace handle, so every strongly-local query on
+// this graph borrows kernel scratch from its size class instead of
+// allocating: the first query after a seal, replace or reload reuses
+// the warm workspaces of any earlier graph of that class.
 func (e *entry) seal(g gstore.Graph) {
 	e.g = g
 	e.pool = kernel.NewPool(g.N())

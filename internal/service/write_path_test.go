@@ -2,12 +2,15 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"runtime/debug"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/gstore"
 	"repro/pkg/api"
 )
@@ -135,4 +138,61 @@ func TestWritePathBuffersStayBounded(t *testing.T) {
 			t.Errorf("decode's pool holds a %d-byte body buffer", body.Cap())
 		}
 	}
+}
+
+// TestResealedGraphReusesWorkspaces: a graph sealed after another of
+// its size class was queried and deleted borrows that graph's warm
+// workspace, so its first ppr allocates its reply and no O(n) planes
+// (32 B per node, 131 kB at 4 096 nodes, when every sealed graph had a
+// pool of its own).
+func TestResealedGraphReusesWorkspaces(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool does not retain workspaces under the race detector")
+	}
+	// One P and no collection: the workspace the first graph's query
+	// puts back is the one the second graph's query gets.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const nodes, limit = 4096, 32_000
+	hg, err := gen.ForestFire(gen.ForestFireConfig{N: nodes, FwdProb: 0.35, Ambs: 1}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewGraphStore("", "", nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	req := api.PPRRequest{Seeds: []int{7}}
+	req.Normalize()
+	seal := func(name string) {
+		if _, err := s.Put(name, gstore.Wrap(hg)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	query := func(name string) uint64 {
+		g, _, pool, err := s.GetForQuery(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err = execPPR(context.Background(), g, pool, req)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	seal("first")
+	query("first")
+	if err := s.Delete("first"); err != nil {
+		t.Fatal(err)
+	}
+	seal("second")
+	got := query("second")
+	if got >= limit {
+		t.Fatalf("the resealed graph's first ppr allocated %d bytes, want under %d", got, limit)
+	}
+	t.Logf("the resealed graph's first ppr allocated %d bytes", got)
 }
