@@ -289,9 +289,36 @@ func TestPoolReuseAndSizeGuard(t *testing.T) {
 	// A workspace of another size class never comes out of this one.
 	p.Put(NewWorkspace(8))
 	for i := 0; i < 64; i++ {
-		if got := p.Get().N(); got != 16 {
-			t.Fatalf("pool handed out a %d-node workspace", got)
+		if got := p.Get().capacity(); got != 16 {
+			t.Fatalf("pool handed out a workspace of capacity %d", got)
 		}
+	}
+}
+
+// TestSizeClasses: the classes tile the node counts in order, one
+// capacity each, every capacity is its own class's, powers of two are
+// capacities, a capacity exceeds the node count by less than an eighth
+// of it, and the largest int still indexes the fixed array.
+func TestSizeClasses(t *testing.T) {
+	prevC, prevCap := -1, 0
+	for n := 1; n <= 1<<14; n++ {
+		c, capacity := sizeClass(n)
+		if c == prevC && capacity != prevCap || c != prevC && (c != prevC+1 || n != prevCap+1) {
+			t.Fatalf("n=%d: class %d capacity %d after class %d capacity %d", n, c, capacity, prevC, prevCap)
+		}
+		if capacity < n || (capacity-n)<<classBits >= n && capacity != n {
+			t.Fatalf("n=%d: capacity %d", n, capacity)
+		}
+		if n&(n-1) == 0 && capacity != n {
+			t.Fatalf("power of two %d in a class of capacity %d", n, capacity)
+		}
+		prevC, prevCap = c, capacity
+	}
+	if c, capacity := sizeClass(1<<16 + 1); capacity != 73728 || c >= len(classes) {
+		t.Fatalf("2^16+1 nodes: class %d capacity %d", c, capacity)
+	}
+	if c, _ := sizeClass(math.MaxInt); c != len(classes)-1 {
+		t.Fatalf("the largest int is in class %d of %d", c, len(classes))
 	}
 }
 

@@ -15,15 +15,17 @@ import (
 )
 
 // TestWorkspaceServesAnyGraphOfItsClass: one workspace of the 4096
-// class cycles through graphs of 3000, 4096 and 2049 nodes, each run
-// leaving stale records, queue marks and a walk plane behind for the
-// next graph: the walk plane the 3000-node graph allocates serves the
-// 4096-node one, whose records above 3000 are stale on the 2049-node
-// one. On every graph a push, a Nibble walk, a heat
+// class, which serves 3841 to 4096 nodes, cycles through graphs of
+// 3900, 4096 and 3841 nodes, each run leaving stale records, queue marks
+// and a walk plane behind for the next graph: the walk plane the
+// 3900-node graph allocates serves the 4096-node one, whose records
+// above 3900 are stale on the 3841-node one. On every graph a push, a Nibble walk, a heat
 // kernel, the push's sweep and a caller's-list sweep give the bits a
 // fresh NewWorkspace(n) gives, and an id in [n, capacity) is refused by
-// SweepOrderList at the index a fresh workspace refuses it. A
-// workspace of no class capacity put into the class never comes out.
+// SweepOrderList at the index a fresh workspace refuses it. Neither a
+// NewWorkspace(3900), sized for a graph of the class but not at its
+// capacity, nor a workspace of the class below, put through the 4096
+// class's handle, ever comes out of it.
 func TestWorkspaceServesAnyGraphOfItsClass(t *testing.T) {
 	// One P and no collection: a put workspace is the next get's.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
@@ -31,7 +33,7 @@ func TestWorkspaceServesAnyGraphOfItsClass(t *testing.T) {
 	const capacity = 4096
 	ctx := context.Background()
 	var ws *kernel.Workspace
-	for i, n := range []int{3000, 4096, 2049} {
+	for i, n := range []int{3900, 4096, 3841} {
 		hg, err := gen.ForestFire(gen.ForestFireConfig{N: n, FwdProb: 0.35, Ambs: 1}, rand.New(rand.NewSource(int64(n))))
 		if err != nil {
 			t.Fatal(err)
@@ -93,7 +95,8 @@ func TestWorkspaceServesAnyGraphOfItsClass(t *testing.T) {
 	}
 
 	pool := kernel.NewPool(capacity)
-	pool.Put(kernel.NewWorkspace(3000))
+	pool.Put(kernel.NewWorkspace(3900))
+	pool.Put(kernel.NewWorkspace(3840))
 	for range 64 {
 		ws := pool.Get()
 		defer pool.Put(ws)

@@ -19,9 +19,10 @@
 // A workspace has a capacity, which sizes its planes and bit set, and
 // serves one graph of at most that many nodes at a time. Workspaces are
 // meant to be reused: a Pool, the handle NewPool(n) returns for an
-// n-node graph, borrows them from a process-wide cache with one entry
-// per power-of-two capacity, so steady-state serving allocates nothing
-// on the hot path and a newly sealed graph reuses the workspaces of any
+// n-node graph, borrows them from a process-wide cache of size classes
+// (eight per doubling of capacity, each at most an eighth above the
+// node counts it serves), so steady-state serving allocates nothing on
+// the hot path and a newly sealed graph reuses the workspaces of any
 // earlier graph of its size class. A workspace holds 32 bytes per unit
 // of capacity until it first runs a walk, which allocates the walk's
 // scratch plane (48 bytes from then on), plus a one-bit-per-node set

@@ -127,7 +127,7 @@ func TestConcurrentHammer(t *testing.T) {
 }
 
 // TestSizeClassSharedAcrossGraphs: four goroutines query two graphs of
-// one workspace size class (3 000 and 4 096 nodes) while a fifth seals,
+// one workspace size class (3 900 and 4 096 nodes) while a fifth seals,
 // queries and deletes a third graph of that class over and over, so
 // every workspace passes between graphs of different node counts. Run
 // under -race (CI does, ten times over) it checks that the shared class
@@ -147,7 +147,7 @@ func TestSizeClassSharedAcrossGraphs(t *testing.T) {
 		}
 		return err
 	}
-	if err := errors.Join(put("a", 3000, 1), put("b", 4096, 2)); err != nil {
+	if err := errors.Join(put("a", 3900, 1), put("b", 4096, 2)); err != nil {
 		t.Fatal(err)
 	}
 	const seeds = 12
@@ -185,7 +185,7 @@ func TestSizeClassSharedAcrossGraphs(t *testing.T) {
 	go func() { // the third graph, sealed and deleted until the readers finish
 		defer close(churned)
 		for cycle := 0; ; cycle++ {
-			if err := put("c", 2500+cycle%1500, int64(3+cycle)); err != nil {
+			if err := put("c", 3841+cycle%255, int64(3+cycle)); err != nil {
 				t.Error(err)
 				return
 			}

@@ -142,9 +142,8 @@ func TestWritePathBuffersStayBounded(t *testing.T) {
 
 // TestResealedGraphReusesWorkspaces: a graph sealed after another of
 // its size class was queried and deleted borrows that graph's warm
-// workspace, so its first ppr allocates its reply and no O(n) planes
-// (32 B per node, 131 kB at 4 096 nodes, when every sealed graph had a
-// pool of its own).
+// workspace, so its first ppr allocates its reply and none of the
+// workspace's 32 B per node.
 func TestResealedGraphReusesWorkspaces(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool does not retain workspaces under the race detector")
