@@ -6,11 +6,17 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"testing"
+	"time"
 
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/gstore"
 	"repro/pkg/api"
 )
 
@@ -304,5 +310,95 @@ func TestBatchRepliesMatchTheirGoldens(t *testing.T) {
 	status, _, outcome := postBatch(t, ts, "ppr", api.PPRRequest{Seeds: []int{40}, TopK: 2, Alpha: 0.2, Eps: 1e-3, Sweep: true})
 	if status != http.StatusOK || outcome != "hit" {
 		t.Fatalf("single seed of a debug batch: status %d, outcome %q; want a hit", status, outcome)
+	}
+}
+
+// TestBatchDeadlineMidRun: a ppr:batch and a nibble localcluster:batch
+// whose compute budget (Config.QueryTimeout, no override) runs out part
+// way through. The reply is a typed deadline_exceeded, nothing is left
+// in the in-flight table, and every seed that reached the cache holds
+// the bytes its plain twin {"seeds":[s]} gets from a daemon with the
+// default budget. The first seeds sit in a small clique and finish at
+// once, the rest in a forest-fire graph whose walks outlast the budget;
+// the test holds however many of them finish.
+func TestBatchDeadlineMidRun(t *testing.T) {
+	srv, ts, _ := testServer(t, Config{QueryTimeout: 50 * time.Millisecond})
+	full, fullTS, _ := testServer(t, Config{})
+	ff, err := gen.ForestFire(gen.ForestFireConfig{N: 5000, FwdProb: 0.37, Ambs: 1}, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const clique = 8
+	b := graph.NewBuilder(ff.N() + clique)
+	ff.Edges(func(u, v int, w float64) { b.AddWeightedEdge(u, v, w) })
+	var seeds []int
+	for u := ff.N(); u < ff.N()+clique; u++ {
+		seeds = append(seeds, u)
+		for v := u + 1; v < ff.N()+clique; v++ {
+			b.AddEdge(u, v)
+		}
+	}
+	for u := 0; u < 24; u++ {
+		seeds = append(seeds, 200*u)
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Server{srv, full} {
+		if _, err := s.Store().Put("mixed", gstore.Wrap(g)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, id, _, err := srv.store.GetForQuery("mixed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		path, twinPath string
+		req            any
+		// twin is seed s's plain request, normalized, and its params.
+		twin func(s int) (any, []byte)
+	}{
+		{"ppr:batch", "ppr", api.PPRBatchRequest{Seeds: seeds, Alpha: 0.01, Eps: 1e-10, TopK: 10, Sweep: true},
+			func(s int) (any, []byte) {
+				req := api.PPRRequest{Seeds: []int{s}, Alpha: 0.01, Eps: 1e-10, TopK: 10, Sweep: true}
+				req.Normalize()
+				return req, pprParams(&req)
+			}},
+		{"localcluster:batch", "localcluster", api.LocalClusterBatchRequest{Method: "nibble", Seeds: seeds, Eps: 1e-10, Steps: 400},
+			func(s int) (any, []byte) {
+				req := api.LocalClusterRequest{Method: "nibble", Seeds: []int{s}, Eps: 1e-10, Steps: 400}
+				req.Normalize()
+				return req, mustParams(req)
+			}},
+	} {
+		status, body, _ := postWire(t, ts.URL+"/v1/graphs/mixed/"+c.path, c.req)
+		var env api.ErrorEnvelope
+		if err := json.Unmarshal(body, &env); err != nil || env.Error == nil ||
+			status != http.StatusGatewayTimeout || env.Error.Code != api.CodeDeadlineExceeded {
+			t.Fatalf("%s: status %d, body %.300s; want a 504 deadline_exceeded envelope", c.path, status, body)
+		}
+		srv.inflight.running.Wait() // the detached batch settles
+		srv.inflight.mu.Lock()
+		left := len(srv.inflight.flights)
+		srv.inflight.mu.Unlock()
+		if left != 0 {
+			t.Fatalf("%s: %d flights left in the table after the batch settled", c.path, left)
+		}
+		cached := 0
+		for _, s := range seeds {
+			req, params := c.twin(s)
+			got, _, ok := srv.cache.Get("q|" + c.twinPath + "|g" + strconv.FormatUint(id, 10) + "|" + string(params))
+			if !ok {
+				continue
+			}
+			cached++
+			status, want, _ := postWire(t, fullTS.URL+"/v1/graphs/mixed/"+c.twinPath, req)
+			if status != http.StatusOK || string(got)+"\n" != string(want) {
+				t.Fatalf("%s seed %d: cached\n%.300s\nbut its twin answers %d with\n%.300s", c.path, s, got, status, want)
+			}
+		}
+		t.Logf("%s: %d of %d seeds reached the cache before the deadline", c.path, cached, len(seeds))
 	}
 }
