@@ -9,13 +9,13 @@ import (
 	"repro/internal/par"
 )
 
-// This file is the diffusion engine: the runners of the three
+// This file is the diffusion engine: the run methods of the three
 // strategies and the loops they drive. The unit of work is one seed on
 // one workspace — a strongly-local diffusion's working set is sized by
 // its output support, so one seed's planes stay cache-resident from its
-// first push to its emit. A single-seed-set Diffuse calls its runner
-// directly; BatchDiffuser.Run is a parallel loop of the same call over
-// K seeds.
+// first push to its emit. A single-seed-set Diffuse calls its run
+// method directly; BatchDiffuser.Run is a parallel loop of the same call
+// over K seeds.
 //
 // The determinism contract is load-bearing for the whole serving
 // stack: a diffusion performs *exactly* the same float operations in
@@ -30,15 +30,6 @@ import (
 //   - Nibble / heat: a walk step processes the frontier in ascending
 //     node order (walkStep), truncates, and sorts the new frontier.
 
-// runner is what the engine needs of a strategy: its parameter check,
-// and the loop that advances one already-seeded workspace (R plane
-// loaded by seedR) to completion, filling st. onStep, when non-nil, is
-// the walk methods' per-step hook.
-type runner interface {
-	validate() error
-	run(ctx context.Context, g gstore.Graph, ws *Workspace, st *Stats, onStep func(step int, ws *Workspace) error) error
-}
-
 // BatchEmit receives one seed's finished result: the seed's index into
 // the batch, the workspace holding its output planes, and its Stats.
 // The workspace is only valid during the call — it returns to the pool
@@ -48,20 +39,15 @@ type runner interface {
 type BatchEmit func(i int, ws *Workspace, st Stats) error
 
 // BatchDiffuser runs one diffusion per seed, each on its own pooled
-// workspace. Method must be one of the kernel diffusions (PushACL,
-// NibbleWalk, HeatKernel); anything else is an error.
+// workspace.
 type BatchDiffuser struct {
 	// Method is the diffusion to run for every seed. A NibbleWalk with
-	// its own OnStep is rejected — the per-seed hook below replaces it.
+	// an OnStep is refused: the hook has no seed index, and seeds walk
+	// concurrently.
 	Method Diffuser
 	// Workers bounds the number of seeds diffusing concurrently, and so
 	// the workspaces live at once (<= 0 → runtime.NumCPU()).
 	Workers int
-	// OnStep, when non-nil, is called for walk methods after each
-	// step's truncation while the seed is still live, with the seed's
-	// batch index. Same contract as NibbleWalk.OnStep, plus the index;
-	// like BatchEmit it may run concurrently for different seeds.
-	OnStep func(i, step int, ws *Workspace) error
 }
 
 // Run diffuses every seed and returns per-seed Stats, calling emit (if
@@ -83,13 +69,9 @@ func (b BatchDiffuser) Run(ctx context.Context, g gstore.Graph, pool *Pool, seed
 		return nil, fmt.Errorf("kernel: pool sized for %d nodes used on a %d-node graph", pool.N(), g.N())
 	}
 	if nw, ok := b.Method.(NibbleWalk); ok && nw.OnStep != nil {
-		return nil, fmt.Errorf("kernel: batch nibble: set BatchDiffuser.OnStep, not NibbleWalk.OnStep")
+		return nil, fmt.Errorf("kernel: batch nibble: NibbleWalk.OnStep has no seed index; walk each seed with DiffuseContext")
 	}
-	m, ok := b.Method.(runner)
-	if !ok {
-		return nil, fmt.Errorf("kernel: batch diffuser: unsupported method %T", b.Method)
-	}
-	if err := m.validate(); err != nil {
+	if err := b.Method.validate(); err != nil {
 		return nil, err
 	}
 	stats := make([]Stats, len(seeds))
@@ -99,11 +81,7 @@ func (b BatchDiffuser) Run(ctx context.Context, g gstore.Graph, pool *Pool, seed
 		if err := seedR(g, ws, seeds[i:i+1]); err != nil {
 			return err
 		}
-		var onStep func(step int, ws *Workspace) error
-		if b.OnStep != nil {
-			onStep = func(step int, ws *Workspace) error { return b.OnStep(i, step, ws) }
-		}
-		if err := m.run(ctx, g, ws, &stats[i], onStep); err != nil {
+		if err := b.Method.run(ctx, g, ws, &stats[i]); err != nil {
 			return err
 		}
 		if emit == nil {
@@ -117,7 +95,7 @@ func (b BatchDiffuser) Run(ctx context.Context, g gstore.Graph, pool *Pool, seed
 	return stats, nil
 }
 
-func (d PushACL) run(ctx context.Context, g gstore.Graph, ws *Workspace, st *Stats, _ func(int, *Workspace) error) error {
+func (d PushACL) run(ctx context.Context, g gstore.Graph, ws *Workspace, st *Stats) error {
 	// Work queue of nodes that may violate r(u) < ε·deg(u), seeded in
 	// ascending node order so runs are deterministic.
 	for _, u := range ws.r.list {
@@ -215,7 +193,7 @@ func (r *rows[W]) pushQueue(d PushACL, ws *Workspace, st *Stats) (paused bool) {
 	return false
 }
 
-func (d NibbleWalk) run(ctx context.Context, g gstore.Graph, ws *Workspace, st *Stats, onStep func(step int, ws *Workspace) error) error {
+func (d NibbleWalk) run(ctx context.Context, g gstore.Graph, ws *Workspace, st *Stats) error {
 	for step := 1; step <= d.Steps; step++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -226,8 +204,8 @@ func (d NibbleWalk) run(ctx context.Context, g gstore.Graph, ws *Workspace, st *
 		}
 		st.MaxSupport = max(st.MaxSupport, len(ws.r.list))
 		st.Steps = step
-		if onStep != nil {
-			if err := onStep(step, ws); err != nil {
+		if d.OnStep != nil {
+			if err := d.OnStep(step, ws); err != nil {
 				return err
 			}
 		}
@@ -239,7 +217,7 @@ func (d NibbleWalk) run(ctx context.Context, g gstore.Graph, ws *Workspace, st *
 	return nil
 }
 
-func (d HeatKernel) run(ctx context.Context, g gstore.Graph, ws *Workspace, st *Stats, _ func(int, *Workspace) error) error {
+func (d HeatKernel) run(ctx context.Context, g gstore.Graph, ws *Workspace, st *Stats) error {
 	terms := d.terms()
 	weight := math.Exp(-d.T)
 	for _, u := range ws.r.list {

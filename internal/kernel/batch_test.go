@@ -165,62 +165,6 @@ func TestBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBatchOnStepMatchesSequential: the batch per-seed OnStep hook sees
-// the same (step, frontier) sequence as NibbleWalk.OnStep does
-// sequentially.
-func TestBatchOnStepMatchesSequential(t *testing.T) {
-	hg := batchTestGraph(t)
-	g := gstore.Wrap(hg)
-	pool := kernel.NewPool(g.N())
-	seeds := batchSeeds(g.N(), 7)
-	const eps, steps = 1e-4, 18
-
-	trace := func(ws *kernel.Workspace, step int) string {
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "step=%d", step)
-		ws.ForEachR(func(u int, v float64) {
-			fmt.Fprintf(&sb, " %d:%016x", u, math.Float64bits(v))
-		})
-		return sb.String()
-	}
-
-	want := make([][]string, len(seeds))
-	for i, s := range seeds {
-		i := i
-		ws := pool.Get()
-		d := kernel.NibbleWalk{Eps: eps, Steps: steps, OnStep: func(step int, ws *kernel.Workspace) error {
-			want[i] = append(want[i], trace(ws, step))
-			return nil
-		}}
-		if _, err := d.Diffuse(g, ws, []int{s}); err != nil {
-			t.Fatal(err)
-		}
-		pool.Put(ws)
-	}
-
-	got := make([][]string, len(seeds))
-	bd := kernel.BatchDiffuser{
-		Method: kernel.NibbleWalk{Eps: eps, Steps: steps},
-		OnStep: func(i, step int, ws *kernel.Workspace) error {
-			got[i] = append(got[i], trace(ws, step))
-			return nil
-		},
-	}
-	if _, err := bd.Run(context.Background(), g, pool, seeds, nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := range seeds {
-		if len(got[i]) != len(want[i]) {
-			t.Fatalf("seed[%d]: %d batch steps vs %d sequential", i, len(got[i]), len(want[i]))
-		}
-		for s := range got[i] {
-			if got[i][s] != want[i][s] {
-				t.Fatalf("seed[%d] step %d diverges:\nbatch: %.200s\nseq:   %.200s", i, s+1, got[i][s], want[i][s])
-			}
-		}
-	}
-}
-
 // TestPushStopsAtDeadline: a push diffusion's length is bounded only by
 // 1/(ε·α), so the loop itself must notice a deadline. At α = 1e-9 a
 // 64-node push runs for hours; under a 20 ms deadline it must return
@@ -325,22 +269,37 @@ func TestBatchCancellation(t *testing.T) {
 		t.Fatalf("Run under pre-cancelled ctx = %v, want context.Canceled", err)
 	}
 
-	// Walk methods check between steps too.
-	stepCtx, stepCancel := context.WithCancel(context.Background())
-	defer stepCancel()
-	var steps atomic.Int32 // seeds walk concurrently
-	_, err = kernel.BatchDiffuser{
-		Method: kernel.NibbleWalk{Eps: 1e-6, Steps: 500},
-		OnStep: func(i, step int, ws *kernel.Workspace) error {
-			if steps.Add(1) == 3 {
-				stepCancel()
-			}
+	// Walk methods check between steps too: on one worker, Run looks at
+	// the context's Err once before any seed and the walk once a step, so
+	// a context that reads cancelled from its fourth look on stops the
+	// first seed's walk at its third step.
+	stepCtx := &cancelAfter{Context: context.Background(), looks: 3}
+	_, err = kernel.BatchDiffuser{Method: kernel.NibbleWalk{Eps: 1e-6, Steps: 500}, Workers: 1}.
+		Run(stepCtx, g, pool, seeds[:4], func(i int, ws *kernel.Workspace, st kernel.Stats) error {
+			t.Errorf("seed[%d] emitted after a mid-walk cancel", i)
 			return nil
-		},
-	}.Run(stepCtx, g, pool, seeds[:4], nil)
+		})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run after mid-walk cancel = %v, want context.Canceled", err)
 	}
+	if n := stepCtx.seen.Load(); n != 4 {
+		t.Fatalf("the context was looked at %d times, want 4", n)
+	}
+}
+
+// cancelAfter is a context whose Err reads context.Canceled from look
+// looks+1 on; its Done never closes, so only Err calls can see it.
+type cancelAfter struct {
+	context.Context
+	looks int32
+	seen  atomic.Int32
+}
+
+func (c *cancelAfter) Err() error {
+	if c.seen.Add(1) > c.looks {
+		return context.Canceled
+	}
+	return nil
 }
 
 // TestBatchValidation pins the error surface of Run's own arguments;
@@ -365,8 +324,7 @@ func TestBatchValidation(t *testing.T) {
 		{"bad alpha", kernel.BatchDiffuser{Method: kernel.PushACL{Alpha: 2, Eps: 1e-4}}, pool, []int{1}, "outside (0,1)"},
 		{"bad eps", kernel.BatchDiffuser{Method: kernel.PushACL{Alpha: 0.1, Eps: 0}}, pool, []int{1}, "must be positive"},
 		{"seed range", kernel.BatchDiffuser{Method: kernel.PushACL{Alpha: 0.1, Eps: 1e-4}}, pool, []int{hg.N()}, "out of range"},
-		{"nibble hook", kernel.BatchDiffuser{Method: kernel.NibbleWalk{Eps: 1e-4, Steps: 3, OnStep: func(int, *kernel.Workspace) error { return nil }}}, pool, []int{1}, "BatchDiffuser.OnStep"},
-		{"foreign method", kernel.BatchDiffuser{Method: foreignDiffuser{}}, pool, []int{1}, "kernel: batch diffuser: unsupported method kernel_test.foreignDiffuser"},
+		{"nibble hook", kernel.BatchDiffuser{Method: kernel.NibbleWalk{Eps: 1e-4, Steps: 3, OnStep: func(int, *kernel.Workspace) error { return nil }}}, pool, []int{1}, "NibbleWalk.OnStep has no seed index"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -376,17 +334,6 @@ func TestBatchValidation(t *testing.T) {
 			}
 		})
 	}
-}
-
-// foreignDiffuser is a Diffuser the engine has no runner for.
-type foreignDiffuser struct{}
-
-func (foreignDiffuser) Diffuse(gstore.Graph, *kernel.Workspace, []int) (kernel.Stats, error) {
-	return kernel.Stats{}, nil
-}
-
-func (foreignDiffuser) DiffuseContext(context.Context, gstore.Graph, *kernel.Workspace, []int) (kernel.Stats, error) {
-	return kernel.Stats{}, nil
 }
 
 // onesWeighted serves a unit-weight graph as a compact backend that

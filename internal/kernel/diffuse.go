@@ -34,16 +34,22 @@ type Stats struct {
 // so a pooled workspace needs no cleaning between uses.
 //
 // Every diffusion is the engine's unit of work (batch.go): validate, seed
-// the R plane with the seed set, run the strategy's runner on the
-// workspace. The loops run over the compact graph's raw CSR arrays
-// behind one dispatch (csr.go), so the arithmetic — and therefore the
-// floating-point output — is identical bit for bit across the compact
-// and mmap backends.
+// the R plane with the seed set, run the strategy on the workspace. The
+// loops run over the compact graph's raw CSR arrays behind one dispatch
+// (csr.go), so the arithmetic — and therefore the floating-point output
+// — is identical bit for bit across the compact and mmap backends. The
+// unexported methods seal the interface to the kernel's three
+// diffusions: PushACL, NibbleWalk and HeatKernel.
 type Diffuser interface {
 	// DiffuseContext runs the diffusion under ctx: once ctx is done the
 	// run stops, between walk steps or within 4096 pushes, with ctx's
 	// error.
 	DiffuseContext(ctx context.Context, g gstore.Graph, ws *Workspace, seeds []int) (Stats, error)
+	// validate checks the strategy's parameters.
+	validate() error
+	// run advances one already-seeded workspace (R plane loaded by
+	// seedR) to completion, filling st.
+	run(ctx context.Context, g gstore.Graph, ws *Workspace, st *Stats) error
 }
 
 // seedR resets the workspace, spreads the uniform seed distribution
@@ -111,7 +117,7 @@ func (d PushACL) DiffuseContext(ctx context.Context, g gstore.Graph, ws *Workspa
 		return Stats{}, err
 	}
 	var st Stats
-	err := d.run(ctx, g, ws, &st, nil)
+	err := d.run(ctx, g, ws, &st)
 	return st, err
 }
 
@@ -159,7 +165,7 @@ func (d NibbleWalk) DiffuseContext(ctx context.Context, g gstore.Graph, ws *Work
 		return Stats{}, err
 	}
 	var st Stats
-	err := d.run(ctx, g, ws, &st, d.OnStep)
+	err := d.run(ctx, g, ws, &st)
 	return st, err
 }
 
@@ -219,6 +225,6 @@ func (d HeatKernel) DiffuseContext(ctx context.Context, g gstore.Graph, ws *Work
 		return Stats{}, err
 	}
 	var st Stats
-	err := d.run(ctx, g, ws, &st, nil)
+	err := d.run(ctx, g, ws, &st)
 	return st, err
 }

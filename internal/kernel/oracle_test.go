@@ -326,9 +326,9 @@ func traceR(step int, ws *kernel.Workspace) string {
 // TestEngineMatchesOracle: heap / compact / mmap × unit / f32 / f64
 // weights × push / nibble / heat, through Diffuse (seed sets, one with
 // a duplicate, and an isolated seed) and through BatchDiffuser.Run (13
-// single seeds, one and four workers), including the
-// walk's OnStep (step, frontier) sequence and the sweep scan over each
-// finished plane.
+// single seeds, one and four workers), including the walk's OnStep
+// (step, frontier) sequence through Diffuse and the sweep scan over
+// each finished plane.
 func TestEngineMatchesOracle(t *testing.T) {
 	weightForms := []struct {
 		name    string
@@ -354,8 +354,6 @@ func TestEngineMatchesOracle(t *testing.T) {
 			pool := kernel.NewPool(g.N())
 			for _, oc := range oracleCases() {
 				t.Run(wf.name+"/"+backendName+"/"+oc.name, func(t *testing.T) {
-					_, isNibble := oc.method.(kernel.NibbleWalk)
-
 					for _, seeds := range seedSets {
 						label := fmt.Sprintf("Diffuse(%v)", seeds)
 						var wantTrace, gotTrace []string
@@ -390,14 +388,7 @@ func TestEngineMatchesOracle(t *testing.T) {
 						// Seeds emit from par's goroutines: copy out there,
 						// compare here.
 						got := make([]result, len(batchSeeds))
-						gotTraces := make([][]string, len(batchSeeds))
 						bd := kernel.BatchDiffuser{Method: oc.method, Workers: workers}
-						if isNibble {
-							bd.OnStep = func(i, step int, ws *kernel.Workspace) error {
-								gotTraces[i] = append(gotTraces[i], traceR(step, ws))
-								return nil
-							}
-						}
 						_, err := bd.Run(context.Background(), g, pool, batchSeeds, func(i int, ws *kernel.Workspace, st kernel.Stats) error {
 							got[i] = snapshot(ws, st)
 							return nil
@@ -410,7 +401,6 @@ func TestEngineMatchesOracle(t *testing.T) {
 							var wantTrace []string
 							p, r, want := oc.ref(g, batchSeeds[i:i+1], &wantTrace)
 							checkResult(t, label, got[i], p, r, want)
-							sameLines(t, label+" OnStep", gotTraces[i], wantTrace)
 						}
 					}
 				})

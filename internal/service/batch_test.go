@@ -209,12 +209,12 @@ func TestWarmSlotsServeABatch(t *testing.T) {
 	started, release := make(chan struct{}), make(chan struct{})
 	single := make(chan string, 1)
 	seven := pprQuery(7, nil)
-	seven.compute = func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
+	seven.compute = func(ctx context.Context, q queryView, _ []int, debugWork bool) ([]byte, api.WorkStats, error) {
 		close(started)
 		<-release
 		req := api.PPRRequest{Seeds: []int{7}}
 		req.Normalize()
-		return execPPR(ctx, q.g, q.pool, req)
+		return execPPR(ctx, q, req, debugWork)
 	}
 	go func() {
 		a, err := srv.resolve(ringRequest(context.Background(), ""), "ring", seven)

@@ -158,17 +158,17 @@ func TestSizeClassSharedAcrossGraphs(t *testing.T) {
 		}
 		ppr := api.PPRRequest{Seeds: []int{seed * 97}, Sweep: true}
 		ppr.Normalize()
-		pr, _, err := execPPR(context.Background(), g, pool, ppr)
+		pr, _, err := execPPR(context.Background(), queryView{g: g, pool: pool}, ppr, false)
 		if err != nil {
 			return err.Error()
 		}
 		lc := api.LocalClusterRequest{Seeds: []int{seed * 89}, Method: "nibble"}
 		lc.Normalize()
-		cr, _, err := execLocalCluster(context.Background(), g, pool, lc)
+		cr, _, err := execLocalCluster(context.Background(), queryView{g: g, pool: pool}, lc, false)
 		if err != nil {
 			return err.Error()
 		}
-		body, err := json.Marshal([]any{pr, cr})
+		body, err := json.Marshal([]any{json.RawMessage(pr), json.RawMessage(cr)})
 		if err != nil {
 			return err.Error()
 		}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"compress/gzip"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -168,8 +169,9 @@ func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	s.serveQuery(w, r, query{endpoint: "stats", params: []byte("{}"), compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
-		return execStats(name, q.g), nil, nil
+	s.serveQuery(w, r, query{endpoint: "stats", params: []byte("{}"), compute: func(_ context.Context, q queryView, _ []int, _ bool) ([]byte, api.WorkStats, error) {
+		body, err := json.Marshal(execStats(name, q.g))
+		return body, api.WorkStats{}, err
 	}})
 }
 
@@ -178,22 +180,32 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	s.serveQuery(w, r, query{endpoint: "ppr", params: pprParams(&req), compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
-		return execPPR(ctx, q.g, q.pool, req)
+	s.serveQuery(w, r, query{endpoint: "ppr", params: pprParams(&req), compute: func(ctx context.Context, q queryView, _ []int, debugWork bool) ([]byte, api.WorkStats, error) {
+		return execPPR(ctx, q, req, debugWork)
 	}})
 }
 
 // handlePPRBatch serves K independent single-seed pushes in one request:
-// K ppr queries {"seeds":[s]}, computed in one kernel batch pass.
+// K ppr queries {"seeds":[s]}, each computed by the ppr query's code.
 func (s *Server) handlePPRBatch(w http.ResponseWriter, r *http.Request) {
 	var req api.PPRBatchRequest
 	if !s.decode(w, r, &req) {
 		return
 	}
-	twin := api.PPRRequest{Seeds: []int{0}, Alpha: req.Alpha, Eps: req.Eps, TopK: req.TopK, Sweep: req.Sweep}
-	s.serveQuery(w, r, query{endpoint: "ppr:batch", params: pprParams((*api.PPRRequest)(&req)), batch: &seedBatch{
-		seeds: req.Seeds, endpoint: "ppr", twin: pprParams(&twin), run: (*pprSeeds)(&twin), method: "push-batch",
-	}})
+	s.serveQuery(w, r, pprBatchQuery(req))
+}
+
+func pprBatchQuery(req api.PPRBatchRequest) query {
+	twin := api.PPRRequest(req)
+	twin.Seeds = []int{0}
+	return query{endpoint: "ppr:batch", params: pprParams((*api.PPRRequest)(&req)),
+		compute: func(ctx context.Context, q queryView, seeds []int, debugWork bool) ([]byte, api.WorkStats, error) {
+			one := api.PPRRequest(req)
+			one.Seeds = seeds
+			return execPPR(ctx, q, one, debugWork)
+		},
+		batch: &seedBatch{seeds: req.Seeds, endpoint: "ppr", twin: pprParams(&twin), splice: api.AppendPPRBatchJSON, method: "push-batch"},
+	}
 }
 
 // handleLocalClusterBatch is handlePPRBatch for K localcluster queries.
@@ -202,10 +214,19 @@ func (s *Server) handleLocalClusterBatch(w http.ResponseWriter, r *http.Request)
 	if !s.decode(w, r, &req) {
 		return
 	}
-	twin := api.LocalClusterRequest{Method: req.Method, Seeds: []int{0}, Alpha: req.Alpha, Eps: req.Eps, Steps: req.Steps, T: req.T}
-	s.serveQuery(w, r, query{endpoint: "localcluster:batch", params: mustParams(req), batch: &seedBatch{
-		seeds: req.Seeds, endpoint: "localcluster", twin: mustParams(twin), run: (*clusterSeeds)(&twin), method: req.Method + "-batch",
-	}})
+	twin := api.LocalClusterRequest(req)
+	twin.Seeds = []int{0}
+	s.serveQuery(w, r, query{endpoint: "localcluster:batch", params: mustParams(req),
+		compute: func(ctx context.Context, q queryView, seeds []int, debugWork bool) ([]byte, api.WorkStats, error) {
+			one := api.LocalClusterRequest(req)
+			one.Seeds = seeds
+			return execLocalCluster(ctx, q, one, debugWork)
+		},
+		batch: &seedBatch{seeds: req.Seeds, endpoint: "localcluster", twin: mustParams(twin), method: req.Method + "-batch",
+			splice: func(dst []byte, seeds []int, body func(int) []byte, _ float64, work *api.WorkStats) ([]byte, error) {
+				return api.AppendLocalClusterBatchJSON(dst, req.Method, seeds, body, work)
+			}},
+	})
 }
 
 func (s *Server) handleLocalCluster(w http.ResponseWriter, r *http.Request) {
@@ -213,8 +234,8 @@ func (s *Server) handleLocalCluster(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	s.serveQuery(w, r, query{endpoint: "localcluster", params: mustParams(req), compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
-		return execLocalCluster(ctx, q.g, q.pool, req)
+	s.serveQuery(w, r, query{endpoint: "localcluster", params: mustParams(req), compute: func(ctx context.Context, q queryView, _ []int, debugWork bool) ([]byte, api.WorkStats, error) {
+		return execLocalCluster(ctx, q, req, debugWork)
 	}})
 }
 
@@ -223,8 +244,8 @@ func (s *Server) handleDiffuse(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	s.serveQuery(w, r, query{endpoint: "diffuse", params: mustParams(req), compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
-		return execDiffuse(ctx, q.g, req)
+	s.serveQuery(w, r, query{endpoint: "diffuse", params: mustParams(req), compute: func(ctx context.Context, q queryView, _ []int, debugWork bool) ([]byte, api.WorkStats, error) {
+		return execDiffuse(ctx, q, req, debugWork)
 	}})
 }
 
@@ -233,8 +254,8 @@ func (s *Server) handleSweepCut(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	s.serveQuery(w, r, query{endpoint: "sweepcut", params: mustParams(req), compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
-		return execSweepCut(q.g, q.pool, req)
+	s.serveQuery(w, r, query{endpoint: "sweepcut", params: mustParams(req), compute: func(_ context.Context, q queryView, _ []int, _ bool) ([]byte, api.WorkStats, error) {
+		return execSweepCut(q, req)
 	}})
 }
 

@@ -3,7 +3,6 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
 	"strconv"
 	"strings"
@@ -12,6 +11,7 @@ import (
 
 	"repro/internal/gstore"
 	"repro/internal/kernel"
+	"repro/internal/par"
 	"repro/pkg/api"
 )
 
@@ -26,35 +26,33 @@ import (
 // handler's exec* closure. A batch request (ppr:batch,
 // localcluster:batch) is K single-seed queries keyed as their twins
 // {"seeds":[s]} are: it shares their plain cache slots and flights,
-// opens the rest as one batch its seedRunner computes in one kernel pass
-// (byte-identical per seed), and splices its reply from their bodies.
-// It is a hit if every seed hit.
+// opens the rest as one batch that runs the twin computation once per
+// open seed, concurrently, and splices its reply from their bodies. It
+// is a hit if every seed hit.
 
 // query is what a handler hands the pipeline.
 type query struct {
 	endpoint string
 	params   []byte // the post-Normalize request marshalled from its type: canonical as it stands
-	compute  func(ctx context.Context, q queryView) (any, *api.WorkStats, error)
-	// batch, set for a batch request, stands in for compute.
+	compute  computeFunc
+	// batch, set for a batch request, names its twin queries; compute
+	// answers one of them.
 	batch *seedBatch
 }
+
+// computeFunc answers a query: its encoded reply, with the work block
+// under debugWork, and its work. seeds is the seed set of a batch
+// request's twin query; a plain query's computation has its own.
+type computeFunc func(ctx context.Context, q queryView, seeds []int, debugWork bool) ([]byte, api.WorkStats, error)
 
 // seedBatch is a batch request's K single-seed queries to endpoint.
 type seedBatch struct {
 	seeds    []int
 	endpoint string
 	twin     []byte // the params of the seed-0 twin request
-	run      seedRunner
-	method   string // of the work folded from the seeds'
-}
-
-// seedRunner runs queries that differ only in the seed in one kernel
-// pass, emitting each seed's encoded reply (with its work block under
-// debugWork) as it finishes, concurrently; the error is for the seeds
-// not emitted. splice joins their plain replies into a batch reply.
-type seedRunner interface {
-	runSeeds(ctx context.Context, v queryView, seeds []int, debugWork bool, emit func(i int, body []byte, work api.WorkStats, err error)) error
-	splice(dst []byte, seeds []int, body func(i int) []byte, totalWork float64, work *api.WorkStats) ([]byte, error)
+	// splice joins the twins' replies, in seed order, into the batch's.
+	splice func(dst []byte, seeds []int, body func(i int) []byte, totalWork float64, work *api.WorkStats) ([]byte, error)
+	method string // of the work folded from the seeds'
 }
 
 // queryView is what the pipeline hands each compute function: the
@@ -71,7 +69,7 @@ type queryView struct {
 // are read-only after.
 type flight struct {
 	key   string
-	seed  int // the flight's seed when its batch runs seeds
+	seeds []int // a batch request's slot: its twin's seed set, one seed of the request's
 	batch *batch
 	body  []byte
 	work  api.WorkStats // rides along to the cache, the histograms and the trace ring
@@ -82,7 +80,7 @@ type flight struct {
 // the table's mutex and frozen once it fires.
 type batch struct {
 	// query is that of the request that opened the batch: compute runs
-	// its flight alone, batch.run the flights of a batch request.
+	// once per flight.
 	query
 	view queryView
 	// budget bounds the computation: the larger of the server default
@@ -115,11 +113,11 @@ type answer struct {
 
 // seedSlot is one key a request needs, answered by the cache or a flight.
 type seedSlot struct {
-	key  string
-	seed int
-	body []byte
-	work *api.WorkStats
-	f    *flight
+	key   string
+	seeds []int // as the flight's
+	body  []byte
+	work  *api.WorkStats
+	f     *flight
 }
 
 // serveQuery is the HTTP shell of the pipeline: resolve the answer,
@@ -182,10 +180,11 @@ func (s *Server) resolve(r *http.Request, name string, q query) (a answer, err e
 			budget: max(s.cfg.QueryTimeout, timeout), done: make(chan struct{})}
 		if sb != nil {
 			// An out-of-range seed fails the batch before any flight
-			// opens, with the kernel's words (alone, it never emits).
-			for _, seed := range sb.seeds {
+			// opens, with its twin's words.
+			for i, seed := range sb.seeds {
 				if seed >= g.N() {
-					return a, sb.run.runSeeds(ctx, nb.view, []int{seed}, false, nil)
+					_, _, err := q.compute(ctx, nb.view, sb.seeds[i:i+1], false)
+					return a, err
 				}
 			}
 		}
@@ -241,7 +240,7 @@ func (s *Server) resolve(r *http.Request, name string, q query) (a answer, err e
 		work = &w
 	}
 	scratch := encodeScratch.Get().(*[]byte)
-	if a.body, err = sb.run.splice((*scratch)[:0], sb.seeds, func(i int) []byte { return batchSlots[i].body }, w.WorkVolume, work); err != nil {
+	if a.body, err = sb.splice((*scratch)[:0], sb.seeds, func(i int) []byte { return batchSlots[i].body }, w.WorkVolume, work); err != nil {
 		encodeScratch.Put(scratch)
 		return a, err
 	}
@@ -270,7 +269,7 @@ func seedKeys(sb *seedBatch, id uint64) []seedSlot {
 	all, slots := keys.String(), make([]seedSlot, len(sb.seeds))
 	for i, seed := range sb.seeds {
 		n = len(head) + len(digits(seed)) + len(tail)
-		slots[i], all = seedSlot{key: all[:n], seed: seed}, all[n:]
+		slots[i], all = seedSlot{key: all[:n], seeds: sb.seeds[i : i+1]}, all[n:]
 	}
 	return slots
 }
@@ -301,7 +300,7 @@ func (s *Server) join(slots []seedSlot, b *batch, misses int) (opened bool, err 
 			return false, storeErrf(ErrUnavailable, "server is shutting down")
 		}
 		sl.f, fresh = &fresh[0], fresh[1:]
-		*sl.f = flight{key: sl.key, seed: sl.seed, batch: b}
+		*sl.f = flight{key: sl.key, seeds: sl.seeds, batch: b}
 		t.flights[sl.key] = sl.f
 		b.flights = append(b.flights, sl.f)
 		opened = true
@@ -314,12 +313,13 @@ func (s *Server) join(slots []seedSlot, b *batch, misses int) (opened bool, err 
 	return opened, nil
 }
 
-// runBatch computes a fired batch on its own goroutine and settles
-// every flight: those the computation did not answer get its error.
-// This is the query path's one panic guard — the goroutine is outside
-// net/http's per-request recover, and a panicking algorithm must fail
-// its flights, not the daemon. (The workers par starts for a batch of
-// several seeds hand their panics back to this goroutine.)
+// runBatch computes a fired batch on its own goroutine, one flight per
+// call of the query's computation, and settles every flight: those no
+// call answered get the run's error. This is the query path's one panic
+// guard — the goroutine is outside net/http's per-request recover, and
+// a panicking algorithm must fail its flights, not the daemon. (The
+// workers par starts for a batch of several flights hand their panics
+// back to this goroutine.)
 func (s *Server) runBatch(b *batch) {
 	ctx, cancel := context.WithTimeout(context.Background(), b.budget)
 	var err error
@@ -342,31 +342,10 @@ func (s *Server) runBatch(b *batch) {
 		t.mu.Unlock()
 		t.running.Done()
 	}()
-	if b.compute != nil {
-		v, work, cerr := b.compute(ctx, b.view)
-		f := b.flights[0]
-		if f.err = cerr; cerr == nil {
-			if wc, ok := v.(api.WorkCarrier); ok && b.debugWork && work != nil {
-				wc.SetWork(work)
-			}
-			if r, ok := v.(*api.PPRResponse); ok {
-				f.body, f.err = encodePPR(r)
-			} else {
-				f.body, f.err = json.Marshal(v)
-			}
-		}
-		if work != nil {
-			f.work = *work
-		}
-		return
-	}
-	seeds := make([]int, len(b.flights))
-	for i, f := range b.flights {
-		seeds[i] = f.seed
-	}
-	err = b.query.batch.run.runSeeds(ctx, b.view, seeds, b.debugWork, func(i int, body []byte, work api.WorkStats, err error) {
+	err = par.ForEachCtx(ctx, 0, len(b.flights), func(i int) error {
 		f := b.flights[i]
-		f.body, f.work, f.err = body, work, err
+		f.body, f.work, f.err = b.compute(ctx, b.view, f.seeds, b.debugWork)
+		return nil
 	})
 }
 

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/gstore"
-	"repro/internal/kernel"
 	"repro/pkg/api"
 )
 
@@ -37,9 +36,13 @@ func pprQuery(seed int, compute func(ctx context.Context, q queryView) (any, err
 	req := api.PPRRequest{Seeds: []int{seed}}
 	req.Normalize()
 	return query{endpoint: "ppr", params: pprParams(&req),
-		compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
+		compute: func(ctx context.Context, q queryView, _ []int, _ bool) ([]byte, api.WorkStats, error) {
 			v, err := compute(ctx, q)
-			return v, nil, err
+			if err != nil {
+				return nil, api.WorkStats{}, err
+			}
+			body, err := json.Marshal(v)
+			return body, api.WorkStats{}, err
 		}}
 }
 
@@ -254,7 +257,7 @@ func TestTimeoutOverrideOverHTTP(t *testing.T) {
 // the pipeline as a batch of one, on the flight's own goroutine: its
 // requester gets a typed internal error, a flight computing alongside
 // it is answered, and the daemon keeps serving. The same goes for a panic on one of the extra
-// goroutines a kernel batch of several blocks runs on.
+// goroutines a batch of several flights runs on.
 func TestPanicFailsItsFlightOnly(t *testing.T) {
 	for _, d := range daemons {
 		t.Run(d.name, func(t *testing.T) {
@@ -273,18 +276,18 @@ func TestPanicFailsItsFlightOnly(t *testing.T) {
 				panic("algorithm bug")
 			}))
 			wantCode(t, w, api.CodeInternal)
-			seeds := make([]int, 20) // three kernel blocks, on two workers
+			seeds := make([]int, 20) // twenty flights, on the batch's workers
+			for i := range seeds {
+				seeds[i] = i
+			}
 			w = ask(context.Background(), srv, "", query{endpoint: "ppr:batch", params: []byte(`{"panics":true}`),
-				compute: func(ctx context.Context, q queryView) (any, *api.WorkStats, error) {
-					bd := kernel.BatchDiffuser{Method: kernel.PushACL{Alpha: 0.15, Eps: 1e-4}, Workers: 2}
-					_, err := bd.Run(ctx, q.g, q.pool, seeds, func(i int, _ *kernel.Workspace, _ kernel.Stats) error {
-						if i == 12 {
-							panic("algorithm bug in a block worker")
-						}
-						return nil
-					})
-					return nil, nil, err
-				}})
+				compute: func(_ context.Context, _ queryView, seeds []int, _ bool) ([]byte, api.WorkStats, error) {
+					if seeds[0] == 12 {
+						panic("algorithm bug in a batch worker")
+					}
+					return []byte(`"fine"`), api.WorkStats{}, nil
+				},
+				batch: &seedBatch{seeds: seeds, endpoint: "ppr", twin: []byte(`{"seeds":[0],"panics":true}`), splice: api.AppendPPRBatchJSON}})
 			wantCode(t, w, api.CodeInternal)
 			close(release)
 			if w := <-bystander; w.Code != http.StatusOK || w.Body.String() != "\"fine\"\n" {
@@ -312,9 +315,9 @@ func TestCloseDrainsInFlightQueries(t *testing.T) {
 			close(started)
 			<-release
 			// Walk the mapped adjacency: a fault if Close got here first.
-			out, _, err := execPPR(ctx, q.g, q.pool, api.PPRRequest{Seeds: []int{0}, Alpha: 0.15, Eps: 1e-7, TopK: 5})
+			out, _, err := execPPR(ctx, q, api.PPRRequest{Seeds: []int{0}, Alpha: 0.15, Eps: 1e-7, TopK: 5}, false)
 			finished.Store(true)
-			return out, err
+			return json.RawMessage(out), err
 		}))
 	}()
 	<-started

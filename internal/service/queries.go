@@ -17,9 +17,10 @@ import (
 )
 
 // This file is the execute step of the handler pipeline: pure
-// (graph, validated request) → (response, error) functions with no HTTP
-// in sight. Handlers decode/validate, the pipeline keys and deduplicates,
-// these compute.
+// (graph, validated request) → (encoded reply, work, error) functions
+// with no HTTP in sight. Handlers decode/validate, the pipeline keys and
+// deduplicates, these compute — a batch request's seeds included, each
+// by its twin query's function.
 
 func execStats(name string, g gstore.Graph) *api.StatsResponse {
 	res := &api.StatsResponse{Name: name, Nodes: g.N(), Edges: g.M(), Volume: g.Volume()}
@@ -54,11 +55,11 @@ func workFromStats(method string, st kernel.Stats) api.WorkStats {
 }
 
 // pprResult assembles one seed set's ppr reply from the workspace a
-// push left behind and that push's stats — the one place the single
-// and batched paths turn planes into wire types. Top-k and sweep read
-// the planes directly on workspace scratch, so what is allocated here
-// is the reply itself: the `set` slice, and the `top` slice unless a
-// non-nil top has room for it (*top keeps the list).
+// push left behind and that push's stats — the one place a push's
+// planes become wire types. Top-k and sweep read the planes directly on
+// workspace scratch, so what is allocated here is the reply itself: the
+// `set` slice, and the `top` slice unless a non-nil top has room for it
+// (*top keeps the list).
 func pprResult(g gstore.Graph, ws *kernel.Workspace, st kernel.Stats, topK int, sweep bool, top *[]api.NodeMass) (api.PPRResponse, error) {
 	var buf []api.NodeMass
 	if top != nil {
@@ -120,108 +121,35 @@ func betterCut(g gstore.Graph, ws *kernel.Workspace, best *api.SweepInfo) *api.S
 	return keepCut(ws, prefix, phi)
 }
 
-// execPPR answers a PPR query on a pooled kernel workspace.
-func execPPR(ctx context.Context, g gstore.Graph, pool *kernel.Pool, req api.PPRRequest) (*api.PPRResponse, *api.WorkStats, error) {
-	ws := pool.Get()
-	defer pool.Put(ws)
-	st, err := kernel.PushACL{Alpha: req.Alpha, Eps: req.Eps}.DiffuseContext(ctx, g, ws, req.Seeds)
+// execPPR answers a PPR query on a pooled kernel workspace, encoding
+// its reply before the top list goes back to the pool.
+func execPPR(ctx context.Context, q queryView, req api.PPRRequest, debugWork bool) ([]byte, api.WorkStats, error) {
+	ws := q.pool.Get()
+	defer q.pool.Put(ws)
+	st, err := kernel.PushACL{Alpha: req.Alpha, Eps: req.Eps}.DiffuseContext(ctx, q.g, ws, req.Seeds)
 	if err != nil {
-		return nil, nil, err
-	}
-	out, err := pprResult(g, ws, st, req.TopK, req.Sweep, nil)
-	if err != nil {
-		return nil, nil, err
+		return nil, api.WorkStats{}, err
 	}
 	work := workFromStats("push", st)
-	return &out, &work, nil
+	top := topScratch.Get().(*[]api.NodeMass)
+	defer topScratch.Put(top)
+	out, err := pprResult(q.g, ws, st, req.TopK, req.Sweep, top)
+	if err != nil {
+		return nil, work, err
+	}
+	if debugWork {
+		out.Work = &work
+	}
+	body, err := encodePPR(&out)
+	return body, work, err
 }
 
 // topScratch holds the top lists of replies encoded as soon as selected.
 var topScratch = sync.Pool{New: func() any { return new([]api.NodeMass) }}
 
-// pprSeeds is a ppr request less its seed, run for each seed of a
-// ppr:batch: a seed's reply is execPPR's for it alone (the batch
-// engine is byte-identical per seed), encoded before its top list goes
-// back to the pool; an unsweepable support fails its own seed only.
-type pprSeeds api.PPRRequest
-
-func (p *pprSeeds) runSeeds(ctx context.Context, v queryView, seeds []int, debugWork bool, emit func(i int, body []byte, work api.WorkStats, err error)) error {
-	bd := kernel.BatchDiffuser{Method: kernel.PushACL{Alpha: p.Alpha, Eps: p.Eps}}
-	_, err := bd.Run(ctx, v.g, v.pool, seeds, func(i int, ws *kernel.Workspace, st kernel.Stats) error {
-		work := workFromStats("push", st)
-		top := topScratch.Get().(*[]api.NodeMass)
-		out, err := pprResult(v.g, ws, st, p.TopK, p.Sweep, top)
-		var body []byte
-		if err == nil {
-			if debugWork {
-				out.Work = &work
-			}
-			body, err = encodePPR(&out)
-		}
-		topScratch.Put(top)
-		emit(i, body, work, err)
-		return nil
-	})
-	return err
-}
-
-func (p *pprSeeds) splice(dst []byte, seeds []int, body func(int) []byte, totalWork float64, work *api.WorkStats) ([]byte, error) {
-	return api.AppendPPRBatchJSON(dst, seeds, body, totalWork, work)
-}
-
-// clusterSeeds is pprSeeds for the localcluster query.
-type clusterSeeds api.LocalClusterRequest
-
-func (c *clusterSeeds) runSeeds(ctx context.Context, v queryView, seeds []int, debugWork bool, emit func(i int, body []byte, work api.WorkStats, err error)) error {
-	reply := func(i int, cut *api.SweepInfo, st kernel.Stats) {
-		out, work, err := clusterResult(v.g, c.Method, cut, st)
-		var body []byte
-		if err == nil {
-			if debugWork {
-				out.Work = &work
-			}
-			body, err = json.Marshal(out)
-		}
-		emit(i, body, work, err)
-	}
-	if c.Method == "nibble" {
-		best := make([]*api.SweepInfo, len(seeds))
-		bd := kernel.BatchDiffuser{
-			Method: kernel.NibbleWalk{Eps: c.Eps, Steps: c.Steps},
-			OnStep: func(i, _ int, ws *kernel.Workspace) error {
-				best[i] = betterCut(v.g, ws, best[i])
-				return nil
-			},
-		}
-		sts, err := bd.Run(ctx, v.g, v.pool, seeds, nil)
-		if err != nil {
-			return nibbleErr(err)
-		}
-		for i := range seeds {
-			reply(i, best[i], sts[i])
-		}
-		return nil
-	}
-	bd := kernel.BatchDiffuser{Method: clusterDiffuser((*api.LocalClusterRequest)(c))}
-	_, err := bd.Run(ctx, v.g, v.pool, seeds, func(i int, ws *kernel.Workspace, st kernel.Stats) error {
-		cut, _ := sweepCut(v.g, ws, ws.SweepOrderP(v.g)) // nil: no sweepable support
-		reply(i, cut, st)
-		return nil
-	})
-	return err
-}
-
-// nibbleErr prefixes a failed Nibble walk's error the way its replies
-// have always read (TestBatchRepliesMatchTheirGoldens pins the bytes).
-func nibbleErr(err error) error { return fmt.Errorf("local: %w", err) }
-
-func (c *clusterSeeds) splice(dst []byte, seeds []int, body func(int) []byte, _ float64, work *api.WorkStats) ([]byte, error) {
-	return api.AppendLocalClusterBatchJSON(dst, c.Method, seeds, body, work)
-}
-
-func execLocalCluster(ctx context.Context, g gstore.Graph, pool *kernel.Pool, req api.LocalClusterRequest) (*api.LocalClusterResponse, *api.WorkStats, error) {
-	ws := pool.Get()
-	defer pool.Put(ws)
+func execLocalCluster(ctx context.Context, q queryView, req api.LocalClusterRequest, debugWork bool) ([]byte, api.WorkStats, error) {
+	ws := q.pool.Get()
+	defer q.pool.Put(ws)
 	var (
 		st  kernel.Stats
 		cut *api.SweepInfo
@@ -229,23 +157,29 @@ func execLocalCluster(ctx context.Context, g gstore.Graph, pool *kernel.Pool, re
 	)
 	if req.Method == "nibble" {
 		walk := kernel.NibbleWalk{Eps: req.Eps, Steps: req.Steps, OnStep: func(_ int, ws *kernel.Workspace) error {
-			cut = betterCut(g, ws, cut)
+			cut = betterCut(q.g, ws, cut)
 			return nil
 		}}
-		if st, err = walk.DiffuseContext(ctx, g, ws, req.Seeds); err != nil {
-			err = nibbleErr(err)
+		if st, err = walk.DiffuseContext(ctx, q.g, ws, req.Seeds); err != nil {
+			// The bytes its replies have always read
+			// (TestBatchRepliesMatchTheirGoldens pins them).
+			err = fmt.Errorf("local: %w", err)
 		}
-	} else if st, err = clusterDiffuser(&req).DiffuseContext(ctx, g, ws, req.Seeds); err == nil {
-		cut, _ = sweepCut(g, ws, ws.SweepOrderP(g))
+	} else if st, err = clusterDiffuser(&req).DiffuseContext(ctx, q.g, ws, req.Seeds); err == nil {
+		cut, _ = sweepCut(q.g, ws, ws.SweepOrderP(q.g))
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, api.WorkStats{}, err
 	}
-	out, work, err := clusterResult(g, req.Method, cut, st)
+	out, work, err := clusterResult(q.g, req.Method, cut, st)
 	if err != nil {
-		return nil, nil, err
+		return nil, work, err
 	}
-	return &out, &work, nil
+	if debugWork {
+		out.Work = &work
+	}
+	body, err := json.Marshal(out)
+	return body, work, err
 }
 
 // clusterDiffuser is the diffusion the ppr and heat methods sweep.
@@ -282,10 +216,11 @@ func clusterResult(g gstore.Graph, method string, cut *api.SweepInfo, st kernel.
 // the query's context: k has no cap, so only the deadline bounds a walk.
 const lazyStepsPerCheck = 1 << 10
 
-func execDiffuse(ctx context.Context, g gstore.Graph, req api.DiffuseRequest) (*api.DiffuseResponse, *api.WorkStats, error) {
+func execDiffuse(ctx context.Context, q queryView, req api.DiffuseRequest, debugWork bool) ([]byte, api.WorkStats, error) {
+	g := q.g
 	seed, err := diffusion.SeedVector(g.N(), req.Seeds)
 	if err != nil {
-		return nil, nil, err
+		return nil, api.WorkStats{}, err
 	}
 	var v []float64
 	switch req.Kind {
@@ -304,7 +239,7 @@ func execDiffuse(ctx context.Context, g gstore.Graph, req api.DiffuseRequest) (*
 		}
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, api.WorkStats{}, err
 	}
 	var sum float64
 	support := 0
@@ -316,31 +251,40 @@ func execDiffuse(ctx context.Context, g gstore.Graph, req api.DiffuseRequest) (*
 	}
 	// Dense diffusions have no strongly-local accounting; report the
 	// coarse truth — one full sweep is a whole graph volume of work.
-	work := &api.WorkStats{
+	work := api.WorkStats{
 		Method:     "dense-" + req.Kind,
 		WorkVolume: g.Volume(),
 		MaxSupport: support,
 	}
-	return &api.DiffuseResponse{Kind: req.Kind, Sum: sum, Top: topMassesDense(v, support, req.TopK)}, work, nil
+	out := api.DiffuseResponse{Kind: req.Kind, Sum: sum, Top: topMassesDense(v, support, req.TopK)}
+	if debugWork {
+		out.Work = &work
+	}
+	body, err := json.Marshal(out)
+	return body, work, err
 }
 
 // execSweepCut sweeps a caller's vector on a pooled workspace: by
 // mass/degree descending, ties by node id, zero and negative masses
 // kept, zero-degree nodes dropped (docs/api.md).
-func execSweepCut(g gstore.Graph, pool *kernel.Pool, req api.SweepCutRequest) (*api.SweepInfo, *api.WorkStats, error) {
-	ws := pool.Get()
-	defer pool.Put(ws)
-	k, bad := ws.SweepOrderList(g, len(req.Values), func(i int) (int, float64) {
+func execSweepCut(q queryView, req api.SweepCutRequest) ([]byte, api.WorkStats, error) {
+	ws := q.pool.Get()
+	defer q.pool.Put(ws)
+	k, bad := ws.SweepOrderList(q.g, len(req.Values), func(i int) (int, float64) {
 		return req.Values[i].Node, req.Values[i].Mass
 	})
 	if bad >= 0 {
-		if u := req.Values[bad].Node; u >= g.N() {
-			return nil, nil, storeErrf(ErrBadInput, "node %d out of range [0,%d)", u, g.N())
+		if u := req.Values[bad].Node; u >= q.g.N() {
+			return nil, api.WorkStats{}, storeErrf(ErrBadInput, "node %d out of range [0,%d)", u, q.g.N())
 		}
-		return nil, nil, storeErrf(ErrBadInput, "node %d appears twice", req.Values[bad].Node)
+		return nil, api.WorkStats{}, storeErrf(ErrBadInput, "node %d appears twice", req.Values[bad].Node)
 	}
-	cut, err := sweepCut(g, ws, k)
-	return cut, nil, err
+	cut, err := sweepCut(q.g, ws, k)
+	if err != nil {
+		return nil, api.WorkStats{}, err
+	}
+	body, err := json.Marshal(cut)
+	return body, api.WorkStats{}, err
 }
 
 // Generator size caps: server-side synthesis runs synchronously on the

@@ -654,8 +654,12 @@ func TestHeatTimeBoundOverHTTP(t *testing.T) {
 func TestDiffuseLazyWalksInChunks(t *testing.T) {
 	g := gstore.Wrap(gen.RingOfCliques(8, 8))
 	req := api.DiffuseRequest{Kind: "lazy", Seeds: []int{0, 9}, Alpha: 0.3, K: 2*lazyStepsPerCheck + 5, TopK: 64}
-	got, _, err := execDiffuse(context.Background(), g, req)
+	body, _, err := execDiffuse(context.Background(), queryView{g: g}, req, false)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var got api.DiffuseResponse
+	if err := json.Unmarshal(body, &got); err != nil {
 		t.Fatal(err)
 	}
 	seed, _ := diffusion.SeedVector(g.N(), req.Seeds)
@@ -684,7 +688,7 @@ func TestDiffuseLazyWalksInChunks(t *testing.T) {
 	done, cancel := context.WithCancel(context.Background())
 	cancel()
 	req.K = math.MaxInt
-	if _, _, err := execDiffuse(done, g, req); !errors.Is(err, context.Canceled) {
+	if _, _, err := execDiffuse(done, queryView{g: g}, req, false); !errors.Is(err, context.Canceled) {
 		t.Fatalf("walk under a cancelled context = %v, want context.Canceled", err)
 	}
 }

@@ -176,7 +176,7 @@ func TestResealedGraphReusesWorkspaces(t *testing.T) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, _, err = execPPR(context.Background(), g, pool, req)
+		_, _, err = execPPR(context.Background(), queryView{g: g, pool: pool}, req, false)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)

@@ -84,9 +84,6 @@ type PPRBatchResponse struct {
 	Work *WorkStats `json:"work,omitempty"`
 }
 
-// SetWork implements WorkCarrier.
-func (r *PPRBatchResponse) SetWork(w *WorkStats) { r.Work = w }
-
 // LocalClusterBatchRequest parameterizes the batched local-cluster
 // endpoint (POST /v1/graphs/{name}/localcluster:batch). Method and the
 // budget knobs are shared by every seed.
@@ -170,6 +167,3 @@ type LocalClusterBatchResponse struct {
 	// when the request asked for it with ?debug=work.
 	Work *WorkStats `json:"work,omitempty"`
 }
-
-// SetWork implements WorkCarrier.
-func (r *LocalClusterBatchResponse) SetWork(w *WorkStats) { r.Work = w }

@@ -24,13 +24,6 @@ type WorkStats struct {
 	MaxSupport int `json:"max_support,omitempty"`
 }
 
-// WorkCarrier is implemented by query responses that can carry an
-// optional work block; the service attaches one when ?debug=work is
-// set.
-type WorkCarrier interface {
-	SetWork(*WorkStats)
-}
-
 // DebugQuery is one completed query as retained by the server's
 // in-memory trace ring (GET /debug/queries). Newest first in the
 // response.

@@ -68,9 +68,6 @@ type PPRResponse struct {
 	Work *WorkStats `json:"work,omitempty"`
 }
 
-// SetWork implements WorkCarrier.
-func (r *PPRResponse) SetWork(w *WorkStats) { r.Work = w }
-
 // LocalClusterMethods are the accepted LocalClusterRequest.Method values.
 var LocalClusterMethods = []string{"ppr", "nibble", "heat"}
 
@@ -144,9 +141,6 @@ type LocalClusterResponse struct {
 	// asked for it with ?debug=work.
 	Work *WorkStats `json:"work,omitempty"`
 }
-
-// SetWork implements WorkCarrier.
-func (r *LocalClusterResponse) SetWork(w *WorkStats) { r.Work = w }
 
 // DiffuseKinds are the accepted DiffuseRequest.Kind values.
 var DiffuseKinds = []string{"heat", "ppr", "lazy"}
@@ -224,9 +218,6 @@ type DiffuseResponse struct {
 	// whole graph) when the request asked for it with ?debug=work.
 	Work *WorkStats `json:"work,omitempty"`
 }
-
-// SetWork implements WorkCarrier.
-func (r *DiffuseResponse) SetWork(w *WorkStats) { r.Work = w }
 
 // SweepCutRequest carries a caller-provided vector to sweep
 // (POST /v1/graphs/{name}/sweepcut).
