@@ -99,12 +99,19 @@ func Fig1(cfg Fig1Config) (*Fig1Result, error) {
 	for _, m := range flM {
 		res.Flow = append(res.Flow, toPoint(m))
 	}
-	res.MedianPhiSpectral = medianOf(res.Spectral, func(p ScatterPoint) float64 { return p.Conductance })
-	res.MedianPhiFlow = medianOf(res.Flow, func(p ScatterPoint) float64 { return p.Conductance })
-	res.MedianPathSpectral = medianOf(res.Spectral, func(p ScatterPoint) float64 { return p.AvgPath })
-	res.MedianPathFlow = medianOf(res.Flow, func(p ScatterPoint) float64 { return p.AvgPath })
-	res.MedianRatioSpectral = medianOf(res.Spectral, func(p ScatterPoint) float64 { return p.ExtIntRatio })
-	res.MedianRatioFlow = medianOf(res.Flow, func(p ScatterPoint) float64 { return p.ExtIntRatio })
+	col := func(pts []ScatterPoint, sel func(ScatterPoint) float64) []float64 {
+		vals := make([]float64, len(pts))
+		for i, p := range pts {
+			vals[i] = sel(p)
+		}
+		return vals
+	}
+	res.MedianPhiSpectral = median(col(res.Spectral, func(p ScatterPoint) float64 { return p.Conductance }))
+	res.MedianPhiFlow = median(col(res.Flow, func(p ScatterPoint) float64 { return p.Conductance }))
+	res.MedianPathSpectral = median(col(res.Spectral, func(p ScatterPoint) float64 { return p.AvgPath }))
+	res.MedianPathFlow = median(col(res.Flow, func(p ScatterPoint) float64 { return p.AvgPath }))
+	res.MedianRatioSpectral = median(col(res.Spectral, func(p ScatterPoint) float64 { return p.ExtIntRatio }))
+	res.MedianRatioFlow = median(col(res.Flow, func(p ScatterPoint) float64 { return p.ExtIntRatio }))
 	res.FracFlowWinsPhi, res.FracSpectralWinsNicePth = bucketWinRates(res.Spectral, res.Flow)
 	res.EnvelopeRatioGeoMean = envelopeRatio(res.Spectral, res.Flow)
 	return res, nil
@@ -150,12 +157,15 @@ func toPoint(m *ncp.Measures) ScatterPoint {
 	}
 }
 
-func medianOf(pts []ScatterPoint, sel func(ScatterPoint) float64) float64 {
-	var vals []float64
-	for _, p := range pts {
-		v := sel(p)
-		if !math.IsNaN(v) {
-			vals = append(vals, v) // +Inf kept: disconnected = maximally un-nice
+// median is the median of xs, NaN values skipped and +Inf kept (a
+// disconnected cluster is maximally un-nice and must drag the median):
+// the middle value, or the mean of the two middle values. It is NaN when
+// no value is left. xs is not reordered.
+func median(xs []float64) float64 {
+	vals := make([]float64, 0, len(xs))
+	for _, x := range xs {
+		if !math.IsNaN(x) {
+			vals = append(vals, x)
 		}
 	}
 	if len(vals) == 0 {
@@ -212,9 +222,8 @@ func bucketWinRates(sp, fl []ScatterPoint) (flowWinsPhi, spectralWinsPath float6
 		if ff.minPhi < s.minPhi {
 			flowPhi++
 		}
-		spMed, spOK := medianFloat(s.paths)
-		flMed, flOK := medianFloat(ff.paths)
-		switch {
+		spMed, flMed := median(s.paths), median(ff.paths)
+		switch spOK, flOK := !math.IsNaN(spMed), !math.IsNaN(flMed); {
 		case spOK && flOK:
 			pathBuckets++
 			if spMed < flMed {
@@ -243,18 +252,6 @@ func bucketOfSize(size int) int {
 		b++
 	}
 	return b
-}
-
-func medianFloat(xs []float64) (float64, bool) {
-	if len(xs) == 0 {
-		return 0, false
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if len(s)%2 == 1 {
-		return s[len(s)/2], true
-	}
-	return (s[len(s)/2-1] + s[len(s)/2]) / 2, true
 }
 
 // Panels are Figure 1's three size-resolved panels, by file suffix;
@@ -352,8 +349,7 @@ func (r *Fig1Result) panelTableStat(title, metric string, sel func(ScatterPoint)
 			return math.NaN()
 		}
 		if useMedian {
-			m, _ := medianFloat(xs)
-			return m
+			return median(xs)
 		}
 		min := xs[0]
 		for _, x := range xs[1:] {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -171,7 +170,7 @@ func bucketStat(spM, flM []*ncp.Measures, sel func(*ncp.Measures) float64, useMe
 	}
 	stat := func(xs []float64) float64 {
 		if useMedian {
-			return medianVals(xs)
+			return median(xs)
 		}
 		min := xs[0]
 		for _, x := range xs[1:] {
@@ -197,18 +196,6 @@ func bucketStat(spM, flM []*ncp.Measures, sel func(*ncp.Measures) float64, useMe
 		return math.NaN(), math.NaN()
 	}
 	return spSum / float64(count), flSum / float64(count)
-}
-
-func medianVals(vals []float64) float64 {
-	if len(vals) == 0 {
-		return math.NaN()
-	}
-	s := append([]float64(nil), vals...)
-	sort.Float64s(s)
-	if len(s)%2 == 1 {
-		return s[len(s)/2]
-	}
-	return (s[len(s)/2-1] + s[len(s)/2]) / 2
 }
 
 // Table renders the quality-vs-niceness aggregate.
