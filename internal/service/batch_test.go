@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -400,5 +401,35 @@ func TestBatchDeadlineMidRun(t *testing.T) {
 			}
 		}
 		t.Logf("%s: %d of %d seeds reached the cache before the deadline", c.path, cached, len(seeds))
+	}
+}
+
+// TestRepeatedSeedRunsOnce: a seed repeated in one batch request is one
+// flight, opened by its first slot and joined by the second, so [3,3]
+// runs one computation and both slots reply with its bytes.
+func TestRepeatedSeedRunsOnce(t *testing.T) {
+	srv, _, _ := testServer(t, Config{})
+	req := api.PPRBatchRequest{Seeds: []int{3, 3}}
+	req.Normalize()
+	q := pprBatchQuery(req)
+	var runs atomic.Int32
+	compute := q.compute
+	q.compute = func(ctx context.Context, v queryView, seeds []int, debugWork bool) ([]byte, api.WorkStats, error) {
+		runs.Add(1)
+		return compute(ctx, v, seeds, debugWork)
+	}
+	w := ask(context.Background(), srv, "", q)
+	if w.Code != http.StatusOK || w.Header().Get("X-Graphd-Cache") != "miss" {
+		t.Fatalf("status %d, outcome %q: %s", w.Code, w.Header().Get("X-Graphd-Cache"), w.Body)
+	}
+	if n := runs.Load(); n != 1 {
+		t.Fatalf("seeds [3,3] ran %d computations, want 1", n)
+	}
+	var reply struct{ Results []json.RawMessage }
+	if err := json.Unmarshal(w.Body.Bytes(), &reply); err != nil {
+		t.Fatal(err)
+	}
+	if len(reply.Results) != 2 || !bytes.Equal(reply.Results[0], reply.Results[1]) {
+		t.Fatalf("the two slots of seed 3 differ: %s", w.Body)
 	}
 }

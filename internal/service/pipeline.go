@@ -277,7 +277,9 @@ func seedKeys(sb *seedBatch, id uint64) []seedSlot {
 // join gives every slot the cache did not answer a flight under one
 // table lock: it joins a key in flight, rereads one that has landed
 // since the probe (flights fill the cache before they leave the table)
-// and opens the rest in b, which it fires if it opened any.
+// and opens the rest in b, which it fires if it opened any. A key an
+// earlier slot of the request has just opened is joined, not opened
+// twice.
 func (s *Server) join(slots []seedSlot, b *batch, misses int) (opened bool, err error) {
 	fresh := make([]flight, misses)
 	b.flights = make([]*flight, 0, misses)
@@ -292,6 +294,9 @@ func (s *Server) join(slots []seedSlot, b *batch, misses int) (opened bool, err 
 	for i := range slots {
 		sl := &slots[i]
 		if sl.body != nil || sl.f != nil {
+			continue
+		}
+		if sl.f = t.flights[sl.key]; sl.f != nil {
 			continue
 		}
 		// Nothing has opened yet: draining cannot change under the lock.
