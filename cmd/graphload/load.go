@@ -181,8 +181,8 @@ func issue(c *client.Client, graph, op string, seedNode, nodes int) error {
 		_, err = c.Graphs.Diffuse(ctx, graph, api.DiffuseRequest{Kind: "heat", Seeds: []int{seedNode}, T: 3})
 	case "batch":
 		// Eight distinct seeds fanned out from the drawn one — the
-		// batched twin of eight single-seed ppr arrivals, exercising the
-		// kernel batch engine under load.
+		// batched twin of eight single-seed ppr arrivals, exercising
+		// graphd's batch path under load.
 		seeds := make([]int, batchOpSeeds)
 		for i := range seeds {
 			seeds[i] = (seedNode + i*batchOpStride) % nodes

@@ -4,10 +4,11 @@ import "math"
 
 // Batch queries run one independent single-seed diffusion per entry of
 // Seeds — unlike PPRRequest.Seeds, which is one seed *set* for one
-// diffusion — on the kernel's batch engine. Every per-seed result is
-// byte-identical to the corresponding single-seed endpoint's reply for
-// `{"seeds":[s]}` with the same parameters; the batch merely spreads
-// the seeds over the query workers and amortizes per-request overhead.
+// diffusion. graphd computes each seed with the single-seed endpoint's
+// own code, so every per-seed result is byte-identical to that
+// endpoint's reply for `{"seeds":[s]}` with the same parameters; the
+// batch merely spreads the seeds over the query workers and amortizes
+// per-request overhead.
 
 // MaxBatchSeeds bounds the number of diffusions one batch request may
 // carry; larger fan-outs should be split client-side so a single

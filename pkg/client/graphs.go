@@ -253,9 +253,9 @@ func (s *GraphsService) PPR(ctx context.Context, name string, req api.PPRRequest
 }
 
 // PPRBatch runs one independent single-seed PPR push per entry of
-// req.Seeds in a single request, batched on the server's kernel batch
-// engine. Each per-seed result is byte-identical to what PPR would
-// return for {"seeds":[s]} with the same parameters. Pass
+// req.Seeds in a single request, each computed by the server as the
+// single-seed query is. Each per-seed result is byte-identical to what
+// PPR would return for {"seeds":[s]} with the same parameters. Pass
 // WithWorkStats() to receive the aggregated work accounting in
 // out.Work.
 func (s *GraphsService) PPRBatch(ctx context.Context, name string, req api.PPRBatchRequest, opts ...QueryOption) (api.PPRBatchResponse, error) {
@@ -274,9 +274,10 @@ func (s *GraphsService) LocalCluster(ctx context.Context, name string, req api.L
 }
 
 // LocalClusterBatch runs one independent single-seed local clustering
-// per entry of req.Seeds (method and budget knobs shared), batched on
-// the server's kernel batch engine. Pass WithWorkStats() to receive
-// the aggregated work accounting in out.Work.
+// per entry of req.Seeds (method and budget knobs shared), each
+// computed by the server as the single-seed query is. Pass
+// WithWorkStats() to receive the aggregated work accounting in
+// out.Work.
 func (s *GraphsService) LocalClusterBatch(ctx context.Context, name string, req api.LocalClusterBatchRequest, opts ...QueryOption) (api.LocalClusterBatchResponse, error) {
 	var out api.LocalClusterBatchResponse
 	err := s.c.doJSON(ctx, http.MethodPost, v1("graphs", name, "localcluster:batch"), s.c.queryValuesOpts(opts), &req, &out)
