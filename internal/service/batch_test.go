@@ -411,7 +411,7 @@ func TestRepeatedSeedRunsOnce(t *testing.T) {
 	srv, _, _ := testServer(t, Config{})
 	req := api.PPRBatchRequest{Seeds: []int{3, 3}}
 	req.Normalize()
-	q := pprBatchQuery(req)
+	q := pprBatchQuery(&req)
 	var runs atomic.Int32
 	compute := q.compute
 	q.compute = func(ctx context.Context, v queryView, seeds []int, debugWork bool) ([]byte, api.WorkStats, error) {

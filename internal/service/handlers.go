@@ -192,15 +192,16 @@ func (s *Server) handlePPRBatch(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	s.serveQuery(w, r, pprBatchQuery(req))
+	s.serveQuery(w, r, pprBatchQuery(&req))
 }
 
-func pprBatchQuery(req api.PPRBatchRequest) query {
-	twin := api.PPRRequest(req)
+// pprBatchQuery is the query a ppr:batch request hands the pipeline.
+func pprBatchQuery(req *api.PPRBatchRequest) query {
+	twin := api.PPRRequest(*req)
 	twin.Seeds = []int{0}
-	return query{endpoint: "ppr:batch", params: pprParams((*api.PPRRequest)(&req)),
+	return query{endpoint: "ppr:batch", params: pprParams((*api.PPRRequest)(req)),
 		compute: func(ctx context.Context, q queryView, seeds []int, debugWork bool) ([]byte, api.WorkStats, error) {
-			one := api.PPRRequest(req)
+			one := api.PPRRequest(*req)
 			one.Seeds = seeds
 			return execPPR(ctx, q, one, debugWork)
 		},

@@ -161,8 +161,7 @@ func execLocalCluster(ctx context.Context, q queryView, req api.LocalClusterRequ
 			return nil
 		}}
 		if st, err = walk.DiffuseContext(ctx, q.g, ws, req.Seeds); err != nil {
-			// The bytes its replies have always read
-			// (TestBatchRepliesMatchTheirGoldens pins them).
+			// TestBatchRepliesMatchTheirGoldens pins this error text.
 			err = fmt.Errorf("local: %w", err)
 		}
 	} else if st, err = clusterDiffuser(&req).DiffuseContext(ctx, q.g, ws, req.Seeds); err == nil {
