@@ -55,6 +55,7 @@ import (
 	"repro/internal/buildinfo"
 	"repro/internal/persist"
 	"repro/internal/service"
+	"repro/pkg/api"
 )
 
 // loadFlags collects repeated -load name=path flags.
@@ -118,8 +119,7 @@ func main() {
 		if _, err := srv.Store().Put(name, g); err != nil {
 			// A recovered graph with the same name already satisfies the
 			// preload; anything else is fatal.
-			var se *service.StoreError
-			if *dataDir != "" && errors.As(err, &se) && se.Kind == service.ErrConflict {
+			if *dataDir != "" && api.IsConflict(err) {
 				log.Printf("graphd: -load %s: %q already recovered from data dir, skipping", path, name)
 				continue
 			}

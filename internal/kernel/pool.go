@@ -34,9 +34,9 @@ func sizeClass(n int) (c, capacity int) {
 // graph's node count, and hands out workspaces of its size class set to
 // serve that count. With W concurrent users of a class at most W of its
 // workspaces are ever live, and steady-state Get/Put pairs allocate
-// nothing. The serving layer keeps one Pool per loaded graph; the batch
-// layers create one per run and share it across their par workers, one
-// workspace per worker.
+// nothing. The serving layer takes one per query, for the graph it
+// reads; the batch layers create one per run and share it across their
+// par workers, one workspace per worker.
 type Pool struct {
 	n int
 }

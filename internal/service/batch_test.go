@@ -210,12 +210,12 @@ func TestWarmSlotsServeABatch(t *testing.T) {
 	started, release := make(chan struct{}), make(chan struct{})
 	single := make(chan string, 1)
 	seven := pprQuery(7, nil)
-	seven.compute = func(ctx context.Context, q queryView, _ []int, debugWork bool) ([]byte, api.WorkStats, error) {
+	seven.compute = func(ctx context.Context, g gstore.Graph, _ []int, debugWork bool) ([]byte, api.WorkStats, error) {
 		close(started)
 		<-release
 		req := api.PPRRequest{Seeds: []int{7}}
 		req.Normalize()
-		return execPPR(ctx, q, req, debugWork)
+		return execPPR(ctx, g, req, debugWork)
 	}
 	go func() {
 		a, err := srv.resolve(ringRequest(context.Background(), ""), "ring", seven)
@@ -351,7 +351,7 @@ func TestBatchDeadlineMidRun(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	_, id, _, err := srv.store.GetForQuery("mixed")
+	_, id, err := srv.store.Get("mixed")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,9 +414,9 @@ func TestRepeatedSeedRunsOnce(t *testing.T) {
 	q := pprBatchQuery(&req)
 	var runs atomic.Int32
 	compute := q.compute
-	q.compute = func(ctx context.Context, v queryView, seeds []int, debugWork bool) ([]byte, api.WorkStats, error) {
+	q.compute = func(ctx context.Context, g gstore.Graph, seeds []int, debugWork bool) ([]byte, api.WorkStats, error) {
 		runs.Add(1)
-		return compute(ctx, v, seeds, debugWork)
+		return compute(ctx, g, seeds, debugWork)
 	}
 	w := ask(context.Background(), srv, "", q)
 	if w.Code != http.StatusOK || w.Header().Get("X-Graphd-Cache") != "miss" {

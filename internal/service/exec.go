@@ -38,14 +38,13 @@ func decodeParams(raw json.RawMessage, p api.Request) error {
 	return p.Validate()
 }
 
-func runNCPJob(ctx context.Context, g gstore.Graph, raw json.RawMessage) (any, error) {
+func runNCPJob(ctx context.Context, g gstore.Graph, raw json.RawMessage, report ProgressFunc) (any, error) {
 	var p api.NCPJobParams
 	if err := decodeParams(raw, &p); err != nil {
 		return nil, err
 	}
 	res := &api.NCPJobResult{Nodes: g.N(), EdgesM: g.M()}
 	rng := rand.New(rand.NewSource(p.BaseSeed))
-	report := progressFrom(ctx)
 	// "both" splits the progress bar evenly: spectral fills [0, 0.5),
 	// flow [0.5, 1). A single-method job owns the whole range.
 	mid := 1.0
@@ -99,7 +98,7 @@ func summarizeProfile(p *ncp.Profile) *api.ProfileSummary {
 	return s
 }
 
-func runPartitionJob(ctx context.Context, sg gstore.Graph, raw json.RawMessage) (any, error) {
+func runPartitionJob(ctx context.Context, sg gstore.Graph, raw json.RawMessage, report ProgressFunc) (any, error) {
 	var p api.PartitionJobParams
 	if err := decodeParams(raw, &p); err != nil {
 		return nil, err
@@ -110,7 +109,7 @@ func runPartitionJob(ctx context.Context, sg gstore.Graph, raw json.RawMessage) 
 	}
 	labels, err := partition.RecursiveBisectCtx(ctx, g, p.K, partition.MultilevelOptions{
 		Seed:       p.Seed,
-		OnProgress: progressRange(progressFrom(ctx), 0, 1),
+		OnProgress: progressRange(report, 0, 1),
 	})
 	if err != nil {
 		return nil, err

@@ -152,19 +152,19 @@ func TestSizeClassSharedAcrossGraphs(t *testing.T) {
 	}
 	const seeds = 12
 	reply := func(name string, seed int) string {
-		g, _, pool, err := s.GetForQuery(name)
+		g, _, err := s.Get(name)
 		if err != nil {
 			return err.Error()
 		}
 		ppr := api.PPRRequest{Seeds: []int{seed * 97}, Sweep: true}
 		ppr.Normalize()
-		pr, _, err := execPPR(context.Background(), queryView{g: g, pool: pool}, ppr, false)
+		pr, _, err := execPPR(context.Background(), g, ppr, false)
 		if err != nil {
 			return err.Error()
 		}
 		lc := api.LocalClusterRequest{Seeds: []int{seed * 89}, Method: "nibble"}
 		lc.Normalize()
-		cr, _, err := execLocalCluster(context.Background(), queryView{g: g, pool: pool}, lc, false)
+		cr, _, err := execLocalCluster(context.Background(), g, lc, false)
 		if err != nil {
 			return err.Error()
 		}

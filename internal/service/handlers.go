@@ -58,7 +58,7 @@ func (s *Server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 		(len(magic) == 2 && magic[0] == 0x1f && magic[1] == 0x8b) {
 		gz, err := gzip.NewReader(reader)
 		if err != nil {
-			writeError(w, storeErrf(ErrBadInput, "gunzip body: %v", err))
+			writeError(w, api.Errorf(api.CodeInvalidArgument, "gunzip body: %v", err))
 			return
 		}
 		defer gz.Close()
@@ -70,7 +70,7 @@ func (s *Server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	g, err := graph.ReadEdgeList(reader)
 	if err != nil {
-		writeError(w, storeErrf(ErrBadInput, "%v", err))
+		writeError(w, api.Errorf(api.CodeInvalidArgument, "%v", err))
 		return
 	}
 	s.createGraph(w, r, gstore.Wrap(g))
@@ -111,7 +111,7 @@ func (s *Server) handleExportSnapshot(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleImportSnapshot(w http.ResponseWriter, r *http.Request) {
 	g, err := persist.ReadCompact(r.Body)
 	if err != nil {
-		writeError(w, storeErrf(ErrBadInput, "%v", err))
+		writeError(w, api.Errorf(api.CodeInvalidArgument, "%v", err))
 		return
 	}
 	s.createGraph(w, r, g)
@@ -169,8 +169,8 @@ func (s *Server) handleSeal(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	s.serveQuery(w, r, query{endpoint: "stats", params: []byte("{}"), compute: func(_ context.Context, q queryView, _ []int, _ bool) ([]byte, api.WorkStats, error) {
-		body, err := json.Marshal(execStats(name, q.g))
+	s.serveQuery(w, r, query{endpoint: "stats", params: []byte("{}"), compute: func(_ context.Context, g gstore.Graph, _ []int, _ bool) ([]byte, api.WorkStats, error) {
+		body, err := json.Marshal(execStats(name, g))
 		return body, api.WorkStats{}, err
 	}})
 }
@@ -180,8 +180,8 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	s.serveQuery(w, r, query{endpoint: "ppr", params: pprParams(&req), compute: func(ctx context.Context, q queryView, _ []int, debugWork bool) ([]byte, api.WorkStats, error) {
-		return execPPR(ctx, q, req, debugWork)
+	s.serveQuery(w, r, query{endpoint: "ppr", params: pprParams(&req), compute: func(ctx context.Context, g gstore.Graph, _ []int, debugWork bool) ([]byte, api.WorkStats, error) {
+		return execPPR(ctx, g, req, debugWork)
 	}})
 }
 
@@ -200,10 +200,10 @@ func pprBatchQuery(req *api.PPRBatchRequest) query {
 	twin := api.PPRRequest(*req)
 	twin.Seeds = []int{0}
 	return query{endpoint: "ppr:batch", params: pprParams((*api.PPRRequest)(req)),
-		compute: func(ctx context.Context, q queryView, seeds []int, debugWork bool) ([]byte, api.WorkStats, error) {
+		compute: func(ctx context.Context, g gstore.Graph, seeds []int, debugWork bool) ([]byte, api.WorkStats, error) {
 			one := api.PPRRequest(*req)
 			one.Seeds = seeds
-			return execPPR(ctx, q, one, debugWork)
+			return execPPR(ctx, g, one, debugWork)
 		},
 		batch: &seedBatch{seeds: req.Seeds, endpoint: "ppr", twin: pprParams(&twin), splice: api.AppendPPRBatchJSON, method: "push-batch"},
 	}
@@ -218,10 +218,10 @@ func (s *Server) handleLocalClusterBatch(w http.ResponseWriter, r *http.Request)
 	twin := api.LocalClusterRequest(req)
 	twin.Seeds = []int{0}
 	s.serveQuery(w, r, query{endpoint: "localcluster:batch", params: mustParams(req),
-		compute: func(ctx context.Context, q queryView, seeds []int, debugWork bool) ([]byte, api.WorkStats, error) {
+		compute: func(ctx context.Context, g gstore.Graph, seeds []int, debugWork bool) ([]byte, api.WorkStats, error) {
 			one := api.LocalClusterRequest(req)
 			one.Seeds = seeds
-			return execLocalCluster(ctx, q, one, debugWork)
+			return execLocalCluster(ctx, g, one, debugWork)
 		},
 		batch: &seedBatch{seeds: req.Seeds, endpoint: "localcluster", twin: mustParams(twin), method: req.Method + "-batch",
 			splice: func(dst []byte, seeds []int, body func(int) []byte, _ float64, work *api.WorkStats) ([]byte, error) {
@@ -235,8 +235,8 @@ func (s *Server) handleLocalCluster(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	s.serveQuery(w, r, query{endpoint: "localcluster", params: mustParams(req), compute: func(ctx context.Context, q queryView, _ []int, debugWork bool) ([]byte, api.WorkStats, error) {
-		return execLocalCluster(ctx, q, req, debugWork)
+	s.serveQuery(w, r, query{endpoint: "localcluster", params: mustParams(req), compute: func(ctx context.Context, g gstore.Graph, _ []int, debugWork bool) ([]byte, api.WorkStats, error) {
+		return execLocalCluster(ctx, g, req, debugWork)
 	}})
 }
 
@@ -245,8 +245,8 @@ func (s *Server) handleDiffuse(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	s.serveQuery(w, r, query{endpoint: "diffuse", params: mustParams(req), compute: func(ctx context.Context, q queryView, _ []int, debugWork bool) ([]byte, api.WorkStats, error) {
-		return execDiffuse(ctx, q, req, debugWork)
+	s.serveQuery(w, r, query{endpoint: "diffuse", params: mustParams(req), compute: func(ctx context.Context, g gstore.Graph, _ []int, debugWork bool) ([]byte, api.WorkStats, error) {
+		return execDiffuse(ctx, g, req, debugWork)
 	}})
 }
 
@@ -255,8 +255,8 @@ func (s *Server) handleSweepCut(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	s.serveQuery(w, r, query{endpoint: "sweepcut", params: mustParams(req), compute: func(_ context.Context, q queryView, _ []int, _ bool) ([]byte, api.WorkStats, error) {
-		return execSweepCut(q, req)
+	s.serveQuery(w, r, query{endpoint: "sweepcut", params: mustParams(req), compute: func(_ context.Context, g gstore.Graph, _ []int, _ bool) ([]byte, api.WorkStats, error) {
+		return execSweepCut(g, req)
 	}})
 }
 
@@ -300,7 +300,7 @@ func (s *Server) createGraph(w http.ResponseWriter, r *http.Request, g *gstore.C
 	if v := urlParams(r).Get("backend"); v != "" {
 		var err error
 		if backend, err = gstore.ParseKind(v); err != nil {
-			writeError(w, storeErrf(ErrBadInput, "%v", err))
+			writeError(w, api.Errorf(api.CodeInvalidArgument, "%v", err))
 			return
 		}
 	}

@@ -41,30 +41,22 @@ func writeJSONBytes(w http.ResponseWriter, code int, body []byte) {
 	io.WriteString(w, "\n")
 }
 
-// toAPIError maps a service error onto the wire envelope: *api.Error
-// passes through, typed store errors carry their kind, deadline errors
-// become deadline_exceeded, and everything else is an invalid argument
-// (the algorithms' errors are parameter errors by construction).
+// toAPIError maps an error onto the wire envelope: *api.Error (what
+// the store, the pipeline and the job manager return) passes through,
+// deadline errors become deadline_exceeded, and everything else is an
+// invalid argument (the algorithms' errors are parameter errors by
+// construction).
 func toAPIError(err error) *api.Error {
 	var ae *api.Error
-	var se *StoreError
 	switch {
 	case errors.As(err, &ae):
 		return ae
-	case errors.As(err, &se):
-		return api.Errorf(storeCodes[se.Kind], "%s", se.Msg)
 	case errors.Is(err, context.DeadlineExceeded):
 		return api.Errorf(api.CodeDeadlineExceeded, "%v", err)
 	case errors.Is(err, context.Canceled):
 		return api.Errorf(api.CodeCancelled, "%v", err)
 	}
 	return api.Errorf(api.CodeInvalidArgument, "%v", err)
-}
-
-// storeCodes is the wire code of each StoreErrorKind.
-var storeCodes = [...]api.ErrorCode{
-	ErrNotFound: api.CodeNotFound, ErrConflict: api.CodeConflict, ErrBadInput: api.CodeInvalidArgument,
-	ErrInternal: api.CodeInternal, ErrUnavailable: api.CodeUnavailable,
 }
 
 // writeError renders err as the structured {"error":{...}} envelope
@@ -159,6 +151,8 @@ func pprParams(req *api.PPRRequest) []byte {
 
 // capReader errors (rather than reporting EOF) once more than
 // `remaining` bytes have been read, failing oversized streams loudly.
+// The error is a plain one: graph.ReadEdgeList embeds its text in the
+// message of the reply.
 type capReader struct {
 	r         io.Reader
 	remaining int64
@@ -166,7 +160,7 @@ type capReader struct {
 
 func (c *capReader) Read(p []byte) (int, error) {
 	if c.remaining <= 0 {
-		return 0, storeErrf(ErrBadInput, "decompressed body too large")
+		return 0, errors.New("decompressed body too large")
 	}
 	if int64(len(p)) > c.remaining {
 		p = p[:c.remaining]

@@ -78,34 +78,18 @@ func (j *Job) view() api.JobView {
 	return v
 }
 
-// ProgressFunc publishes a job's completion fraction in [0,1].
-// Executors obtain one from their context with progressFrom; reporting
-// is side-effect-only and must never influence the computation.
+// ProgressFunc publishes a job's completion fraction in [0,1]. The job
+// manager hands one to every executor; reporting is side-effect-only and
+// must never influence the computation.
 type ProgressFunc func(float64)
 
-type progressKey struct{}
-
-// withProgress attaches a progress reporter to a job context.
-func withProgress(ctx context.Context, fn ProgressFunc) context.Context {
-	return context.WithValue(ctx, progressKey{}, fn)
-}
-
-// progressFrom returns the context's progress reporter, or a no-op for
-// executors run outside the job manager (tests, direct calls).
-func progressFrom(ctx context.Context) ProgressFunc {
-	if fn, ok := ctx.Value(progressKey{}).(ProgressFunc); ok {
-		return fn
-	}
-	return func(float64) {}
-}
-
 // JobExecutor runs one job type on the served graph, compact or
-// mapped. An algorithm that needs a heap CSR (flow NCP, multilevel
-// partitioning) takes a gstore.Materialize copy itself. The
-// returned value is marshaled to JSON and must be deterministic for
-// identical params (given a fixed BaseSeed), so cached replays are
-// byte-identical.
-type JobExecutor func(ctx context.Context, g gstore.Graph, params json.RawMessage) (any, error)
+// mapped, reporting its progress through report. An algorithm that
+// needs a heap CSR (flow NCP, multilevel partitioning) takes a
+// gstore.Materialize copy itself. The returned value is marshaled to
+// JSON and must be deterministic for identical params (given a fixed
+// BaseSeed), so cached replays are byte-identical.
+type JobExecutor func(ctx context.Context, g gstore.Graph, params json.RawMessage, report ProgressFunc) (any, error)
 
 // JobManager is the bounded async work queue: Submit enqueues, a fixed
 // set of workers drains, Cancel aborts via context cancellation, and
@@ -214,7 +198,7 @@ func canonicalJSON(raw json.RawMessage) (string, error) {
 // submissions replay the cached result bytes.
 func (m *JobManager) Submit(jobType, graphName string, params json.RawMessage) (api.JobView, error) {
 	if _, ok := m.specs[jobType]; !ok {
-		return api.JobView{}, storeErrf(ErrBadInput, "unknown job type %q (have %v)", jobType, m.Types())
+		return api.JobView{}, api.Errorf(api.CodeInvalidArgument, "unknown job type %q (have %v)", jobType, m.Types())
 	}
 	_, graphID, err := m.store.Get(graphName)
 	if err != nil {
@@ -225,7 +209,7 @@ func (m *JobManager) Submit(jobType, graphName string, params json.RawMessage) (
 	}
 	canon, err := canonicalJSON(params)
 	if err != nil {
-		return api.JobView{}, storeErrf(ErrBadInput, "params: %v", err)
+		return api.JobView{}, api.Errorf(api.CodeInvalidArgument, "params: %v", err)
 	}
 	ctx, cancel := context.WithCancel(m.baseCtx)
 	job := &Job{
@@ -303,19 +287,19 @@ func (m *JobManager) Get(id string) (api.JobView, error) {
 	job, ok := m.jobs[id]
 	m.mu.Unlock()
 	if !ok {
-		return api.JobView{}, storeErrf(ErrNotFound, "job %q not found", id)
+		return api.JobView{}, api.Errorf(api.CodeNotFound, "job %q not found", id)
 	}
 	return job.view(), nil
 }
 
-// Result returns the result bytes of a finished job. ErrConflict is
+// Result returns the result bytes of a finished job. A conflict is
 // returned while the job is still queued or running.
 func (m *JobManager) Result(id string) ([]byte, error) {
 	m.mu.Lock()
 	job, ok := m.jobs[id]
 	m.mu.Unlock()
 	if !ok {
-		return nil, storeErrf(ErrNotFound, "job %q not found", id)
+		return nil, api.Errorf(api.CodeNotFound, "job %q not found", id)
 	}
 	job.mu.Lock()
 	defer job.mu.Unlock()
@@ -323,11 +307,11 @@ func (m *JobManager) Result(id string) ([]byte, error) {
 	case api.JobDone:
 		return job.result, nil
 	case api.JobFailed:
-		return nil, storeErrf(ErrConflict, "job %q failed: %s", id, job.errMsg)
+		return nil, api.Errorf(api.CodeConflict, "job %q failed: %s", id, job.errMsg)
 	case api.JobCancelled:
-		return nil, storeErrf(ErrConflict, "job %q was cancelled", id)
+		return nil, api.Errorf(api.CodeConflict, "job %q was cancelled", id)
 	default:
-		return nil, storeErrf(ErrConflict, "job %q is %s", id, job.status)
+		return nil, api.Errorf(api.CodeConflict, "job %q is %s", id, job.status)
 	}
 }
 
@@ -353,7 +337,7 @@ func (m *JobManager) Cancel(id string) (api.JobView, error) {
 	job, ok := m.jobs[id]
 	m.mu.Unlock()
 	if !ok {
-		return api.JobView{}, storeErrf(ErrNotFound, "job %q not found", id)
+		return api.JobView{}, api.Errorf(api.CodeNotFound, "job %q not found", id)
 	}
 	job.mu.Lock()
 	switch job.status {
@@ -369,7 +353,7 @@ func (m *JobManager) Cancel(id string) (api.JobView, error) {
 		// The worker observes ctx.Done() and finalizes the job itself.
 	default:
 		job.mu.Unlock()
-		return api.JobView{}, storeErrf(ErrConflict, "job %q already %s", id, job.status)
+		return api.JobView{}, api.Errorf(api.CodeConflict, "job %q already %s", id, job.status)
 	}
 	job.mu.Unlock()
 	job.cancel()
@@ -425,10 +409,9 @@ func (m *JobManager) runJob(job *Job) {
 			return
 		}
 	}
-	ctx := withProgress(job.ctx, job.setProgress)
 	g, id, err := m.store.Get(job.graphName)
 	if err != nil {
-		finish(api.JobFailed, nil, false, err.Error())
+		finish(api.JobFailed, nil, false, toAPIError(err).Message)
 		return
 	}
 	// The name may have been deleted and re-created while the job
@@ -440,9 +423,9 @@ func (m *JobManager) runJob(job *Job) {
 			fmt.Sprintf("graph %q was replaced after submission", job.graphName))
 		return
 	}
-	val, err := runExecutor(m.specs[job.jobType], ctx, g, job.params)
+	val, err := runExecutor(m.specs[job.jobType], job.ctx, g, job.params, job.setProgress)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || ctx.Err() != nil {
+		if errors.Is(err, context.Canceled) || job.ctx.Err() != nil {
 			finish(api.JobCancelled, nil, false, err.Error())
 		} else {
 			finish(api.JobFailed, nil, false, err.Error())
@@ -463,11 +446,11 @@ func (m *JobManager) runJob(job *Job) {
 // runExecutor confines executor panics to the job: the workers run
 // outside net/http's per-request recover, so an uncaught panic in an
 // algorithm would otherwise take down the whole daemon.
-func runExecutor(run JobExecutor, ctx context.Context, g gstore.Graph, params json.RawMessage) (val any, err error) {
+func runExecutor(run JobExecutor, ctx context.Context, g gstore.Graph, params json.RawMessage, report ProgressFunc) (val any, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			val, err = nil, fmt.Errorf("internal panic: %v", p)
 		}
 	}()
-	return run(ctx, g, params)
+	return run(ctx, g, params, report)
 }

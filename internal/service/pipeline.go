@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/gstore"
-	"repro/internal/kernel"
 	"repro/internal/par"
 	"repro/pkg/api"
 )
@@ -29,6 +28,12 @@ import (
 // opens the rest as one batch that runs the twin computation once per
 // open seed, concurrently, and splices its reply from their bodies. It
 // is a hit if every seed hit.
+//
+// A computation is handed the graph it reads and nothing else: it takes
+// its workspace from g's size class itself. The store's errors and the
+// pipeline's own are *api.Error and go to the wire as they are; a
+// computation's plain errors are the caller's parameters at fault
+// (toAPIError), and a batch names the seed whose input failed.
 
 // query is what a handler hands the pipeline.
 type query struct {
@@ -40,10 +45,10 @@ type query struct {
 	batch *seedBatch
 }
 
-// computeFunc answers a query: its encoded reply, with the work block
-// under debugWork, and its work. seeds is the seed set of a batch
+// computeFunc answers a query on g: its encoded reply, with the work
+// block under debugWork, and its work. seeds is the seed set of a batch
 // request's twin query; a plain query's computation has its own.
-type computeFunc func(ctx context.Context, q queryView, seeds []int, debugWork bool) ([]byte, api.WorkStats, error)
+type computeFunc func(ctx context.Context, g gstore.Graph, seeds []int, debugWork bool) ([]byte, api.WorkStats, error)
 
 // seedBatch is a batch request's K single-seed queries to endpoint.
 type seedBatch struct {
@@ -53,15 +58,6 @@ type seedBatch struct {
 	// splice joins the twins' replies, in seed order, into the batch's.
 	splice func(dst []byte, seeds []int, body func(i int) []byte, totalWork float64, work *api.WorkStats) ([]byte, error)
 	method string // of the work folded from the seeds'
-}
-
-// queryView is what the pipeline hands each compute function: the
-// graph's serving view (whichever backend it lives on), the store id it
-// was resolved under, and its pooled kernel workspaces.
-type queryView struct {
-	g    gstore.Graph
-	id   uint64
-	pool *kernel.Pool
 }
 
 // flight is one cache key being computed. body, work and err are
@@ -82,7 +78,7 @@ type batch struct {
 	// query is that of the request that opened the batch: compute runs
 	// once per flight.
 	query
-	view queryView
+	g gstore.Graph // the graph every flight is computed on
 	// budget bounds the computation: the larger of the server default
 	// and the ?timeout_ms= of the request that opened the batch, so an
 	// override can extend the budget but a tiny one cannot poison the
@@ -141,7 +137,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, q query) {
 }
 
 func (s *Server) resolve(r *http.Request, name string, q query) (a answer, err error) {
-	g, id, pool, err := s.store.GetForQuery(name)
+	g, id, err := s.store.Get(name)
 	if err != nil {
 		return a, err
 	}
@@ -176,14 +172,14 @@ func (s *Server) resolve(r *http.Request, name string, q query) (a answer, err e
 		if err := ctx.Err(); err != nil {
 			return a, err
 		}
-		nb := &batch{query: q, view: queryView{g: g, id: id, pool: pool}, debugWork: debugWork && sb == nil,
+		nb := &batch{query: q, g: g, debugWork: debugWork && sb == nil,
 			budget: max(s.cfg.QueryTimeout, timeout), done: make(chan struct{})}
 		if sb != nil {
 			// An out-of-range seed fails the batch before any flight
 			// opens, with its twin's words.
 			for i, seed := range sb.seeds {
 				if seed >= g.N() {
-					_, _, err := q.compute(ctx, nb.view, sb.seeds[i:i+1], false)
+					_, _, err := q.compute(ctx, g, sb.seeds[i:i+1], false)
 					return a, err
 				}
 			}
@@ -208,8 +204,8 @@ func (s *Server) resolve(r *http.Request, name string, q query) (a answer, err e
 			case <-f.batch.done:
 			}
 			if err := f.err; err != nil {
-				if se, ok := err.(*StoreError); ok && sb != nil && se.Kind == ErrBadInput {
-					err = storeErrf(ErrBadInput, "seed %d: %v", sb.seeds[i], err)
+				if ae, ok := err.(*api.Error); ok && sb != nil && ae.Code == api.CodeInvalidArgument {
+					err = api.Errorf(api.CodeInvalidArgument, "seed %d: %s", sb.seeds[i], ae.Message)
 				}
 				return a, err
 			}
@@ -302,7 +298,7 @@ func (s *Server) join(slots []seedSlot, b *batch, misses int) (opened bool, err 
 		// Nothing has opened yet: draining cannot change under the lock.
 		if t.draining {
 			t.mu.Unlock()
-			return false, storeErrf(ErrUnavailable, "server is shutting down")
+			return false, api.Errorf(api.CodeUnavailable, "server is shutting down")
 		}
 		sl.f, fresh = &fresh[0], fresh[1:]
 		*sl.f = flight{key: sl.key, seeds: sl.seeds, batch: b}
@@ -349,7 +345,7 @@ func (s *Server) runBatch(b *batch) {
 	}()
 	err = par.ForEachCtx(ctx, 0, len(b.flights), func(i int) error {
 		f := b.flights[i]
-		f.body, f.work, f.err = b.compute(ctx, b.view, f.seeds, b.debugWork)
+		f.body, f.work, f.err = b.compute(ctx, b.g, f.seeds, b.debugWork)
 		return nil
 	})
 }

@@ -32,12 +32,12 @@ var daemons = []struct {
 
 // pprQuery is a single-seed ppr as handlePPR hands it to the pipeline,
 // its computation replaced by compute, which its batch of one runs.
-func pprQuery(seed int, compute func(ctx context.Context, q queryView) (any, error)) query {
+func pprQuery(seed int, compute func(ctx context.Context, g gstore.Graph) (any, error)) query {
 	req := api.PPRRequest{Seeds: []int{seed}}
 	req.Normalize()
 	return query{endpoint: "ppr", params: pprParams(&req),
-		compute: func(ctx context.Context, q queryView, _ []int, _ bool) ([]byte, api.WorkStats, error) {
-			v, err := compute(ctx, q)
+		compute: func(ctx context.Context, g gstore.Graph, _ []int, _ bool) ([]byte, api.WorkStats, error) {
+			v, err := compute(ctx, g)
 			if err != nil {
 				return nil, api.WorkStats{}, err
 			}
@@ -104,13 +104,13 @@ func TestFlightGroupDedup(t *testing.T) {
 			const followers = 8
 			started, release := make(chan struct{}), make(chan struct{})
 			executions := 0
-			leader := pprQuery(0, func(context.Context, queryView) (any, error) {
+			leader := pprQuery(0, func(context.Context, gstore.Graph) (any, error) {
 				executions++ // single-threaded by construction: only the leader computes
 				close(started)
 				<-release
 				return "computed-once", nil
 			})
-			follower := pprQuery(0, func(context.Context, queryView) (any, error) {
+			follower := pprQuery(0, func(context.Context, gstore.Graph) (any, error) {
 				t.Error("follower computed despite an in-flight leader")
 				return nil, nil
 			})
@@ -171,7 +171,7 @@ func TestFlightGroupDistinctKeysDoNotBlock(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			q := pprQuery(i, func(context.Context, queryView) (any, error) {
+			q := pprQuery(i, func(context.Context, gstore.Graph) (any, error) {
 				running.Done()
 				running.Wait()
 				return i, nil
@@ -195,7 +195,7 @@ func TestQueryDeadline(t *testing.T) {
 	dctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	w := ask(dctx, srv, "", pprQuery(0, func(context.Context, queryView) (any, error) {
+	w := ask(dctx, srv, "", pprQuery(0, func(context.Context, gstore.Graph) (any, error) {
 		<-release
 		return nil, nil
 	}))
@@ -206,7 +206,7 @@ func TestQueryDeadline(t *testing.T) {
 
 	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel2()
-	w = ask(expired, srv, "", pprQuery(1, func(context.Context, queryView) (any, error) {
+	w = ask(expired, srv, "", pprQuery(1, func(context.Context, gstore.Graph) (any, error) {
 		t.Error("computation ran under an expired context")
 		return nil, nil
 	}))
@@ -265,14 +265,14 @@ func TestPanicFailsItsFlightOnly(t *testing.T) {
 			started, release := make(chan struct{}), make(chan struct{})
 			bystander := make(chan *httptest.ResponseRecorder, 1)
 			go func() {
-				bystander <- ask(context.Background(), srv, "", pprQuery(1, func(context.Context, queryView) (any, error) {
+				bystander <- ask(context.Background(), srv, "", pprQuery(1, func(context.Context, gstore.Graph) (any, error) {
 					close(started)
 					<-release
 					return "fine", nil
 				}))
 			}()
 			<-started
-			w := ask(context.Background(), srv, "", pprQuery(0, func(context.Context, queryView) (any, error) {
+			w := ask(context.Background(), srv, "", pprQuery(0, func(context.Context, gstore.Graph) (any, error) {
 				panic("algorithm bug")
 			}))
 			wantCode(t, w, api.CodeInternal)
@@ -281,7 +281,7 @@ func TestPanicFailsItsFlightOnly(t *testing.T) {
 				seeds[i] = i
 			}
 			w = ask(context.Background(), srv, "", query{endpoint: "ppr:batch", params: []byte(`{"panics":true}`),
-				compute: func(_ context.Context, _ queryView, seeds []int, _ bool) ([]byte, api.WorkStats, error) {
+				compute: func(_ context.Context, _ gstore.Graph, seeds []int, _ bool) ([]byte, api.WorkStats, error) {
 					if seeds[0] == 12 {
 						panic("algorithm bug in a batch worker")
 					}
@@ -311,11 +311,11 @@ func TestCloseDrainsInFlightQueries(t *testing.T) {
 	client, hangUp := context.WithCancel(context.Background())
 	replied := make(chan *httptest.ResponseRecorder, 1)
 	go func() {
-		replied <- ask(client, srv, "", pprQuery(0, func(ctx context.Context, q queryView) (any, error) {
+		replied <- ask(client, srv, "", pprQuery(0, func(ctx context.Context, g gstore.Graph) (any, error) {
 			close(started)
 			<-release
 			// Walk the mapped adjacency: a fault if Close got here first.
-			out, _, err := execPPR(ctx, q, api.PPRRequest{Seeds: []int{0}, Alpha: 0.15, Eps: 1e-7, TopK: 5}, false)
+			out, _, err := execPPR(ctx, g, api.PPRRequest{Seeds: []int{0}, Alpha: 0.15, Eps: 1e-7, TopK: 5}, false)
 			finished.Store(true)
 			return json.RawMessage(out), err
 		}))
@@ -332,7 +332,7 @@ func TestCloseDrainsInFlightQueries(t *testing.T) {
 	// Once a new flight is refused, Close is past the point of no return
 	// and can only be waiting for the one still computing.
 	for seed, deadline := 1, time.Now().Add(10*time.Second); ; seed++ {
-		w := ask(context.Background(), srv, "", pprQuery(seed, func(context.Context, queryView) (any, error) {
+		w := ask(context.Background(), srv, "", pprQuery(seed, func(context.Context, gstore.Graph) (any, error) {
 			return "late", nil
 		}))
 		if w.Code != http.StatusOK {
@@ -386,7 +386,7 @@ func TestCacheCountersAndComputeBudget(t *testing.T) {
 		} {
 			asked := time.Now()
 			var deadline time.Time
-			w := ask(context.Background(), srv, tc.rawQuery, pprQuery(seed, func(ctx context.Context, _ queryView) (any, error) {
+			w := ask(context.Background(), srv, tc.rawQuery, pprQuery(seed, func(ctx context.Context, _ gstore.Graph) (any, error) {
 				deadline, _ = ctx.Deadline()
 				return nil, nil
 			}))

@@ -80,7 +80,7 @@ func pprResult(g gstore.Graph, ws *kernel.Workspace, st kernel.Stats, topK int, 
 			out.Sweep, err = sweepCut(g, ws, ws.SweepOrderP(g))
 		}
 		if err != nil {
-			return api.PPRResponse{}, storeErrf(ErrBadInput, "ppr produced no sweepable support (eps too large?): %v", err)
+			return api.PPRResponse{}, api.Errorf(api.CodeInvalidArgument, "ppr produced no sweepable support (eps too large?): %v", err)
 		}
 	}
 	return out, nil
@@ -121,19 +121,20 @@ func betterCut(g gstore.Graph, ws *kernel.Workspace, best *api.SweepInfo) *api.S
 	return keepCut(ws, prefix, phi)
 }
 
-// execPPR answers a PPR query on a pooled kernel workspace, encoding
-// its reply before the top list goes back to the pool.
-func execPPR(ctx context.Context, q queryView, req api.PPRRequest, debugWork bool) ([]byte, api.WorkStats, error) {
-	ws := q.pool.Get()
-	defer q.pool.Put(ws)
-	st, err := kernel.PushACL{Alpha: req.Alpha, Eps: req.Eps}.DiffuseContext(ctx, q.g, ws, req.Seeds)
+// execPPR answers a PPR query on a workspace of g's size class,
+// encoding its reply before the top list goes back to the pool.
+func execPPR(ctx context.Context, g gstore.Graph, req api.PPRRequest, debugWork bool) ([]byte, api.WorkStats, error) {
+	pool := kernel.NewPool(g.N())
+	ws := pool.Get()
+	defer pool.Put(ws)
+	st, err := kernel.PushACL{Alpha: req.Alpha, Eps: req.Eps}.DiffuseContext(ctx, g, ws, req.Seeds)
 	if err != nil {
 		return nil, api.WorkStats{}, err
 	}
 	work := workFromStats("push", st)
 	top := topScratch.Get().(*[]api.NodeMass)
 	defer topScratch.Put(top)
-	out, err := pprResult(q.g, ws, st, req.TopK, req.Sweep, top)
+	out, err := pprResult(g, ws, st, req.TopK, req.Sweep, top)
 	if err != nil {
 		return nil, work, err
 	}
@@ -147,9 +148,10 @@ func execPPR(ctx context.Context, q queryView, req api.PPRRequest, debugWork boo
 // topScratch holds the top lists of replies encoded as soon as selected.
 var topScratch = sync.Pool{New: func() any { return new([]api.NodeMass) }}
 
-func execLocalCluster(ctx context.Context, q queryView, req api.LocalClusterRequest, debugWork bool) ([]byte, api.WorkStats, error) {
-	ws := q.pool.Get()
-	defer q.pool.Put(ws)
+func execLocalCluster(ctx context.Context, g gstore.Graph, req api.LocalClusterRequest, debugWork bool) ([]byte, api.WorkStats, error) {
+	pool := kernel.NewPool(g.N())
+	ws := pool.Get()
+	defer pool.Put(ws)
 	var (
 		st  kernel.Stats
 		cut *api.SweepInfo
@@ -157,20 +159,20 @@ func execLocalCluster(ctx context.Context, q queryView, req api.LocalClusterRequ
 	)
 	if req.Method == "nibble" {
 		walk := kernel.NibbleWalk{Eps: req.Eps, Steps: req.Steps, OnStep: func(_ int, ws *kernel.Workspace) error {
-			cut = betterCut(q.g, ws, cut)
+			cut = betterCut(g, ws, cut)
 			return nil
 		}}
-		if st, err = walk.DiffuseContext(ctx, q.g, ws, req.Seeds); err != nil {
+		if st, err = walk.DiffuseContext(ctx, g, ws, req.Seeds); err != nil {
 			// TestBatchRepliesMatchTheirGoldens pins this error text.
 			err = fmt.Errorf("local: %w", err)
 		}
-	} else if st, err = clusterDiffuser(&req).DiffuseContext(ctx, q.g, ws, req.Seeds); err == nil {
-		cut, _ = sweepCut(q.g, ws, ws.SweepOrderP(q.g))
+	} else if st, err = clusterDiffuser(&req).DiffuseContext(ctx, g, ws, req.Seeds); err == nil {
+		cut, _ = sweepCut(g, ws, ws.SweepOrderP(g))
 	}
 	if err != nil {
 		return nil, api.WorkStats{}, err
 	}
-	out, work, err := clusterResult(q.g, req.Method, cut, st)
+	out, work, err := clusterResult(g, req.Method, cut, st)
 	if err != nil {
 		return nil, work, err
 	}
@@ -201,7 +203,7 @@ func clusterResult(g gstore.Graph, method string, cut *api.SweepInfo, st kernel.
 	}
 	work := workFromStats(diffusion, st)
 	if cut == nil {
-		return api.LocalClusterResponse{}, work, storeErrf(ErrBadInput, "%s", noCut)
+		return api.LocalClusterResponse{}, work, api.Errorf(api.CodeInvalidArgument, "%s", noCut)
 	}
 	return api.LocalClusterResponse{
 		Method: method, Set: cut.Set, Size: len(cut.Set),
@@ -215,8 +217,7 @@ func clusterResult(g gstore.Graph, method string, cut *api.SweepInfo, st kernel.
 // the query's context: k has no cap, so only the deadline bounds a walk.
 const lazyStepsPerCheck = 1 << 10
 
-func execDiffuse(ctx context.Context, q queryView, req api.DiffuseRequest, debugWork bool) ([]byte, api.WorkStats, error) {
-	g := q.g
+func execDiffuse(ctx context.Context, g gstore.Graph, req api.DiffuseRequest, debugWork bool) ([]byte, api.WorkStats, error) {
 	seed, err := diffusion.SeedVector(g.N(), req.Seeds)
 	if err != nil {
 		return nil, api.WorkStats{}, err
@@ -266,19 +267,20 @@ func execDiffuse(ctx context.Context, q queryView, req api.DiffuseRequest, debug
 // execSweepCut sweeps a caller's vector on a pooled workspace: by
 // mass/degree descending, ties by node id, zero and negative masses
 // kept, zero-degree nodes dropped (docs/api.md).
-func execSweepCut(q queryView, req api.SweepCutRequest) ([]byte, api.WorkStats, error) {
-	ws := q.pool.Get()
-	defer q.pool.Put(ws)
-	k, bad := ws.SweepOrderList(q.g, len(req.Values), func(i int) (int, float64) {
+func execSweepCut(g gstore.Graph, req api.SweepCutRequest) ([]byte, api.WorkStats, error) {
+	pool := kernel.NewPool(g.N())
+	ws := pool.Get()
+	defer pool.Put(ws)
+	k, bad := ws.SweepOrderList(g, len(req.Values), func(i int) (int, float64) {
 		return req.Values[i].Node, req.Values[i].Mass
 	})
 	if bad >= 0 {
-		if u := req.Values[bad].Node; u >= q.g.N() {
-			return nil, api.WorkStats{}, storeErrf(ErrBadInput, "node %d out of range [0,%d)", u, q.g.N())
+		if u := req.Values[bad].Node; u >= g.N() {
+			return nil, api.WorkStats{}, api.Errorf(api.CodeInvalidArgument, "node %d out of range [0,%d)", u, g.N())
 		}
-		return nil, api.WorkStats{}, storeErrf(ErrBadInput, "node %d appears twice", req.Values[bad].Node)
+		return nil, api.WorkStats{}, api.Errorf(api.CodeInvalidArgument, "node %d appears twice", req.Values[bad].Node)
 	}
-	cut, err := sweepCut(q.g, ws, k)
+	cut, err := sweepCut(g, ws, k)
 	if err != nil {
 		return nil, api.WorkStats{}, err
 	}
@@ -307,7 +309,7 @@ func generate(req api.GenerateRequest) (*graph.Graph, error) {
 			levels = 12
 		}
 		if levels > maxGenLevels || req.Edges > maxGenEdges {
-			return nil, storeErrf(ErrBadInput, "kronecker capped at levels <= %d and edges <= %d", maxGenLevels, maxGenEdges)
+			return nil, api.Errorf(api.CodeInvalidArgument, "kronecker capped at levels <= %d and edges <= %d", maxGenLevels, maxGenEdges)
 		}
 		return gen.Kronecker(gen.KroneckerConfig{Levels: levels, Edges: req.Edges}, rng)
 	case "forestfire":
@@ -316,7 +318,7 @@ func generate(req api.GenerateRequest) (*graph.Graph, error) {
 			n = 10000
 		}
 		if n > maxGenNodes {
-			return nil, storeErrf(ErrBadInput, "forestfire capped at n <= %d", maxGenNodes)
+			return nil, api.Errorf(api.CodeInvalidArgument, "forestfire capped at n <= %d", maxGenNodes)
 		}
 		p := req.P
 		if p <= 0 {
@@ -325,12 +327,12 @@ func generate(req api.GenerateRequest) (*graph.Graph, error) {
 		return gen.ForestFire(gen.ForestFireConfig{N: n, FwdProb: p, Ambs: 1}, rng)
 	case "erdosrenyi":
 		if req.N > maxGenNodes || req.P*float64(req.N)*float64(req.N)/2 > maxGenEdges {
-			return nil, storeErrf(ErrBadInput, "erdosrenyi capped at n <= %d and expected edges <= %d", maxGenNodes, maxGenEdges)
+			return nil, api.Errorf(api.CodeInvalidArgument, "erdosrenyi capped at n <= %d and expected edges <= %d", maxGenNodes, maxGenEdges)
 		}
 		return gen.ErdosRenyi(req.N, req.P, rng)
 	case "grid":
 		if req.Rows > maxGenNodes/max(req.Cols, 1) {
-			return nil, storeErrf(ErrBadInput, "grid capped at rows*cols <= %d", maxGenNodes)
+			return nil, api.Errorf(api.CodeInvalidArgument, "grid capped at rows*cols <= %d", maxGenNodes)
 		}
 		return gen.Grid(req.Rows, req.Cols), nil
 	case "ring_of_cliques":
@@ -349,7 +351,7 @@ func generate(req api.GenerateRequest) (*graph.Graph, error) {
 // capCliqueFamily bounds k cliques of size c: k·c nodes and k·c²/2 edges.
 func capCliqueFamily(k, c int) error {
 	if k > maxGenNodes/c || float64(k)*float64(c)*float64(c)/2 > maxGenEdges {
-		return storeErrf(ErrBadInput, "clique family capped at k*clique_n <= %d nodes and %d edges", maxGenNodes, maxGenEdges)
+		return api.Errorf(api.CodeInvalidArgument, "clique family capped at k*clique_n <= %d nodes and %d edges", maxGenNodes, maxGenEdges)
 	}
 	return nil
 }

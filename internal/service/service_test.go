@@ -43,8 +43,7 @@ func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *client.Cl
 	if _, err := srv.Store().Put("ring", gstore.Wrap(gen.RingOfCliques(8, 8))); err != nil {
 		// A persistent store rebooted on a reused data dir has already
 		// recovered "ring"; that satisfies the fixture.
-		var se *StoreError
-		if !errors.As(err, &se) || se.Kind != ErrConflict {
+		if !api.IsConflict(err) {
 			t.Fatal(err)
 		}
 	}
@@ -389,7 +388,7 @@ func TestJobQueueFullIsUnavailable(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	t.Cleanup(func() { once.Do(func() { close(release) }) })
-	m.Register("block", func(ctx context.Context, _ gstore.Graph, _ json.RawMessage) (any, error) {
+	m.Register("block", func(ctx context.Context, _ gstore.Graph, _ json.RawMessage, _ ProgressFunc) (any, error) {
 		<-release
 		return "done", nil
 	})
@@ -654,7 +653,7 @@ func TestHeatTimeBoundOverHTTP(t *testing.T) {
 func TestDiffuseLazyWalksInChunks(t *testing.T) {
 	g := gstore.Wrap(gen.RingOfCliques(8, 8))
 	req := api.DiffuseRequest{Kind: "lazy", Seeds: []int{0, 9}, Alpha: 0.3, K: 2*lazyStepsPerCheck + 5, TopK: 64}
-	body, _, err := execDiffuse(context.Background(), queryView{g: g}, req, false)
+	body, _, err := execDiffuse(context.Background(), g, req, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -688,7 +687,7 @@ func TestDiffuseLazyWalksInChunks(t *testing.T) {
 	done, cancel := context.WithCancel(context.Background())
 	cancel()
 	req.K = math.MaxInt
-	if _, _, err := execDiffuse(done, queryView{g: g}, req, false); !errors.Is(err, context.Canceled) {
+	if _, _, err := execDiffuse(done, g, req, false); !errors.Is(err, context.Canceled) {
 		t.Fatalf("walk under a cancelled context = %v, want context.Canceled", err)
 	}
 }

@@ -17,7 +17,6 @@ package service
 
 import (
 	"errors"
-	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -26,41 +25,9 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/gstore"
-	"repro/internal/kernel"
 	"repro/internal/persist"
 	"repro/pkg/api"
 )
-
-// StoreErrorKind classifies store failures so handlers can map them to
-// HTTP status codes without string matching.
-type StoreErrorKind int
-
-const (
-	// ErrNotFound: the named graph does not exist.
-	ErrNotFound StoreErrorKind = iota
-	// ErrConflict: the operation conflicts with the graph's state
-	// (already exists, already sealed, still streaming).
-	ErrConflict
-	// ErrBadInput: the caller's data is invalid.
-	ErrBadInput
-	// ErrInternal: the store itself failed (persistence I/O error).
-	ErrInternal
-	// ErrUnavailable: the store is shutting down; retry against a live
-	// instance.
-	ErrUnavailable
-)
-
-// StoreError is the typed error returned by GraphStore operations.
-type StoreError struct {
-	Kind StoreErrorKind
-	Msg  string
-}
-
-func (e *StoreError) Error() string { return e.Msg }
-
-func storeErrf(kind StoreErrorKind, format string, args ...any) *StoreError {
-	return &StoreError{Kind: kind, Msg: fmt.Sprintf(format, args...)}
-}
 
 // entry is one named graph: either sealed (g != nil, immutable, safe to
 // read without locks) or still streaming (b != nil, guarded by mu).
@@ -69,7 +36,6 @@ type entry struct {
 	mu     sync.Mutex
 	g      gstore.Graph // sealed read view (compact or mmap backend)
 	b      *graph.Builder
-	pool   *kernel.Pool // handle on the diffusion workspaces of its size class; set when sealed
 	nNodes int
 	nEdges int            // edges accepted while streaming
 	wal    *persist.WAL   // open log while streaming with a data dir
@@ -84,22 +50,12 @@ const maxKeptBytes = 1 << 20
 // small reports whether s's array is small enough to keep for reuse.
 func small[T any](s []T) bool { return uintptr(cap(s))*unsafe.Sizeof(*new(T)) <= maxKeptBytes }
 
-// seal installs the immutable graph on the entry (caller holds e.mu)
-// together with its workspace handle, so every strongly-local query on
-// this graph borrows kernel scratch from its size class instead of
-// allocating: the first query after a seal, replace or reload reuses
-// the warm workspaces of any earlier graph of that class.
-func (e *entry) seal(g gstore.Graph) {
-	e.g = g
-	e.pool = kernel.NewPool(g.N())
-}
-
 // GraphStore is a concurrency-safe registry of named graphs. Sealed
 // graphs are immutable CSR structures shared by all readers; streaming
 // graphs accumulate edges under a per-entry lock until sealed. With a
 // data directory attached, every mutation is made durable before it is
 // acknowledged — how, and what recovery makes of it, is persist.Dir's
-// business; the store keeps names, ids, entries, pools and locking.
+// business; the store keeps names, ids, entries and locking.
 type GraphStore struct {
 	mu      sync.RWMutex
 	graphs  map[string]*entry
@@ -130,7 +86,7 @@ func NewGraphStore(dataDir string, backend gstore.Kind, logf func(format string,
 	s := &GraphStore{graphs: make(map[string]*entry), backend: backend, logf: logf}
 	if dataDir == "" {
 		if backend == gstore.KindMmap {
-			return nil, storeErrf(ErrBadInput, "backend %q requires a data directory", backend)
+			return nil, api.Errorf(api.CodeInvalidArgument, "backend %q requires a data directory", backend)
 		}
 		return s, nil
 	}
@@ -142,7 +98,7 @@ func NewGraphStore(dataDir string, backend gstore.Kind, logf func(format string,
 	for _, r := range recovered {
 		e := &entry{id: s.nextID.Add(1)}
 		if r.Graph != nil {
-			e.seal(r.Graph)
+			e.g = r.Graph
 		} else {
 			e.b, e.wal, e.nNodes, e.nEdges = r.Builder, r.WAL, r.WAL.Nodes(), r.Edges
 		}
@@ -157,15 +113,15 @@ func NewGraphStore(dataDir string, backend gstore.Kind, logf func(format string,
 // entry lock. The caller must either commit (unlock) or abort.
 func (s *GraphStore) reserve(name string) (*entry, error) {
 	if err := persist.CheckName(name); err != nil {
-		return nil, storeErrf(ErrBadInput, "%v", err)
+		return nil, api.Errorf(api.CodeInvalidArgument, "%v", err)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed.Load() {
-		return nil, storeErrf(ErrUnavailable, "graph store is shut down")
+		return nil, api.Errorf(api.CodeUnavailable, "graph store is shut down")
 	}
 	if _, ok := s.graphs[name]; ok {
-		return nil, storeErrf(ErrConflict, "graph %q already exists", name)
+		return nil, api.Errorf(api.CodeConflict, "graph %q already exists", name)
 	}
 	e := &entry{id: s.nextID.Add(1)}
 	e.mu.Lock()
@@ -182,7 +138,7 @@ func (s *GraphStore) abortReserve(name string, e *entry) {
 }
 
 // Put registers a sealed graph under name, served from the store's
-// default backend. It fails with ErrConflict if the name is taken. With
+// default backend. It fails with a conflict if the name is taken. With
 // a data directory attached the snapshot is written (atomically) before
 // the graph becomes visible as sealed.
 func (s *GraphStore) Put(name string, g *gstore.Compact) (api.GraphInfo, error) {
@@ -196,7 +152,7 @@ func (s *GraphStore) PutWithBackend(name string, g *gstore.Compact, kind gstore.
 		kind = s.backend
 	}
 	if kind == gstore.KindMmap && s.dir == nil {
-		return api.GraphInfo{}, storeErrf(ErrBadInput, "backend %q requires a data directory", kind)
+		return api.GraphInfo{}, api.Errorf(api.CodeInvalidArgument, "backend %q requires a data directory", kind)
 	}
 	e, err := s.reserve(name)
 	if err != nil {
@@ -205,9 +161,9 @@ func (s *GraphStore) PutWithBackend(name string, g *gstore.Compact, kind gstore.
 	sg, err := s.dir.Put(name, g, kind)
 	if err != nil {
 		s.abortReserve(name, e)
-		return api.GraphInfo{}, storeErrf(ErrInternal, "persisting graph %q: %v", name, err)
+		return api.GraphInfo{}, api.Errorf(api.CodeInternal, "persisting graph %q: %v", name, err)
 	}
-	e.seal(sg)
+	e.g = sg
 	info := s.infoLocked(name, e)
 	e.mu.Unlock()
 	return info, nil
@@ -215,27 +171,19 @@ func (s *GraphStore) PutWithBackend(name string, g *gstore.Compact, kind gstore.
 
 // Get returns the sealed graph's read view under name together with
 // its store id (the cache-key component that distinguishes same-named
-// graphs across delete/re-create cycles). Unsealed graphs report
-// ErrConflict.
+// graphs across delete/re-create cycles). Unsealed graphs report a
+// conflict.
 func (s *GraphStore) Get(name string) (gstore.Graph, uint64, error) {
-	g, id, _, err := s.GetForQuery(name)
-	return g, id, err
-}
-
-// GetForQuery is Get plus the graph's workspace pool, the form the
-// synchronous query path uses so every request borrows (and returns)
-// pooled kernel scratch instead of allocating sparse vectors.
-func (s *GraphStore) GetForQuery(name string) (gstore.Graph, uint64, *kernel.Pool, error) {
 	e, err := s.lock(name)
 	if err != nil {
-		return nil, 0, nil, err
+		return nil, 0, err
 	}
-	g, pool := e.g, e.pool
+	g := e.g
 	e.mu.Unlock()
 	if g == nil {
-		return nil, 0, nil, storeErrf(ErrConflict, "graph %q is still streaming; seal it first", name)
+		return nil, 0, api.Errorf(api.CodeConflict, "graph %q is still streaming; seal it first", name)
 	}
-	return g, e.id, pool, nil
+	return g, e.id, nil
 }
 
 // lock returns the entry under name with its mutex held.
@@ -244,7 +192,7 @@ func (s *GraphStore) lock(name string) (*entry, error) {
 	e, ok := s.graphs[name]
 	s.mu.RUnlock()
 	if !ok {
-		return nil, storeErrf(ErrNotFound, "graph %q not found", name)
+		return nil, api.Errorf(api.CodeNotFound, "graph %q not found", name)
 	}
 	e.mu.Lock()
 	return e, nil
@@ -341,7 +289,7 @@ func (s *GraphStore) List() []api.GraphInfo {
 // the stream survives a crash from its very first batch.
 func (s *GraphStore) BeginStream(name string, n int) (api.GraphInfo, error) {
 	if n <= 0 || n > graph.MaxEdgeListNodes {
-		return api.GraphInfo{}, storeErrf(ErrBadInput, "stream graph needs 0 < nodes <= %d, got %d", graph.MaxEdgeListNodes, n)
+		return api.GraphInfo{}, api.Errorf(api.CodeInvalidArgument, "stream graph needs 0 < nodes <= %d, got %d", graph.MaxEdgeListNodes, n)
 	}
 	e, err := s.reserve(name)
 	if err != nil {
@@ -351,7 +299,7 @@ func (s *GraphStore) BeginStream(name string, n int) (api.GraphInfo, error) {
 		w, err := s.dir.CreateWAL(name, n)
 		if err != nil {
 			s.abortReserve(name, e)
-			return api.GraphInfo{}, storeErrf(ErrInternal, "creating WAL for %q: %v", name, err)
+			return api.GraphInfo{}, api.Errorf(api.CodeInternal, "creating WAL for %q: %v", name, err)
 		}
 		e.wal = w
 	}
@@ -378,10 +326,10 @@ func (s *GraphStore) AppendEdges(name string, edges []api.StreamEdge) error {
 	// e.mu to retire the WAL, so a batch that passes here still has an
 	// open WAL to land in — an acknowledged batch is never unlogged.
 	if s.closed.Load() {
-		return storeErrf(ErrUnavailable, "graph store is shut down")
+		return api.Errorf(api.CodeUnavailable, "graph store is shut down")
 	}
 	if e.b == nil {
-		return storeErrf(ErrConflict, "graph %q is sealed; cannot append edges", name)
+		return api.Errorf(api.CodeConflict, "graph %q is sealed; cannot append edges", name)
 	}
 	// The scratch is reused under e.mu; the WAL keeps no byte of it.
 	batch := slices.Grow(e.batch[:0], len(edges))
@@ -394,13 +342,13 @@ func (s *GraphStore) AppendEdges(name string, edges []api.StreamEdge) error {
 			pe.W = 1
 		}
 		if err := pe.Check(e.nNodes); err != nil {
-			return storeErrf(ErrBadInput, "edge %d %v", i, err)
+			return api.Errorf(api.CodeInvalidArgument, "edge %d %v", i, err)
 		}
 		batch = append(batch, pe)
 	}
 	if e.wal != nil {
 		if err := e.wal.AppendBatch(batch); err != nil {
-			return storeErrf(ErrInternal, "logging edge batch for %q: %v", name, err)
+			return api.Errorf(api.CodeInternal, "logging edge batch for %q: %v", name, err)
 		}
 	}
 	for _, ed := range batch {
@@ -423,26 +371,26 @@ func (s *GraphStore) Seal(name string) (api.GraphInfo, error) {
 	}
 	defer e.mu.Unlock()
 	if s.closed.Load() {
-		return api.GraphInfo{}, storeErrf(ErrUnavailable, "graph store is shut down")
+		return api.GraphInfo{}, api.Errorf(api.CodeUnavailable, "graph store is shut down")
 	}
 	if e.b == nil {
-		return api.GraphInfo{}, storeErrf(ErrConflict, "graph %q is already sealed", name)
+		return api.GraphInfo{}, api.Errorf(api.CodeConflict, "graph %q is already sealed", name)
 	}
 	c, err := gstore.Build(e.b)
 	if err != nil {
-		return api.GraphInfo{}, storeErrf(ErrBadInput, "sealing %q: %v", name, err)
+		return api.GraphInfo{}, api.Errorf(api.CodeInvalidArgument, "sealing %q: %v", name, err)
 	}
 	sg, err := s.dir.Seal(name, c, e.wal, s.backend)
 	if err != nil {
-		return api.GraphInfo{}, storeErrf(ErrInternal, "persisting sealed graph %q: %v", name, err)
+		return api.GraphInfo{}, api.Errorf(api.CodeInternal, "persisting sealed graph %q: %v", name, err)
 	}
-	e.seal(sg)
+	e.g = sg
 	e.b, e.wal, e.batch = nil, nil, nil
 	return s.infoLocked(name, e), nil
 }
 
 // Close flushes and closes every open write-ahead log and marks the
-// store as shut down; subsequent mutations fail with ErrUnavailable. A
+// store as shut down; subsequent mutations are unavailable. A
 // clean Close followed by a restart on the same data directory replays
 // to the identical store state.
 func (s *GraphStore) Close() error {

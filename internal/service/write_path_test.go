@@ -170,13 +170,13 @@ func TestResealedGraphReusesWorkspaces(t *testing.T) {
 		}
 	}
 	query := func(name string) uint64 {
-		g, _, pool, err := s.GetForQuery(name)
+		g, _, err := s.Get(name)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, _, err = execPPR(context.Background(), queryView{g: g, pool: pool}, req, false)
+		_, _, err = execPPR(context.Background(), g, req, false)
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
