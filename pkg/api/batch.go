@@ -1,7 +1,5 @@
 package api
 
-import "math"
-
 // Batch queries run one independent single-seed diffusion per entry of
 // Seeds — unlike PPRRequest.Seeds, which is one seed *set* for one
 // diffusion. graphd computes each seed with the single-seed endpoint's
@@ -28,36 +26,23 @@ type PPRBatchRequest struct {
 	Sweep bool    `json:"sweep,omitempty"`
 }
 
-// Normalize defaults Alpha to 0.15, Eps to 1e-4 and TopK to 100 — the
-// single-seed PPR defaults, so a batched seed answers exactly like a
-// lone one.
-func (r *PPRBatchRequest) Normalize() {
-	if r.Alpha == 0 {
-		r.Alpha = 0.15
-	}
-	if r.Eps == 0 {
-		r.Eps = 1e-4
-	}
-	if r.TopK == 0 {
-		r.TopK = 100
-	}
-}
+// Normalize applies the single-seed ppr defaults, so a batched seed
+// answers exactly like a lone one.
+func (r *PPRBatchRequest) Normalize() { (*PPRRequest)(r).Normalize() }
 
+// Validate checks the request as its single-seed twin, and the batch's
+// size.
 func (r *PPRBatchRequest) Validate() error {
-	if err := validSeeds(r.Seeds); err != nil {
+	if err := (*PPRRequest)(r).Validate(); err != nil {
 		return err
 	}
-	if len(r.Seeds) > MaxBatchSeeds {
-		return Errorf(CodeInvalidArgument, "batch of %d seeds exceeds the %d-seed limit", len(r.Seeds), MaxBatchSeeds)
-	}
-	if r.Alpha <= 0 || r.Alpha >= 1 {
-		return Errorf(CodeInvalidArgument, "alpha=%v outside (0,1)", r.Alpha)
-	}
-	if r.Eps <= 0 || math.IsNaN(r.Eps) {
-		return Errorf(CodeInvalidArgument, "eps=%v must be positive", r.Eps)
-	}
-	if r.TopK < 0 {
-		return Errorf(CodeInvalidArgument, "topk=%d must be >= 0", r.TopK)
+	return validBatchSize(r.Seeds)
+}
+
+// validBatchSize refuses a batch of more than MaxBatchSeeds seeds.
+func validBatchSize(seeds []int) error {
+	if len(seeds) > MaxBatchSeeds {
+		return Errorf(CodeInvalidArgument, "batch of %d seeds exceeds the %d-seed limit", len(seeds), MaxBatchSeeds)
 	}
 	return nil
 }
@@ -100,52 +85,16 @@ type LocalClusterBatchRequest struct {
 	T     float64 `json:"t,omitempty"`     // heat-kernel time
 }
 
-// Normalize applies the single-seed localcluster defaults: Method
-// "ppr", Alpha 0.15, Eps 1e-4, Steps 20, T 5.
-func (r *LocalClusterBatchRequest) Normalize() {
-	if r.Method == "" {
-		r.Method = "ppr"
-	}
-	if r.Alpha == 0 {
-		r.Alpha = 0.15
-	}
-	if r.Eps == 0 {
-		r.Eps = 1e-4
-	}
-	if r.Steps == 0 {
-		r.Steps = 20
-	}
-	if r.T == 0 {
-		r.T = 5
-	}
-}
+// Normalize applies the single-seed localcluster defaults.
+func (r *LocalClusterBatchRequest) Normalize() { (*LocalClusterRequest)(r).Normalize() }
 
+// Validate checks the request as its single-seed twin, and the batch's
+// size.
 func (r *LocalClusterBatchRequest) Validate() error {
-	switch r.Method {
-	case "ppr", "nibble", "heat":
-	default:
-		return Errorf(CodeInvalidArgument, "method must be ppr|nibble|heat, got %q", r.Method).
-			WithDetail("methods", LocalClusterMethods)
-	}
-	if err := validSeeds(r.Seeds); err != nil {
+	if err := (*LocalClusterRequest)(r).Validate(); err != nil {
 		return err
 	}
-	if len(r.Seeds) > MaxBatchSeeds {
-		return Errorf(CodeInvalidArgument, "batch of %d seeds exceeds the %d-seed limit", len(r.Seeds), MaxBatchSeeds)
-	}
-	if r.Alpha <= 0 || r.Alpha >= 1 {
-		return Errorf(CodeInvalidArgument, "alpha=%v outside (0,1)", r.Alpha)
-	}
-	if r.Eps <= 0 || math.IsNaN(r.Eps) {
-		return Errorf(CodeInvalidArgument, "eps=%v must be positive", r.Eps)
-	}
-	if r.Steps < 1 {
-		return Errorf(CodeInvalidArgument, "steps=%d must be >= 1", r.Steps)
-	}
-	if err := validHeatT(r.T); err != nil {
-		return err
-	}
-	return nil
+	return validBatchSize(r.Seeds)
 }
 
 // LocalClusterBatchResult is one seed's cluster; its fields mirror

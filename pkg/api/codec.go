@@ -10,8 +10,8 @@ import (
 )
 
 // The ppr replies are most of what graphd puts on the wire and their
-// shape is fixed, so PPRResponse and PPRBatchResponse are encoded and
-// decoded here without reflection, in one pass over the bytes. The
+// shape is fixed, so PPRResponse is encoded, and it and PPRBatchResponse
+// are decoded, here without reflection, in one pass over the bytes. The
 // encoder's output is json.Marshal's, byte for byte. The decoder accepts
 // exactly what the encoder writes (plus trailing white space) and gives
 // anything else to encoding/json unchanged, so what is tolerated and how
@@ -28,26 +28,6 @@ func (r *PPRResponse) AppendJSON(dst []byte) ([]byte, error) {
 	e := encoder{b: dst}
 	e.lit(`{`)
 	e.pprFields(r.Support, r.Sum, r.Pushes, r.WorkVolume, r.Top, r.Sweep)
-	e.work(r.Work)
-	return e.finish()
-}
-
-// AppendJSON is PPRResponse.AppendJSON for the batch reply.
-func (r *PPRBatchResponse) AppendJSON(dst []byte) ([]byte, error) {
-	e := encoder{b: dst}
-	if r.Results == nil {
-		e.lit(`{"results":null`)
-	} else {
-		e.lit(`{"results":[`)
-		for _, res := range r.Results {
-			e.int(`{"seed":`, res.Seed)
-			e.lit(`,`)
-			e.pprFields(res.Support, res.Sum, res.Pushes, res.WorkVolume, res.Top, res.Sweep)
-			e.lit(`},`)
-		}
-		e.closeArray()
-	}
-	e.float(`,"total_work":`, r.TotalWork)
 	e.work(r.Work)
 	return e.finish()
 }
