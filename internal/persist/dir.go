@@ -373,7 +373,7 @@ func (d *Dir) Quarantine(path string) (string, error) {
 		return "", fmt.Errorf("persist: quarantine %s: %w", path, err)
 	}
 	d.counters.Quarantined.Add(1)
-	syncDir(d.root)
+	_ = syncDir(d.root) // best effort: the rename has happened either way
 	return dst, nil
 }
 

@@ -17,6 +17,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"syscall"
 	"testing"
 	"testing/iotest"
 
@@ -808,4 +809,40 @@ func TestEncodeWordsMatchesByteView(t *testing.T) {
 
 func sameBytes[T sectionWord](vals []T) bool {
 	return bytes.Equal(sectionBytes(vals), encodeWords(vals))
+}
+
+// TestSyncDirReportsFailures: a directory fsync that cannot happen is an
+// error, so WriteSnapshotFile cannot report a rename durable that may
+// not be; only a platform's refusal to fsync directories is forgiven.
+func TestSyncDirReportsFailures(t *testing.T) {
+	dir := t.TempDir()
+	if err := syncDir(dir); err != nil {
+		t.Fatalf("syncDir on a live directory: %v", err)
+	}
+	gone := filepath.Join(dir, "gone")
+	if err := os.Mkdir(gone, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(gone); err != nil {
+		t.Fatal(err)
+	}
+	if err := syncDir(gone); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("syncDir on a removed directory = %v, want a not-exist error", err)
+	}
+	for _, c := range []struct {
+		err     error
+		refused bool
+	}{
+		{&os.PathError{Op: "sync", Path: dir, Err: syscall.EINVAL}, true},
+		{&os.PathError{Op: "sync", Path: dir, Err: syscall.ENOTSUP}, true},
+		{&os.PathError{Op: "sync", Path: dir, Err: syscall.EOPNOTSUPP}, true},
+		{&os.PathError{Op: "sync", Path: dir, Err: syscall.EIO}, false},
+		{&os.PathError{Op: "sync", Path: dir, Err: syscall.ENOSPC}, false},
+		{&os.PathError{Op: "sync", Path: dir, Err: syscall.EBADF}, false},
+		{errors.New("invalid argument"), false},
+	} {
+		if got := dirSyncRefused(c.err); got != c.refused {
+			t.Errorf("dirSyncRefused(%v) = %v, want %v", c.err, got, c.refused)
+		}
+	}
 }

@@ -29,12 +29,14 @@ package persist
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"syscall"
 
 	"repro/internal/graph"
 	"repro/internal/gstore"
@@ -250,15 +252,24 @@ func ReadGraphFile(path string) (*gstore.Compact, error) {
 }
 
 // syncDir fsyncs a directory so a just-renamed file's directory entry is
-// durable. Some platforms refuse to fsync directories; that is not a
-// correctness failure, so those errors are ignored.
+// durable. A platform that refuses to fsync directories at all is no
+// durability failure (dirSyncRefused); any other error is returned.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
-		return nil
+		return fmt.Errorf("persist: sync directory: %w", err)
 	}
-	d.Sync()
+	if err := d.Sync(); err != nil && !dirSyncRefused(err) {
+		d.Close()
+		return fmt.Errorf("persist: sync directory: %w", err)
+	}
 	return d.Close()
+}
+
+// dirSyncRefused reports whether a directory fsync failed because the
+// platform does not fsync directories: EINVAL, ENOTSUP or EOPNOTSUPP.
+func dirSyncRefused(err error) bool {
+	return errors.Is(err, syscall.EINVAL) || errors.Is(err, syscall.ENOTSUP) || errors.Is(err, syscall.EOPNOTSUPP)
 }
 
 // readWords reads a v1 section — count little-endian 8-byte words, then
