@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 )
 
 // Graph is an undirected weighted graph in CSR form. Self-loops are not
@@ -224,74 +223,27 @@ func (g *Graph) CSR() (rowPtr, adj []int, w []float64) {
 }
 
 // FromCSR rebuilds a Graph directly from CSR arrays, taking ownership of
-// the slices. It validates every structural invariant Build guarantees —
-// rowPtr monotone and anchored at 0, neighbor lists strictly ascending
-// (no self-loops, no duplicates), weights positive and finite, and exact
-// symmetry (every {u,v} present in both rows with bit-identical weight) —
-// so that a graph decoded from an untrusted snapshot is indistinguishable
-// from one assembled by Builder. Degrees are accumulated in row order,
-// which matches Build's edge order, so a Build → CSR → FromCSR round
-// trip reproduces the degree and volume floats bit-for-bit.
-func FromCSR(rowPtr, adj []int, w []float64) (*Graph, error) {
-	if len(rowPtr) < 1 {
-		return nil, fmt.Errorf("graph: FromCSR: rowPtr is empty")
-	}
+// the slices. It checks nothing: the arrays must already be a graph as
+// Builder makes one — rowPtr anchored at 0 and monotone with rowPtr[n] =
+// len(adj) = len(w), rows strictly ascending inside [0,n) with no
+// self-loops, weights positive and finite, and every {u,v} present in
+// both rows with bit-identical weight. Its one caller, gstore's
+// materialize, holds arrays that gstore validated when it decoded them
+// or that a builder built. Degrees are summed in row order, which
+// matches Build's edge order, so a Build → CSR → FromCSR round trip
+// reproduces the degree and volume floats bit-for-bit.
+func FromCSR(rowPtr, adj []int, w []float64) *Graph {
 	n := len(rowPtr) - 1
-	if rowPtr[0] != 0 {
-		return nil, fmt.Errorf("graph: FromCSR: rowPtr[0] = %d, want 0", rowPtr[0])
-	}
-	for i := 0; i < n; i++ {
-		if rowPtr[i+1] < rowPtr[i] {
-			return nil, fmt.Errorf("graph: FromCSR: rowPtr decreases at %d (%d -> %d)", i, rowPtr[i], rowPtr[i+1])
-		}
-	}
-	if rowPtr[n] != len(adj) {
-		return nil, fmt.Errorf("graph: FromCSR: rowPtr[n] = %d but len(adj) = %d", rowPtr[n], len(adj))
-	}
-	if len(w) != len(adj) {
-		return nil, fmt.Errorf("graph: FromCSR: len(w) = %d but len(adj) = %d", len(w), len(adj))
-	}
-	if len(adj)%2 != 0 {
-		return nil, fmt.Errorf("graph: FromCSR: odd entry count %d cannot be symmetric", len(adj))
-	}
 	g := &Graph{n: n, rowPtr: rowPtr, adj: adj, w: w, deg: make([]float64, n), edges: len(adj) / 2}
-	pairs := 0
 	for u := 0; u < n; u++ {
-		prev := -1
 		for k := rowPtr[u]; k < rowPtr[u+1]; k++ {
-			v := adj[k]
-			if v < 0 || v >= n {
-				return nil, fmt.Errorf("graph: FromCSR: neighbor %d of node %d out of range [0,%d)", v, u, n)
-			}
-			if v == u {
-				return nil, fmt.Errorf("graph: FromCSR: self-loop at node %d", u)
-			}
-			if v <= prev {
-				return nil, fmt.Errorf("graph: FromCSR: row %d not strictly ascending at entry %d", u, k-rowPtr[u])
-			}
-			prev = v
-			wt := w[k]
-			if wt <= 0 || math.IsNaN(wt) || math.IsInf(wt, 0) {
-				return nil, fmt.Errorf("graph: FromCSR: edge (%d,%d) has invalid weight %v", u, v, wt)
-			}
-			g.deg[u] += wt
-			if u < v {
-				// Symmetry: the mirror entry must exist with the same bits.
-				mw, ok := g.HasEdge(v, u)
-				if !ok || mw != wt {
-					return nil, fmt.Errorf("graph: FromCSR: edge (%d,%d) weight %v has no symmetric mirror", u, v, wt)
-				}
-				pairs++
-			}
+			g.deg[u] += w[k]
 		}
-	}
-	if 2*pairs != len(adj) {
-		return nil, fmt.Errorf("graph: FromCSR: %d upper-triangle edges cannot cover %d entries", pairs, len(adj))
 	}
 	for _, d := range g.deg {
 		g.volume += d
 	}
-	return g, nil
+	return g
 }
 
 // N returns the number of nodes.
@@ -315,17 +267,6 @@ func (g *Graph) Degrees() []float64 { return g.deg }
 func (g *Graph) Neighbors(u int) ([]int, []float64) {
 	lo, hi := g.rowPtr[u], g.rowPtr[u+1]
 	return g.adj[lo:hi], g.w[lo:hi]
-}
-
-// HasEdge reports whether the undirected edge {u, v} exists, and its
-// weight.
-func (g *Graph) HasEdge(u, v int) (float64, bool) {
-	lo, hi := g.rowPtr[u], g.rowPtr[u+1]
-	k := lo + sort.SearchInts(g.adj[lo:hi], v)
-	if k < hi && g.adj[k] == v {
-		return g.w[k], true
-	}
-	return 0, false
 }
 
 // Edges calls fn once per undirected edge with u < v.

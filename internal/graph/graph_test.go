@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -78,9 +79,8 @@ func TestParallelEdgesMerge(t *testing.T) {
 	if g.M() != 1 {
 		t.Fatalf("M = %d, want 1 (parallel edges merged)", g.M())
 	}
-	w, ok := g.HasEdge(0, 1)
-	if !ok || w != 3.5 {
-		t.Fatalf("HasEdge = (%v, %v), want (3.5, true)", w, ok)
+	if nbrs, w := g.Neighbors(0); len(nbrs) != 1 || nbrs[0] != 1 || w[0] != 3.5 {
+		t.Fatalf("Neighbors(0) = (%v, %v), want ([1], [3.5])", nbrs, w)
 	}
 }
 
@@ -296,8 +296,8 @@ func TestEdgeListRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch: N %d/%d M %d/%d vol %v/%v",
 			g.N(), g2.N(), g.M(), g2.M(), g.Volume(), g2.Volume())
 	}
-	if w, ok := g2.HasEdge(1, 2); !ok || w != 2.5 {
-		t.Fatalf("weighted edge lost: %v %v", w, ok)
+	if nbrs, w := g2.Neighbors(1); !slices.Equal(nbrs, []int{0, 2}) || w[1] != 2.5 {
+		t.Fatalf("weighted edge lost: Neighbors(1) = (%v, %v)", nbrs, w)
 	}
 }
 

@@ -96,35 +96,50 @@ func NewCompact(g *graph.Graph) (*Compact, error) {
 }
 
 // newCompact assembles the compact in-heap form over trusted CSR
-// arrays, a builder's or a heap graph's, keeping them. w (nil means unit weights) is stored in the narrowest lossless
-// form DetectWeightForm finds, and the volume sums deg in node order,
-// as graph.Build sums it.
+// arrays, a builder's or a heap graph's, keeping them. w (nil means
+// unit weights) is stored as NarrowWeights stores it, and the volume
+// sums deg in node order, as graph.Build sums it.
 func newCompact(rowPtr []int64, adj []uint32, w, deg []float64) *Compact {
 	c := &Compact{kind: KindCompact, n: len(deg), m: len(adj) / 2, rowPtr: rowPtr, adj: adj, deg: deg}
-	switch DetectWeightForm(w) {
-	case WeightsUnit:
-	case WeightsF32:
-		c.w32 = make([]float32, len(w))
-		for i, x := range w {
-			c.w32[i] = float32(x)
-		}
-	default:
-		c.w64 = w
-	}
+	c.w32, c.w64 = NarrowWeights(w)
 	for _, d := range deg {
 		c.volume += d
 	}
 	return c
 }
 
+// NarrowWeights stores w (nil means unit weights) in the narrowest
+// lossless form DetectWeightForm finds: both nil for unit weights, a
+// float32 copy when every weight survives the round trip, and w itself
+// otherwise. The compact backend and the v1 snapshot decoder share it.
+func NarrowWeights(w []float64) (w32 []float32, w64 []float64) {
+	switch DetectWeightForm(w) {
+	case WeightsUnit:
+		return nil, nil
+	case WeightsF32:
+		w32 = make([]float32, len(w))
+		for i, x := range w {
+			w32[i] = float32(x)
+		}
+		return w32, nil
+	}
+	return nil, w
+}
+
 // NewCompactFromParts assembles a Compact directly from raw arrays —
-// the entry point of the snapshot readers (both the copying v2 decoder
-// and the mmap path). Exactly one of w32/w64 may be non-nil (both nil
-// means unit weights). Every structural invariant graph.FromCSR
-// guarantees is re-verified here, plus one more: deg must be
-// bit-identical to the row-order weight accumulation, so an untrusted
-// snapshot cannot smuggle in degrees that disagree with its adjacency.
-// closer, if non-nil, is invoked by Close (the mmap path's munmap).
+// the entry point of every snapshot reader (v1, the copying v2 decoder
+// and the mmap path) and the one validator of CSR arrays that come
+// from outside the program. At most one of w32/w64 may be non-nil
+// (both nil means unit weights). It verifies every structural
+// invariant graph.Builder guarantees: row pointers anchored at 0 and
+// monotone, rows strictly ascending (no self-loops, no duplicates),
+// neighbours inside [0,n), weights positive and finite, and exact
+// symmetry with bit-identical mirror weights. deg, when non-nil, must
+// be bit-identical to the row-order weight accumulation, so an
+// untrusted snapshot cannot smuggle in degrees that disagree with its
+// adjacency; a nil deg is that accumulation (a v1 snapshot stores no
+// degrees). closer, if non-nil, is invoked by Close (the mmap path's
+// munmap).
 func NewCompactFromParts(kind Kind, rowPtr []int64, adj []uint32, w32 []float32, w64 []float64, deg []float64, closer func() error) (*Compact, error) {
 	if kind != KindCompact && kind != KindMmap {
 		return nil, fmt.Errorf("gstore: compact parts cannot serve backend %q", kind)
@@ -159,7 +174,10 @@ func NewCompactFromParts(kind Kind, rowPtr []int64, adj []uint32, w32 []float32,
 	if w64 != nil && len(w64) != len(adj) {
 		return nil, fmt.Errorf("gstore: len(w64) = %d but len(adj) = %d", len(w64), len(adj))
 	}
-	if len(deg) != n {
+	derive := deg == nil
+	if derive {
+		deg = make([]float64, n)
+	} else if len(deg) != n {
 		return nil, fmt.Errorf("gstore: len(deg) = %d but n = %d", len(deg), n)
 	}
 	c := &Compact{
@@ -168,7 +186,7 @@ func NewCompactFromParts(kind Kind, rowPtr []int64, adj []uint32, w32 []float32,
 		closer: closer,
 	}
 	verifyStart := time.Now()
-	if err := c.validate(); err != nil {
+	if err := c.validate(derive); err != nil {
 		return nil, err
 	}
 	stats.noteOpenVerify(int64(time.Since(verifyStart)))
@@ -202,10 +220,11 @@ func (c *Compact) weightAt(k int64) float64 {
 	}
 }
 
-// validate re-checks the CSR invariants (rows strictly ascending with
-// no self-loops, weights positive and finite, exact symmetry) and that
-// deg matches the row-order accumulation bit-for-bit.
-func (c *Compact) validate() error {
+// validate checks the CSR invariants (rows strictly ascending with no
+// self-loops, weights positive and finite, exact symmetry) and that deg
+// matches the row-order accumulation bit-for-bit, or, when derive is
+// set, stores that accumulation as deg.
+func (c *Compact) validate(derive bool) error {
 	pairs := 0
 	for u := 0; u < c.n; u++ {
 		prev := int64(-1)
@@ -235,7 +254,9 @@ func (c *Compact) validate() error {
 				pairs++
 			}
 		}
-		if math.Float64bits(du) != math.Float64bits(c.deg[u]) {
+		if derive {
+			c.deg[u] = du
+		} else if math.Float64bits(du) != math.Float64bits(c.deg[u]) {
 			return fmt.Errorf("gstore: stored degree %v of node %d disagrees with its row (recomputed %v)", c.deg[u], u, du)
 		}
 	}
@@ -324,10 +345,11 @@ func (c *Compact) Close() error {
 	return err
 }
 
-// materialize widens the compact arrays back into a heap graph,
-// revalidating through graph.FromCSR (which also reproduces the
-// degree floats bit-for-bit, as verified at construction).
-func (c *Compact) materialize() (*graph.Graph, error) {
+// materialize widens the compact arrays back into a heap graph. They
+// were validated at construction or built by the builder, so they meet
+// graph.FromCSR's precondition, and FromCSR's row-order degree sums
+// reproduce the degree floats bit-for-bit.
+func (c *Compact) materialize() *graph.Graph {
 	rowPtr := make([]int, len(c.rowPtr))
 	for i, v := range c.rowPtr {
 		rowPtr[i] = int(v)
@@ -340,9 +362,5 @@ func (c *Compact) materialize() (*graph.Graph, error) {
 	for i := range w {
 		w[i] = c.weightAt(int64(i))
 	}
-	g, err := graph.FromCSR(rowPtr, adj, w)
-	if err != nil {
-		return nil, fmt.Errorf("gstore: materialize: %w", err)
-	}
-	return g, nil
+	return graph.FromCSR(rowPtr, adj, w)
 }

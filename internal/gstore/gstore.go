@@ -115,16 +115,19 @@ func Wrap(g *graph.Graph) *Compact {
 	return c
 }
 
-// Materialize returns a validated heap *graph.Graph copy of g (in-heap
-// or mapped); every call copies. The copy reproduces adjacency,
-// weights, degrees and volume bit-for-bit (weights were only stored
-// compactly when the narrowing was lossless), so an algorithm run on
-// the materialization is indistinguishable from one run on the
-// builder's graph. The global jobs that need a heap CSR (flow NCP,
-// multilevel partitioning) go through this.
+// Materialize returns a heap *graph.Graph copy of g (in-heap or
+// mapped); every call copies. The copy reproduces adjacency, weights,
+// degrees and volume bit-for-bit (weights were only stored compactly
+// when the narrowing was lossless), so an algorithm run on the
+// materialization is indistinguishable from one run on the builder's
+// graph. The global jobs that need a heap CSR (flow NCP, multilevel
+// partitioning) go through this. The error is always nil: g was
+// validated when it was built or decoded, so the copy is not checked
+// again. The result keeps its error until the function goes with the
+// heap graph (ROADMAP item 13d).
 func Materialize(g Graph) (*graph.Graph, error) {
 	stats.noteMaterialization()
-	return g.materialize()
+	return g.materialize(), nil
 }
 
 // VolumeOfSet returns vol(S) = Σ_{u∈S} deg(u) for a node-list set.

@@ -287,6 +287,14 @@ func TestNewCompactFromPartsValid(t *testing.T) {
 		if math.Float64bits(c.Volume()) != math.Float64bits(g.Volume()) {
 			t.Errorf("%s: Volume %v, want %v", name, c.Volume(), g.Volume())
 		}
+		// A nil deg is the row-order accumulation: the degrees stored
+		// alongside the same arrays, bit for bit.
+		p.deg = nil
+		derived, err := p.build(gstore.KindCompact, nil)
+		if err != nil {
+			t.Fatalf("%s: parts without degrees rejected: %v", name, err)
+		}
+		sameCompact(t, name+" (derived degrees)", derived, c)
 	}
 }
 
@@ -354,6 +362,11 @@ func TestNewCompactFromPartsRejects(t *testing.T) {
 			p.adj[0] = 0 // node 0's first neighbor becomes itself
 			return gstore.KindCompact, p
 		}},
+		{"duplicate-neighbor", func(t *testing.T) (gstore.Kind, compactParts) {
+			p := partsOf(t, unit)
+			p.adj[1] = p.adj[0]
+			return gstore.KindCompact, p
+		}},
 		{"row-not-ascending", func(t *testing.T) (gstore.Kind, compactParts) {
 			p := partsOf(t, unit)
 			// Node 0 of a dumbbell clique has ≥2 neighbors; reverse them.
@@ -363,6 +376,11 @@ func TestNewCompactFromPartsRejects(t *testing.T) {
 		{"negative-weight", func(t *testing.T) (gstore.Kind, compactParts) {
 			p := partsOf(t, base)
 			p.w64[0] = -p.w64[0]
+			return gstore.KindCompact, p
+		}},
+		{"zero-weight", func(t *testing.T) (gstore.Kind, compactParts) {
+			p := partsOf(t, base)
+			p.w64[0] = 0
 			return gstore.KindCompact, p
 		}},
 		{"nan-weight", func(t *testing.T) (gstore.Kind, compactParts) {
@@ -376,6 +394,13 @@ func TestNewCompactFromPartsRejects(t *testing.T) {
 			// the old weight, so symmetry verification must fail.
 			p.w64[0] *= 2
 			return gstore.KindCompact, p
+		}},
+		{"missing-mirror", func(t *testing.T) (gstore.Kind, compactParts) {
+			// Rows 0 and 2 both list node 1, whose row is empty: the
+			// entry count is even, but neither edge has its mirror.
+			return gstore.KindCompact, compactParts{
+				rowPtr: []int64{0, 1, 1, 2}, adj: []uint32{1, 1}, deg: []float64{1, 0, 1},
+			}
 		}},
 		{"smuggled-degree", func(t *testing.T) (gstore.Kind, compactParts) {
 			p := partsOf(t, unit)
@@ -483,7 +508,8 @@ func TestMaterializeBitIdentity(t *testing.T) {
 // form, with parallel edges in both orientations and self-loops, some
 // past the builder's first chunks, gstore.Build gives what converting
 // the builder's heap graph gives, array for array and bit for bit, m
-// and the volume included, and the two write the same snapshot bytes.
+// and the volume included, its arrays pass NewCompactFromParts'
+// validation, and the two write the same snapshot bytes.
 func TestBuildMatchesNewCompact(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	weights := []struct {
@@ -518,6 +544,12 @@ func TestBuildMatchesNewCompact(t *testing.T) {
 			want := gstore.Wrap(hg)
 			label := fmt.Sprintf("form %d trial %d (n=%d m=%d)", wf.form, trial, n, want.M())
 			sameCompact(t, label, got, want)
+			// Build's CSR passes the validation every snapshot load runs:
+			// rows strictly ascending, exact symmetry, row-order degrees.
+			if _, err := gstore.NewCompactFromParts(gstore.KindCompact, got.RawRowPtr(), got.RawAdj(),
+				got.RawWeights32(), got.RawWeights64(), got.RawDegrees(), nil); err != nil {
+				t.Fatalf("%s: Build's CSR fails validation: %v", label, err)
+			}
 			var gotSnap, wantSnap bytes.Buffer
 			if err := errors.Join(persist.WriteSnapshot(&gotSnap, got), persist.WriteSnapshot(&wantSnap, want)); err != nil {
 				t.Fatal(err)

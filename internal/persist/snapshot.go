@@ -76,16 +76,12 @@ func heapOf(c *gstore.Compact, err error) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	hg, err := gstore.Materialize(c)
-	if err != nil {
-		return nil, fmt.Errorf("persist: snapshot failed CSR validation: %w", err)
-	}
-	return hg, nil
+	return gstore.Materialize(c)
 }
 
 // readSnapshot decodes a snapshot of either version into a compact
-// graph: a v1 one through a validated heap graph, a v2 one over one
-// buffer holding the whole file (see readV2). avail is how many bytes r
+// graph: a v1 one section by section (see readSnapshotV1), a v2 one
+// over one buffer holding the whole file (see readV2). avail is how many bytes r
 // holds when that is known (a file's size), and negative for a stream.
 func readSnapshot(r io.Reader, avail int64) (*gstore.Compact, error) {
 	var head [v2HeaderSize]byte
@@ -137,7 +133,11 @@ func snapshotVersion(head []byte) (uint16, error) {
 }
 
 // readSnapshotV1 decodes the rest of a v1 snapshot from br, its magic
-// and version bytes, head, having already been read, and compacts it.
+// and version bytes, head, having already been read, straight into the
+// compact form, which NewCompactFromParts validates: row pointers as
+// int64, each neighbour id refused outside [0,n) before it narrows to
+// uint32, the weights as NarrowWeights stores them, and the degrees
+// summed from the rows.
 func readSnapshotV1(br io.Reader, head []byte) (*gstore.Compact, error) {
 	var hdr [28]byte
 	copy(hdr[:], head)
@@ -149,32 +149,33 @@ func readSnapshotV1(br io.Reader, head []byte) (*gstore.Compact, error) {
 	}
 	n := binary.LittleEndian.Uint64(hdr[8:16])
 	m := binary.LittleEndian.Uint64(hdr[16:24])
-	if n >= maxSnapshotDim || m >= maxSnapshotDim {
-		return nil, fmt.Errorf("persist: snapshot claims n=%d m=%d, beyond the %d limit", n, m, uint64(maxSnapshotDim))
+	if n > math.MaxUint32 || m >= maxSnapshotDim {
+		return nil, fmt.Errorf("persist: snapshot claims n=%d m=%d, beyond the uint32 id space or the %d edge limit", n, m, uint64(maxSnapshotDim))
 	}
-	asInt := func(u uint64) int { return int(int64(u)) }
-	rowPtr, err := readWords(br, int(n)+1, asInt)
+	rowPtr, err := readWords(br, int(n)+1, func(u uint64) (int64, error) { return int64(u), nil })
 	if err != nil {
 		return nil, fmt.Errorf("persist: rowPtr section: %w", err)
 	}
-	if got := rowPtr[n]; got != 2*int(m) {
+	if got := rowPtr[n]; got != 2*int64(m) {
 		return nil, fmt.Errorf("persist: rowPtr[n]=%d inconsistent with m=%d", got, m)
 	}
-	adj, err := readWords(br, 2*int(m), asInt)
+	adj, err := readWords(br, 2*int(m), func(u uint64) (uint32, error) {
+		if u >= n {
+			return 0, fmt.Errorf("neighbour id %d outside [0,%d)", u, n)
+		}
+		return uint32(u), nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("persist: adjacency section: %w", err)
 	}
-	wts, err := readWords(br, 2*int(m), math.Float64frombits)
+	wts, err := readWords(br, 2*int(m), func(u uint64) (float64, error) { return math.Float64frombits(u), nil })
 	if err != nil {
 		return nil, fmt.Errorf("persist: weight section: %w", err)
 	}
-	g, err := graph.FromCSR(rowPtr, adj, wts)
+	w32, w64 := gstore.NarrowWeights(wts)
+	c, err := gstore.NewCompactFromParts(gstore.KindCompact, rowPtr, adj, w32, w64, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("persist: snapshot failed CSR validation: %w", err)
-	}
-	c, err := gstore.NewCompact(g)
-	if err != nil {
-		return nil, fmt.Errorf("persist: compacting v1 snapshot: %w", err)
 	}
 	return c, nil
 }
@@ -273,10 +274,11 @@ func dirSyncRefused(err error) bool {
 }
 
 // readWords reads a v1 section — count little-endian 8-byte words, then
-// the CRC32 of their bytes — decoding each word with conv. Allocation
-// stays proportional to bytes actually read: a header that lies about
-// count fails on the first short read.
-func readWords[T int | float64](r io.Reader, count int, conv func(uint64) T) ([]T, error) {
+// the CRC32 of their bytes — decoding each word with conv, which
+// refuses a word by returning an error. Allocation stays proportional to
+// bytes actually read: a header that lies about count fails on the
+// first short read.
+func readWords[T int64 | uint32 | float64](r io.Reader, count int, conv func(uint64) (T, error)) ([]T, error) {
 	if count < 0 {
 		return nil, fmt.Errorf("negative element count %d", count)
 	}
@@ -290,7 +292,11 @@ func readWords[T int | float64](r io.Reader, count int, conv func(uint64) T) ([]
 		}
 		crc.Write(chunk)
 		for i := 0; i < len(chunk); i += 8 {
-			out = append(out, conv(binary.LittleEndian.Uint64(chunk[i:])))
+			v, err := conv(binary.LittleEndian.Uint64(chunk[i:]))
+			if err != nil {
+				return nil, fmt.Errorf("element %d: %w", len(out), err)
+			}
+			out = append(out, v)
 		}
 	}
 	if _, err := io.ReadFull(r, buf[:4]); err != nil {
