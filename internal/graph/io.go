@@ -104,6 +104,15 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	n := -1
 	maxID := -1
 	lineNo := 0
+	// lineErrf reports a parse error on line lineNo, unless the reader
+	// failed: then Scan has handed over the cut tail of what it read,
+	// a line the input never held, and the read error is the fault.
+	lineErrf := func(line, format string, args ...any) error {
+		if err := sc.Err(); err != nil {
+			return fmt.Errorf("graph: scan: %w", err)
+		}
+		return fmt.Errorf("graph: line %d %q: "+format, append([]any{lineNo, line}, args...)...)
+	}
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -115,10 +124,10 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			if len(fields) == 3 && fields[1] == "nodes" {
 				v, err := strconv.Atoi(fields[2])
 				if err != nil {
-					return nil, fmt.Errorf("graph: line %d %q: bad node count %q: %w", lineNo, line, fields[2], err)
+					return nil, lineErrf(line, "bad node count %q: %w", fields[2], err)
 				}
 				if v > MaxEdgeListNodes {
-					return nil, fmt.Errorf("graph: line %d %q: node count %d exceeds limit %d", lineNo, line, v, MaxEdgeListNodes)
+					return nil, lineErrf(line, "node count %d exceeds limit %d", v, MaxEdgeListNodes)
 				}
 				n = v
 			}
@@ -126,28 +135,28 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		}
 		fields := strings.Fields(line)
 		if len(fields) != 2 && len(fields) != 3 {
-			return nil, fmt.Errorf("graph: line %d %q: expected 'u v [w]'", lineNo, line)
+			return nil, lineErrf(line, "expected 'u v [w]'")
 		}
 		u, err := strconv.Atoi(fields[0])
 		if err != nil {
-			return nil, fmt.Errorf("graph: line %d %q: bad node %q: %w", lineNo, line, fields[0], err)
+			return nil, lineErrf(line, "bad node %q: %w", fields[0], err)
 		}
 		v, err := strconv.Atoi(fields[1])
 		if err != nil {
-			return nil, fmt.Errorf("graph: line %d %q: bad node %q: %w", lineNo, line, fields[1], err)
+			return nil, lineErrf(line, "bad node %q: %w", fields[1], err)
 		}
 		w := 1.0
 		if len(fields) == 3 {
 			w, err = strconv.ParseFloat(fields[2], 64)
 			if err != nil {
-				return nil, fmt.Errorf("graph: line %d %q: bad weight %q: %w", lineNo, line, fields[2], err)
+				return nil, lineErrf(line, "bad weight %q: %w", fields[2], err)
 			}
 		}
 		if u < 0 || v < 0 {
-			return nil, fmt.Errorf("graph: line %d %q: negative node id", lineNo, line)
+			return nil, lineErrf(line, "negative node id")
 		}
 		if u >= MaxEdgeListNodes || v >= MaxEdgeListNodes {
-			return nil, fmt.Errorf("graph: line %d %q: node id exceeds limit %d", lineNo, line, MaxEdgeListNodes)
+			return nil, lineErrf(line, "node id exceeds limit %d", MaxEdgeListNodes)
 		}
 		if u > maxID {
 			maxID = u

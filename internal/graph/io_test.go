@@ -2,10 +2,13 @@ package graph
 
 import (
 	"compress/gzip"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func TestReadEdgeListDialects(t *testing.T) {
@@ -51,6 +54,18 @@ func TestReadEdgeListDialects(t *testing.T) {
 				t.Fatalf("got n=%d m=%d, want n=%d m=%d", g.N(), g.M(), tc.wantN, tc.wantM)
 			}
 		})
+	}
+}
+
+// TestReadEdgeListReportsReadErrors: a reader that fails mid-line makes
+// the scanner hand over the cut tail ("0") before it reports the
+// failure; the reply must name the read error, not a parse error on a
+// line the input never held.
+func TestReadEdgeListReportsReadErrors(t *testing.T) {
+	boom := errors.New("boom")
+	_, err := ReadEdgeList(io.MultiReader(strings.NewReader("0 1\n0"), iotest.ErrReader(boom)))
+	if !errors.Is(err, boom) || err.Error() != "graph: scan: boom" {
+		t.Fatalf("ReadEdgeList = %v, want graph: scan: boom", err)
 	}
 }
 

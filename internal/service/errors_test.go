@@ -122,6 +122,21 @@ func TestErrorRepliesPinned(t *testing.T) {
 	t.Run("shutdown", shutdownErrorsPinned)
 }
 
+// TestGzipCutMidLineNamesTheCap: a gzip body whose inflated bytes the
+// cap (4 097 bytes here) cuts inside a line is refused with the cap's
+// message, not a parse error on the cut line "0".
+func TestGzipCutMidLineNamesTheCap(t *testing.T) {
+	_, ts, _ := testServer(t, Config{MaxBodyBytes: 1 << 10})
+	var zipped bytes.Buffer
+	zw := gzip.NewWriter(&zipped)
+	zw.Write([]byte(strings.Repeat("0 1\n", 2000)))
+	zw.Close()
+	status, body := send(t, ts.URL, "POST", "/v1/graphs/cut", zipped.Bytes(), map[string]string{"Content-Type": "text/plain"})
+	if want := envelope(api.CodeInvalidArgument, `graph: scan: decompressed body too large`); status != 400 || body != want+"\n" {
+		t.Errorf("got %d %s want 400 %s", status, body, want)
+	}
+}
+
 // jobErrorsPinned holds the one worker of a daemon with a job that runs
 // until cancelled, and pins the replies about it and about the jobs
 // queued behind it, two of which lose their graph while they wait.
