@@ -201,7 +201,7 @@ func jobErrorsPinned(t *testing.T) {
 	for id, want := range map[string]string{
 		"j2": `graph "x" was replaced after submission`,
 		"j3": `graph "y" not found`,
-		"j4": `invalid_argument: ncp method must be spectral|flow|both, got "sideways"`,
+		"j4": `ncp method must be spectral|flow|both, got "sideways"`,
 	} {
 		if v := await(id, func(v api.JobView) bool { return v.Status.Terminal() }); v.Status != api.JobFailed || v.Error != want {
 			t.Errorf("job %s: %s %q, want failed %q", id, v.Status, v.Error, want)
@@ -213,7 +213,7 @@ func jobErrorsPinned(t *testing.T) {
 	checkCases(t, ts.URL, []errCase{
 		{"result of a failed job", "GET", "/v1/jobs/j2/result", "", 409, envelope(conf, `job "j2" failed: graph "x" was replaced after submission`)},
 		{"result of a job whose graph is gone", "GET", "/v1/jobs/j3/result", "", 409, envelope(conf, `job "j3" failed: graph "y" not found`)},
-		{"result of a job with bad params", "GET", "/v1/jobs/j4/result", "", 409, envelope(conf, `job "j4" failed: invalid_argument: ncp method must be spectral|flow|both, got "sideways"`)},
+		{"result of a job with bad params", "GET", "/v1/jobs/j4/result", "", 409, envelope(conf, `job "j4" failed: ncp method must be spectral|flow|both, got "sideways"`)},
 		{"result of a cancelled job", "GET", "/v1/jobs/j1/result", "", 409, envelope(conf, `job "j1" was cancelled`)},
 		{"cancel of a cancelled job", "DELETE", "/v1/jobs/j1", "", 409, envelope(conf, `job "j1" already cancelled`)},
 		{"cancel of a failed job", "DELETE", "/v1/jobs/j2", "", 409, envelope(conf, `job "j2" already failed`)},

@@ -428,7 +428,7 @@ func (m *JobManager) runJob(job *Job) {
 		if errors.Is(err, context.Canceled) || job.ctx.Err() != nil {
 			finish(api.JobCancelled, nil, false, err.Error())
 		} else {
-			finish(api.JobFailed, nil, false, err.Error())
+			finish(api.JobFailed, nil, false, toAPIError(err).Message)
 		}
 		return
 	}
