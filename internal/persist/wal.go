@@ -255,18 +255,16 @@ func (w *WAL) AppendBatch(edges []Edge) error {
 // Nodes returns the node count recorded in the WAL header.
 func (w *WAL) Nodes() int { return w.nodes }
 
-// Close fsyncs and closes the log file. Further appends fail. Close is
-// idempotent, and a nil log has nothing to close.
+// Close closes the log file. It syncs nothing: CreateWAL fsynced the
+// header and AppendBatch fsynced every record it acknowledged, so the
+// log is already durable. Further appends fail. Close is idempotent,
+// and a nil log has nothing to close.
 func (w *WAL) Close() error {
 	if w == nil || w.f == nil {
 		return nil
 	}
 	f := w.f
 	w.f = nil
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("persist: sync WAL on close: %w", err)
-	}
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("persist: close WAL: %w", err)
 	}

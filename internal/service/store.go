@@ -389,10 +389,11 @@ func (s *GraphStore) Seal(name string) (api.GraphInfo, error) {
 	return s.infoLocked(name, e), nil
 }
 
-// Close flushes and closes every open write-ahead log and marks the
-// store as shut down; subsequent mutations are unavailable. A
-// clean Close followed by a restart on the same data directory replays
-// to the identical store state.
+// Close closes every open write-ahead log, each already durable up to
+// its last acknowledged append, and marks the store as shut down;
+// subsequent mutations are unavailable. A clean Close followed by a
+// restart on the same data directory replays to the identical store
+// state.
 func (s *GraphStore) Close() error {
 	if !s.closed.CompareAndSwap(false, true) {
 		return nil
