@@ -227,9 +227,9 @@ func (g *Graph) CSR() (rowPtr, adj []int, w []float64) {
 // Builder makes one — rowPtr anchored at 0 and monotone with rowPtr[n] =
 // len(adj) = len(w), rows strictly ascending inside [0,n) with no
 // self-loops, weights positive and finite, and every {u,v} present in
-// both rows with bit-identical weight. Its one caller, gstore's
-// materialize, holds arrays that gstore validated when it decoded them
-// or that a builder built. Degrees are summed in row order, which
+// both rows with bit-identical weight. Its one caller,
+// gstore.Materialize, holds arrays that gstore validated when it
+// decoded them or that a builder built. Degrees are summed in row order, which
 // matches Build's edge order, so a Build → CSR → FromCSR round trip
 // reproduces the degree and volume floats bit-for-bit.
 func FromCSR(rowPtr, adj []int, w []float64) *Graph {

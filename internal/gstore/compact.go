@@ -128,18 +128,14 @@ func NarrowWeights(w []float64) (w32 []float32, w64 []float64) {
 
 // NewCompactFromParts assembles a Compact directly from raw arrays —
 // the entry point of every snapshot reader (v1, the copying v2 decoder
-// and the mmap path) and the one validator of CSR arrays that come
-// from outside the program. At most one of w32/w64 may be non-nil
-// (both nil means unit weights). It verifies every structural
-// invariant graph.Builder guarantees: row pointers anchored at 0 and
-// monotone, rows strictly ascending (no self-loops, no duplicates),
-// neighbours inside [0,n), weights positive and finite, and exact
-// symmetry with bit-identical mirror weights. deg, when non-nil, must
-// be bit-identical to the row-order weight accumulation, so an
-// untrusted snapshot cannot smuggle in degrees that disagree with its
-// adjacency; a nil deg is that accumulation (a v1 snapshot stores no
-// degrees). closer, if non-nil, is invoked by Close (the mmap path's
-// munmap).
+// and the mmap path), and the one validator of CSR arrays from outside
+// the program. At most one of w32/w64 may be non-nil (both nil means
+// unit weights). It verifies every structural invariant graph.Builder
+// guarantees, plus one more: deg must be bit-identical to the
+// row-order weight accumulation, so an untrusted snapshot cannot
+// smuggle in degrees that disagree with its adjacency. A nil deg is
+// that accumulation (v1 stores no degrees). closer, if non-nil, is
+// invoked by Close (the mmap path's munmap).
 func NewCompactFromParts(kind Kind, rowPtr []int64, adj []uint32, w32 []float32, w64 []float64, deg []float64, closer func() error) (*Compact, error) {
 	if kind != KindCompact && kind != KindMmap {
 		return nil, fmt.Errorf("gstore: compact parts cannot serve backend %q", kind)
@@ -343,24 +339,4 @@ func (c *Compact) Close() error {
 		}
 	})
 	return err
-}
-
-// materialize widens the compact arrays back into a heap graph. They
-// were validated at construction or built by the builder, so they meet
-// graph.FromCSR's precondition, and FromCSR's row-order degree sums
-// reproduce the degree floats bit-for-bit.
-func (c *Compact) materialize() *graph.Graph {
-	rowPtr := make([]int, len(c.rowPtr))
-	for i, v := range c.rowPtr {
-		rowPtr[i] = int(v)
-	}
-	adj := make([]int, len(c.adj))
-	for i, v := range c.adj {
-		adj[i] = int(v)
-	}
-	w := make([]float64, len(c.adj))
-	for i := range w {
-		w[i] = c.weightAt(int64(i))
-	}
-	return graph.FromCSR(rowPtr, adj, w)
 }

@@ -118,16 +118,29 @@ func Wrap(g *graph.Graph) *Compact {
 // Materialize returns a heap *graph.Graph copy of g (in-heap or
 // mapped); every call copies. The copy reproduces adjacency, weights,
 // degrees and volume bit-for-bit (weights were only stored compactly
-// when the narrowing was lossless), so an algorithm run on the
-// materialization is indistinguishable from one run on the builder's
-// graph. The global jobs that need a heap CSR (flow NCP, multilevel
-// partitioning) go through this. The error is always nil: g was
-// validated when it was built or decoded, so the copy is not checked
-// again. The result keeps its error until the function goes with the
-// heap graph (ROADMAP item 13d).
+// when the narrowing was lossless, and graph.FromCSR sums the degrees
+// in row order), so an algorithm run on the materialization is
+// indistinguishable from one run on the builder's graph. The global
+// jobs that need a heap CSR (flow NCP, multilevel partitioning) go
+// through this. The error is always nil: g was validated when it was
+// decoded, or built by the builder, so it meets FromCSR's precondition
+// and is not checked again. The function goes with the heap graph
+// (ROADMAP item 13d).
 func Materialize(g Graph) (*graph.Graph, error) {
 	stats.noteMaterialization()
-	return g.materialize(), nil
+	rowPtr := make([]int, len(g.rowPtr))
+	for i, v := range g.rowPtr {
+		rowPtr[i] = int(v)
+	}
+	adj := make([]int, len(g.adj))
+	for i, v := range g.adj {
+		adj[i] = int(v)
+	}
+	w := make([]float64, len(g.adj))
+	for i := range w {
+		w[i] = g.weightAt(int64(i))
+	}
+	return graph.FromCSR(rowPtr, adj, w), nil
 }
 
 // VolumeOfSet returns vol(S) = Σ_{u∈S} deg(u) for a node-list set.

@@ -81,8 +81,9 @@ func heapOf(c *gstore.Compact, err error) (*graph.Graph, error) {
 
 // readSnapshot decodes a snapshot of either version into a compact
 // graph: a v1 one section by section (see readSnapshotV1), a v2 one
-// over one buffer holding the whole file (see readV2). avail is how many bytes r
-// holds when that is known (a file's size), and negative for a stream.
+// over one buffer holding the whole file (see readV2). avail is how
+// many bytes r holds when that is known (a file's size), and negative
+// for a stream.
 func readSnapshot(r io.Reader, avail int64) (*gstore.Compact, error) {
 	var head [v2HeaderSize]byte
 	if _, err := io.ReadFull(r, head[:8]); err != nil {
