@@ -60,12 +60,12 @@ func setup(b *testing.B) {
 			panic(fmt.Sprintf("bench fixture fig1 graph: %v", err))
 		}
 		fixtures.fig1Graph = g
-		sp, err := ncp.SpectralProfile(g, ncp.SpectralConfig{Seeds: 10}, rng)
+		sp, err := ncp.SpectralProfile(context.Background(), g, ncp.SpectralConfig{Seeds: 10}, rng)
 		if err != nil {
 			panic(fmt.Sprintf("bench fixture spectral profile: %v", err))
 		}
 		fixtures.fig1Prof = sp
-		fl, err := ncp.FlowProfile(g, ncp.FlowConfig{}, rng)
+		fl, err := ncp.FlowProfile(context.Background(), g, ncp.FlowConfig{}, rng)
 		if err != nil {
 			panic(fmt.Sprintf("bench fixture flow profile: %v", err))
 		}
@@ -96,11 +96,11 @@ func BenchmarkFig1aConductance(b *testing.B) {
 	var lastSp, lastFl int
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(int64(i) + 7))
-		sp, err := ncp.SpectralProfile(g, ncp.SpectralConfig{Seeds: 10}, rng)
+		sp, err := ncp.SpectralProfile(context.Background(), g, ncp.SpectralConfig{Seeds: 10}, rng)
 		if err != nil {
 			b.Fatal(err)
 		}
-		fl, err := ncp.FlowProfile(g, ncp.FlowConfig{}, rng)
+		fl, err := ncp.FlowProfile(context.Background(), g, ncp.FlowConfig{}, rng)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func BenchmarkFig1bAvgPath(b *testing.B) {
 	g := fixtures.fig1Graph
 	var med float64
 	for i := 0; i < b.N; i++ {
-		ms, err := ncp.EvaluateProfile(g, fixtures.fig1Prof, 8, 2048)
+		ms, err := ncp.EvaluateProfile(g, fixtures.fig1Prof, 8, 2048, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -136,7 +136,7 @@ func BenchmarkFig1cCondRatio(b *testing.B) {
 	g := fixtures.fig1Graph
 	var med float64
 	for i := 0; i < b.N; i++ {
-		ms, err := ncp.EvaluateProfile(g, fixtures.fig1Flow, 8, 2048)
+		ms, err := ncp.EvaluateProfile(g, fixtures.fig1Flow, 8, 2048, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -313,12 +313,11 @@ func BenchmarkSec33LocalRuntime(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cg := gstore.Wrap(g)
 		ws := kernel.NewWorkspace(n)
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var work float64
 			for i := 0; i < b.N; i++ {
-				st, err := kernel.PushACL{Alpha: 0.1, Eps: 1e-4}.Diffuse(cg, ws, []int{n / 2})
+				st, err := kernel.PushACL{Alpha: 0.1, Eps: 1e-4}.Diffuse(g, ws, []int{n / 2})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -411,7 +410,7 @@ func BenchmarkAblationMaxFlow(b *testing.B) {
 // regularization knob of §3.3 — and reports the work/support tradeoff.
 func BenchmarkAblationPushEps(b *testing.B) {
 	setup(b)
-	g := gstore.Wrap(fixtures.fig1Graph)
+	g := fixtures.fig1Graph
 	for _, eps := range []float64{1e-3, 1e-4, 1e-5} {
 		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
 			var work float64
@@ -496,7 +495,7 @@ func BenchmarkNCPSpectralProfileWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var clusters int
 			for i := 0; i < b.N; i++ {
-				prof, err := ncp.SpectralProfile(g, ncp.SpectralConfig{
+				prof, err := ncp.SpectralProfile(context.Background(), g, ncp.SpectralConfig{
 					Seeds: 32, Workers: workers, BaseSeed: 7,
 				}, nil)
 				if err != nil {
@@ -520,7 +519,7 @@ func BenchmarkNCPFlowProfileWorkers(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			var clusters int
 			for i := 0; i < b.N; i++ {
-				prof, err := ncp.FlowProfile(g, ncp.FlowConfig{
+				prof, err := ncp.FlowProfile(context.Background(), g, ncp.FlowConfig{
 					BallSeeds: 2, MaxDepth: 3, Workers: workers, BaseSeed: 7,
 				}, nil)
 				if err != nil {
@@ -558,7 +557,7 @@ func persistBenchFiles(b *testing.B) (snapPath, textPath string, n, m int) {
 		}
 		persistBench.snapPath = filepath.Join(dir, "bench.gsnap")
 		persistBench.textPath = filepath.Join(dir, "bench.txt")
-		if err := persist.WriteSnapshotFile(persistBench.snapPath, gstore.Wrap(g)); err != nil {
+		if err := persist.WriteSnapshotFile(persistBench.snapPath, g); err != nil {
 			persistBench.err = err
 			return
 		}
@@ -592,7 +591,7 @@ func BenchmarkPersistSnapshotLoad(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g, err := persist.ReadSnapshotFile(snapPath)
+		g, err := persist.ReadCompactFile(snapPath)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -631,7 +630,7 @@ func BenchmarkPersistSnapshotWrite(b *testing.B) {
 	dir := b.TempDir()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := persist.WriteSnapshotFile(filepath.Join(dir, "w.gsnap"), gstore.Wrap(g)); err != nil {
+		if err := persist.WriteSnapshotFile(filepath.Join(dir, "w.gsnap"), g); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -766,9 +765,9 @@ func benchPushMap(g *graph.Graph, seeds []int, alpha, eps float64) (map[int]floa
 			delete(r, u)
 			spread = (1 - alpha) / (1 + alpha) * ru
 		}
-		nbrs, ws := g.Neighbors(u)
-		for i, v := range nbrs {
-			r[v] += spread * ws[i] / du
+		it := g.Neighbors(u)
+		for v, wt, ok := it.Next(); ok; v, wt, ok = it.Next() {
+			r[v] += spread * wt / du
 			if r[v] >= eps*g.Degree(v) && !inQueue[v] {
 				queue = append(queue, v)
 				inQueue[v] = true
@@ -794,9 +793,9 @@ func benchWalkMap(g *graph.Graph, q map[int]float64, eps float64) map[int]float6
 			continue
 		}
 		next[u] += mass / 2
-		nbrs, ws := g.Neighbors(u)
-		for i, v := range nbrs {
-			next[v] += mass / 2 * ws[i] / du
+		it := g.Neighbors(u)
+		for v, wt, ok := it.Next(); ok; v, wt, ok = it.Next() {
+			next[v] += mass / 2 * wt / du
 		}
 	}
 	for u, mass := range next {
@@ -839,7 +838,7 @@ func BenchmarkPushMap(b *testing.B) {
 // O(touched), no allocation in the inner loop. The acceptance bar is
 // ≥2x fewer allocs/op and lower ns/op than BenchmarkPushMap.
 func BenchmarkPushIndexed(b *testing.B) {
-	g := gstore.Wrap(ncpBenchGraph(b))
+	g := ncpBenchGraph(b)
 	seed := []int{g.N() / 2}
 	pool := kernel.NewPool(g.N())
 	pool.Put(pool.Get()) // pre-warm one workspace
@@ -876,7 +875,7 @@ func BenchmarkSweepWorkspace(b *testing.B) {
 		b.Fatal(err)
 	}
 	path := filepath.Join(b.TempDir(), "n64k"+persist.SnapshotExt)
-	if err := persist.WriteSnapshotFile(path, gstore.Wrap(g)); err != nil {
+	if err := persist.WriteSnapshotFile(path, g); err != nil {
 		b.Fatal(err)
 	}
 	for _, kind := range []gstore.Kind{gstore.KindCompact, gstore.KindMmap} {
@@ -951,7 +950,6 @@ func BenchmarkNibble(b *testing.B) {
 		}
 	})
 	b.Run("indexed", func(b *testing.B) {
-		cg := gstore.Wrap(g)
 		pool := kernel.NewPool(g.N())
 		pool.Put(pool.Get())
 		b.ReportAllocs()
@@ -961,7 +959,7 @@ func BenchmarkNibble(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ws := pool.Get()
-			if _, err := (kernel.NibbleWalk{Eps: eps, Steps: steps}).Diffuse(cg, ws, seeds); err != nil {
+			if _, err := (kernel.NibbleWalk{Eps: eps, Steps: steps}).Diffuse(g, ws, seeds); err != nil {
 				b.Fatal(err)
 			}
 			pool.Put(ws)
@@ -991,7 +989,6 @@ func BenchmarkHeatKernel(b *testing.B) {
 		}
 	})
 	b.Run("indexed", func(b *testing.B) {
-		cg := gstore.Wrap(g)
 		pool := kernel.NewPool(g.N())
 		pool.Put(pool.Get())
 		b.ReportAllocs()
@@ -1000,7 +997,7 @@ func BenchmarkHeatKernel(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			ws := pool.Get()
-			if _, err := (kernel.HeatKernel{T: tVal, Eps: eps}).DiffuseContext(context.Background(), cg, ws, seeds); err != nil {
+			if _, err := (kernel.HeatKernel{T: tVal, Eps: eps}).DiffuseContext(context.Background(), g, ws, seeds); err != nil {
 				b.Fatal(err)
 			}
 			pool.Put(ws)
@@ -1019,11 +1016,7 @@ func BenchmarkHeatKernel(b *testing.B) {
 // (two allocations) visible only at K=1. A warmup pass keeps pool growth
 // out of the measured window.
 func BenchmarkPushBatch(b *testing.B) {
-	hg, err := gen.Kronecker(gen.KroneckerConfig{Levels: 16}, rand.New(rand.NewSource(1)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := gstore.NewCompact(hg)
+	g, err := gen.Kronecker(gen.KroneckerConfig{Levels: 16}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1127,7 +1120,7 @@ func benchGraphdPPR(b *testing.B, cfg service.Config, cached bool) {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	if _, err := srv.Store().Put("bench", gstore.Wrap(g)); err != nil {
+	if _, err := srv.Store().Put("bench", g); err != nil {
 		b.Fatal(err)
 	}
 	h := srv.Handler()

@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/gstore"
 	"repro/internal/persist"
 )
 
@@ -64,7 +63,7 @@ func main() {
 	if strings.HasSuffix(*out, persist.SnapshotExt) {
 		// Binary snapshot output: checksummed, written atomically
 		// (temp + rename), and loadable by every .gsnap-aware consumer.
-		if err := persist.WriteSnapshotFile(*out, gstore.Wrap(g)); err != nil {
+		if err := persist.WriteSnapshotFile(*out, g); err != nil {
 			fmt.Fprintf(os.Stderr, "gengraph: %v\n", err)
 			os.Exit(1)
 		}

@@ -61,7 +61,7 @@ func connectedER(t *testing.T, seed int64, n int, p float64) gstore.Graph {
 			t.Fatal(err)
 		}
 		if g.IsConnected() {
-			return gstore.Wrap(g)
+			return g
 		}
 	}
 	t.Fatal("could not sample a connected ER graph")
@@ -85,7 +85,7 @@ func TestSeedVector(t *testing.T) {
 }
 
 func TestLazyWalkPreservesMass(t *testing.T) {
-	g := gstore.Wrap(gen.RingOfCliques(3, 4))
+	g := gen.RingOfCliques(3, 4)
 	seed, err := SeedVector(g.N(), []int{0})
 	if err != nil {
 		t.Fatal(err)
@@ -105,7 +105,7 @@ func TestLazyWalkPreservesMass(t *testing.T) {
 }
 
 func TestLazyWalkZeroStepsIsSeed(t *testing.T) {
-	g := gstore.Wrap(gen.Cycle(6))
+	g := gen.Cycle(6)
 	seed, _ := SeedVector(6, []int{2})
 	x, err := LazyWalk(g, seed, 0.5, 0)
 	if err != nil {
@@ -157,7 +157,7 @@ func TestPageRankIsLinearSystemSolution(t *testing.T) {
 }
 
 func TestPageRankGammaOneIsSeed(t *testing.T) {
-	g := gstore.Wrap(gen.Cycle(5))
+	g := gen.Cycle(5)
 	seed, _ := SeedVector(5, []int{1})
 	pr, err := PageRank(g, seed, 1, PageRankOptions{})
 	if err != nil {
@@ -181,7 +181,7 @@ func TestPageRankSmallGammaNearStationary(t *testing.T) {
 }
 
 func TestPageRankErrors(t *testing.T) {
-	g := gstore.Wrap(gen.Cycle(4))
+	g := gen.Cycle(4)
 	seed, _ := SeedVector(4, []int{0})
 	if _, err := PageRank(g, seed, 0, PageRankOptions{}); err == nil {
 		t.Fatal("gamma=0 accepted")
@@ -246,12 +246,8 @@ func TestHeatKernelMatchesDense(t *testing.T) {
 		// I − M in symmetric coordinates. M = A D^{-1} is similar to the
 		// symmetric 𝓝 = D^{-1/2} A D^{-1/2}: M = D^{1/2} 𝓝 D^{-1/2}.
 		// So exp(−t(I−M)) s = D^{1/2} exp(−t𝓛) D^{-1/2} s.
-		hg, err := gstore.Materialize(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lap := spectral.NormalizedLaplacian(hg)
-		deg := hg.Degrees()
+		lap := spectral.NormalizedLaplacian(g)
+		deg := g.Degrees()
 		sTilde := vec.ScaleByDegree(seed, deg, -0.5)
 		hTilde, err := HeatKernelDense(lap, sTilde, tm)
 		if err != nil {
@@ -265,7 +261,7 @@ func TestHeatKernelMatchesDense(t *testing.T) {
 }
 
 func TestHeatKernelZeroTimeIsSeed(t *testing.T) {
-	g := gstore.Wrap(gen.Cycle(7))
+	g := gen.Cycle(7)
 	seed, _ := SeedVector(7, []int{0})
 	x, err := HeatKernel(g, seed, 0, HeatKernelOptions{})
 	if err != nil {
@@ -289,7 +285,7 @@ func TestHeatKernelEquilibrates(t *testing.T) {
 }
 
 func TestHeatKernelErrors(t *testing.T) {
-	g := gstore.Wrap(gen.Cycle(4))
+	g := gen.Cycle(4)
 	seed, _ := SeedVector(4, []int{0})
 	if _, err := HeatKernel(g, seed, -1, HeatKernelOptions{}); err == nil {
 		t.Fatal("negative t accepted")
@@ -303,7 +299,7 @@ func TestHeatKernelErrors(t *testing.T) {
 // past it, where e^t overflows float64 and the sum drifts off 1,
 // HeatKernel refuses t instead of answering.
 func TestHeatKernelTimeBound(t *testing.T) {
-	g := gstore.Wrap(gen.RingOfCliques(8, 8))
+	g := gen.RingOfCliques(8, 8)
 	seed, _ := SeedVector(g.N(), []int{0})
 	x, err := HeatKernel(g, seed, maxHeatT, HeatKernelOptions{})
 	if err != nil {
@@ -318,7 +314,7 @@ func TestHeatKernelTimeBound(t *testing.T) {
 }
 
 func TestStationaryDistribution(t *testing.T) {
-	g := gstore.Wrap(gen.Star(4))
+	g := gen.Star(4)
 	pi := StationaryDistribution(g)
 	// vol = 6; π(center) = 3/6.
 	if !almostEq(pi[0], 0.5, 1e-12) || !almostEq(pi[1], 1.0/6, 1e-12) {
@@ -339,7 +335,7 @@ func TestPropDynamicsPreserveDistribution(t *testing.T) {
 		if err != nil || !hg.IsConnected() || hg.N() < 2 {
 			return true
 		}
-		g := gstore.Wrap(hg)
+		g := hg
 		s, err := SeedVector(g.N(), []int{rng.Intn(g.N())})
 		if err != nil {
 			return false

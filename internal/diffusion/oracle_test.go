@@ -36,7 +36,7 @@ func walkMatrix(g gstore.Graph, alpha float64) *mat.CSR {
 
 // oracleGraph is a random graph on n nodes whose last few nodes have no
 // edge, with unit, quarter-valued (float32-exact) or float64 weights.
-func oracleGraph(t *testing.T, rng *rand.Rand, form gstore.WeightForm) gstore.Graph {
+func oracleGraph(t *testing.T, rng *rand.Rand, form graph.WeightForm) gstore.Graph {
 	t.Helper()
 	n := 5 + rng.Intn(36)
 	linked := n - 1 - rng.Intn(3)
@@ -50,9 +50,9 @@ func oracleGraph(t *testing.T, rng *rand.Rand, form gstore.WeightForm) gstore.Gr
 		seen[[2]int{min(u, v), max(u, v)}] = true
 		w := 1.0
 		switch form {
-		case gstore.WeightsF32:
+		case graph.WeightsF32:
 			w = float64(1+rng.Intn(12)) / 4
-		case gstore.WeightsF64:
+		case graph.WeightsF64:
 			w = 0.05 + rng.Float64()
 		}
 		b.AddWeightedEdge(u, v, w)
@@ -61,10 +61,10 @@ func oracleGraph(t *testing.T, rng *rand.Rand, form gstore.WeightForm) gstore.Gr
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, w := hg.CSR(); gstore.DetectWeightForm(w) != form {
-		t.Fatalf("graph has weight form %d, want %d", gstore.DetectWeightForm(w), form)
+	if got := max(graph.DetectWeightForm(hg.RawWeights32()), graph.DetectWeightForm(hg.RawWeights64())); got != form {
+		t.Fatalf("graph has weight form %d, want %d", got, form)
 	}
-	return gstore.Wrap(hg)
+	return hg
 }
 
 func sameBits(a, b []float64) bool {
@@ -85,7 +85,7 @@ func sameBits(a, b []float64) bool {
 // isolated nodes, for α ∈ {0, 0.5, 1}.
 func TestInPlaceMatchesMatrixOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for _, form := range []gstore.WeightForm{gstore.WeightsUnit, gstore.WeightsF32, gstore.WeightsF64} {
+	for _, form := range []graph.WeightForm{graph.WeightsUnit, graph.WeightsF32, graph.WeightsF64} {
 		for trial := 0; trial < 12; trial++ {
 			g := oracleGraph(t, rng, form)
 			n := g.N()
@@ -174,7 +174,7 @@ func matrixHeat(m *mat.CSR, seed []float64, t float64) []float64 {
 // TestWalkMatrixColumnStochastic: M = A·D^{-1} moves all of a unit mass
 // on any node with an edge, so each column of M sums to 1.
 func TestWalkMatrixColumnStochastic(t *testing.T) {
-	g := gstore.Wrap(gen.Lollipop(4, 3))
+	g := gen.Lollipop(4, 3)
 	n := g.N()
 	inv := invDegrees(g)
 	e, y := make([]float64, n), make([]float64, n)
@@ -191,7 +191,7 @@ func TestWalkMatrixColumnStochastic(t *testing.T) {
 // TestLazyWalkMatrix: on a cycle one lazy step keeps α of a node's mass
 // and sends (1−α)/2 to each neighbour; α outside [0,1] is refused.
 func TestLazyWalkMatrix(t *testing.T) {
-	g := gstore.Wrap(gen.Cycle(5))
+	g := gen.Cycle(5)
 	e := []float64{1, 0, 0, 0, 0}
 	y, err := LazyWalk(g, e, 0.5, 1)
 	if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -74,21 +75,21 @@ func Fig1(cfg Fig1Config) (*Fig1Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig1 generator: %w", err)
 	}
-	spProf, err := ncp.SpectralProfile(g, ncp.SpectralConfig{}, rng)
+	spProf, err := ncp.SpectralProfile(context.Background(), g, ncp.SpectralConfig{}, rng)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig1 spectral profile: %w", err)
 	}
-	flProf, err := ncp.FlowProfile(g, ncp.FlowConfig{}, rng)
+	flProf, err := ncp.FlowProfile(context.Background(), g, ncp.FlowConfig{}, rng)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig1 flow profile: %w", err)
 	}
 	// 16 evaluated clusters per size bucket per method keeps the scatter
 	// informative while bounding the BFS-heavy niceness evaluation.
-	spM, err := ncp.EvaluateProfileCapped(g, spProf, fig1MinSize, fig1MaxSize, 16)
+	spM, err := ncp.EvaluateProfile(g, spProf, fig1MinSize, fig1MaxSize, 16)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig1 spectral measures: %w", err)
 	}
-	flM, err := ncp.EvaluateProfileCapped(g, flProf, fig1MinSize, fig1MaxSize, 16)
+	flM, err := ncp.EvaluateProfile(g, flProf, fig1MinSize, fig1MaxSize, 16)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fig1 flow measures: %w", err)
 	}

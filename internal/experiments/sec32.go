@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -115,19 +116,19 @@ func Sec32QualityNiceness(seed int64) (*Sec32QualityNicenessRow, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: sec3.2 generator: %w", err)
 	}
-	spProf, err := ncp.SpectralProfile(g, ncp.SpectralConfig{Seeds: 12}, rng)
+	spProf, err := ncp.SpectralProfile(context.Background(), g, ncp.SpectralConfig{Seeds: 12}, rng)
 	if err != nil {
 		return nil, err
 	}
-	flProf, err := ncp.FlowProfile(g, ncp.FlowConfig{}, rng)
+	flProf, err := ncp.FlowProfile(context.Background(), g, ncp.FlowConfig{}, rng)
 	if err != nil {
 		return nil, err
 	}
-	spM, err := ncp.EvaluateProfile(g, spProf, 4, 128)
+	spM, err := ncp.EvaluateProfile(g, spProf, 4, 128, 0)
 	if err != nil {
 		return nil, err
 	}
-	flM, err := ncp.EvaluateProfile(g, flProf, 4, 128)
+	flM, err := ncp.EvaluateProfile(g, flProf, 4, 128, 0)
 	if err != nil {
 		return nil, err
 	}

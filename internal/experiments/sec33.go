@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/gstore"
 	"repro/internal/kernel"
 	"repro/internal/spectral"
 	"repro/internal/vec"
@@ -42,16 +41,15 @@ func Sec33LocalRuntime(seed int64) ([]Sec33LocalityRow, error) {
 			return nil, fmt.Errorf("experiments: sec3.3 generator n=%d: %w", n, err)
 		}
 		const alpha, eps = 0.1, 1e-4
-		cg := gstore.Wrap(g)
 		ws := kernel.NewWorkspace(n)
 		t0 := time.Now()
-		pr, err := kernel.PushACL{Alpha: alpha, Eps: eps}.Diffuse(cg, ws, []int{17})
+		pr, err := kernel.PushACL{Alpha: alpha, Eps: eps}.Diffuse(g, ws, []int{17})
 		if err != nil {
 			return nil, err
 		}
 		pushDur := time.Since(t0)
 		support := ws.PSupport()
-		nb, err := kernel.NibbleWalk{Eps: eps, Steps: 25}.Diffuse(cg, ws, []int{17})
+		nb, err := kernel.NibbleWalk{Eps: eps, Steps: 25}.Diffuse(g, ws, []int{17})
 		if err != nil {
 			return nil, err
 		}
@@ -110,7 +108,6 @@ func Sec33LocalCheeger(seed int64) ([]Sec33CheegerRow, error) {
 	if err != nil {
 		return nil, fmt.Errorf("experiments: sec3.3 planted graph: %w", err)
 	}
-	cg := gstore.Wrap(g)
 	ws := kernel.NewWorkspace(g.N())
 	var rows []Sec33CheegerRow
 	for trial := 0; trial < 6; trial++ {
@@ -121,11 +118,11 @@ func Sec33LocalCheeger(seed int64) ([]Sec33CheegerRow, error) {
 			blockNodes[i] = block*blockN + i
 		}
 		phiPlanted := g.ConductanceOfSet(blockNodes)
-		if _, err := (kernel.PushACL{Alpha: 0.03, Eps: 2e-6}).Diffuse(cg, ws, []int{s}); err != nil {
+		if _, err := (kernel.PushACL{Alpha: 0.03, Eps: 2e-6}).Diffuse(g, ws, []int{s}); err != nil {
 			return nil, err
 		}
-		ws.SweepOrderP(cg)
-		prefix, phi := ws.SweepBest(cg)
+		ws.SweepOrderP(g)
+		prefix, phi := ws.SweepBest(g)
 		if prefix == 0 {
 			return nil, fmt.Errorf("experiments: sec3.3 seed %d has no sweep cut", s)
 		}
@@ -314,15 +311,14 @@ func Sec33SeedNotInCluster(seed int64) (*Sec33SeedResult, error) {
 	// the best cut.
 	var best []int
 	bestPhi := math.Inf(1)
-	cg := gstore.Wrap(g)
 	walk := kernel.NibbleWalk{Eps: 1e-6, Steps: 20, OnStep: func(_ int, ws *kernel.Workspace) error {
-		ws.SweepOrderR(cg)
-		if prefix, phi := ws.SweepBest(cg); prefix > 0 && phi < bestPhi {
+		ws.SweepOrderR(g)
+		if prefix, phi := ws.SweepBest(g); prefix > 0 && phi < bestPhi {
 			best, bestPhi = ws.SweepNodes(best[:0], prefix), phi
 		}
 		return nil
 	}}
-	if _, err := walk.Diffuse(cg, kernel.NewWorkspace(n), []int{hub}); err != nil {
+	if _, err := walk.Diffuse(g, kernel.NewWorkspace(n), []int{hub}); err != nil {
 		return nil, err
 	}
 	if best == nil {

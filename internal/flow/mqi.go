@@ -71,17 +71,17 @@ func mqiRound(g *graph.Graph, set []int, phi float64) (improved bool, next []int
 	s, t := nLocal, nLocal+1
 	net := NewNetwork(nLocal + 2)
 	for i, u := range set {
-		nbrs, ws := g.Neighbors(u)
 		var boundary float64
-		for k, v := range nbrs {
+		it := g.Neighbors(u)
+		for v, w, ok := it.Next(); ok; v, w, ok = it.Next() {
 			if j, in := idx[v]; in {
 				if i < j {
-					if err := net.AddEdge(i, j, volA*ws[k]); err != nil {
+					if err := net.AddEdge(i, j, volA*w); err != nil {
 						return false, nil, 0, fmt.Errorf("flow: MQI internal edge: %w", err)
 					}
 				}
 			} else {
-				boundary += ws[k]
+				boundary += w
 			}
 		}
 		if boundary > 0 {

@@ -51,8 +51,8 @@ func oracleBuild(n int, us, vs []int, ws []float64) (*Graph, error) {
 		i = j
 	}
 	es = merged
-	g := &Graph{n: n, rowPtr: make([]int, n+1), deg: make([]float64, n), edges: len(es)}
-	counts := make([]int, n)
+	g := &Graph{kind: KindCompact, n: n, m: len(es), rowPtr: make([]int64, n+1), deg: make([]float64, n)}
+	counts := make([]int64, n)
 	for _, e := range es {
 		counts[e.u]++
 		counts[e.v]++
@@ -60,20 +60,21 @@ func oracleBuild(n int, us, vs []int, ws []float64) (*Graph, error) {
 	for i := 0; i < n; i++ {
 		g.rowPtr[i+1] = g.rowPtr[i] + counts[i]
 	}
-	g.adj = make([]int, g.rowPtr[n])
-	g.w = make([]float64, g.rowPtr[n])
-	pos := make([]int, n)
+	g.adj = make([]uint32, g.rowPtr[n])
+	w := make([]float64, g.rowPtr[n])
+	pos := make([]int64, n)
 	copy(pos, g.rowPtr[:n])
 	for _, e := range es {
-		g.adj[pos[e.u]] = e.v
-		g.w[pos[e.u]] = e.w
+		g.adj[pos[e.u]] = uint32(e.v)
+		w[pos[e.u]] = e.w
 		pos[e.u]++
-		g.adj[pos[e.v]] = e.u
-		g.w[pos[e.v]] = e.w
+		g.adj[pos[e.v]] = uint32(e.u)
+		w[pos[e.v]] = e.w
 		pos[e.v]++
 		g.deg[e.u] += e.w
 		g.deg[e.v] += e.w
 	}
+	g.w32, g.w64 = NarrowWeights(w)
 	for _, d := range g.deg {
 		g.volume += d
 	}
@@ -81,7 +82,7 @@ func oracleBuild(n int, us, vs []int, ws []float64) (*Graph, error) {
 }
 
 // sameGraph fails unless a and b agree to the bit: every CSR array,
-// degree, the volume, the edge count and the unit-weight flag.
+// each weight array's presence, degree, the volume and the edge count.
 func sameGraph(t *testing.T, what string, a, b *Graph) {
 	t.Helper()
 	bits := func(fs []float64) []uint64 {
@@ -91,9 +92,11 @@ func sameGraph(t *testing.T, what string, a, b *Graph) {
 		}
 		return out
 	}
-	if a.n != b.n || a.edges != b.edges ||
+	if a.kind != b.kind || a.n != b.n || a.m != b.m ||
 		!slices.Equal(a.rowPtr, b.rowPtr) || !slices.Equal(a.adj, b.adj) ||
-		!slices.Equal(bits(a.w), bits(b.w)) || !slices.Equal(bits(a.deg), bits(b.deg)) ||
+		(a.w32 == nil) != (b.w32 == nil) || !slices.Equal(a.w32, b.w32) ||
+		(a.w64 == nil) != (b.w64 == nil) || !slices.Equal(bits(a.w64), bits(b.w64)) ||
+		!slices.Equal(bits(a.deg), bits(b.deg)) ||
 		math.Float64bits(a.volume) != math.Float64bits(b.volume) {
 		t.Fatalf("%s: graphs differ:\n%+v\n%+v", what, a, b)
 	}
@@ -246,8 +249,9 @@ func TestBuildOverflowAndBounds(t *testing.T) {
 }
 
 // TestBuildAllocs locks Build at six allocations whatever the graph's
-// size: the sorted copy, the Graph and its four arrays. The old Build
-// took ten, reflection's among them.
+// size: the sorted copy, the Graph and its four arrays (row pointers,
+// adjacency, one weight array, degrees). The old Build took ten,
+// reflection's among them.
 func TestBuildAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	us, vs, ws := randomEdges(rng, 500)

@@ -23,18 +23,32 @@ func buildTestGraph(t *testing.T) *Graph {
 	return g
 }
 
+// row collects u's cursor into slices.
+func row(g *Graph, u int) (nbrs []int, wts []float64) {
+	it := g.Neighbors(u)
+	for v, w, ok := it.Next(); ok; v, w, ok = it.Next() {
+		nbrs, wts = append(nbrs, v), append(wts, w)
+	}
+	return nbrs, wts
+}
+
+// TestFromCSRRoundTrip: a builder graph's CSR arrays, copied and handed
+// to FromParts without degrees, come back as the same graph: arrays,
+// degrees (summed from the rows), volume, n and m.
 func TestFromCSRRoundTrip(t *testing.T) {
 	g := buildTestGraph(t)
-	rowPtr, adj, w := g.CSR()
-	// Copy: FromCSR takes ownership.
-	g2 := FromCSR(
-		append([]int(nil), rowPtr...),
-		append([]int(nil), adj...),
-		append([]float64(nil), w...),
-	)
-	r2, a2, w2 := g2.CSR()
-	if !reflect.DeepEqual(rowPtr, r2) || !reflect.DeepEqual(adj, a2) || !reflect.DeepEqual(w, w2) {
-		t.Fatal("CSR arrays changed through FromCSR")
+	g2, err := FromParts(KindCompact,
+		append([]int64(nil), g.rowPtr...),
+		append([]uint32(nil), g.adj...),
+		append([]float32(nil), g.w32...),
+		append([]float64(nil), g.w64...),
+		nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(g.rowPtr, g2.rowPtr) || !reflect.DeepEqual(g.adj, g2.adj) ||
+		!reflect.DeepEqual(g.w32, g2.w32) || !reflect.DeepEqual(g.w64, g2.w64) {
+		t.Fatal("CSR arrays changed through FromParts")
 	}
 	if !reflect.DeepEqual(g.Degrees(), g2.Degrees()) {
 		t.Fatalf("degrees differ: %v vs %v", g.Degrees(), g2.Degrees())
@@ -46,26 +60,28 @@ func TestFromCSRRoundTrip(t *testing.T) {
 }
 
 // TestCSRAliasesInternalStorage pins the documented aliasing contract
-// of CSR(): repeated calls return views of the same backing arrays (no
-// defensive copies), and Neighbors hands out sub-slices of those same
-// arrays. The kernel's zero-copy cost model and the snapshot writer
-// both depend on this staying true.
+// of the raw accessors: repeated calls return the graph's own arrays
+// (no defensive copies), and a Neighbors cursor walks a sub-slice of
+// those same arrays. The kernel's zero-copy cost model and the snapshot
+// writer both depend on this staying true.
 func TestCSRAliasesInternalStorage(t *testing.T) {
 	g := buildTestGraph(t)
-	r1, a1, w1 := g.CSR()
-	r2, a2, w2 := g.CSR()
-	if &r1[0] != &r2[0] || &a1[0] != &a2[0] || &w1[0] != &w2[0] {
-		t.Fatal("CSR() returned fresh copies; it must alias internal storage")
+	r, a, w, d := g.RawRowPtr(), g.RawAdj(), g.RawWeights32(), g.Degrees()
+	if w == nil {
+		t.Fatal("the dyadic test graph does not store float32 weights")
 	}
-	if &r1[0] != &g.rowPtr[0] || &a1[0] != &g.adj[0] || &w1[0] != &g.w[0] {
-		t.Fatal("CSR() slices do not alias the graph's own arrays")
+	if &r[0] != &g.rowPtr[0] || &a[0] != &g.adj[0] || &w[0] != &g.w32[0] || &d[0] != &g.deg[0] {
+		t.Fatal("the raw accessors do not alias the graph's own arrays")
+	}
+	if &g.RawAdj()[0] != &a[0] || &g.RawWeights32()[0] != &w[0] {
+		t.Fatal("a second call returned fresh copies")
 	}
 	for u := 0; u < g.N(); u++ {
-		nbrs, wts := g.Neighbors(u)
-		if len(nbrs) == 0 {
+		it := g.Neighbors(u)
+		if len(it.adj32) == 0 {
 			continue
 		}
-		if &nbrs[0] != &a1[r1[u]] || &wts[0] != &w1[r1[u]] {
+		if &it.adj32[0] != &a[r[u]] || &it.w32[0] != &w[r[u]] {
 			t.Fatalf("Neighbors(%d) is not a sub-slice of the CSR arrays", u)
 		}
 	}
@@ -75,9 +91,8 @@ func TestCSRAliasesInternalStorage(t *testing.T) {
 // duplicates, both orientations, self-loops, non-unit weights — and
 // requires what Build promises without sorting its rows: every row is
 // strictly ascending and holds exactly the merged neighbour set, and
-// the degree and volume floats survive a FromCSR round trip bit for
-// bit. (gstore's TestBuildMatchesNewCompact runs the full structural
-// validation on the builder's CSR.)
+// the arrays pass FromParts' validation, whose degrees summed from the
+// rows match Build's bit for bit, and so does the volume.
 func TestBuildRowsAscendingByConstruction(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	weights := []float64{1, 1, 0.5, 2.25, 0.1, 0.3, 7}
@@ -104,13 +119,15 @@ func TestBuildRowsAscendingByConstruction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rowPtr, adj, w := g.CSR()
-		g2 := FromCSR(append([]int(nil), rowPtr...), append([]int(nil), adj...), append([]float64(nil), w...))
+		g2, err := FromParts(KindCompact, g.rowPtr, g.adj, g.w32, g.w64, nil, nil)
+		if err != nil {
+			t.Fatalf("trial %d: Build's CSR fails validation: %v", trial, err)
+		}
 		for u := 0; u < n; u++ {
 			if math.Float64bits(g.Degree(u)) != math.Float64bits(g2.Degree(u)) {
-				t.Fatalf("trial %d: degree of %d is %v after Build, %v after FromCSR", trial, u, g.Degree(u), g2.Degree(u))
+				t.Fatalf("trial %d: degree of %d is %v after Build, %v from its row", trial, u, g.Degree(u), g2.Degree(u))
 			}
-			nbrs, wts := g.Neighbors(u)
+			nbrs, wts := row(g, u)
 			if len(nbrs) != len(want[u]) {
 				t.Fatalf("trial %d: row %d has %d neighbours, want %d", trial, u, len(nbrs), len(want[u]))
 			}
@@ -124,7 +141,7 @@ func TestBuildRowsAscendingByConstruction(t *testing.T) {
 			}
 		}
 		if math.Float64bits(g.Volume()) != math.Float64bits(g2.Volume()) {
-			t.Fatalf("trial %d: volume %v after Build, %v after FromCSR", trial, g.Volume(), g2.Volume())
+			t.Fatalf("trial %d: volume %v after Build, %v from its rows", trial, g.Volume(), g2.Volume())
 		}
 	}
 }

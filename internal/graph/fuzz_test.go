@@ -36,9 +36,8 @@ func FuzzReadEdgeList(f *testing.F) {
 		if err != nil {
 			t.Fatalf("round-trip parse failed: %v", err)
 		}
-		r1, a1, w1 := g.CSR()
-		r2, a2, w2 := g2.CSR()
-		if !reflect.DeepEqual(r1, r2) || !reflect.DeepEqual(a1, a2) || !reflect.DeepEqual(w1, w2) {
+		if !reflect.DeepEqual(g.RawRowPtr(), g2.RawRowPtr()) || !reflect.DeepEqual(g.RawAdj(), g2.RawAdj()) ||
+			!reflect.DeepEqual(g.RawWeights32(), g2.RawWeights32()) || !reflect.DeepEqual(g.RawWeights64(), g2.RawWeights64()) {
 			t.Fatalf("round trip changed the CSR")
 		}
 		if g.N() != g2.N() || g.M() != g2.M() || g.Volume() != g2.Volume() {

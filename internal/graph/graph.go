@@ -1,256 +1,65 @@
 // Package graph provides the undirected weighted graph substrate that all
 // partitioning, diffusion and community-detection code in this repository
-// operates on. Graphs are stored in CSR (adjacency-list) form and are
-// immutable once built; construction goes through Builder.
+// operates on: one compact CSR type, Graph, immutable once built. A
+// Builder makes one on the Go heap; FromParts validates the arrays of a
+// snapshot, read onto the heap or sliced out of a read-only memory
+// mapping (internal/persist), into one.
 //
 // Terminology follows the paper: for S ⊆ V, vol(S) (written A(S) in the
 // paper) is the sum of degrees of nodes in S, cut(S) is the weight of
 // edges with exactly one endpoint in S, and the conductance is
 // φ(S) = cut(S) / min(vol(S), vol(V∖S)).
+//
+// Mutation contract: every slice an accessor returns aliases the
+// graph's storage, which for a mapped graph is a read-only mapping
+// where a write is a SIGSEGV, not a race. Nothing outside this package
+// may write through one; graphlint's nomutate analyzer enforces it.
 package graph
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
+	"runtime"
+	"sync"
 )
 
-// Graph is an undirected weighted graph in CSR form. Self-loops are not
-// stored. Every undirected edge {u, v} appears in both adjacency lists.
+// Kind names where a graph's arrays live. The names are wire-stable:
+// they surface as api.GraphInfo.Backend and as the graphd -backend flag.
+type Kind string
+
+const (
+	// KindCompact: the arrays are on the Go heap (a Builder's graph, or
+	// a snapshot read into memory).
+	KindCompact Kind = "compact"
+	// KindMmap: the arrays are sliced out of a read-only memory mapping
+	// of a GSNAP v2 snapshot.
+	KindMmap Kind = "mmap"
+)
+
+// Graph is an undirected weighted graph in compact CSR form: int64 row
+// pointers, uint32 adjacency, float64 degrees and the narrowest lossless
+// weight array. Self-loops are not stored, and every undirected edge
+// {u, v} appears in both rows, each row strictly ascending. Its methods
+// are safe for concurrent use.
 type Graph struct {
-	n      int
-	rowPtr []int
-	adj    []int
-	w      []float64
-	deg    []float64 // weighted degree of each node
-	volume float64   // sum of all weighted degrees = 2 * total edge weight
-	edges  int       // number of undirected edges
-}
-
-// Builder accumulates edges and produces an immutable Graph, or the
-// compact CSR arrays of one (BuildCSR).
-type Builder struct {
-	n int
-	// chunks hold the added edges in arrival order, builderChunk to a
-	// chunk, so the list grows without copying what it holds.
-	chunks [][]builderEdge
-	err    error
-}
-
-// builderChunk is the number of edges one chunk of a Builder holds.
-const builderChunk = 1024
-
-// builderEdge is one added edge, its endpoints ordered u < v.
-type builderEdge struct {
-	u, v uint32
-	w    float64
-}
-
-// key orders edges by (u,v) in one comparison.
-func (e builderEdge) key() uint64 { return uint64(e.u)<<32 | uint64(e.v) }
-
-// NewBuilder returns a builder for a graph with n nodes labelled 0..n-1.
-// A node count below 0 or above math.MaxUint32 is an error that Build
-// reports.
-func NewBuilder(n int) *Builder {
-	if n < 0 || uint64(n) > math.MaxUint32 {
-		return &Builder{err: fmt.Errorf("graph: node count %d outside [0,%d]", n, uint64(math.MaxUint32))}
-	}
-	return &Builder{n: n}
-}
-
-// AddEdge records an undirected edge {u, v} with weight 1. Self-loops are
-// silently ignored (they do not affect cuts; the paper's Laplacians
-// exclude them). Parallel edges accumulate weight.
-func (b *Builder) AddEdge(u, v int) { b.AddWeightedEdge(u, v, 1) }
-
-// AddWeightedEdge records an undirected edge {u, v} with weight w > 0.
-func (b *Builder) AddWeightedEdge(u, v int, w float64) {
-	if b.err != nil {
-		return
-	}
-	if u < 0 || u >= b.n || v < 0 || v >= b.n {
-		b.err = fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", u, v, b.n)
-		return
-	}
-	if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-		b.err = fmt.Errorf("graph: edge (%d,%d) has invalid weight %v", u, v, w)
-		return
-	}
-	if u == v {
-		return
-	}
-	if u > v {
-		u, v = v, u
-	}
-	last := len(b.chunks) - 1
-	if last < 0 || len(b.chunks[last]) == builderChunk {
-		b.chunks = append(b.chunks, make([]builderEdge, 0, builderChunk))
-		last++
-	}
-	b.chunks[last] = append(b.chunks[last], builderEdge{uint32(u), uint32(v), w})
-}
-
-// Build assembles the graph, merging parallel edges by summing weights.
-// It sorts a copy of the added edges, so the builder can take more edges
-// and build again.
-func (b *Builder) Build() (*Graph, error) {
-	es, _, err := b.merged()
-	if err != nil {
-		return nil, err
-	}
-	g := &Graph{n: b.n, edges: len(es)}
-	g.rowPtr, g.adj, g.w, g.deg = fill[int, int](b.n, es, true)
-	for _, d := range g.deg {
-		g.volume += d
-	}
-	return g, nil
-}
-
-// BuildCSR is Build for the compact backend: the same graph as the
-// arrays of gstore's compact CSR — int64 row pointers, uint32
-// adjacency, the weights, nil when every merged weight is 1, and the
-// degrees, bit for bit those of Build's graph. gstore.Build wraps them.
-func (b *Builder) BuildCSR() (rowPtr []int64, adj []uint32, w, deg []float64, err error) {
-	es, unit, err := b.merged()
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	rowPtr, adj, w, deg = fill[int64, uint32](b.n, es, !unit)
-	return rowPtr, adj, w, deg, nil
-}
-
-// merged gathers the added edges into one slice, sorts it by (u,v) and
-// merges each pair's parallel edges, summing their weights; unit
-// reports that every merged weight is 1.
-func (b *Builder) merged() (es []builderEdge, unit bool, err error) {
-	if b.err != nil {
-		return nil, false, b.err
-	}
-	// The sort is not stable, and it fixes the order in which a pair's
-	// weights are summed: it must stay this pdqsort on this key over
-	// the arrival order (the comparisons sort.Slice makes, see
-	// TestBuildMatchesOracle), or merged weights, and with them
-	// snapshot bytes, change in their last bits.
-	m := 0
-	for _, c := range b.chunks {
-		m += len(c)
-	}
-	es = make([]builderEdge, 0, m)
-	for _, c := range b.chunks {
-		es = append(es, c...)
-	}
-	slices.SortFunc(es, func(a, c builderEdge) int { return cmp.Compare(a.key(), c.key()) })
-	merged := es[:0]
-	unit = true
-	for i := 0; i < len(es); {
-		e := es[i]
-		j := i + 1
-		for ; j < len(es) && es[j].u == e.u && es[j].v == e.v; j++ {
-			e.w += es[j].w
-		}
-		if math.IsInf(e.w, 0) {
-			return nil, false, fmt.Errorf("graph: edge (%d,%d) merged weight overflows", e.u, e.v)
-		}
-		unit = unit && e.w == 1
-		merged = append(merged, e)
-		i = j
-	}
-	return merged, unit, nil
-}
-
-// fill lays the merged edges es out as CSR arrays on n nodes, the row
-// pointers as P and the neighbour ids as A; the weight array is nil
-// unless weighted. Every row is strictly ascending by construction: es
-// (u<v) is sorted by (u,v), so row x first receives its smaller
-// neighbours (edges (u,x), in ascending u, all before any edge that
-// starts at x) and then its larger ones (edges (x,v), ascending v).
-// The degrees sum each row's weights in that same row order.
-func fill[P int | int64, A int | uint32](n int, es []builderEdge, weighted bool) (rowPtr []P, adj []A, w, deg []float64) {
-	// rowPtr[x+1] first counts row x. The prefix sum makes rowPtr[x] row
-	// x's start, which then serves as its fill cursor and so ends at row
-	// x's end; one shift puts every start back.
-	rowPtr = make([]P, n+1)
-	deg = make([]float64, n)
-	for _, e := range es {
-		rowPtr[e.u+1]++
-		rowPtr[e.v+1]++
-	}
-	for i := 0; i < n; i++ {
-		rowPtr[i+1] += rowPtr[i]
-	}
-	adj = make([]A, rowPtr[n])
-	if weighted {
-		w = make([]float64, rowPtr[n])
-	}
-	for _, e := range es {
-		pu, pv := rowPtr[e.u], rowPtr[e.v]
-		adj[pu], adj[pv] = A(e.v), A(e.u)
-		if weighted {
-			w[pu], w[pv] = e.w, e.w
-		}
-		rowPtr[e.u]++
-		rowPtr[e.v]++
-		deg[e.u] += e.w
-		deg[e.v] += e.w
-	}
-	copy(rowPtr[1:], rowPtr[:n])
-	rowPtr[0] = 0
-	return rowPtr, adj, w, deg
-}
-
-// CSR returns the graph's raw CSR arrays: rowPtr (length n+1), the
-// concatenated adjacency lists (length rowPtr[n] = 2m), and the parallel
-// edge weights.
-//
-// The returned slices are NOT copies: they alias the graph's internal
-// storage — every call returns views of the same backing arrays, and
-// Neighbors hands out sub-slices of the same adj/w arrays. That is the
-// point: gstore.NewCompact reads them with no copy on the way, and the
-// dense algorithms walk Neighbors' rows in place. (The diffusion
-// kernels and the snapshot writer do not: they take the compact form,
-// which BuildCSR emits directly and NewCompact fills from these.) The
-// flip side is a strict read-only contract: writing through any of the
-// three slices corrupts the graph for every holder. graphlint's
-// nomutate analyzer enforces that, and the same discipline for gstore
-// accessors, where a mapped graph makes a write a SIGSEGV;
-// TestCSRAliasesInternalStorage pins the aliasing itself so a defensive
-// copy cannot sneak in and silently change the cost model. FromCSR is
-// its inverse.
-func (g *Graph) CSR() (rowPtr, adj []int, w []float64) {
-	return g.rowPtr, g.adj, g.w
-}
-
-// FromCSR rebuilds a Graph directly from CSR arrays, taking ownership of
-// the slices. It checks nothing: the arrays must already be a graph as
-// Builder makes one — rowPtr anchored at 0 and monotone with rowPtr[n] =
-// len(adj) = len(w), rows strictly ascending inside [0,n) with no
-// self-loops, weights positive and finite, and every {u,v} present in
-// both rows with bit-identical weight. Its one caller,
-// gstore.Materialize, holds arrays that gstore validated when it
-// decoded them or that a builder built. Degrees are summed in row order, which
-// matches Build's edge order, so a Build → CSR → FromCSR round trip
-// reproduces the degree and volume floats bit-for-bit.
-func FromCSR(rowPtr, adj []int, w []float64) *Graph {
-	n := len(rowPtr) - 1
-	g := &Graph{n: n, rowPtr: rowPtr, adj: adj, w: w, deg: make([]float64, n), edges: len(adj) / 2}
-	for u := 0; u < n; u++ {
-		for k := rowPtr[u]; k < rowPtr[u+1]; k++ {
-			g.deg[u] += w[k]
-		}
-	}
-	for _, d := range g.deg {
-		g.volume += d
-	}
-	return g
+	kind      Kind
+	n         int
+	m         int
+	rowPtr    []int64 // length n+1
+	adj       []uint32
+	w32       []float32 // at most one of w32/w64 non-nil; both nil ⇒ unit
+	w64       []float64
+	deg       []float64 // length n, the row-order sum of each row's weights
+	volume    float64
+	closer    func() error // munmap for mapped graphs; nil otherwise
+	closeOnce sync.Once
 }
 
 // N returns the number of nodes.
 func (g *Graph) N() int { return g.n }
 
 // M returns the number of undirected edges.
-func (g *Graph) M() int { return g.edges }
+func (g *Graph) M() int { return g.m }
 
 // Volume returns vol(V) = Σᵢ deg(i) = 2 · (total edge weight).
 func (g *Graph) Volume() float64 { return g.volume }
@@ -258,24 +67,67 @@ func (g *Graph) Volume() float64 { return g.volume }
 // Degree returns the weighted degree of node u.
 func (g *Graph) Degree(u int) float64 { return g.deg[u] }
 
-// Degrees returns the weighted degree vector. The returned slice aliases
-// internal storage and must not be modified.
+// Degrees returns the weighted degree vector (length n). Read-only.
 func (g *Graph) Degrees() []float64 { return g.deg }
 
-// Neighbors returns u's neighbor list and the corresponding edge weights.
-// Both slices alias internal storage and must not be modified.
-func (g *Graph) Neighbors(u int) ([]int, []float64) {
+// Neighbors returns the zero-alloc cursor over u's row, ascending.
+func (g *Graph) Neighbors(u int) NeighborIter {
 	lo, hi := g.rowPtr[u], g.rowPtr[u+1]
-	return g.adj[lo:hi], g.w[lo:hi]
+	it := NeighborIter{adj32: g.adj[lo:hi], pin: g}
+	if g.w64 != nil {
+		it.w64 = g.w64[lo:hi]
+	} else if g.w32 != nil {
+		it.w32 = g.w32[lo:hi]
+	}
+	return it
+}
+
+// Backend reports KindCompact or KindMmap.
+func (g *Graph) Backend() Kind { return g.kind }
+
+// RawRowPtr exposes the row-pointer array (length n+1) for the loops
+// that touch every edge. Read-only.
+func (g *Graph) RawRowPtr() []int64 { return g.rowPtr }
+
+// RawAdj exposes the adjacency array (length 2m). Read-only.
+func (g *Graph) RawAdj() []uint32 { return g.adj }
+
+// RawWeights32 exposes the float32 weight array, nil unless the
+// weights are stored as float32. Read-only.
+func (g *Graph) RawWeights32() []float32 { return g.w32 }
+
+// RawWeights64 exposes the float64 weight array, nil unless the
+// weights are stored as float64 (nil together with RawWeights32 means
+// unit weights). Read-only.
+func (g *Graph) RawWeights64() []float64 { return g.w64 }
+
+// Close releases the backing mapping, if any. Idempotent and safe for
+// concurrent use: the first call returns the unmap error, later calls
+// return nil, and so does a nil graph's (a streaming graph has none
+// yet). After Close on a mapped graph, every slice previously obtained
+// from it is dead.
+func (g *Graph) Close() error {
+	if g == nil {
+		return nil
+	}
+	var err error
+	g.closeOnce.Do(func() {
+		runtime.SetFinalizer(g, nil)
+		if g.closer != nil {
+			err = g.closer()
+			g.closer = nil
+		}
+	})
+	return err
 }
 
 // Edges calls fn once per undirected edge with u < v.
 func (g *Graph) Edges(fn func(u, v int, w float64)) {
 	for u := 0; u < g.n; u++ {
-		for k := g.rowPtr[u]; k < g.rowPtr[u+1]; k++ {
-			v := g.adj[k]
+		it := g.Neighbors(u)
+		for v, w, ok := it.Next(); ok; v, w, ok = it.Next() {
 			if u < v {
-				fn(u, v, g.w[k])
+				fn(u, v, w)
 			}
 		}
 	}
@@ -292,9 +144,10 @@ func (g *Graph) Cut(inS []bool) float64 {
 		if !inS[u] {
 			continue
 		}
-		for k := g.rowPtr[u]; k < g.rowPtr[u+1]; k++ {
-			if !inS[g.adj[k]] {
-				c += g.w[k]
+		it := g.Neighbors(u)
+		for v, w, ok := it.Next(); ok; v, w, ok = it.Next() {
+			if !inS[v] {
+				c += w
 			}
 		}
 	}
@@ -312,6 +165,7 @@ func (g *Graph) VolumeOf(inS []bool) float64 {
 			v += g.deg[u]
 		}
 	}
+	runtime.KeepAlive(g) // deg may be a mapping the finalizer unmaps
 	return v
 }
 

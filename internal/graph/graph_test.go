@@ -79,7 +79,7 @@ func TestParallelEdgesMerge(t *testing.T) {
 	if g.M() != 1 {
 		t.Fatalf("M = %d, want 1 (parallel edges merged)", g.M())
 	}
-	if nbrs, w := g.Neighbors(0); len(nbrs) != 1 || nbrs[0] != 1 || w[0] != 3.5 {
+	if nbrs, w := row(g, 0); len(nbrs) != 1 || nbrs[0] != 1 || w[0] != 3.5 {
 		t.Fatalf("Neighbors(0) = (%v, %v), want ([1], [3.5])", nbrs, w)
 	}
 }
@@ -124,7 +124,7 @@ func TestNeighborsSorted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nbrs, _ := g.Neighbors(2)
+	nbrs, _ := row(g, 2)
 	want := []int{0, 3, 4}
 	for i, v := range want {
 		if nbrs[i] != v {
@@ -296,7 +296,7 @@ func TestEdgeListRoundTrip(t *testing.T) {
 		t.Fatalf("round trip mismatch: N %d/%d M %d/%d vol %v/%v",
 			g.N(), g2.N(), g.M(), g2.M(), g.Volume(), g2.Volume())
 	}
-	if nbrs, w := g2.Neighbors(1); !slices.Equal(nbrs, []int{0, 2}) || w[1] != 2.5 {
+	if nbrs, w := row(g2, 1); !slices.Equal(nbrs, []int{0, 2}) || w[1] != 2.5 {
 		t.Fatalf("weighted edge lost: Neighbors(1) = (%v, %v)", nbrs, w)
 	}
 }

@@ -80,11 +80,9 @@ func ReadEdgeListFile(path string) (*Graph, error) {
 
 // MaxEdgeListNodes caps the node count an edge list may declare or
 // imply, and graphd applies the same cap to streamed graphs. Builder.Build
-// allocates 32 B per node before any edge (rowPtr, degrees and two
-// int work arrays, 8 B each), so 1<<26 nodes cost 2 GiB: a 20-byte
-// "# nodes" header cannot ask for more memory than a server has. The
-// cap also keeps every stored graph inside the uint32 ids the compact
-// and mmap backends use.
+// allocates 16 B per node before any edge (int64 row pointers and
+// float64 degrees), so 1<<26 nodes cost 1 GiB: a 20-byte "# nodes"
+// header cannot ask for more memory than a server has.
 const MaxEdgeListNodes = 1 << 26
 
 // ReadEdgeList parses the format produced by WriteEdgeList, tolerating

@@ -17,8 +17,8 @@ func (g *Graph) BFS(src int) []int {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for k := g.rowPtr[u]; k < g.rowPtr[u+1]; k++ {
-			v := g.adj[k]
+		it := g.Neighbors(u)
+		for v, _, ok := it.Next(); ok; v, _, ok = it.Next() {
 			if dist[v] < 0 {
 				dist[v] = dist[u] + 1
 				queue = append(queue, v)
@@ -46,8 +46,8 @@ func (g *Graph) ConnectedComponents() ([]int, int) {
 		for len(queue) > 0 {
 			u := queue[0]
 			queue = queue[1:]
-			for k := g.rowPtr[u]; k < g.rowPtr[u+1]; k++ {
-				v := g.adj[k]
+			it := g.Neighbors(u)
+			for v, _, ok := it.Next(); ok; v, _, ok = it.Next() {
 				if comp[v] < 0 {
 					comp[v] = next
 					queue = append(queue, v)
@@ -85,11 +85,10 @@ func (g *Graph) Subgraph(nodes []int) (*Graph, []int, error) {
 	}
 	b := NewBuilder(len(nodes))
 	for i, u := range nodes {
-		for k := g.rowPtr[u]; k < g.rowPtr[u+1]; k++ {
-			v := g.adj[k]
-			j, in := newIdx[v]
-			if in && i < j {
-				b.AddWeightedEdge(i, j, g.w[k])
+		it := g.Neighbors(u)
+		for v, w, ok := it.Next(); ok; v, w, ok = it.Next() {
+			if j, in := newIdx[v]; in && i < j {
+				b.AddWeightedEdge(i, j, w)
 			}
 		}
 	}

@@ -71,18 +71,18 @@ func testGraphs(t testing.TB) map[string]*graph.Graph {
 	}
 }
 
-// openBackends serves g from both backends. The mmap instance is
-// opened off a GSNAP v2 snapshot written to a temp dir and unmapped in
-// cleanup.
+// openBackends serves g from both backends, each opened off a GSNAP v2
+// snapshot of g written to a temp dir: the compact instance read into
+// memory, the mmap instance mapped and unmapped in cleanup.
 func openBackends(t testing.TB, g *graph.Graph) map[gstore.Kind]gstore.Graph {
 	t.Helper()
-	c, err := gstore.NewCompact(g)
-	if err != nil {
-		t.Fatalf("NewCompact: %v", err)
-	}
 	path := filepath.Join(t.TempDir(), "g"+persist.SnapshotExt)
-	if err := persist.WriteSnapshotFile(path, c); err != nil {
+	if err := persist.WriteSnapshotFile(path, g); err != nil {
 		t.Fatalf("WriteSnapshotFile: %v", err)
+	}
+	c, err := persist.ReadCompactFile(path)
+	if err != nil {
+		t.Fatalf("ReadCompactFile: %v", err)
 	}
 	m, err := persist.OpenMapped(path)
 	if errors.Is(err, persist.ErrNotMappable) {
@@ -126,16 +126,16 @@ func TestDetectWeightForm(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		w    []float64
-		want gstore.WeightForm
+		want graph.WeightForm
 	}{
-		{"empty", nil, gstore.WeightsUnit},
-		{"all-unit", []float64{1, 1, 1}, gstore.WeightsUnit},
-		{"dyadic", []float64{1, 0.5, 2.25}, gstore.WeightsF32},
-		{"needs-f64", []float64{1, 0.1}, gstore.WeightsF64},
-		{"tiny-denormal-f32", []float64{math.SmallestNonzeroFloat64}, gstore.WeightsF64},
-		{"large-but-exact", []float64{1 << 20}, gstore.WeightsF32},
+		{"empty", nil, graph.WeightsUnit},
+		{"all-unit", []float64{1, 1, 1}, graph.WeightsUnit},
+		{"dyadic", []float64{1, 0.5, 2.25}, graph.WeightsF32},
+		{"needs-f64", []float64{1, 0.1}, graph.WeightsF64},
+		{"tiny-denormal-f32", []float64{math.SmallestNonzeroFloat64}, graph.WeightsF64},
+		{"large-but-exact", []float64{1 << 20}, graph.WeightsF32},
 	} {
-		if got := gstore.DetectWeightForm(tc.w); got != tc.want {
+		if got := graph.DetectWeightForm(tc.w); got != tc.want {
 			t.Errorf("%s: DetectWeightForm = %v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -144,10 +144,7 @@ func TestDetectWeightForm(t *testing.T) {
 func TestCompactWeightStorage(t *testing.T) {
 	graphs := testGraphs(t)
 	check := func(name string, wantW32, wantW64 bool) {
-		c, err := gstore.NewCompact(graphs[name])
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := graphs[name]
 		if (c.RawWeights32() != nil) != wantW32 || (c.RawWeights64() != nil) != wantW64 {
 			t.Errorf("%s: w32=%v w64=%v, want w32=%v w64=%v", name,
 				c.RawWeights32() != nil, c.RawWeights64() != nil, wantW32, wantW64)
@@ -160,7 +157,7 @@ func TestCompactWeightStorage(t *testing.T) {
 
 // TestBackendConformance checks that every backend reports bit-identical
 // scalars and identical adjacency (ids and weight bits) to the builder
-// graph it was derived from.
+// graph it was derived from, row cursor against row cursor.
 func TestBackendConformance(t *testing.T) {
 	for name, hg := range testGraphs(t) {
 		t.Run(name, func(t *testing.T) {
@@ -179,24 +176,18 @@ func TestBackendConformance(t *testing.T) {
 					if math.Float64bits(g.Degree(u)) != math.Float64bits(hg.Degree(u)) {
 						t.Fatalf("%s: Degree(%d) %v != heap %v", kind, u, g.Degree(u), hg.Degree(u))
 					}
-					nbrs, wts := hg.Neighbors(u)
-					it := g.Neighbors(u)
-					if it.Len() != len(nbrs) {
-						t.Fatalf("%s: iter Len(%d) = %d, want %d", kind, u, it.Len(), len(nbrs))
-					}
+					want, it := hg.Neighbors(u), g.Neighbors(u)
 					for k := 0; ; k++ {
+						wv, ww, wok := want.Next()
 						v, w, ok := it.Next()
+						if ok != wok {
+							t.Fatalf("%s: row %d has %v entry %d, want %v", kind, u, ok, k, wok)
+						}
 						if !ok {
-							if k != len(nbrs) {
-								t.Fatalf("%s: row %d exhausted after %d of %d", kind, u, k, len(nbrs))
-							}
 							break
 						}
-						if v != nbrs[k] || math.Float64bits(w) != math.Float64bits(wts[k]) {
-							t.Fatalf("%s: row %d entry %d = (%d,%v), want (%d,%v)", kind, u, k, v, w, nbrs[k], wts[k])
-						}
-						if it.Len() != len(nbrs)-k-1 {
-							t.Fatalf("%s: row %d Len after %d = %d", kind, u, k+1, it.Len())
+						if v != wv || math.Float64bits(w) != math.Float64bits(ww) {
+							t.Fatalf("%s: row %d entry %d = (%d,%v), want (%d,%v)", kind, u, k, v, w, wv, ww)
 						}
 					}
 				}
@@ -206,10 +197,7 @@ func TestBackendConformance(t *testing.T) {
 }
 
 func TestNeighborIterZeroValue(t *testing.T) {
-	var it gstore.NeighborIter
-	if it.Len() != 0 {
-		t.Errorf("zero iter Len = %d", it.Len())
-	}
+	var it graph.NeighborIter
 	if _, _, ok := it.Next(); ok {
 		t.Error("zero iter Next returned ok")
 	}
@@ -250,16 +238,12 @@ type compactParts struct {
 	deg    []float64
 }
 
-func partsOf(t *testing.T, g *graph.Graph) compactParts {
+func partsOf(t *testing.T, c *graph.Graph) compactParts {
 	t.Helper()
-	c, err := gstore.NewCompact(g)
-	if err != nil {
-		t.Fatal(err)
-	}
 	p := compactParts{
 		rowPtr: append([]int64(nil), c.RawRowPtr()...),
 		adj:    append([]uint32(nil), c.RawAdj()...),
-		deg:    append([]float64(nil), c.RawDegrees()...),
+		deg:    append([]float64(nil), c.Degrees()...),
 	}
 	if w := c.RawWeights32(); w != nil {
 		p.w32 = append([]float32(nil), w...)
@@ -475,18 +459,18 @@ func TestCompactFinalizerCloses(t *testing.T) {
 	}
 }
 
-// TestMaterializeBitIdentity round-trips each backend, and Wrap's
-// compact conversion, through Materialize and requires the heap result
-// to be a copy matching the original graph bit-for-bit: same CSR, same
-// weight bits, same degree bits, same volume bits.
+// TestMaterializeBitIdentity: the builder's graph and each backend's
+// open of its snapshot are one type, so Materialize, which bench/ still
+// calls for its heap row, hands back the graph it is given, and that
+// graph matches the builder's bit for bit: same CSR, same weight bits,
+// same degree bits, same volume bits.
 func TestMaterializeBitIdentity(t *testing.T) {
 	for name, hg := range testGraphs(t) {
 		t.Run(name, func(t *testing.T) {
-			wrapped := gstore.Wrap(hg)
-			if wrapped.Backend() != gstore.KindCompact {
-				t.Fatalf("Wrap serves %q, want compact", wrapped.Backend())
+			if hg.Backend() != gstore.KindCompact {
+				t.Fatalf("the builder's graph is %q, want compact", hg.Backend())
 			}
-			inputs := map[string]gstore.Graph{"wrap": wrapped}
+			inputs := map[string]gstore.Graph{"builder": hg}
 			for kind, bg := range openBackends(t, hg) {
 				inputs[string(kind)] = bg
 			}
@@ -495,10 +479,10 @@ func TestMaterializeBitIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: Materialize: %v", label, err)
 				}
-				if got == hg {
-					t.Fatalf("%s: Materialize returned the original graph, not a copy", label)
+				if got != bg {
+					t.Fatalf("%s: Materialize copied the graph", label)
 				}
-				assertSameHeapGraph(t, label, got, hg)
+				sameCompact(t, label, got, hg)
 			}
 		})
 	}
@@ -506,20 +490,22 @@ func TestMaterializeBitIdentity(t *testing.T) {
 
 // TestBuildMatchesNewCompact: on random multigraphs of every weight
 // form, with parallel edges in both orientations and self-loops, some
-// past the builder's first chunks, gstore.Build gives what converting
-// the builder's heap graph gives, array for array and bit for bit, m
-// and the volume included, its arrays pass NewCompactFromParts'
-// validation, and the two write the same snapshot bytes.
+// past the builder's first chunks, the builder's graph passes
+// NewCompactFromParts' validation, and the validator's graph over the
+// same arrays with the degrees derived from the rows is the builder's,
+// array for array and bit for bit, m and the volume included, and
+// writes the same snapshot bytes. The builder stores the weights in the
+// form DetectWeightForm finds for them.
 func TestBuildMatchesNewCompact(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	weights := []struct {
-		form   gstore.WeightForm
+		form   graph.WeightForm
 		weight func() float64
 	}{
-		{gstore.WeightsUnit, func() float64 { return 1 }},
+		{graph.WeightsUnit, func() float64 { return 1 }},
 		// Quarters: every sum of a few stays float32-exact.
-		{gstore.WeightsF32, func() float64 { return float64(1+rng.Intn(12)) / 4 }},
-		{gstore.WeightsF64, func() float64 { return 0.1 * float64(1+rng.Intn(30)) }},
+		{graph.WeightsF32, func() float64 { return float64(1+rng.Intn(12)) / 4 }},
+		{graph.WeightsF64, func() float64 { return 0.1 * float64(1+rng.Intn(30)) }},
 	}
 	for _, wf := range weights {
 		seen := 0
@@ -533,23 +519,23 @@ func TestBuildMatchesNewCompact(t *testing.T) {
 					b.AddWeightedEdge(v, u, wf.weight())
 				}
 			}
-			got, err := gstore.Build(b)
+			want, err := b.Build()
 			if err != nil {
 				t.Fatal(err)
 			}
-			hg, err := b.Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := gstore.Wrap(hg)
 			label := fmt.Sprintf("form %d trial %d (n=%d m=%d)", wf.form, trial, n, want.M())
-			sameCompact(t, label, got, want)
 			// Build's CSR passes the validation every snapshot load runs:
 			// rows strictly ascending, exact symmetry, row-order degrees.
-			if _, err := gstore.NewCompactFromParts(gstore.KindCompact, got.RawRowPtr(), got.RawAdj(),
-				got.RawWeights32(), got.RawWeights64(), got.RawDegrees(), nil); err != nil {
+			if _, err := gstore.NewCompactFromParts(gstore.KindCompact, want.RawRowPtr(), want.RawAdj(),
+				want.RawWeights32(), want.RawWeights64(), want.Degrees(), nil); err != nil {
 				t.Fatalf("%s: Build's CSR fails validation: %v", label, err)
 			}
+			got, err := gstore.NewCompactFromParts(gstore.KindCompact, want.RawRowPtr(), want.RawAdj(),
+				want.RawWeights32(), want.RawWeights64(), nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameCompact(t, label, got, want)
 			var gotSnap, wantSnap bytes.Buffer
 			if err := errors.Join(persist.WriteSnapshot(&gotSnap, got), persist.WriteSnapshot(&wantSnap, want)); err != nil {
 				t.Fatal(err)
@@ -557,7 +543,20 @@ func TestBuildMatchesNewCompact(t *testing.T) {
 			if !bytes.Equal(gotSnap.Bytes(), wantSnap.Bytes()) {
 				t.Fatalf("%s: snapshot bytes differ", label)
 			}
-			if _, _, w := hg.CSR(); gstore.DetectWeightForm(w) == wf.form {
+			form := graph.WeightsUnit
+			if w := want.RawWeights32(); w != nil {
+				form = graph.WeightsF32
+				if got := graph.DetectWeightForm(w); got != form {
+					t.Fatalf("%s: float32 weights are of form %d", label, got)
+				}
+			}
+			if w := want.RawWeights64(); w != nil {
+				form = graph.WeightsF64
+				if got := graph.DetectWeightForm(w); got != form {
+					t.Fatalf("%s: float64 weights are of form %d", label, got)
+				}
+			}
+			if form == wf.form {
 				seen++
 			}
 		}
@@ -567,8 +566,8 @@ func TestBuildMatchesNewCompact(t *testing.T) {
 	}
 }
 
-// sameCompact fails unless got and want agree to the bit: backend,
-// sizes, volume and every raw array.
+// sameCompact fails unless got and want agree to the bit: sizes, volume
+// and every raw array.
 func sameCompact(t *testing.T, label string, got, want *gstore.Compact) {
 	t.Helper()
 	f64bits := func(fs []float64) []uint64 {
@@ -586,8 +585,8 @@ func sameCompact(t *testing.T, label string, got, want *gstore.Compact) {
 		return out
 	}
 	switch {
-	case got.Backend() != want.Backend() || got.N() != want.N() || got.M() != want.M():
-		t.Fatalf("%s: backend, n, m = %s, %d, %d, want %s, %d, %d", label, got.Backend(), got.N(), got.M(), want.Backend(), want.N(), want.M())
+	case got.N() != want.N() || got.M() != want.M():
+		t.Fatalf("%s: n, m = %d, %d, want %d, %d", label, got.N(), got.M(), want.N(), want.M())
 	case math.Float64bits(got.Volume()) != math.Float64bits(want.Volume()):
 		t.Fatalf("%s: volume %v, want %v", label, got.Volume(), want.Volume())
 	case !slices.Equal(got.RawRowPtr(), want.RawRowPtr()) || !slices.Equal(got.RawAdj(), want.RawAdj()):
@@ -596,38 +595,8 @@ func sameCompact(t *testing.T, label string, got, want *gstore.Compact) {
 		!slices.Equal(f32bits(got.RawWeights32()), f32bits(want.RawWeights32())) ||
 		!slices.Equal(f64bits(got.RawWeights64()), f64bits(want.RawWeights64())):
 		t.Fatalf("%s: weights differ", label)
-	case !slices.Equal(f64bits(got.RawDegrees()), f64bits(want.RawDegrees())):
+	case !slices.Equal(f64bits(got.Degrees()), f64bits(want.Degrees())):
 		t.Fatalf("%s: degrees differ", label)
-	}
-}
-
-func assertSameHeapGraph(t *testing.T, label string, got, want *graph.Graph) {
-	t.Helper()
-	if got.N() != want.N() || got.M() != want.M() {
-		t.Fatalf("%s: N,M = %d,%d, want %d,%d", label, got.N(), got.M(), want.N(), want.M())
-	}
-	if math.Float64bits(got.Volume()) != math.Float64bits(want.Volume()) {
-		t.Fatalf("%s: Volume %v, want %v", label, got.Volume(), want.Volume())
-	}
-	gr, ga, gw := got.CSR()
-	wr, wa, ww := want.CSR()
-	for i := range wr {
-		if gr[i] != wr[i] {
-			t.Fatalf("%s: rowPtr[%d] = %d, want %d", label, i, gr[i], wr[i])
-		}
-	}
-	for i := range wa {
-		if ga[i] != wa[i] {
-			t.Fatalf("%s: adj[%d] = %d, want %d", label, i, ga[i], wa[i])
-		}
-		if math.Float64bits(gw[i]) != math.Float64bits(ww[i]) {
-			t.Fatalf("%s: w[%d] = %v, want %v", label, i, gw[i], ww[i])
-		}
-	}
-	for u := 0; u < want.N(); u++ {
-		if math.Float64bits(got.Degree(u)) != math.Float64bits(want.Degree(u)) {
-			t.Fatalf("%s: Degree(%d) = %v, want %v", label, u, got.Degree(u), want.Degree(u))
-		}
 	}
 }
 
@@ -650,9 +619,9 @@ func TestVolumeOfSet(t *testing.T) {
 			t.Errorf("%s: VolumeOfSet(empty) = %v", kind, got)
 		}
 	}
-	mustPanic(t, "duplicate", func() { gstore.VolumeOfSet(gstore.Wrap(hg), []int{1, 2, 1}) })
-	mustPanic(t, "out-of-range", func() { gstore.VolumeOfSet(gstore.Wrap(hg), []int{hg.N()}) })
-	mustPanic(t, "negative", func() { gstore.VolumeOfSet(gstore.Wrap(hg), []int{-1}) })
+	mustPanic(t, "duplicate", func() { gstore.VolumeOfSet(hg, []int{1, 2, 1}) })
+	mustPanic(t, "out-of-range", func() { gstore.VolumeOfSet(hg, []int{hg.N()}) })
+	mustPanic(t, "negative", func() { gstore.VolumeOfSet(hg, []int{-1}) })
 }
 
 func mustPanic(t *testing.T, label string, fn func()) {

@@ -309,17 +309,11 @@ func TestDiffusionParityAcrossBackends(t *testing.T) {
 // the weighted branch of every kernel loop.
 func onesWeighted(t testing.TB, hg *graph.Graph) *gstore.Compact {
 	t.Helper()
-	rowPtrI, adjI, wts := hg.CSR()
-	rowPtr := make([]int64, len(rowPtrI))
-	for i, v := range rowPtrI {
-		rowPtr[i] = int64(v)
+	ones := make([]float64, len(hg.RawAdj()))
+	for i := range ones {
+		ones[i] = 1
 	}
-	adj := make([]uint32, len(adjI))
-	for i, v := range adjI {
-		adj[i] = uint32(v)
-	}
-	c, err := gstore.NewCompactFromParts(gstore.KindCompact, rowPtr, adj, nil,
-		append([]float64(nil), wts...), append([]float64(nil), hg.Degrees()...), nil)
+	c, err := gstore.NewCompactFromParts(gstore.KindCompact, hg.RawRowPtr(), hg.RawAdj(), nil, ones, hg.Degrees(), nil)
 	if err != nil {
 		t.Fatalf("NewCompactFromParts: %v", err)
 	}
@@ -378,7 +372,7 @@ func TestWorkspaceSweepMatchesOrderedOracle(t *testing.T) {
 			for kind, g := range openBackends(t, hg) {
 				backends[string(kind)] = g
 			}
-			if _, _, w := hg.CSR(); gstore.DetectWeightForm(w) == gstore.WeightsUnit {
+			if hg.RawWeights32() == nil && hg.RawWeights64() == nil {
 				backends["ones-weighted"] = onesWeighted(t, hg)
 			}
 			isolated := -1
@@ -426,7 +420,7 @@ func TestWorkspaceSweepMatchesOrderedOracle(t *testing.T) {
 	}
 
 	// The corners must actually be hit, not merely be possible.
-	star := gstore.Wrap(shapes["star"])
+	star := shapes["star"]
 	ws := kernel.NewWorkspace(star.N())
 	if _, err := (kernel.PushACL{Alpha: 0.12, Eps: 1e-6}).Diffuse(star, ws, []int{0}); err != nil {
 		t.Fatal(err)
@@ -435,7 +429,7 @@ func TestWorkspaceSweepMatchesOrderedOracle(t *testing.T) {
 	if math.Float64bits(p[1]) != math.Float64bits(p[2]) || p[1] == 0 {
 		t.Fatalf("star leaves do not tie exactly: p(1)=%v p(2)=%v", p[1], p[2])
 	}
-	full := gstore.Wrap(shapes["complete"])
+	full := shapes["complete"]
 	ws = kernel.NewWorkspace(full.N())
 	if _, err := (kernel.PushACL{Alpha: 0.12, Eps: 1e-12}).Diffuse(full, ws, []int{0}); err != nil {
 		t.Fatal(err)
@@ -465,9 +459,9 @@ func TestNCPFingerprintParity(t *testing.T) {
 		BaseSeed: 41,
 	}
 	fingerprint := func(g gstore.Graph) string {
-		prof, err := ncp.SpectralProfileOn(context.Background(), g, cfg, rand.New(rand.NewSource(1)))
+		prof, err := ncp.SpectralProfile(context.Background(), g, cfg, rand.New(rand.NewSource(1)))
 		if err != nil {
-			t.Fatalf("SpectralProfileOn: %v", err)
+			t.Fatalf("SpectralProfile: %v", err)
 		}
 		var sb strings.Builder
 		fmt.Fprintf(&sb, "method=%s clusters=%d\n", prof.Method, len(prof.Clusters))

@@ -5,9 +5,7 @@ import "sync/atomic"
 // Stats are the storage engine's process-wide telemetry: how many
 // bytes are memory-mapped right now, how often mapped graphs were
 // released by the GC finalizer instead of an explicit Close (the
-// Delete path's deliberate deferred unmap), how many compact/mmap
-// graphs were copied back onto the heap for dense consumers, and how
-// much time the verified snapshot opens spent revalidating CSR
+// Delete path's deliberate deferred unmap), and how much time the verified snapshot opens spent revalidating CSR
 // invariants. Everything is an atomic, so recording from concurrent
 // opens, closes, finalizers and queries needs no lock; graphd renders
 // the values on /metrics as the graphd_gstore_* families.
@@ -17,12 +15,11 @@ import "sync/atomic"
 // finalizer's goroutine belong to the process, not to any one
 // GraphStore (and the finalizer path has no store to report to).
 type Stats struct {
-	mappedBytes          atomic.Int64
-	mappedGraphs         atomic.Int64
-	finalizerUnmaps      atomic.Uint64
-	heapMaterializations atomic.Uint64
-	openVerifies         atomic.Uint64
-	openVerifyNanos      atomic.Uint64
+	mappedBytes     atomic.Int64
+	mappedGraphs    atomic.Int64
+	finalizerUnmaps atomic.Uint64
+	openVerifies    atomic.Uint64
+	openVerifyNanos atomic.Uint64
 }
 
 var stats Stats
@@ -48,10 +45,6 @@ func (s *Stats) NoteUnmapped(n int64) {
 // finalizer rather than an explicit Close.
 func (s *Stats) noteFinalizerUnmap() { s.finalizerUnmaps.Add(1) }
 
-// noteMaterialization records one compact/mmap graph copied back into
-// a heap *graph.Graph.
-func (s *Stats) noteMaterialization() { s.heapMaterializations.Add(1) }
-
 // noteOpenVerify records one NewCompactFromParts validation pass.
 func (s *Stats) noteOpenVerify(nanos int64) {
 	s.openVerifies.Add(1)
@@ -68,9 +61,6 @@ func (s *Stats) MappedGraphs() int64 { return s.mappedGraphs.Load() }
 
 // FinalizerUnmaps returns how many mappings the GC finalizer released.
 func (s *Stats) FinalizerUnmaps() uint64 { return s.finalizerUnmaps.Load() }
-
-// HeapMaterializations returns how many graphs were copied to the heap.
-func (s *Stats) HeapMaterializations() uint64 { return s.heapMaterializations.Load() }
 
 // OpenVerifies returns how many compact opens ran full validation.
 func (s *Stats) OpenVerifies() uint64 { return s.openVerifies.Load() }

@@ -36,23 +36,22 @@ func batchTestGraph(t testing.TB) *graph.Graph {
 	return g
 }
 
-// batchBackends serves g the three ways a *gstore.Compact comes to be:
-// "heap" is the builder's graph converted by gstore.Wrap, as every
-// in-process caller holding a *graph.Graph hands it to the kernel;
-// "compact" is its snapshot decoded into one buffer, graphd's in-memory
-// load; "mmap" is the same snapshot mapped, skipped on platforms that
-// cannot map snapshots.
+// batchBackends serves g the three ways a graph comes to be: "builder"
+// is the builder's own graph, as every in-process caller hands it to
+// the kernel; "compact" is its snapshot decoded into one buffer,
+// graphd's in-memory load; "mmap" is the same snapshot mapped, skipped
+// on platforms that cannot map snapshots.
 func batchBackends(t testing.TB, g *graph.Graph) map[string]gstore.Graph {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "g"+persist.SnapshotExt)
-	if err := persist.WriteSnapshotFile(path, gstore.Wrap(g)); err != nil {
+	if err := persist.WriteSnapshotFile(path, g); err != nil {
 		t.Fatalf("WriteSnapshotFile: %v", err)
 	}
 	c, err := persist.ReadCompactFile(path)
 	if err != nil {
 		t.Fatalf("ReadCompactFile: %v", err)
 	}
-	out := map[string]gstore.Graph{"heap": gstore.Wrap(g), "compact": c}
+	out := map[string]gstore.Graph{"builder": g, "compact": c}
 	m, err := persist.OpenMapped(path)
 	if errors.Is(err, persist.ErrNotMappable) {
 		t.Logf("platform cannot mmap snapshots: %v", err)
@@ -201,7 +200,7 @@ func TestPushStopsAtDeadline(t *testing.T) {
 // cancellation point — exactly nothing on one worker.
 func TestBatchCancellation(t *testing.T) {
 	hg := batchTestGraph(t)
-	g := gstore.Wrap(hg)
+	g := hg
 	pool := kernel.NewPool(g.N())
 	seeds := batchSeeds(g.N(), 64)
 
@@ -307,7 +306,7 @@ func (c *cancelAfter) Err() error {
 // parameter errors equal through Diffuse and Run.
 func TestBatchValidation(t *testing.T) {
 	hg := batchTestGraph(t)
-	g := gstore.Wrap(hg)
+	g := hg
 	pool := kernel.NewPool(g.N())
 	ctx := context.Background()
 	cases := []struct {
@@ -338,21 +337,15 @@ func TestBatchValidation(t *testing.T) {
 
 // onesWeighted serves a unit-weight graph as a compact backend that
 // carries an explicit float64 weight array of ones, which sends every
-// kernel loop down its weighted branch on a graph gstore.Wrap serves
-// through the nil-weight unit branch.
+// kernel loop down its weighted branch on a graph the builder stores
+// with the nil-weight unit branch.
 func onesWeighted(t testing.TB, hg *graph.Graph) *gstore.Compact {
 	t.Helper()
-	rowPtrI, adjI, wts := hg.CSR()
-	rowPtr := make([]int64, len(rowPtrI))
-	for i, v := range rowPtrI {
-		rowPtr[i] = int64(v)
+	ones := make([]float64, len(hg.RawAdj()))
+	for i := range ones {
+		ones[i] = 1
 	}
-	adj := make([]uint32, len(adjI))
-	for i, v := range adjI {
-		adj[i] = uint32(v)
-	}
-	c, err := gstore.NewCompactFromParts(gstore.KindCompact, rowPtr, adj, nil,
-		append([]float64(nil), wts...), append([]float64(nil), hg.Degrees()...), nil)
+	c, err := gstore.NewCompactFromParts(gstore.KindCompact, hg.RawRowPtr(), hg.RawAdj(), nil, ones, hg.Degrees(), nil)
 	if err != nil {
 		t.Fatalf("NewCompactFromParts: %v", err)
 	}
@@ -369,7 +362,7 @@ func onesWeighted(t testing.TB, hg *graph.Graph) *gstore.Compact {
 // (spread*1.0/du == spread/du), sequentially and batched.
 func TestUnitFastPathMatchesWeightedBranch(t *testing.T) {
 	hg := batchTestGraph(t)
-	var unit, weighted gstore.Graph = gstore.Wrap(hg), onesWeighted(t, hg)
+	var unit, weighted gstore.Graph = hg, onesWeighted(t, hg)
 	seeds := batchSeeds(hg.N(), 20)
 	pool := kernel.NewPool(hg.N())
 	for name, method := range batchMethods() {

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/gen"
-	"repro/internal/gstore"
 	"repro/internal/kernel"
 )
 
@@ -20,11 +19,7 @@ import (
 // pushes, work volume and support — so a change in ns/push reads
 // against the number of pushes it is spread over.
 func BenchmarkDeepPPR(b *testing.B) {
-	hg, err := gen.Kronecker(gen.KroneckerConfig{Levels: 16}, rand.New(rand.NewSource(1)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	g, err := gstore.NewCompact(hg)
+	g, err := gen.Kronecker(gen.KroneckerConfig{Levels: 16}, rand.New(rand.NewSource(1)))
 	if err != nil {
 		b.Fatal(err)
 	}

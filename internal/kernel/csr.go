@@ -24,8 +24,9 @@ import (
 //   - float64(float32(w)) == w whenever the compact form chose float32
 //     storage (it only narrows losslessly), so widening per edge
 //     reproduces the builder's float64 weight.
-//   - deg slices are copied bit-for-bit from the builder's graph, so
-//     the eps·deg thresholds agree with it.
+//   - deg is each row's weights summed in row order, as the builder
+//     sums them and the snapshot validator checks them bit for bit, so
+//     the eps·deg thresholds agree on every backend.
 
 // wt covers the stored weight types.
 type wt interface{ ~float32 | ~float64 }
@@ -69,7 +70,7 @@ const (
 // dispatch runs o on g's raw arrays, in the instantiation of g's
 // weight form.
 func dispatch(g gstore.Graph, o *op) {
-	rowPtr, adj, deg := g.RawRowPtr(), g.RawAdj(), g.RawDegrees()
+	rowPtr, adj, deg := g.RawRowPtr(), g.RawAdj(), g.Degrees()
 	if w32 := g.RawWeights32(); w32 != nil {
 		(&rows[float32]{rowPtr, adj, w32, deg}).run(o)
 	} else {

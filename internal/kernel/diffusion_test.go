@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/gstore"
 	"repro/internal/kernel"
 )
 
@@ -51,9 +50,9 @@ func exactPageRankDense(g *graph.Graph, seed []float64, alpha float64, tol float
 				continue
 			}
 			y[u] += x[u] / 2
-			nbrs, ws := g.Neighbors(u)
-			for i, v := range nbrs {
-				y[v] += x[u] / 2 * ws[i] / du
+			it := g.Neighbors(u)
+			for v, w, ok := it.Next(); ok; v, w, ok = it.Next() {
+				y[v] += x[u] / 2 * w / du
 			}
 		}
 		var diff float64
@@ -76,7 +75,7 @@ func TestApproxPageRankInvariant(t *testing.T) {
 	// solver: pr(s) − p must equal pr(r).
 	g := gen.RingOfCliques(3, 5)
 	alpha, eps := 0.2, 1e-4
-	res, err := approxPageRank(gstore.Wrap(g), []int{0}, alpha, eps)
+	res, err := approxPageRank(g, []int{0}, alpha, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +105,7 @@ func TestApproxPageRankInvariant(t *testing.T) {
 func TestApproxPageRankResidualBound(t *testing.T) {
 	g := gen.Dumbbell(10, 2)
 	eps := 1e-3
-	res, err := approxPageRank(gstore.Wrap(g), []int{0}, 0.1, eps)
+	res, err := approxPageRank(g, []int{0}, 0.1, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +129,7 @@ func TestApproxPageRankWorkBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	alpha, eps := 0.1, 1e-4
-	res, err := approxPageRank(gstore.Wrap(g), []int{42}, alpha, eps)
+	res, err := approxPageRank(g, []int{42}, alpha, eps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +149,7 @@ func TestApproxPageRankLocality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := approxPageRank(gstore.Wrap(g), []int{7}, 0.15, 1e-3)
+		res, err := approxPageRank(g, []int{7}, 0.15, 1e-3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,16 +162,16 @@ func TestApproxPageRankLocality(t *testing.T) {
 
 func TestApproxPageRankErrors(t *testing.T) {
 	g := gen.Path(5)
-	if _, err := approxPageRank(gstore.Wrap(g), nil, 0.1, 1e-3); err == nil {
+	if _, err := approxPageRank(g, nil, 0.1, 1e-3); err == nil {
 		t.Fatal("empty seeds accepted")
 	}
-	if _, err := approxPageRank(gstore.Wrap(g), []int{0}, 0, 1e-3); err == nil {
+	if _, err := approxPageRank(g, []int{0}, 0, 1e-3); err == nil {
 		t.Fatal("alpha=0 accepted")
 	}
-	if _, err := approxPageRank(gstore.Wrap(g), []int{0}, 0.5, 0); err == nil {
+	if _, err := approxPageRank(g, []int{0}, 0.5, 0); err == nil {
 		t.Fatal("eps=0 accepted")
 	}
-	if _, err := approxPageRank(gstore.Wrap(g), []int{9}, 0.5, 1e-3); err == nil {
+	if _, err := approxPageRank(g, []int{9}, 0.5, 1e-3); err == nil {
 		t.Fatal("out-of-range seed accepted")
 	}
 }
@@ -184,10 +183,10 @@ func TestSweepCutFindsPlantedCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := kernel.NewWorkspace(g.N())
-	if _, err := (kernel.PushACL{Alpha: 0.05, Eps: 1e-5}).Diffuse(gstore.Wrap(g), ws, []int{3}); err != nil {
+	if _, err := (kernel.PushACL{Alpha: 0.05, Eps: 1e-5}).Diffuse(g, ws, []int{3}); err != nil {
 		t.Fatal(err)
 	}
-	sw, err := workspaceSweepCut(gstore.Wrap(g), ws)
+	sw, err := workspaceSweepCut(g, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +211,7 @@ func TestNibbleStaysLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := nibble(gstore.Wrap(g), []int{11}, 1e-4, 30)
+	res, err := nibble(g, []int{11}, 1e-4, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +225,7 @@ func TestNibbleStaysLocal(t *testing.T) {
 
 func TestNibbleFindsCliqueCluster(t *testing.T) {
 	g := gen.RingOfCliques(6, 8)
-	res, err := nibble(gstore.Wrap(g), []int{0}, 1e-5, 40)
+	res, err := nibble(g, []int{0}, 1e-5, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +239,7 @@ func TestNibbleFindsCliqueCluster(t *testing.T) {
 
 func TestNibbleTruncationIsRealized(t *testing.T) {
 	g := gen.Path(200)
-	res, err := nibble(gstore.Wrap(g), []int{100}, 1e-3, 10)
+	res, err := nibble(g, []int{100}, 1e-3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,13 +252,13 @@ func TestNibbleTruncationIsRealized(t *testing.T) {
 
 func TestNibbleErrors(t *testing.T) {
 	g := gen.Path(5)
-	if _, err := nibble(gstore.Wrap(g), []int{0}, 0, 5); err == nil {
+	if _, err := nibble(g, []int{0}, 0, 5); err == nil {
 		t.Fatal("eps=0 accepted")
 	}
-	if _, err := nibble(gstore.Wrap(g), []int{0}, 1e-3, 0); err == nil {
+	if _, err := nibble(g, []int{0}, 1e-3, 0); err == nil {
 		t.Fatal("steps=0 accepted")
 	}
-	if _, err := nibble(gstore.Wrap(g), nil, 1e-3, 5); err == nil {
+	if _, err := nibble(g, nil, 1e-3, 5); err == nil {
 		t.Fatal("empty seeds accepted")
 	}
 }
@@ -268,7 +267,7 @@ func TestHeatKernelLocalApproximatesDense(t *testing.T) {
 	g := gen.RingOfCliques(3, 5)
 	tVal := 3.0
 	ws := kernel.NewWorkspace(g.N())
-	if _, err := (kernel.HeatKernel{T: tVal, Eps: 1e-9}).DiffuseContext(context.Background(), gstore.Wrap(g), ws, []int{0}); err != nil {
+	if _, err := (kernel.HeatKernel{T: tVal, Eps: 1e-9}).DiffuseContext(context.Background(), g, ws, []int{0}); err != nil {
 		t.Fatal(err)
 	}
 	dist := fromP(ws)
@@ -306,9 +305,9 @@ func denseLazyHeatKernel(g *graph.Graph, seed []float64, t float64) []float64 {
 				continue
 			}
 			next[u] += cur[u] / 2
-			nbrs, ws := g.Neighbors(u)
-			for i, v := range nbrs {
-				next[v] += cur[u] / 2 * ws[i] / du
+			it := g.Neighbors(u)
+			for v, wt, ok := it.Next(); ok; v, wt, ok = it.Next() {
+				next[v] += cur[u] / 2 * wt / du
 			}
 		}
 		cur = next
@@ -329,12 +328,12 @@ func denseLazyHeatKernel(g *graph.Graph, seed []float64, t float64) []float64 {
 func TestPropPushInvariants(t *testing.T) {
 	for _, wf := range []struct {
 		name    string
-		form    gstore.WeightForm
+		form    graph.WeightForm
 		weights []float64
 	}{
-		{"unit", gstore.WeightsUnit, []float64{1}},
-		{"f32", gstore.WeightsF32, []float64{0.5, 2.25, 8}}, // dyadic
-		{"f64", gstore.WeightsF64, []float64{0.1, 0.3}},
+		{"unit", graph.WeightsUnit, []float64{1}},
+		{"f32", graph.WeightsF32, []float64{0.5, 2.25, 8}}, // dyadic
+		{"f64", graph.WeightsF64, []float64{0.1, 0.3}},
 	} {
 		f := func(seed int64) bool {
 			rng := rand.New(rand.NewSource(seed))
@@ -342,7 +341,7 @@ func TestPropPushInvariants(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			if _, _, w := g.CSR(); g.M() > 0 && gstore.DetectWeightForm(w) != wf.form {
+			if w := max(graph.DetectWeightForm(g.RawWeights32()), graph.DetectWeightForm(g.RawWeights64())); g.M() > 0 && w != wf.form {
 				return false
 			}
 			alpha := 0.05 + rng.Float64()*0.9
@@ -393,7 +392,7 @@ func TestPropNibbleSubStochastic(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		res, err := nibble(gstore.Wrap(g), []int{rng.Intn(g.N())}, 1e-3, 1+rng.Intn(15))
+		res, err := nibble(g, []int{rng.Intn(g.N())}, 1e-3, 1+rng.Intn(15))
 		if err != nil {
 			return false
 		}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/gen"
-	"repro/internal/gstore"
 )
 
 func TestWorkspacePlaneBasics(t *testing.T) {
@@ -77,7 +76,7 @@ func TestWorkspaceKillThenRetouch(t *testing.T) {
 // pushes when α is tiny, so a queue that only ever appended would hold
 // one entry per push. The buffer must stay O(n) however long the run.
 func TestPushQueueStaysLinear(t *testing.T) {
-	g := gstore.Wrap(gen.RingOfCliques(8, 8))
+	g := gen.RingOfCliques(8, 8)
 	ws := NewWorkspace(g.N())
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
@@ -185,7 +184,7 @@ func TestPushACLDeterministicAcrossReuse(t *testing.T) {
 	}
 	ws := NewWorkspace(g.N())
 	run := func() (map[int]float64, Stats) {
-		st, err := (PushACL{Alpha: 0.1, Eps: 1e-4}).Diffuse(gstore.Wrap(g), ws, []int{17})
+		st, err := (PushACL{Alpha: 0.1, Eps: 1e-4}).Diffuse(g, ws, []int{17})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +215,7 @@ func TestPushACLDeterministicAcrossReuse(t *testing.T) {
 // pinned error text by a strategy's Diffuse and by a BatchDiffuser
 // running it — one validate per strategy serves both entry points.
 func TestDiffuserValidation(t *testing.T) {
-	g := gstore.Wrap(gen.Path(5))
+	g := gen.Path(5)
 	ws := NewWorkspace(g.N())
 	pool := NewPool(g.N())
 	ok := PushACL{Alpha: 0.5, Eps: 1e-3}
@@ -264,7 +263,7 @@ func TestDiffuserValidation(t *testing.T) {
 // holds all its mass (past it e^{−t} is subnormal and the support empties;
 // TestDiffuserValidation pins the refusal).
 func TestHeatKernelTimeBound(t *testing.T) {
-	g := gstore.Wrap(gen.RingOfCliques(8, 8))
+	g := gen.RingOfCliques(8, 8)
 	ws := NewWorkspace(g.N())
 	if _, err := (HeatKernel{T: maxHeatT, Eps: 1e-9}).DiffuseContext(context.Background(), g, ws, []int{0}); err != nil {
 		t.Fatal(err)
@@ -331,7 +330,7 @@ func TestPoolConcurrentPush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := (PushACL{Alpha: 0.1, Eps: 1e-3}).Diffuse(gstore.Wrap(g), NewWorkspace(g.N()), []int{1})
+	want, err := (PushACL{Alpha: 0.1, Eps: 1e-3}).Diffuse(g, NewWorkspace(g.N()), []int{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +342,7 @@ func TestPoolConcurrentPush(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
 				ws := pool.Get()
-				st, err := (PushACL{Alpha: 0.1, Eps: 1e-3}).Diffuse(gstore.Wrap(g), ws, []int{1})
+				st, err := (PushACL{Alpha: 0.1, Eps: 1e-3}).Diffuse(g, ws, []int{1})
 				if err != nil {
 					t.Errorf("concurrent push: %v", err)
 				} else if st != want {
@@ -361,7 +360,7 @@ func TestPoolConcurrentPush(t *testing.T) {
 func TestWalkStepMatchesDenseStep(t *testing.T) {
 	g := gen.RingOfCliques(3, 4)
 	ws := NewWorkspace(g.N())
-	if err := seedR(gstore.Wrap(g), ws, []int{0, 5}); err != nil {
+	if err := seedR(g, ws, []int{0, 5}); err != nil {
 		t.Fatal(err)
 	}
 	dense := make([]float64, g.N())
@@ -373,12 +372,12 @@ func TestWalkStepMatchesDenseStep(t *testing.T) {
 		}
 		du := g.Degree(u)
 		next[u] += x / 2
-		nbrs, wts := g.Neighbors(u)
-		for i, v := range nbrs {
-			next[v] += x / 2 * wts[i] / du
+		it := g.Neighbors(u)
+		for v, w, ok := it.Next(); ok; v, w, ok = it.Next() {
+			next[v] += x / 2 * w / du
 		}
 	}
-	dispatch(gstore.Wrap(g), &op{kind: opWalkStep, ws: ws, eps: 1e-12})
+	dispatch(g, &op{kind: opWalkStep, ws: ws, eps: 1e-12})
 	for u := 0; u < g.N(); u++ {
 		got := ws.r.get(u)
 		want := next[u]

@@ -178,9 +178,9 @@ func mapPush(g *graph.Graph, seeds []int, alpha, eps float64) (p, r sparseVec, p
 			delete(r, u)
 			spread = (1 - alpha) / (1 + alpha) * ru
 		}
-		nbrs, ws := g.Neighbors(u)
-		for i, v := range nbrs {
-			r[v] += spread * ws[i] / du
+		it := g.Neighbors(u)
+		for v, wt, ok := it.Next(); ok; v, wt, ok = it.Next() {
+			r[v] += spread * wt / du
 			if r[v] >= eps*g.Degree(v) && !inQueue[v] {
 				queue = append(queue, v)
 				inQueue[v] = true
@@ -214,9 +214,9 @@ func mapWalkStep(g *graph.Graph, q sparseVec, eps float64) sparseVec {
 			continue
 		}
 		next[u] += mass / 2
-		nbrs, ws := g.Neighbors(u)
-		for i, v := range nbrs {
-			next[v] += mass / 2 * ws[i] / du
+		it := g.Neighbors(u)
+		for v, wt, ok := it.Next(); ok; v, wt, ok = it.Next() {
+			next[v] += mass / 2 * wt / du
 		}
 	}
 	for u, mass := range next {
@@ -345,7 +345,7 @@ func TestPushMatchesMapOracle(t *testing.T) {
 			for _, alpha := range alphas {
 				for _, eps := range epss {
 					label := fmt.Sprintf("%s seeds=%v a=%g e=%g", name, seeds, alpha, eps)
-					res, err := approxPageRank(gstore.Wrap(g), seeds, alpha, eps)
+					res, err := approxPageRank(g, seeds, alpha, eps)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
@@ -369,7 +369,7 @@ func TestNibbleMatchesMapOracle(t *testing.T) {
 		for _, eps := range []float64{1e-2, 1e-3, 1e-5} {
 			for _, steps := range []int{1, 7, 25} {
 				label := fmt.Sprintf("%s e=%g steps=%d", name, eps, steps)
-				res, err := nibble(gstore.Wrap(g), []int{0, g.N() - 1}, eps, steps)
+				res, err := nibble(g, []int{0, g.N() - 1}, eps, steps)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -393,7 +393,7 @@ func TestHeatKernelMatchesMapOracle(t *testing.T) {
 			for _, eps := range []float64{1e-3, 1e-6} {
 				label := fmt.Sprintf("%s t=%g e=%g", name, tv, eps)
 				ws := kernel.NewWorkspace(g.N())
-				st, err := kernel.HeatKernel{T: tv, Eps: eps}.DiffuseContext(context.Background(), gstore.Wrap(g), ws, []int{1})
+				st, err := kernel.HeatKernel{T: tv, Eps: eps}.DiffuseContext(context.Background(), g, ws, []int{1})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -412,16 +412,16 @@ func TestHeatKernelMatchesMapOracle(t *testing.T) {
 // sweep path produces the same order and the same cut as the map path.
 func TestWorkspaceSweepMatchesMapSweep(t *testing.T) {
 	for name, g := range parityGraphs(t) {
-		res, err := approxPageRank(gstore.Wrap(g), []int{0}, 0.1, 1e-4)
+		res, err := approxPageRank(g, []int{0}, 0.1, 1e-4)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		ws := kernel.NewWorkspace(g.N())
-		if _, err := (kernel.PushACL{Alpha: 0.1, Eps: 1e-4}).Diffuse(gstore.Wrap(g), ws, []int{0}); err != nil {
+		if _, err := (kernel.PushACL{Alpha: 0.1, Eps: 1e-4}).Diffuse(g, ws, []int{0}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		mapOrder := mapSweepOrder(gstore.Wrap(g), res.P)
-		k := ws.SweepOrderP(gstore.Wrap(g))
+		mapOrder := mapSweepOrder(g, res.P)
+		k := ws.SweepOrderP(g)
 		wsOrder := ws.SweepNodes(make([]int, 0, k), k)
 		if len(mapOrder) != len(wsOrder) {
 			t.Fatalf("%s: order lengths %d vs %d", name, len(mapOrder), len(wsOrder))
@@ -431,8 +431,8 @@ func TestWorkspaceSweepMatchesMapSweep(t *testing.T) {
 				t.Fatalf("%s: sweep order diverges at %d: %d vs %d", name, i, mapOrder[i], wsOrder[i])
 			}
 		}
-		mapCut, mapErr := mapSweepCut(gstore.Wrap(g), res.P)
-		wsCut, wsErr := workspaceSweepCut(gstore.Wrap(g), ws)
+		mapCut, mapErr := mapSweepCut(g, res.P)
+		wsCut, wsErr := workspaceSweepCut(g, ws)
 		if (mapErr == nil) != (wsErr == nil) {
 			t.Fatalf("%s: sweep errors diverge: %v vs %v", name, mapErr, wsErr)
 		}

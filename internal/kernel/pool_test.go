@@ -38,7 +38,7 @@ func TestWorkspaceServesAnyGraphOfItsClass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := gstore.Wrap(hg)
+		g := hg
 		pool := kernel.NewPool(n)
 		got := pool.Get()
 		if ws != nil && got != ws && !raceEnabled {

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/gstore"
 )
 
 // sweepEntry is one node of a sweep order with the value it is
@@ -105,7 +104,7 @@ func TestWorkspaceReuseAcrossMethods(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := gstore.Wrap(hg)
+	g := hg
 	seeds := []int{11}
 	push := PushACL{Alpha: 0.05, Eps: 1e-7}
 	methods := []Diffuser{
@@ -161,7 +160,7 @@ func TestWorkspaceReuseAcrossMethods(t *testing.T) {
 // NCP's volume cap does — and a scan after an early stop sees the same
 // cuts as the first.
 func TestSweepScanEmptiesSet(t *testing.T) {
-	g := gstore.Wrap(gen.RingOfCliques(12, 10))
+	g := gen.RingOfCliques(12, 10)
 	ws := NewWorkspace(g.N())
 	if _, err := (PushACL{Alpha: 0.1, Eps: 1e-5}).Diffuse(g, ws, []int{3}); err != nil {
 		t.Fatal(err)
@@ -216,7 +215,7 @@ func TestSweepOrderList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := gstore.Wrap(hg)
+	g := hg
 	ws := NewWorkspace(g.N())
 	empty := func(label string) {
 		t.Helper()

@@ -17,7 +17,7 @@ const (
 	inPersist       = "repro/internal/persist/lintfixture"
 	inService       = "repro/internal/service/lintfixture"
 	outOfScope      = "repro/cmd/lintfixture"
-	inGstore        = "repro/internal/gstore/lintfixture"
+	inGraph         = "repro/internal/graph/lintfixture"
 )
 
 func TestDeterminismPositive(t *testing.T) {
@@ -89,10 +89,10 @@ func TestNoMutateNegative(t *testing.T) {
 }
 
 // TestNoMutateOutOfScope typechecks the mutating fixture under a path
-// inside internal/gstore, where the package owns the storage and the
+// inside internal/graph, where the package owns the storage and the
 // analyzer must not fire.
 func TestNoMutateOutOfScope(t *testing.T) {
-	linttest.Run(t, lint.NoMutate, "testdata/nomutate/outofscope", inGstore)
+	linttest.Run(t, lint.NoMutate, "testdata/nomutate/outofscope", inGraph)
 }
 
 // TestIgnoreDirectives runs the whole suite over the suppression

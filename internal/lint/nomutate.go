@@ -5,27 +5,24 @@ import (
 	"go/types"
 )
 
-// gstorePath and graphPath are the storage packages whose accessor
-// aliasing the nomutate analyzer guards. Both are excluded from the
-// check itself: they own the arrays.
-const (
-	gstorePath = "repro/internal/gstore"
-	graphPath  = "repro/internal/graph"
-)
+// graphPath is the package that declares the graph type whose accessor
+// aliasing the nomutate analyzer guards. It is excluded from the check
+// itself: it owns the arrays.
+const graphPath = "repro/internal/graph"
 
-// NoMutate enforces the read-only contract of the storage accessors
-// (PR 8): every slice reachable through a gstore backend or a heap
-// graph aliases the graph's internal storage, and for the mmap backend
-// it aliases a PROT_READ mapping where a write is a SIGSEGV at some
+// NoMutate enforces the read-only contract of the storage accessors:
+// every slice an accessor of graph.Graph (gstore.Compact) returns
+// aliases the graph's internal storage, and for the mmap backend it
+// aliases a PROT_READ mapping where a write is a SIGSEGV at some
 // arbitrary later query, not a test failure here and now.
 var NoMutate = &Analyzer{
 	Name: "nomutate",
-	Doc: `flag writes through storage-accessor results outside internal/gstore
+	Doc: `flag writes through storage-accessor results outside internal/graph
 
-gstore.Compact.Raw* and graph.Graph.CSR/Degrees/Neighbors return
-views of the graph's single backing arrays — immutable by contract
-(docs/storage.md), and physically unwritable when the graph is served
-by the mmap backend. A write through any of them corrupts the graph
+graph.Graph's Raw* accessors and Degrees (gstore.Compact is the same
+type) return views of the graph's single backing arrays — immutable by
+contract (docs/storage.md), and physically unwritable when the graph
+is served by the mmap backend. A write through any of them corrupts the graph
 for every concurrent holder at best and segfaults the daemon at worst.
 Flagged: element assignment (including op= and ++/--) through an
 accessor result or anything sliced from one, copy() into such a slice,
@@ -36,7 +33,7 @@ copy first: append([]T(nil), s...).`,
 }
 
 func runNoMutate(pass *Pass) error {
-	if inScope(pass.Pkg.Path(), []string{gstorePath, graphPath}) {
+	if inScope(pass.Pkg.Path(), []string{graphPath}) {
 		return nil
 	}
 	for _, f := range pass.Files {
@@ -51,12 +48,7 @@ func runNoMutate(pass *Pass) error {
 // graph storage, and under which name to report it.
 func isStorageAccessorCall(info *types.Info, call *ast.CallExpr) (string, bool) {
 	fn := calleeFunc(info, call)
-	for _, m := range []string{"RawRowPtr", "RawAdj", "RawWeights32", "RawWeights64", "RawDegrees"} {
-		if isFunc(fn, gstorePath, "Compact", m) {
-			return "Compact." + m, true
-		}
-	}
-	for _, m := range []string{"CSR", "Degrees", "Neighbors"} {
+	for _, m := range []string{"RawRowPtr", "RawAdj", "RawWeights32", "RawWeights64", "Degrees"} {
 		if isFunc(fn, graphPath, "Graph", m) {
 			return "Graph." + m, true
 		}
@@ -69,7 +61,7 @@ func checkNoMutateScope(pass *Pass, scope funcScope) {
 	// tainted maps variables known to alias graph storage to the
 	// accessor that produced them. Taint propagates through plain
 	// assignment and re-slicing; the loop runs to fixpoint so chains
-	// like `a := g.CSR-result; b := a[lo:hi]` taint in any order.
+	// like `a := g.RawAdj(); b := a[lo:hi]` taint in any order.
 	tainted := make(map[types.Object]string)
 
 	// accessorExpr reports whether e evaluates to storage-aliasing
@@ -116,18 +108,6 @@ func checkNoMutateScope(pass *Pass, scope funcScope) {
 		walkScope(scope.body, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.AssignStmt:
-				if len(n.Rhs) == 1 && len(n.Lhs) > 1 {
-					// Multi-value binding (CSR, Neighbors): every result
-					// aliases storage.
-					if name, ok := accessorExpr(n.Rhs[0]); ok {
-						for _, l := range n.Lhs {
-							if taintIdent(l, name) {
-								changed = true
-							}
-						}
-					}
-					return true
-				}
 				for i, r := range n.Rhs {
 					if i >= len(n.Lhs) {
 						break
@@ -137,16 +117,6 @@ func checkNoMutateScope(pass *Pass, scope funcScope) {
 					}
 				}
 			case *ast.ValueSpec:
-				if len(n.Values) == 1 && len(n.Names) > 1 {
-					if name, ok := accessorExpr(n.Values[0]); ok {
-						for _, id := range n.Names {
-							if taintIdent(id, name) {
-								changed = true
-							}
-						}
-					}
-					return true
-				}
 				for i, v := range n.Values {
 					if i >= len(n.Names) {
 						break

@@ -14,7 +14,7 @@ func ReadOnly(c *gstore.Compact) float64 {
 	for _, a := range adj {
 		s += float64(a)
 	}
-	deg := c.RawDegrees()
+	deg := c.Degrees()
 	row := deg[1:2]
 	return s + row[0]
 }
@@ -22,7 +22,7 @@ func ReadOnly(c *gstore.Compact) float64 {
 // CopyOut copies storage into caller-owned memory; only the
 // destination matters.
 func CopyOut(g *graph.Graph) []float64 {
-	_, _, w := g.CSR()
+	w := g.RawWeights64()
 	out := make([]float64, len(w))
 	copy(out, w)
 	return out

@@ -1,11 +1,11 @@
-// Inside internal/gstore the package owns the arrays; the analyzer
+// Inside internal/graph the package owns the arrays; the analyzer
 // must stay silent however the storage is touched.
 package fixture
 
-import "repro/internal/gstore"
+import "repro/internal/graph"
 
-func Mutate(c *gstore.Compact) {
-	c.RawDegrees()[0] = 1
-	adj := c.RawAdj()
+func Mutate(g *graph.Graph) {
+	g.Degrees()[0] = 1
+	adj := g.RawAdj()
 	adj[0] = 2
 }

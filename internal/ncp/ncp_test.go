@@ -1,6 +1,7 @@
 package ncp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -132,7 +133,7 @@ func TestBestInSizeRange(t *testing.T) {
 func TestSpectralProfileOnRingOfCliques(t *testing.T) {
 	g := gen.RingOfCliques(8, 8)
 	rng := rand.New(rand.NewSource(1))
-	prof, err := SpectralProfile(g, SpectralConfig{Seeds: 8, Alphas: []float64{0.1, 0.02}}, rng)
+	prof, err := SpectralProfile(context.Background(), g, SpectralConfig{Seeds: 8, Alphas: []float64{0.1, 0.02}}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestSpectralProfileOnRingOfCliques(t *testing.T) {
 func TestFlowProfileOnRingOfCliques(t *testing.T) {
 	g := gen.RingOfCliques(8, 8)
 	rng := rand.New(rand.NewSource(2))
-	prof, err := FlowProfile(g, FlowConfig{}, rng)
+	prof, err := FlowProfile(context.Background(), g, FlowConfig{}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,10 +168,10 @@ func TestFlowProfileOnRingOfCliques(t *testing.T) {
 func TestProfilesTooSmallGraph(t *testing.T) {
 	g := gen.Path(3)
 	rng := rand.New(rand.NewSource(1))
-	if _, err := SpectralProfile(g, SpectralConfig{}, rng); err == nil {
+	if _, err := SpectralProfile(context.Background(), g, SpectralConfig{}, rng); err == nil {
 		t.Fatal("tiny graph accepted by spectral profile")
 	}
-	if _, err := FlowProfile(g, FlowConfig{}, rng); err == nil {
+	if _, err := FlowProfile(context.Background(), g, FlowConfig{}, rng); err == nil {
 		t.Fatal("tiny graph accepted by flow profile")
 	}
 }
@@ -182,7 +183,7 @@ func TestEvaluateProfileDedupes(t *testing.T) {
 		{Nodes: []int{0, 1, 2, 3, 4, 5}, Conductance: 0.05}, // duplicate
 		{Nodes: []int{6, 7, 8, 9, 10, 11}, Conductance: 0.04},
 	}}
-	ms, err := EvaluateProfile(g, p, 2, 100)
+	ms, err := EvaluateProfile(g, p, 2, 100, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,11 +201,11 @@ func TestFig1ShapeMiniature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp, err := SpectralProfile(g, SpectralConfig{Seeds: 15, Alphas: []float64{0.2, 0.05, 0.01}}, rng)
+	sp, err := SpectralProfile(context.Background(), g, SpectralConfig{Seeds: 15, Alphas: []float64{0.2, 0.05, 0.01}}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl, err := FlowProfile(g, FlowConfig{}, rng)
+	fl, err := FlowProfile(context.Background(), g, FlowConfig{}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/gen"
-	"repro/internal/gstore"
 	"repro/internal/kernel"
 )
 
@@ -52,7 +51,7 @@ func TestSpectralProfileDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(workers int) *Profile {
-		prof, err := SpectralProfile(g, SpectralConfig{
+		prof, err := SpectralProfile(context.Background(), g, SpectralConfig{
 			Seeds: 6, Alphas: []float64{0.2, 0.05, 0.01},
 			Workers: workers, BaseSeed: 99,
 		}, nil)
@@ -77,7 +76,7 @@ func TestFlowProfileDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(workers int) *Profile {
-		prof, err := FlowProfile(g, FlowConfig{Workers: workers, BaseSeed: 77}, nil)
+		prof, err := FlowProfile(context.Background(), g, FlowConfig{Workers: workers, BaseSeed: 77}, nil)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -100,22 +99,22 @@ func TestProfilesSeedFromRNGWhenBaseUnset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp1, err := SpectralProfile(g, SpectralConfig{Seeds: 4, Alphas: []float64{0.1}}, rand.New(rand.NewSource(11)))
+	sp1, err := SpectralProfile(context.Background(), g, SpectralConfig{Seeds: 4, Alphas: []float64{0.1}}, rand.New(rand.NewSource(11)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp2, err := SpectralProfile(g, SpectralConfig{Seeds: 4, Alphas: []float64{0.1}}, rand.New(rand.NewSource(11)))
+	sp2, err := SpectralProfile(context.Background(), g, SpectralConfig{Seeds: 4, Alphas: []float64{0.1}}, rand.New(rand.NewSource(11)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(sp1, sp2) {
 		t.Fatal("equal rng states produced different spectral profiles")
 	}
-	fl1, err := FlowProfile(g, FlowConfig{}, rand.New(rand.NewSource(12)))
+	fl1, err := FlowProfile(context.Background(), g, FlowConfig{}, rand.New(rand.NewSource(12)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl2, err := FlowProfile(g, FlowConfig{}, rand.New(rand.NewSource(12)))
+	fl2, err := FlowProfile(context.Background(), g, FlowConfig{}, rand.New(rand.NewSource(12)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,11 +131,11 @@ func TestProfilesObserveContextCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := SpectralProfileOn(ctx, gstore.Wrap(g), SpectralConfig{Workers: 2, BaseSeed: 1}, rng); !errors.Is(err, context.Canceled) {
-		t.Errorf("SpectralProfileOn err = %v, want context.Canceled", err)
+	if _, err := SpectralProfile(ctx, g, SpectralConfig{Workers: 2, BaseSeed: 1}, rng); !errors.Is(err, context.Canceled) {
+		t.Errorf("SpectralProfile err = %v, want context.Canceled", err)
 	}
-	if _, err := FlowProfileCtx(ctx, g, FlowConfig{Workers: 2, BaseSeed: 1}, rng); !errors.Is(err, context.Canceled) {
-		t.Errorf("FlowProfileCtx err = %v, want context.Canceled", err)
+	if _, err := FlowProfile(ctx, g, FlowConfig{Workers: 2, BaseSeed: 1}, rng); !errors.Is(err, context.Canceled) {
+		t.Errorf("FlowProfile err = %v, want context.Canceled", err)
 	}
 }
 
@@ -148,7 +147,7 @@ func TestSpectralProfileCtxMidFlightCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	time.AfterFunc(time.Millisecond, cancel)
-	_, err = SpectralProfileOn(ctx, gstore.Wrap(g), SpectralConfig{Seeds: 200, Workers: 2, BaseSeed: 1}, rng)
+	_, err = SpectralProfile(ctx, g, SpectralConfig{Seeds: 200, Workers: 2, BaseSeed: 1}, rng)
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Errorf("mid-flight cancel: err = %v, want nil or context.Canceled", err)
 	}
@@ -162,7 +161,7 @@ func TestSpectralProfileCtxMidFlightCancel(t *testing.T) {
 // the bucket map, whose growth depends on its per-map hash seed.
 func TestCollectSweepClustersIsLocal(t *testing.T) {
 	cost := func(k int) (allocs float64, bytes uint64, clusters int) {
-		g := gstore.Wrap(gen.RingOfCliques(k, 8))
+		g := gen.RingOfCliques(k, 8)
 		ws := kernel.NewWorkspace(g.N())
 		if _, err := (kernel.PushACL{Alpha: 0.05, Eps: 1e-5}).Diffuse(g, ws, []int{0}); err != nil {
 			t.Fatal(err)

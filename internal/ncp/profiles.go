@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/flow"
 	"repro/internal/graph"
-	"repro/internal/gstore"
 	"repro/internal/kernel"
 	"repro/internal/par"
 	"repro/internal/partition"
@@ -75,20 +74,14 @@ func (c *SpectralConfig) withDefaults() SpectralConfig {
 // The (α, seed) sweeps are independent, so they are fanned across
 // cfg.Workers goroutines; each task derives its own RNG from
 // cfg.BaseSeed (drawn from rng when unset), so the result is
-// deterministic and independent of the worker count.
-func SpectralProfile(g *graph.Graph, cfg SpectralConfig, rng *rand.Rand) (*Profile, error) {
-	return SpectralProfileOn(context.Background(), gstore.Wrap(g), cfg, rng)
-}
-
-// SpectralProfileOn is SpectralProfile over any storage backend, with
-// cooperative cancellation: when ctx is cancelled or its deadline
-// passes, the sweep stops dispatching (α, seed) tasks and the context's
-// error is returned. This is what makes long NCP jobs cancellable from
-// a serving layer. The profile — every sampled cluster and every
-// conductance float — is bit-identical across backends: the push, sweep
-// order and prefix conductances all ride on arithmetic the backends
-// reproduce exactly.
-func SpectralProfileOn(ctx context.Context, g gstore.Graph, cfg SpectralConfig, rng *rand.Rand) (*Profile, error) {
+// deterministic and independent of the worker count. The profile —
+// every sampled cluster and every conductance float — is the same on
+// an in-heap and a mapped graph.
+//
+// When ctx is cancelled or its deadline passes, the sweep stops
+// dispatching (α, seed) tasks and the context's error is returned,
+// which is what makes long NCP jobs cancellable from a serving layer.
+func SpectralProfile(ctx context.Context, g *graph.Graph, cfg SpectralConfig, rng *rand.Rand) (*Profile, error) {
 	c := (&cfg).withDefaults()
 	if g.N() < 4 {
 		return nil, errors.New("ncp: graph too small for a profile")
@@ -163,7 +156,7 @@ func progressStepper(fn func(done, total int), total int) func() {
 // once the prefix volume passes maxVol. It runs on the workspace's
 // sweep scratch, so apart from the recorded clusters its cost is that
 // of the support, not of the graph.
-func collectSweepClusters(g gstore.Graph, ws *kernel.Workspace, maxVol float64, prof *Profile, method string) {
+func collectSweepClusters(g *graph.Graph, ws *kernel.Workspace, maxVol float64, prof *Profile, method string) {
 	n, volume := g.N(), g.Volume()
 	bestAtBucket := map[int]float64{}
 	ws.SweepScan(g, ws.SweepOrderP(g), func(size int, cut, vol float64) bool {
@@ -246,15 +239,11 @@ func (c *FlowConfig) withDefaults() FlowConfig {
 // cfg.BaseSeed (drawn from rng when unset) and clusters are merged in a
 // fixed pre-order, so the result is deterministic and independent of the
 // worker count.
-func FlowProfile(g *graph.Graph, cfg FlowConfig, rng *rand.Rand) (*Profile, error) {
-	return FlowProfileCtx(context.Background(), g, cfg, rng)
-}
-
-// FlowProfileCtx is FlowProfile with cooperative cancellation: the
-// bisection recursion checks ctx at every node and the ball-seed sweep
-// stops dispatching tasks once ctx is done, returning the context's
-// error.
-func FlowProfileCtx(ctx context.Context, g *graph.Graph, cfg FlowConfig, rng *rand.Rand) (*Profile, error) {
+//
+// Cancellation is cooperative: the bisection recursion checks ctx at
+// every node and the ball-seed sweep stops dispatching tasks once ctx is
+// done, returning the context's error.
+func FlowProfile(ctx context.Context, g *graph.Graph, cfg FlowConfig, rng *rand.Rand) (*Profile, error) {
 	c := (&cfg).withDefaults()
 	if g.N() < 4 {
 		return nil, errors.New("ncp: graph too small for a profile")
@@ -342,12 +331,12 @@ func flowUnionPass(g *graph.Graph, base []Cluster, cap int, prof *Profile) {
 			continue
 		}
 		for _, u := range c.Nodes {
-			nbrs, ws := g.Neighbors(u)
-			for i, v := range nbrs {
+			it := g.Neighbors(u)
+			for v, w, ok := it.Next(); ok; v, w, ok = it.Next() {
 				if inU[v] {
-					cut -= ws[i]
+					cut -= w
 				} else {
-					cut += ws[i]
+					cut += w
 				}
 			}
 			inU[u] = true
@@ -426,7 +415,7 @@ func flowBallSeeds(ctx context.Context, g *graph.Graph, c FlowConfig, base int64
 }
 
 // ballSizes is the geometric grid of BFS-ball target sizes used by
-// flowBallSeeds, factored out so FlowProfileCtx can size its progress
+// flowBallSeeds, factored out so FlowProfile can size its progress
 // total before the sweep starts.
 func ballSizes(g *graph.Graph, c FlowConfig) []int {
 	var sizes []int
@@ -446,8 +435,8 @@ func bfsBall(g *graph.Graph, src, size int) []int {
 	for len(queue) > 0 && len(out) < size {
 		u := queue[0]
 		queue = queue[1:]
-		nbrs, _ := g.Neighbors(u)
-		for _, v := range nbrs {
+		it := g.Neighbors(u)
+		for v, _, ok := it.Next(); ok; v, _, ok = it.Next() {
 			if !visited[v] {
 				visited[v] = true
 				out = append(out, v)
@@ -549,19 +538,14 @@ func flowRecurse(ctx context.Context, g *graph.Graph, nodes []int, depth int, c 
 
 // EvaluateProfile computes Measures for every cluster in the profile
 // whose size lies in [minSize, maxSize]. Duplicate clusters at the same
-// (size, conductance) are evaluated once.
-func EvaluateProfile(g *graph.Graph, p *Profile, minSize, maxSize int) ([]*Measures, error) {
-	return EvaluateProfileCapped(g, p, minSize, maxSize, 0)
-}
-
-// EvaluateProfileCapped is EvaluateProfile with a per-size-bucket budget:
-// when perBucket > 0, at most that many clusters are evaluated per
-// power-of-two size bucket, preferring the lowest-conductance ones (the
-// envelope Figure 1 reads) and keeping the rest of the budget in cluster
-// order for scatter diversity. Evaluation cost on large profiles is
+// (size, conductance) are evaluated once. When perBucket > 0, at most
+// that many clusters are evaluated per power-of-two size bucket,
+// preferring the lowest-conductance ones (the envelope Figure 1 reads)
+// and keeping the rest of the budget in cluster order for scatter
+// diversity; 0 means no cap. Evaluation cost on large profiles is
 // dominated by per-cluster BFS, so the cap is what makes full-size
 // Figure 1 runs tractable.
-func EvaluateProfileCapped(g *graph.Graph, p *Profile, minSize, maxSize, perBucket int) ([]*Measures, error) {
+func EvaluateProfile(g *graph.Graph, p *Profile, minSize, maxSize, perBucket int) ([]*Measures, error) {
 	type key struct {
 		size int
 		phi  float64

@@ -139,11 +139,11 @@ func coarsen(lv *level, rng *rand.Rand) (*level, []int, bool) {
 		if match[u] >= 0 {
 			continue
 		}
-		nbrs, ws := g.Neighbors(u)
 		best, bestW := -1, -1.0
-		for i, v := range nbrs {
-			if match[v] < 0 && v != u && ws[i] > bestW {
-				best, bestW = v, ws[i]
+		it := g.Neighbors(u)
+		for v, w, ok := it.Next(); ok; v, w, ok = it.Next() {
+			if match[v] < 0 && v != u && w > bestW {
+				best, bestW = v, w
 			}
 		}
 		if best >= 0 {
@@ -206,9 +206,9 @@ func greedyGrowBisect(lv *level, balanceFrac float64, rng *rand.Rand) []bool {
 	start := rng.Intn(n)
 	inS[start] = true
 	grown := lv.nodeW[start]
-	nbrs, ws := g.Neighbors(start)
-	for i, v := range nbrs {
-		gain[v] += ws[i]
+	it := g.Neighbors(start)
+	for v, w, ok := it.Next(); ok; v, w, ok = it.Next() {
+		gain[v] += w
 	}
 	for grown < target {
 		best, bestGain := -1, math.Inf(-1)
@@ -232,9 +232,9 @@ func greedyGrowBisect(lv *level, balanceFrac float64, rng *rand.Rand) []bool {
 		}
 		inS[best] = true
 		grown += lv.nodeW[best]
-		nbrs, ws := g.Neighbors(best)
-		for i, v := range nbrs {
-			gain[v] += ws[i]
+		it := g.Neighbors(best)
+		for v, w, ok := it.Next(); ok; v, w, ok = it.Next() {
+			gain[v] += w
 		}
 	}
 	// Guard against degenerate all-in-S outcomes.
@@ -272,12 +272,12 @@ func refineFM(lv *level, inS []bool, balanceFrac float64, maxPasses int) {
 		// gain[u] = (cut weight removed) − (cut weight added) if u moves.
 		gain := make([]float64, n)
 		for u := 0; u < n; u++ {
-			nbrs, ws := g.Neighbors(u)
-			for i, v := range nbrs {
+			it := g.Neighbors(u)
+			for v, w, ok := it.Next(); ok; v, w, ok = it.Next() {
 				if inS[v] != inS[u] {
-					gain[u] += ws[i]
+					gain[u] += w
 				} else {
-					gain[u] -= ws[i]
+					gain[u] -= w
 				}
 			}
 		}
@@ -312,15 +312,15 @@ func refineFM(lv *level, inS []bool, balanceFrac float64, maxPasses int) {
 			balanced := curWeightS >= minSide && totalW-curWeightS >= minSide
 			moves = append(moves, move{best, cum, balanced})
 			// Update neighbor gains.
-			nbrs, ws := g.Neighbors(best)
-			for i, v := range nbrs {
+			it := g.Neighbors(best)
+			for v, w, ok := it.Next(); ok; v, w, ok = it.Next() {
 				if locked[v] {
 					continue
 				}
 				if inS[v] == inS[best] {
-					gain[v] -= 2 * ws[i]
+					gain[v] -= 2 * w
 				} else {
-					gain[v] += 2 * ws[i]
+					gain[v] += 2 * w
 				}
 			}
 			gain[best] = -gain[best]

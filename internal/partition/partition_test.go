@@ -10,7 +10,6 @@ import (
 	"repro/internal/flow"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/gstore"
 	"repro/internal/spectral"
 )
 
@@ -83,13 +82,13 @@ func TestSweepCutErrors(t *testing.T) {
 	if _, err := SweepCut(gen.Path(1), []float64{1}); err == nil {
 		t.Fatal("single node accepted")
 	}
-	if _, err := SweepCutOrdered(gstore.Wrap(g), []int{0, 0}, 2); err == nil {
+	if _, err := SweepCutOrdered(g, []int{0, 0}, 2); err == nil {
 		t.Fatal("duplicate order accepted")
 	}
-	if _, err := SweepCutOrdered(gstore.Wrap(g), []int{7}, 1); err == nil {
+	if _, err := SweepCutOrdered(g, []int{7}, 1); err == nil {
 		t.Fatal("out-of-range node accepted")
 	}
-	if _, err := SweepCutOrdered(gstore.Wrap(g), nil, 3); err == nil {
+	if _, err := SweepCutOrdered(g, nil, 3); err == nil {
 		t.Fatal("empty order accepted")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/gstore"
 	"repro/internal/spectral"
 )
 
@@ -81,5 +80,5 @@ func BFSGrow(g *graph.Graph, src int) (*SweepResult, error) {
 		}
 		return nodes[a] < nodes[b]
 	})
-	return SweepCutOrdered(gstore.Wrap(g), nodes, len(nodes))
+	return SweepCutOrdered(g, nodes, len(nodes))
 }

@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"repro/internal/graph"
-	"repro/internal/gstore"
 )
 
 // SweepResult is the best prefix cut found by a sweep over an embedding.
@@ -36,7 +35,7 @@ func SweepCut(g *graph.Graph, embedding []float64) (*SweepResult, error) {
 	if n < 2 {
 		return nil, errors.New("partition: sweep cut needs at least 2 nodes")
 	}
-	return sweepOverOrder(gstore.Wrap(g), embeddingOrder(embedding), n-1)
+	return sweepOverOrder(g, embeddingOrder(embedding), n-1)
 }
 
 // embeddingOrder returns all nodes sorted by embedding value descending,
@@ -61,10 +60,9 @@ func embeddingOrder(embedding []float64) []int {
 
 // SweepCutOrdered runs the sweep over an explicit node order (e.g. the
 // support of a sparse diffusion vector sorted by probability-per-degree).
-// Only the first maxPrefix prefixes are considered. It accepts any
-// storage backend: the per-query sweep path serves compact and mapped
-// graphs without materializing a heap copy.
-func SweepCutOrdered(g gstore.Graph, order []int, maxPrefix int) (*SweepResult, error) {
+// Only the first maxPrefix prefixes are considered. The graph may be
+// in-heap or mapped.
+func SweepCutOrdered(g *graph.Graph, order []int, maxPrefix int) (*SweepResult, error) {
 	if len(order) == 0 {
 		return nil, errors.New("partition: empty sweep order")
 	}
@@ -93,7 +91,7 @@ func SweepCutOrdered(g gstore.Graph, order []int, maxPrefix int) (*SweepResult, 
 	return sweepOverOrder(g, order, maxPrefix)
 }
 
-func sweepOverOrder(g gstore.Graph, order []int, maxPrefix int) (*SweepResult, error) {
+func sweepOverOrder(g *graph.Graph, order []int, maxPrefix int) (*SweepResult, error) {
 	inS := make([]bool, g.N())
 	var cut, volS float64
 	volume := g.Volume()
@@ -103,7 +101,7 @@ func sweepOverOrder(g gstore.Graph, order []int, maxPrefix int) (*SweepResult, e
 		u := order[k]
 		// Adding u: its edges to S stop being cut edges; edges to the
 		// complement become cut edges. The iterator walks the row in
-		// CSR order, so the float accumulation matches the heap path.
+		// CSR order, so the float accumulation matches Graph.Cut's.
 		it := g.Neighbors(u)
 		for v, w, ok := it.Next(); ok; v, w, ok = it.Next() {
 			if inS[v] {

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/gstore"
 )
 
 // FuzzReadSnapshot drives the snapshot decoder with arbitrary bytes: it
@@ -20,7 +19,7 @@ import (
 func FuzzReadSnapshot(f *testing.F) {
 	seed := func(g *graph.Graph) []byte {
 		var buf bytes.Buffer
-		if err := WriteSnapshot(&buf, gstore.Wrap(g)); err != nil {
+		if err := WriteSnapshot(&buf, g); err != nil {
 			f.Fatal(err)
 		}
 		return buf.Bytes()
@@ -47,16 +46,16 @@ func FuzzReadSnapshot(f *testing.F) {
 		if len(data) > 1<<20 {
 			t.Skip("oversized input")
 		}
-		g, err := ReadSnapshot(bytes.NewReader(data))
+		g, err := ReadCompact(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
 		var buf bytes.Buffer
-		if err := WriteSnapshot(&buf, gstore.Wrap(g)); err != nil {
+		if err := WriteSnapshot(&buf, g); err != nil {
 			t.Fatalf("accepted graph failed to re-encode: %v", err)
 		}
 		if binary.LittleEndian.Uint16(data[6:8]) == SnapshotVersion {
-			rt, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+			rt, err := ReadCompact(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatalf("v2 re-encoding of an accepted v1 input failed to read back: %v", err)
 			}

@@ -26,12 +26,6 @@ import (
 	"repro/internal/gstore"
 )
 
-// ReadSnapshot decodes a GSNAP stream into a heap graph, the form the
-// tests compare; graphd itself reads snapshots compact (ReadCompact).
-func ReadSnapshot(r io.Reader) (*graph.Graph, error) {
-	return heapOf(ReadCompact(r))
-}
-
 // testGraphs builds a spread of shapes: structured, random, weighted
 // (parallel edges merged into non-integer weights), a graph with
 // isolated nodes, a single-edge graph, and an empty graph.
@@ -113,18 +107,17 @@ func assertSameCSR(t *testing.T, want, got *graph.Graph) {
 	if want.N() != got.N() || want.M() != got.M() {
 		t.Fatalf("shape mismatch: want n=%d m=%d, got n=%d m=%d", want.N(), want.M(), got.N(), got.M())
 	}
-	wr, wa, ww := want.CSR()
-	gr, ga, gw := got.CSR()
-	if !reflect.DeepEqual(wr, gr) {
+	if !slices.Equal(want.RawRowPtr(), got.RawRowPtr()) {
 		t.Fatalf("rowPtr differs")
 	}
-	if !reflect.DeepEqual(wa, ga) {
+	if !slices.Equal(want.RawAdj(), got.RawAdj()) {
 		t.Fatalf("adjacency differs")
 	}
-	if !reflect.DeepEqual(ww, gw) {
+	if (want.RawWeights32() == nil) != (got.RawWeights32() == nil) || !slices.Equal(want.RawWeights32(), got.RawWeights32()) ||
+		(want.RawWeights64() == nil) != (got.RawWeights64() == nil) || !slices.Equal(want.RawWeights64(), got.RawWeights64()) {
 		t.Fatalf("weights differ")
 	}
-	if !reflect.DeepEqual(want.Degrees(), got.Degrees()) {
+	if !slices.Equal(want.Degrees(), got.Degrees()) {
 		t.Fatalf("degrees differ")
 	}
 	if want.Volume() != got.Volume() {
@@ -136,10 +129,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		t.Run(name, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := WriteSnapshot(&buf, gstore.Wrap(g)); err != nil {
+			if err := WriteSnapshot(&buf, g); err != nil {
 				t.Fatal(err)
 			}
-			got, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
+			got, err := ReadCompact(bytes.NewReader(buf.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -182,7 +175,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 func TestV1FixtureReads(t *testing.T) {
 	want := weightedTestGraph(t)
 	data := v1Fixture(t)
-	g, err := ReadSnapshot(bytes.NewReader(data))
+	g, err := ReadCompact(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,11 +216,7 @@ func assertSameCompact(t *testing.T, want *graph.Graph, g gstore.Graph, kind gst
 	if g.Backend() != kind {
 		t.Fatalf("backend %q, want %q", g.Backend(), kind)
 	}
-	hg, err := gstore.Materialize(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameCSR(t, want, hg)
+	assertSameCSR(t, want, g)
 }
 
 // TestStreamedLoadGrowsWithTheBytes reads snapshots through a stream,
@@ -261,13 +250,13 @@ func TestStreamedLoadGrowsWithTheBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, gstore.Wrap(g)); err != nil {
+	if err := WriteSnapshot(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() < 4*sectionChunk {
 		t.Fatalf("snapshot of %d bytes does not outgrow the initial buffer", buf.Len())
 	}
-	got, err := ReadSnapshot(iotest.HalfReader(bytes.NewReader(buf.Bytes())))
+	got, err := ReadCompact(iotest.HalfReader(bytes.NewReader(buf.Bytes())))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +274,7 @@ func TestDecodeWordsMatchesAliasing(t *testing.T) {
 	graphs["f32"] = weightedTestGraph(t)
 	for name, g := range graphs {
 		var buf bytes.Buffer
-		if err := WriteSnapshot(&buf, gstore.Wrap(g)); err != nil {
+		if err := WriteSnapshot(&buf, g); err != nil {
 			t.Fatal(err)
 		}
 		data := alignedBytes(buf.Len())
@@ -313,10 +302,10 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	g := testGraphs(t)["weighted"]
 	path := filepath.Join(dir, "g.gsnap")
-	if err := WriteSnapshotFile(path, gstore.Wrap(g)); err != nil {
+	if err := WriteSnapshotFile(path, g); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshotFile(path)
+	got, err := ReadCompactFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,12 +332,12 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 func TestSnapshotEveryPrefixFails(t *testing.T) {
 	g := gen.RingOfCliques(3, 4)
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, gstore.Wrap(g)); err != nil {
+	if err := WriteSnapshot(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
 	for i := 0; i < len(data); i++ {
-		if _, err := ReadSnapshot(bytes.NewReader(data[:i])); err == nil {
+		if _, err := ReadCompact(bytes.NewReader(data[:i])); err == nil {
 			t.Fatalf("prefix of %d/%d bytes decoded successfully", i, len(data))
 		}
 	}
@@ -369,7 +358,7 @@ func widePatched(t testing.TB, w float64) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, gstore.Wrap(g)); err != nil {
+	if err := WriteSnapshot(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -450,7 +439,7 @@ func TestRecoverQuarantinesWideWeights(t *testing.T) {
 func TestSnapshotEveryByteFlipFails(t *testing.T) {
 	g := gen.RingOfCliques(3, 4)
 	var buf bytes.Buffer
-	if err := WriteSnapshot(&buf, gstore.Wrap(g)); err != nil {
+	if err := WriteSnapshot(&buf, g); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -458,7 +447,7 @@ func TestSnapshotEveryByteFlipFails(t *testing.T) {
 		for bit := 0; bit < 8; bit++ {
 			mut := append([]byte(nil), data...)
 			mut[i] ^= 1 << bit
-			if _, err := ReadSnapshot(bytes.NewReader(mut)); err == nil {
+			if _, err := ReadCompact(bytes.NewReader(mut)); err == nil {
 				t.Fatalf("flip of byte %d bit %d went undetected", i, bit)
 			}
 		}
@@ -769,7 +758,7 @@ func TestWriteSnapshotWritesInPlace(t *testing.T) {
 	if !hostLayoutMappable() {
 		t.Skip("this host encodes a copy of every section")
 	}
-	g := gstore.Wrap(testGraphs(t)["weighted"])
+	g := testGraphs(t)["weighted"]
 	if err := WriteSnapshot(io.Discard, g); err != nil { // warm up
 		t.Fatal(err)
 	}
@@ -799,9 +788,9 @@ func TestEncodeWordsMatchesByteView(t *testing.T) {
 	graphs := testGraphs(t)
 	graphs["f32"] = weightedTestGraph(t)
 	for name, hg := range graphs {
-		g := gstore.Wrap(hg)
+		g := hg
 		if !sameBytes(g.RawRowPtr()) || !sameBytes(g.RawAdj()) || !sameBytes(g.RawWeights32()) ||
-			!sameBytes(g.RawWeights64()) || !sameBytes(g.RawDegrees()) {
+			!sameBytes(g.RawWeights64()) || !sameBytes(g.Degrees()) {
 			t.Errorf("%s: encoded words differ from the byte views", name)
 		}
 	}

@@ -71,14 +71,6 @@ func ReadCompact(r io.Reader) (*gstore.Compact, error) {
 	return readSnapshot(r, -1)
 }
 
-// heapOf copies a decoded snapshot into a heap graph.
-func heapOf(c *gstore.Compact, err error) (*graph.Graph, error) {
-	if err != nil {
-		return nil, err
-	}
-	return gstore.Materialize(c)
-}
-
 // readSnapshot decodes a snapshot of either version into a compact
 // graph: a v1 one section by section (see readSnapshotV1), a v2 one
 // over one buffer holding the whole file (see readV2). avail is how
@@ -173,7 +165,7 @@ func readSnapshotV1(br io.Reader, head []byte) (*gstore.Compact, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: weight section: %w", err)
 	}
-	w32, w64 := gstore.NarrowWeights(wts)
+	w32, w64 := graph.NarrowWeights(wts)
 	c, err := gstore.NewCompactFromParts(gstore.KindCompact, rowPtr, adj, w32, w64, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("persist: snapshot failed CSR validation: %w", err)
@@ -209,11 +201,6 @@ func WriteSnapshotFile(path string, g *gstore.Compact) error {
 	return syncDir(dir)
 }
 
-// ReadSnapshotFile reads a GSNAP file.
-func ReadSnapshotFile(path string) (*graph.Graph, error) {
-	return heapOf(ReadCompactFile(path))
-}
-
 // ReadCompactFile reads a GSNAP file into the compact representation.
 // It sizes the file first, so a v2 load costs one allocation of exactly
 // the file's size.
@@ -239,18 +226,14 @@ func ReadCompactFile(path string) (*gstore.Compact, error) {
 // ReadGraphFile loads a graph from path into the compact in-heap
 // representation, dispatching on the extension: ".gsnap" files decode
 // as binary snapshots, anything else parses as a text edge list (".gz"
-// transparently gunzipped, "" meaning stdin) and is converted once.
+// transparently gunzipped, "" meaning stdin).
 // graphd -load reads its graphs with it, so a generation gengraph wrote
 // as a snapshot is parsed once and reloaded in binary form thereafter.
 func ReadGraphFile(path string) (*gstore.Compact, error) {
 	if filepath.Ext(path) == SnapshotExt {
 		return ReadCompactFile(path)
 	}
-	g, err := graph.ReadEdgeListFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return gstore.NewCompact(g)
+	return graph.ReadEdgeListFile(path)
 }
 
 // syncDir fsyncs a directory so a just-renamed file's directory entry is

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"unsafe"
 
+	"repro/internal/graph"
 	"repro/internal/gstore"
 )
 
@@ -198,7 +199,7 @@ func WriteSnapshot(w io.Writer, g *gstore.Compact) error {
 	} else if w64 := g.RawWeights64(); w64 != nil {
 		h.flags, weights = v2FlagW, sectionBytes(w64)
 	}
-	secs := [4][]byte{sectionBytes(g.RawRowPtr()), sectionBytes(g.RawAdj()), weights, sectionBytes(g.RawDegrees())}
+	secs := [4][]byte{sectionBytes(g.RawRowPtr()), sectionBytes(g.RawAdj()), weights, sectionBytes(g.Degrees())}
 	// Every section is a whole number of 8-byte words (n+1 row
 	// pointers, 2m 4-byte ids or weights, n degrees), so none is padded.
 	off := uint64(v2HeaderSize)
@@ -312,7 +313,7 @@ func alignedBytes(n int) []byte {
 }
 
 // weightFormNames names each gstore.WeightForm in load errors.
-var weightFormNames = [...]string{gstore.WeightsUnit: "unit", gstore.WeightsF32: "float32", gstore.WeightsF64: "float64"}
+var weightFormNames = [...]string{graph.WeightsUnit: "unit", graph.WeightsF32: "float32", graph.WeightsF64: "float64"}
 
 // compactV2 builds the compact graph of kind over the sections of a
 // snapshot verifyV2 accepted. It refuses a weight section wider than
@@ -323,13 +324,13 @@ var weightFormNames = [...]string{gstore.WeightsUnit: "unit", gstore.WeightsF32:
 func compactV2(data []byte, h *v2Header, kind gstore.Kind, closer func() error) (*gstore.Compact, error) {
 	var w32 []float32
 	var w64 []float64
-	stored := gstore.WeightsUnit
+	stored := graph.WeightsUnit
 	if h.flags&v2FlagWF32 != 0 {
-		w32, stored = sectionWords[float32](data, h.sec[v2SecW]), gstore.WeightsF32
+		w32, stored = sectionWords[float32](data, h.sec[v2SecW]), graph.WeightsF32
 	} else if h.flags&v2FlagW != 0 {
-		w64, stored = sectionWords[float64](data, h.sec[v2SecW]), gstore.WeightsF64
+		w64, stored = sectionWords[float64](data, h.sec[v2SecW]), graph.WeightsF64
 	}
-	if narrow := max(gstore.DetectWeightForm(w32), gstore.DetectWeightForm(w64)); narrow != stored {
+	if narrow := max(graph.DetectWeightForm(w32), graph.DetectWeightForm(w64)); narrow != stored {
 		return nil, fmt.Errorf("weights stored as %s, wider than their narrowest lossless form %s",
 			weightFormNames[stored], weightFormNames[narrow])
 	}

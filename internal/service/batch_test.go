@@ -347,7 +347,7 @@ func TestBatchDeadlineMidRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, s := range []*Server{srv, full} {
-		if _, err := s.Store().Put("mixed", gstore.Wrap(g)); err != nil {
+		if _, err := s.Store().Put("mixed", g); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -52,7 +52,7 @@ func runNCPJob(ctx context.Context, g gstore.Graph, raw json.RawMessage, report 
 		mid = 0.5
 	}
 	if p.Method != "flow" {
-		prof, err := ncp.SpectralProfileOn(ctx, g, ncp.SpectralConfig{
+		prof, err := ncp.SpectralProfile(ctx, g, ncp.SpectralConfig{
 			Seeds: p.Seeds, Workers: p.Workers, BaseSeed: p.BaseSeed,
 			OnProgress: progressRange(report, 0, mid),
 		}, rng)
@@ -62,11 +62,7 @@ func runNCPJob(ctx context.Context, g gstore.Graph, raw json.RawMessage, report 
 		res.Spectral = summarizeProfile(prof)
 	}
 	if p.Method != "spectral" {
-		hg, err := gstore.Materialize(g)
-		if err != nil {
-			return nil, err
-		}
-		prof, err := ncp.FlowProfileCtx(ctx, hg, ncp.FlowConfig{
+		prof, err := ncp.FlowProfile(ctx, g, ncp.FlowConfig{
 			Workers: p.Workers, BaseSeed: p.BaseSeed,
 			OnProgress: progressRange(report, 1-mid, 1),
 		}, rng)
@@ -98,13 +94,9 @@ func summarizeProfile(p *ncp.Profile) *api.ProfileSummary {
 	return s
 }
 
-func runPartitionJob(ctx context.Context, sg gstore.Graph, raw json.RawMessage, report ProgressFunc) (any, error) {
+func runPartitionJob(ctx context.Context, g gstore.Graph, raw json.RawMessage, report ProgressFunc) (any, error) {
 	var p api.PartitionJobParams
 	if err := decodeParams(raw, &p); err != nil {
-		return nil, err
-	}
-	g, err := gstore.Materialize(sg)
-	if err != nil {
 		return nil, err
 	}
 	labels, err := partition.RecursiveBisectCtx(ctx, g, p.K, partition.MultilevelOptions{

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/gstore"
 	"repro/pkg/api"
 )
 
@@ -22,7 +21,7 @@ import (
 // to answer a final health check.
 func TestConcurrentHammer(t *testing.T) {
 	srv, _, c := testServer(t, Config{JobWorkers: 4, JobQueue: 4096, CacheEntries: 64})
-	if _, err := srv.Store().Put("cave", gstore.Wrap(gen.Caveman(6, 6))); err != nil {
+	if _, err := srv.Store().Put("cave", gen.Caveman(6, 6)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -143,7 +142,7 @@ func TestSizeClassSharedAcrossGraphs(t *testing.T) {
 	put := func(name string, n int, seed int64) error {
 		hg, err := gen.ForestFire(gen.ForestFireConfig{N: n, FwdProb: 0.35, Ambs: 1}, rand.New(rand.NewSource(seed)))
 		if err == nil {
-			_, err = s.Put(name, gstore.Wrap(hg))
+			_, err = s.Put(name, hg)
 		}
 		return err
 	}

@@ -73,7 +73,7 @@ func (s *Server) handleLoadGraph(w http.ResponseWriter, r *http.Request) {
 		writeError(w, api.Errorf(api.CodeInvalidArgument, "%v", err))
 		return
 	}
-	s.createGraph(w, r, gstore.Wrap(g))
+	s.createGraph(w, r, g)
 }
 
 // handleGetGraph reports one graph's descriptive record (state, sizes,
@@ -131,7 +131,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	s.createGraph(w, r, gstore.Wrap(g))
+	s.createGraph(w, r, g)
 }
 
 func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {

@@ -84,11 +84,9 @@ func (j *Job) view() api.JobView {
 type ProgressFunc func(float64)
 
 // JobExecutor runs one job type on the served graph, compact or
-// mapped, reporting its progress through report. An algorithm that
-// needs a heap CSR (flow NCP, multilevel partitioning) takes a
-// gstore.Materialize copy itself. The returned value is marshaled to
-// JSON and must be deterministic for identical params (given a fixed
-// BaseSeed), so cached replays are byte-identical.
+// mapped, reporting its progress through report. The returned value is
+// marshaled to JSON and must be deterministic for identical params
+// (given a fixed BaseSeed), so cached replays are byte-identical.
 type JobExecutor func(ctx context.Context, g gstore.Graph, params json.RawMessage, report ProgressFunc) (any, error)
 
 // JobManager is the bounded async work queue: Submit enqueues, a fixed

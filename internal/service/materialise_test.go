@@ -72,7 +72,7 @@ func TestTopSelectorMatchesFullSort(t *testing.T) {
 // and an absurd wire topk sizes nothing — one allocation, of the
 // support's size.
 func TestTopMassesWorkspaceTiesAndHugeK(t *testing.T) {
-	g := gstore.Wrap(gen.Star(500))
+	g := gen.Star(500)
 	ws := kernel.NewWorkspace(g.N())
 	st, err := kernel.PushACL{Alpha: 0.15, Eps: 1e-7}.Diffuse(g, ws, []int{0})
 	if err != nil {
@@ -133,8 +133,8 @@ func materialiseCost(t *testing.T, g gstore.Graph) (allocs float64, bytes uint64
 // allocate exactly the same — count and bytes. Anything sized by n
 // (the old sweep's make([]bool, g.N())) breaks the equality by 60 kB.
 func TestMaterialisationIsLocal(t *testing.T) {
-	small := gstore.Wrap(gen.RingOfCliques(512, 8))
-	large := gstore.Wrap(gen.RingOfCliques(8192, 8))
+	small := gen.RingOfCliques(512, 8)
+	large := gen.RingOfCliques(8192, 8)
 	aS, bS, supS := materialiseCost(t, small)
 	aL, bL, supL := materialiseCost(t, large)
 	if supS != supL || supS < 50 || supS > small.N()/2 {
@@ -159,7 +159,7 @@ func BenchmarkTopKWorkspace(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	g := gstore.Wrap(hg)
+	g := hg
 	seed := 0
 	for hg.Degree(seed) == 0 {
 		seed++

@@ -233,7 +233,6 @@ func (m *Metrics) WriteTo(w io.Writer, cache *LRUCache, jobs *JobManager, pc *pe
 	sample("graphd_gstore_mapped_bytes", "gauge", gs.MappedBytes())
 	sample("graphd_gstore_mapped_graphs", "gauge", gs.MappedGraphs())
 	sample("graphd_gstore_finalizer_unmaps_total", "counter", gs.FinalizerUnmaps())
-	sample("graphd_gstore_heap_materializations_total", "counter", gs.HeapMaterializations())
 	sample("graphd_gstore_open_verifies_total", "counter", gs.OpenVerifies())
 	sample("graphd_gstore_open_verify_seconds_total", "counter", gs.OpenVerifySeconds())
 	if jobs != nil {

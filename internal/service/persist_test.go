@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -45,23 +46,19 @@ func (l *logCapture) contains(substr string) bool {
 	return false
 }
 
-// assertSameGraph asserts bit-identical CSR state between two graphs.
-// heapOf is a heap copy of the sealed graph name, for comparing it with
-// the graph that was stored.
-func heapOf(s *GraphStore, name string) (*graph.Graph, error) {
+// sealedGraph is the sealed graph name as the store serves it.
+func sealedGraph(s *GraphStore, name string) (*graph.Graph, error) {
 	g, _, err := s.Get(name)
-	if err != nil {
-		return nil, err
-	}
-	return gstore.Materialize(g)
+	return g, err
 }
 
+// assertSameGraph asserts bit-identical CSR state between two graphs.
 func assertSameGraph(t *testing.T, want, got *graph.Graph) {
 	t.Helper()
-	wr, wa, ww := want.CSR()
-	gr, ga, gw := got.CSR()
-	if !reflect.DeepEqual(wr, gr) || !reflect.DeepEqual(wa, ga) || !reflect.DeepEqual(ww, gw) ||
-		!reflect.DeepEqual(want.Degrees(), got.Degrees()) || want.Volume() != got.Volume() {
+	if !slices.Equal(want.RawRowPtr(), got.RawRowPtr()) || !slices.Equal(want.RawAdj(), got.RawAdj()) ||
+		(want.RawWeights32() == nil) != (got.RawWeights32() == nil) || !slices.Equal(want.RawWeights32(), got.RawWeights32()) ||
+		(want.RawWeights64() == nil) != (got.RawWeights64() == nil) || !slices.Equal(want.RawWeights64(), got.RawWeights64()) ||
+		!slices.Equal(want.Degrees(), got.Degrees()) || want.Volume() != got.Volume() {
 		t.Fatalf("graphs differ: want n=%d m=%d vol=%v, got n=%d m=%d vol=%v",
 			want.N(), want.M(), want.Volume(), got.N(), got.M(), got.Volume())
 	}
@@ -81,7 +78,7 @@ func TestPersistCleanShutdownRestartIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	ring := gen.RingOfCliques(6, 5)
-	if _, err := s1.Put("ring", gstore.Wrap(ring)); err != nil {
+	if _, err := s1.Put("ring", ring); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
@@ -89,7 +86,7 @@ func TestPersistCleanShutdownRestartIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s1.Put("er", gstore.Wrap(er)); err != nil {
+	if _, err := s1.Put("er", er); err != nil {
 		t.Fatal(err)
 	}
 	info, err := s1.BeginStream("inc", 40)
@@ -117,7 +114,7 @@ func TestPersistCleanShutdownRestartIdentity(t *testing.T) {
 	if err := s1.AppendEdges("inc", []api.StreamEdge{{U: 0, V: 1}}); err == nil {
 		t.Fatal("append after Close succeeded")
 	}
-	if _, err := s1.Put("late", gstore.Wrap(ring)); err == nil {
+	if _, err := s1.Put("late", ring); err == nil {
 		t.Fatal("put after Close succeeded")
 	}
 
@@ -130,7 +127,7 @@ func TestPersistCleanShutdownRestartIdentity(t *testing.T) {
 		t.Fatalf("clean restart quarantined files: %v", lc.lines)
 	}
 	for name, want := range map[string]*graph.Graph{"ring": ring, "er": er} {
-		got, err := heapOf(s2, name)
+		got, err := sealedGraph(s2, name)
 		if err != nil {
 			t.Fatalf("recovering %q: %v", name, err)
 		}
@@ -163,7 +160,7 @@ func TestPersistCleanShutdownRestartIdentity(t *testing.T) {
 	if sealedInfo.Persistence != api.PersistSnapshot {
 		t.Fatalf("sealed persistence = %q", sealedInfo.Persistence)
 	}
-	sealed, err := heapOf(s2, "inc")
+	sealed, err := sealedGraph(s2, "inc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +204,7 @@ func TestPersistThirdGenerationRecovery(t *testing.T) {
 	if _, err := s2.Seal("g"); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := heapOf(s2, "g")
+	g2, err := sealedGraph(s2, "g")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +214,7 @@ func TestPersistThirdGenerationRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s3.Close()
-	g3, err := heapOf(s3, "g")
+	g3, err := sealedGraph(s3, "g")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,13 +233,13 @@ func TestPersistQuarantineCorruptFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	good := gen.RingOfCliques(4, 4)
-	if _, err := s1.Put("good", gstore.Wrap(good)); err != nil {
+	if _, err := s1.Put("good", good); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s1.Put("truncated", gstore.Wrap(gen.Caveman(3, 4))); err != nil {
+	if _, err := s1.Put("truncated", gen.Caveman(3, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s1.Put("flipped", gstore.Wrap(gen.Caveman(4, 3))); err != nil {
+	if _, err := s1.Put("flipped", gen.Caveman(4, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s1.BeginStream("torn", 8); err != nil {
@@ -293,7 +290,7 @@ func TestPersistQuarantineCorruptFiles(t *testing.T) {
 		t.Fatalf("boot failed instead of quarantining: %v", err)
 	}
 	defer s2.Close()
-	g, err := heapOf(s2, "good")
+	g, err := sealedGraph(s2, "good")
 	if err != nil {
 		t.Fatalf("healthy graph lost: %v", err)
 	}
@@ -320,7 +317,7 @@ func TestPersistQuarantineCorruptFiles(t *testing.T) {
 		t.Fatalf("no quarantine log line emitted: %v", lc.lines)
 	}
 	// Quarantine frees the name: the graph can be re-created.
-	if _, err := s2.Put("flipped", gstore.Wrap(gen.Caveman(4, 3))); err != nil {
+	if _, err := s2.Put("flipped", gen.Caveman(4, 3)); err != nil {
 		t.Fatalf("re-creating quarantined name: %v", err)
 	}
 }
@@ -350,7 +347,7 @@ func TestPersistStaleWALAfterSeal(t *testing.T) {
 	if _, err := s1.Seal("g"); err != nil {
 		t.Fatal(err)
 	}
-	sealed, err := heapOf(s1, "g")
+	sealed, err := sealedGraph(s1, "g")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +362,7 @@ func TestPersistStaleWALAfterSeal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	g, err := heapOf(s2, "g")
+	g, err := sealedGraph(s2, "g")
 	if err != nil {
 		t.Fatalf("graph not recovered sealed: %v", err)
 	}
@@ -386,7 +383,7 @@ func TestPersistDeleteRemovesFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s1.Put("sealed", gstore.Wrap(gen.RingOfCliques(3, 3))); err != nil {
+	if _, err := s1.Put("sealed", gen.RingOfCliques(3, 3)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s1.BeginStream("streamy", 4); err != nil {
@@ -426,7 +423,7 @@ func TestListDeterministicallySorted(t *testing.T) {
 	}
 	names := []string{"zeta", "alpha", "mid", "beta.2", "beta.10", "Alpha"}
 	for _, n := range names {
-		if _, err := s.Put(n, gstore.Wrap(gen.RingOfCliques(3, 3))); err != nil {
+		if _, err := s.Put(n, gen.RingOfCliques(3, 3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -463,7 +460,7 @@ func TestPersistTrickyNamesSurviveRestart(t *testing.T) {
 	}
 	names := []string{"a.corrupt", "b.tmp-1", "c.gsnap", "d.wal"}
 	for _, n := range names {
-		if _, err := s1.Put(n, gstore.Wrap(gen.RingOfCliques(3, 3))); err != nil {
+		if _, err := s1.Put(n, gen.RingOfCliques(3, 3)); err != nil {
 			t.Fatalf("put %q: %v", n, err)
 		}
 	}
@@ -513,7 +510,7 @@ func TestServerPersistenceOverHTTP(t *testing.T) {
 	if info.Persistence != api.PersistSnapshot {
 		t.Fatalf("gen persistence = %q", info.Persistence)
 	}
-	genGraph, err := heapOf(srv1.Store(), "gen")
+	genGraph, err := sealedGraph(srv1.Store(), "gen")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -541,7 +538,7 @@ func TestServerPersistenceOverHTTP(t *testing.T) {
 	if inc.State != api.GraphStreaming || inc.Edges != 2 || inc.Persistence != api.PersistWAL {
 		t.Fatalf("inc recovered as %+v", inc)
 	}
-	recovered, err := heapOf(srv2.Store(), "gen")
+	recovered, err := sealedGraph(srv2.Store(), "gen")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,7 +556,7 @@ func TestServerPersistenceOverHTTP(t *testing.T) {
 	if !imported.Sealed || imported.Nodes != info.Nodes || imported.Edges != info.Edges {
 		t.Fatalf("imported info %+v, want clone of %+v", imported, info)
 	}
-	g2, err := heapOf(srv2.Store(), "gen2")
+	g2, err := sealedGraph(srv2.Store(), "gen2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,12 +583,11 @@ func TestServerPersistenceOverHTTP(t *testing.T) {
 
 // TestExportIsTheSnapshotFile: on a durable mmap daemon, the export of
 // a graph, generated or streamed and sealed, is its snapshot file byte
-// for byte, written from the served mapping with no heap copy, so
-// graphd_gstore_heap_materializations_total does not move.
+// for byte, written from the served mapping.
 func TestExportIsTheSnapshotFile(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
-	_, ts, c := testServer(t, Config{DataDir: dir, Backend: string(gstore.KindMmap)}) // Puts "ring"
+	_, _, c := testServer(t, Config{DataDir: dir, Backend: string(gstore.KindMmap)}) // Puts "ring"
 	if _, err := c.Graphs.Generate(ctx, "gen", api.GenerateRequest{Family: "kronecker", Levels: 9, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -604,7 +600,6 @@ func TestExportIsTheSnapshotFile(t *testing.T) {
 	if _, err := c.Graphs.Seal(ctx, "inc"); err != nil {
 		t.Fatal(err)
 	}
-	before := materializations(t, ts.URL)
 	for _, name := range []string{"gen", "inc", "ring"} {
 		info, err := c.Graphs.Get(ctx, name)
 		if err != nil {
@@ -624,60 +619,6 @@ func TestExportIsTheSnapshotFile(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Errorf("%s: export of %d bytes differs from its %d-byte snapshot file", name, got.Len(), len(want))
 		}
-	}
-	if after := materializations(t, ts.URL); after != before {
-		t.Errorf("exports moved graphd_gstore_heap_materializations_total from %s to %s", before, after)
-	}
-}
-
-// materializations reads graphd_gstore_heap_materializations_total off
-// the server's /metrics.
-func materializations(t *testing.T, url string) string {
-	t.Helper()
-	resp, err := http.Get(url + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, line := range strings.Split(string(body), "\n") {
-		if v, ok := strings.CutPrefix(line, "graphd_gstore_heap_materializations_total "); ok {
-			return v
-		}
-	}
-	t.Fatal("no graphd_gstore_heap_materializations_total sample")
-	return ""
-}
-
-// TestDiffuseCopiesNothing: on a durable mmap daemon, heat, ppr and
-// lazy diffusions read the served mapping, so
-// graphd_gstore_heap_materializations_total does not move.
-func TestDiffuseCopiesNothing(t *testing.T) {
-	ctx := context.Background()
-	_, ts, c := testServer(t, Config{DataDir: t.TempDir(), Backend: string(gstore.KindMmap)}) // Puts "ring"
-	if _, err := c.Graphs.Generate(ctx, "gen", api.GenerateRequest{Family: "kronecker", Levels: 9, Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	before := materializations(t, ts.URL)
-	for _, name := range []string{"gen", "ring"} {
-		info, err := c.Graphs.Get(ctx, name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if info.Backend != api.BackendMmap {
-			t.Fatalf("%s served from %q, want mmap", name, info.Backend)
-		}
-		for _, kind := range api.DiffuseKinds {
-			if _, err := c.Graphs.Diffuse(ctx, name, api.DiffuseRequest{Kind: kind, Seeds: []int{0, 3}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if after := materializations(t, ts.URL); after != before {
-		t.Errorf("diffusions moved graphd_gstore_heap_materializations_total from %s to %s", before, after)
 	}
 }
 

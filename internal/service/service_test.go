@@ -40,7 +40,7 @@ func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *client.Cl
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	if _, err := srv.Store().Put("ring", gstore.Wrap(gen.RingOfCliques(8, 8))); err != nil {
+	if _, err := srv.Store().Put("ring", gen.RingOfCliques(8, 8)); err != nil {
 		// A persistent store rebooted on a reused data dir has already
 		// recovered "ring"; that satisfies the fixture.
 		if !api.IsConflict(err) {
@@ -380,7 +380,7 @@ func TestJobQueueFullIsUnavailable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := store.Put("ring", gstore.Wrap(gen.RingOfCliques(4, 4))); err != nil {
+	if _, err := store.Put("ring", gen.RingOfCliques(4, 4)); err != nil {
 		t.Fatal(err)
 	}
 	m := NewJobManager(store, nil, nil, 1, 1)
@@ -651,7 +651,7 @@ func TestHeatTimeBoundOverHTTP(t *testing.T) {
 // the bits of a single diffusion.LazyWalk call, and a done context
 // stops a walk whose k has no cap.
 func TestDiffuseLazyWalksInChunks(t *testing.T) {
-	g := gstore.Wrap(gen.RingOfCliques(8, 8))
+	g := gen.RingOfCliques(8, 8)
 	req := api.DiffuseRequest{Kind: "lazy", Seeds: []int{0, 9}, Alpha: 0.3, K: 2*lazyStepsPerCheck + 5, TopK: 64}
 	body, _, err := execDiffuse(context.Background(), g, req, false)
 	if err != nil {
@@ -822,7 +822,7 @@ func TestJobCancellationMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Store().Put("big", gstore.Wrap(g)); err != nil {
+	if _, err := srv.Store().Put("big", g); err != nil {
 		t.Fatal(err)
 	}
 

@@ -358,9 +358,8 @@ func (s *GraphStore) AppendEdges(name string, edges []api.StreamEdge) error {
 	return nil
 }
 
-// Seal builds a streaming graph straight into its immutable compact CSR
-// form, with no heap graph on the way, after which it is queryable and
-// frozen. With a data directory attached, persist.Dir.Seal writes the
+// Seal builds a streaming graph into its immutable compact CSR form,
+// after which it is queryable and frozen. With a data directory attached, persist.Dir.Seal writes the
 // binary snapshot before it retires the write-ahead log; on failure the
 // stream stays intact (builder and WAL untouched), so the caller can
 // retry once the I/O problem clears.
@@ -376,7 +375,7 @@ func (s *GraphStore) Seal(name string) (api.GraphInfo, error) {
 	if e.b == nil {
 		return api.GraphInfo{}, api.Errorf(api.CodeConflict, "graph %q is already sealed", name)
 	}
-	c, err := gstore.Build(e.b)
+	c, err := e.b.Build()
 	if err != nil {
 		return api.GraphInfo{}, api.Errorf(api.CodeInvalidArgument, "sealing %q: %v", name, err)
 	}

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/gstore"
 	"repro/internal/promtext"
 	"repro/pkg/api"
 )
@@ -124,7 +123,6 @@ func TestGstoreFamiliesOnMetrics(t *testing.T) {
 		"# TYPE graphd_gstore_mapped_bytes gauge",
 		"# TYPE graphd_gstore_mapped_graphs gauge",
 		"# TYPE graphd_gstore_finalizer_unmaps_total counter",
-		"# TYPE graphd_gstore_heap_materializations_total counter",
 		"# TYPE graphd_gstore_open_verifies_total counter",
 		"# TYPE graphd_gstore_open_verify_seconds_total counter",
 		`graphd_query_pushes_count{method="push",cache="miss",backend="mmap"} 1`,
@@ -153,7 +151,7 @@ func TestTelemetryUnderConcurrentMmapDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Store().Put("victim", gstore.Wrap(er)); err != nil {
+	if _, err := srv.Store().Put("victim", er); err != nil {
 		t.Fatal(err)
 	}
 
@@ -185,7 +183,7 @@ func TestTelemetryUnderConcurrentMmapDelete(t *testing.T) {
 		if err := srv.Store().Delete("victim"); err != nil {
 			t.Fatalf("round %d: delete: %v", r, err)
 		}
-		if _, err := srv.Store().Put("victim", gstore.Wrap(er)); err != nil {
+		if _, err := srv.Store().Put("victim", er); err != nil {
 			t.Fatalf("round %d: re-create: %v", r, err)
 		}
 	}
@@ -209,7 +207,7 @@ func TestTelemetryUnderConcurrentMmapDelete(t *testing.T) {
 // histogram series.
 func TestWorkHistogramBackendLabel(t *testing.T) {
 	srv, _, c := testServer(t, Config{DataDir: t.TempDir()})
-	if _, err := srv.Store().PutWithBackend("ring-mmap", gstore.Wrap(gen.RingOfCliques(8, 8)), "mmap"); err != nil {
+	if _, err := srv.Store().PutWithBackend("ring-mmap", gen.RingOfCliques(8, 8), "mmap"); err != nil {
 		t.Fatal(err)
 	}
 	for _, g := range []string{"ring", "ring-mmap"} {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/gstore"
 	"repro/internal/kernel"
 	"repro/internal/promtext"
 	"repro/pkg/api"
@@ -33,7 +32,7 @@ func TestDebugWorkMirrorsKernelStats(t *testing.T) {
 
 	g := gen.RingOfCliques(8, 8)
 	ws := kernel.NewPool(g.N()).Get()
-	st, err := kernel.PushACL{Alpha: req.Alpha, Eps: req.Eps}.Diffuse(gstore.Wrap(g), ws, req.Seeds)
+	st, err := kernel.PushACL{Alpha: req.Alpha, Eps: req.Eps}.Diffuse(g, ws, req.Seeds)
 	if err != nil {
 		t.Fatal(err)
 	}

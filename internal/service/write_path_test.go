@@ -165,7 +165,7 @@ func TestResealedGraphReusesWorkspaces(t *testing.T) {
 	req := api.PPRRequest{Seeds: []int{7}}
 	req.Normalize()
 	seal := func(name string) {
-		if _, err := s.Put(name, gstore.Wrap(hg)); err != nil {
+		if _, err := s.Put(name, hg); err != nil {
 			t.Fatal(err)
 		}
 	}
