@@ -1,11 +1,10 @@
-// Benchmarks: one per reproduced paper artifact (Figure 1 panels a–c and
-// the quantitative claims of Sections 3.1–3.3, each asserted by a claim
-// test in internal/experiments), plus ablations of the repository's own
-// design choices (max-flow engine, push tolerance, worker count).
+// Benchmarks of the repository's own engines: the push, sweep, nibble,
+// heat-kernel and batch kernels against their map-based baselines, the
+// parallel NCP profile engines, snapshot persistence, and graphd's ppr
+// path in process. The paper's claims are asserted by the claim tests in
+// internal/experiments, not timed here.
 //
-// Run with `go test -bench=. -benchmem`. Under -v each benchmark also
-// logs the series or summary row it reproduces, so the bench run doubles
-// as a compact regeneration of the tables cmd/experiments prints.
+// Run with `go test -run NONE -bench=. -benchmem`.
 package repro
 
 import (
@@ -22,430 +21,14 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/experiments"
-	"repro/internal/flow"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/gstore"
 	"repro/internal/kernel"
 	"repro/internal/ncp"
-	"repro/internal/partition"
 	"repro/internal/persist"
-	"repro/internal/regsdp"
 	"repro/internal/service"
-	"repro/internal/spectral"
 )
-
-// ---- shared fixtures (built once; benchmarks must not mutate them) ----
-
-var fixtures struct {
-	once sync.Once
-
-	fig1Graph *graph.Graph // forest fire, the Fig. 1 substrate
-	fig1Prof  *ncp.Profile // spectral profile on fig1Graph
-	fig1Flow  *ncp.Profile // flow profile on fig1Graph
-
-	equivSpec *regsdp.Spectrum // ring-of-cliques spectrum for §3.1
-
-	expander *graph.Graph // random regular, §3.2 flow territory
-	stringy  *graph.Graph // lollipop, §3.2 spectral pathology
-}
-
-func setup(b *testing.B) {
-	b.Helper()
-	fixtures.once.Do(func() {
-		rng := rand.New(rand.NewSource(1))
-		g, err := gen.ForestFire(gen.ForestFireConfig{N: 3000, FwdProb: 0.37, Ambs: 1}, rng)
-		if err != nil {
-			panic(fmt.Sprintf("bench fixture fig1 graph: %v", err))
-		}
-		fixtures.fig1Graph = g
-		sp, err := ncp.SpectralProfile(context.Background(), g, ncp.SpectralConfig{Seeds: 10}, rng)
-		if err != nil {
-			panic(fmt.Sprintf("bench fixture spectral profile: %v", err))
-		}
-		fixtures.fig1Prof = sp
-		fl, err := ncp.FlowProfile(context.Background(), g, ncp.FlowConfig{}, rng)
-		if err != nil {
-			panic(fmt.Sprintf("bench fixture flow profile: %v", err))
-		}
-		fixtures.fig1Flow = fl
-
-		spec, err := regsdp.NewSpectrum(gen.RingOfCliques(5, 8))
-		if err != nil {
-			panic(fmt.Sprintf("bench fixture spectrum: %v", err))
-		}
-		fixtures.equivSpec = spec
-
-		ex, err := gen.RandomRegular(2000, 6, rng)
-		if err != nil {
-			panic(fmt.Sprintf("bench fixture expander: %v", err))
-		}
-		fixtures.expander = ex
-		fixtures.stringy = gen.Lollipop(40, 400)
-	})
-}
-
-// ---- Figure 1 (panels a, b, c) ----
-
-// BenchmarkFig1aConductance times the Figure 1(a) kernel: computing both
-// methods' multi-scale cluster profiles on the synthetic social network.
-func BenchmarkFig1aConductance(b *testing.B) {
-	setup(b)
-	g := fixtures.fig1Graph
-	var lastSp, lastFl int
-	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(int64(i) + 7))
-		sp, err := ncp.SpectralProfile(context.Background(), g, ncp.SpectralConfig{Seeds: 10}, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fl, err := ncp.FlowProfile(context.Background(), g, ncp.FlowConfig{}, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		lastSp, lastFl = len(sp.Clusters), len(fl.Clusters)
-	}
-	b.Logf("fig1a: %d spectral clusters, %d flow clusters on n=%d m=%d", lastSp, lastFl, g.N(), g.M())
-}
-
-// BenchmarkFig1bAvgPath times the Figure 1(b) kernel: evaluating the
-// average-shortest-path niceness measure over the sampled clusters.
-func BenchmarkFig1bAvgPath(b *testing.B) {
-	setup(b)
-	g := fixtures.fig1Graph
-	var med float64
-	for i := 0; i < b.N; i++ {
-		ms, err := ncp.EvaluateProfile(g, fixtures.fig1Prof, 8, 2048, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var paths []float64
-		for _, m := range ms {
-			paths = append(paths, m.AvgPathLen)
-		}
-		med = median(paths)
-	}
-	b.Logf("fig1b: median spectral avg-path %.3f over evaluated clusters", med)
-}
-
-// BenchmarkFig1cCondRatio times the Figure 1(c) kernel: the external/
-// internal conductance ratio over the flow profile's clusters.
-func BenchmarkFig1cCondRatio(b *testing.B) {
-	setup(b)
-	g := fixtures.fig1Graph
-	var med float64
-	for i := 0; i < b.N; i++ {
-		ms, err := ncp.EvaluateProfile(g, fixtures.fig1Flow, 8, 2048, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var ratios []float64
-		for _, m := range ms {
-			ratios = append(ratios, m.ExtIntRatio)
-		}
-		med = median(ratios)
-	}
-	b.Logf("fig1c: median flow ext/int ratio %.3f over evaluated clusters", med)
-}
-
-// ---- Section 3.1: diffusions solve regularized SDPs exactly ----
-
-// BenchmarkSec31HeatKernelEquiv times one heat-kernel-vs-entropy-SDP
-// equivalence check (operator evaluation + closed-form SDP solve).
-func BenchmarkSec31HeatKernelEquiv(b *testing.B) {
-	setup(b)
-	s := fixtures.equivSpec
-	var diff float64
-	for i := 0; i < b.N; i++ {
-		hk, err := regsdp.HeatKernelOperator(s, 2.0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sdp, err := regsdp.Solve(s, regsdp.Entropy, 2.0, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		diff = regsdp.MaxWeightDiff(hk, sdp)
-	}
-	b.Logf("sec3.1 heat-kernel vs entropy SDP: max weight diff %.2e (0 = exact equivalence)", diff)
-}
-
-// BenchmarkSec31PageRankEquiv times one PageRank-vs-log-det-SDP check,
-// including the γ→η calibration.
-func BenchmarkSec31PageRankEquiv(b *testing.B) {
-	setup(b)
-	s := fixtures.equivSpec
-	var diff float64
-	for i := 0; i < b.N; i++ {
-		gamma := 0.2
-		pr, err := regsdp.PageRankOperator(s, gamma)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eta, err := regsdp.EtaForPageRank(s, gamma)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sdp, err := regsdp.Solve(s, regsdp.LogDet, eta, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		diff = regsdp.MaxWeightDiff(pr, sdp)
-	}
-	b.Logf("sec3.1 pagerank vs log-det SDP: max weight diff %.2e", diff)
-}
-
-// BenchmarkSec31LazyWalkEquiv times one lazy-walk-vs-p-norm-SDP check.
-func BenchmarkSec31LazyWalkEquiv(b *testing.B) {
-	setup(b)
-	s := fixtures.equivSpec
-	var diff float64
-	for i := 0; i < b.N; i++ {
-		lz, err := regsdp.LazyWalkOperator(s, 0.5, 6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		eta, p, err := regsdp.EtaForLazyWalk(s, 0.5, 6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sdp, err := regsdp.Solve(s, regsdp.PNorm, eta, p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		diff = regsdp.MaxWeightDiff(lz, sdp)
-	}
-	b.Logf("sec3.1 lazy-walk vs p-norm SDP: max weight diff %.2e", diff)
-}
-
-// BenchmarkSec31EarlyStopping times the truncated-power-method
-// regularization-path experiment.
-func BenchmarkSec31EarlyStopping(b *testing.B) {
-	var rows []experiments.Sec31EarlyStopRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Sec31EarlyStopping(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if len(rows) > 0 {
-		first, last := rows[0], rows[len(rows)-1]
-		b.Logf("sec3.1 early stopping: steps %d→%d, Rayleigh %.4f→%.4f, seed-align %.3f→%.3f",
-			first.Steps, last.Steps, first.Rayleigh, last.Rayleigh, first.SeedAlign, last.SeedAlign)
-	}
-}
-
-// ---- Section 3.2: spectral vs flow partitioning ----
-
-// BenchmarkSec32CheegerSaturation times the stringy-vs-expander Cheeger
-// saturation sweep.
-func BenchmarkSec32CheegerSaturation(b *testing.B) {
-	var rows []experiments.Sec32CheegerRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Sec32CheegerSaturation(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.Logf("sec3.2 cheeger: %-12s n=%-5d phi/(lam2/2)=%8.1f flowPhi=%.4f",
-			r.Family, r.N, r.RatioToLow, r.FlowPhi)
-	}
-}
-
-// BenchmarkSec32ExpanderFlow times both partitioners on a constant-degree
-// expander, the family where flow pays its O(log n) factor and spectral
-// is quadratically fine.
-func BenchmarkSec32ExpanderFlow(b *testing.B) {
-	setup(b)
-	g := fixtures.expander
-	var phiSp, phiFl float64
-	b.Run("spectral", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := partition.Spectral(g, spectral.FiedlerOptions{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			phiSp = res.Conductance
-		}
-	})
-	b.Run("metis+mqi", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			res, err := partition.MetisMQI(g, partition.MultilevelOptions{Seed: int64(i) + 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			phiFl = res.Conductance
-		}
-	})
-	b.Logf("sec3.2 expander n=%d: spectral phi=%.4f, metis+mqi phi=%.4f", g.N(), phiSp, phiFl)
-}
-
-// BenchmarkSec32QualityNiceness times the whiskered-expander quality-vs-
-// niceness comparison (the Figure 1 mechanism in miniature).
-func BenchmarkSec32QualityNiceness(b *testing.B) {
-	var row *experiments.Sec32QualityNicenessRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		row, err = experiments.Sec32QualityNiceness(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if row != nil {
-		b.Logf("sec3.2 quality/niceness: phi sp=%.4f fl=%.4f | path sp=%.2f fl=%.2f | ratio sp=%.2f fl=%.2f",
-			row.SpectralPhi, row.FlowPhi, row.SpectralPath, row.FlowPath, row.SpectralRatio, row.FlowRatio)
-	}
-}
-
-// ---- Section 3.3: locally-biased partitioning ----
-
-// BenchmarkSec33LocalRuntime times the push algorithm across a 16×
-// range of graph sizes at fixed (α, ε): the per-op cost must stay flat
-// (work depends on output size, not on n).
-func BenchmarkSec33LocalRuntime(b *testing.B) {
-	for _, n := range []int{2000, 8000, 32000} {
-		rng := rand.New(rand.NewSource(3))
-		g, err := gen.ForestFire(gen.ForestFireConfig{N: n, FwdProb: 0.35, Ambs: 1}, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ws := kernel.NewWorkspace(n)
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			var work float64
-			for i := 0; i < b.N; i++ {
-				st, err := kernel.PushACL{Alpha: 0.1, Eps: 1e-4}.Diffuse(g, ws, []int{n / 2})
-				if err != nil {
-					b.Fatal(err)
-				}
-				work = st.WorkVolume
-			}
-			b.Logf("sec3.3 locality: n=%d push work volume %.0f (should not grow with n)", n, work)
-		})
-	}
-}
-
-// BenchmarkSec33LocalCheeger times the planted-cluster recovery check.
-func BenchmarkSec33LocalCheeger(b *testing.B) {
-	var rows []experiments.Sec33CheegerRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Sec33LocalCheeger(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if len(rows) > 0 {
-		b.Logf("sec3.3 local cheeger: %d seeds, first row philocal=%.4f phiplanted=%.4f jaccard=%.2f",
-			len(rows), rows[0].PhiLocal, rows[0].PhiPlanted, rows[0].Jaccard)
-	}
-}
-
-// BenchmarkSec33MOVvsPush times the MOV-vs-PPR correlation sweep.
-func BenchmarkSec33MOVvsPush(b *testing.B) {
-	var rows []experiments.Sec33MOVRow
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, err = experiments.Sec33MOVvsPush(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		b.Logf("sec3.3 MOV vs PPR: gamma=%.3f correlation=%.4f", r.Gamma, r.Correlation)
-	}
-}
-
-// BenchmarkSec33SeedNotInCluster times the counterintuitive-seed
-// construction.
-func BenchmarkSec33SeedNotInCluster(b *testing.B) {
-	var res *experiments.Sec33SeedResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = experiments.Sec33SeedNotInCluster(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if res != nil {
-		b.Logf("sec3.3 seed-not-in-cluster: seed %d inside=%v clusterSize=%d phi=%.4f",
-			res.SeedNode, res.SeedInside, res.ClusterSize, res.Phi)
-	}
-}
-
-// ---- ablations of this repository's own design choices ----
-
-// BenchmarkAblationMaxFlow times the max-flow engine (Dinic) on the MQI
-// network shapes it actually sees (boundary-source, degree-sink). The
-// push-relabel alternative is a test-only cross-check in internal/flow.
-func BenchmarkAblationMaxFlow(b *testing.B) {
-	setup(b)
-	g := fixtures.expander
-	build := func() (*flow.Network, int, int) {
-		n := g.N()
-		net := flow.NewNetwork(n + 2)
-		g.Edges(func(u, v int, w float64) { _ = net.AddEdge(u, v, w) })
-		for u := 0; u < n/4; u++ {
-			_ = net.AddArc(n, u, g.Degree(u))
-		}
-		for u := n / 2; u < n; u++ {
-			_ = net.AddArc(u, n+1, 0.3*g.Degree(u))
-		}
-		return net, n, n + 1
-	}
-	b.Run("dinic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			net, s, t := build()
-			if _, err := net.MaxFlow(s, t); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblationPushEps sweeps the push truncation ε — the implicit
-// regularization knob of §3.3 — and reports the work/support tradeoff.
-func BenchmarkAblationPushEps(b *testing.B) {
-	setup(b)
-	g := fixtures.fig1Graph
-	for _, eps := range []float64{1e-3, 1e-4, 1e-5} {
-		b.Run(fmt.Sprintf("eps=%g", eps), func(b *testing.B) {
-			var work float64
-			var support int
-			for i := 0; i < b.N; i++ {
-				ws := kernel.NewWorkspace(g.N())
-				st, err := kernel.PushACL{Alpha: 0.1, Eps: eps}.Diffuse(g, ws, []int{17})
-				if err != nil {
-					b.Fatal(err)
-				}
-				work, support = st.WorkVolume, ws.PSupport()
-			}
-			b.Logf("eps=%g: work volume %.0f, support %d", eps, work, support)
-		})
-	}
-}
-
-// BenchmarkAblationBayesRisk times the Perry–Mahoney regularized-
-// estimation experiment (reference [36]).
-func BenchmarkAblationBayesRisk(b *testing.B) {
-	population := gen.RingOfCliques(5, 6)
-	var res *regsdp.BayesResult
-	for i := 0; i < b.N; i++ {
-		rng := rand.New(rand.NewSource(int64(i) + 3))
-		var err error
-		res, err = regsdp.BayesRisk(population, 0.7, []float64{1, 5, 20, 100}, 4, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	if res != nil {
-		b.Logf("bayes risk: unregularized %.4f, best %.4f at eta=%g (improvement %.1f%%)",
-			res.UnregularizedRisk, res.BestRisk, res.BestEta, 100*res.Improvement())
-	}
-}
 
 // ---- parallel NCP profile engine (serial vs. worker-pool fan-out) ----
 
@@ -656,67 +239,6 @@ func BenchmarkPersistWALAppend(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// ---- micro-benchmarks of the hot kernels ----
-
-// BenchmarkKernels measures the low-level operations every experiment is
-// built from, with allocation counts (-benchmem) as the regression guard.
-func BenchmarkKernels(b *testing.B) {
-	setup(b)
-	g := fixtures.fig1Graph
-	lap := spectral.NormalizedLaplacian(g)
-	x := make([]float64, g.N())
-	for i := range x {
-		x[i] = float64(i%7) - 3
-	}
-	y := make([]float64, g.N())
-	b.Run("laplacian-matvec", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			y = lap.MulVec(x, y)
-		}
-	})
-	b.Run("bfs", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			g.BFS(i % g.N())
-		}
-	})
-	b.Run("sweep-cut", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := partition.SweepCut(g, x); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("conductance", func(b *testing.B) {
-		b.ReportAllocs()
-		inS := make([]bool, g.N())
-		for i := 0; i < g.N()/3; i++ {
-			inS[i] = true
-		}
-		for i := 0; i < b.N; i++ {
-			g.Conductance(inS)
-		}
-	})
-}
-
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-	if len(s)%2 == 1 {
-		return s[len(s)/2]
-	}
-	return (s[len(s)/2-1] + s[len(s)/2]) / 2
 }
 
 // ---- kernel: indexed sparse workspaces vs the legacy map vectors ----
