@@ -38,8 +38,13 @@ func writeJSONBytes(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)+1))
 	w.WriteHeader(code)
 	w.Write(body)
-	io.WriteString(w, "\n")
+	w.Write(newline)
 }
+
+// newline ends every JSON reply. It is a package slice because
+// io.WriteString on a writer without WriteString (the telemetry
+// statusWriter) would allocate []byte("\n") per reply.
+var newline = []byte("\n")
 
 // toAPIError maps an error onto the wire envelope: *api.Error (what
 // the store, the pipeline and the job manager return) passes through,
