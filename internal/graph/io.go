@@ -82,7 +82,8 @@ func ReadEdgeListFile(path string) (*Graph, error) {
 // imply, and graphd applies the same cap to streamed graphs. Builder.Build
 // allocates 16 B per node before any edge (int64 row pointers and
 // float64 degrees), so 1<<26 nodes cost 1 GiB: a 20-byte "# nodes"
-// header cannot ask for more memory than a server has.
+// header cannot ask for more memory than a server has. The cap also
+// keeps every stored graph well inside its uint32 node ids.
 const MaxEdgeListNodes = 1 << 26
 
 // ReadEdgeList parses the format produced by WriteEdgeList, tolerating

@@ -5,10 +5,11 @@ import "sync/atomic"
 // Stats are the storage engine's process-wide telemetry: how many
 // bytes are memory-mapped right now, how often mapped graphs were
 // released by the GC finalizer instead of an explicit Close (the
-// Delete path's deliberate deferred unmap), and how much time the verified snapshot opens spent revalidating CSR
-// invariants. Everything is an atomic, so recording from concurrent
-// opens, closes, finalizers and queries needs no lock; graphd renders
-// the values on /metrics as the graphd_gstore_* families.
+// Delete path's deliberate deferred unmap), and how much time the
+// verified snapshot opens spent revalidating CSR invariants.
+// Everything is an atomic, so recording from concurrent opens, closes,
+// finalizers and queries needs no lock; graphd renders the values on
+// /metrics as the graphd_gstore_* families.
 //
 // The counters are package-global rather than per-store because the
 // resources they meter are process-global: a mapping's pages and a

@@ -36,11 +36,13 @@ func batchTestGraph(t testing.TB) *graph.Graph {
 	return g
 }
 
-// batchBackends serves g the three ways a graph comes to be: "builder"
-// is the builder's own graph, as every in-process caller hands it to
-// the kernel; "compact" is its snapshot decoded into one buffer,
-// graphd's in-memory load; "mmap" is the same snapshot mapped, skipped
-// on platforms that cannot map snapshots.
+// batchBackends serves g the three ways a graph comes to be: "heap" is
+// the builder's own graph, as every in-process caller hands it to the
+// kernel (the row keeps the name it had when the builder's graph was a
+// second type, and with it the subtest names); "compact" is its
+// snapshot decoded into one buffer, graphd's in-memory load; "mmap" is
+// the same snapshot mapped, skipped on platforms that cannot map
+// snapshots.
 func batchBackends(t testing.TB, g *graph.Graph) map[string]gstore.Graph {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "g"+persist.SnapshotExt)
@@ -51,7 +53,7 @@ func batchBackends(t testing.TB, g *graph.Graph) map[string]gstore.Graph {
 	if err != nil {
 		t.Fatalf("ReadCompactFile: %v", err)
 	}
-	out := map[string]gstore.Graph{"builder": g, "compact": c}
+	out := map[string]gstore.Graph{"heap": g, "compact": c}
 	m, err := persist.OpenMapped(path)
 	if errors.Is(err, persist.ErrNotMappable) {
 		t.Logf("platform cannot mmap snapshots: %v", err)
